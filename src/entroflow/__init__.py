@@ -34,7 +34,7 @@ from .family import (
     TabulatedFamily,
     tabulated_from_json,
 )
-from .duality import StatePoint, entropy, entropy_gradient, solve_lambda
+from .duality import entropy, solve_lambda
 from .geometry import (
     ConnectionCoefficients,
     FamilyManifold,
@@ -49,6 +49,7 @@ from .geometry import (
     field_strength,
     metric,
     sigma,
+    unit_velocity,
 )
 from .flow import (
     EntropyProductionReport,
@@ -57,16 +58,9 @@ from .flow import (
     clock_invert,
     entropy_production_check,
     integrate,
-    velocity_field,
     write_trajectory_csv,
 )
-from .coupled import (
-    CompositeSystem,
-    composite_entropy,
-    composite_metric,
-    coupled_velocity,
-    integrate_coupled,
-)
+from .coupled import CompositeSystem
 from .onsager import (
     OnsagerReport,
     empirical_onsager,
@@ -103,8 +97,6 @@ __all__ = [
     # duality
     "solve_lambda",
     "entropy",
-    "entropy_gradient",
-    "StatePoint",
     # geometry
     "MetricTensor",
     "ConnectionCoefficients",
@@ -117,12 +109,12 @@ __all__ = [
     "fd_metric_oracle",
     "sigma",
     "christoffel",
+    "unit_velocity",
     "covariant_acceleration",
     "field_strength",
     # flow
     "Trajectory",
     "TrajectorySample",
-    "velocity_field",
     "integrate",
     "entropy_production_check",
     "EntropyProductionReport",
@@ -130,10 +122,6 @@ __all__ = [
     "write_trajectory_csv",
     # coupled
     "CompositeSystem",
-    "composite_entropy",
-    "composite_metric",
-    "coupled_velocity",
-    "integrate_coupled",
     # onsager
     "OnsagerReport",
     "onsager_matrix",

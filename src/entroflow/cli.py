@@ -12,8 +12,8 @@ numerics, and wall-clock timing goes to the log stream, never into files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,9 +32,10 @@ from .family import (
     GaussianMeanFamily,
     IdealGasFamily,
     TabulatedFamily,
+    _key_line,
     tabulated_from_json,
 )
-from .flow import integrate, entropy_production_check, write_trajectory_csv
+from .flow import _fmt, integrate, entropy_production_check, write_trajectory_csv
 from .geometry import christoffel, as_manifold
 from .onsager import empirical_report, write_onsager_json
 
@@ -97,19 +98,13 @@ _FAMILY_KEYS = {
 _ANALYSIS_KEYS = {"kind", "clock_rate", "window", "center", "points"}
 
 
-def _key_line(text: str, key: str) -> str:
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return f" (line {lineno})"
-    return ""
-
-
 def _reject_unknown(obj: dict, allowed: set, path: str, text: str) -> None:
     for key in obj:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
-            raise ParseError(f"unknown key {where!r}{_key_line(text, key)}")
+            line = _key_line(text, key)
+            at = f" (line {line})" if line is not None else ""
+            raise ParseError(f"unknown key {where!r}{at}")
 
 
 def _number_list(value, path: str, violations: list) -> np.ndarray | None:
@@ -440,19 +435,19 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=sys.stderr) -> int:
             record_every=cfg.record_every,
         )
 
-        write_trajectory_csv(traj, out / cfg.outputs.trajectory_csv)
-
+        # Every analysis runs before the first artifact is written, so a
+        # failing analysis leaves no partial artifact set behind.
         analyses_out: dict = {}
+        onsager = None
         for spec in cfg.analyses:
             if spec.kind == "onsager":
-                report = empirical_report(
+                onsager = empirical_report(
                     system,
                     traj,
                     spec.clock_rate,
                     center=spec.center,
                     window=spec.window,
                 )
-                write_onsager_json(report, out / cfg.outputs.onsager_json)
             elif spec.kind == "entropy_production_check":
                 check = entropy_production_check(traj)
                 analyses_out["entropy_production_check"] = {
@@ -473,6 +468,10 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=sys.stderr) -> int:
         }
         if analyses_out:
             summary["analyses"] = analyses_out
+
+        write_trajectory_csv(traj, out / cfg.outputs.trajectory_csv)
+        if onsager is not None:
+            write_onsager_json(onsager, out / cfg.outputs.onsager_json)
         with open(out / cfg.outputs.summary_json, "w") as fh:
             fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except (EntroflowError, ValueError) as exc:
@@ -519,12 +518,6 @@ def _cmd_run(args) -> int:
         except EntroflowError as exc:
             print(f"{p}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-    if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(
-                pool.map(lambda c: run_scenario(c, output_dir=args.output_dir), configs)
-            )
-        return max(codes)
     status = 0
     for cfg in configs:
         status = max(status, run_scenario(cfg, output_dir=args.output_dir))
@@ -541,10 +534,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_probe(args) -> int:
     try:
         cfg = parse_config(args.config)
@@ -553,14 +542,14 @@ def _cmd_probe(args) -> int:
     except EntroflowError as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print("point   = [" + ", ".join(_fmt17(x) for x in info["point"]) + "]")
-    print("lambda  = [" + ", ".join(_fmt17(x) for x in info["lambda"]) + "]")
-    print("sigma   = " + _fmt17(info["sigma"]))
+    print("point   = [" + ", ".join(_fmt(x) for x in info["point"]) + "]")
+    print("lambda  = [" + ", ".join(_fmt(x) for x in info["lambda"]) + "]")
+    print("sigma   = " + _fmt(info["sigma"]))
     for i, row in enumerate(info["metric"]):
-        print(f"g[{i}]    = [" + ", ".join(_fmt17(x) for x in row) + "]")
+        print(f"g[{i}]    = [" + ", ".join(_fmt(x) for x in row) + "]")
     for a, block in enumerate(info["christoffel"]):
         for b, row in enumerate(block):
-            print(f"Gamma[{a}][{b}] = [" + ", ".join(_fmt17(x) for x in row) + "]")
+            print(f"Gamma[{a}][{b}] = [" + ", ".join(_fmt(x) for x in row) + "]")
     return 0
 
 
@@ -575,7 +564,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one or more scenario configs")
     p_run.add_argument("configs", nargs="+", help="scenario JSON paths")
     p_run.add_argument("--output-dir", default=".", help="directory for artifacts")
-    p_run.add_argument("--jobs", type=int, default=1, help="run scenarios concurrently")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and report violations")
@@ -583,6 +571,11 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     p_probe = sub.add_parser("probe", help="print metric, lambda, sigma, Christoffels at a point")
+    # argparse takes "-4e-05" for an option unless the number matcher also
+    # covers exponent notation; --point values are the only numbers here.
+    p_probe._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+    )
     p_probe.add_argument("config")
     p_probe.add_argument("--point", type=float, nargs="+", required=True)
     p_probe.set_defaults(func=_cmd_probe)

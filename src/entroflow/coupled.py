@@ -20,24 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import flow as _flow
 from .family import ExponentialFamily, as_vector
-from .geometry import (
-    FamilyManifold,
-    ManifoldPoint,
-    MetricTensor,
-    SIGMA_MIN,
-    StateManifold,
-    metric as _metric,
-)
+from .geometry import FamilyManifold, ManifoldPoint, MetricTensor, StateManifold
 
-__all__ = [
-    "CompositeSystem",
-    "composite_entropy",
-    "composite_metric",
-    "coupled_velocity",
-    "integrate_coupled",
-]
+__all__ = ["CompositeSystem"]
 
 
 class CompositeSystem(StateManifold):
@@ -106,7 +92,9 @@ class CompositeSystem(StateManifold):
         g2 = self._m2.metric_matrix(self.A_total - A, warm=w2)
         return g1 + g2
 
-    # trajectory samples carry the subsystem split
+    # Trajectory samples carry the subsystem split.  The conservation
+    # residual max|A + A' - A_T| is zero by construction; it is kept as a
+    # regression guard.
 
     def sample_lambda(self, pt: ManifoldPoint) -> np.ndarray:
         return pt.aux[0][0]
@@ -120,32 +108,3 @@ class CompositeSystem(StateManifold):
             "conservation_residual": residual,
         }
 
-
-def composite_entropy(cs: CompositeSystem, A) -> float:
-    """S_T(A) = S(A) + S'(A_T - A)."""
-    cs.check_feasible(A)
-    return cs.entropy(A)
-
-
-def composite_metric(cs: CompositeSystem, A) -> MetricTensor:
-    """g(A) + g'(A_T - A): both subsystem Hessians enter with a plus sign."""
-    return _metric(cs, A)
-
-
-def coupled_velocity(cs: CompositeSystem, A, *, sigma_min: float = SIGMA_MIN) -> np.ndarray:
-    """dA/dtau = g_T_inv . (lam - lam') / sigma_T for the reduced state.
-
-    Raises AtEquilibriumError when the conjugate forces are equal within
-    sigma_min: that is the end state of the constrained relaxation.
-    """
-    return _flow.velocity_field(cs, A, sigma_min=sigma_min)
-
-
-def integrate_coupled(cs: CompositeSystem, A0, **options) -> _flow.Trajectory:
-    """Integrate the conservation-constrained flow; see ``flow.integrate``.
-
-    Samples additionally record A', lam' and the conservation residual
-    max|A + A' - A_T| (identically zero by construction; kept as a
-    regression guard).
-    """
-    return _flow.integrate(cs, A0, **options)

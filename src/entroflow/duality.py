@@ -12,14 +12,12 @@ declared entropy surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleMeanError, NoConvergenceError, SingularModelError
 from .family import ExponentialFamily, as_vector
 
-__all__ = ["solve_lambda", "entropy", "entropy_gradient", "StatePoint"]
+__all__ = ["solve_lambda", "entropy"]
 
 #: Stop when the mean-space residual drops below this (sup norm).
 SOLVE_TOL = 1e-10
@@ -150,34 +148,3 @@ def entropy(family: ExponentialFamily, A) -> float:
     lam = solve_lambda(family, A)
     return float(family.log_partition(lam) + lam @ A)
 
-
-def entropy_gradient(family: ExponentialFamily, A) -> np.ndarray:
-    """dS/dA = lam(A): the natural coordinates are the entropy gradient."""
-    return solve_lambda(family, A)
-
-
-@dataclass(frozen=True)
-class StatePoint:
-    """A point on the state manifold with its dual coordinates cached.
-
-    All fields are populated at construction and never mutated, so shared
-    instances are safe across threads.  The caches satisfy
-    mean_parameters(lam) = A (within solver tolerance) and
-    S = log_partition(lam) + lam . A.
-    """
-
-    A: np.ndarray
-    lam: np.ndarray
-    S: float
-
-    @classmethod
-    def at(cls, family: ExponentialFamily, A, init=None) -> "StatePoint":
-        A = family.check_feasible(A)
-        lam = solve_lambda(family, A, init=init)
-        surface = family.entropy_surface(A)
-        S = (
-            float(surface)
-            if surface is not None
-            else float(family.log_partition(lam) + lam @ A)
-        )
-        return cls(A=A, lam=lam, S=S)

@@ -66,7 +66,13 @@ class DiscreteSpace:
         weights = np.asarray(weights, dtype=float)
         if len(points) < 2:
             raise ValueError("a discrete space needs at least 2 points")
-        if len(set(points)) != len(points):
+        try:
+            labels = set(points)
+        except TypeError:
+            raise ValueError(
+                "point labels must be hashable (strings or numbers, not lists)"
+            ) from None
+        if len(labels) != len(points):
             raise ValueError("point labels must be unique")
         if weights.shape != (len(points),):
             raise ValueError("weights must match points in length")

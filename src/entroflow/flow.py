@@ -32,12 +32,11 @@ from .errors import (
     StepCollapseError,
     TooFewSamplesError,
 )
-from .geometry import ManifoldPoint, SIGMA_MIN, StateManifold, as_manifold, unit_velocity
+from .geometry import ManifoldPoint, StateManifold, as_manifold, unit_velocity
 
 __all__ = [
     "TrajectorySample",
     "Trajectory",
-    "velocity_field",
     "integrate",
     "entropy_production_check",
     "EntropyProductionReport",
@@ -103,14 +102,6 @@ class Trajectory:
 
     def states(self) -> np.ndarray:
         return np.array([s.A for s in self.samples])
-
-
-def velocity_field(system, A, *, sigma_min: float = SIGMA_MIN) -> np.ndarray:
-    """Flow velocity g_inv . lam / sigma at A; unit metric norm by construction.
-
-    Raises AtEquilibriumError when sigma(A) < sigma_min.
-    """
-    return unit_velocity(as_manifold(system).point(A), sigma_min=sigma_min)
 
 
 def _speed(pt: ManifoldPoint) -> float:

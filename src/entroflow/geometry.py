@@ -2,10 +2,10 @@
 
 In mean coordinates the metric is g = -Hess S(A), which by Legendre duality
 equals the inverse covariance of the sufficient statistics.  This module
-packages the metric with its inverse and Cholesky factor, exposes the
-entropy-gradient magnitude sigma, and builds the Levi-Civita connection,
-covariant acceleration and the antisymmetric field-strength tensor of the
-unit-speed gradient flow.
+packages the metric with its inverse, exposes the entropy-gradient
+magnitude sigma, and builds the Levi-Civita connection, covariant
+acceleration and the antisymmetric field-strength tensor of the unit-speed
+gradient flow.
 
 Everything operates through the small ``StateManifold`` interface so that
 single families, coupled composite systems and reparametrized charts all
@@ -64,20 +64,15 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric positive-definite metric with inverse and Cholesky factor."""
+    """Symmetric positive-definite metric with its inverse."""
 
     g: np.ndarray
     g_inv: np.ndarray
-    chol: np.ndarray
 
     @classmethod
     def from_matrix(cls, g: np.ndarray) -> "MetricTensor":
         g = _symmetrize(np.asarray(g, dtype=float))
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise SingularModelError("metric is not positive definite") from None
-        return cls(g=g, g_inv=_symmetrize(np.linalg.inv(g)), chol=chol)
+        return cls(g=g, g_inv=_spd_inverse(g, "metric"))
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> "MetricTensor":
@@ -87,12 +82,7 @@ class MetricTensor:
         between the two Hessians holds to inversion accuracy.
         """
         cov = _symmetrize(np.asarray(cov, dtype=float))
-        g = _spd_inverse(cov, "covariance")
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise SingularModelError("metric is not positive definite") from None
-        return cls(g=g, g_inv=cov, chol=chol)
+        return cls(g=_spd_inverse(cov, "covariance"), g_inv=cov)
 
     @property
     def n(self) -> int:
@@ -155,7 +145,7 @@ class StateManifold(ABC):
 
     @abstractmethod
     def metric_matrix(self, A, warm: tuple | None = None) -> np.ndarray:
-        """Raw symmetric metric matrix at A (no Cholesky packaging)."""
+        """Raw symmetric metric matrix at A (no inverse)."""
 
     # Hooks used when assembling trajectory samples.
     def sample_lambda(self, pt: ManifoldPoint) -> np.ndarray:

@@ -7,7 +7,6 @@ from entroflow import (
     GaussianMeanFamily,
     IdealGasFamily,
     integrate,
-    integrate_coupled,
 )
 
 
@@ -64,7 +63,7 @@ def gaussian_traj(gaussian):
 
 @pytest.fixture(scope="session")
 def coupled_gas_traj(equal_gas_pair):
-    return integrate_coupled(equal_gas_pair, [1.0, 0.5], tau_max=10.0)
+    return integrate(equal_gas_pair, [1.0, 0.5], tau_max=10.0)
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,10 @@ from entroflow import (
     fd_metric_oracle,
     field_strength,
     integrate,
-    integrate_coupled,
     metric,
     onsager_matrix,
     solve_lambda,
-    velocity_field,
+    unit_velocity,
 )
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config, run_scenario
 from entroflow.onsager import empirical_onsager_pooled
@@ -159,7 +158,7 @@ def test_c05_integrator_convergence_order(bernoulli):
 def test_c06_coupled_conservation_and_equalization():
     system = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(1.0), [4.0, 2.0])
     started = time.perf_counter()
-    traj = integrate_coupled(system, [1.0, 0.5], tau_max=10.0)
+    traj = integrate(system, [1.0, 0.5], tau_max=10.0)
     elapsed = time.perf_counter() - started
     for s in traj.samples:
         assert s.conservation_residual <= 1e-12
@@ -187,8 +186,8 @@ def test_c07_onsager_reciprocity(rng):
     # the force one-form decays parallel to itself along any single
     # trajectory, so the empirical estimate pools matched-sigma windows
     # from two starts with different (conserved) force directions
-    t1 = integrate_coupled(system, [0.8, 0.7], tau_max=10.0, record_every=5)
-    t2 = integrate_coupled(system, [1.45, 0.6], tau_max=10.0, record_every=5)
+    t1 = integrate(system, [0.8, 0.7], tau_max=10.0, record_every=5)
+    t2 = integrate(system, [1.45, 0.6], tau_max=10.0, record_every=5)
 
     def center_at_sigma(traj, target):
         sig = np.array([s.sigma for s in traj.samples])
@@ -217,7 +216,7 @@ def test_c08_geometry_identities(catalog_runs, bernoulli, gaussian):
     for s in picks:
         f = field_strength(system, s.A)
         assert np.max(np.abs(f + f.T)) <= 1e-8
-        v = velocity_field(system, s.A)
+        v = unit_velocity(as_manifold(system).point(s.A))
         pt = as_manifold(system).point(s.A)
         lhs = covariant_acceleration(system, s.A)
         rhs = pt.metric.g_inv @ f @ v

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entroflow
 from entroflow import ParseError, ValidationError
 from entroflow.cli import (
     build_system,
@@ -236,6 +241,18 @@ class TestRunScenario:
         assert len(probes) == 2
         assert probes[0]["metric"][0][0] == pytest.approx(16.0 / 3.0, rel=1e-10)
 
+    def test_failing_analysis_writes_no_artifacts(self, tmp_path):
+        doc = dict(
+            MINIMAL,
+            name="baddim",
+            analyses=[{"kind": "geometry_probe", "points": [[0.3, 0.4]]}],
+        )
+        cfg = parse_config(write_config(tmp_path, doc))
+        log = io.StringIO()
+        assert run_scenario(cfg, output_dir=tmp_path / "out", log=log) == 2
+        assert "shape" in log.getvalue()
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestMain:
     def test_run_and_validate(self, tmp_path, capsys):
@@ -265,6 +282,31 @@ class TestMain:
         out = capsys.readouterr().out
         assert "g[1]" in out and "Gamma[1][1]" in out
 
+    def test_probe_negative_exponent_point(self, tmp_path, capsys):
+        doc = dict(MINIMAL, family={"closed_form": "gaussian-mean"}, A0=[-2.0])
+        path = write_config(tmp_path, doc)
+        assert main(["probe", str(path), "--point", "-4e-05"]) == 0
+        out = capsys.readouterr().out
+        point_line = next(l for l in out.splitlines() if l.startswith("point"))
+        assert float(point_line.split("[")[1].rstrip("]")) == -4e-05
+
+    @pytest.mark.parametrize("form", ["inline", "file"])
+    def test_list_labels_exit_2_without_traceback(self, tmp_path, form):
+        table = {"points": [[0], [1]], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}
+        if form == "file":
+            (tmp_path / "table.json").write_text(json.dumps(table))
+            table = {"tabulated": "table.json"}
+        path = write_config(tmp_path, dict(MINIMAL, family=table))
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroflow.cli", "run", str(path),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "hashable" in proc.stderr
+
     def test_probe_infeasible_point_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         assert main(["probe", str(path), "--point", "1.5"]) == 2
@@ -276,11 +318,11 @@ class TestMain:
         assert exc.value.code == 0
         assert "entroflow" in capsys.readouterr().out
 
-    def test_jobs_batch_mode(self, tmp_path):
+    def test_batch_mode(self, tmp_path):
         p1 = write_config(tmp_path, dict(MINIMAL, name="j1"), "one.json")
         p2 = write_config(tmp_path, dict(MINIMAL, name="j2", A0=[0.75]), "two.json")
         out = tmp_path / "out"
-        assert main(["run", str(p1), str(p2), "--output-dir", str(out), "--jobs", "2"]) == 0
+        assert main(["run", str(p1), str(p2), "--output-dir", str(out)]) == 0
         assert (out / "j1.csv").exists() and (out / "j2.csv").exists()
 
 

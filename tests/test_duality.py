@@ -10,11 +10,10 @@ from entroflow import (
     DiscreteSpace,
     IdealGasFamily,
     InfeasibleMeanError,
+    FamilyManifold,
     SingularModelError,
-    StatePoint,
     TabulatedFamily,
     entropy,
-    entropy_gradient,
     solve_lambda,
 )
 from helpers import fd_gradient, random_tabulated, random_feasible_mean
@@ -142,14 +141,14 @@ class TestEntropy:
 
 class TestEntropyGradient:
     def test_maximum(self, bernoulli):
-        assert abs(entropy_gradient(bernoulli, [0.5])[0]) <= 1e-12
+        assert abs(solve_lambda(bernoulli, [0.5])[0]) <= 1e-12
 
     def test_analytic(self, bernoulli):
-        got = entropy_gradient(bernoulli, [0.25])[0]
+        got = solve_lambda(bernoulli, [0.25])[0]
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_ideal_gas_inverse_temperature(self, ideal_gas):
-        grad = entropy_gradient(ideal_gas, [3.0, 2.0])
+        grad = solve_lambda(ideal_gas, [3.0, 2.0])
         assert grad[0] == pytest.approx(1.5 * 2.0 / 3.0, abs=1e-14)
 
     def test_matches_fd_of_entropy(self, bernoulli, ideal_gas, rng):
@@ -158,7 +157,7 @@ class TestEntropyGradient:
             (bernoulli, np.array([0.8])),
             (ideal_gas, np.array([2.5, 1.5])),
         ]:
-            grad = entropy_gradient(fam, A)
+            grad = solve_lambda(fam, A)
             fd = fd_gradient(lambda x: entropy(fam, x), A)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
@@ -166,22 +165,22 @@ class TestEntropyGradient:
         fam = random_tabulated(rng, n_dim=2, n_points=7)
         for _ in range(5):
             A = random_feasible_mean(rng, fam)
-            grad = entropy_gradient(fam, A)
+            grad = solve_lambda(fam, A)
             fd = fd_gradient(lambda x: entropy(fam, x), A)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
 
-class TestStatePoint:
+class TestManifoldPoint:
     def test_caches_are_consistent(self, bernoulli):
-        pt = StatePoint.at(bernoulli, [0.25])
-        assert np.max(np.abs(bernoulli.mean_parameters(pt.lam) - pt.A)) <= 1e-10
-        assert abs(pt.S - bernoulli.log_partition(pt.lam) - pt.lam @ pt.A) <= 1e-10
+        pt = FamilyManifold(bernoulli).point([0.25])
+        assert np.max(np.abs(bernoulli.mean_parameters(pt.force) - pt.A)) <= 1e-10
+        assert abs(pt.S - bernoulli.log_partition(pt.force) - pt.force @ pt.A) <= 1e-10
 
     def test_ideal_gas_point(self, ideal_gas):
-        pt = StatePoint.at(ideal_gas, [3.0, 2.0])
-        assert abs(pt.S - ideal_gas.log_partition(pt.lam) - pt.lam @ pt.A) <= 1e-10
+        pt = FamilyManifold(ideal_gas).point([3.0, 2.0])
+        assert abs(pt.S - ideal_gas.log_partition(pt.force) - pt.force @ pt.A) <= 1e-10
 
     def test_immutable(self, bernoulli):
-        pt = StatePoint.at(bernoulli, [0.25])
+        pt = FamilyManifold(bernoulli).point([0.25])
         with pytest.raises(AttributeError):
             pt.S = 0.0

@@ -12,12 +12,13 @@ from entroflow import (
     ReparametrizedManifold,
     StepCollapseError,
     TooFewSamplesError,
+    as_manifold,
     clock_invert,
     entropy,
     entropy_production_check,
     integrate,
     sigma,
-    velocity_field,
+    unit_velocity,
     write_trajectory_csv,
 )
 from entroflow.errors import InfeasibleMeanError
@@ -36,40 +37,39 @@ class TestVelocityField:
         g_inv = 0.25 * 0.75
         s = lam * math.sqrt(g_inv)
         expected = g_inv * lam / s  # = sqrt(g_inv)
-        got = velocity_field(bernoulli, [0.25])[0]
+        got = unit_velocity(as_manifold(bernoulli).point([0.25]))[0]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.43301270, abs=1e-8)
         # moves toward higher entropy
         assert entropy(bernoulli, [0.25 + 1e-4 * got]) > entropy(bernoulli, [0.25])
 
     def test_mirror_symmetry(self, bernoulli):
-        v_low = velocity_field(bernoulli, [0.25])[0]
-        v_high = velocity_field(bernoulli, [0.75])[0]
+        v_low = unit_velocity(as_manifold(bernoulli).point([0.25]))[0]
+        v_high = unit_velocity(as_manifold(bernoulli).point([0.75]))[0]
         assert v_high == pytest.approx(-v_low, rel=1e-12)
 
     def test_gaussian_unit_velocity(self, gaussian):
-        assert velocity_field(gaussian, [-2.0])[0] == pytest.approx(1.0, rel=1e-12)
+        v = unit_velocity(as_manifold(gaussian).point([-2.0]))[0]
+        assert v == pytest.approx(1.0, rel=1e-12)
 
     def test_unit_metric_norm(self, bernoulli, ideal_gas, rng):
         for fam, draw in [
             (bernoulli, lambda: np.array([rng.uniform(0.1, 0.9)])),
             (ideal_gas, lambda: np.array([rng.uniform(1, 4), rng.uniform(0.5, 2)])),
         ]:
-            from entroflow.geometry import as_manifold
-
             for _ in range(10):
                 A = draw()
                 pt = as_manifold(fam).point(A)
                 if pt.sigma < 1e-6:
                     continue
-                v = velocity_field(fam, A)
+                v = unit_velocity(pt)
                 assert abs(v @ pt.metric.g @ v - 1.0) <= 1e-12
 
     def test_equilibrium_raises(self, bernoulli, gaussian):
         with pytest.raises(AtEquilibriumError):
-            velocity_field(bernoulli, [0.5])
+            unit_velocity(as_manifold(bernoulli).point([0.5]))
         with pytest.raises(AtEquilibriumError):
-            velocity_field(gaussian, [0.0])
+            unit_velocity(as_manifold(gaussian).point([0.0]))
 
 
 class TestIntegrate:
@@ -159,7 +159,7 @@ class TestIntegrate:
         # backward integration is not a supported mode; trace the reversed
         # field with a local RK4 to check the orientation of the flow
         def reversed_field(A):
-            return -velocity_field(bernoulli, A)
+            return -unit_velocity(as_manifold(bernoulli).point(A))
 
         A = np.array([0.25])
         h = 1e-3

@@ -13,13 +13,12 @@ from entroflow import (
     as_manifold,
     christoffel,
     covariant_acceleration,
-    entropy_gradient,
     fd_metric_oracle,
     field_strength,
     metric,
     sigma,
     solve_lambda,
-    velocity_field,
+    unit_velocity,
 )
 from helpers import random_tabulated, random_feasible_mean
 
@@ -36,7 +35,6 @@ class TestMetricTensor:
             assert np.array_equal(g.g, g.g.T)
             assert np.array_equal(g.g_inv, g.g_inv.T)
             assert np.max(np.abs(g.g @ g.g_inv - np.eye(3))) <= 1e-10
-            assert np.max(np.abs(g.chol @ g.chol.T - g.g)) <= 1e-12 * np.max(np.abs(g.g))
 
     def test_rejects_indefinite(self):
         with pytest.raises(SingularModelError):
@@ -127,7 +125,7 @@ class TestSigma:
         for _ in range(20):
             A = np.array([rng.uniform(0.05, 0.95)])
             s = sigma(bernoulli, A)
-            grad = entropy_gradient(bernoulli, A)
+            grad = solve_lambda(bernoulli, A)
             assert (s <= 1e-12) == (np.max(np.abs(grad)) <= 1e-12)
 
 
@@ -191,12 +189,12 @@ class TestCovariantAcceleration:
         acc = covariant_acceleration(equal_gas_pair, A)
         assert np.linalg.norm(acc) > 1e-3
         pt = as_manifold(equal_gas_pair).point(A)
-        v = velocity_field(equal_gas_pair, A)
+        v = unit_velocity(pt)
         inner = acc @ pt.metric.g @ v
         assert abs(inner) <= 1e-6 * max(1.0, np.linalg.norm(acc))
 
     def test_accepts_explicit_velocity(self, bernoulli):
-        v = velocity_field(bernoulli, [0.3])
+        v = unit_velocity(as_manifold(bernoulli).point([0.3]))
         acc = covariant_acceleration(bernoulli, [0.3], A_dot=v)
         assert np.max(np.abs(acc)) <= 1e-8
 
@@ -218,7 +216,7 @@ class TestFieldStrength:
     def test_velocity_norm_preserved(self, equal_gas_pair):
         A = np.array([1.2, 0.7])
         f = field_strength(equal_gas_pair, A)
-        v = velocity_field(equal_gas_pair, A)
+        v = unit_velocity(as_manifold(equal_gas_pair).point(A))
         assert abs(v @ f @ v) <= 1e-6
 
     def test_acceleration_identity(self, equal_gas_pair):
@@ -226,7 +224,7 @@ class TestFieldStrength:
         for A in ([1.1, 0.6], [1.5, 0.8], [0.9, 0.55]):
             A = np.array(A)
             pt = as_manifold(equal_gas_pair).point(A)
-            v = velocity_field(equal_gas_pair, A)
+            v = unit_velocity(pt)
             lhs = covariant_acceleration(equal_gas_pair, A)
             rhs = pt.metric.g_inv @ field_strength(equal_gas_pair, A) @ v
             assert np.max(np.abs(lhs - rhs)) <= 1e-4

@@ -9,12 +9,12 @@ from entroflow import (
     AtEquilibriumError,
     IllConditionedError,
     OnsagerReport,
+    as_manifold,
     empirical_onsager,
     empirical_report,
     integrate,
-    integrate_coupled,
     onsager_matrix,
-    velocity_field,
+    unit_velocity,
     write_onsager_json,
 )
 from entroflow.onsager import empirical_onsager_pooled
@@ -65,7 +65,7 @@ class TestFluxForceRelation:
         for s in bernoulli_traj.samples:
             if s.sigma < 1e-6:
                 continue
-            flux = clock * velocity_field(bernoulli, s.A)
+            flux = clock * unit_velocity(as_manifold(bernoulli).point(s.A))
             L = onsager_matrix(bernoulli, s.A, clock_rate=clock).L
             resid = np.linalg.norm(flux - L @ s.lam) / np.linalg.norm(flux)
             assert resid <= 1e-6
@@ -102,15 +102,15 @@ class TestEmpiricalOnsager:
     def test_single_trajectory_cannot_resolve_two_directions(self, equal_gas_pair):
         # the force one-form decays parallel to itself, so one trajectory
         # only probes one direction: the 2-D window is rank one
-        traj = integrate_coupled(
+        traj = integrate(
             equal_gas_pair, [0.8, 0.7], tau_max=10.0, record_every=10
         )
         with pytest.raises(IllConditionedError):
             empirical_onsager(traj, 1.0, center=len(traj) // 2, window=5)
 
     def test_pooled_windows_recover_full_matrix(self, equal_gas_pair):
-        t1 = integrate_coupled(equal_gas_pair, [0.8, 0.7], tau_max=10.0, record_every=5)
-        t2 = integrate_coupled(equal_gas_pair, [1.45, 0.6], tau_max=10.0, record_every=5)
+        t1 = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, record_every=5)
+        t2 = integrate(equal_gas_pair, [1.45, 0.6], tau_max=10.0, record_every=5)
 
         def center_at_sigma(traj, target):
             sig = np.array([s.sigma for s in traj.samples])
@@ -137,7 +137,7 @@ class TestEmpiricalOnsager:
 
 class TestReportExport:
     def test_report_fields_and_json(self, gas_e_only_pair):
-        traj = integrate_coupled(gas_e_only_pair, [1.0], tau_max=6.0)
+        traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0)
         report = empirical_report(gas_e_only_pair, traj, 1.0)
         assert isinstance(report, OnsagerReport)
         assert report.asymmetry == 0.0
