@@ -3,10 +3,11 @@
 A scenario names a family (or a coupled pair plus conserved totals), an
 initial state and integrator options, and optionally a list of analyses.
 ``run`` integrates and writes the trajectory CSV, a summary JSON and any
-analysis outputs; ``validate`` just parses; ``probe`` prints local geometry
-at a point.  Identical config and build produce byte-identical artifacts:
-there is no time-seeded or otherwise nondeterministic behaviour in the
-numerics, and wall-clock timing goes to the log stream, never into files.
+analysis outputs; ``validate`` checks a config against the system it builds,
+without integrating; ``probe`` prints local geometry at a point.  Identical
+config and build produce byte-identical artifacts: there is no time-seeded
+or otherwise nondeterministic behaviour in the numerics, and wall-clock
+timing goes to the log stream, never into files.
 """
 
 from __future__ import annotations
@@ -396,6 +397,22 @@ def build_system(cfg: ScenarioConfig):
     return CompositeSystem(families[0], families[1], cfg.A_total)
 
 
+def _check_config(cfg: ScenarioConfig) -> None:
+    """Build the system and check the length and feasibility of ``A0`` and of
+    every ``geometry_probe`` point, without integrating."""
+    manifold = as_manifold(build_system(cfg))
+    checks = [("A0", cfg.A0)] + [
+        (f"analyses[{i}].points[{j}]", point)
+        for i, spec in enumerate(cfg.analyses) if spec.kind == "geometry_probe"
+        for j, point in enumerate(spec.points)
+    ]
+    for path, value in checks:
+        try:
+            manifold.check_feasible(value)
+        except (EntroflowError, ValueError) as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _json_floats(value):
     if isinstance(value, np.ndarray):
         return [float(x) for x in value]
@@ -414,13 +431,15 @@ def _probe_dict(system, point, step=1e-5) -> dict:
     }
 
 
-def run_scenario(cfg: ScenarioConfig, output_dir=".", log=sys.stderr) -> int:
+def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     """Run one scenario and write its artifacts under ``output_dir``.
 
     Returns the process exit status: 0 when the integration terminates
     (equilibrium reached or tau budget exhausted), 2 on numerical failure,
-    with the diagnostic on the log stream.
+    with the diagnostic on ``log`` (``sys.stderr`` when None).
     """
+    if log is None:
+        log = sys.stderr
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -527,7 +546,8 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = parse_config(args.config)
-    except EntroflowError as exc:
+        _check_config(cfg)
+    except (EntroflowError, ValueError) as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"{args.config}: valid scenario {cfg.name!r} ({cfg.mode})")
@@ -539,7 +559,7 @@ def _cmd_probe(args) -> int:
         cfg = parse_config(args.config)
         system = build_system(cfg)
         info = _probe_dict(system, args.point)
-    except EntroflowError as exc:
+    except (EntroflowError, ValueError) as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print("point   = [" + ", ".join(_fmt(x) for x in info["point"]) + "]")
@@ -566,7 +586,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--output-dir", default=".", help="directory for artifacts")
     p_run.set_defaults(func=_cmd_run)
 
-    p_val = sub.add_parser("validate", help="parse a config and report violations")
+    p_val = sub.add_parser("validate", help="parse and check a config, report violations")
     p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 

@@ -10,9 +10,10 @@ constrained flow and keeps the integrator auditable.
 Equilibrium is a sigma-threshold stop, not a fixed point of the ODE: the
 field has unit metric norm everywhere, so the flow reaches the entropy
 maximum in finite tau and would overshoot (the direction lam/sigma is
-discontinuous across the maximum).  When a step would cross the threshold
-the step length is bisected so the final state lands just above it, which
-makes terminal-tau comparisons meaningful.
+discontinuous across the maximum).  Near the maximum sigma is the tau left
+to reach it, to first order, so a step of at most sigma/2 keeps every RK4
+stage short of it and halves sigma; the run ends at the first state in
+[sigma_eq, 2 sigma_eq], which makes terminal-tau comparisons meaningful.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ __all__ = [
 #: A step is halved whenever the post-step unit-speed residual exceeds this.
 SPEED_RESIDUAL_TOL = 1e-8
 
-_RECOVERABLE_AWAY = (
+_STEP_ERRORS = (
+    AtEquilibriumError,
     InfeasibleMeanError,
     NoConvergenceError,
     SingularModelError,
     DomainError,
 )
-_RECOVERABLE = (AtEquilibriumError,) + _RECOVERABLE_AWAY
 
 
 @dataclass(frozen=True)
@@ -133,52 +134,6 @@ def _rk4_step(manifold: StateManifold, A: np.ndarray, pt: ManifoldPoint, h: floa
     return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _bisect_to_threshold(
-    manifold: StateManifold,
-    A: np.ndarray,
-    pt: ManifoldPoint,
-    v_here: np.ndarray,
-    h: float,
-    sigma_eq: float,
-) -> tuple[float, ManifoldPoint]:
-    """Shrink the final step so the landing sigma lies in [sigma_eq, 2 sigma_eq].
-
-    Precondition: sigma(A) >= sigma_eq while the full step of length h
-    crosses the entropy maximum (sigma below threshold, direction reversed,
-    or evaluation failure past the maximum).  The landing point is on the
-    near side: reversed trial directions shrink the bracket.
-    """
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            A_mid = _rk4_step(manifold, A, pt, mid * h)
-            p_mid = manifold.point(A_mid, warm=pt.aux)
-            chord = math.sqrt(
-                max(pt.metric.squared_norm_of_vector(A_mid - A), 0.0)
-            )
-            # A trial whose chord collapses had stages across the maximum;
-            # its endpoint is not on the flow and must not be accepted even
-            # if its sigma happens to land inside the window.
-            past = (
-                abs(chord / (mid * h) - 1.0) > 0.01
-                or p_mid.sigma < sigma_eq
-                or float(unit_velocity(p_mid) @ v_here) < 0.0
-            )
-        except _RECOVERABLE:
-            hi = mid
-            continue
-        if past:
-            hi = mid
-        elif p_mid.sigma <= 2.0 * sigma_eq:
-            return mid * h, p_mid
-        else:
-            lo = mid
-        if hi - lo < 1e-14:
-            break
-    raise StepCollapseError("could not bracket the equilibrium threshold")
-
-
 def integrate(
     system,
     A0,
@@ -193,12 +148,13 @@ def integrate(
 
     Classical RK4 with fixed base step ``h``; a step is halved (at most
     ``max_halvings`` times) whenever a solver error occurs inside the
-    stencil or the post-step unit-speed residual exceeds SPEED_RESIDUAL_TOL.
-    Terminates with status ``equilibrium-reached`` when sigma drops below
-    ``sigma_eq`` (landing within a factor 2 of the threshold via bisection)
-    or ``tau-budget-exhausted`` at ``tau_max``.  Every recorded sample
-    carries recomputed lam, S and sigma; successive solver calls are
-    warm-started from the previous step.
+    stencil, the step crosses the entropy maximum, or the post-step
+    unit-speed residual exceeds SPEED_RESIDUAL_TOL.  Steps are capped at
+    sigma/2, so near the maximum each step halves sigma.  Terminates with
+    status ``equilibrium-reached`` at the first state with sigma at most
+    ``2 * sigma_eq``, or ``tau-budget-exhausted`` at ``tau_max``.  Every
+    recorded sample carries recomputed lam, S and sigma; successive solver
+    calls are warm-started from the previous step.
     """
     if tau_max <= 0.0:
         raise ValueError("tau_max must be > 0")
@@ -218,15 +174,16 @@ def integrate(
     samples = [_make_sample(manifold, 0.0, pt)]
     tau = 0.0
     steps = 0
-    last_recorded_tau = 0.0
-    status = None
 
-    while status is None:
+    while True:
+        if pt.sigma <= 2.0 * sigma_eq:
+            status = "equilibrium-reached"
+            break
         remaining = tau_max - tau
         if remaining <= 1e-12 * max(1.0, tau_max):
             status = "tau-budget-exhausted"
             break
-        h_try = min(h, remaining)
+        h_try = min(h, remaining, 0.5 * pt.sigma)
         v_here = unit_velocity(pt)
         for _ in range(max_halvings + 1):
             # A step "crosses" equilibrium when the landing sigma falls
@@ -247,26 +204,9 @@ def integrate(
                     or pt_new.S < pt.S - 1e-12
                     or abs(chord / h_try - 1.0) > 0.01
                 )
-            except AtEquilibriumError:
+            except _STEP_ERRORS:
                 crossed = True
-            except _RECOVERABLE_AWAY:
-                h_try *= 0.5
-                continue
-            if crossed:
-                try:
-                    dtau, pt_fin = _bisect_to_threshold(
-                        manifold, A, pt, v_here, h_try, sigma_eq
-                    )
-                except StepCollapseError:
-                    h_try *= 0.5
-                    continue
-                if tau + dtau > tau:
-                    tau += dtau
-                    samples.append(_make_sample(manifold, tau, pt_fin))
-                    last_recorded_tau = tau
-                status = "equilibrium-reached"
-                break
-            if abs(_speed(pt_new) - 1.0) > SPEED_RESIDUAL_TOL:
+            if crossed or abs(_speed(pt_new) - 1.0) > SPEED_RESIDUAL_TOL:
                 h_try *= 0.5
                 continue
             A, pt = A_new, pt_new
@@ -274,7 +214,6 @@ def integrate(
             steps += 1
             if steps % record_every == 0:
                 samples.append(_make_sample(manifold, tau, pt))
-                last_recorded_tau = tau
             break
         else:
             partial = Trajectory(samples=tuple(samples), terminal_status="error")
@@ -283,7 +222,7 @@ def integrate(
                 trajectory=partial,
             )
 
-    if status == "tau-budget-exhausted" and last_recorded_tau < tau:
+    if samples[-1].tau < tau:
         samples.append(_make_sample(manifold, tau, pt))
     return Trajectory(samples=tuple(samples), terminal_status=status)
 

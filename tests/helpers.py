@@ -65,6 +65,38 @@ def random_feasible_mean(rng, family, lam_box=1.0):
     return family.mean_parameters(lam)
 
 
+def _tabulated_moments(weights, stats, lam):
+    """Mean and covariance of the statistics under p(x|lam), by direct summation."""
+    logits = np.log(weights) - lam @ stats
+    p = np.exp(logits - logits.max())
+    p /= p.sum()
+    mean = stats @ p
+    centered = stats - mean[:, None]
+    return mean, (centered * p) @ centered.T
+
+
+def tabulated_mean(weights, stats, lam):
+    """A(lam) of a tabulated family given as weights and an n_dim x n_points table."""
+    return _tabulated_moments(np.asarray(weights), np.asarray(stats), np.asarray(lam))[0]
+
+
+def tabulated_equilibrium_tau(weights, stats, lam0, nodes=64):
+    """Intrinsic time from A(lam0) to the entropy maximum, by Gauss-Legendre.
+
+    The flow runs along the ray lam(s) = s lam0 from s = 1 to s = 0 with
+    metric speed |dA/ds| = sqrt(lam0 . Cov(s lam0) lam0), so
+    tau_eq = int_0^1 sqrt(lam0 . Cov(s lam0) lam0) ds.
+    """
+    weights, stats, lam0 = np.asarray(weights), np.asarray(stats), np.asarray(lam0)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * (x + 1.0)
+    speed = [
+        np.sqrt(lam0 @ _tabulated_moments(weights, stats, si * lam0)[1] @ lam0)
+        for si in s
+    ]
+    return 0.5 * float(np.dot(w, speed))
+
+
 def synthetic_trajectory(taus, states, lams, entropies, sigmas,
                          status="tau-budget-exhausted"):
     samples = tuple(

@@ -262,6 +262,31 @@ class TestMain:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "b.csv").exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"family": {"points": [[0], [1]], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}},
+             "hashable"),
+            ({"A0": [0.25, 0.3]}, "A0: A must have shape (1,)"),
+            ({"A0": [1.5]}, "A0: bernoulli mean must lie in (0, 1)"),
+            ({"analyses": [{"kind": "geometry_probe", "points": [[0.3, 0.4]]}]},
+             "analyses[0].points[0]: A must have shape (1,)"),
+        ],
+        ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message):
+        path = write_config(tmp_path, dict(MINIMAL, **change))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+
+    def test_run_diagnostic_goes_to_current_stderr(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, A0=[0.5]))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[b] AtEquilibriumError:") and len(err.splitlines()) == 1
+
     def test_validate_rejects_typo(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL, integrator={"taumax": 1.0}))
         assert main(["validate", str(path)]) == 1
@@ -311,6 +336,12 @@ class TestMain:
         path = write_config(tmp_path, MINIMAL)
         assert main(["probe", str(path), "--point", "1.5"]) == 2
         assert "InfeasibleMeanError" in capsys.readouterr().err
+
+    def test_probe_wrong_length_point_exits_2(self, capsys):
+        path = catalog_path("bernoulli-relax")
+        assert main(["probe", str(path), "--point", "0.3", "0.4"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ValueError: A must have shape (1,)" in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

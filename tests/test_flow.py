@@ -21,9 +21,25 @@ from entroflow import (
     unit_velocity,
     write_trajectory_csv,
 )
+from entroflow import flow
 from entroflow.errors import InfeasibleMeanError
+from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.geometry import ManifoldPoint, MetricTensor, StateManifold
-from helpers import synthetic_trajectory
+from helpers import synthetic_trajectory, tabulated_equilibrium_tau, tabulated_mean
+
+
+@pytest.fixture(scope="module")
+def tabulated_3x50():
+    """A seeded 3 x 50 tabulated family, a start A(lam0) and its tau_eq oracle."""
+    rng = np.random.default_rng(50)
+    weights, stats = rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50))
+    lam0 = rng.normal(0.0, 0.2, 3)
+    fam = TabulatedFamily(DiscreteSpace(list(range(50)), weights), stats)
+    return (
+        fam,
+        tabulated_mean(weights, stats, lam0),
+        tabulated_equilibrium_tau(weights, stats, lam0),
+    )
 
 
 def bernoulli_arclength(a0, a1):
@@ -128,6 +144,12 @@ class TestIntegrate:
             traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert sigma_eq <= traj.terminal.sigma <= 2.0 * sigma_eq
 
+    @pytest.mark.parametrize("a0", [-1.0000001e-8, -1.05e-8, -3e-8])
+    def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
+        traj = integrate(gaussian, [a0], tau_max=1.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert 1e-8 <= traj.terminal.sigma <= 2e-8
+
     def test_convergence_order_at_least_3_5(self, bernoulli):
         # fixed-tau endpoint isolates the integrator from the stopping rule
         exact = 0.5 * (1.0 - math.cos(0.5 + math.pi / 3.0))
@@ -199,6 +221,27 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert np.max(np.abs(traj.terminal.A - target)) <= 1e-6
         assert entropy_production_check(traj).max_residual <= 1e-4
+
+    def test_tabulated_terminal_tau_matches_ray_quadrature(self, tabulated_3x50):
+        fam, A0, tau_eq = tabulated_3x50
+        traj = integrate(fam, A0, tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.terminal.tau - tau_eq) <= 1e-6
+
+    def test_tabulated_landing_needs_no_extra_rk4_steps(self, tabulated_3x50, monkeypatch):
+        # every RK4 step but a few halvings is an accepted, recorded sample
+        calls = []
+        rk4_step = flow._rk4_step
+
+        def counting(*args):
+            calls.append(None)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(flow, "_rk4_step", counting)
+        fam, A0, _ = tabulated_3x50
+        traj = integrate(fam, A0, tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert len(calls) <= len(traj) + 5
 
     def test_step_collapse_carries_partial_trajectory(self):
         class Hostile(StateManifold):
