@@ -397,10 +397,11 @@ def build_system(cfg: ScenarioConfig):
     return CompositeSystem(families[0], families[1], cfg.A_total)
 
 
-def _check_config(cfg: ScenarioConfig) -> None:
+def _check_config(cfg: ScenarioConfig):
     """Build the system and check the length and feasibility of ``A0`` and of
-    every ``geometry_probe`` point, without integrating."""
-    manifold = as_manifold(build_system(cfg))
+    every ``geometry_probe`` point, without integrating; return the system."""
+    system = build_system(cfg)
+    manifold = as_manifold(system)
     checks = [("A0", cfg.A0)] + [
         (f"analyses[{i}].points[{j}]", point)
         for i, spec in enumerate(cfg.analyses) if spec.kind == "geometry_probe"
@@ -411,6 +412,7 @@ def _check_config(cfg: ScenarioConfig) -> None:
             manifold.check_feasible(value)
         except (EntroflowError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
+    return system
 
 
 def _json_floats(value):
@@ -444,7 +446,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        system = build_system(cfg)
+        system = _check_config(cfg)
         traj = integrate(
             system,
             cfg.A0,

@@ -77,7 +77,6 @@ class CompositeSystem(StateManifold):
             force=force,
             S=p1.S + p2.S,
             metric=met,
-            sigma=met.norm_of_form(force),
             aux=(p1.aux, p2.aux),
         )
 

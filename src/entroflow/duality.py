@@ -5,9 +5,10 @@ strictly convex potential F(lam) = log Z(lam) + lam . A, whose gradient is
 A - mean_parameters(lam) and whose Hessian is the statistics covariance.
 The maximized entropy follows from the identity S(A) = log Z(lam) + lam . A.
 
-Families that declare closed-form duality (the ideal gas) bypass the solver
-entirely: S, lam and the metric come from analytic derivatives of the
-declared entropy surface.
+Families that declare closed-form duality (Bernoulli, the Gaussian location
+family and the ideal gas) bypass the solver entirely: S, lam and the metric
+come from analytic derivatives of the declared entropy surface.  Tabulated
+families are the only ones that run the Newton iteration.
 """
 
 from __future__ import annotations

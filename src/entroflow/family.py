@@ -10,7 +10,9 @@ so the mean parameters are A = -d log Z / d lam and the covariance of the
 statistics is the Hessian of log Z.  Discrete tabulated families are
 evaluated exactly by weighted summation; continuous families are admitted
 only through closed forms (a unit-variance Gaussian location family and a
-monatomic ideal gas defined by its entropy surface).
+monatomic ideal gas defined by its entropy surface).  The Bernoulli,
+Gaussian and ideal-gas families also declare their Legendre maps in closed
+form, so only tabulated families need the numerical inversion.
 
 All family objects are immutable after construction and safe to share
 across threads; every operation is a pure function of its arguments.
@@ -100,7 +102,8 @@ class ExponentialFamily(ABC):
     and natural-domain checks.  Families with closed-form duality may
     additionally override the ``solve_mean`` / ``entropy_surface`` /
     ``neg_entropy_hessian`` hooks, which let downstream code bypass the
-    numerical Legendre inversion.
+    numerical Legendre inversion.  The hooks take a mean vector that has
+    already passed ``check_feasible`` and do not check it again.
     """
 
     @property
@@ -260,6 +263,10 @@ class BernoulliFamily(ExponentialFamily):
     log Z(lam) = log(1 + e^(-lam)) and the mean A = 1/(1 + e^lam) lives in
     the open interval (0, 1).  The natural domain is all of R (Z is a
     finite two-term sum everywhere).
+
+    The Legendre maps are closed form, so the Newton solver never runs on
+    this family: lam(A) is the logit ln((1 - A)/A), S(A) is the binary
+    entropy and the metric -S''(A) is 1/(A(1 - A)).
     """
 
     @property
@@ -296,6 +303,20 @@ class BernoulliFamily(ExponentialFamily):
             raise InfeasibleMeanError(f"bernoulli mean must lie in (0, 1), got {arr[0]}")
         return arr
 
+    # -- closed forms ------------------------------------------------------
+
+    def solve_mean(self, A) -> np.ndarray:
+        a = float(A[0])
+        return np.array([math.log1p(-a) - math.log(a)])
+
+    def entropy_surface(self, A) -> float:
+        a = float(A[0])
+        return -a * math.log(a) - (1.0 - a) * math.log1p(-a)
+
+    def neg_entropy_hessian(self, A) -> np.ndarray:
+        a = float(A[0])
+        return np.array([[1.0 / (a * (1.0 - a))]])
+
 
 class GaussianMeanFamily(ExponentialFamily):
     """Gaussian location family with prior measure m(x) = exp(-|x|^2 / 2).
@@ -305,6 +326,10 @@ class GaussianMeanFamily(ExponentialFamily):
     covariance is the identity.  The Gaussian weight keeps Z finite on all
     of R^dim.  ``dim`` independent components give the flat product
     manifold used for multi-dimensional checks.
+
+    The Legendre maps are closed form, so the Newton solver never runs on
+    this family: lam(A) = -A, S(A) = (dim/2) log(2 pi) - |A|^2 / 2 and the
+    metric is the identity.
     """
 
     def __init__(self, dim: int = 1):
@@ -331,6 +356,18 @@ class GaussianMeanFamily(ExponentialFamily):
         lam = self.check_natural_domain(lam)
         x = as_vector(x, self._dim, "x")
         return float(-0.5 * x @ x - lam @ x - self.log_partition(lam))
+
+    # -- closed forms ------------------------------------------------------
+
+    def solve_mean(self, A) -> np.ndarray:
+        return -np.asarray(A, dtype=float)
+
+    def entropy_surface(self, A) -> float:
+        A = np.asarray(A, dtype=float)
+        return float(0.5 * self._dim * math.log(2.0 * math.pi) - 0.5 * A @ A)
+
+    def neg_entropy_hessian(self, A) -> np.ndarray:
+        return np.eye(self._dim)
 
 
 class IdealGasFamily(ExponentialFamily):
@@ -393,13 +430,13 @@ class IdealGasFamily(ExponentialFamily):
     # -- closed forms ------------------------------------------------------
 
     def entropy_surface(self, A) -> float:
-        energy, number = self._split(self.check_feasible(A))
+        energy, number = self._split(A)
         return number * (
             math.log(self.volume / number) + 1.5 * math.log(energy / number) + 2.5
         )
 
     def solve_mean(self, A) -> np.ndarray:
-        energy, number = self._split(self.check_feasible(A))
+        energy, number = self._split(A)
         lam_e = 1.5 * number / energy
         if self.fixed_n is not None:
             return np.array([lam_e])
@@ -407,7 +444,7 @@ class IdealGasFamily(ExponentialFamily):
         return np.array([lam_e, lam_n])
 
     def neg_entropy_hessian(self, A) -> np.ndarray:
-        energy, number = self._split(self.check_feasible(A))
+        energy, number = self._split(A)
         if self.fixed_n is not None:
             return np.array([[1.5 * number / energy**2]])
         return np.array(

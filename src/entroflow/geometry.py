@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,25 +55,34 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+def _check_spd(m: np.ndarray, what: str) -> None:
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise SingularModelError(f"{what} is not positive definite") from None
+
+
+def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    _check_spd(m, what)
     return _symmetrize(np.linalg.inv(m))
 
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric positive-definite metric with its inverse."""
+    """Symmetric positive-definite metric.
+
+    Positive definiteness is checked at construction; the inverse ``g_inv``
+    is formed on first use, so a metric that is only summed into another
+    (a subsystem of a composite) is never inverted.
+    """
 
     g: np.ndarray
-    g_inv: np.ndarray
 
     @classmethod
     def from_matrix(cls, g: np.ndarray) -> "MetricTensor":
         g = _symmetrize(np.asarray(g, dtype=float))
-        return cls(g=g, g_inv=_spd_inverse(g, "metric"))
+        _check_spd(g, "metric")
+        return cls(g=g)
 
     @classmethod
     def from_covariance(cls, cov: np.ndarray) -> "MetricTensor":
@@ -82,7 +92,13 @@ class MetricTensor:
         between the two Hessians holds to inversion accuracy.
         """
         cov = _symmetrize(np.asarray(cov, dtype=float))
-        return cls(g=_spd_inverse(cov, "covariance"), g_inv=cov)
+        met = cls(g=_spd_inverse(cov, "covariance"))
+        met.__dict__["g_inv"] = cov  # fills the cache of the g_inv property
+        return met
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        return _symmetrize(np.linalg.inv(self.g))
 
     @property
     def n(self) -> int:
@@ -112,14 +128,20 @@ class ConnectionCoefficients:
 @dataclass(frozen=True)
 class ManifoldPoint:
     """Everything the dynamics needs at one state: the entropy, the force
-    one-form driving the flow, the metric and the gradient magnitude."""
+    one-form driving the flow, the metric and the gradient magnitude.
+
+    ``sigma`` is computed from the force and the metric on first use.
+    """
 
     A: np.ndarray
     force: np.ndarray
     S: float
     metric: MetricTensor
-    sigma: float
     aux: tuple = ()
+
+    @cached_property
+    def sigma(self) -> float:
+        return self.metric.norm_of_form(self.force)
 
 
 class StateManifold(ABC):
@@ -170,8 +192,10 @@ class FamilyManifold(StateManifold):
 
     def point(self, A, warm: tuple | None = None) -> ManifoldPoint:
         fam = self.family
-        A = fam.check_feasible(A)
+        A = as_vector(A, fam.n_dim, "A")
         init = warm[0] if warm else None
+        # solve_lambda checks A once; the closed-form hooks below take the
+        # vector it accepted without checking it again.
         lam = duality.solve_lambda(fam, A, init=init)
         surface = fam.entropy_surface(A)
         S = (
@@ -189,7 +213,6 @@ class FamilyManifold(StateManifold):
             force=lam,
             S=S,
             metric=met,
-            sigma=met.norm_of_form(lam),
             aux=(lam,),
         )
 
@@ -248,7 +271,6 @@ class ReparametrizedManifold(StateManifold):
             force=force,
             S=pt.S,
             metric=met,
-            sigma=met.norm_of_form(force),
             aux=pt.aux,
         )
 

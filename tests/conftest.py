@@ -4,8 +4,10 @@ import pytest
 from entroflow import (
     BernoulliFamily,
     CompositeSystem,
+    DiscreteSpace,
     GaussianMeanFamily,
     IdealGasFamily,
+    TabulatedFamily,
     integrate,
 )
 
@@ -13,6 +15,12 @@ from entroflow import (
 @pytest.fixture(scope="session")
 def bernoulli():
     return BernoulliFamily()
+
+
+@pytest.fixture(scope="session")
+def two_point():
+    """The Bernoulli family as a table, so its Legendre maps go through Newton."""
+    return TabulatedFamily(DiscreteSpace([0, 1], [1.0, 1.0]), [[0.0, 1.0]])
 
 
 @pytest.fixture(scope="session")

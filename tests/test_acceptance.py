@@ -115,7 +115,7 @@ def test_c03_bernoulli_relaxation_golden_value(bernoulli):
     elapsed = time.perf_counter() - started
     tau_err = abs(traj.terminal.tau - math.pi / 6.0)
     state_err = abs(traj.terminal.A[0] - 0.5)
-    assert tau_err <= 1e-3
+    assert tau_err <= 1e-7
     assert state_err <= 1e-4
     assert elapsed < 1.0
     print(

@@ -148,7 +148,7 @@ class TestRunScenario:
         csv_text = (tmp_path / "out" / "b.csv").read_text()
         summary = json.loads((tmp_path / "out" / "b-summary.json").read_text())
         assert summary["terminal_status"] == "equilibrium-reached"
-        assert summary["terminal_tau"] == pytest.approx(math.pi / 6.0, abs=1e-3)
+        assert summary["terminal_tau"] == pytest.approx(math.pi / 6.0, abs=1e-7)
         assert summary["terminal_A"][0] == pytest.approx(0.5, abs=1e-4)
         # summary equals the last CSV row
         last = csv_text.strip().splitlines()[-1].split(",")
@@ -280,6 +280,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+
+    def test_run_rejects_bad_probe_point_before_integrating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("integrate must not run on a rejected config")
+
+        monkeypatch.setattr(entroflow.cli, "integrate", no_integrate)
+        doc = dict(MINIMAL, analyses=[{"kind": "geometry_probe", "points": [[0.3, 0.4]]}])
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("[b] ValidationError: analyses[0].points[0]: A must have shape")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_run_diagnostic_goes_to_current_stderr(self, tmp_path, capsys):
         path = write_config(tmp_path, dict(MINIMAL, A0=[0.5]))

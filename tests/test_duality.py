@@ -40,9 +40,10 @@ class TestSolveLambda:
     def test_gaussian_inversion(self, gaussian):
         assert solve_lambda(gaussian, [-2.0])[0] == pytest.approx(2.0, abs=1e-12)
 
-    def test_warm_start_agrees_with_cold(self, bernoulli):
-        cold = solve_lambda(bernoulli, [0.3])
-        warm = solve_lambda(bernoulli, [0.3], init=cold + 1e-4)
+    def test_warm_start_agrees_with_cold(self, two_point):
+        cold = solve_lambda(two_point, [0.3])
+        warm = solve_lambda(two_point, [0.3], init=cold + 1e-4)
+        assert cold[0] == pytest.approx(bernoulli_lambda(0.3), abs=1e-12)
         assert np.max(np.abs(cold - warm)) <= 1e-10
 
     def test_infeasible_bernoulli(self, bernoulli):
@@ -74,8 +75,10 @@ class TestSolveLambda:
             math.log(2.0 / 2.0) + 1.5 * math.log(3.0 / 2.0), abs=1e-14
         )
 
-    def test_round_trip_100_points_per_family(self, bernoulli, gaussian2, ideal_gas, rng):
-        families = [bernoulli, gaussian2, random_tabulated(rng, 2, 6)]
+    def test_round_trip_100_points_per_family(
+        self, bernoulli, two_point, gaussian2, ideal_gas, rng
+    ):
+        families = [bernoulli, two_point, gaussian2, random_tabulated(rng, 2, 6)]
         for fam in families:
             for _ in range(100):
                 A = random_feasible_mean(rng, fam)
@@ -102,9 +105,10 @@ class TestEntropy:
             got = entropy(fam, [1.5 * n, n])  # E/N = 1.5
             assert got == pytest.approx(n * (1.5 * math.log(1.5) + 2.5), abs=1e-12)
 
-    def test_legendre_identity(self, bernoulli, gaussian, ideal_gas, rng):
+    def test_legendre_identity(self, bernoulli, two_point, gaussian, ideal_gas, rng):
         cases = [
             (bernoulli, np.array([rng.uniform(0.05, 0.95)])),
+            (two_point, np.array([rng.uniform(0.05, 0.95)])),
             (gaussian, rng.normal(size=1)),
             (ideal_gas, np.array([rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0)])),
         ]
@@ -151,10 +155,12 @@ class TestEntropyGradient:
         grad = solve_lambda(ideal_gas, [3.0, 2.0])
         assert grad[0] == pytest.approx(1.5 * 2.0 / 3.0, abs=1e-14)
 
-    def test_matches_fd_of_entropy(self, bernoulli, ideal_gas, rng):
+    def test_matches_fd_of_entropy(self, bernoulli, two_point, ideal_gas, rng):
         for fam, A in [
             (bernoulli, np.array([0.3])),
             (bernoulli, np.array([0.8])),
+            (two_point, np.array([0.3])),
+            (two_point, np.array([0.8])),
             (ideal_gas, np.array([2.5, 1.5])),
         ]:
             grad = solve_lambda(fam, A)

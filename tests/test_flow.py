@@ -91,7 +91,7 @@ class TestVelocityField:
 class TestIntegrate:
     def test_bernoulli_golden_arclength(self, bernoulli_traj):
         assert bernoulli_traj.terminal_status == "equilibrium-reached"
-        assert abs(bernoulli_traj.terminal.tau - math.pi / 6.0) <= 1e-3
+        assert abs(bernoulli_traj.terminal.tau - math.pi / 6.0) <= 1e-7
         assert abs(bernoulli_traj.terminal.A[0] - 0.5) <= 1e-4
 
     def test_gaussian_straight_line(self, gaussian_traj):
