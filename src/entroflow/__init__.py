@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     SingularModelError,
     StepCollapseError,
-    StepTooLargeError,
     TooFewSamplesError,
     UnknownMicrostateError,
     ValidationError,
@@ -45,7 +44,6 @@ from .geometry import (
     as_manifold,
     christoffel,
     covariant_acceleration,
-    fd_metric_oracle,
     field_strength,
     metric,
     sigma,
@@ -80,7 +78,6 @@ __all__ = [
     "NoConvergenceError",
     "AtEquilibriumError",
     "StepCollapseError",
-    "StepTooLargeError",
     "TooFewSamplesError",
     "MonotonicityError",
     "IllConditionedError",
@@ -106,7 +103,6 @@ __all__ = [
     "ReparametrizedManifold",
     "as_manifold",
     "metric",
-    "fd_metric_oracle",
     "sigma",
     "christoffel",
     "unit_velocity",

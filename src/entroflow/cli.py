@@ -421,9 +421,9 @@ def _json_floats(value):
     return value
 
 
-def _probe_dict(system, point, step=1e-5) -> dict:
+def _probe_dict(system, point) -> dict:
     pt = as_manifold(system).point(np.asarray(point, dtype=float))
-    gamma = christoffel(system, point, step=step).gamma
+    gamma = christoffel(system, point).gamma
     return {
         "point": _json_floats(pt.A),
         "lambda": _json_floats(pt.force),
@@ -437,15 +437,16 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     """Run one scenario and write its artifacts under ``output_dir``.
 
     Returns the process exit status: 0 when the integration terminates
-    (equilibrium reached or tau budget exhausted), 2 on numerical failure,
-    with the diagnostic on ``log`` (``sys.stderr`` when None).
+    (equilibrium reached or tau budget exhausted), 2 on numerical failure
+    or when the output directory cannot be made or written, with the
+    diagnostic on ``log`` (``sys.stderr`` when None).
     """
     if log is None:
         log = sys.stderr
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
+        out.mkdir(parents=True, exist_ok=True)
         system = _check_config(cfg)
         traj = integrate(
             system,
@@ -495,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
             write_onsager_json(onsager, out / cfg.outputs.onsager_json)
         with open(out / cfg.outputs.summary_json, "w") as fh:
             fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except (EntroflowError, ValueError) as exc:
+    except (EntroflowError, ValueError, OSError) as exc:
         print(f"[{cfg.name}] {type(exc).__name__}: {exc}", file=log)
         return 2
     elapsed_ms = 1000.0 * (time.perf_counter() - started)

@@ -4,7 +4,8 @@ The total entropy is additive, S_T(A) = S(A) + S'(A_T - A), with the
 conservation constraint eliminated by substitution: the reduced state A is
 subsystem 1's share and A' = A_T - A is subsystem 2's.  Both Hessians then
 enter the composite metric with a plus sign (the chain rule cancels the
-cross-term sign), g_T(A) = g(A) + g'(A_T - A), and the constrained flow is
+cross-term sign), g_T(A) = g(A) + g'(A_T - A), whose derivative is
+dg(A) - dg'(A_T - A).  The constrained flow is
 
     dA/dtau = g_T_inv . (lam - lam') / sigma_T,
 
@@ -84,12 +85,11 @@ class CompositeSystem(StateManifold):
         A = as_vector(A, self.dim, "A")
         return self._m1.entropy(A) + self._m2.entropy(self.A_total - A)
 
-    def metric_matrix(self, A, warm: tuple | None = None) -> np.ndarray:
-        A = as_vector(A, self.dim, "A")
-        w1, w2 = warm if warm else (None, None)
-        g1 = self._m1.metric_matrix(A, warm=w1)
-        g2 = self._m2.metric_matrix(self.A_total - A, warm=w2)
-        return g1 + g2
+    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
+        aux1, aux2 = aux
+        return self._m1.metric_derivative(A, aux1) - self._m2.metric_derivative(
+            self.A_total - A, aux2
+        )
 
     # Trajectory samples carry the subsystem split.  The conservation
     # residual max|A + A' - A_T| is zero by construction; it is kept as a

@@ -56,8 +56,9 @@ def solve_lambda(family: ExponentialFamily, A, init=None) -> np.ndarray:
 
     After the residual meets SOLVE_TOL one extra full Newton step is taken
     and kept if it improves the residual: thanks to quadratic convergence
-    this polishes lam to machine precision, which keeps lam(A) smooth enough
-    for the finite-difference stencils built on top of it.
+    this polishes lam to machine precision, so the covariance and third
+    cumulant evaluated at lam (the metric and the connection) carry no
+    trace of the solver tolerance.
 
     Raises InfeasibleMeanError when the iteration diverges (the requested
     mean lies outside the attainable set) and NoConvergenceError when the

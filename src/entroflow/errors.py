@@ -44,10 +44,6 @@ class StepCollapseError(EntroflowError):
         self.trajectory = trajectory
 
 
-class StepTooLargeError(EntroflowError):
-    """A finite-difference stencil left the feasible region."""
-
-
 class TooFewSamplesError(EntroflowError):
     """A trajectory does not contain enough samples for the requested analysis."""
 

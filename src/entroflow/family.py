@@ -101,9 +101,11 @@ class ExponentialFamily(ABC):
     ``mean_parameters``, ``covariance``, ``log_density``) plus feasibility
     and natural-domain checks.  Families with closed-form duality may
     additionally override the ``solve_mean`` / ``entropy_surface`` /
-    ``neg_entropy_hessian`` hooks, which let downstream code bypass the
-    numerical Legendre inversion.  The hooks take a mean vector that has
-    already passed ``check_feasible`` and do not check it again.
+    ``neg_entropy_hessian`` / ``neg_entropy_third`` hooks, which let
+    downstream code bypass the numerical Legendre inversion.  The hooks take
+    a mean vector that has already passed ``check_feasible`` and do not
+    check it again.  A family without ``neg_entropy_third`` must provide
+    ``cumulants``, from which the geometry builds the connection.
     """
 
     @property
@@ -174,6 +176,17 @@ class ExponentialFamily(ABC):
         """Analytic -Hess S(A) (the metric) if available, else None."""
         return None
 
+    def neg_entropy_third(self, A) -> np.ndarray | None:
+        """Analytic metric derivative T[a, b, c] = -d^3 S / dA^a dA^b dA^c
+        if available, else None; totally symmetric."""
+        return None
+
+    def cumulants(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Covariance and third cumulant of the statistics under p(x|lam)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} declares neither neg_entropy_third nor cumulants"
+        )
+
 
 def _log_sum_exp(values: np.ndarray) -> float:
     # Max-shift is mandatory: natural-parameter excursions during Newton
@@ -235,10 +248,12 @@ class TabulatedFamily(ExponentialFamily):
     def mean_parameters(self, lam) -> np.ndarray:
         return self.stats @ self.probabilities(lam)
 
-    def covariance(self, lam) -> np.ndarray:
+    def _centered(self, lam) -> tuple[np.ndarray, np.ndarray]:
         p = self.probabilities(lam)
-        mean = self.stats @ p
-        centered = self.stats - mean[:, None]
+        return p, self.stats - (self.stats @ p)[:, None]
+
+    def covariance(self, lam) -> np.ndarray:
+        p, centered = self._centered(lam)
         cov = (centered * p) @ centered.T
         cov = 0.5 * (cov + cov.T)
         try:
@@ -248,6 +263,14 @@ class TabulatedFamily(ExponentialFamily):
                 "statistics covariance is not positive definite at this point"
             ) from None
         return cov
+
+    def cumulants(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """Covariance and third cumulant k3[i, j, k] = <c_i c_j c_k> of the
+        centred statistics c, from one pass over the table."""
+        p, centered = self._centered(lam)
+        weighted = centered * p
+        k3 = (weighted[:, None, :] * centered[None, :, :]) @ centered.T
+        return weighted @ centered.T, k3
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -266,7 +289,8 @@ class BernoulliFamily(ExponentialFamily):
 
     The Legendre maps are closed form, so the Newton solver never runs on
     this family: lam(A) is the logit ln((1 - A)/A), S(A) is the binary
-    entropy and the metric -S''(A) is 1/(A(1 - A)).
+    entropy, the metric -S''(A) is 1/(A(1 - A)) and its derivative is
+    (2A - 1)/(A^2 (1 - A)^2).
     """
 
     @property
@@ -317,6 +341,10 @@ class BernoulliFamily(ExponentialFamily):
         a = float(A[0])
         return np.array([[1.0 / (a * (1.0 - a))]])
 
+    def neg_entropy_third(self, A) -> np.ndarray:
+        a = float(A[0])
+        return np.array([[[(2.0 * a - 1.0) / (a * (1.0 - a)) ** 2]]])
+
 
 class GaussianMeanFamily(ExponentialFamily):
     """Gaussian location family with prior measure m(x) = exp(-|x|^2 / 2).
@@ -329,7 +357,7 @@ class GaussianMeanFamily(ExponentialFamily):
 
     The Legendre maps are closed form, so the Newton solver never runs on
     this family: lam(A) = -A, S(A) = (dim/2) log(2 pi) - |A|^2 / 2 and the
-    metric is the identity.
+    metric is the identity, so the manifold is flat.
     """
 
     def __init__(self, dim: int = 1):
@@ -368,6 +396,9 @@ class GaussianMeanFamily(ExponentialFamily):
 
     def neg_entropy_hessian(self, A) -> np.ndarray:
         return np.eye(self._dim)
+
+    def neg_entropy_third(self, A) -> np.ndarray:
+        return np.zeros((self._dim,) * 3)
 
 
 class IdealGasFamily(ExponentialFamily):
@@ -451,6 +482,19 @@ class IdealGasFamily(ExponentialFamily):
             [
                 [1.5 * number / energy**2, -1.5 / energy],
                 [-1.5 / energy, 2.5 / number],
+            ]
+        )
+
+    def neg_entropy_third(self, A) -> np.ndarray:
+        energy, number = self._split(A)
+        t_eee = -3.0 * number / energy**3
+        if self.fixed_n is not None:
+            return np.array([[[t_eee]]])
+        t_een = 1.5 / energy**2
+        return np.array(
+            [
+                [[t_eee, t_een], [t_een, 0.0]],
+                [[t_een, 0.0], [0.0, -2.5 / number**2]],
             ]
         )
 

@@ -9,14 +9,16 @@ gradient flow.
 
 Everything operates through the small ``StateManifold`` interface so that
 single families, coupled composite systems and reparametrized charts all
-share one implementation.  Third derivatives of S (needed for the
-connection) are obtained by central differences of the analytic metric:
-one differencing layer on an exact quantity is far better conditioned than
-triple differences of S itself.
+share one implementation.  A Hessian metric is dually flat, so its
+connection and every derivative of the flow field follow exactly from the
+metric derivative dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is
+totally symmetric: closed-form families declare it, tabulated families
+get it from the third cumulant of their statistics.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import duality
-from .errors import AtEquilibriumError, InfeasibleMeanError, SingularModelError, StepTooLargeError
+from .errors import AtEquilibriumError, SingularModelError
 from .family import ExponentialFamily, as_vector
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "ReparametrizedManifold",
     "as_manifold",
     "metric",
-    "fd_metric_oracle",
     "sigma",
     "christoffel",
     "unit_velocity",
@@ -46,9 +47,6 @@ __all__ = [
 
 #: Below this gradient magnitude the flow direction is undefined.
 SIGMA_MIN = 1e-10
-#: The lowered velocity field lam/sigma is too ill-conditioned to
-#: differentiate below this threshold.
-FIELD_SIGMA_MIN = 1e-6
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -56,6 +54,11 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _check_spd(m: np.ndarray, what: str) -> None:
+    # Cholesky returns NaN factors for a NaN or inf matrix without raising.
+    # The sum of the entries as Python floats is NaN or inf if any entry is,
+    # and costs a fraction of a numpy reduction on these small matrices.
+    if not math.isfinite(sum(m.ravel().tolist())):
+        raise SingularModelError(f"{what} is not finite")
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -121,9 +124,6 @@ class ConnectionCoefficients:
 
     gamma: np.ndarray  # gamma[a, b, c] with lower indices (b, c)
 
-    def contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("abc,b,c->a", self.gamma, u, v)
-
 
 @dataclass(frozen=True)
 class ManifoldPoint:
@@ -165,9 +165,17 @@ class StateManifold(ABC):
     @abstractmethod
     def entropy(self, A) -> float: ...
 
-    @abstractmethod
-    def metric_matrix(self, A, warm: tuple | None = None) -> np.ndarray:
-        """Raw symmetric metric matrix at A (no inverse)."""
+    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
+        """dg[b] = d g / d A^b at A, given the ``aux`` of ``point(A)``.
+
+        Only mean coordinates of a Hessian metric have this closed form;
+        other charts raise NotImplementedError.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no exact metric derivative: the "
+            "connection is available only in mean coordinates, where "
+            "g = -Hess S is dually flat"
+        )
 
     # Hooks used when assembling trajectory samples.
     def sample_lambda(self, pt: ManifoldPoint) -> np.ndarray:
@@ -219,15 +227,24 @@ class FamilyManifold(StateManifold):
     def entropy(self, A) -> float:
         return duality.entropy(self.family, A)
 
-    def metric_matrix(self, A, warm: tuple | None = None) -> np.ndarray:
+    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
+        """Closed form if the family declares one, else -k3(g., g., g.).
+
+        With dlam/dA = -g and d Cov / d lam = -k3 (the third cumulant of
+        the statistics), d g / dA^b = -g (dCov/dA^b) g = -k3(g., g., g_b.).
+        """
         fam = self.family
-        A = fam.check_feasible(A)
-        hess = fam.neg_entropy_hessian(A)
-        if hess is not None:
-            return _symmetrize(np.asarray(hess, dtype=float))
-        init = warm[0] if warm else None
-        lam = duality.solve_lambda(fam, A, init=init)
-        return _spd_inverse(_symmetrize(fam.covariance(lam)), "covariance")
+        third = fam.neg_entropy_third(A)
+        if third is not None:
+            return np.asarray(third, dtype=float)
+        cov, k3 = fam.cumulants(aux[0])
+        g = _spd_inverse(_symmetrize(cov), "covariance")
+        dg = k3
+        for _ in range(3):  # contract each index with g; tensordot moves it last
+            dg = np.tensordot(dg, g, axes=(0, 0))
+        # exact symmetry in the last two indices keeps Gamma exactly
+        # symmetric in its lower indices
+        return -0.5 * (dg + dg.transpose(0, 2, 1))
 
 
 class ReparametrizedManifold(StateManifold):
@@ -238,6 +255,9 @@ class ReparametrizedManifold(StateManifold):
     the force transforms as a one-form and the metric as a (0,2) tensor, so
     the unit-speed gradient flow expressed in the new chart traces the same
     curve at the same intrinsic time.
+
+    The chart is not dually flat, so it has no connection: ``christoffel``
+    and the tensors built on it raise NotImplementedError here.
     """
 
     def __init__(self, base: StateManifold, forward, inverse, jacobian):
@@ -276,14 +296,6 @@ class ReparametrizedManifold(StateManifold):
 
     def entropy(self, B) -> float:
         return self.base.entropy(self._to_base(B))
-
-    def metric_matrix(self, B, warm: tuple | None = None) -> np.ndarray:
-        B = as_vector(B, self.dim, "B")
-        A = self._to_base(B)
-        g = self.base.metric_matrix(A, warm=warm)
-        jac = np.atleast_2d(np.asarray(self.jacobian(A), dtype=float))
-        jac_inv = np.linalg.inv(jac)
-        return _symmetrize(jac_inv.T @ g @ jac_inv)
 
 
 def as_manifold(system) -> StateManifold:
@@ -327,135 +339,67 @@ def sigma(system, A) -> float:
     return as_manifold(system).point(A).sigma
 
 
-def fd_metric_oracle(system, A, step: float = 1e-4) -> np.ndarray:
-    """-Hess S(A) by central finite differences of the entropy.
-
-    Independent verification route for ``metric``; intended for tests.
-    Per-coordinate steps scale with (|A_i| + 1) because coordinates may
-    span orders of magnitude.
-    """
-    m = as_manifold(system)
-    A = m.check_feasible(A)
-    n = m.dim
-    h = step * (np.abs(A) + 1.0)
-    center = m.entropy(A)
-
-    def shifted(i, si, j=None, sj=0.0):
-        x = A.copy()
-        x[i] += si * h[i]
-        if j is not None:
-            x[j] += sj * h[j]
-        return m.entropy(x)
-
-    hess = np.empty((n, n))
-    for i in range(n):
-        hess[i, i] = (shifted(i, 1.0) - 2.0 * center + shifted(i, -1.0)) / h[i] ** 2
-        for j in range(i + 1, n):
-            cross = (
-                shifted(i, 1.0, j, 1.0)
-                - shifted(i, 1.0, j, -1.0)
-                - shifted(i, -1.0, j, 1.0)
-                + shifted(i, -1.0, j, -1.0)
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = cross
-            hess[j, i] = cross
-    return _symmetrize(-hess)
-
-
 # ---------------------------------------------------------------------------
 # connection and derived tensors
 
 
-def _metric_derivatives(
-    m: StateManifold, A: np.ndarray, step: float, warm: tuple | None
-) -> np.ndarray:
-    """dg[b] = d g / d A^b by central differences of the analytic metric."""
-    n = m.dim
-    dg = np.empty((n, n, n))
-    for b in range(n):
-        h = step * (abs(A[b]) + 1.0)
-        xp = A.copy()
-        xp[b] += h
-        xm = A.copy()
-        xm[b] -= h
-        try:
-            gp = m.metric_matrix(xp, warm=warm)
-            gm = m.metric_matrix(xm, warm=warm)
-        except InfeasibleMeanError as exc:
-            raise StepTooLargeError(
-                f"finite-difference stencil left the feasible set along axis {b}"
-            ) from exc
-        dg[b] = (gp - gm) / (2.0 * h)
-    return dg
-
-
-def christoffel(system, A, step: float = 1e-5) -> ConnectionCoefficients:
+def christoffel(system, A) -> ConnectionCoefficients:
     """Levi-Civita connection coefficients at an interior point.
 
-    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc}),
-    with metric derivatives by central differences of step*(|A_b|+1).
-    Symmetry in the lower indices is exact by construction.
+    For the Hessian metric g = -Hess S the symbols reduce to
+    Gamma^a_{bc} = (1/2) g^{ad} d_d g_{bc}, with the exact metric
+    derivative of ``StateManifold.metric_derivative``.  Symmetry in the
+    lower indices is exact.
     """
     m = as_manifold(system)
-    A = m.check_feasible(A)
     pt = m.point(A)
-    dg = _metric_derivatives(m, A, step, pt.aux)
-    # inner[d, b, c] = d_b g_{dc} + d_c g_{db} - d_d g_{bc}; each dg[x] is an
-    # exactly symmetric matrix, so inner (hence gamma) is bit-for-bit
-    # symmetric in (b, c).
-    inner = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", pt.metric.g_inv, inner)
+    dg = m.metric_derivative(pt.A, pt.aux)
+    gamma = 0.5 * np.einsum("ad,dbc->abc", pt.metric.g_inv, dg)
     return ConnectionCoefficients(gamma=gamma)
 
 
-def covariant_acceleration(system, A, A_dot=None, step: float = 1e-5) -> np.ndarray:
-    """Absolute derivative of the flow velocity along itself.
+def _flow_terms(system, A):
+    """Point, unit velocity v, metric derivative dg and c_b = (1/2) w.dg[b].w.
 
-    D v^a / dtau = dv^a/dtau + Gamma^a_{bc} v^b v^c, with dv/dtau obtained
-    by a central directional difference of the flow field (step in
-    intrinsic time).  ``A_dot`` defaults to the flow velocity at A.
+    w = g_inv . lam = sigma v.  With d_b lam_a = -g_ab, the gradient
+    magnitude varies as d_b sigma = -(lam_b + c_b) / sigma.
     """
     m = as_manifold(system)
-    A = m.check_feasible(A)
     pt = m.point(A)
-    u = unit_velocity(pt) if A_dot is None else as_vector(A_dot, m.dim, "A_dot")
-    vp = unit_velocity(m.point(A + step * u, warm=pt.aux))
-    vm = unit_velocity(m.point(A - step * u, warm=pt.aux))
-    dv = (vp - vm) / (2.0 * step)
-    return dv + christoffel(m, A, step=step).contract(u, u)
+    v = unit_velocity(pt)
+    dg = m.metric_derivative(pt.A, pt.aux)
+    c = 0.5 * pt.sigma**2 * np.einsum("bij,i,j->b", dg, v, v)
+    return pt, v, dg, c
 
 
-def field_strength(system, A, step: float = 1e-5) -> np.ndarray:
+def covariant_acceleration(system, A, A_dot=None) -> np.ndarray:
+    """Absolute derivative of the flow velocity v along A_dot.
+
+    D v^a / dtau = A_dot^b d_b v^a + Gamma^a_{bc} A_dot^b A_dot^c, in closed
+    form from d_b lam_a = -g_ab and d_b sigma.  ``A_dot`` defaults to v,
+    where this is -(g_inv . c - v (c . v)) / sigma^2.
+    """
+    m = as_manifold(system)
+    pt, v, dg, c = _flow_terms(m, A)
+    g_inv, s = pt.metric.g_inv, pt.sigma
+    if A_dot is None:
+        return -(g_inv @ c - v * (c @ v)) / s**2
+    x = as_vector(A_dot, m.dim, "A_dot")
+    dg_x = np.einsum("abc,c->ab", dg, x)
+    # d_b v = -g_inv . dg[b] . v - e_b / sigma + v (lam_b + c_b) / sigma^2
+    dv = -g_inv @ (dg_x @ v) - x / s + v * ((pt.force + c) @ x) / s**2
+    return dv + 0.5 * g_inv @ (dg_x @ x)
+
+
+def field_strength(system, A) -> np.ndarray:
     """Antisymmetric tensor of covariant derivatives of the lowered velocity.
 
     f_{ab} = u_{a;b} - u_{b;a} for u_a = lam_a / sigma.  The symmetric
-    connection terms cancel in the antisymmetrization, so f reduces to the
-    curl of the one-form, computed by central differences; antisymmetry is
-    exact by construction.  Points with sigma below FIELD_SIGMA_MIN are
-    rejected: the normalized field is ill-conditioned near equilibrium.
+    connection terms cancel in the antisymmetrization, and so does the
+    -g_ab / sigma part of d_b u_a, leaving
+    f_{ab} = (lam_a c_b - lam_b c_a) / sigma^3; antisymmetry is exact.
+    Raises AtEquilibriumError below SIGMA_MIN, like ``unit_velocity``.
     """
-    m = as_manifold(system)
-    A = m.check_feasible(A)
-    pt = m.point(A)
-    if pt.sigma < FIELD_SIGMA_MIN:
-        raise AtEquilibriumError(
-            f"sigma {pt.sigma:.3e} below {FIELD_SIGMA_MIN:.3e}; "
-            "velocity field too ill-conditioned to differentiate"
-        )
-    n = m.dim
-
-    def lowered(x):
-        p = m.point(x, warm=pt.aux)
-        if p.sigma < SIGMA_MIN:
-            raise AtEquilibriumError("stencil point is at equilibrium")
-        return p.force / p.sigma
-
-    partial = np.empty((n, n))  # partial[a, b] = d_b u_a
-    for b in range(n):
-        h = step * (abs(A[b]) + 1.0)
-        xp = A.copy()
-        xp[b] += h
-        xm = A.copy()
-        xm[b] -= h
-        partial[:, b] = (lowered(xp) - lowered(xm)) / (2.0 * h)
-    return partial - partial.T
+    pt, _, _, c = _flow_terms(system, A)
+    lam = pt.force
+    return (np.outer(lam, c) - np.outer(c, lam)) / pt.sigma**3

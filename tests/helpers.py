@@ -2,13 +2,16 @@
 
 Everything here is an independent verification route: finite differences,
 direct summation, quadrature wrappers and synthetic trajectory builders.
-None of it calls back into the code paths under test.
+The finite-difference oracles of the connection, field strength and flow
+acceleration difference only the metric and the force of ``point``, never
+the closed forms they check.
 """
 
 import numpy as np
 
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.flow import Trajectory, TrajectorySample
+from entroflow.geometry import as_manifold, metric
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -45,6 +48,60 @@ def fd_hessian(f, x, step=1e-4):
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def fd_jacobian(f, x, step=1e-5):
+    """J[..., i] = d f / d x_i by central differences of step (|x_i| + 1)."""
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step * (abs(x[i]) + 1.0)
+        columns.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * e[i]))
+    return np.stack(columns, axis=-1)
+
+
+def fd_metric_oracle(system, A, step=1e-4):
+    """-Hess S(A) by central differences of the entropy."""
+    return -fd_hessian(as_manifold(system).entropy, A, step)
+
+
+def fd_christoffel(system, A, step=1e-5):
+    """Levi-Civita symbols from central differences of metric(system, A).g.
+
+    Uses the general formula (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
+    which does not assume a Hessian metric.
+    """
+    dg = np.moveaxis(fd_jacobian(lambda x: metric(system, x).g, A, step), -1, 0)
+    inner = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(metric(system, A).g), inner)
+
+
+def _velocity(manifold, x):
+    pt = manifold.point(x)
+    return np.linalg.solve(pt.metric.g, pt.force) / pt.sigma
+
+
+def fd_field_strength(system, A, step=1e-5):
+    """Curl of the lowered velocity lam / sigma by central differences."""
+    m = as_manifold(system)
+
+    def lowered(x):
+        pt = m.point(x)
+        return pt.force / pt.sigma
+
+    partial = fd_jacobian(lowered, A, step)  # partial[a, b] = d_b u_a
+    return partial - partial.T
+
+
+def fd_flow_acceleration(system, A, step=1e-5):
+    """D v / dtau along the flow: a central difference of the unit velocity
+    along itself, plus fd_christoffel(v, v)."""
+    m = as_manifold(system)
+    A = np.asarray(A, dtype=float)
+    v = _velocity(m, A)
+    dv = (_velocity(m, A + step * v) - _velocity(m, A - step * v)) / (2.0 * step)
+    return dv + np.einsum("abc,b,c->a", fd_christoffel(system, A, step), v, v)
 
 
 def random_tabulated(rng, n_dim=None, n_points=None):

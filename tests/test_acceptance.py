@@ -22,7 +22,6 @@ from entroflow import (
     as_manifold,
     covariant_acceleration,
     entropy_production_check,
-    fd_metric_oracle,
     field_strength,
     integrate,
     metric,
@@ -32,7 +31,7 @@ from entroflow import (
 )
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config, run_scenario
 from entroflow.onsager import empirical_onsager_pooled
-from helpers import random_tabulated, random_feasible_mean
+from helpers import fd_metric_oracle, random_tabulated, random_feasible_mean
 
 
 @pytest.fixture(scope="module")
@@ -221,17 +220,17 @@ def test_c08_geometry_identities(catalog_runs, bernoulli, gaussian):
         lhs = covariant_acceleration(system, s.A)
         rhs = pt.metric.g_inv @ f @ v
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))
-    assert worst_identity <= 1e-4
+    assert worst_identity <= 1e-12
 
     worst_1d = 0.0
     for fam, points in [(bernoulli, [0.2, 0.35, 0.7]), (gaussian, [-1.5, 0.6])]:
         for a in points:
             worst_1d = max(worst_1d, float(np.max(np.abs(covariant_acceleration(fam, [a])))))
-    assert worst_1d <= 1e-8
+    assert worst_1d <= 1e-14
     print(
         f"\n[PASS] criterion 8: field strength antisymmetric, acceleration "
-        f"identity within {worst_identity:.2e} <= 1e-4 at 10 interior points, "
-        f"1-D acceleration {worst_1d:.2e} <= 1e-8"
+        f"identity within {worst_identity:.2e} <= 1e-12 at 10 interior points, "
+        f"1-D acceleration {worst_1d:.2e} <= 1e-14"
     )
 
 

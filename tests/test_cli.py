@@ -347,6 +347,28 @@ class TestMain:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "hashable" in proc.stderr
 
+    def test_output_dir_that_is_a_file_exits_2_without_traceback(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroflow.cli", "run", str(path),
+             "--output-dir", str(blocker)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_probe_at_every_shipped_start(self, name, capsys):
+        cfg = parse_config(catalog_path(name))
+        point = [repr(float(x)) for x in cfg.A0]
+        assert main(["probe", str(catalog_path(name)), "--point", *point]) == 0
+        out = capsys.readouterr().out
+        assert f"Gamma[{len(point) - 1}][{len(point) - 1}]" in out
+
     def test_probe_infeasible_point_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)
         assert main(["probe", str(path), "--point", "1.5"]) == 2

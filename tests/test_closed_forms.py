@@ -21,10 +21,9 @@ from entroflow import (
     InfeasibleMeanError,
     MetricTensor,
     entropy,
-    fd_metric_oracle,
     solve_lambda,
 )
-from helpers import fd_gradient, fd_hessian
+from helpers import fd_gradient, fd_hessian, fd_metric_oracle
 
 EVALUATIONS = ("log_partition", "mean_parameters", "covariance")
 

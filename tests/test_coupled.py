@@ -14,12 +14,12 @@ from entroflow import (
     as_manifold,
     entropy,
     entropy_production_check,
-    fd_metric_oracle,
     integrate,
     metric,
     solve_lambda,
     unit_velocity,
 )
+from helpers import fd_metric_oracle
 
 
 class TestConstruction:

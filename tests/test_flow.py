@@ -267,9 +267,6 @@ class TestIntegrate:
             def entropy(self, A):
                 return self.inner.entropy(A)
 
-            def metric_matrix(self, A, warm=None):
-                return self.inner.metric_matrix(A, warm=warm)
-
         with pytest.raises(StepCollapseError) as err:
             integrate(Hostile(), [0.25], tau_max=1.0)
         partial = err.value.trajectory

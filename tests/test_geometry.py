@@ -6,21 +6,28 @@ import pytest
 from entroflow import (
     AtEquilibriumError,
     FamilyManifold,
+    IdealGasFamily,
     MetricTensor,
     ReparametrizedManifold,
     SingularModelError,
-    StepTooLargeError,
     as_manifold,
     christoffel,
     covariant_acceleration,
-    fd_metric_oracle,
     field_strength,
     metric,
     sigma,
     solve_lambda,
     unit_velocity,
 )
-from helpers import random_tabulated, random_feasible_mean
+from helpers import (
+    fd_christoffel,
+    fd_field_strength,
+    fd_flow_acceleration,
+    fd_jacobian,
+    fd_metric_oracle,
+    random_feasible_mean,
+    random_tabulated,
+)
 
 
 def bernoulli_metric(A):
@@ -41,6 +48,13 @@ class TestMetricTensor:
             MetricTensor.from_matrix([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularModelError):
             MetricTensor.from_matrix([[0.0]])
+
+    @pytest.mark.parametrize(
+        "matrix", [[[math.nan]], [[math.inf]], [[1.0, math.nan], [math.nan, 1.0]]]
+    )
+    def test_rejects_non_finite(self, matrix):
+        with pytest.raises(SingularModelError, match="not finite"):
+            MetricTensor.from_matrix(matrix)
 
 
 class TestMetric:
@@ -131,14 +145,19 @@ class TestSigma:
 
 class TestChristoffel:
     def test_bernoulli_symmetric_point(self, bernoulli):
-        assert abs(christoffel(bernoulli, [0.5]).gamma[0, 0, 0]) <= 1e-6
+        assert christoffel(bernoulli, [0.5]).gamma[0, 0, 0] == 0.0
 
     def test_bernoulli_analytic(self, bernoulli):
         # 1-D Levi-Civita: (1/2) g^-1 dg/dA = (2A - 1) / (2 A (1 - A))
         got = christoffel(bernoulli, [0.25]).gamma[0, 0, 0]
         expected = (2 * 0.25 - 1.0) / (2 * 0.25 * 0.75)
-        assert got == pytest.approx(expected, rel=1e-6)
-        assert got == pytest.approx(-4.0 / 3.0, rel=1e-6)
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(-4.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1e-9, 1.0 - 1e-9], ids=["near-0", "near-1"])
+    def test_bernoulli_exact_near_boundary(self, bernoulli, a):
+        got = christoffel(bernoulli, [a]).gamma[0, 0, 0]
+        assert got == pytest.approx((2 * a - 1.0) / (2 * a * (1.0 - a)), rel=1e-13)
 
     def test_gaussian_flat(self, gaussian2, rng):
         gam = christoffel(gaussian2, rng.normal(size=2)).gamma
@@ -152,25 +171,55 @@ class TestChristoffel:
         # covariant derivative of g vanishes: d_c g_ab = Gamma^d_ca g_db + Gamma^d_cb g_ad
         for _ in range(5):
             A = np.array([rng.uniform(1.0, 4.0), rng.uniform(0.8, 2.5)])
-            m = as_manifold(ideal_gas)
             gam = christoffel(ideal_gas, A).gamma
-            g = metric(ideal_gas, A).g
-            step = 1e-5
+            g = as_manifold(ideal_gas).point(A).metric.g
+            dg_all = fd_jacobian(lambda x: metric(ideal_gas, x).g, A)
             for c in range(2):
-                h = step * (abs(A[c]) + 1.0)
-                xp = A.copy()
-                xp[c] += h
-                xm = A.copy()
-                xm[c] -= h
-                dg = (m.metric_matrix(xp) - m.metric_matrix(xm)) / (2.0 * h)
                 predicted = np.einsum("da,db->ab", gam[:, c, :], g) + np.einsum(
                     "db,ad->ab", gam[:, c, :], g
                 )
-                assert np.max(np.abs(dg - predicted)) <= 5e-4
+                assert np.max(np.abs(dg_all[:, :, c] - predicted)) <= 1e-7
 
-    def test_step_too_large_near_boundary(self, bernoulli):
-        with pytest.raises(StepTooLargeError):
-            christoffel(bernoulli, [1.0 - 1e-9])
+    def test_reparametrized_chart_has_no_connection(self, bernoulli):
+        rep = ReparametrizedManifold(
+            FamilyManifold(bernoulli),
+            forward=lambda A: A**2,
+            inverse=lambda B: np.sqrt(B),
+            jacobian=lambda A: np.array([[2.0 * A[0]]]),
+        )
+        with pytest.raises(NotImplementedError, match="ReparametrizedManifold"):
+            christoffel(rep, [0.09])
+
+
+def _fd_cases(rng):
+    tab = random_tabulated(rng, n_dim=3, n_points=7)
+    return [
+        (tab, random_feasible_mean(rng, tab)),
+        (IdealGasFamily(volume=2.0), np.array([3.0, 2.0])),
+        (IdealGasFamily(volume=1.0, fixed_n=1.5), np.array([2.5])),
+    ]
+
+
+class TestAgainstFiniteDifferences:
+    """The exact connection, field strength and acceleration against central
+    differences of the metric and of the flow field."""
+
+    def test_christoffel(self, equal_gas_pair, rng):
+        for system, A in _fd_cases(rng) + [(equal_gas_pair, np.array([1.3, 0.8]))]:
+            gam = christoffel(system, A).gamma
+            oracle = fd_christoffel(system, A)
+            assert np.max(np.abs(gam - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    def test_field_strength_and_acceleration(self, equal_gas_pair, rng):
+        for system, A in _fd_cases(rng) + [(equal_gas_pair, np.array([1.2, 0.7]))]:
+            f = field_strength(system, A)
+            acc = covariant_acceleration(system, A)
+            f_oracle = fd_field_strength(system, A)
+            acc_oracle = fd_flow_acceleration(system, A)
+            assert np.max(np.abs(f - f_oracle)) <= 1e-5 * max(1.0, np.max(np.abs(f_oracle)))
+            assert np.max(np.abs(acc - acc_oracle)) <= 1e-5 * max(
+                1.0, np.max(np.abs(acc_oracle))
+            )
 
 
 class TestCovariantAcceleration:
@@ -178,11 +227,11 @@ class TestCovariantAcceleration:
         for fam, pts in [(bernoulli, [0.2, 0.35, 0.7]), (gaussian, [-1.5, 0.4, 2.0])]:
             for a in pts:
                 acc = covariant_acceleration(fam, [a])
-                assert np.max(np.abs(acc)) <= 1e-8
+                assert np.max(np.abs(acc)) <= 1e-14
 
     def test_flat_product_family_is_geodesic(self, gaussian2):
         acc = covariant_acceleration(gaussian2, [-1.0, 0.7])
-        assert np.max(np.abs(acc)) <= 1e-8
+        assert np.max(np.abs(acc)) <= 1e-14
 
     def test_coupled_gas_nonzero_and_orthogonal(self, equal_gas_pair):
         A = np.array([1.1, 0.6])
@@ -191,12 +240,17 @@ class TestCovariantAcceleration:
         pt = as_manifold(equal_gas_pair).point(A)
         v = unit_velocity(pt)
         inner = acc @ pt.metric.g @ v
-        assert abs(inner) <= 1e-6 * max(1.0, np.linalg.norm(acc))
+        assert abs(inner) <= 1e-12 * max(1.0, np.linalg.norm(acc))
 
-    def test_accepts_explicit_velocity(self, bernoulli):
+    def test_accepts_explicit_velocity(self, bernoulli, equal_gas_pair):
         v = unit_velocity(as_manifold(bernoulli).point([0.3]))
         acc = covariant_acceleration(bernoulli, [0.3], A_dot=v)
-        assert np.max(np.abs(acc)) <= 1e-8
+        assert np.max(np.abs(acc)) <= 1e-14
+        A = np.array([1.1, 0.6])
+        v = unit_velocity(as_manifold(equal_gas_pair).point(A))
+        along_flow = covariant_acceleration(equal_gas_pair, A)
+        explicit = covariant_acceleration(equal_gas_pair, A, A_dot=v)
+        assert np.max(np.abs(explicit - along_flow)) <= 1e-12
 
 
 class TestFieldStrength:
@@ -217,7 +271,7 @@ class TestFieldStrength:
         A = np.array([1.2, 0.7])
         f = field_strength(equal_gas_pair, A)
         v = unit_velocity(as_manifold(equal_gas_pair).point(A))
-        assert abs(v @ f @ v) <= 1e-6
+        assert abs(v @ f @ v) <= 1e-14
 
     def test_acceleration_identity(self, equal_gas_pair):
         # D v / dtau = g_inv . f . v along the flow
@@ -227,7 +281,7 @@ class TestFieldStrength:
             v = unit_velocity(pt)
             lhs = covariant_acceleration(equal_gas_pair, A)
             rhs = pt.metric.g_inv @ field_strength(equal_gas_pair, A) @ v
-            assert np.max(np.abs(lhs - rhs)) <= 1e-4
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_rejected_near_equilibrium(self, equal_gas_pair):
         with pytest.raises(AtEquilibriumError):
@@ -263,7 +317,7 @@ class TestTensorTransformation:
             jacobian=lambda A: np.array([[2.0 * A[0]]]),
         )
         for a in (0.25, 0.6):
-            direct = rep.metric_matrix([a * a])[0, 0]
+            direct = metric(rep, [a * a]).g[0, 0]
             expected = bernoulli_metric(a) / (2.0 * a) ** 2
             assert direct == pytest.approx(expected, rel=1e-12)
             # sigma is a scalar invariant of the chart
