@@ -52,7 +52,6 @@ from .geometry import (
 from .flow import (
     EntropyProductionReport,
     Trajectory,
-    TrajectorySample,
     clock_invert,
     entropy_production_check,
     integrate,
@@ -110,7 +109,6 @@ __all__ = [
     "field_strength",
     # flow
     "Trajectory",
-    "TrajectorySample",
     "integrate",
     "entropy_production_check",
     "EntropyProductionReport",

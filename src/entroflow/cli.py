@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -34,6 +35,7 @@ from .family import (
     IdealGasFamily,
     TabulatedFamily,
     _key_line,
+    _table_violations,
     tabulated_from_json,
 )
 from .flow import _fmt, integrate, entropy_production_check, write_trajectory_csv
@@ -173,7 +175,10 @@ def _parse_family_spec(obj, path, text, violations):
         if set(obj) != {"points", "weights", "stats"}:
             violations.append(f"{path}: inline tabulated spec takes exactly points/weights/stats")
             return None
-        return ("tabulated-inline", obj["points"], obj["weights"], obj["stats"])
+        table = (obj["points"], obj["weights"], obj["stats"])
+        found = _table_violations(*table)
+        violations += [f"{path}.{key}: {message}" for key, message in found]
+        return None if found else ("tabulated-inline", *table)
     violations.append(
         f"{path} must declare 'closed_form', 'tabulated', or inline points/weights/stats"
     )
@@ -213,6 +218,9 @@ def _parse_analyses(raw, text, violations):
             continue
         if center is not None and (not isinstance(center, int) or isinstance(center, bool)):
             violations.append(f"{path}.center must be an integer sample index")
+            continue
+        if not isinstance(points, list):
+            violations.append(f"{path}.points must be a list of points")
             continue
         pts = []
         ok = True
@@ -415,22 +423,35 @@ def _check_config(cfg: ScenarioConfig):
     return system
 
 
-def _json_floats(value):
-    if isinstance(value, np.ndarray):
-        return [float(x) for x in value]
-    return value
-
-
 def _probe_dict(system, point) -> dict:
     pt = as_manifold(system).point(np.asarray(point, dtype=float))
-    gamma = christoffel(system, point).gamma
+    gamma = christoffel(system, pt).gamma
     return {
-        "point": _json_floats(pt.A),
-        "lambda": _json_floats(pt.force),
+        "point": pt.A.tolist(),
+        "lambda": pt.force.tolist(),
         "sigma": float(pt.sigma),
-        "metric": [[float(x) for x in row] for row in pt.metric.g],
-        "christoffel": [[[float(x) for x in row] for row in block] for block in gamma],
+        "metric": pt.metric.g.tolist(),
+        "christoffel": gamma.tolist(),
     }
+
+
+def _write_all(out: Path, writers) -> None:
+    """Write each (name, write) artifact to a temporary file beside it and
+    rename them all into place after the last write.  On any failure the
+    temporary files, and the artifacts already renamed, are removed."""
+    temps, renamed = [], []
+    try:
+        for i, (name, write) in enumerate(writers):
+            final = out / name
+            temps.append((final.with_name(f".{final.name}.{i}.tmp"), final))
+            write(temps[-1][0])
+        for tmp, final in temps:
+            os.replace(tmp, final)
+            renamed.append(final)
+    except BaseException:
+        for path in [tmp for tmp, _ in temps] + renamed:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
@@ -439,7 +460,9 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     Returns the process exit status: 0 when the integration terminates
     (equilibrium reached or tau budget exhausted), 2 on numerical failure
     or when the output directory cannot be made or written, with the
-    diagnostic on ``log`` (``sys.stderr`` when None).
+    diagnostic on ``log`` (``sys.stderr`` when None).  Artifacts are
+    renamed into place only once all of them are written, so a failed run
+    leaves none behind.
     """
     if log is None:
         log = sys.stderr
@@ -481,27 +504,29 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
                     _probe_dict(system, p) for p in spec.points
                 ]
 
-        terminal = traj.terminal
         summary = {
             "terminal_status": traj.terminal_status,
-            "terminal_tau": float(terminal.tau),
-            "terminal_A": _json_floats(terminal.A),
-            "terminal_S": float(terminal.S),
+            "terminal_tau": float(traj.tau[-1]),
+            "terminal_A": traj.A[-1].tolist(),
+            "terminal_S": float(traj.S[-1]),
         }
         if analyses_out:
             summary["analyses"] = analyses_out
 
-        write_trajectory_csv(traj, out / cfg.outputs.trajectory_csv)
+        writers = [(cfg.outputs.trajectory_csv, lambda p: write_trajectory_csv(traj, p))]
         if onsager is not None:
-            write_onsager_json(onsager, out / cfg.outputs.onsager_json)
-        with open(out / cfg.outputs.summary_json, "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            writers.append((cfg.outputs.onsager_json, lambda p: write_onsager_json(onsager, p)))
+        writers.append((
+            cfg.outputs.summary_json,
+            lambda p: p.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n"),
+        ))
+        _write_all(out, writers)
     except (EntroflowError, ValueError, OSError) as exc:
         print(f"[{cfg.name}] {type(exc).__name__}: {exc}", file=log)
         return 2
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
     print(
-        f"[{cfg.name}] {traj.terminal_status} at tau = {terminal.tau:.6g} "
+        f"[{cfg.name}] {traj.terminal_status} at tau = {traj.tau[-1]:.6g} "
         f"({len(traj)} samples, {elapsed_ms:.1f} ms)",
         file=log,
     )

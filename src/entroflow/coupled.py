@@ -91,19 +91,15 @@ class CompositeSystem(StateManifold):
             self.A_total - A, aux2
         )
 
-    # Trajectory samples carry the subsystem split.  The conservation
-    # residual max|A + A' - A_T| is zero by construction; it is kept as a
-    # regression guard.
-
-    def sample_lambda(self, pt: ManifoldPoint) -> np.ndarray:
-        return pt.aux[0][0]
-
-    def sample_extras(self, pt: ManifoldPoint) -> dict:
-        a_prime = self.A_total - pt.A
-        residual = float(np.max(np.abs(pt.A + a_prime - self.A_total)))
+    def trajectory_columns(self, points) -> dict:
+        """Each subsystem's force and the subsystem-2 state.  The
+        conservation residual max|A + A' - A_T| is zero by construction; it
+        is kept as a regression guard."""
+        A = np.array([pt.A for pt in points])
+        A_prime = self.A_total - A
         return {
-            "A_prime": a_prime,
-            "lam_prime": pt.aux[1][0],
-            "conservation_residual": residual,
+            "lam": np.array([pt.aux[0][0] for pt in points]),
+            "lam_prime": np.array([pt.aux[1][0] for pt in points]),
+            "A_prime": A_prime,
+            "conservation_residual": np.max(np.abs(A + A_prime - self.A_total), axis=1),
         }
-

@@ -195,6 +195,11 @@ def _log_sum_exp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
+#: Largest statistic magnitude a table may hold: the third cumulant cubes
+#: centred statistics, and (2 * 1e100)^3 is still a finite double.
+MAX_STATISTIC = 1e100
+
+
 class TabulatedFamily(ExponentialFamily):
     """Family over a finite microstate space, evaluated by exact summation."""
 
@@ -205,8 +210,10 @@ class TabulatedFamily(ExponentialFamily):
                 "stats must be an (n_dim x n_points) matrix; "
                 f"got shape {stats.shape} for {len(space)} points"
             )
-        if not np.all(np.isfinite(stats)):
-            raise ValueError("statistic values must be finite")
+        if not np.all(np.isfinite(stats)) or np.max(np.abs(stats)) > MAX_STATISTIC:
+            raise ValueError(
+                f"statistic values must be finite and at most {MAX_STATISTIC:.0e} in magnitude"
+            )
         n_dim = stats.shape[0]
         if np.linalg.matrix_rank(stats) < n_dim:
             raise SingularModelError(
@@ -219,6 +226,7 @@ class TabulatedFamily(ExponentialFamily):
             raise ValueError("labels must match the number of statistics")
         self._n_dim = n_dim
         self._log_weights = np.log(space.weights)
+        self._ranges = list(zip(stats.min(axis=1).tolist(), stats.max(axis=1).tolist()))
 
     @property
     def n_dim(self) -> int:
@@ -229,6 +237,20 @@ class TabulatedFamily(ExponentialFamily):
         if self._labels is not None:
             return self._labels
         return super().labels
+
+    def check_feasible(self, A) -> np.ndarray:
+        """The mean lies in the open convex hull of the statistics, so each
+        component lies strictly inside the range of its statistic; in one
+        dimension that range is the hull."""
+        arr = super().check_feasible(A)
+        for a, (lo, hi) in zip(arr.tolist(), self._ranges):
+            if lo == hi:
+                raise SingularModelError("a statistic is constant; its variance vanishes")
+            if not lo < a < hi:
+                raise InfeasibleMeanError(
+                    f"mean component {a} outside the open range ({lo}, {hi}) of its statistic"
+                )
+        return arr
 
     def _shifted_terms(self, lam: np.ndarray) -> np.ndarray:
         return self._log_weights - lam @ self.stats
@@ -556,6 +578,34 @@ def _located(text: str, key: str, message: str) -> str:
     return f"{prefix}{message}"
 
 
+def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
+    """(key, message) for each way a points/weights/stats table breaks the
+    schema, so that ``DiscreteSpace`` and ``TabulatedFamily`` see only
+    lists of the right lengths and numbers."""
+    found = []
+    n = len(points) if isinstance(points, list) else 0
+    if n < 2:
+        found.append(("points", "points must list at least 2 labels"))
+    elif len(set(map(str, points))) != n:
+        found.append(("points", "point labels must be unique"))
+    if not isinstance(weights, list) or len(weights) != n:
+        found.append(("weights", "weights must be a list matching points"))
+    else:
+        for i, w in enumerate(weights):
+            if not isinstance(w, (int, float)) or not w > 0:
+                found.append(("weights", f"weights[{i}] must be > 0, got {w!r}"))
+                break
+    if not isinstance(stats, list) or not stats:
+        found.append(("stats", "stats must be a non-empty matrix"))
+    else:
+        for alpha, row in enumerate(stats):
+            if not (isinstance(row, list) and len(row) == n
+                    and all(isinstance(x, (int, float)) for x in row)):
+                found.append(("stats", f"stats[{alpha}] must list one number per point"))
+                break
+    return found
+
+
 def tabulated_from_json(source: str | Path) -> TabulatedFamily:
     """Load a tabulated family from a JSON document.
 
@@ -583,38 +633,8 @@ def tabulated_from_json(source: str | Path) -> TabulatedFamily:
     if missing:
         raise ValidationError([f"missing required key {k!r}" for k in missing])
 
-    violations = []
-    points = doc["points"]
-    weights = doc["weights"]
-    stats = doc["stats"]
-    if not isinstance(points, list) or len(points) < 2:
-        violations.append(_located(text, "points", "points must list at least 2 labels"))
-    elif len(set(map(str, points))) != len(points):
-        violations.append(_located(text, "points", "point labels must be unique"))
-    if not isinstance(weights, list) or len(weights) != len(points):
-        violations.append(
-            _located(text, "weights", "weights must be a list matching points")
-        )
-    else:
-        for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or not w > 0:
-                violations.append(
-                    _located(text, "weights", f"weights[{i}] must be > 0, got {w!r}")
-                )
-                break
-    if not isinstance(stats, list) or not stats:
-        violations.append(_located(text, "stats", "stats must be a non-empty matrix"))
-    else:
-        for alpha, row in enumerate(stats):
-            if not isinstance(row, list) or len(row) != len(points):
-                violations.append(
-                    _located(
-                        text,
-                        "stats",
-                        f"stats[{alpha}] must list one value per point",
-                    )
-                )
-                break
+    points, weights, stats = doc["points"], doc["weights"], doc["stats"]
+    violations = [_located(text, k, m) for k, m in _table_violations(points, weights, stats)]
     if violations:
         raise ValidationError(violations)
 

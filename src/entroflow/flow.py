@@ -14,6 +14,11 @@ discontinuous across the maximum).  Near the maximum sigma is the tau left
 to reach it, to first order, so a step of at most sigma/2 keeps every RK4
 stage short of it and halves sigma; the run ends at the first state in
 [sigma_eq, 2 sigma_eq], which makes terminal-tau comparisons meaningful.
+
+A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
+stores it that way: one column per quantity (tau, A, lam, S, sigma, speed),
+built once from the recorded points when integration ends.  The analyses
+and the CSV writer read the columns directly.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import (
 from .geometry import ManifoldPoint, StateManifold, as_manifold, unit_velocity
 
 __all__ = [
-    "TrajectorySample",
     "Trajectory",
     "integrate",
     "entropy_production_check",
@@ -58,51 +62,29 @@ _STEP_ERRORS = (
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """One recorded state of the flow.
+class Trajectory:
+    """An intrinsic-time trajectory stored as columns, one row per sample.
 
-    ``speed`` is g_{ab} v^a v^b evaluated at the sample; for coupled
-    systems the subsystem-2 state and forces are carried alongside.
+    ``tau`` has shape (n,); ``A`` and ``lam`` have shape (n, d); ``S``,
+    ``sigma`` and ``speed`` (g_{ab} v^a v^b, NaN where sigma is 0) have
+    shape (n,).  For a coupled system ``A_prime`` and ``lam_prime`` hold
+    subsystem 2's state and force and ``conservation_residual`` the
+    per-sample max|A + A' - A_T|; all three are None for a single system.
     """
 
-    tau: float
+    tau: np.ndarray
     A: np.ndarray
     lam: np.ndarray
-    S: float
-    sigma: float
-    speed: float
+    S: np.ndarray
+    sigma: np.ndarray
+    speed: np.ndarray
+    terminal_status: str  # equilibrium-reached | tau-budget-exhausted | error
     A_prime: np.ndarray | None = None
     lam_prime: np.ndarray | None = None
-    conservation_residual: float | None = None
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered samples of an intrinsic-time trajectory."""
-
-    samples: tuple[TrajectorySample, ...]
-    terminal_status: str  # equilibrium-reached | tau-budget-exhausted | error
+    conservation_residual: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def terminal(self) -> TrajectorySample:
-        return self.samples[-1]
-
-    @property
-    def n_dim(self) -> int:
-        return self.samples[0].A.shape[0]
-
-    @property
-    def is_coupled(self) -> bool:
-        return self.samples[0].A_prime is not None
-
-    def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.samples])
-
-    def states(self) -> np.ndarray:
-        return np.array([s.A for s in self.samples])
+        return len(self.tau)
 
 
 def _speed(pt: ManifoldPoint) -> float:
@@ -110,16 +92,17 @@ def _speed(pt: ManifoldPoint) -> float:
     return pt.metric.squared_norm_of_vector(v)
 
 
-def _make_sample(manifold: StateManifold, tau: float, pt: ManifoldPoint) -> TrajectorySample:
-    speed = _speed(pt) if pt.sigma > 0.0 else float("nan")
-    return TrajectorySample(
-        tau=tau,
-        A=pt.A,
-        lam=manifold.sample_lambda(pt),
-        S=pt.S,
-        sigma=pt.sigma,
-        speed=speed,
-        **manifold.sample_extras(pt),
+def _trajectory(manifold: StateManifold, recorded: list, status: str) -> Trajectory:
+    """Columns of the recorded (tau, point) pairs."""
+    taus, points = zip(*recorded)
+    return Trajectory(
+        tau=np.array(taus),
+        A=np.array([pt.A for pt in points]),
+        S=np.array([pt.S for pt in points]),
+        sigma=np.array([pt.sigma for pt in points]),
+        speed=np.array([_speed(pt) if pt.sigma > 0.0 else math.nan for pt in points]),
+        terminal_status=status,
+        **manifold.trajectory_columns(points),
     )
 
 
@@ -153,7 +136,7 @@ def integrate(
     sigma/2, so near the maximum each step halves sigma.  Terminates with
     status ``equilibrium-reached`` at the first state with sigma at most
     ``2 * sigma_eq``, or ``tau-budget-exhausted`` at ``tau_max``.  Every
-    recorded sample carries recomputed lam, S and sigma; successive solver
+    recorded row carries recomputed lam, S and sigma; successive solver
     calls are warm-started from the previous step.
     """
     if tau_max <= 0.0:
@@ -171,7 +154,7 @@ def integrate(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
 
-    samples = [_make_sample(manifold, 0.0, pt)]
+    recorded = [(0.0, pt)]
     tau = 0.0
     steps = 0
 
@@ -213,18 +196,17 @@ def integrate(
             tau += h_try
             steps += 1
             if steps % record_every == 0:
-                samples.append(_make_sample(manifold, tau, pt))
+                recorded.append((tau, pt))
             break
         else:
-            partial = Trajectory(samples=tuple(samples), terminal_status="error")
             raise StepCollapseError(
                 f"step collapsed after {max_halvings} halvings at tau = {tau:.6g}",
-                trajectory=partial,
+                trajectory=_trajectory(manifold, recorded, "error"),
             )
 
-    if samples[-1].tau < tau:
-        samples.append(_make_sample(manifold, tau, pt))
-    return Trajectory(samples=tuple(samples), terminal_status=status)
+    if recorded[-1][0] < tau:
+        recorded.append((tau, pt))
+    return _trajectory(manifold, recorded, status)
 
 
 def nonuniform_first_derivative(
@@ -262,19 +244,22 @@ def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
         raise TooFewSamplesError(
             f"need at least 3 samples, trajectory has {len(traj)}"
         )
-    residuals = []
-    taus = []
-    for k in range(1, len(traj) - 1):
-        prev_s, mid, next_s = traj.samples[k - 1], traj.samples[k], traj.samples[k + 1]
-        ds = nonuniform_first_derivative(
-            prev_s.S, mid.S, next_s.S, mid.tau - prev_s.tau, next_s.tau - mid.tau
+    # Python floats: their ** goes through pow(), where numpy arrays would
+    # square by multiplying and round differently in the last bit.
+    tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
+    residuals = [
+        abs(
+            nonuniform_first_derivative(
+                S[k - 1], S[k], S[k + 1], tau[k] - tau[k - 1], tau[k + 1] - tau[k]
+            )
+            - sigma[k]
         )
-        residuals.append(abs(ds - mid.sigma))
-        taus.append(mid.tau)
+        for k in range(1, len(tau) - 1)
+    ]
     worst = int(np.argmax(residuals))
     return EntropyProductionReport(
         max_residual=float(residuals[worst]),
-        argmax_tau=float(taus[worst]),
+        argmax_tau=tau[worst + 1],
         residuals=tuple(residuals),
     )
 
@@ -287,18 +272,15 @@ def clock_invert(traj: Trajectory, alpha: int, value: float) -> float:
     recovers tau.  Raises MonotonicityError if the component is not strictly
     monotone over the recorded samples.
     """
-    xs = np.array([s.A[alpha] for s in traj.samples])
-    taus = traj.taus()
+    xs, taus = traj.A[:, alpha], traj.tau
     diffs = np.diff(xs)
-    if np.all(diffs > 0.0):
-        lo, hi = xs[0], xs[-1]
-    elif np.all(diffs < 0.0):
+    if np.all(diffs < 0.0):
         xs, taus = xs[::-1], taus[::-1]
-        lo, hi = xs[0], xs[-1]
-    else:
+    elif not np.all(diffs > 0.0):
         raise MonotonicityError(
             f"component {alpha} is not strictly monotone along the trajectory"
         )
+    lo, hi = xs[0], xs[-1]
     if not lo <= value <= hi:
         raise ValueError(f"value {value} outside the recorded range [{lo}, {hi}]")
     return float(np.interp(value, xs, taus))
@@ -316,42 +298,22 @@ def write_trajectory_csv(traj: Trajectory, dest) -> None:
     ``tau,A_1..A_n,Aprime_1..Aprime_n,lambda_1..lambda_n,
     lambdaprime_1..lambdaprime_n,S_T,sigma,conservation_residual``.
     """
-    n = traj.n_dim
-    idx = range(1, n + 1)
-    if traj.is_coupled:
-        header = (
-            ["tau"]
-            + [f"A_{i}" for i in idx]
-            + [f"Aprime_{i}" for i in idx]
-            + [f"lambda_{i}" for i in idx]
-            + [f"lambdaprime_{i}" for i in idx]
-            + ["S_T", "sigma", "conservation_residual"]
-        )
+    if traj.lam_prime is None:
+        columns = [
+            ("tau", traj.tau), ("A", traj.A), ("lambda", traj.lam),
+            ("S", traj.S), ("sigma", traj.sigma), ("speed", traj.speed),
+        ]
     else:
-        header = (
-            ["tau"]
-            + [f"A_{i}" for i in idx]
-            + [f"lambda_{i}" for i in idx]
-            + ["S", "sigma", "speed"]
-        )
-
-    def rows():
-        yield ",".join(header)
-        for s in traj.samples:
-            if traj.is_coupled:
-                cells = (
-                    [s.tau]
-                    + list(s.A)
-                    + list(s.A_prime)
-                    + list(s.lam)
-                    + list(s.lam_prime)
-                    + [s.S, s.sigma, s.conservation_residual]
-                )
-            else:
-                cells = [s.tau] + list(s.A) + list(s.lam) + [s.S, s.sigma, s.speed]
-            yield ",".join(_fmt(c) for c in cells)
-
-    text = "\n".join(rows()) + "\n"
+        columns = [
+            ("tau", traj.tau), ("A", traj.A), ("Aprime", traj.A_prime),
+            ("lambda", traj.lam), ("lambdaprime", traj.lam_prime), ("S_T", traj.S),
+            ("sigma", traj.sigma), ("conservation_residual", traj.conservation_residual),
+        ]
+    header = []
+    for name, col in columns:
+        header += [f"{name}_{i}" for i in range(1, col.shape[1] + 1)] if col.ndim == 2 else [name]
+    table = np.column_stack([col for _, col in columns]).tolist()
+    text = "\n".join([",".join(header)] + [",".join(map(_fmt, row)) for row in table]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

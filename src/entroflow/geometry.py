@@ -177,12 +177,10 @@ class StateManifold(ABC):
             "g = -Hess S is dually flat"
         )
 
-    # Hooks used when assembling trajectory samples.
-    def sample_lambda(self, pt: ManifoldPoint) -> np.ndarray:
-        return pt.force
-
-    def sample_extras(self, pt: ManifoldPoint) -> dict:
-        return {}
+    def trajectory_columns(self, points) -> dict:
+        """Force columns of a trajectory through ``points``: ``lam``, plus
+        whatever else a subclass records (see ``flow.Trajectory``)."""
+        return {"lam": np.array([pt.force for pt in points])}
 
 
 class FamilyManifold(StateManifold):
@@ -349,10 +347,11 @@ def christoffel(system, A) -> ConnectionCoefficients:
     For the Hessian metric g = -Hess S the symbols reduce to
     Gamma^a_{bc} = (1/2) g^{ad} d_d g_{bc}, with the exact metric
     derivative of ``StateManifold.metric_derivative``.  Symmetry in the
-    lower indices is exact.
+    lower indices is exact.  ``A`` is a state or a ``ManifoldPoint`` that
+    ``system`` has already evaluated, which is then not evaluated again.
     """
     m = as_manifold(system)
-    pt = m.point(A)
+    pt = A if isinstance(A, ManifoldPoint) else m.point(A)
     dg = m.metric_derivative(pt.A, pt.aux)
     gamma = 0.5 * np.einsum("ad,dbc->abc", pt.metric.g_inv, dg)
     return ConnectionCoefficients(gamma=gamma)

@@ -80,13 +80,11 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
 
 
 def _forces(traj: Trajectory) -> np.ndarray:
-    if traj.is_coupled:
-        return np.array([s.lam - s.lam_prime for s in traj.samples])
-    return np.array([s.lam for s in traj.samples])
+    return traj.lam if traj.lam_prime is None else traj.lam - traj.lam_prime
 
 
 def _window_bounds(traj: Trajectory, center: int | None, window: int) -> tuple[int, int]:
-    n_dim = traj.n_dim
+    n_dim = traj.A.shape[1]
     if window < n_dim + 2:
         raise ValueError(f"window must span at least n_dim + 2 = {n_dim + 2} samples")
     if center is None:
@@ -106,13 +104,12 @@ def _window_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Force and flux rows for interior samples [first, last]."""
     forces = _forces(traj)[first : last + 1]
-    taus = traj.taus()
-    states = traj.states()
+    taus, states = traj.tau, traj.A
     fluxes = np.empty_like(forces)
     for row, k in enumerate(range(first, last + 1)):
         h_minus = taus[k] - taus[k - 1]
         h_plus = taus[k + 1] - taus[k]
-        for j in range(traj.n_dim):
+        for j in range(states.shape[1]):
             fluxes[row, j] = clock_rate * nonuniform_first_derivative(
                 states[k - 1, j], states[k, j], states[k + 1, j], h_minus, h_plus
             )
@@ -160,12 +157,7 @@ def empirical_onsager(
     trajectories with different initial force directions instead
     (``empirical_onsager_pooled``).
     """
-    if clock_rate <= 0.0:
-        raise ValueError("clock_rate must be > 0")
-    first, last = _window_bounds(traj, center, window)
-    forces, fluxes = _window_rows(traj, clock_rate, first, last)
-    scale = float(np.max(np.linalg.norm(_forces(traj), axis=1)))
-    return _fit(forces, fluxes, scale)
+    return empirical_onsager_pooled([(traj, center)], clock_rate, window=window)
 
 
 def empirical_onsager_pooled(
@@ -210,7 +202,7 @@ def empirical_report(
     """Analytic L at the window center combined with the empirical fit."""
     first, last = _window_bounds(traj, center, window)
     mid = (first + last) // 2
-    analytic = onsager_matrix(system, traj.samples[mid].A, clock_rate)
+    analytic = onsager_matrix(system, traj.A[mid], clock_rate)
     fitted = empirical_onsager(traj, clock_rate, center=center, window=window)
     return OnsagerReport(
         L=analytic.L,
@@ -223,11 +215,9 @@ def empirical_report(
 
 def report_as_dict(report: OnsagerReport) -> dict:
     return {
-        "L": [[float(x) for x in row] for row in report.L],
+        "L": report.L.tolist(),
         "asymmetry": float(report.asymmetry),
-        "empirical_L": None
-        if report.empirical_L is None
-        else [[float(x) for x in row] for row in report.empirical_L],
+        "empirical_L": None if report.empirical_L is None else report.empirical_L.tolist(),
         "window": None if report.window is None else list(report.window),
     }
 

@@ -10,7 +10,7 @@ the closed forms they check.
 import numpy as np
 
 from entroflow.family import DiscreteSpace, TabulatedFamily
-from entroflow.flow import Trajectory, TrajectorySample
+from entroflow.flow import Trajectory
 from entroflow.geometry import as_manifold, metric
 
 
@@ -156,15 +156,13 @@ def tabulated_equilibrium_tau(weights, stats, lam0, nodes=64):
 
 def synthetic_trajectory(taus, states, lams, entropies, sigmas,
                          status="tau-budget-exhausted"):
-    samples = tuple(
-        TrajectorySample(
-            tau=float(t),
-            A=np.atleast_1d(np.asarray(a, dtype=float)),
-            lam=np.atleast_1d(np.asarray(l, dtype=float)),
-            S=float(s),
-            sigma=float(sg),
-            speed=1.0,
-        )
-        for t, a, l, s, sg in zip(taus, states, lams, entropies, sigmas)
+    n = len(taus)
+    return Trajectory(
+        tau=np.asarray(taus, dtype=float),
+        A=np.asarray(states, dtype=float).reshape(n, -1),
+        lam=np.asarray(lams, dtype=float).reshape(n, -1),
+        S=np.asarray(entropies, dtype=float),
+        sigma=np.asarray(sigmas, dtype=float),
+        speed=np.ones(n),
+        terminal_status=status,
     )
-    return Trajectory(samples=samples, terminal_status=status)

@@ -241,6 +241,19 @@ class TestRunScenario:
         assert len(probes) == 2
         assert probes[0]["metric"][0][0] == pytest.approx(16.0 / 3.0, rel=1e-10)
 
+    def test_failed_summary_write_leaves_no_artifact(self, tmp_path):
+        # the summary is written last; its directory does not exist, so the
+        # write raises FileNotFoundError after the CSV and the Onsager JSON
+        doc = dict(
+            MINIMAL,
+            analyses=[{"kind": "onsager"}],
+            outputs={"summary_json": "missing/summary.json"},
+        )
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
     def test_failing_analysis_writes_no_artifacts(self, tmp_path):
         doc = dict(
             MINIMAL,
@@ -330,22 +343,36 @@ class TestMain:
         point_line = next(l for l in out.splitlines() if l.startswith("point"))
         assert float(point_line.split("[")[1].rstrip("]")) == -4e-05
 
-    @pytest.mark.parametrize("form", ["inline", "file"])
-    def test_list_labels_exit_2_without_traceback(self, tmp_path, form):
-        table = {"points": [[0], [1]], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}
+    @pytest.mark.parametrize(
+        "form, points, exits, message",
+        [
+            ("inline", [[0], [1]], {"run": 2}, "hashable"),
+            ("file", [[0], [1]], {"run": 2}, "hashable"),
+            ("inline", 5, {"validate": 1, "run": 1, "probe": 2},
+             "family.points: points must list at least 2 labels"),
+        ],
+        ids=["inline", "file", "non-list-points"],
+    )
+    def test_list_labels_exit_2_without_traceback(self, tmp_path, form, points, exits, message):
+        table = {"points": points, "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}
         if form == "file":
             (tmp_path / "table.json").write_text(json.dumps(table))
             table = {"tabulated": "table.json"}
         path = write_config(tmp_path, dict(MINIMAL, family=table))
         env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "entroflow.cli", "run", str(path),
-             "--output-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1 and "hashable" in proc.stderr
+        args = {
+            "validate": [str(path)],
+            "run": [str(path), "--output-dir", str(tmp_path / "out")],
+            "probe": [str(path), "--point", "0.3"],
+        }
+        for command, code in exits.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "entroflow.cli", command, *args[command]],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == code, command
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
 
     def test_output_dir_that_is_a_file_exits_2_without_traceback(self, tmp_path):
         path = write_config(tmp_path, MINIMAL)
@@ -368,6 +395,22 @@ class TestMain:
         assert main(["probe", str(catalog_path(name)), "--point", *point]) == 0
         out = capsys.readouterr().out
         assert f"Gamma[{len(point) - 1}][{len(point) - 1}]" in out
+
+    def test_probe_solves_its_point_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve = entroflow.duality.solve_lambda
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(entroflow.duality, "solve_lambda", counted)
+        table = {"points": ["a", "b", "c"], "weights": [1.0, 2.0, 1.0],
+                 "stats": [[0.0, 1.0, 3.0]]}
+        path = write_config(tmp_path, dict(MINIMAL, family=table, A0=[1.2]))
+        assert main(["probe", str(path), "--point", "1.2"]) == 0
+        assert "Gamma[0][0]" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_probe_infeasible_point_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL)

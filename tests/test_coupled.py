@@ -121,51 +121,49 @@ class TestIntegrateCoupled:
     def test_bernoulli_midpoint(self, bernoulli_pair):
         traj = integrate(bernoulli_pair, [0.25], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert abs(traj.terminal.A[0] - 0.5) <= 1e-4
+        assert abs(traj.A[-1, 0] - 0.5) <= 1e-4
         # identical subsystems reduce to a rescaled two-point relaxation
-        assert abs(traj.terminal.tau - math.sqrt(2.0) * math.pi / 6.0) <= 1e-7
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-7
 
     def test_gas_en_midpoint_and_forces(self, coupled_gas_traj):
-        term = coupled_gas_traj.terminal
-        assert coupled_gas_traj.terminal_status == "equilibrium-reached"
-        assert np.max(np.abs(term.A - np.array([2.0, 1.0]))) <= 1e-3
-        assert np.max(np.abs(term.lam - term.lam_prime)) <= 1e-6
+        t = coupled_gas_traj
+        assert t.terminal_status == "equilibrium-reached"
+        assert np.max(np.abs(t.A[-1] - np.array([2.0, 1.0]))) <= 1e-3
+        assert np.max(np.abs(t.lam[-1] - t.lam_prime[-1])) <= 1e-6
 
     def test_gas_en_arclength_reduction(self, coupled_gas_traj):
         # on the symmetry ray A = s (2, 1) the forces stay parallel to the
         # ray and the arclength reduces to sqrt(2) * int ds / sqrt(s(2-s))
         # over s in [1/2, 1], which is exactly sqrt(2) * pi / 6
-        assert abs(coupled_gas_traj.terminal.tau - math.sqrt(2.0) * math.pi / 6.0) <= 1e-6
+        assert abs(coupled_gas_traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-6
 
     def test_conservation_residual(self, coupled_gas_traj, equal_gas_pair):
-        for s in coupled_gas_traj.samples:
-            assert s.conservation_residual <= 1e-12
-            assert np.max(np.abs(s.A + s.A_prime - equal_gas_pair.A_total)) <= 1e-12
+        t = coupled_gas_traj
+        assert np.all(t.conservation_residual <= 1e-12)
+        assert np.max(np.abs(t.A + t.A_prime - equal_gas_pair.A_total)) <= 1e-12
 
     def test_e_only_matches_quadrature_arclength(self, gas_e_only_pair):
         traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0)
-        assert abs(traj.terminal.A[0] - 2.0) <= 1e-3
+        assert abs(traj.A[-1, 0] - 2.0) <= 1e-3
         oracle, err = quad(
             lambda e: math.sqrt(1.5 * (1.0 / e**2 + 1.0 / (4.0 - e) ** 2)), 1.0, 2.0
         )
         assert err < 1e-9
-        assert abs(traj.terminal.tau - oracle) <= 1e-6
+        assert abs(traj.tau[-1] - oracle) <= 1e-6
 
     def test_entropy_production(self, coupled_gas_traj):
-        S = [s.S for s in coupled_gas_traj.samples]
-        assert all(S[k + 1] >= S[k] - 1e-10 for k in range(len(S) - 1))
+        assert np.all(np.diff(coupled_gas_traj.S) >= -1e-10)
         assert entropy_production_check(coupled_gas_traj).max_residual <= 1e-4
 
     def test_asymmetric_volumes_equalize_forces_not_states(self):
         cs = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(2.0), [4.0, 2.0])
         traj = integrate(cs, [1.0, 0.5], tau_max=10.0)
-        term = traj.terminal
         assert traj.terminal_status == "equilibrium-reached"
         # forces equal...
-        assert np.max(np.abs(term.lam - term.lam_prime)) <= 1e-6
+        assert np.max(np.abs(traj.lam[-1] - traj.lam_prime[-1])) <= 1e-6
         # ...at the V-weighted split, away from the midpoint
-        assert np.max(np.abs(term.A - np.array([4.0 / 3.0, 2.0 / 3.0]))) <= 1e-3
-        assert np.max(np.abs(term.A - np.array([2.0, 1.0]))) > 0.5
+        assert np.max(np.abs(traj.A[-1] - np.array([4.0 / 3.0, 2.0 / 3.0]))) <= 1e-3
+        assert np.max(np.abs(traj.A[-1] - np.array([2.0, 1.0]))) > 0.5
 
     def test_equilibrium_start_raises(self, bernoulli_pair):
         with pytest.raises(AtEquilibriumError):
@@ -177,9 +175,8 @@ class TestIntegrateCoupled:
         cs = CompositeSystem(GaussianMeanFamily(), GaussianMeanFamily(), [1.0])
         traj = integrate(cs, [0.3], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert abs(traj.terminal.A[0] - 0.5) <= 1e-6
-        assert abs(traj.terminal.tau - math.sqrt(2.0) * 0.2) <= 1e-7
+        assert abs(traj.A[-1, 0] - 0.5) <= 1e-6
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * 0.2) <= 1e-7
 
     def test_speed_column(self, coupled_gas_traj):
-        for s in coupled_gas_traj.samples:
-            assert abs(s.speed - 1.0) <= 1e-6
+        assert np.all(np.abs(coupled_gas_traj.speed - 1.0) <= 1e-6)

@@ -13,11 +13,13 @@ from entroflow import (
     DomainError,
     GaussianMeanFamily,
     IdealGasFamily,
+    InfeasibleMeanError,
     ParseError,
     SingularModelError,
     TabulatedFamily,
     UnknownMicrostateError,
     ValidationError,
+    solve_lambda,
     tabulated_from_json,
 )
 from helpers import fd_gradient, fd_hessian, random_tabulated
@@ -249,6 +251,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TabulatedFamily(space, [[0.0, 1.0, 2.0]])
 
+    def test_stats_magnitude_bounded(self):
+        # the third cumulant cubes centred statistics: 1e300 would overflow
+        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
+        TabulatedFamily(space, [[-1e100, 0.0, 1e100]])
+        with pytest.raises(ValueError, match="magnitude"):
+            TabulatedFamily(space, [[1e300, 1.0, 3.0]])
+
+    @pytest.mark.parametrize("A", [[0.0], [3.0], [-0.5], [1e300]])
+    def test_mean_outside_statistic_range_infeasible(self, A):
+        fam = TabulatedFamily(DiscreteSpace(["a", "b", "c"], [1.0, 2.0, 1.0]), [[0.0, 1.0, 3.0]])
+        with pytest.raises(InfeasibleMeanError, match="outside the open range"):
+            fam.check_feasible(A)
+        with pytest.raises(InfeasibleMeanError):
+            solve_lambda(fam, A)
+        assert fam.check_feasible([2.999])[0] == 2.999
+
     def test_gaussian_dim_validation(self):
         with pytest.raises(ValueError):
             GaussianMeanFamily(dim=0)
@@ -301,6 +319,15 @@ class TestJsonLoading:
         )
         with pytest.raises(ValidationError, match="stats"):
             tabulated_from_json(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("points", 5), ("weights", {"a": 1}), ("stats", [[{}, 1.0]]), ("stats", [3.0])],
+    )
+    def test_fields_of_the_wrong_type_are_violations(self, tmp_path, field, value):
+        doc = {"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]], field: value}
+        with pytest.raises(ValidationError, match=field):
+            tabulated_from_json(self.write(tmp_path, doc))
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = self.write(tmp_path, None, raw='{"points": [0, 1],\n  "weights": }')

@@ -91,13 +91,13 @@ class TestVelocityField:
 class TestIntegrate:
     def test_bernoulli_golden_arclength(self, bernoulli_traj):
         assert bernoulli_traj.terminal_status == "equilibrium-reached"
-        assert abs(bernoulli_traj.terminal.tau - math.pi / 6.0) <= 1e-7
-        assert abs(bernoulli_traj.terminal.A[0] - 0.5) <= 1e-4
+        assert abs(bernoulli_traj.tau[-1] - math.pi / 6.0) <= 1e-7
+        assert abs(bernoulli_traj.A[-1, 0] - 0.5) <= 1e-4
 
     def test_gaussian_straight_line(self, gaussian_traj):
         assert gaussian_traj.terminal_status == "equilibrium-reached"
-        assert abs(gaussian_traj.terminal.tau - 2.0) <= 1e-6
-        assert abs(gaussian_traj.terminal.A[0]) <= 1e-6
+        assert abs(gaussian_traj.tau[-1] - 2.0) <= 1e-6
+        assert abs(gaussian_traj.A[-1, 0]) <= 1e-6
 
     def test_equilibrium_start_raises(self, bernoulli):
         with pytest.raises(AtEquilibriumError):
@@ -106,49 +106,46 @@ class TestIntegrate:
     def test_budget_exhaustion(self, bernoulli):
         traj = integrate(bernoulli, [0.25], tau_max=0.1)
         assert traj.terminal_status == "tau-budget-exhausted"
-        assert traj.terminal.tau == pytest.approx(0.1, abs=1e-12)
+        assert traj.tau[-1] == pytest.approx(0.1, abs=1e-12)
 
     def test_tau_strictly_increasing(self, bernoulli_traj, coupled_gas_traj):
         for traj in (bernoulli_traj, coupled_gas_traj):
-            taus = traj.taus()
-            assert np.all(np.diff(taus) > 0.0)
+            assert np.all(np.diff(traj.tau) > 0.0)
 
     def test_unit_speed_at_samples(self, bernoulli_traj, gaussian_traj):
         for traj in (bernoulli_traj, gaussian_traj):
-            for s in traj.samples:
-                assert abs(s.speed - 1.0) <= 1e-6
+            assert np.all(np.abs(traj.speed - 1.0) <= 1e-6)
 
     def test_entropy_monotone(self, bernoulli_traj, gaussian_traj):
         for traj in (bernoulli_traj, gaussian_traj):
-            S = [s.S for s in traj.samples]
-            assert all(S[k + 1] >= S[k] - 1e-10 for k in range(len(S) - 1))
+            assert np.all(np.diff(traj.S) >= -1e-10)
 
     def test_samples_carry_recomputed_duals(self, bernoulli, bernoulli_traj):
-        mid = bernoulli_traj.samples[len(bernoulli_traj) // 2]
-        assert mid.lam[0] == pytest.approx(
-            math.log((1 - mid.A[0]) / mid.A[0]), abs=1e-10
+        t, k = bernoulli_traj, len(bernoulli_traj) // 2
+        assert t.lam[k, 0] == pytest.approx(
+            math.log((1 - t.A[k, 0]) / t.A[k, 0]), abs=1e-10
         )
-        assert mid.S == pytest.approx(entropy(bernoulli, mid.A), abs=1e-12)
-        assert mid.sigma == pytest.approx(sigma(bernoulli, mid.A), abs=1e-12)
+        assert t.S[k] == pytest.approx(entropy(bernoulli, t.A[k]), abs=1e-12)
+        assert t.sigma[k] == pytest.approx(sigma(bernoulli, t.A[k]), abs=1e-12)
 
     def test_record_every_thins_but_keeps_terminal(self, bernoulli):
         full = integrate(bernoulli, [0.25], tau_max=2.0)
         thin = integrate(bernoulli, [0.25], tau_max=2.0, record_every=10)
         assert len(thin) < len(full)
-        assert thin.samples[0].tau == 0.0
-        assert abs(thin.terminal.tau - full.terminal.tau) <= 1e-9
-        assert np.max(np.abs(thin.terminal.A - full.terminal.A)) <= 1e-12
+        assert thin.tau[0] == 0.0
+        assert abs(thin.tau[-1] - full.tau[-1]) <= 1e-9
+        assert np.max(np.abs(thin.A[-1] - full.A[-1])) <= 1e-12
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli):
         for sigma_eq in (1e-6, 1e-8):
             traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
-            assert sigma_eq <= traj.terminal.sigma <= 2.0 * sigma_eq
+            assert sigma_eq <= traj.sigma[-1] <= 2.0 * sigma_eq
 
     @pytest.mark.parametrize("a0", [-1.0000001e-8, -1.05e-8, -3e-8])
     def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
         traj = integrate(gaussian, [a0], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert 1e-8 <= traj.terminal.sigma <= 2e-8
+        assert 1e-8 <= traj.sigma[-1] <= 2e-8
 
     def test_convergence_order_at_least_3_5(self, bernoulli):
         # fixed-tau endpoint isolates the integrator from the stopping rule
@@ -156,8 +153,8 @@ class TestIntegrate:
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
             t = integrate(bernoulli, [0.25], tau_max=0.5, h=h)
-            assert abs(t.terminal.tau - 0.5) <= 1e-12
-            errs.append(abs(t.terminal.A[0] - exact))
+            assert abs(t.tau[-1] - 0.5) <= 1e-12
+            errs.append(abs(t.A[-1, 0] - exact))
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 >= 3.5
@@ -173,9 +170,8 @@ class TestIntegrate:
         t_a = integrate(bernoulli, [0.25], tau_max=2.0)
         t_b = integrate(rep, [0.0625], tau_max=2.0)
         assert len(t_a) == len(t_b)
-        for sa, sb in zip(t_a.samples, t_b.samples):
-            assert abs(sa.tau - sb.tau) <= 1e-9
-            assert abs(sa.A[0] - math.sqrt(sb.A[0])) <= 1e-5
+        assert np.all(np.abs(t_a.tau - t_b.tau) <= 1e-9)
+        assert np.all(np.abs(t_a.A[:, 0] - np.sqrt(t_b.A[:, 0])) <= 1e-5)
 
     def test_time_reversal_decreases_entropy(self, bernoulli):
         # backward integration is not a supported mode; trace the reversed
@@ -205,8 +201,8 @@ class TestIntegrate:
                 pool.map(lambda a: integrate(bernoulli, a, tau_max=2.0), starts)
             )
         for ts, tt in zip(serial, threaded):
-            assert ts.terminal.tau == tt.terminal.tau
-            assert np.array_equal(ts.terminal.A, tt.terminal.A)
+            assert ts.tau[-1] == tt.tau[-1]
+            assert np.array_equal(ts.A[-1], tt.A[-1])
             assert len(ts) == len(tt)
 
     def test_generic_family_relaxes_to_zero_parameter_state(self, rng):
@@ -219,14 +215,14 @@ class TestIntegrate:
         start = fam.mean_parameters(rng.uniform(-0.8, 0.8, 2))
         traj = integrate(fam, start, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert np.max(np.abs(traj.terminal.A - target)) <= 1e-6
+        assert np.max(np.abs(traj.A[-1] - target)) <= 1e-6
         assert entropy_production_check(traj).max_residual <= 1e-4
 
     def test_tabulated_terminal_tau_matches_ray_quadrature(self, tabulated_3x50):
         fam, A0, tau_eq = tabulated_3x50
         traj = integrate(fam, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert abs(traj.terminal.tau - tau_eq) <= 1e-6
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-6
 
     def test_tabulated_landing_needs_no_extra_rk4_steps(self, tabulated_3x50, monkeypatch):
         # every RK4 step but a few halvings is an accepted, recorded sample
@@ -341,8 +337,8 @@ class TestCsvExport:
         # 17 significant digits survive a round trip
         mid = lines[len(lines) // 2].split(",")
         k = len(lines) // 2 - 1
-        assert float(mid[1]) == bernoulli_traj.samples[k].A[0]
-        assert float(mid[3]) == bernoulli_traj.samples[k].S
+        assert float(mid[1]) == bernoulli_traj.A[k, 0]
+        assert float(mid[3]) == bernoulli_traj.S[k]
 
     def test_coupled_layout(self, coupled_gas_traj):
         buf = io.StringIO()

@@ -1,0 +1,122 @@
+"""Mutation fuzzer over scenario documents.
+
+Starting from one valid single-family and one valid coupled document, each
+example deletes keys, replaces values with unrelated JSON, or adds unknown
+keys, then runs ``validate`` and ``run`` through ``cli.main``.  Whatever the
+document, no exception escapes, the exit codes stay in their documented
+sets, a failed run leaves no artifact behind, and a document that
+``validate`` accepts never fails ``run`` for a schema reason.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from entroflow.cli import main
+
+SINGLE = {
+    "name": "fz",
+    "mode": "single",
+    "family": {"points": ["a", "b", "c"], "weights": [1.0, 2.0, 1.0], "stats": [[0.0, 1.0, 3.0]]},
+    "A0": [0.6],
+    "integrator": {"tau_max": 2.0, "h": 0.01},
+    "outputs": {"trajectory_csv": "t.csv"},
+    "analyses": [
+        {"kind": "entropy_production_check"},
+        {"kind": "geometry_probe", "points": [[1.5]]},
+    ],
+}
+
+COUPLED = {
+    "name": "fz2",
+    "mode": "coupled",
+    "families": [{"closed_form": "bernoulli"}, {"closed_form": "bernoulli"}],
+    "A0": [0.3],
+    "A_total": [1.0],
+    "integrator": {"tau_max": 2.0, "h": 0.01},
+    "analyses": [{"kind": "onsager", "window": 5}],
+}
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 3, 0.5, 1.5, -2.0, 1e-9, 1e300, float("nan"), float("inf")]),
+    st.sampled_from(["", "x", "single", "coupled", "bernoulli", "gaussian-mean",
+                     "ideal-gas", "onsager", "geometry_probe", "table.json"]),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["a", "dim", "volume"]), inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([SINGLE, COUPLED])))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(values)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "tau_max", "dim"]))] = draw(values)
+    # validate accepts any h > 0, and a tiny one would need ~tau_max / h
+    # steps; keep the runs short
+    integ = doc.get("integrator")
+    if isinstance(integ, dict):
+        tau_max, h = integ.get("tau_max", 1.0), integ.get("h", 1e-3)
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (tau_max, h))
+        if numbers and 0.0 < tau_max < float("inf") and 0.0 < h < tau_max / 1000.0:
+            integ["h"] = tau_max / 1000.0
+    return doc
+
+
+def _main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(doc=dict(SINGLE, family=dict(SINGLE["family"], points=5)))
+@given(doc=documents())
+def test_mutated_documents_fail_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        validated, _ = _main(["validate", str(path)])
+        assert validated in (0, 1)
+        code, err = _main(["run", str(path), "--output-dir", str(out)])
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert not out.exists() or not any(out.rglob("*")), err
+        if validated == 0:
+            assert code != 1, err
+            assert "ParseError" not in err and "ValidationError" not in err, err

@@ -62,12 +62,11 @@ class TestFluxForceRelation:
     def test_exact_along_trajectory(self, bernoulli, bernoulli_traj):
         # dA/dt = L . lam holds at every sample with sigma above threshold
         clock = 1.7
-        for s in bernoulli_traj.samples:
-            if s.sigma < 1e-6:
-                continue
-            flux = clock * unit_velocity(as_manifold(bernoulli).point(s.A))
-            L = onsager_matrix(bernoulli, s.A, clock_rate=clock).L
-            resid = np.linalg.norm(flux - L @ s.lam) / np.linalg.norm(flux)
+        t = bernoulli_traj
+        for A, lam in zip(t.A[t.sigma >= 1e-6], t.lam[t.sigma >= 1e-6]):
+            flux = clock * unit_velocity(as_manifold(bernoulli).point(A))
+            L = onsager_matrix(bernoulli, A, clock_rate=clock).L
+            resid = np.linalg.norm(flux - L @ lam) / np.linalg.norm(flux)
             assert resid <= 1e-6
 
 
@@ -75,13 +74,13 @@ class TestEmpiricalOnsager:
     def test_bernoulli_window(self, bernoulli, bernoulli_traj):
         center = 3
         fitted = empirical_onsager(bernoulli_traj, 1.0, center=center, window=5)
-        analytic = onsager_matrix(bernoulli, bernoulli_traj.samples[center].A, 1.0).L
+        analytic = onsager_matrix(bernoulli, bernoulli_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.02 * analytic[0, 0]
 
     def test_gaussian_window(self, gaussian, gaussian_traj):
         center = len(gaussian_traj) // 2
         fitted = empirical_onsager(gaussian_traj, 1.0, center=center, window=5)
-        analytic = onsager_matrix(gaussian, gaussian_traj.samples[center].A, 1.0).L
+        analytic = onsager_matrix(gaussian, gaussian_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.01 * analytic[0, 0]
 
     def test_clock_rate_scales_fluxes(self, bernoulli_traj):
@@ -113,13 +112,12 @@ class TestEmpiricalOnsager:
         t2 = integrate(equal_gas_pair, [1.45, 0.6], tau_max=10.0, record_every=5)
 
         def center_at_sigma(traj, target):
-            sig = np.array([s.sigma for s in traj.samples])
-            return int(np.argmin(np.abs(sig - target)))
+            return int(np.argmin(np.abs(traj.sigma - target)))
 
         c1 = center_at_sigma(t1, 0.05)
         c2 = center_at_sigma(t2, 0.05)
         fitted = empirical_onsager_pooled([(t1, c1), (t2, c2)], 1.0, window=5)
-        analytic = onsager_matrix(equal_gas_pair, t1.samples[c1].A, 1.0).L
+        analytic = onsager_matrix(equal_gas_pair, t1.A[c1], 1.0).L
         assert np.max(np.abs(fitted - analytic)) <= 0.05 * np.max(np.abs(analytic))
         asym = np.max(np.abs(fitted - fitted.T)) / np.max(np.abs(fitted))
         assert asym <= 0.05
