@@ -99,6 +99,9 @@ _FAMILY_KEYS = {
     "tabulated", "points", "weights", "stats",
 }
 _ANALYSIS_KEYS = {"kind", "clock_rate", "window", "center", "points"}
+#: Largest tau_max / h a scenario may ask for: the number of samples (and
+#: of RK4 steps for a coupled system) a run may take.
+MAX_SAMPLES = 10**6
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str, text: str) -> None:
@@ -336,8 +339,14 @@ def parse_config(path) -> ScenarioConfig:
             return default
         return float(value)
 
+    found = len(violations)
     h = positive("h", 1e-3)
     tau_max = positive("tau_max", 1.0)
+    if len(violations) == found and tau_max / h > MAX_SAMPLES:
+        violations.append(
+            f"integrator.h must be at least tau_max / {MAX_SAMPLES} = "
+            f"{tau_max / MAX_SAMPLES:.3g}, got {h:.3g}"
+        )
     sigma_eq = positive("sigma_eq", 1e-8)
     record_every = integ.get("record_every", 1)
     if not isinstance(record_every, int) or isinstance(record_every, bool) or record_every < 1:
@@ -356,6 +365,15 @@ def parse_config(path) -> ScenarioConfig:
         summary_json=outputs.get("summary_json", f"{name}-summary.json"),
         onsager_json=outputs.get("onsager_json", f"{name}-onsager.json"),
     )
+    # a later artifact would silently replace an earlier one of the same name
+    named: dict = {}
+    for key in sorted(_OUTPUT_KEYS):
+        value = getattr(paths, key)
+        if isinstance(value, str) and value:
+            named.setdefault(os.path.normpath(value), []).append(f"outputs.{key}")
+    violations += [
+        f"{' and '.join(keys)} name the same file" for keys in named.values() if len(keys) > 1
+    ]
 
     analyses = _parse_analyses(doc.get("analyses", []), text, violations)
 

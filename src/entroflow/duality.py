@@ -51,8 +51,8 @@ def solve_lambda(family: ExponentialFamily, A, init=None) -> np.ndarray:
 
     Newton iteration with backtracking line search (halving, Armijo
     constant 1e-4) on F(lam) = log Z + lam . A; the covariance is the exact
-    Hessian.  ``init`` warm-starts the iteration (trajectory integration
-    passes the previous step's lam, making each solve one cheap iteration).
+    Hessian.  ``init`` warm-starts the iteration (RK4 integration passes the
+    previous step's lam, making each solve one cheap iteration).
 
     After the residual meets SOLVE_TOL one extra full Newton step is taken
     and kept if it improves the residual: thanks to quadratic convergence

@@ -396,7 +396,8 @@ class GaussianMeanFamily(ExponentialFamily):
         return float(0.5 * self._dim * math.log(2.0 * math.pi) + 0.5 * lam @ lam)
 
     def mean_parameters(self, lam) -> np.ndarray:
-        return -self.check_natural_domain(lam)
+        # 0.0 - lam rather than -lam: the maximum lam = 0 maps to +0.0
+        return 0.0 - self.check_natural_domain(lam)
 
     def covariance(self, lam) -> np.ndarray:
         self.check_natural_domain(lam)

@@ -200,9 +200,16 @@ class FamilyManifold(StateManifold):
         fam = self.family
         A = as_vector(A, fam.n_dim, "A")
         init = warm[0] if warm else None
-        # solve_lambda checks A once; the closed-form hooks below take the
-        # vector it accepted without checking it again.
-        lam = duality.solve_lambda(fam, A, init=init)
+        # solve_lambda checks A once; the closed-form hooks in forward_point
+        # take the vector it accepted without checking it again.
+        return self.forward_point(A, duality.solve_lambda(fam, A, init=init))
+
+    def forward_point(self, A, lam, cov: np.ndarray | None = None) -> ManifoldPoint:
+        """The point at mean A with force lam, its Legendre dual, from the
+        forward maps alone: S from the entropy surface or log Z + lam . A,
+        the metric from the closed-form Hessian or else from ``cov``, the
+        covariance at lam (evaluated if not given)."""
+        fam = self.family
         surface = fam.entropy_surface(A)
         S = (
             float(surface)
@@ -213,7 +220,7 @@ class FamilyManifold(StateManifold):
         if hess is not None:
             met = MetricTensor.from_matrix(hess)
         else:
-            met = MetricTensor.from_covariance(fam.covariance(lam))
+            met = MetricTensor.from_covariance(fam.covariance(lam) if cov is None else cov)
         return ManifoldPoint(
             A=A,
             force=lam,

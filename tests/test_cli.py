@@ -148,7 +148,7 @@ class TestRunScenario:
         csv_text = (tmp_path / "out" / "b.csv").read_text()
         summary = json.loads((tmp_path / "out" / "b-summary.json").read_text())
         assert summary["terminal_status"] == "equilibrium-reached"
-        assert summary["terminal_tau"] == pytest.approx(math.pi / 6.0, abs=1e-7)
+        assert summary["terminal_tau"] == pytest.approx(math.pi / 6.0, abs=1e-12)
         assert summary["terminal_A"][0] == pytest.approx(0.5, abs=1e-4)
         # summary equals the last CSV row
         last = csv_text.strip().splitlines()[-1].split(",")
@@ -171,6 +171,24 @@ class TestRunScenario:
         log = io.StringIO()
         assert run_scenario(cfg, output_dir=tmp_path / "out", log=log) == 2
         assert "AtEquilibriumError" in log.getvalue()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"A0": [0.4995]}, {"integrator": {"tau_max": 2.0, "h": 0.5}}],
+        ids=["start-near-maximum", "wide-spacing"],
+    )
+    def test_run_spanning_one_spacing_keeps_rows_for_the_entropy_check(self, tmp_path, change):
+        # tau_eq is about 1e-3 = h, or about h = 0.5: rows go on as sigma
+        # halves down to 2 sigma_eq before the maximum, so the entropy check
+        # still finds interior rows
+        doc = dict(MINIMAL, **change, analyses=[{"kind": "entropy_production_check"}])
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert run_scenario(cfg, output_dir=tmp_path / "out", log=io.StringIO()) == 0
+        rows = (tmp_path / "out" / "b.csv").read_text().splitlines()[1:]
+        assert len(rows) >= 15
+        summary = json.loads((tmp_path / "out" / "b-summary.json").read_text())
+        assert summary["terminal_status"] == "equilibrium-reached"
+        assert math.isfinite(summary["analyses"]["entropy_production_check"]["max_residual"])
 
     def test_determinism_byte_identical(self, tmp_path):
         doc = dict(
@@ -276,23 +294,36 @@ class TestMain:
         assert (tmp_path / "out" / "b.csv").exists()
 
     @pytest.mark.parametrize(
-        "change, message",
+        "change, message, run_exit",
         [
             ({"family": {"points": [[0], [1]], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}},
-             "hashable"),
-            ({"A0": [0.25, 0.3]}, "A0: A must have shape (1,)"),
-            ({"A0": [1.5]}, "A0: bernoulli mean must lie in (0, 1)"),
+             "hashable", 2),
+            ({"A0": [0.25, 0.3]}, "A0: A must have shape (1,)", 2),
+            ({"A0": [1.5]}, "A0: bernoulli mean must lie in (0, 1)", 2),
             ({"analyses": [{"kind": "geometry_probe", "points": [[0.3, 0.4]]}]},
-             "analyses[0].points[0]: A must have shape (1,)"),
+             "analyses[0].points[0]: A must have shape (1,)", 2),
+            # rejected when parsed, so run exits 1 like validate
+            ({"outputs": {"trajectory_csv": "x.out", "summary_json": "./x.out"}},
+             "outputs.summary_json and outputs.trajectory_csv name the same file", 1),
         ],
-        ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length"],
+        ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length", "same-output-path"],
     )
-    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message):
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, dict(MINIMAL, **change))
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
-        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == run_exit
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_step_below_the_sample_budget_exits_1(self, tmp_path, capsys):
+        # tau_max / h = 2e12 samples: rejected before anything runs
+        path = write_config(tmp_path, dict(MINIMAL, integrator={"tau_max": 2.0, "h": 1e-12}))
+        assert main(["validate", str(path)]) == 1
+        assert "integrator.h must be at least tau_max / 1000000" in capsys.readouterr().err
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        assert "integrator.h" in capsys.readouterr().err
 
     def test_run_rejects_bad_probe_point_before_integrating(
         self, tmp_path, capsys, monkeypatch

@@ -7,6 +7,7 @@ import pytest
 from entroflow import (
     AtEquilibriumError,
     BernoulliFamily,
+    CompositeSystem,
     FamilyManifold,
     MonotonicityError,
     ReparametrizedManifold,
@@ -21,7 +22,7 @@ from entroflow import (
     unit_velocity,
     write_trajectory_csv,
 )
-from entroflow import flow
+from entroflow import duality, flow
 from entroflow.errors import InfeasibleMeanError
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.geometry import ManifoldPoint, MetricTensor, StateManifold
@@ -91,12 +92,12 @@ class TestVelocityField:
 class TestIntegrate:
     def test_bernoulli_golden_arclength(self, bernoulli_traj):
         assert bernoulli_traj.terminal_status == "equilibrium-reached"
-        assert abs(bernoulli_traj.tau[-1] - math.pi / 6.0) <= 1e-7
+        assert abs(bernoulli_traj.tau[-1] - math.pi / 6.0) <= 1e-12
         assert abs(bernoulli_traj.A[-1, 0] - 0.5) <= 1e-4
 
     def test_gaussian_straight_line(self, gaussian_traj):
         assert gaussian_traj.terminal_status == "equilibrium-reached"
-        assert abs(gaussian_traj.tau[-1] - 2.0) <= 1e-6
+        assert abs(gaussian_traj.tau[-1] - 2.0) <= 1e-12
         assert abs(gaussian_traj.A[-1, 0]) <= 1e-6
 
     def test_equilibrium_start_raises(self, bernoulli):
@@ -136,23 +137,37 @@ class TestIntegrate:
         assert abs(thin.tau[-1] - full.tau[-1]) <= 1e-9
         assert np.max(np.abs(thin.A[-1] - full.A[-1])) <= 1e-12
 
-    def test_terminal_sigma_lands_in_threshold_window(self, bernoulli):
+    def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
+        # RK4 (a composite) stops in the threshold window; the ray of a
+        # single family ends at the maximum itself
         for sigma_eq in (1e-6, 1e-8):
-            traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
+            traj = integrate(bernoulli_pair, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert sigma_eq <= traj.sigma[-1] <= 2.0 * sigma_eq
+            traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
+            assert traj.sigma[-1] == 0.0
 
     @pytest.mark.parametrize("a0", [-1.0000001e-8, -1.05e-8, -3e-8])
     def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
-        traj = integrate(gaussian, [a0], tau_max=1.0)
+        # the single Gaussian starts at sigma = |a0|; a flat pair with
+        # A_total = 0 has force -2 A and metric 2, so sigma = sqrt(2) |A|
+        # and the same sigma starts at A = a0 / sqrt(2)
+        pair = CompositeSystem(gaussian, gaussian, [0.0])
+        traj = integrate(pair, [a0 / math.sqrt(2.0)], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert 1e-8 <= traj.sigma[-1] <= 2e-8
+        # the single Gaussian's ray ends at the maximum, |a0| away
+        traj = integrate(gaussian, [a0], tau_max=1.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert traj.sigma[-1] == 0.0
+        assert abs(traj.tau[-1] - abs(a0)) <= 1e-12 * abs(a0)
 
-    def test_convergence_order_at_least_3_5(self, bernoulli):
-        # fixed-tau endpoint isolates the integrator from the stopping rule
-        exact = 0.5 * (1.0 - math.cos(0.5 + math.pi / 3.0))
+    def test_convergence_order_at_least_3_5(self, bernoulli_pair):
+        # fixed-tau endpoint isolates RK4 from the stopping rule; two equal
+        # Bernoulli halves advance arcsin sqrt(A) at rate 1 / (2 sqrt 2)
+        exact = math.sin(math.pi / 6.0 + 0.5 / (2.0 * math.sqrt(2.0))) ** 2
         errs = []
-        for h in (4e-3, 2e-3, 1e-3):
-            t = integrate(bernoulli, [0.25], tau_max=0.5, h=h)
+        for h in (8e-3, 4e-3, 2e-3):
+            t = integrate(bernoulli_pair, [0.25], tau_max=0.5, h=h)
             assert abs(t.tau[-1] - 0.5) <= 1e-12
             errs.append(abs(t.A[-1, 0] - exact))
         order1 = math.log2(errs[0] / errs[1])
@@ -167,11 +182,13 @@ class TestIntegrate:
             inverse=lambda B: np.sqrt(B),
             jacobian=lambda A: np.array([[2.0 * A[0]]]),
         )
-        t_a = integrate(bernoulli, [0.25], tau_max=2.0)
-        t_b = integrate(rep, [0.0625], tau_max=2.0)
-        assert len(t_a) == len(t_b)
-        assert np.all(np.abs(t_a.tau - t_b.tau) <= 1e-9)
-        assert np.all(np.abs(t_a.A[:, 0] - np.sqrt(t_b.A[:, 0])) <= 1e-5)
+        t_a = integrate(bernoulli, [0.25], tau_max=2.0)  # the exact ray
+        t_b = integrate(rep, [0.0625], tau_max=2.0)  # RK4 in the chart
+        # both trace A(tau) = sin^2(pi/6 + tau/2) at every row
+        assert np.all(np.abs(t_a.A[:, 0] - np.sin(math.pi / 6.0 + 0.5 * t_a.tau) ** 2) <= 1e-12)
+        assert np.all(np.abs(np.sqrt(t_b.A[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * t_b.tau) ** 2) <= 1e-5)
+        assert abs(t_a.tau[-1] - math.pi / 6.0) <= 1e-7
+        assert abs(t_b.tau[-1] - math.pi / 6.0) <= 1e-7
 
     def test_time_reversal_decreases_entropy(self, bernoulli):
         # backward integration is not a supported mode; trace the reversed
@@ -222,10 +239,55 @@ class TestIntegrate:
         fam, A0, tau_eq = tabulated_3x50
         traj = integrate(fam, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert abs(traj.tau[-1] - tau_eq) <= 1e-6
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-12
 
-    def test_tabulated_landing_needs_no_extra_rk4_steps(self, tabulated_3x50, monkeypatch):
-        # every RK4 step but a few halvings is an accepted, recorded sample
+    def test_offset_statistics_do_not_stall_the_quadrature(self):
+        # lam . stats rounds at about 1e-10 when the statistics sit near
+        # 1e6, so f is that noisy however narrow a quadrature panel gets;
+        # the panel tolerance is absolute, and the bisection stops
+        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
+        taus, calls = [], []
+        for offset in (0.0, 1e6):
+            fam = TabulatedFamily(space, [[offset, offset + 1.0, offset + 2.0]])
+            covariance, count = fam.covariance, []
+
+            def counting(lam, covariance=covariance, count=count):
+                count.append(None)
+                assert len(count) <= 50_000, "the quadrature does not stop"
+                return covariance(lam)
+
+            fam.covariance = counting
+            traj = integrate(fam, [offset + 0.3], tau_max=5.0)
+            assert traj.terminal_status == "equilibrium-reached"
+            taus.append(traj.tau[-1])
+            calls.append(len(count))
+        assert abs(taus[1] - taus[0]) <= 1e-9
+        assert calls[1] <= 2 * calls[0]
+
+    def test_tabulated_run_solves_once_and_takes_no_rk4_step(self, tabulated_3x50, monkeypatch):
+        # a single family is sampled on the ray: one Legendre inversion at
+        # the start, then forward maps only
+        solves, steps = [], []
+        solve_lambda, rk4_step = duality.solve_lambda, flow._rk4_step
+
+        def counting_solve(*args, **kwargs):
+            solves.append(None)
+            return solve_lambda(*args, **kwargs)
+
+        def counting_step(*args):
+            steps.append(None)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(duality, "solve_lambda", counting_solve)
+        monkeypatch.setattr(flow, "_rk4_step", counting_step)
+        fam, A0, _ = tabulated_3x50
+        traj = integrate(fam, A0, tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert len(solves) == 1 and len(steps) == 0
+
+    def test_tabulated_landing_needs_no_extra_rk4_steps(self, two_point, monkeypatch):
+        # RK4 runs on a pair of tables: every step but a few halvings is an
+        # accepted, recorded sample
         calls = []
         rk4_step = flow._rk4_step
 
@@ -234,10 +296,33 @@ class TestIntegrate:
             return rk4_step(*args)
 
         monkeypatch.setattr(flow, "_rk4_step", counting)
-        fam, A0, _ = tabulated_3x50
-        traj = integrate(fam, A0, tau_max=5.0)
+        traj = integrate(CompositeSystem(two_point, two_point, [1.0]), [0.25], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert len(calls) <= len(traj) + 5
+
+    @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
+    def test_bernoulli_terminal_tau_is_exact_at_any_spacing(self, bernoulli, h):
+        traj = integrate(bernoulli, [0.25], tau_max=2.0, h=h)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.tau[-1] - math.pi / 6.0) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_equilibrium_just_past_a_grid_row(self, request, family):
+        # tau_eq lies 1e-12 past the row at 0.5, whose sigma is below
+        # 2 sigma_eq: the maximum takes that row's place instead of
+        # following it by a sliver
+        tau_eq = 0.5 + 1e-12
+        if family == "gaussian":
+            a0 = -tau_eq  # flat: tau_eq = |a0|
+        else:
+            a0 = math.sin(0.5 * (0.5 * math.pi - tau_eq)) ** 2  # tau_eq = pi/2 - 2 asin sqrt(a0)
+        traj = integrate(request.getfixturevalue(family), [a0], tau_max=1.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-14
+        assert np.all(np.diff(traj.tau) > 0.0)
+        assert np.min(np.diff(traj.tau)) >= 1e-8  # sigma_eq
+        assert np.all(traj.sigma[:-1] > 2e-8)
+        assert entropy_production_check(traj).max_residual <= 1e-4
 
     def test_step_collapse_carries_partial_trajectory(self):
         class Hostile(StateManifold):
