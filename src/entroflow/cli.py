@@ -480,7 +480,9 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     or when the output directory cannot be made or written, with the
     diagnostic on ``log`` (``sys.stderr`` when None).  Artifacts are
     renamed into place only once all of them are written, so a failed run
-    leaves none behind.
+    leaves none behind.  That includes a StepCollapseError: the partial
+    trajectory it carries is not written, since rows and a summary of a
+    run that did not finish would read like a finished one.
     """
     if log is None:
         log = sys.stderr

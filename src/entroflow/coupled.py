@@ -81,6 +81,11 @@ class CompositeSystem(StateManifold):
             aux=(p1.aux, p2.aux),
         )
 
+    def force_scale(self, pt: ManifoldPoint) -> np.ndarray:
+        """|lam| + |lam'| at ``pt``: its force lam - lam' rounds at this scale,
+        not at its own, which vanishes at equilibrium."""
+        return np.abs(pt.aux[0][0]) + np.abs(pt.aux[1][0])
+
     def entropy(self, A) -> float:
         A = as_vector(A, self.dim, "A")
         return self._m1.entropy(A) + self._m2.entropy(self.A_total - A)

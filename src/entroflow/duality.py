@@ -99,7 +99,9 @@ def solve_lambda(family: ExponentialFamily, A, init=None) -> np.ndarray:
             ) from None
         step = _newton_direction(-gap, hess, float(np.max(np.abs(lam))))
         slope = float(-gap @ step)  # grad F . step, negative for a descent step
-        if -slope <= 1e-14 * (1.0 + abs(value)):
+        # F is a sum of log Z and lam . A, each as large as |lam . A| where
+        # the statistics sit far from 0, so that sets its float resolution.
+        if -slope <= 1e-14 * (1.0 + abs(value) + abs(float(lam @ A))):
             # Predicted decrease is below the float resolution of F: the
             # Armijo test cannot certify progress here, but the pure Newton
             # step still contracts the residual quadratically.

@@ -226,7 +226,14 @@ class TabulatedFamily(ExponentialFamily):
             raise ValueError("labels must match the number of statistics")
         self._n_dim = n_dim
         self._log_weights = np.log(space.weights)
-        self._ranges = list(zip(stats.min(axis=1).tolist(), stats.max(axis=1).tolist()))
+        lo, hi = stats.min(axis=1), stats.max(axis=1)
+        self._ranges = list(zip(lo.tolist(), hi.tolist()))
+        # Each statistic is kept shifted by the midpoint c of its range, so
+        # that sums over the table round at the scale of its spread, not of
+        # a large common offset: the mean is c + <a - c>, log Z is
+        # log Z_c - lam . c, and the cumulants are those of a - c.
+        self._shift = 0.5 * (lo + hi)
+        self._shifted = stats - self._shift[:, None]
 
     @property
     def n_dim(self) -> int:
@@ -253,11 +260,11 @@ class TabulatedFamily(ExponentialFamily):
         return arr
 
     def _shifted_terms(self, lam: np.ndarray) -> np.ndarray:
-        return self._log_weights - lam @ self.stats
+        return self._log_weights - lam @ self._shifted
 
     def log_partition(self, lam) -> float:
         lam = self.check_natural_domain(lam)
-        return _log_sum_exp(self._shifted_terms(lam))
+        return _log_sum_exp(self._shifted_terms(lam)) - float(lam @ self._shift)
 
     def probabilities(self, lam) -> np.ndarray:
         """Probability of each labelled point under p(x|lam)."""
@@ -268,11 +275,11 @@ class TabulatedFamily(ExponentialFamily):
         return w / np.sum(w)
 
     def mean_parameters(self, lam) -> np.ndarray:
-        return self.stats @ self.probabilities(lam)
+        return self._shift + self._shifted @ self.probabilities(lam)
 
     def _centered(self, lam) -> tuple[np.ndarray, np.ndarray]:
         p = self.probabilities(lam)
-        return p, self.stats - (self.stats @ p)[:, None]
+        return p, self._shifted - (self._shifted @ p)[:, None]
 
     def covariance(self, lam) -> np.ndarray:
         p, centered = self._centered(lam)
@@ -297,9 +304,8 @@ class TabulatedFamily(ExponentialFamily):
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
         i = self.space.index_of(x)
-        return float(
-            self._log_weights[i] - lam @ self.stats[:, i] - self.log_partition(lam)
-        )
+        terms = self._shifted_terms(lam)
+        return float(terms[i] - _log_sum_exp(terms))
 
 
 class BernoulliFamily(ExponentialFamily):

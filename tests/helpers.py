@@ -11,7 +11,7 @@ import numpy as np
 
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.flow import Trajectory
-from entroflow.geometry import as_manifold, metric
+from entroflow.geometry import ReparametrizedManifold, as_manifold, metric
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -104,6 +104,17 @@ def fd_flow_acceleration(system, A, step=1e-5):
     return dv + np.einsum("abc,b,c->a", fd_christoffel(system, A, step), v, v)
 
 
+def identity_chart(system):
+    """``system`` seen through the identity change of coordinates: the same
+    points and flow, integrated by RK4 as every reparametrized chart is."""
+    return ReparametrizedManifold(
+        as_manifold(system),
+        forward=lambda A: A,
+        inverse=lambda B: B,
+        jacobian=lambda A: np.eye(A.size),
+    )
+
+
 def random_tabulated(rng, n_dim=None, n_points=None):
     """A random small tabulated family (full-rank statistics a.s.)."""
     if n_dim is None:
@@ -152,6 +163,19 @@ def tabulated_equilibrium_tau(weights, stats, lam0, nodes=64):
         for si in s
     ]
     return 0.5 * float(np.dot(w, speed))
+
+
+def composite_arclength(g1, g2, A_total, a0, a1, panels=16, nodes=16):
+    """Intrinsic time from a0 to a1 along a 1-D composite, by Gauss-Legendre
+    on equal panels: the integral of sqrt(g1(A) + g2(A_total - A)) dA, with
+    g1 and g2 each subsystem's metric as a function of its own mean."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(a0, a1, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        A = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        total += 0.5 * (hi - lo) * float(np.dot(w, np.sqrt(g1(A) + g2(A_total - A))))
+    return total
 
 
 def synthetic_trajectory(taus, states, lams, entropies, sigmas,

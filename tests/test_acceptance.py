@@ -31,7 +31,7 @@ from entroflow import (
 )
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config, run_scenario
 from entroflow.onsager import empirical_onsager_pooled
-from helpers import fd_metric_oracle, random_tabulated, random_feasible_mean
+from helpers import fd_metric_oracle, identity_chart, random_tabulated, random_feasible_mean
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +137,14 @@ def test_c04_flow_invariants_on_every_shipped_scenario(catalog_runs):
 
 
 def test_c05_integrator_convergence_order(bernoulli_pair):
-    # RK4 integrates composites; two equal Bernoulli halves double the
-    # metric, so arcsin sqrt(A) advances at rate 1 / (2 sqrt 2)
+    # RK4 integrates charts; in the identity chart over two equal Bernoulli
+    # halves the metric doubles, so arcsin sqrt(A) advances at rate
+    # 1 / (2 sqrt 2)
+    chart = identity_chart(bernoulli_pair)
     exact = math.sin(math.pi / 6.0 + 0.5 / (2.0 * math.sqrt(2.0))) ** 2
     errors = []
     for h in (8e-3, 4e-3, 2e-3):
-        traj = integrate(bernoulli_pair, [0.25], tau_max=0.5, h=h)
+        traj = integrate(chart, [0.25], tau_max=0.5, h=h)
         errors.append(abs(traj.A[-1, 0] - exact))
     orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
     assert min(orders) >= 3.5

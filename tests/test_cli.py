@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import entroflow
-from entroflow import ParseError, ValidationError
+from entroflow import (
+    NoConvergenceError,
+    ParseError,
+    StepCollapseError,
+    ValidationError,
+    integrate,
+)
 from entroflow.cli import (
     build_system,
     catalog_names,
@@ -418,6 +424,33 @@ class TestMain:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
+
+    def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every composite point after the first 20 fails to solve, so the
+        # continuation collapses with rows recorded; the partial trajectory
+        # the error carries is not written
+        point, calls = CompositeSystem.point, []
+
+        def failing_point(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) > 20:
+                raise NoConvergenceError("no solve")
+            return point(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompositeSystem, "point", failing_point)
+        cfg = parse_config(catalog_path("bernoulli-coupled"))
+        with pytest.raises(StepCollapseError) as err:
+            integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max)
+        assert err.value.trajectory.terminal_status == "error"
+        assert len(err.value.trajectory) > 1
+        calls.clear()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["run", str(catalog_path("bernoulli-coupled")), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert len(stderr.splitlines()) == 1 and "StepCollapseError" in stderr
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_probe_at_every_shipped_start(self, name, capsys):

@@ -19,7 +19,17 @@ from entroflow import (
     solve_lambda,
     unit_velocity,
 )
-from helpers import fd_metric_oracle
+from entroflow import flow
+from helpers import composite_arclength, fd_metric_oracle, identity_chart
+
+
+def gas_energy_metric(energy):
+    # -S'' of N [ln(V/N) + (3/2) ln(E/N)] at N = V = 1
+    return 1.5 / energy**2
+
+
+def bernoulli_metric(a):
+    return 1.0 / (a * (1.0 - a))
 
 
 class TestConstruction:
@@ -123,7 +133,7 @@ class TestIntegrateCoupled:
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.A[-1, 0] - 0.5) <= 1e-4
         # identical subsystems reduce to a rescaled two-point relaxation
-        assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-7
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
 
     def test_gas_en_midpoint_and_forces(self, coupled_gas_traj):
         t = coupled_gas_traj
@@ -135,7 +145,7 @@ class TestIntegrateCoupled:
         # on the symmetry ray A = s (2, 1) the forces stay parallel to the
         # ray and the arclength reduces to sqrt(2) * int ds / sqrt(s(2-s))
         # over s in [1/2, 1], which is exactly sqrt(2) * pi / 6
-        assert abs(coupled_gas_traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-6
+        assert abs(coupled_gas_traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
 
     def test_conservation_residual(self, coupled_gas_traj, equal_gas_pair):
         t = coupled_gas_traj
@@ -143,13 +153,26 @@ class TestIntegrateCoupled:
         assert np.max(np.abs(t.A + t.A_prime - equal_gas_pair.A_total)) <= 1e-12
 
     def test_e_only_matches_quadrature_arclength(self, gas_e_only_pair):
+        # the shipped two-vessel-gas-E-only scenario
         traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0)
-        assert abs(traj.A[-1, 0] - 2.0) <= 1e-3
-        oracle, err = quad(
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.A[-1, 0] - 2.0) <= 1e-12
+        oracle = composite_arclength(gas_energy_metric, gas_energy_metric, 4.0, 1.0, 2.0)
+        reference, err = quad(
             lambda e: math.sqrt(1.5 * (1.0 / e**2 + 1.0 / (4.0 - e) ** 2)), 1.0, 2.0
         )
         assert err < 1e-9
-        assert abs(traj.tau[-1] - oracle) <= 1e-6
+        assert abs(oracle - reference) <= 1e-9
+        assert abs(traj.tau[-1] - oracle) <= 1e-12
+
+    def test_tabulated_pair_matches_quadrature_arclength(self, two_point):
+        # two Bernoulli tables: every point goes through the Newton solver
+        # and the connection through the third cumulant
+        traj = integrate(CompositeSystem(two_point, two_point, [1.0]), [0.25], tau_max=2.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.A[-1, 0] - 0.5) <= 1e-12
+        oracle = composite_arclength(bernoulli_metric, bernoulli_metric, 1.0, 0.25, 0.5)
+        assert abs(traj.tau[-1] - oracle) <= 1e-12
 
     def test_entropy_production(self, coupled_gas_traj):
         assert np.all(np.diff(coupled_gas_traj.S) >= -1e-10)
@@ -176,7 +199,109 @@ class TestIntegrateCoupled:
         traj = integrate(cs, [0.3], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.A[-1, 0] - 0.5) <= 1e-6
-        assert abs(traj.tau[-1] - math.sqrt(2.0) * 0.2) <= 1e-7
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * 0.2) <= 1e-12
 
     def test_speed_column(self, coupled_gas_traj):
         assert np.all(np.abs(coupled_gas_traj.speed - 1.0) <= 1e-6)
+
+
+class TestForceRayContinuation:
+    """A composite's flow is the curve F(A) = t F0, t from 1 down to 0."""
+
+    @pytest.mark.parametrize(
+        "pair, A0",
+        [
+            ("bernoulli_pair", [0.25]),
+            ("equal_gas_pair", [1.0, 0.5]),
+            ("gas_e_only_pair", [1.0]),
+        ],
+    )
+    def test_rows_match_rk4_in_the_identity_chart(self, request, pair, A0):
+        system = request.getfixturevalue(pair)
+        ray = integrate(system, A0, tau_max=10.0)
+        rk4 = integrate(identity_chart(system), A0, tau_max=10.0)
+        # RK4's tau is a running sum of its steps, within rounding of k h
+        near = np.abs(ray.tau[:, None] - rk4.tau[None, :]) <= 1e-12
+        rows, partners = np.nonzero(near)
+        assert len(rows) >= len(ray) - 20  # all but the landing rows
+        assert np.max(np.abs(ray.A[rows] - rk4.A[partners])) <= 1e-10
+
+    @pytest.mark.parametrize("margin", [1e-2, 1e-6, 1e-9])
+    @pytest.mark.parametrize("one_row", [False, True], ids=["h=1e-3", "h=tau_max"])
+    @pytest.mark.parametrize("pair, A0", [("bernoulli_pair", [0.25]), ("gas_e_only_pair", [1.0])])
+    def test_maximum_just_past_or_before_tau_max(self, request, pair, A0, one_row, margin):
+        # in one row from A0 = 1 the quadratic Taylor model of the E-only
+        # pair's tau puts the maximum at about 0.976, before a tau_max of
+        # 0.9826; only a measured step to the maximum shows it lies beyond
+        system = request.getfixturevalue(pair)
+        if pair == "bernoulli_pair":
+            tau_eq = math.sqrt(2.0) * math.pi / 6.0
+        else:
+            tau_eq = composite_arclength(gas_energy_metric, gas_energy_metric, 4.0, 1.0, 2.0)
+        short, past = tau_eq - margin, tau_eq + margin
+        traj = integrate(system, A0, tau_max=short, h=short if one_row else 1e-3)
+        assert traj.terminal_status == "tau-budget-exhausted"
+        assert traj.tau[-1] == short
+        # near the maximum sigma is the tau left to reach it
+        assert abs(traj.sigma[-1] - margin) <= 1e-2 * margin
+        traj = integrate(system, A0, tau_max=past, h=past if one_row else 1e-3)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert traj.sigma[-1] == 0.0
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
+    def test_bernoulli_pair_terminal_tau_is_exact_at_any_spacing(self, bernoulli_pair, h):
+        traj = integrate(bernoulli_pair, [0.25], tau_max=2.0, h=h)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert traj.sigma[-1] == 0.0
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
+        exact = np.sin(math.pi / 6.0 + traj.tau / (2.0 * math.sqrt(2.0))) ** 2
+        assert np.max(np.abs(traj.A[:, 0] - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.05, 0.2, 3.0])
+    def test_e_only_terminal_tau_is_exact_at_any_spacing(self, gas_e_only_pair, h):
+        # the third-order term of tau changes sign near A = 1.3, where it
+        # alone would let the steps grow until the Hermite rule's error
+        # reaches 1e-11; the Newton correction of A keeps them short there
+        traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0, h=h)
+        assert traj.terminal_status == "equilibrium-reached"
+        oracle = composite_arclength(gas_energy_metric, gas_energy_metric, 4.0, 1.0, 2.0)
+        assert abs(traj.tau[-1] - oracle) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "settings, status",
+        [
+            (dict(tau_max=2.0, sigma_eq=1e-15), "equilibrium-reached"),
+            (dict(tau_max=1e-9, h=1e-12), "tau-budget-exhausted"),
+        ],
+        ids=["landing-to-1e-15", "spacing-1e-12"],
+    )
+    @pytest.mark.parametrize("pair, A0", [("bernoulli_pair", [0.25]), ("gas_e_only_pair", [1.0])])
+    def test_steps_at_rounding_scale_do_not_stall(self, request, pair, A0, settings, status):
+        # the Newton correction of A rounds at about 1e-16 whatever the step,
+        # so it counts as error only above that rounding
+        traj = integrate(request.getfixturevalue(pair), A0, **settings)
+        assert traj.terminal_status == status
+        if status == "tau-budget-exhausted":
+            assert traj.tau[-1] == settings["tau_max"]
+            assert len(traj) == 1001
+
+    def test_two_point_evaluations_per_row(self, bernoulli_pair, monkeypatch):
+        # a predicted point and the row's own point; RK4 took four per step
+        calls, steps = [], []
+        point, rk4_step = CompositeSystem.point, flow._rk4_step
+
+        def counting_point(self, *args, **kwargs):
+            calls.append(None)
+            return point(self, *args, **kwargs)
+
+        def counting_step(*args):
+            steps.append(None)
+            return rk4_step(*args)
+
+        monkeypatch.setattr(CompositeSystem, "point", counting_point)
+        monkeypatch.setattr(flow, "_rk4_step", counting_step)
+        traj = integrate(bernoulli_pair, [0.25], tau_max=2.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert len(calls) <= 2.5 * len(traj)
+        assert len(steps) == 0

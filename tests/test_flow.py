@@ -26,7 +26,12 @@ from entroflow import duality, flow
 from entroflow.errors import InfeasibleMeanError
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.geometry import ManifoldPoint, MetricTensor, StateManifold
-from helpers import synthetic_trajectory, tabulated_equilibrium_tau, tabulated_mean
+from helpers import (
+    identity_chart,
+    synthetic_trajectory,
+    tabulated_equilibrium_tau,
+    tabulated_mean,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +143,11 @@ class TestIntegrate:
         assert np.max(np.abs(thin.A[-1] - full.A[-1])) <= 1e-12
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
-        # RK4 (a composite) stops in the threshold window; the ray of a
-        # single family ends at the maximum itself
+        # RK4 (a chart) stops in the threshold window; the ray of a single
+        # family ends at the maximum itself
+        chart = identity_chart(bernoulli_pair)
         for sigma_eq in (1e-6, 1e-8):
-            traj = integrate(bernoulli_pair, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
+            traj = integrate(chart, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert sigma_eq <= traj.sigma[-1] <= 2.0 * sigma_eq
             traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert traj.sigma[-1] == 0.0
@@ -150,8 +156,9 @@ class TestIntegrate:
     def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
         # the single Gaussian starts at sigma = |a0|; a flat pair with
         # A_total = 0 has force -2 A and metric 2, so sigma = sqrt(2) |A|
-        # and the same sigma starts at A = a0 / sqrt(2)
-        pair = CompositeSystem(gaussian, gaussian, [0.0])
+        # and the same sigma starts at A = a0 / sqrt(2); RK4 runs it in the
+        # identity chart
+        pair = identity_chart(CompositeSystem(gaussian, gaussian, [0.0]))
         traj = integrate(pair, [a0 / math.sqrt(2.0)], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert 1e-8 <= traj.sigma[-1] <= 2e-8
@@ -162,12 +169,14 @@ class TestIntegrate:
         assert abs(traj.tau[-1] - abs(a0)) <= 1e-12 * abs(a0)
 
     def test_convergence_order_at_least_3_5(self, bernoulli_pair):
-        # fixed-tau endpoint isolates RK4 from the stopping rule; two equal
-        # Bernoulli halves advance arcsin sqrt(A) at rate 1 / (2 sqrt 2)
+        # fixed-tau endpoint isolates RK4 from the stopping rule; in the
+        # identity chart over two equal Bernoulli halves arcsin sqrt(A)
+        # advances at rate 1 / (2 sqrt 2)
+        chart = identity_chart(bernoulli_pair)
         exact = math.sin(math.pi / 6.0 + 0.5 / (2.0 * math.sqrt(2.0))) ** 2
         errs = []
         for h in (8e-3, 4e-3, 2e-3):
-            t = integrate(bernoulli_pair, [0.25], tau_max=0.5, h=h)
+            t = integrate(chart, [0.25], tau_max=0.5, h=h)
             assert abs(t.tau[-1] - 0.5) <= 1e-12
             errs.append(abs(t.A[-1, 0] - exact))
         order1 = math.log2(errs[0] / errs[1])
@@ -241,14 +250,15 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.tau[-1] - tau_eq) <= 1e-12
 
-    def test_offset_statistics_do_not_stall_the_quadrature(self):
-        # lam . stats rounds at about 1e-10 when the statistics sit near
-        # 1e6, so f is that noisy however narrow a quadrature panel gets;
-        # the panel tolerance is absolute, and the bisection stops
+    @pytest.mark.parametrize("offset, tol", [(1e6, 1e-9), (1e9, 1e-6)])
+    def test_offset_statistics_reach_equilibrium(self, offset, tol):
+        # a table whose statistics sit far from 0 runs like one at 0: it
+        # sums them shifted by the midpoint of their range; unshifted, the
+        # 1e9 table's mean rounds at about 1e-7, far above the solver's 1e-10
         space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
         taus, calls = [], []
-        for offset in (0.0, 1e6):
-            fam = TabulatedFamily(space, [[offset, offset + 1.0, offset + 2.0]])
+        for shift in (0.0, offset):
+            fam = TabulatedFamily(space, [[shift, shift + 1.0, shift + 2.0]])
             covariance, count = fam.covariance, []
 
             def counting(lam, covariance=covariance, count=count):
@@ -257,12 +267,32 @@ class TestIntegrate:
                 return covariance(lam)
 
             fam.covariance = counting
-            traj = integrate(fam, [offset + 0.3], tau_max=5.0)
+            traj = integrate(fam, [shift + 0.3], tau_max=5.0)
             assert traj.terminal_status == "equilibrium-reached"
             taus.append(traj.tau[-1])
             calls.append(len(count))
-        assert abs(taus[1] - taus[0]) <= 1e-9
+        assert abs(taus[1] - taus[0]) <= tol
         assert calls[1] <= 2 * calls[0]
+
+    def test_offset_statistics_do_not_stall_the_quadrature(self):
+        # a covariance with 1e-10 relative noise, as an unshifted table near
+        # 1e6 would round it: no panel gets below the noise, and the
+        # absolute panel tolerance still ends the bisection
+        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
+        fam = TabulatedFamily(space, [[0.0, 1.0, 2.0]])
+        clean = integrate(fam, [0.3], tau_max=5.0)
+        covariance, count = fam.covariance, []
+        rng = np.random.default_rng(7)
+
+        def noisy(lam):
+            count.append(None)
+            assert len(count) <= 50_000, "the quadrature does not stop"
+            return covariance(lam) * (1.0 + 1e-10 * rng.standard_normal())
+
+        fam.covariance = noisy
+        traj = integrate(fam, [0.3], tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.tau[-1] - clean.tau[-1]) <= 1e-9
 
     def test_tabulated_run_solves_once_and_takes_no_rk4_step(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
@@ -286,8 +316,8 @@ class TestIntegrate:
         assert len(solves) == 1 and len(steps) == 0
 
     def test_tabulated_landing_needs_no_extra_rk4_steps(self, two_point, monkeypatch):
-        # RK4 runs on a pair of tables: every step but a few halvings is an
-        # accepted, recorded sample
+        # RK4 runs on a pair of tables in the identity chart: every step but
+        # a few halvings is an accepted, recorded sample
         calls = []
         rk4_step = flow._rk4_step
 
@@ -296,7 +326,8 @@ class TestIntegrate:
             return rk4_step(*args)
 
         monkeypatch.setattr(flow, "_rk4_step", counting)
-        traj = integrate(CompositeSystem(two_point, two_point, [1.0]), [0.25], tau_max=2.0)
+        chart = identity_chart(CompositeSystem(two_point, two_point, [1.0]))
+        traj = integrate(chart, [0.25], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert len(calls) <= len(traj) + 5
 
