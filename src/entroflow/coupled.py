@@ -72,7 +72,7 @@ class CompositeSystem(StateManifold):
         p1 = self._m1.point(A, warm=w1)
         p2 = self._m2.point(self.A_total - A, warm=w2)
         force = p1.force - p2.force
-        met = MetricTensor.from_matrix(p1.metric.g + p2.metric.g)
+        met = MetricTensor.from_sum(p1.metric, p2.metric)
         return ManifoldPoint(
             A=A,
             force=force,

@@ -105,7 +105,9 @@ class ExponentialFamily(ABC):
     downstream code bypass the numerical Legendre inversion.  The hooks take
     a mean vector that has already passed ``check_feasible`` and do not
     check it again.  A family without ``neg_entropy_third`` must provide
-    ``cumulants``, from which the geometry builds the connection.
+    ``cumulants``, from which the geometry builds the connection.  A family
+    whose natural domain holds lam = 0 must provide ``ray_rate``, the
+    arclength rate the flow integrates along its force ray.
     """
 
     @property
@@ -146,7 +148,7 @@ class ExponentialFamily(ABC):
         whole declared domain).
         """
         arr = as_vector(lam, self.n_dim, "lam")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise DomainError("natural parameters must be finite")
         return arr
 
@@ -158,7 +160,7 @@ class ExponentialFamily(ABC):
         hull and infeasibility surfaces as solver divergence instead.
         """
         arr = as_vector(A, self.n_dim, "A")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise InfeasibleMeanError("mean vector must be finite")
         return arr
 
@@ -186,6 +188,18 @@ class ExponentialFamily(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} declares neither neg_entropy_third nor cumulants"
         )
+
+    def ray_rate(self, lam0):
+        """The arclength rate along the ray lam = t lam0, as a function that
+        maps an array of t to f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) at
+        each t.
+
+        lam0 is checked once, here; the ray's segment [0, lam0] then lies in
+        the convex natural domain wherever that holds lam = 0.  Along the ray
+        the family is the one-parameter family of the projected statistic
+        y = lam0 . a, and f is the standard deviation of y.
+        """
+        raise NotImplementedError(f"{type(self).__name__} declares no ray_rate")
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -301,6 +315,24 @@ class TabulatedFamily(ExponentialFamily):
         k3 = (weighted[:, None, :] * centered[None, :, :]) @ centered.T
         return weighted @ centered.T, k3
 
+    def ray_rate(self, lam0):
+        """The standard deviation of y = lam0 . (a - c) under p(x|t lam0),
+        one exponential over the table per t."""
+        y = self.check_natural_domain(lam0) @ self._shifted
+        log_weights = self._log_weights
+
+        def rate(ts):
+            w = log_weights - np.multiply.outer(ts, y)
+            w -= np.max(w, axis=1, keepdims=True)
+            np.exp(w, out=w)
+            z = np.sum(w, axis=1)
+            dev = y - (np.sum(w * y, axis=1) / z)[:, None]
+            w *= dev
+            w *= dev
+            return np.sqrt(np.sum(w, axis=1) / z)
+
+        return rate
+
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
         i = self.space.index_of(x)
@@ -342,6 +374,17 @@ class BernoulliFamily(ExponentialFamily):
         if var <= 0.0:
             raise SingularModelError("bernoulli variance underflowed to zero")
         return np.array([[var]])
+
+    def ray_rate(self, lam0):
+        """|lam0| (p q)^(1/2), p and q the probabilities of x = 1 and 0."""
+        lam0 = float(self.check_natural_domain(lam0)[0])
+        size = abs(lam0)
+
+        def rate(ts):
+            lam = ts * lam0
+            return size * np.sqrt(np.exp(-np.logaddexp(0.0, lam) - np.logaddexp(0.0, -lam)))
+
+        return rate
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -408,6 +451,12 @@ class GaussianMeanFamily(ExponentialFamily):
     def covariance(self, lam) -> np.ndarray:
         self.check_natural_domain(lam)
         return np.eye(self._dim)
+
+    def ray_rate(self, lam0):
+        """|lam0| at every t: the covariance is the identity."""
+        lam0 = self.check_natural_domain(lam0)
+        size = math.sqrt(float(lam0 @ lam0))
+        return lambda ts: np.full(len(ts), size)
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)

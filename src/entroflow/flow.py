@@ -8,13 +8,19 @@ In mean coordinates g = -Hess S is dually flat, so dlam/dtau = -lam / sigma:
 the force decays parallel to itself.  A single family's trajectory is
 therefore exactly the image of the segment lam(s) = (1 - s) lam0, s in
 [0, 1], and tau(s) is the integral of the arclength rate
-f(s) = (lam0 . Cov(lam(s)) . lam0)^(1/2).  ``integrate`` samples that ray:
-it finds the s of each recorded tau by Newton's method on an adaptive
-Gauss-Lobatto quadrature of f, builds each row from the forward maps
-(mean, covariance, log Z) at lam(s), and ends at s = 1, the entropy
-maximum lam = 0, at its exact tau.  Near the maximum the rows go on with
-sigma halving from row to row down to 2 sigma_eq.  No Legendre inversion
-and no ODE step is made after the start.
+f(s) = (lam0 . Cov(lam(s)) . lam0)^(1/2).  On the ray the family is the
+one-parameter family of the projected statistic y = lam0 . a, and f is the
+standard deviation of y: the family's ``ray_rate`` kernel gives it at a
+batch of points without forming a covariance matrix.  ``integrate``
+samples that ray: it finds the s of each recorded tau by Newton's method
+on an adaptive Gauss-Lobatto quadrature of f (one kernel call for the
+trial point, one for the three interior nodes of each panel, and one for
+the accepted point), builds each row from the forward maps at lam(s)
+(the mean, then S and the metric from the closed forms, or from log Z and
+the covariance), and ends at s = 1, the entropy maximum lam = 0, at its
+exact tau.  Near the maximum the rows go on with sigma halving from row to
+row down to 2 sigma_eq.  No Legendre inversion and no ODE step is made
+after the start.
 
 A coupled pair has a Hessian metric too, g_T = g + g', and its force
 F(A) = lam(A) - lam'(A_T - A) has dF/dA = -g_T, so its trajectory is the
@@ -189,23 +195,21 @@ def _on_ray(lam0: np.ndarray, t: float) -> np.ndarray:
     return t * lam0 + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
 
 
-def _ray_rate(family: ExponentialFamily, lam0: np.ndarray, t: float) -> tuple[float, np.ndarray]:
-    """The arclength rate f = (lam0 . Cov . lam0)^(1/2) and Cov at t lam0."""
-    cov = family.covariance(_on_ray(lam0, t))
-    f = math.sqrt(max(float(lam0 @ cov @ lam0), 0.0))
-    if not math.isfinite(f):
-        raise SingularModelError(f"covariance is not finite at {t:.3g} lam0")
-    return f, cov
+def _rates(rate, *ts: float) -> list[float]:
+    """The arclength rate ``rate`` at each t, checked to be finite and > 0."""
+    fs = rate(np.array(ts)).tolist()
+    if not all(0.0 < f < math.inf for f in fs):
+        t, f = next((t, f) for t, f in zip(ts, fs) if not 0.0 < f < math.inf)
+        raise SingularModelError(
+            f"the arclength rate is {f} at {t:.3g} lam0: the covariance there is "
+            "singular or not finite"
+        )
+    return fs
 
 
-def _ray_point(manifold: FamilyManifold, lam0: np.ndarray, t: float, cov: np.ndarray) -> ManifoldPoint:
-    """The point at lam = t lam0, given the covariance there."""
-    lam = _on_ray(lam0, t)
-    return manifold.forward_point(manifold.family.mean_parameters(lam), lam, cov)
-
-
-def _ray_arclength(family, lam0, a: float, b: float, fa: float, fb: float) -> float:
-    """The integral of f over [a, b], from f at both ends.
+def _ray_arclength(rate, a: float, b: float, fa: float, fb: float) -> float:
+    """The integral of the arclength rate ``rate`` over [a, b], from f at
+    both ends.
 
     A panel's 4-point Gauss-Lobatto value is accepted once Simpson's rule
     on the same panel agrees with it to RAY_QUAD_TOL times the first
@@ -219,9 +223,8 @@ def _ray_arclength(family, lam0, a: float, b: float, fa: float, fb: float) -> fl
         a, b, fa, fb = panels.pop()
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         off = half * _LOBATTO_NODE
-        fm = _ray_rate(family, lam0, mid)[0]
-        inner = _ray_rate(family, lam0, mid - off)[0] + _ray_rate(family, lam0, mid + off)[0]
-        lobatto = half * ((fa + fb) / 6.0 + inner * (5.0 / 6.0))
+        fm, f_lo, f_hi = _rates(rate, mid, mid - off, mid + off)
+        lobatto = half * ((fa + fb) / 6.0 + (f_lo + f_hi) * (5.0 / 6.0))
         simpson = half * (fa + 4.0 * fm + fb) / 3.0
         if tol is None:
             tol = RAY_QUAD_TOL * lobatto
@@ -278,23 +281,24 @@ class _FamilyNode(NamedTuple):
     t: float  # the force scale: lam = t lam0
     f: float  # the arclength rate at t
     slope: float  # an estimate of df/ds (s = 1 - t) for the predictor
-    cov: np.ndarray | None  # the covariance at t lam0; None at the start
 
 
 class _FamilyRay:
     """The ray lam = t lam0 of a single family, walked by Newton's method on
     the force scale t against an adaptive Gauss-Lobatto quadrature of the
-    rate f; a node is built from the forward maps alone."""
+    family's arclength rate kernel; a row is built from the forward maps
+    alone."""
 
     def __init__(self, manifold: FamilyManifold, start: ManifoldPoint):
-        self.manifold, self.family, self.lam0 = manifold, manifold.family, start.force
-        self.start = _FamilyNode(1.0, start.sigma, 0.0, None)
+        self.manifold, self.lam0 = manifold, start.force
+        self.rate = manifold.family.ray_rate(start.force)
+        self.start = _FamilyNode(1.0, start.sigma, 0.0)
 
     def seek(self, a: _FamilyNode, tau_a: float, target: float, off: float):
         """The node at intrinsic time ``target`` from node ``a``, whose true
         tau is ``tau_a + off``, and its own true tau minus ``target``; None
         when the maximum comes first."""
-        family, lam0 = self.family, self.lam0
+        rate = self.rate
         # Newton's method on tau(t) = target, from the root of the quadratic
         # Taylor model of tau about a.t, safeguarded by bisection: tau(hi) <
         # target <= tau(lo) once lo is known.
@@ -309,8 +313,8 @@ class _FamilyRay:
                 t = 0.5 * (lo + hi)
             if not t < a.t:
                 break  # the step is below the resolution of t
-            f_t = _ray_rate(family, lam0, t)[0]
-            beyond = off + _ray_arclength(family, lam0, t, a.t, f_t, a.f)  # tau(t) - tau_a
+            (f_t,) = _rates(rate, t)
+            beyond = off + _ray_arclength(rate, t, a.t, f_t, a.f)  # tau(t) - tau_a
             residual = (tau_a - target) + beyond
             if t == 0.0 and residual <= 0.0:
                 return None
@@ -323,8 +327,8 @@ class _FamilyRay:
             error = 0.5 * abs(f_t - a.f) / (a.t - t) * step * step
             if error <= 1e-16 * target and 0.0 < t + step < a.t:
                 t_new = t + step
-                f_new, cov_new = _ray_rate(family, lam0, t_new)
-                node = _FamilyNode(t_new, f_new, (f_new - a.f) / (a.t - t_new), cov_new)
+                (f_new,) = _rates(rate, t_new)
+                node = _FamilyNode(t_new, f_new, (f_new - a.f) / (a.t - t_new))
                 # t_new - t is exact in floats, so this keeps the rounding of t_new
                 return node, residual - f_t * (t_new - t)
             t += step
@@ -332,15 +336,17 @@ class _FamilyRay:
 
     def toward(self, a: _FamilyNode, t: float):
         """The node at force scale t < a.t, and the tau from ``a`` to it."""
-        f, cov = _ray_rate(self.family, self.lam0, t)
-        return _FamilyNode(t, f, 0.0, cov), _ray_arclength(self.family, self.lam0, t, a.t, f, a.f)
+        (f,) = _rates(self.rate, t)
+        return _FamilyNode(t, f, 0.0), _ray_arclength(self.rate, t, a.t, f, a.f)
 
     def point(self, node: _FamilyNode) -> ManifoldPoint:
-        return _ray_point(self.manifold, self.lam0, node.t, node.cov)
+        lam = _on_ray(self.lam0, node.t)
+        return self.manifold.forward_point(self.manifold.family.mean_parameters(lam), lam)
 
     def end_speed(self, node: _FamilyNode, end: ManifoldPoint) -> float:
         # the velocity dA/dtau = Cov . lam0 / f stays defined at the maximum
-        return end.metric.squared_norm_of_vector(node.cov @ self.lam0 / node.f)
+        cov = self.manifold.family.covariance(_on_ray(self.lam0, node.t))
+        return end.metric.squared_norm_of_vector(cov @ self.lam0 / node.f)
 
 
 class _CompositeNode(NamedTuple):
@@ -592,7 +598,9 @@ def integrate(
 
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) whose
     natural domain holds lam = 0 is sampled on the exact ray
-    lam(s) = (1 - s) lam0, after one Legendre inversion at A0; a
+    lam(s) = (1 - s) lam0, after one Legendre inversion at A0, with tau from
+    the family's ``ray_rate`` kernel and each row from the forward maps; a
+    rate that is not finite and > 0 raises SingularModelError.  A
     ``CompositeSystem`` is traced on the curve F(A) = t F0 by
     predictor-corrector continuation in t (see the module docstring), each
     row warm-starting its solves from the point before it.  Either way rows

@@ -53,12 +53,16 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _check_spd(m: np.ndarray, what: str) -> None:
-    # Cholesky returns NaN factors for a NaN or inf matrix without raising.
+def _check_finite(m: np.ndarray, what: str) -> None:
     # The sum of the entries as Python floats is NaN or inf if any entry is,
     # and costs a fraction of a numpy reduction on these small matrices.
     if not math.isfinite(sum(m.ravel().tolist())):
         raise SingularModelError(f"{what} is not finite")
+
+
+def _check_spd(m: np.ndarray, what: str) -> None:
+    # Cholesky returns NaN factors for a NaN or inf matrix without raising.
+    _check_finite(m, what)
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -85,6 +89,15 @@ class MetricTensor:
     def from_matrix(cls, g: np.ndarray) -> "MetricTensor":
         g = _symmetrize(np.asarray(g, dtype=float))
         _check_spd(g, "metric")
+        return cls(g=g)
+
+    @classmethod
+    def from_sum(cls, a: "MetricTensor", b: "MetricTensor") -> "MetricTensor":
+        """The metric a.g + b.g.  Both terms are checked symmetric positive
+        definite, so their sum is too, exactly symmetric, and only its
+        finiteness is checked."""
+        g = a.g + b.g
+        _check_finite(g, "metric")
         return cls(g=g)
 
     @classmethod
@@ -204,11 +217,11 @@ class FamilyManifold(StateManifold):
         # take the vector it accepted without checking it again.
         return self.forward_point(A, duality.solve_lambda(fam, A, init=init))
 
-    def forward_point(self, A, lam, cov: np.ndarray | None = None) -> ManifoldPoint:
+    def forward_point(self, A, lam) -> ManifoldPoint:
         """The point at mean A with force lam, its Legendre dual, from the
         forward maps alone: S from the entropy surface or log Z + lam . A,
-        the metric from the closed-form Hessian or else from ``cov``, the
-        covariance at lam (evaluated if not given)."""
+        the metric from the closed-form Hessian or else from the covariance
+        at lam."""
         fam = self.family
         surface = fam.entropy_surface(A)
         S = (
@@ -220,7 +233,7 @@ class FamilyManifold(StateManifold):
         if hess is not None:
             met = MetricTensor.from_matrix(hess)
         else:
-            met = MetricTensor.from_covariance(fam.covariance(lam) if cov is None else cov)
+            met = MetricTensor.from_covariance(fam.covariance(lam))
         return ManifoldPoint(
             A=A,
             force=lam,

@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite.
 
 Everything here is an independent verification route: finite differences,
-direct summation, quadrature wrappers and synthetic trajectory builders.
+direct summation, quadrature wrappers and synthetic trajectory builders,
+plus a counter of the calls a method receives.
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
@@ -190,3 +191,17 @@ def synthetic_trajectory(taus, states, lams, entropies, sigmas,
         speed=np.ones(n),
         terminal_status=status,
     )
+
+
+def count_calls(monkeypatch, cls, names):
+    """Wrap ``cls.<name>`` for each name and return the live call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return counts

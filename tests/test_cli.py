@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entroflow
@@ -451,6 +452,21 @@ class TestMain:
         assert "Traceback" not in stderr
         assert len(stderr.splitlines()) == 1 and "StepCollapseError" in stderr
         assert list(out.iterdir()) == []
+
+    def test_vanishing_arclength_rate_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a rate of 0 would stall the ray's Newton step; it is diagnosed as a
+        # singular covariance instead
+        monkeypatch.setattr(
+            BernoulliFamily, "ray_rate", lambda self, lam0: lambda ts: np.zeros(len(ts))
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(catalog_path("bernoulli-relax")), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert len(stderr.splitlines()) == 1 and "SingularModelError" in stderr
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_probe_at_every_shipped_start(self, name, capsys):

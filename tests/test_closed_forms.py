@@ -20,26 +20,13 @@ from entroflow import (
     IdealGasFamily,
     InfeasibleMeanError,
     MetricTensor,
+    SingularModelError,
     entropy,
     solve_lambda,
 )
-from helpers import fd_gradient, fd_hessian, fd_metric_oracle
+from helpers import count_calls, fd_gradient, fd_hessian, fd_metric_oracle
 
 EVALUATIONS = ("log_partition", "mean_parameters", "covariance")
-
-
-def count_calls(monkeypatch, cls, names):
-    """Wrap ``cls.<name>`` for each name and return the live call counts."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(cls, name)
-
-        def wrapper(self, *args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, name, wrapper)
-    return counts
 
 
 class TestBernoulliAgainstNewton:
@@ -101,6 +88,22 @@ class TestWorkCounts:
         pt = bernoulli_pair.point([0.3])
         assert pt.sigma > 0.0
         assert len(calls) == 1
+
+    def test_composite_point_factors_each_subsystem_once(self, monkeypatch, bernoulli_pair):
+        # the sum of two checked metrics is positive definite: no third
+        # factorization
+        calls = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or original(m))
+        pt = bernoulli_pair.point([0.3])
+        assert len(calls) == 2
+        assert np.array_equal(pt.metric.g, MetricTensor.from_matrix(pt.metric.g).g)
+
+    def test_metric_sum_must_be_finite(self):
+        # two finite metrics whose sum overflows
+        big = MetricTensor(g=np.array([[1.5e308]]))
+        with np.errstate(over="ignore"), pytest.raises(SingularModelError, match="not finite"):
+            MetricTensor.from_sum(big, big)
 
 
 class TestInfeasibleInputs:

@@ -129,6 +129,70 @@ class TestCovariance:
             fam.covariance([0.5])
 
 
+def ray_rate_cases():
+    """(family, lam0) pairs: the closed forms and random tables, one of them
+    offset by 1e6."""
+    rng = np.random.default_rng(31)
+    cases = [
+        (BernoulliFamily(), np.array([1.3])),
+        (BernoulliFamily(), np.array([-7.5])),
+        (GaussianMeanFamily(), np.array([-2.0])),
+        (GaussianMeanFamily(dim=3), np.array([0.7, -1.1, 2.3])),
+    ]
+    for n_dim, n_points in [(1, 4), (2, 6), (3, 50)]:
+        fam = random_tabulated(rng, n_dim=n_dim, n_points=n_points)
+        cases.append((fam, rng.normal(0.0, 0.8, n_dim)))
+    space = DiscreteSpace([0, 1, 2, 3], [1.0, 2.0, 0.5, 1.0])
+    offset = TabulatedFamily(space, 1e6 + np.array([[0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 0.5, 0.0]]))
+    cases.append((offset, np.array([0.6, -0.9])))
+    return cases
+
+
+RAY_RATE_CASES = ray_rate_cases()
+RAY_RATE_IDS = ["bernoulli", "bernoulli-far", "gaussian", "gaussian3",
+                "table1x4", "table2x6", "table3x50", "table-offset-1e6"]
+
+
+def covariance_rate(fam, lam0, t):
+    return math.sqrt(float(lam0 @ fam.covariance(t * lam0) @ lam0))
+
+
+class TestRayRate:
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
+    def test_matches_the_covariance(self, fam, lam0):
+        ts = np.array([0.0, 1e-3, 0.5, 1.0])
+        got = fam.ray_rate(lam0)(ts)
+        want = np.array([covariance_rate(fam, lam0, t) for t in ts])
+        assert got.shape == ts.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(RAY_RATE_CASES), t=st.floats(0.0, 1.0))
+    def test_matches_the_covariance_anywhere_on_the_ray(self, case, t):
+        fam, lam0 = case
+        want = covariance_rate(fam, lam0, t)
+        assert abs(fam.ray_rate(lam0)(np.array([t]))[0] - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
+    def test_batched_call_equals_single_calls(self, fam, lam0):
+        rate = fam.ray_rate(lam0)
+        ts = np.linspace(0.0, 1.0, 7)
+        singles = [rate(np.array([t]))[0] for t in ts]
+        assert rate(ts).tolist() == singles
+
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
+    def test_lam0_is_domain_checked(self, fam, lam0):
+        bad = lam0.copy()
+        bad[-1] = math.inf
+        with pytest.raises(DomainError):
+            fam.ray_rate(bad)
+
+    def test_ideal_gas_declares_no_kernel(self, ideal_gas):
+        # its natural domain excludes lam = 0, so no ray ends at a maximum
+        with pytest.raises(NotImplementedError):
+            ideal_gas.ray_rate([1.0, 0.5])
+
+
 class TestLogDensity:
     def test_bernoulli_examples(self, bernoulli):
         assert bernoulli.log_density([0.0], 1) == pytest.approx(math.log(0.5), abs=1e-14)

@@ -9,6 +9,7 @@ from entroflow import (
     BernoulliFamily,
     CompositeSystem,
     FamilyManifold,
+    GaussianMeanFamily,
     MonotonicityError,
     ReparametrizedManifold,
     StepCollapseError,
@@ -27,6 +28,7 @@ from entroflow.errors import InfeasibleMeanError
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.geometry import ManifoldPoint, MetricTensor, StateManifold
 from helpers import (
+    count_calls,
     identity_chart,
     synthetic_trajectory,
     tabulated_equilibrium_tau,
@@ -46,6 +48,27 @@ def tabulated_3x50():
         tabulated_mean(weights, stats, lam0),
         tabulated_equilibrium_tau(weights, stats, lam0),
     )
+
+
+def watch_ray_rate(fam, noise=None):
+    """Route ``fam``'s arclength-rate kernel through a counter of the nodes
+    it evaluates, returned as a one-item list, and scale each value by
+    1 + ``noise(n)`` for a call of n nodes if given."""
+    ray_rate, nodes = fam.ray_rate, [0]
+
+    def watched(lam0):
+        rate = ray_rate(lam0)
+
+        def counting(ts):
+            nodes[0] += len(ts)
+            assert nodes[0] <= 50_000, "the quadrature does not stop"
+            f = rate(ts)
+            return f if noise is None else f * (1.0 + noise(len(ts)))
+
+        return counting
+
+    fam.ray_rate = watched
+    return nodes
 
 
 def bernoulli_arclength(a0, a1):
@@ -259,40 +282,52 @@ class TestIntegrate:
         taus, calls = [], []
         for shift in (0.0, offset):
             fam = TabulatedFamily(space, [[shift, shift + 1.0, shift + 2.0]])
-            covariance, count = fam.covariance, []
-
-            def counting(lam, covariance=covariance, count=count):
-                count.append(None)
-                assert len(count) <= 50_000, "the quadrature does not stop"
-                return covariance(lam)
-
-            fam.covariance = counting
+            nodes = watch_ray_rate(fam)
             traj = integrate(fam, [shift + 0.3], tau_max=5.0)
             assert traj.terminal_status == "equilibrium-reached"
             taus.append(traj.tau[-1])
-            calls.append(len(count))
+            calls.append(nodes[0])
         assert abs(taus[1] - taus[0]) <= tol
         assert calls[1] <= 2 * calls[0]
 
     def test_offset_statistics_do_not_stall_the_quadrature(self):
-        # a covariance with 1e-10 relative noise, as an unshifted table near
-        # 1e6 would round it: no panel gets below the noise, and the
+        # an arclength rate with 1e-10 relative noise, as an unshifted table
+        # near 1e6 would round it: no panel gets below the noise, and the
         # absolute panel tolerance still ends the bisection
         space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
         fam = TabulatedFamily(space, [[0.0, 1.0, 2.0]])
         clean = integrate(fam, [0.3], tau_max=5.0)
-        covariance, count = fam.covariance, []
         rng = np.random.default_rng(7)
-
-        def noisy(lam):
-            count.append(None)
-            assert len(count) <= 50_000, "the quadrature does not stop"
-            return covariance(lam) * (1.0 + 1e-10 * rng.standard_normal())
-
-        fam.covariance = noisy
+        watch_ray_rate(fam, noise=lambda n: 1e-10 * rng.standard_normal(n))
         traj = integrate(fam, [0.3], tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.tau[-1] - clean.tau[-1]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "family, A0",
+        [
+            (BernoulliFamily(), [0.25]),
+            (GaussianMeanFamily(), [-2.0]),
+            (GaussianMeanFamily(dim=3), [1.0, -0.5, 2.0]),
+        ],
+        ids=["bernoulli", "gaussian", "gaussian3"],
+    )
+    def test_closed_form_ray_forms_one_covariance(self, monkeypatch, family, A0):
+        # the quadrature reads the arclength-rate kernel and the rows the
+        # closed-form metric: only the speed at the maximum forms Cov
+        calls = count_calls(monkeypatch, type(family), ("covariance",))
+        traj = integrate(family, A0, tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert calls["covariance"] <= 1
+
+    def test_table_ray_forms_one_covariance_per_row(self, monkeypatch, tabulated_3x50):
+        fam, A0, _ = tabulated_3x50
+        calls = count_calls(monkeypatch, TabulatedFamily, ("covariance",))
+        as_manifold(fam).point(A0)  # the start: Newton's method and its row
+        at_start, calls["covariance"] = calls["covariance"], 0
+        traj = integrate(fam, A0, tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert calls["covariance"] - at_start <= len(traj) + 2
 
     def test_tabulated_run_solves_once_and_takes_no_rk4_step(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
