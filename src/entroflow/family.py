@@ -106,8 +106,10 @@ class ExponentialFamily(ABC):
     a mean vector that has already passed ``check_feasible`` and do not
     check it again.  A family without ``neg_entropy_third`` must provide
     ``cumulants``, from which the geometry builds the connection.  A family
-    whose natural domain holds lam = 0 must provide ``ray_rate``, the
-    arclength rate the flow integrates along its force ray.
+    whose natural domain holds lam = 0 must provide the two batched ray
+    hooks the flow samples its force ray lam = t lam0 with: ``ray_rate``,
+    the arclength rate at an array of t, and ``ray_states``, the mean,
+    entropy, metric and inverse metric there.
     """
 
     @property
@@ -201,6 +203,18 @@ class ExponentialFamily(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} declares no ray_rate")
 
+    def ray_states(self, lam0):
+        """The states along the ray lam = t lam0, as a function that maps an
+        array of k values of t to (A, S, g, g_inv): the means (k, n_dim),
+        the entropies (k,), the metrics -Hess S (k, n_dim, n_dim) and their
+        inverses, the statistics covariances.
+
+        lam0 is one that ``ray_rate`` has accepted and is not checked again.
+        The metrics are not checked either: the caller checks them all at
+        once.
+        """
+        raise NotImplementedError(f"{type(self).__name__} declares no ray_states")
+
 
 def _log_sum_exp(values: np.ndarray) -> float:
     # Max-shift is mandatory: natural-parameter excursions during Newton
@@ -212,6 +226,15 @@ def _log_sum_exp(values: np.ndarray) -> float:
 #: Largest statistic magnitude a table may hold: the third cumulant cubes
 #: centred statistics, and (2 * 1e100)^3 is still a finite double.
 MAX_STATISTIC = 1e100
+#: Most table entries a batched ray evaluation holds in one temporary; the
+#: t values are taken in runs of max(1, RAY_CHUNK // n_points).
+RAY_CHUNK = 1 << 14
+
+
+def _chunks(k: int, n_points: int):
+    """Slices of range(k) in runs of at most RAY_CHUNK // n_points."""
+    step = max(1, RAY_CHUNK // n_points)
+    return (slice(lo, lo + step) for lo in range(0, k, step))
 
 
 class TabulatedFamily(ExponentialFamily):
@@ -315,23 +338,70 @@ class TabulatedFamily(ExponentialFamily):
         k3 = (weighted[:, None, :] * centered[None, :, :]) @ centered.T
         return weighted @ centered.T, k3
 
+    def _ray_weights(self, y: np.ndarray, t: np.ndarray):
+        """m(x) exp(-t y(x) - top) at every point for each t, with the largest
+        exponent ``top`` shifted out, their sums and ``top``."""
+        w = np.multiply.outer(t, y)
+        np.subtract(self._log_weights, w, out=w)
+        top = np.maximum.reduce(w, axis=1)
+        w -= top[:, None]
+        np.exp(w, out=w)
+        return w, np.add.reduce(w, axis=1), top
+
     def ray_rate(self, lam0):
         """The standard deviation of y = lam0 . (a - c) under p(x|t lam0),
         one exponential over the table per t."""
         y = self.check_natural_domain(lam0) @ self._shifted
-        log_weights = self._log_weights
+
+        def deviation(t):
+            w, z, _ = self._ray_weights(y, t)
+            dev = y - (np.einsum("kn,n->k", w, y) / z)[:, None]
+            dev *= dev
+            return np.sqrt(np.einsum("kn,kn->k", w, dev) / z)
 
         def rate(ts):
-            w = log_weights - np.multiply.outer(ts, y)
-            w -= np.max(w, axis=1, keepdims=True)
-            np.exp(w, out=w)
-            z = np.sum(w, axis=1)
-            dev = y - (np.sum(w * y, axis=1) / z)[:, None]
-            w *= dev
-            w *= dev
-            return np.sqrt(np.sum(w, axis=1) / z)
+            f = np.empty(len(ts))
+            for rows in _chunks(len(ts), len(y)):
+                f[rows] = deviation(ts[rows])
+            return f
 
         return rate
+
+    def ray_states(self, lam0):
+        """From one exponential over the table per t: the probabilities, the
+        mean c + <a - c>, S = log Z + lam . A = top + log z + t lam0 . <a - c>,
+        and the centred covariance, whose inverse is the metric."""
+        lam0 = np.asarray(lam0, dtype=float)
+        shifted, n_dim = self._shifted, self._n_dim
+        y = lam0 @ shifted
+
+        def moments(t):
+            w, z, top = self._ray_weights(y, t)
+            w /= z[:, None]
+            mean = np.einsum("kn,dn->kd", w, shifted)
+            dev = [shifted[i] - mean[:, i, None] for i in range(n_dim)]
+            cov = np.empty((len(t), n_dim, n_dim))
+            for i in range(n_dim):
+                for j in range(i + 1):
+                    cov[:, i, j] = cov[:, j, i] = np.einsum("kn,kn,kn->k", w, dev[i], dev[j])
+            S = top + np.log(z) + t * np.einsum("kd,d->k", mean, lam0)
+            return self._shift + mean, S, cov
+
+        def states(ts):
+            k = len(ts)
+            A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
+            for rows in _chunks(k, len(y)):
+                A[rows], S[rows], cov[rows] = moments(ts[rows])
+            try:
+                g = np.linalg.inv(cov)
+            except np.linalg.LinAlgError:
+                t = ts[np.argmin(np.abs(np.linalg.det(cov)))]
+                raise SingularModelError(
+                    f"statistics covariance is singular at {t:.6g} lam0"
+                ) from None
+            return A, S, 0.5 * (g + g.transpose(0, 2, 1)), cov
+
+        return states
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -385,6 +455,21 @@ class BernoulliFamily(ExponentialFamily):
             return size * np.sqrt(np.exp(-np.logaddexp(0.0, lam) - np.logaddexp(0.0, -lam)))
 
         return rate
+
+    def ray_states(self, lam0):
+        """From log p = -log(1 + e^lam) and log q = -log(1 + e^-lam): A = p,
+        S = -p log p - q log q, g_inv = p q and g = 1 / (p q), with no
+        cancellation in 1 - A near either end."""
+        lam0 = float(lam0[0])
+
+        def states(ts):
+            lam = ts * lam0 + 0.0
+            up, down = np.logaddexp(0.0, lam), np.logaddexp(0.0, -lam)
+            p, q = np.exp(-up), np.exp(-down)
+            var = p * q
+            return p[:, None], p * up + q * down, (1.0 / var)[:, None, None], var[:, None, None]
+
+        return states
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -457,6 +542,20 @@ class GaussianMeanFamily(ExponentialFamily):
         lam0 = self.check_natural_domain(lam0)
         size = math.sqrt(float(lam0 @ lam0))
         return lambda ts: np.full(len(ts), size)
+
+    def ray_states(self, lam0):
+        """A = -t lam0, S = (dim/2) log(2 pi) - |A|^2 / 2 and the identity
+        metric, as the closed forms give them."""
+        lam0 = np.asarray(lam0, dtype=float)
+        dim = self._dim
+        const, eye = 0.5 * dim * math.log(2.0 * math.pi), np.eye(dim)
+
+        def states(ts):
+            A = 0.0 - np.multiply.outer(ts, lam0)
+            g = np.broadcast_to(eye, (len(ts), dim, dim))
+            return A, const - np.einsum("ki,ki->k", 0.5 * A, A), g, g
+
+        return states
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -648,7 +747,7 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
         found.append(("weights", "weights must be a list matching points"))
     else:
         for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or not w > 0:
+            if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
                 found.append(("weights", f"weights[{i}] must be > 0, got {w!r}"))
                 break
     if not isinstance(stats, list) or not stats:
@@ -656,7 +755,8 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
     else:
         for alpha, row in enumerate(stats):
             if not (isinstance(row, list) and len(row) == n
-                    and all(isinstance(x, (int, float)) for x in row)):
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                            for x in row)):
                 found.append(("stats", f"stats[{alpha}] must list one number per point"))
                 break
     return found

@@ -6,55 +6,43 @@ Fisher-Rao metric, so dS/dtau = sigma along the trajectory.
 
 In mean coordinates g = -Hess S is dually flat, so dlam/dtau = -lam / sigma:
 the force decays parallel to itself.  A single family's trajectory is
-therefore exactly the image of the segment lam(s) = (1 - s) lam0, s in
-[0, 1], and tau(s) is the integral of the arclength rate
-f(s) = (lam0 . Cov(lam(s)) . lam0)^(1/2).  On the ray the family is the
-one-parameter family of the projected statistic y = lam0 . a, and f is the
-standard deviation of y: the family's ``ray_rate`` kernel gives it at a
-batch of points without forming a covariance matrix.  ``integrate``
-samples that ray: it finds the s of each recorded tau by Newton's method
-on an adaptive Gauss-Lobatto quadrature of f (one kernel call for the
-trial point, one for the three interior nodes of each panel, and one for
-the accepted point), builds each row from the forward maps at lam(s)
-(the mean, then S and the metric from the closed forms, or from log Z and
-the covariance), and ends at s = 1, the entropy maximum lam = 0, at its
-exact tau.  Near the maximum the rows go on with sigma halving from row to
-row down to 2 sigma_eq.  No Legendre inversion and no ODE step is made
-after the start.
+therefore the ray lam = t lam0, t from 1 down to 0, and tau(t) is the fixed
+integral from t to 1 of the arclength rate f = (lam0 . Cov(t lam0) . lam0)^(1/2),
+the standard deviation of the projected statistic lam0 . a.  So the rows
+need no sequential walk: ``integrate`` builds one table of tau(t) from
+adaptive Gauss-Lobatto panels of the family's batched ``ray_rate`` kernel,
+places the t of every row at once against it, and forms A, S and the
+metric of all rows in one call of the family's batched ``ray_states``.
+The run ends at t = 0, the maximum lam = 0, at its exact tau; near it the
+rows go on with sigma halving down to 2 sigma_eq.
 
 A coupled pair has a Hessian metric too, g_T = g + g', and its force
 F(A) = lam(A) - lam'(A_T - A) has dF/dA = -g_T, so its trajectory is the
 curve F(A) = t F0, t from 1 down to 0.  ``integrate`` traces it by
-predictor-corrector continuation in t, with the same rows, offset carry
-and landing as the single-family ray.  With w = g_T^-1 F0 the curve has
-dA/dt = -w and d^2A/dt^2 = -g_T^-1 dg[w] w from the exact metric
-derivative, and arclength rate f = (F0 . w)^(1/2) with
-df/dt = w . dg[w] . w / (2 f).  Each step takes a Taylor step of A,
-evaluates the point there, measures tau by the two-point Hermite rule on
-(f, f') at the ends, makes one Newton correction of (A, t) onto the curve
-at the wanted tau, and evaluates the row's own point: two point
-evaluations per row.  The sizes of the Newton corrections of tau and of
-A measure the error; a step whose error exceeds PC_TOL of its length is
-split.  Whether the next row or the maximum comes first is settled by an
-error-controlled step to the maximum, never by the Taylor model alone.
+predictor-corrector continuation in t, with the same rows and landing as
+the single-family ray: a Taylor step of A from the exact dA/dt = -w and
+d^2A/dt^2 = -g_T^-1 dg[w] w (w = g_T^-1 F0), tau by the two-point Hermite
+rule on the arclength rate f = (F0 . w)^(1/2) and its derivative, and one
+Newton correction of (A, t) onto the curve: two point evaluations per row.
+The sizes of the corrections measure the error; a step whose error
+exceeds PC_TOL of its length is split.  Whether the next row or the
+maximum comes first is settled by an error-controlled step to the
+maximum, never by the Taylor model alone.
 
 Any other state manifold (a reparametrized chart, or the ideal gas, whose
 entropy has no maximum for the ray to end at) is integrated by classical
-fixed-step RK4 with residual-triggered step halving: the unit-speed
-residual |g v v - 1| is the natural error signal for this constrained flow
-and keeps the integrator auditable.  There equilibrium is a
-sigma-threshold stop, not a fixed point of the ODE: the field has unit
-metric norm everywhere, so the flow reaches the entropy maximum in finite
-tau and would overshoot (the direction lam/sigma is discontinuous across
-the maximum).  Near the maximum sigma is the tau left to reach it, to
-first order, so a step of at most sigma/2 keeps every RK4 stage short of
-it and halves sigma; the run ends at the first state in
-[sigma_eq, 2 sigma_eq], which makes terminal-tau comparisons meaningful.
+fixed-step RK4, halving a step whose unit-speed residual |g v v - 1|, the
+natural error signal of this constrained flow, is too large.  There
+equilibrium is a sigma-threshold stop, not a fixed point of the ODE: the
+field has unit metric norm everywhere, so the flow reaches the maximum in
+finite tau and would overshoot it (lam/sigma is discontinuous across it).
+Near it sigma is the tau left to first order, so steps of at most sigma/2
+halve sigma, and the run ends at the first state in [sigma_eq, 2 sigma_eq],
+which makes terminal-tau comparisons meaningful.
 
 A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
-stores it that way: one column per quantity (tau, A, lam, S, sigma, speed),
-built once from the recorded points when integration ends.  The analyses
-and the CSV writer read the columns directly.
+stores it that way, one column per quantity (tau, A, lam, S, sigma, speed),
+which the analyses and the CSV writer read directly.
 """
 
 from __future__ import annotations
@@ -66,23 +54,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AtEquilibriumError,
-    DomainError,
-    InfeasibleMeanError,
-    MonotonicityError,
-    NoConvergenceError,
-    SingularModelError,
-    StepCollapseError,
-    TooFewSamplesError,
+    AtEquilibriumError, DomainError, InfeasibleMeanError, MonotonicityError,
+    NoConvergenceError, SingularModelError, StepCollapseError, TooFewSamplesError,
 )
 from .coupled import CompositeSystem
 from .family import ExponentialFamily
 from .geometry import (
-    FamilyManifold,
-    ManifoldPoint,
-    StateManifold,
-    as_manifold,
-    unit_velocity,
+    FamilyManifold, ManifoldPoint, StateManifold, _check_spd, as_manifold, unit_velocity,
 )
 
 __all__ = [
@@ -104,9 +82,11 @@ SPEED_RESIDUAL_TOL = 1e-8
 RAY_QUAD_TOL = 1e-11
 #: Most panels one arclength integral of the ray may take.
 _RAY_PANELS = 1000
+#: Equal panels the table of tau starts from: from one, Simpson's rule missed
+#: Lobatto's errors of 1e-15 on two panels of width 1/16 of the Bernoulli ray.
+_RAY_START_PANELS = 32
 _RAY_NEWTON_ITERS = 100
-#: Interior Gauss-Lobatto nodes on [-1, 1]; the endpoint weights are 1/6
-#: and the interior ones 5/6.
+#: Interior Gauss-Lobatto nodes on [-1, 1] (weights 5/6; the ends have 1/6).
 _LOBATTO_NODE = 1.0 / math.sqrt(5.0)
 
 #: A continuation step of a composite is split when its error exceeds this
@@ -122,11 +102,7 @@ _PC_REJECTIONS = 50
 _PC_NOISE = 16.0 * np.finfo(float).eps
 
 _STEP_ERRORS = (
-    AtEquilibriumError,
-    InfeasibleMeanError,
-    NoConvergenceError,
-    SingularModelError,
-    DomainError,
+    AtEquilibriumError, InfeasibleMeanError, NoConvergenceError, SingularModelError, DomainError,
 )
 
 
@@ -135,12 +111,11 @@ class Trajectory:
     """An intrinsic-time trajectory stored as columns, one row per sample.
 
     ``tau`` has shape (n,); ``A`` and ``lam`` have shape (n, d); ``S``,
-    ``sigma`` and ``speed`` (g_{ab} v^a v^b of the unit velocity v, which
-    at the maximum that ends a single family's run is its limit along the
-    ray) have shape (n,).  For a coupled
-    system ``A_prime`` and ``lam_prime`` hold subsystem 2's state and force
-    and ``conservation_residual`` the per-sample max|A + A' - A_T|; all
-    three are None for a single system.
+    ``sigma`` and ``speed`` (g_{ab} v^a v^b of the unit velocity v, at a
+    maximum that ends a ray its limit along the ray) have shape (n,).  For
+    a coupled system ``A_prime`` and ``lam_prime`` hold subsystem 2's state
+    and force and ``conservation_residual`` the per-sample max|A + A' - A_T|;
+    all three are None for a single system.
     """
 
     tau: np.ndarray
@@ -191,58 +166,164 @@ def _rk4_step(manifold: StateManifold, A: np.ndarray, pt: ManifoldPoint, h: floa
     return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _on_ray(lam0: np.ndarray, t: float) -> np.ndarray:
-    return t * lam0 + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
-
-
-def _rates(rate, *ts: float) -> list[float]:
+def _checked(rate, ts: np.ndarray) -> np.ndarray:
     """The arclength rate ``rate`` at each t, checked to be finite and > 0."""
-    fs = rate(np.array(ts)).tolist()
-    if not all(0.0 < f < math.inf for f in fs):
-        t, f = next((t, f) for t, f in zip(ts, fs) if not 0.0 < f < math.inf)
-        raise SingularModelError(
-            f"the arclength rate is {f} at {t:.3g} lam0: the covariance there is "
-            "singular or not finite"
-        )
+    fs = rate(ts)
+    bad = np.flatnonzero(~((fs > 0.0) & (fs < math.inf)))
+    if bad.size:
+        raise SingularModelError(f"the arclength rate is {fs[bad[0]]} at {ts[bad[0]]:.3g} "
+                                 "lam0: the covariance there is singular or not finite")
     return fs
 
 
-def _ray_arclength(rate, a: float, b: float, fa: float, fb: float) -> float:
-    """The integral of the arclength rate ``rate`` over [a, b], from f at
-    both ends.
+def _lobatto_nodes(lo: np.ndarray, hi: np.ndarray):
+    """Half width, midpoint and interior Gauss-Lobatto nodes of [lo, hi]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    off = half * _LOBATTO_NODE
+    return half, mid, mid - off, mid + off
 
-    A panel's 4-point Gauss-Lobatto value is accepted once Simpson's rule
-    on the same panel agrees with it to RAY_QUAD_TOL times the first
-    estimate of the whole integral; otherwise the panel is bisected.  The
-    tolerance does not shrink with the panel, so rounding noise in f stops
-    the bisection after about log2(noise / RAY_QUAD_TOL) levels.  Needing
-    more than _RAY_PANELS panels raises StepCollapseError.
-    """
-    total, tol, panels = 0.0, None, [(a, b, fa, fb)]
-    for _ in range(_RAY_PANELS):
-        a, b, fa, fb = panels.pop()
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        off = half * _LOBATTO_NODE
-        fm, f_lo, f_hi = _rates(rate, mid, mid - off, mid + off)
-        lobatto = half * ((fa + fb) / 6.0 + (f_lo + f_hi) * (5.0 / 6.0))
-        simpson = half * (fa + 4.0 * fm + fb) / 3.0
-        if tol is None:
-            tol = RAY_QUAD_TOL * lobatto
-        if abs(lobatto - simpson) > tol:
-            panels += [(a, mid, fa, fm), (mid, b, fm, fb)]
-            continue
-        total += lobatto
-        if not panels:
-            return total
-    raise StepCollapseError(
-        f"the arclength of the ray near {a:.6g} lam0 does not converge in "
-        f"{_RAY_PANELS} panels"
+
+def _lobatto(half, f_lo, f_hi, f_1, f_2):
+    return half * ((f_lo + f_hi) / 6.0 + (f_1 + f_2) * (5.0 / 6.0))
+
+
+class _RayTable:
+    """tau(t), the integral of the arclength rate f from t to 1 on the ray
+    lam = t lam0 of a single family, as Gauss-Lobatto panels of [0, 1].
+
+    From _RAY_START_PANELS equal panels, each level evaluates the interior
+    nodes of all pending panels in one kernel call and bisects those whose
+    Simpson and Lobatto values differ by more than RAY_QUAD_TOL times the
+    first estimate of the whole integral, so noise in f stops it after
+    about log2(noise / RAY_QUAD_TOL) levels; past _RAY_PANELS panels it
+    raises StepCollapseError."""
+
+    def __init__(self, rate, f_top: float):
+        self.rate = rate
+        edges = np.linspace(0.0, 1.0, _RAY_START_PANELS + 1)
+        f_edges = np.append(_checked(rate, edges[:-1]), f_top)
+        lo, hi, f_lo, f_hi = edges[:-1], edges[1:], f_edges[:-1], f_edges[1:]
+        done, tol, count = [], None, 0
+        while lo.size:
+            count += lo.size
+            if count > _RAY_PANELS:
+                raise StepCollapseError(
+                    f"the arclength of the ray near {lo[0]:.6g} lam0 does not converge in "
+                    f"{_RAY_PANELS} panels"
+                )
+            half, mid, x_1, x_2 = _lobatto_nodes(lo, hi)
+            f_mid, f_1, f_2 = _checked(rate, np.concatenate([mid, x_1, x_2])).reshape(3, -1)
+            lobatto = _lobatto(half, f_lo, f_hi, f_1, f_2)
+            if tol is None:
+                tol = RAY_QUAD_TOL * math.fsum(lobatto.tolist())
+            ok = np.abs(lobatto - half * (f_lo + 4.0 * f_mid + f_hi) / 3.0) <= tol
+            done.append((lo[ok], hi[ok], f_lo[ok], f_mid[ok], f_hi[ok], lobatto[ok]))
+            lo, hi = np.append(lo[~ok], mid[~ok]), np.append(mid[~ok], hi[~ok])
+            f_lo, f_hi = np.append(f_lo[~ok], f_mid[~ok]), np.append(f_mid[~ok], f_hi[~ok])
+        order = np.argsort(np.concatenate([part[0] for part in done]))
+        self.lo, self.hi, self.f_lo, self.f_mid, self.f_hi, parts = (
+            np.concatenate(column)[order] for column in zip(*done)
+        )
+        parts = parts.tolist()  # tau at a panel's top: the exactly rounded sum above it
+        self.tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
+        self.tau_eq = math.fsum(parts)
+
+    def at(self, ts: np.ndarray):
+        """tau and f at each t: tau at the top of its panel plus the 4-point
+        Gauss-Lobatto rule from t up to that top, three kernel nodes per t."""
+        j = np.searchsorted(self.lo, ts, side="right") - 1
+        half, _, x_1, x_2 = _lobatto_nodes(ts, self.hi[j])
+        f, f_1, f_2 = _checked(self.rate, np.concatenate([ts, x_1, x_2])).reshape(3, -1)
+        return self.tops[j] + _lobatto(half, f, self.f_hi[j], f_1, f_2), f
+
+    def place(self, targets: np.ndarray):
+        """The t where tau reaches each of ``targets`` (below tau_eq), and f
+        within rounding of it: one Newton step on tau from the inverse of the
+        integral of the quadratic through the panel's end and midpoint rates."""
+        j = len(self.tops) - np.searchsorted(self.tops[::-1], targets, side="right")
+        hi, f_a, f_m, f_b = self.hi[j], self.f_lo[j], self.f_mid[j], self.f_hi[j]
+        width, gap = hi - self.lo[j], targets - self.tops[j]
+        # f(hi - s) ~ f_b + c_1 s + c_2 s^2 through the rates at s = 0, width/2, width
+        c_1 = (4.0 * f_m - 3.0 * f_b - f_a) / width
+        c_2 = 2.0 * (f_a - 2.0 * f_m + f_b) / (width * width)
+        s = gap / f_b
+        for _ in range(_RAY_NEWTON_ITERS):
+            step = (s * (f_b + s * (0.5 * c_1 + s * c_2 / 3.0)) - gap) / (f_b + s * (c_1 + s * c_2))
+            s, last = np.clip(s - step, 0.0, width), s
+            if np.all(np.abs(s - last) <= 1e-15 * width):
+                break
+        tau, f = self.at(hi - s)
+        return np.clip(hi - s + (tau - targets) / f, 0.0, 1.0), f  # dtau/dt = -f
+
+    def landing(self, t: float, f: float, sigma_eq: float):
+        """The t and tau of the rows t / 2^j, j = 1, 2, ..., while sigma = t f
+        exceeds 2 ``sigma_eq``."""
+        rows = []
+        while True:
+            ratio = t * f / (2.0 * sigma_eq) if sigma_eq > 0.0 else math.inf
+            halved = t * 0.5 ** np.arange(1.0, 3.0 + min(60.0, math.log2(max(ratio, 1.0))))
+            tau, fs = self.at(halved)
+            low = np.flatnonzero(halved * fs <= 2.0 * sigma_eq)
+            end = low[0] if low.size else halved.size
+            rows.append((halved[:end], tau[:end]))
+            if low.size:
+                return tuple(np.concatenate(column) for column in zip(*rows))
+            t, f = float(halved[-1]), float(fs[-1])
+
+
+def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
+    """One batched SPD check; on failure, the first t whose metric fails."""
+    try:
+        _check_spd(g, "a metric on the ray")
+    except SingularModelError:
+        for t, m in zip(ts.tolist(), g):
+            _check_spd(m, f"the metric at {t:.6g} lam0")
+        raise
+
+
+def _family_ray(family: ExponentialFamily, start: ManifoldPoint, tau_max: float,
+                spacing: float, sigma_eq: float) -> Trajectory:
+    """The ray lam = t lam0 of a single family from ``start`` at t = 1: rows
+    at k * spacing below tau_eq (the last one ``tau_max`` once within half a
+    spacing of it), landing rows and the maximum, all from one ``ray_states``."""
+    lam0 = start.force
+    table = _RayTable(family.ray_rate(lam0), start.sigma)
+    targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
+    near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
+    targets = np.append(targets[:near[0]], tau_max) if near.size else targets
+    landing = bool(targets[-1] >= table.tau_eq)
+    targets = targets[targets < table.tau_eq]
+    ts, fs = table.place(targets)
+    low = np.flatnonzero((ts * fs <= 2.0 * sigma_eq) & (targets < tau_max))
+    if low.size:
+        landing, ts, fs, targets = True, ts[:low[0]], fs[:low[0]], targets[:low[0]]
+    if landing:
+        last = (ts[-1], fs[-1]) if ts.size else (1.0, start.sigma)
+        halved, taus = table.landing(*last, sigma_eq)
+        ts = np.concatenate([ts, halved, [0.0]])
+        targets = np.concatenate([targets, taus, [table.tau_eq]])
+    A, S, g, g_inv = family.ray_states(lam0)(ts)
+    _check_metrics(ts, g)
+    lam = np.multiply.outer(ts, lam0) + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
+    sigma = np.sqrt(np.maximum(((lam[:, None, :] @ g_inv) @ lam[:, :, None])[:, 0, 0], 0.0))
+    v = (g_inv @ lam[:, :, None])[:, :, 0] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    if landing:
+        # the velocity dA/dtau = Cov . lam0 / f stays defined at the maximum
+        v[-1] = g_inv[-1] @ lam0 / table.f_lo[0]
+    return Trajectory(
+        tau=np.append(0.0, targets),
+        A=np.vstack([start.A, A]),
+        lam=np.vstack([lam0, lam]),
+        S=np.append(start.S, S),
+        sigma=np.append(start.sigma, sigma),
+        speed=np.append(_speed(start), ((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]),
+        terminal_status="equilibrium-reached" if landing else "tau-budget-exhausted",
     )
 
 
 def _has_maximum(family: ExponentialFamily) -> bool:
-    """Whether lam = 0, the entropy maximum every ray ends at, lies in the
-    natural domain; the ideal gas's does not, and its entropy is unbounded."""
+    """Whether lam = 0, the maximum every ray ends at, is in the natural
+    domain; the ideal gas's entropy has no maximum."""
     try:
         family.check_natural_domain(np.zeros(family.n_dim))
     except DomainError:
@@ -275,78 +356,6 @@ def _hermite_root(a, b, whole: float, goal: float) -> float:
             return s_new
         s = s_new
     return s
-
-
-class _FamilyNode(NamedTuple):
-    t: float  # the force scale: lam = t lam0
-    f: float  # the arclength rate at t
-    slope: float  # an estimate of df/ds (s = 1 - t) for the predictor
-
-
-class _FamilyRay:
-    """The ray lam = t lam0 of a single family, walked by Newton's method on
-    the force scale t against an adaptive Gauss-Lobatto quadrature of the
-    family's arclength rate kernel; a row is built from the forward maps
-    alone."""
-
-    def __init__(self, manifold: FamilyManifold, start: ManifoldPoint):
-        self.manifold, self.lam0 = manifold, start.force
-        self.rate = manifold.family.ray_rate(start.force)
-        self.start = _FamilyNode(1.0, start.sigma, 0.0)
-
-    def seek(self, a: _FamilyNode, tau_a: float, target: float, off: float):
-        """The node at intrinsic time ``target`` from node ``a``, whose true
-        tau is ``tau_a + off``, and its own true tau minus ``target``; None
-        when the maximum comes first."""
-        rate = self.rate
-        # Newton's method on tau(t) = target, from the root of the quadratic
-        # Taylor model of tau about a.t, safeguarded by bisection: tau(hi) <
-        # target <= tau(lo) once lo is known.
-        gap = (target - tau_a) - off
-        disc = a.f * a.f + 2.0 * a.slope * gap
-        t = a.t - (2.0 * gap / (a.f + math.sqrt(disc)) if disc > 0.0 else gap / a.f)
-        lo, hi = None, a.t
-        for _ in range(_RAY_NEWTON_ITERS):
-            if lo is None:
-                t = max(t, 0.0)  # a step past the maximum tries the maximum
-            elif not lo < t < hi:
-                t = 0.5 * (lo + hi)
-            if not t < a.t:
-                break  # the step is below the resolution of t
-            (f_t,) = _rates(rate, t)
-            beyond = off + _ray_arclength(rate, t, a.t, f_t, a.f)  # tau(t) - tau_a
-            residual = (tau_a - target) + beyond
-            if t == 0.0 and residual <= 0.0:
-                return None
-            if residual > 0.0:
-                lo = t
-            else:
-                hi = t
-            step = residual / f_t  # dtau/dt = -f
-            # Taking the step leaves an error of about |f'| step^2 / 2.
-            error = 0.5 * abs(f_t - a.f) / (a.t - t) * step * step
-            if error <= 1e-16 * target and 0.0 < t + step < a.t:
-                t_new = t + step
-                (f_new,) = _rates(rate, t_new)
-                node = _FamilyNode(t_new, f_new, (f_new - a.f) / (a.t - t_new))
-                # t_new - t is exact in floats, so this keeps the rounding of t_new
-                return node, residual - f_t * (t_new - t)
-            t += step
-        raise StepCollapseError(f"no point of the ray resolves tau = {target:.6g}")
-
-    def toward(self, a: _FamilyNode, t: float):
-        """The node at force scale t < a.t, and the tau from ``a`` to it."""
-        (f,) = _rates(self.rate, t)
-        return _FamilyNode(t, f, 0.0), _ray_arclength(self.rate, t, a.t, f, a.f)
-
-    def point(self, node: _FamilyNode) -> ManifoldPoint:
-        lam = _on_ray(self.lam0, node.t)
-        return self.manifold.forward_point(self.manifold.family.mean_parameters(lam), lam)
-
-    def end_speed(self, node: _FamilyNode, end: ManifoldPoint) -> float:
-        # the velocity dA/dtau = Cov . lam0 / f stays defined at the maximum
-        cov = self.manifold.family.covariance(_on_ray(self.lam0, node.t))
-        return end.metric.squared_norm_of_vector(cov @ self.lam0 / node.f)
 
 
 class _CompositeNode(NamedTuple):
@@ -504,12 +513,13 @@ class _CompositeRay:
                 return b, total, -goal
 
     def seek(self, a: _CompositeNode, tau_a: float, target: float, off: float):
-        """As ``_FamilyRay.seek``, in as many steps as the reach asks for."""
+        """From node ``a`` at true tau ``tau_a + off``: the node at ``target``
+        and its true tau less ``target``, or None past the maximum."""
         node, _, miss = self._walk(a, (target - tau_a) - off, 0.0)
         return None if node.t <= 0.0 else (node, miss)
 
     def toward(self, a: _CompositeNode, t: float):
-        """As ``_FamilyRay.toward``, in as many steps as the reach asks for."""
+        """The node at force scale t < a.t, and the tau from ``a`` to it."""
         node, total, _ = self._walk(a, math.inf, t)
         return node, total
 
@@ -527,14 +537,9 @@ class _CompositeRay:
 def _ray_trajectory(
     ray, recorded: list, tau_max: float, spacing: float, sigma_eq: float
 ) -> Trajectory:
-    """Sample the flow on ``ray`` from the one recorded (0, start), appending
-    to ``recorded``.
-
-    The ray is walked in the scale t of the force, which is t times the
-    starting force and keeps full relative precision near the maximum.
-    Rows sit at tau = k * spacing.  The run ends at ``tau_max``, or, if that
-    comes later, at t = 0 (the entropy maximum, sigma = 0) at its exact tau,
-    after the rows of ``_ray_landing``.
+    """Walk the composite ``ray`` in its force scale t from the one recorded
+    (0, start), appending rows at tau = k * spacing to ``recorded``, up to
+    ``tau_max`` or, if that comes later, the rows of ``_ray_landing``.
     """
     # The last row is ``node``, recorded at tau_a; off_a is its true tau minus
     # tau_a.  Residuals are sums of these small differences, so rounding does
@@ -562,12 +567,10 @@ def _ray_landing(ray, recorded: list, node, tau: float, sigma_eq: float) -> Traj
     or has sigma at most 2 ``sigma_eq``.
 
     Like an RK4 run, whose step near the maximum is sigma/2, rows go on
-    while sigma = t f exceeds 2 ``sigma_eq``, t (and with it sigma and the
-    tau left) halving from row to row, and the maximum takes the place of
-    the first row at or below 2 ``sigma_eq``.  So a start near the maximum
-    still records rows for the analyses, and no interval is much shorter
-    than ``sigma_eq``, over which a difference in S would be lost to
-    rounding.
+    while sigma = t f exceeds 2 ``sigma_eq``, t halving from row to row,
+    and the maximum takes the place of the first row at or below it.  So a
+    start near the maximum still records rows for the analyses, and no
+    interval is much shorter than ``sigma_eq``.
     """
     while True:
         node, dtau = ray.toward(node, 0.5 * node.t)
@@ -597,32 +600,30 @@ def integrate(
     Raises AtEquilibriumError when the start has sigma below ``sigma_eq``.
 
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) whose
-    natural domain holds lam = 0 is sampled on the exact ray
-    lam(s) = (1 - s) lam0, after one Legendre inversion at A0, with tau from
-    the family's ``ray_rate`` kernel and each row from the forward maps; a
-    rate that is not finite and > 0 raises SingularModelError.  A
-    ``CompositeSystem`` is traced on the curve F(A) = t F0 by
-    predictor-corrector continuation in t (see the module docstring), each
-    row warm-starting its solves from the point before it.  Either way rows
-    sit at tau = k * h * ``record_every``.  Where the next such row would lie
+    natural domain holds lam = 0 is sampled on the exact ray lam = t lam0
+    after one Legendre inversion at A0 (see the module docstring); a rate
+    from ``ray_rate`` that is not finite and > 0, or a metric from
+    ``ray_states`` that is not finite and positive definite, raises
+    SingularModelError.  A ``CompositeSystem`` is traced on the curve
+    F(A) = t F0 by predictor-corrector continuation in t, each row
+    warm-starting its solves from the point before it.  Either way rows sit
+    at tau = k * h * ``record_every``.  Where the next such row would lie
     past the entropy maximum or have sigma at most ``2 * sigma_eq``, rows go
-    on with sigma halving while it exceeds ``2 * sigma_eq``.  The run ends
-    with status ``equilibrium-reached`` at the maximum itself (t = 0, sigma
-    = 0, at its exact tau), or ``tau-budget-exhausted`` at ``tau_max``.  A
-    continuation that cannot go on (a step that fails, or whose error bound
-    no shorter step meets) raises StepCollapseError with the rows so far.
+    on with sigma halving while it exceeds ``2 * sigma_eq``.  The run ends with status
+    ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its
+    exact tau), or ``tau-budget-exhausted`` at ``tau_max``.  A quadrature
+    that does not converge, or a continuation that cannot go on, raises
+    StepCollapseError with the rows so far.
 
     Any other manifold (a chart, the ideal gas, whose entropy has no
-    maximum) is integrated by classical RK4 with fixed base step ``h``; a
-    step is halved (at most ``max_halvings`` times) whenever a solver error
-    occurs inside the stencil, the step crosses the entropy maximum, or the
-    post-step unit-speed residual exceeds SPEED_RESIDUAL_TOL.  Steps are
-    capped at sigma/2, so near the maximum each step halves sigma.
-    Terminates with status ``equilibrium-reached`` at the first state with
-    sigma at most ``2 * sigma_eq``, or ``tau-budget-exhausted`` at
-    ``tau_max``.  Every ``record_every``-th step is recorded with recomputed
-    lam, S and sigma; successive solver calls are warm-started from the
-    previous step.
+    maximum) is integrated by classical RK4 with fixed base step ``h``,
+    capped at sigma/2; a step is halved (at most ``max_halvings`` times)
+    when a solver error occurs inside the stencil, the step crosses the
+    entropy maximum, or the post-step unit-speed residual exceeds
+    SPEED_RESIDUAL_TOL.  The run ends ``equilibrium-reached`` at the first
+    state with sigma at most ``2 * sigma_eq``, or ``tau-budget-exhausted``
+    at ``tau_max``; every ``record_every``-th step is recorded, and each
+    solve is warm-started from the previous step.
     """
     if tau_max <= 0.0:
         raise ValueError("tau_max must be > 0")
@@ -638,22 +639,19 @@ def integrate(
         raise AtEquilibriumError(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
-    if isinstance(manifold, FamilyManifold) and _has_maximum(manifold.family):
-        ray = _FamilyRay(manifold, pt)
-    elif isinstance(manifold, CompositeSystem):
-        ray = _CompositeRay(manifold, pt)
-    else:
-        ray = None
-    if ray is not None:
-        recorded = [(0.0, pt)]
+    recorded = [(0.0, pt)]
+    family_ray = isinstance(manifold, FamilyManifold) and _has_maximum(manifold.family)
+    if family_ray or isinstance(manifold, CompositeSystem):
         try:
+            if family_ray:
+                return _family_ray(manifold.family, pt, tau_max, h * record_every, sigma_eq)
+            ray = _CompositeRay(manifold, pt)
             return _ray_trajectory(ray, recorded, tau_max, h * record_every, sigma_eq)
         except StepCollapseError as exc:
             raise StepCollapseError(
                 str(exc), trajectory=_trajectory(manifold, recorded, "error")
             ) from None
 
-    recorded = [(0.0, pt)]
     tau = 0.0
     steps = 0
 
@@ -811,8 +809,10 @@ def write_trajectory_csv(traj: Trajectory, dest) -> None:
     header = []
     for name, col in columns:
         header += [f"{name}_{i}" for i in range(1, col.shape[1] + 1)] if col.ndim == 2 else [name]
+    # one %-template per row formats each value as _fmt does
+    row = ",".join(["%.17g"] * len(header))
     table = np.column_stack([col for _, col in columns]).tolist()
-    text = "\n".join([",".join(header)] + [",".join(map(_fmt, row)) for row in table]) + "\n"
+    text = "\n".join([",".join(header)] + [row % tuple(values) for values in table]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

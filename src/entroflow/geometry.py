@@ -210,37 +210,20 @@ class FamilyManifold(StateManifold):
         return self.family.check_feasible(A)
 
     def point(self, A, warm: tuple | None = None) -> ManifoldPoint:
+        """The point at mean A: lam from ``solve_lambda`` (which checks A
+        once), S from the entropy surface or log Z + lam . A, and the metric
+        from the closed-form Hessian or else from the covariance at lam."""
         fam = self.family
         A = as_vector(A, fam.n_dim, "A")
-        init = warm[0] if warm else None
-        # solve_lambda checks A once; the closed-form hooks in forward_point
-        # take the vector it accepted without checking it again.
-        return self.forward_point(A, duality.solve_lambda(fam, A, init=init))
-
-    def forward_point(self, A, lam) -> ManifoldPoint:
-        """The point at mean A with force lam, its Legendre dual, from the
-        forward maps alone: S from the entropy surface or log Z + lam . A,
-        the metric from the closed-form Hessian or else from the covariance
-        at lam."""
-        fam = self.family
+        lam = duality.solve_lambda(fam, A, init=warm[0] if warm else None)
         surface = fam.entropy_surface(A)
-        S = (
-            float(surface)
-            if surface is not None
-            else float(fam.log_partition(lam) + lam @ A)
-        )
+        S = float(surface) if surface is not None else float(fam.log_partition(lam) + lam @ A)
         hess = fam.neg_entropy_hessian(A)
         if hess is not None:
             met = MetricTensor.from_matrix(hess)
         else:
             met = MetricTensor.from_covariance(fam.covariance(lam))
-        return ManifoldPoint(
-            A=A,
-            force=lam,
-            S=S,
-            metric=met,
-            aux=(lam,),
-        )
+        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam,))
 
     def entropy(self, A) -> float:
         return duality.entropy(self.family, A)

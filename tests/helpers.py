@@ -149,6 +149,40 @@ def tabulated_mean(weights, stats, lam):
     return _tabulated_moments(np.asarray(weights), np.asarray(stats), np.asarray(lam))[0]
 
 
+def tabulated_states(weights, stats, lams):
+    """Mean, entropy and covariance of the statistics under p(x|lam) for each
+    row of ``lams``, by direct summation; the entropy is -sum p log(p / w).
+
+    The statistics are first shifted by their first column, which changes
+    neither p nor the covariance and keeps the sums of a table far from 0 at
+    the scale of its spread."""
+    weights, stats = np.asarray(weights, dtype=float), np.asarray(stats, dtype=float)
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    shifted = stats - stats[:, :1]
+    logits = np.log(weights) - lams @ shifted
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    mean = p @ shifted.T
+    log_ratio = np.log(np.where(p > 0.0, p, 1.0)) - np.log(weights)
+    entropy = -np.sum(np.where(p > 0.0, p * log_ratio, 0.0), axis=1)
+    dev = shifted[None, :, :] - mean[:, :, None]
+    cov = np.einsum("kin,kn,kjn->kij", dev, p, dev)
+    return stats[:, 0] + mean, entropy, cov
+
+
+def tabulated_ray_tau(weights, stats, lam0, ts, nodes=64):
+    """Intrinsic time from A(lam0) to A(t lam0) for each t in ``ts``: the
+    integral over [t, 1] of sqrt(lam0 . Cov(s lam0) . lam0) by Gauss-Legendre,
+    with the rate at t."""
+    lam0, ts = np.asarray(lam0, dtype=float), np.atleast_1d(np.asarray(ts, dtype=float))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s = np.concatenate([(0.5 * (1.0 + ts))[:, None] + (0.5 * (1.0 - ts))[:, None] * x,
+                        ts[:, None]], axis=1)
+    cov = tabulated_states(weights, stats, np.multiply.outer(s.ravel(), lam0))[2]
+    rate = np.sqrt(np.einsum("i,kij,j->k", lam0, cov, lam0)).reshape(s.shape)
+    return 0.5 * (1.0 - ts) * (rate[:, :-1] @ w), rate[:, -1]
+
+
 def tabulated_equilibrium_tau(weights, stats, lam0, nodes=64):
     """Intrinsic time from A(lam0) to the entropy maximum, by Gauss-Legendre.
 

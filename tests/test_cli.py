@@ -324,6 +324,24 @@ class TestMain:
         assert main(["run", str(path), "--output-dir", str(out)]) == run_exit
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("form", ["inline", "file"])
+    def test_json_booleans_are_not_table_numbers(self, tmp_path, capsys, form):
+        # true and false are ints to Python, but not numbers to the schema
+        table = {"points": ["a", "b", "c"], "weights": [True, 1.0, 2.0],
+                 "stats": [[False, True, 2.0]]}
+        if form == "file":
+            (tmp_path / "table.json").write_text(json.dumps(table))
+            table = {"tabulated": "table.json"}
+        path = write_config(tmp_path, dict(MINIMAL, family=table, A0=[1.0]))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "weights[0] must be > 0, got True" in err
+        assert "stats[0] must list one number per point" in err
+        out = tmp_path / "out"
+        # an inline table is checked when parsed, a table file when built
+        assert main(["run", str(path), "--output-dir", str(out)]) == (1 if form == "inline" else 2)
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_step_below_the_sample_budget_exits_1(self, tmp_path, capsys):
         # tau_max / h = 2e12 samples: rejected before anything runs
         path = write_config(tmp_path, dict(MINIMAL, integrator={"tau_max": 2.0, "h": 1e-12}))
@@ -452,6 +470,32 @@ class TestMain:
         assert "Traceback" not in stderr
         assert len(stderr.splitlines()) == 1 and "StepCollapseError" in stderr
         assert list(out.iterdir()) == []
+
+    def test_indefinite_ray_metric_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # one row's metric is negative: the batched check names its t
+        states = BernoulliFamily.ray_states
+
+        def broken(self, lam0):
+            inner = states(self, lam0)
+
+            def rows(ts):
+                A, S, g, g_inv = inner(ts)
+                g = g.copy()
+                g[len(ts) // 2] = -1.0
+                return A, S, g, g_inv
+
+            return rows
+
+        monkeypatch.setattr(BernoulliFamily, "ray_states", broken)
+        out = tmp_path / "out"
+        assert main(["run", str(catalog_path("bernoulli-relax")), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert len(stderr.splitlines()) == 1
+        assert "SingularModelError: the metric at " in stderr and "not positive definite" in stderr
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_vanishing_arclength_rate_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys

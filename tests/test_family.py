@@ -22,7 +22,7 @@ from entroflow import (
     solve_lambda,
     tabulated_from_json,
 )
-from helpers import fd_gradient, fd_hessian, random_tabulated
+from helpers import fd_gradient, fd_hessian, random_tabulated, tabulated_states
 
 
 def bernoulli_as_tabulated():
@@ -191,6 +191,57 @@ class TestRayRate:
         # its natural domain excludes lam = 0, so no ray ends at a maximum
         with pytest.raises(NotImplementedError):
             ideal_gas.ray_rate([1.0, 0.5])
+
+
+def states_oracle(fam, lam0, ts):
+    """(A, S, covariance) at t lam0 for each t, from closed forms or by
+    direct summation over the table."""
+    lams = np.multiply.outer(np.asarray(ts, dtype=float), lam0)
+    if isinstance(fam, GaussianMeanFamily):
+        A = -lams
+        S = 0.5 * fam.n_dim * math.log(2.0 * math.pi) - 0.5 * np.sum(A * A, axis=1)
+        return A, S, np.broadcast_to(np.eye(fam.n_dim), (len(ts), fam.n_dim, fam.n_dim))
+    if isinstance(fam, BernoulliFamily):
+        return tabulated_states([1.0, 1.0], [[0.0, 1.0]], lams)
+    return tabulated_states(fam.space.weights, fam.stats, lams)
+
+
+def assert_states_match(fam, lam0, ts):
+    A, S, g, g_inv = fam.ray_states(lam0)(np.asarray(ts, dtype=float))
+    want_A, want_S, want_cov = states_oracle(fam, lam0, ts)
+    k, d = len(ts), fam.n_dim
+    assert A.shape == (k, d) and S.shape == (k,) and g.shape == g_inv.shape == (k, d, d)
+    assert np.all(np.abs(A - want_A) <= 1e-13 * np.maximum(1.0, np.abs(want_A)))
+    assert np.all(np.abs(S - want_S) <= 1e-13 * np.maximum(1.0, np.abs(want_S)))
+    scale = np.max(np.abs(want_cov), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(g_inv - want_cov) <= 1e-13 * scale)
+    # g is the inverse metric's inverse, and exactly symmetric
+    assert np.allclose(g @ want_cov, np.eye(d), rtol=0.0, atol=1e-11)
+    assert np.array_equal(g, g.transpose(0, 2, 1))
+
+
+class TestRayStates:
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
+    def test_matches_the_moments(self, fam, lam0):
+        assert_states_match(fam, lam0, [0.0, 1e-3, 0.5, 1.0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(RAY_RATE_CASES), t=st.floats(0.0, 1.0))
+    def test_matches_the_moments_anywhere_on_the_ray(self, case, t):
+        assert_states_match(*case, [t])
+
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
+    def test_batched_call_equals_single_calls(self, fam, lam0):
+        states = fam.ray_states(lam0)
+        ts = np.linspace(0.0, 1.0, 7)
+        whole = states(ts)
+        for i, t in enumerate(ts):
+            for got, single in zip(whole, states(np.array([t]))):
+                assert np.array_equal(got[i], single[0])
+
+    def test_ideal_gas_declares_no_states(self, ideal_gas):
+        with pytest.raises(NotImplementedError):
+            ideal_gas.ray_states([1.0, 0.5])
 
 
 class TestLogDensity:

@@ -1,8 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroflow import (
     AtEquilibriumError,
@@ -33,6 +36,8 @@ from helpers import (
     synthetic_trajectory,
     tabulated_equilibrium_tau,
     tabulated_mean,
+    tabulated_ray_tau,
+    tabulated_states,
 )
 
 
@@ -312,22 +317,46 @@ class TestIntegrate:
         ],
         ids=["bernoulli", "gaussian", "gaussian3"],
     )
-    def test_closed_form_ray_forms_one_covariance(self, monkeypatch, family, A0):
+    def test_closed_form_ray_forms_no_covariance(self, monkeypatch, family, A0):
         # the quadrature reads the arclength-rate kernel and the rows the
-        # closed-form metric: only the speed at the maximum forms Cov
+        # batched closed forms, the speed at the maximum included
         calls = count_calls(monkeypatch, type(family), ("covariance",))
         traj = integrate(family, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert calls["covariance"] <= 1
+        assert calls["covariance"] == 0
 
-    def test_table_ray_forms_one_covariance_per_row(self, monkeypatch, tabulated_3x50):
+    def test_table_ray_work_per_row(self, monkeypatch, tabulated_3x50):
+        # at most 4 kernel nodes per row, the panels of the table of tau
+        # included, and no per-row forward map: every mean_parameters,
+        # covariance and log_partition call is one of the start's Newton solve
         fam, A0, _ = tabulated_3x50
-        calls = count_calls(monkeypatch, TabulatedFamily, ("covariance",))
-        as_manifold(fam).point(A0)  # the start: Newton's method and its row
-        at_start, calls["covariance"] = calls["covariance"], 0
+        fam = TabulatedFamily(fam.space, fam.stats)  # a copy to watch
+        names = ("mean_parameters", "covariance", "log_partition")
+        calls = count_calls(monkeypatch, TabulatedFamily, names)
+        as_manifold(fam).point(A0)
+        at_start = dict(calls)
+        calls.update(dict.fromkeys(names, 0))
+        nodes = watch_ray_rate(fam)
         traj = integrate(fam, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert calls["covariance"] - at_start <= len(traj) + 2
+        assert nodes[0] <= 4 * len(traj)
+        assert calls == at_start
+
+    def test_table_ray_memory_stays_within_a_megabyte(self):
+        # kernel and state temporaries hold at most 2^14 table entries each
+        rng = np.random.default_rng(5000)
+        weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
+        lam0 = 0.3 * np.array([0.6, -0.8, 0.0])
+        fam = TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+        A0 = tabulated_mean(weights, stats, lam0)
+        tracemalloc.start()
+        try:
+            traj = integrate(fam, A0, tau_max=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.terminal_status == "equilibrium-reached"
+        assert peak < 1 << 20
 
     def test_tabulated_run_solves_once_and_takes_no_rk4_step(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
@@ -422,6 +451,67 @@ class TestIntegrate:
         assert len(partial) >= 1
 
 
+def oracle_t(weights, stats, lam0, taus, tau_eq):
+    """The force scale t at which the flow from A(lam0) has run for each
+    intrinsic time in ``taus``, by Newton's method on the oracle's tau."""
+    t = np.clip(1.0 - np.asarray(taus) / tau_eq, 0.0, 1.0)
+    for _ in range(12):
+        tau, rate = tabulated_ray_tau(weights, stats, lam0, t)
+        t = np.clip(t + (tau - taus) / rate, 0.0, 1.0)
+    return t
+
+
+class TestRayRowsAgainstOracle:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_dim=st.integers(1, 3),
+        h=st.sampled_from([0.01, 0.03, 0.1]),
+        record_every=st.integers(1, 3),
+        budget=st.sampled_from(["past the maximum", "before the maximum", "within one spacing"]),
+    )
+    def test_rows(self, seed, n_dim, h, record_every, budget):
+        rng = np.random.default_rng(seed)
+        n_points = int(rng.integers(n_dim + 2, 9))
+        weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
+        fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
+        spacing = h * record_every
+        u = rng.normal(size=n_dim)
+        u /= np.linalg.norm(u)
+        if budget == "within one spacing":
+            # tau_eq is about the rate at the maximum times the scale of lam0
+            rate = math.sqrt(float(u @ tabulated_states(weights, stats, [0.0 * u])[2][0] @ u))
+            lam0 = rng.uniform(0.1, 0.9) * spacing / rate * u
+        else:
+            lam0 = rng.uniform(0.3, 1.5) * u
+        tau_eq = tabulated_equilibrium_tau(weights, stats, lam0)
+        tau_max = tau_eq * rng.uniform(0.3, 0.9) if budget == "before the maximum" else tau_eq + 1.0
+        traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=tau_max, h=h,
+                         record_every=record_every)
+
+        # every row's state is the oracle's at the oracle's t(tau)
+        t = oracle_t(weights, stats, lam0, traj.tau, tau_eq)
+        want = tabulated_states(weights, stats, np.multiply.outer(t, lam0))[0]
+        assert np.max(np.abs(traj.A - want)) <= 1e-12
+        if budget == "before the maximum":
+            assert traj.terminal_status == "tau-budget-exhausted"
+            assert traj.tau[-1] == tau_max
+            grid = len(traj) - 2
+        else:
+            assert traj.terminal_status == "equilibrium-reached"
+            assert abs(traj.tau[-1] - tau_eq) <= 1e-12
+            assert traj.sigma[-1] == 0.0 and np.all(traj.sigma[:-1] > 2e-8)
+            grid = math.ceil(tau_eq / spacing) - 1
+            # the landing rows halve t, so lam and, near the maximum, sigma
+            landing = slice(grid, len(traj) - 1)
+            assert np.array_equal(traj.lam[landing][1:], 0.5 * traj.lam[landing][:-1])
+            sigma = traj.sigma[landing]
+            assert np.all(np.abs(sigma[1:] / sigma[:-1] - 0.5) <= 0.1)
+            assert sigma[-1] <= 4.4e-8
+        # grid rows sit at exactly k * spacing
+        assert np.array_equal(traj.tau[1:grid + 1], np.arange(1, grid + 1) * spacing)
+
+
 class TestEntropyProduction:
     def test_bernoulli_within_contract(self, bernoulli_traj):
         report = entropy_production_check(bernoulli_traj)
@@ -490,6 +580,15 @@ class TestCsvExport:
         k = len(lines) // 2 - 1
         assert float(mid[1]) == bernoulli_traj.A[k, 0]
         assert float(mid[3]) == bernoulli_traj.S[k]
+
+    def test_cells_are_format_17g_at_the_edges(self):
+        # one %-template per row writes what format(x, ".17g") writes
+        values = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+        traj = synthetic_trajectory(values, values, values, values, values)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        for line, x in zip(buf.getvalue().splitlines()[1:], values):
+            assert line.split(",") == [format(x, ".17g")] * 5 + [format(1.0, ".17g")]
 
     def test_coupled_layout(self, coupled_gas_traj):
         buf = io.StringIO()

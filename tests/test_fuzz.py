@@ -66,6 +66,16 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _number_paths(doc):
+    """Key paths to every number in a JSON document (booleans excluded)."""
+    for path in _paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
 @st.composite
 def documents(draw):
     doc = copy.deepcopy(draw(st.sampled_from([SINGLE, COUPLED])))
@@ -112,3 +122,23 @@ def test_mutated_documents_fail_cleanly(doc):
         if validated == 0:
             assert code != 1, err
             assert "ParseError" not in err and "ValidationError" not in err, err
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_booleans_never_pass_as_numbers(data):
+    # JSON true and false are ints to Python; every numeric field rejects them
+    doc = copy.deepcopy(data.draw(st.sampled_from([SINGLE, COUPLED])))
+    path = data.draw(st.sampled_from(list(_number_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "scenario.json"
+        file.write_text(json.dumps(doc))
+        assert _main(["validate", str(file)])[0] == 1, path
+        out = Path(tmp) / "out"
+        code, err = _main(["run", str(file), "--output-dir", str(out)])
+        assert code == 1, (path, err)
+        assert not out.exists() or not any(out.rglob("*"))
