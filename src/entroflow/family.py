@@ -109,7 +109,9 @@ class ExponentialFamily(ABC):
     whose natural domain holds lam = 0 must provide the two batched ray
     hooks the flow samples its force ray lam = t lam0 with: ``ray_rate``,
     the arclength rate at an array of t, and ``ray_states``, the mean,
-    entropy, metric and inverse metric there.
+    entropy, metric and inverse metric there.  A family in a coupled pair
+    must provide ``natural_states``, the batched forward map the pair's
+    Newton solve of its nodes runs on.
     """
 
     @property
@@ -203,6 +205,16 @@ class ExponentialFamily(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} declares no ray_rate")
 
+    def natural_states(self, lams):
+        """The means A (k, n_dim), entropies S = log Z + lam . A (k,) and
+        statistics covariances (k, n_dim, n_dim) at k finite natural
+        parameters ``lams`` (k, n_dim), in one batched forward map.
+
+        Nothing is checked: a row outside the natural domain comes back
+        non-finite, so a batched solver can halve its step instead.
+        """
+        raise NotImplementedError(f"{type(self).__name__} declares no natural_states")
+
     def ray_states(self, lam0):
         """The states along the ray lam = t lam0, as a function that maps an
         array of k values of t to (A, S, g, g_inv): the means (k, n_dim),
@@ -214,6 +226,27 @@ class ExponentialFamily(ABC):
         once.
         """
         raise NotImplementedError(f"{type(self).__name__} declares no ray_states")
+
+
+def _natural_ray_states(family: ExponentialFamily, lam0):
+    """``ray_states`` from the family's ``natural_states`` at each t lam0."""
+    lam0 = np.asarray(lam0, dtype=float)
+
+    def states(ts):
+        A, S, cov = family.natural_states(np.multiply.outer(ts, lam0) + 0.0)
+        return A, S, _metrics_of(cov, ts), cov
+
+    return states
+
+
+def _metrics_of(cov: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The metrics, the symmetrized inverses of the covariances at each t."""
+    try:
+        g = np.linalg.inv(cov)
+    except np.linalg.LinAlgError:
+        t = ts[np.argmin(np.abs(np.linalg.det(cov)))]
+        raise SingularModelError(f"statistics covariance is singular at {t:.6g} lam0") from None
+    return 0.5 * (g + g.transpose(0, 2, 1))
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -338,15 +371,28 @@ class TabulatedFamily(ExponentialFamily):
         k3 = (weighted[:, None, :] * centered[None, :, :]) @ centered.T
         return weighted @ centered.T, k3
 
-    def _ray_weights(self, y: np.ndarray, t: np.ndarray):
-        """m(x) exp(-t y(x) - top) at every point for each t, with the largest
-        exponent ``top`` shifted out, their sums and ``top``."""
-        w = np.multiply.outer(t, y)
+    def _weights(self, w: np.ndarray):
+        """m(x) exp(-w(x) - top) in place of the exponents w (k, n_points),
+        with the largest of each row, ``top``, shifted out, their sums and
+        ``top``."""
         np.subtract(self._log_weights, w, out=w)
         top = np.maximum.reduce(w, axis=1)
         w -= top[:, None]
         np.exp(w, out=w)
         return w, np.add.reduce(w, axis=1), top
+
+    def _moments(self, w: np.ndarray, z: np.ndarray):
+        """The centred means <a - c> (k, n_dim) and covariances of weights w
+        with sums z; w is normalized in place."""
+        shifted, n_dim = self._shifted, self._n_dim
+        w /= z[:, None]
+        mean = np.einsum("kn,dn->kd", w, shifted)
+        dev = [shifted[i] - mean[:, i, None] for i in range(n_dim)]
+        cov = np.empty((len(w), n_dim, n_dim))
+        for i in range(n_dim):
+            for j in range(i + 1):
+                cov[:, i, j] = cov[:, j, i] = np.einsum("kn,kn,kn->k", w, dev[i], dev[j])
+        return mean, cov
 
     def ray_rate(self, lam0):
         """The standard deviation of y = lam0 . (a - c) under p(x|t lam0),
@@ -354,7 +400,7 @@ class TabulatedFamily(ExponentialFamily):
         y = self.check_natural_domain(lam0) @ self._shifted
 
         def deviation(t):
-            w, z, _ = self._ray_weights(y, t)
+            w, z, _ = self._weights(np.multiply.outer(t, y))
             dev = y - (np.einsum("kn,n->k", w, y) / z)[:, None]
             dev *= dev
             return np.sqrt(np.einsum("kn,kn->k", w, dev) / z)
@@ -367,23 +413,33 @@ class TabulatedFamily(ExponentialFamily):
 
         return rate
 
+    def natural_states(self, lams):
+        """From one max-shifted exponential over the table per row, in runs
+        of rows that keep each temporary within RAY_CHUNK entries: the mean
+        c + <a - c>, S = log Z + lam . A = top + log z + lam . <a - c> and
+        the centred covariance."""
+        lams = np.asarray(lams, dtype=float)
+        k, n_dim = len(lams), self._n_dim
+        A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
+        for rows in _chunks(k, len(self._log_weights)):
+            lam = lams[rows]
+            w, z, top = self._weights(lam @ self._shifted)
+            mean, cov[rows] = self._moments(w, z)
+            A[rows] = self._shift + mean
+            S[rows] = top + np.log(z) + np.einsum("kd,kd->k", mean, lam)
+        return A, S, cov
+
     def ray_states(self, lam0):
         """From one exponential over the table per t: the probabilities, the
         mean c + <a - c>, S = log Z + lam . A = top + log z + t lam0 . <a - c>,
         and the centred covariance, whose inverse is the metric."""
         lam0 = np.asarray(lam0, dtype=float)
-        shifted, n_dim = self._shifted, self._n_dim
-        y = lam0 @ shifted
+        n_dim = self._n_dim
+        y = lam0 @ self._shifted
 
         def moments(t):
-            w, z, top = self._ray_weights(y, t)
-            w /= z[:, None]
-            mean = np.einsum("kn,dn->kd", w, shifted)
-            dev = [shifted[i] - mean[:, i, None] for i in range(n_dim)]
-            cov = np.empty((len(t), n_dim, n_dim))
-            for i in range(n_dim):
-                for j in range(i + 1):
-                    cov[:, i, j] = cov[:, j, i] = np.einsum("kn,kn,kn->k", w, dev[i], dev[j])
+            w, z, top = self._weights(np.multiply.outer(t, y))
+            mean, cov = self._moments(w, z)
             S = top + np.log(z) + t * np.einsum("kd,d->k", mean, lam0)
             return self._shift + mean, S, cov
 
@@ -392,14 +448,7 @@ class TabulatedFamily(ExponentialFamily):
             A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
             for rows in _chunks(k, len(y)):
                 A[rows], S[rows], cov[rows] = moments(ts[rows])
-            try:
-                g = np.linalg.inv(cov)
-            except np.linalg.LinAlgError:
-                t = ts[np.argmin(np.abs(np.linalg.det(cov)))]
-                raise SingularModelError(
-                    f"statistics covariance is singular at {t:.6g} lam0"
-                ) from None
-            return A, S, 0.5 * (g + g.transpose(0, 2, 1)), cov
+            return A, S, _metrics_of(cov, ts), cov
 
         return states
 
@@ -456,20 +505,17 @@ class BernoulliFamily(ExponentialFamily):
 
         return rate
 
-    def ray_states(self, lam0):
+    def natural_states(self, lams):
         """From log p = -log(1 + e^lam) and log q = -log(1 + e^-lam): A = p,
-        S = -p log p - q log q, g_inv = p q and g = 1 / (p q), with no
-        cancellation in 1 - A near either end."""
-        lam0 = float(lam0[0])
+        S = -p log p - q log q and the variance p q, with no cancellation in
+        1 - A near either end."""
+        lam = np.asarray(lams, dtype=float)[:, 0]
+        up, down = np.logaddexp(0.0, lam), np.logaddexp(0.0, -lam)
+        p, q = np.exp(-up), np.exp(-down)
+        return p[:, None], p * up + q * down, (p * q)[:, None, None]
 
-        def states(ts):
-            lam = ts * lam0 + 0.0
-            up, down = np.logaddexp(0.0, lam), np.logaddexp(0.0, -lam)
-            p, q = np.exp(-up), np.exp(-down)
-            var = p * q
-            return p[:, None], p * up + q * down, (1.0 / var)[:, None, None], var[:, None, None]
-
-        return states
+    def ray_states(self, lam0):
+        return _natural_ray_states(self, lam0)
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -543,19 +589,15 @@ class GaussianMeanFamily(ExponentialFamily):
         size = math.sqrt(float(lam0 @ lam0))
         return lambda ts: np.full(len(ts), size)
 
+    def natural_states(self, lams):
+        """A = -lam, S = (dim/2) log(2 pi) - |A|^2 / 2 and the identity
+        covariance, as the closed forms give them."""
+        A = 0.0 - np.asarray(lams, dtype=float)
+        S = 0.5 * self._dim * math.log(2.0 * math.pi) - np.einsum("ki,ki->k", 0.5 * A, A)
+        return A, S, np.broadcast_to(np.eye(self._dim), (len(A), self._dim, self._dim))
+
     def ray_states(self, lam0):
-        """A = -t lam0, S = (dim/2) log(2 pi) - |A|^2 / 2 and the identity
-        metric, as the closed forms give them."""
-        lam0 = np.asarray(lam0, dtype=float)
-        dim = self._dim
-        const, eye = 0.5 * dim * math.log(2.0 * math.pi), np.eye(dim)
-
-        def states(ts):
-            A = 0.0 - np.multiply.outer(ts, lam0)
-            g = np.broadcast_to(eye, (len(ts), dim, dim))
-            return A, const - np.einsum("ki,ki->k", 0.5 * A, A), g, g
-
-        return states
+        return _natural_ray_states(self, lam0)
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -708,6 +750,23 @@ class IdealGasFamily(ExponentialFamily):
         return np.array(
             [[5.0 * energy**2 / (3.0 * number), energy], [energy, number]]
         )
+
+    def natural_states(self, lams):
+        """E = 1.5 N / lam_E, N = V (1.5 / lam_E)^1.5 e^-lam_N unless fixed,
+        S from the entropy surface and the covariance of ``covariance``; a
+        row with lam_E <= 0 comes back NaN."""
+        lams = np.asarray(lams, dtype=float)
+        lam_e = np.where(lams[:, 0] > 0.0, lams[:, 0], math.nan)
+        if self.fixed_n is not None:
+            number = np.full(len(lams), self.fixed_n)
+        else:
+            number = self.volume * (1.5 / lam_e) ** 1.5 * np.exp(-lams[:, 1])
+        energy = 1.5 * number / lam_e
+        S = number * (np.log(self.volume / number) + 1.5 * np.log(energy / number) + 2.5)
+        if self.fixed_n is not None:
+            return energy[:, None], S, (energy**2 / (1.5 * number))[:, None, None]
+        cov = np.stack([5.0 * energy**2 / (3.0 * number), energy, energy, number], axis=1)
+        return np.column_stack([energy, number]), S, cov.reshape(-1, 2, 2)
 
     def log_density(self, lam, x) -> float:
         raise UnknownMicrostateError(

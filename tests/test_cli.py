@@ -11,7 +11,6 @@ import pytest
 
 import entroflow
 from entroflow import (
-    NoConvergenceError,
     ParseError,
     StepCollapseError,
     ValidationError,
@@ -445,23 +444,22 @@ class TestMain:
         assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
 
     def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # every composite point after the first 20 fails to solve, so the
-        # continuation collapses with rows recorded; the partial trajectory
-        # the error carries is not written
-        point, calls = CompositeSystem.point, []
+        # every batch of Bernoulli states after the first 20 is NaN, so the
+        # Newton solve of the pair's nodes stalls; the trajectory the error
+        # carries holds only the start row, and it is not written
+        states, calls = BernoulliFamily.natural_states, []
 
-        def failing_point(self, *args, **kwargs):
+        def failing_states(self, lams):
             calls.append(None)
-            if len(calls) > 20:
-                raise NoConvergenceError("no solve")
-            return point(self, *args, **kwargs)
+            out = states(self, lams)
+            return tuple(x * math.nan for x in out) if len(calls) > 20 else out
 
-        monkeypatch.setattr(CompositeSystem, "point", failing_point)
+        monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
         cfg = parse_config(catalog_path("bernoulli-coupled"))
         with pytest.raises(StepCollapseError) as err:
             integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max)
         assert err.value.trajectory.terminal_status == "error"
-        assert len(err.value.trajectory) > 1
+        assert len(err.value.trajectory) == 1
         calls.clear()
         capsys.readouterr()
         out = tmp_path / "out"

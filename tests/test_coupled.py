@@ -8,9 +8,11 @@ from entroflow import (
     AtEquilibriumError,
     BernoulliFamily,
     CompositeSystem,
+    DiscreteSpace,
     GaussianMeanFamily,
     IdealGasFamily,
     InfeasibleMeanError,
+    TabulatedFamily,
     as_manifold,
     entropy,
     entropy_production_check,
@@ -20,7 +22,7 @@ from entroflow import (
     unit_velocity,
 )
 from entroflow import flow
-from helpers import composite_arclength, fd_metric_oracle, identity_chart
+from helpers import composite_arclength, fd_metric_oracle, identity_chart, tabulated_mean
 
 
 def gas_energy_metric(energy):
@@ -230,9 +232,8 @@ class TestForceRayContinuation:
     @pytest.mark.parametrize("one_row", [False, True], ids=["h=1e-3", "h=tau_max"])
     @pytest.mark.parametrize("pair, A0", [("bernoulli_pair", [0.25]), ("gas_e_only_pair", [1.0])])
     def test_maximum_just_past_or_before_tau_max(self, request, pair, A0, one_row, margin):
-        # in one row from A0 = 1 the quadratic Taylor model of the E-only
-        # pair's tau puts the maximum at about 0.976, before a tau_max of
-        # 0.9826; only a measured step to the maximum shows it lies beyond
+        # whether the maximum comes before tau_max is read off the table of
+        # tau, which holds the maximum's tau exactly, in one row or in many
         system = request.getfixturevalue(pair)
         if pair == "bernoulli_pair":
             tau_eq = math.sqrt(2.0) * math.pi / 6.0
@@ -260,9 +261,7 @@ class TestForceRayContinuation:
 
     @pytest.mark.parametrize("h", [0.05, 0.2, 3.0])
     def test_e_only_terminal_tau_is_exact_at_any_spacing(self, gas_e_only_pair, h):
-        # the third-order term of tau changes sign near A = 1.3, where it
-        # alone would let the steps grow until the Hermite rule's error
-        # reaches 1e-11; the Newton correction of A keeps them short there
+        # the table of tau does not depend on the spacing of the rows
         traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0, h=h)
         assert traj.terminal_status == "equilibrium-reached"
         oracle = composite_arclength(gas_energy_metric, gas_energy_metric, 4.0, 1.0, 2.0)
@@ -278,16 +277,57 @@ class TestForceRayContinuation:
     )
     @pytest.mark.parametrize("pair, A0", [("bernoulli_pair", [0.25]), ("gas_e_only_pair", [1.0])])
     def test_steps_at_rounding_scale_do_not_stall(self, request, pair, A0, settings, status):
-        # the Newton correction of A rounds at about 1e-16 whatever the step,
-        # so it counts as error only above that rounding
+        # rows 1e-12 apart, or landing rows down to sigma = 2e-15, are placed
+        # on the same table of tau, whatever their spacing
         traj = integrate(request.getfixturevalue(pair), A0, **settings)
         assert traj.terminal_status == status
         if status == "tau-budget-exhausted":
             assert traj.tau[-1] == settings["tau_max"]
             assert len(traj) == 1001
 
-    def test_two_point_evaluations_per_row(self, bernoulli_pair, monkeypatch):
-        # a predicted point and the row's own point; RK4 took four per step
+    @pytest.mark.parametrize("a0", [1e-6, 1.0 - 1e-9])
+    def test_start_near_the_boundary(self, bernoulli_pair, a0):
+        # l runs from 13.8 (or -20.7) to 0; the first nodes start from l at
+        # t = 1, where a full Newton step overshoots by orders of magnitude
+        traj = integrate(bernoulli_pair, [a0], tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        tau_eq = 2.0 * math.sqrt(2.0) * (math.pi / 4.0 - math.asin(math.sqrt(min(a0, 1.0 - a0))))
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-11
+        assert abs(traj.A[-1, 0] - 0.5) <= 1e-15
+
+    def test_far_start_of_a_gas_pair_converges(self):
+        # vessels of volume 1 and 7: a start with 0.01 of the energy and 1.9
+        # of the 2 particles in the small vessel is far from every node, and
+        # its Newton steps leave lam_E > 0 or overshoot unless damped
+        pair = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(7.0), [4.0, 2.0])
+        traj = integrate(pair, [0.01, 1.9], tau_max=50.0, h=0.01)
+        assert traj.terminal_status == "equilibrium-reached" and traj.sigma[-1] == 0.0
+        # equal temperatures and densities: N = 2/8, E = 4/8
+        assert np.max(np.abs(traj.A[-1] - [0.5, 0.25])) <= 1e-12
+        assert np.all(np.diff(traj.S) > 0.0)
+
+    @pytest.mark.parametrize("e0", [1e-6, 1e-12])
+    def test_start_with_almost_no_energy_in_one_vessel(self, e0):
+        # lam_E runs from 1.9e12 at t = 1 to 0.76 at t = 0: the first nodes
+        # need dozens of halved steps and grow their steps back, nodes near
+        # t = 1 stop on steps below the rounding of lam_E, and the rate
+        # f ~ 1 / (t + 1e-13) peaks inside the first start panel of the
+        # table of tau, so its first estimate is 2e8 times too large
+        n1, n2, total = 1.2462278585353084, 2.535564351485701, 7.421325004712049
+        vessels = IdealGasFamily(1.0, fixed_n=n1), IdealGasFamily(6.0, fixed_n=n2)
+        pair = CompositeSystem(*vessels, [total])
+        traj = integrate(pair, [e0], tau_max=80.0, h=0.1)
+        assert traj.terminal_status == "equilibrium-reached"
+        e_eq = total * n1 / (n1 + n2)  # equal temperatures
+        assert abs(traj.A[-1, 0] - e_eq) <= 1e-12 * e_eq
+        rate = lambda e: math.sqrt(1.5 * n1 / e**2 + 1.5 * n2 / (total - e) ** 2)
+        edges = np.geomspace(e0, e_eq, 40)
+        tau_eq = sum(quad(rate, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                     for a, b in zip(edges, edges[1:]))
+        assert abs(traj.tau[-1] - tau_eq) <= 1e-11
+
+    def test_one_point_evaluation_per_run(self, bernoulli_pair, monkeypatch):
+        # the start; every row comes from the families' batched forward maps
         calls, steps = [], []
         point, rk4_step = CompositeSystem.point, flow._rk4_step
 
@@ -303,5 +343,26 @@ class TestForceRayContinuation:
         monkeypatch.setattr(flow, "_rk4_step", counting_step)
         traj = integrate(bernoulli_pair, [0.25], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert len(calls) <= 2.5 * len(traj)
+        assert len(calls) == 1
         assert len(steps) == 0
+
+    def test_table_pair_matches_rk4_and_both_families(self):
+        # a 3 x 50 table paired with itself: no closed form anywhere, so the
+        # rows rest on the batched Newton solve of each node alone
+        rng = np.random.default_rng(50)
+        weights, stats = rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50))
+        fam = TabulatedFamily(DiscreteSpace(list(range(50)), weights), stats)
+        A0 = tabulated_mean(weights, stats, rng.normal(0.0, 0.5, 3))
+        A_T = A0 + tabulated_mean(weights, stats, rng.normal(0.0, 0.5, 3))
+        pair = CompositeSystem(fam, fam, A_T)
+        ray = integrate(pair, A0, tau_max=10.0, h=0.01)
+        rk4 = integrate(identity_chart(pair), A0, tau_max=10.0, h=0.01)
+        assert ray.terminal_status == "equilibrium-reached" and ray.sigma[-1] == 0.0
+        near = np.abs(ray.tau[:, None] - rk4.tau[None, :]) <= 1e-12
+        rows, partners = np.nonzero(near)
+        assert len(rows) >= len(ray) - 20  # all but the landing rows
+        # RK4's own error at this spacing is 3e-10
+        assert np.max(np.abs(ray.A[rows] - rk4.A[partners])) <= 1e-9
+        for lam, lam_prime, A in zip(ray.lam, ray.lam_prime, ray.A):
+            assert np.max(np.abs(fam.mean_parameters(lam) - A)) <= 1e-12
+            assert np.max(np.abs(fam.mean_parameters(lam_prime) - (A_T - A))) <= 1e-12

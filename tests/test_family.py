@@ -244,6 +244,59 @@ class TestRayStates:
             ideal_gas.ray_states([1.0, 0.5])
 
 
+def natural_states_cases():
+    """(family, lams) pairs: every family, both ideal gases, random tables
+    and a table offset by 1e9, at rows inside the natural domain."""
+    rng = np.random.default_rng(37)
+    gas_lams = np.column_stack([rng.uniform(0.1, 4.0, 6), rng.normal(0.0, 1.0, 6)])
+    cases = [
+        (BernoulliFamily(), rng.normal(0.0, 5.0, (6, 1))),
+        (GaussianMeanFamily(), rng.normal(0.0, 2.0, (6, 1))),
+        (GaussianMeanFamily(dim=3), rng.normal(0.0, 2.0, (6, 3))),
+        (IdealGasFamily(2.0), gas_lams),
+        (IdealGasFamily(2.0, fixed_n=1.5), gas_lams[:, :1]),
+    ]
+    for n_dim, n_points in [(1, 4), (3, 50)]:
+        cases.append((random_tabulated(rng, n_dim=n_dim, n_points=n_points),
+                      rng.normal(0.0, 0.8, (6, n_dim))))
+    offset = random_tabulated(rng, n_dim=2, n_points=8)
+    offset = TabulatedFamily(offset.space, 1e9 + offset.stats)
+    cases.append((offset, rng.normal(0.0, 0.8, (6, 2))))
+    return cases
+
+
+NATURAL_CASES = natural_states_cases()
+NATURAL_IDS = ["bernoulli", "gaussian", "gaussian3", "gas-EN", "gas-E",
+               "table1x4", "table3x50", "table-offset-1e9"]
+
+
+class TestNaturalStates:
+    @pytest.mark.parametrize("fam, lams", NATURAL_CASES, ids=NATURAL_IDS)
+    def test_matches_the_single_point_maps(self, fam, lams):
+        A, S, cov = fam.natural_states(lams)
+        k, d = lams.shape
+        assert A.shape == (k, d) and S.shape == (k,) and cov.shape == (k, d, d)
+        for i, lam in enumerate(lams):
+            mean = fam.mean_parameters(lam)
+            assert np.all(np.abs(A[i] - mean) <= 1e-13 * np.maximum(1.0, np.abs(mean)))
+            # log Z and lam . A each round at the scale of lam . A
+            entropy = fam.log_partition(lam) + float(lam @ mean)
+            scale = 1.0 + abs(entropy) + abs(float(lam @ mean))
+            assert abs(S[i] - entropy) <= 1e-13 * scale
+            want = fam.covariance(lam)
+            assert np.all(np.abs(cov[i] - want) <= 1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("fixed_n", [None, 1.5], ids=["gas-EN", "gas-E"])
+    def test_rows_outside_the_gas_domain_are_not_finite(self, fixed_n):
+        fam = IdealGasFamily(2.0, fixed_n=fixed_n)
+        lams = np.array([[1.0, 0.5], [0.0, 0.5], [-2.0, 0.5], [3.0, -1.0]])[:, :fam.n_dim]
+        A, S, cov = fam.natural_states(lams)
+        inside = np.array([True, False, False, True])
+        for rows, finite in ((inside, True), (~inside, False)):
+            for x in (A[rows], S[rows], cov[rows]):
+                assert np.all(np.isfinite(x) == finite)
+
+
 class TestLogDensity:
     def test_bernoulli_examples(self, bernoulli):
         assert bernoulli.log_density([0.0], 1) == pytest.approx(math.log(0.5), abs=1e-14)

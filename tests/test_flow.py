@@ -137,6 +137,22 @@ class TestIntegrate:
         with pytest.raises(AtEquilibriumError):
             integrate(bernoulli, [0.5], tau_max=1.0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [dict(tau_max=math.nan), dict(tau_max=0.0), dict(tau_max=-1.0),
+         dict(h=math.nan), dict(h=0.0), dict(h=-1e-3), dict(h=math.inf),
+         dict(sigma_eq=math.nan), dict(sigma_eq=0.0), dict(sigma_eq=-1.0)],
+        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+    )
+    @pytest.mark.parametrize(
+        "system, A0", [("bernoulli", [0.25]), ("bernoulli_pair", [0.25]), ("ideal_gas", [1.0, 0.5])]
+    )
+    def test_settings_that_are_nan_or_not_positive_raise(self, request, system, A0, setting):
+        # on a single family sigma_eq = nan or -1 used to halve the landing
+        # rows forever, and h = nan on a pair returned a few rows
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            integrate(request.getfixturevalue(system), A0, **{"tau_max": 2.0, **setting})
+
     def test_budget_exhaustion(self, bernoulli):
         traj = integrate(bernoulli, [0.25], tau_max=0.1)
         assert traj.terminal_status == "tau-budget-exhausted"
