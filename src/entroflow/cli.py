@@ -99,8 +99,8 @@ _FAMILY_KEYS = {
     "tabulated", "points", "weights", "stats",
 }
 _ANALYSIS_KEYS = {"kind", "clock_rate", "window", "center", "points"}
-#: Largest tau_max / h a scenario may ask for: the number of samples (and
-#: of RK4 steps for a coupled system) a run may take.
+#: Largest tau_max / h a scenario may ask for: a run records at most that
+#: many grid rows, and near an entropy maximum the landing rows.
 MAX_SAMPLES = 10**6
 
 

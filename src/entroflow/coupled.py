@@ -105,11 +105,10 @@ class CompositeSystem(StateManifold):
         self.sys2.check_feasible(self.A_total - A)
         return A
 
-    def point(self, A, warm: tuple | None = None) -> ManifoldPoint:
+    def point(self, A) -> ManifoldPoint:
         A = as_vector(A, self.dim, "A")
-        w1, w2 = warm if warm else (None, None)
-        p1 = self._m1.point(A, warm=w1)
-        p2 = self._m2.point(self.A_total - A, warm=w2)
+        p1 = self._m1.point(A)
+        p2 = self._m2.point(self.A_total - A)
         force = p1.force - p2.force
         met = MetricTensor.from_sum(p1.metric, p2.metric)
         return ManifoldPoint(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleMeanError, NoConvergenceError, SingularModelError
-from .family import ExponentialFamily, as_vector
+from .family import ExponentialFamily
 
 __all__ = ["solve_lambda", "entropy"]
 
@@ -46,13 +46,12 @@ def _newton_direction(gap: np.ndarray, hess: np.ndarray, lam_norm: float) -> np.
         ) from None
 
 
-def solve_lambda(family: ExponentialFamily, A, init=None) -> np.ndarray:
+def solve_lambda(family: ExponentialFamily, A) -> np.ndarray:
     """Invert A = mean_parameters(lam) for lam.
 
-    Newton iteration with backtracking line search (halving, Armijo
-    constant 1e-4) on F(lam) = log Z + lam . A; the covariance is the exact
-    Hessian.  ``init`` warm-starts the iteration (RK4 integration passes the
-    previous step's lam, making each solve one cheap iteration).
+    Newton iteration from lam = 0 with backtracking line search (halving,
+    Armijo constant 1e-4) on F(lam) = log Z + lam . A; the covariance is the
+    exact Hessian.
 
     After the residual meets SOLVE_TOL one extra full Newton step is taken
     and kept if it improves the residual: thanks to quadratic convergence
@@ -69,11 +68,7 @@ def solve_lambda(family: ExponentialFamily, A, init=None) -> np.ndarray:
     if analytic is not None:
         return np.asarray(analytic, dtype=float)
 
-    lam = (
-        np.zeros(family.n_dim)
-        if init is None
-        else as_vector(init, family.n_dim, "init").copy()
-    )
+    lam = np.zeros(family.n_dim)
     value = family.log_partition(lam) + lam @ A
 
     def residual(l):

@@ -32,11 +32,11 @@ class AtEquilibriumError(EntroflowError):
 
 
 class StepCollapseError(EntroflowError):
-    """Repeated step halving failed to produce an acceptable integration step.
+    """The integrator's quadrature, or a coupled pair's Newton solve of its
+    nodes, did not converge.
 
     When raised by the integrator, the ``trajectory`` attribute holds the
-    partial trajectory accumulated up to the failure (terminal status
-    ``"error"``).
+    start row alone (terminal status ``"error"``).
     """
 
     def __init__(self, message: str, trajectory=None):

@@ -105,13 +105,12 @@ class ExponentialFamily(ABC):
     downstream code bypass the numerical Legendre inversion.  The hooks take
     a mean vector that has already passed ``check_feasible`` and do not
     check it again.  A family without ``neg_entropy_third`` must provide
-    ``cumulants``, from which the geometry builds the connection.  A family
-    whose natural domain holds lam = 0 must provide the two batched ray
-    hooks the flow samples its force ray lam = t lam0 with: ``ray_rate``,
-    the arclength rate at an array of t, and ``ray_states``, the mean,
-    entropy, metric and inverse metric there.  A family in a coupled pair
-    must provide ``natural_states``, the batched forward map the pair's
-    Newton solve of its nodes runs on.
+    ``cumulants``, from which the geometry builds the connection.  The flow
+    samples a family's force ray lam = t lam0 with two batched hooks:
+    ``ray_rate``, the arclength rate at an array of t, and ``ray_states``,
+    the mean, entropy, metric and inverse metric there.  ``ray_states``
+    defaults to ``natural_states``, the batched forward map that a coupled
+    pair's Newton solve of its nodes runs on as well.
     """
 
     @property
@@ -198,8 +197,9 @@ class ExponentialFamily(ABC):
         maps an array of t to f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) at
         each t.
 
-        lam0 is checked once, here; the ray's segment [0, lam0] then lies in
-        the convex natural domain wherever that holds lam = 0.  Along the ray
+        lam0 is checked once, here; the ray's points t lam0, 0 < t <= 1, then
+        lie in the natural domain, which is convex and holds lam = 0, or (the
+        ideal gas's lam_E > 0) is a cone.  Along the ray
         the family is the one-parameter family of the projected statistic
         y = lam0 . a, and f is the standard deviation of y.
         """
@@ -219,24 +219,20 @@ class ExponentialFamily(ABC):
         """The states along the ray lam = t lam0, as a function that maps an
         array of k values of t to (A, S, g, g_inv): the means (k, n_dim),
         the entropies (k,), the metrics -Hess S (k, n_dim, n_dim) and their
-        inverses, the statistics covariances.
+        inverses, the statistics covariances; by default from
+        ``natural_states`` at each t lam0.
 
         lam0 is one that ``ray_rate`` has accepted and is not checked again.
         The metrics are not checked either: the caller checks them all at
         once.
         """
-        raise NotImplementedError(f"{type(self).__name__} declares no ray_states")
+        lam0 = np.asarray(lam0, dtype=float)
 
+        def states(ts):
+            A, S, cov = self.natural_states(np.multiply.outer(ts, lam0) + 0.0)
+            return A, S, _metrics_of(cov, ts), cov
 
-def _natural_ray_states(family: ExponentialFamily, lam0):
-    """``ray_states`` from the family's ``natural_states`` at each t lam0."""
-    lam0 = np.asarray(lam0, dtype=float)
-
-    def states(ts):
-        A, S, cov = family.natural_states(np.multiply.outer(ts, lam0) + 0.0)
-        return A, S, _metrics_of(cov, ts), cov
-
-    return states
+        return states
 
 
 def _metrics_of(cov: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -514,9 +510,6 @@ class BernoulliFamily(ExponentialFamily):
         p, q = np.exp(-up), np.exp(-down)
         return p[:, None], p * up + q * down, (p * q)[:, None, None]
 
-    def ray_states(self, lam0):
-        return _natural_ray_states(self, lam0)
-
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
         if x not in (0, 1):
@@ -595,9 +588,6 @@ class GaussianMeanFamily(ExponentialFamily):
         A = 0.0 - np.asarray(lams, dtype=float)
         S = 0.5 * self._dim * math.log(2.0 * math.pi) - np.einsum("ki,ki->k", 0.5 * A, A)
         return A, S, np.broadcast_to(np.eye(self._dim), (len(A), self._dim, self._dim))
-
-    def ray_states(self, lam0):
-        return _natural_ray_states(self, lam0)
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)
@@ -751,21 +741,39 @@ class IdealGasFamily(ExponentialFamily):
             [[5.0 * energy**2 / (3.0 * number), energy], [energy, number]]
         )
 
+    def ray_rate(self, lam0):
+        """(1.5 N)^(1/2) / t with N fixed, else f^2 = N(t) (3.75 / t^2 +
+        3 lam_N / t + lam_N^2) with N(t) = V (1.5 / (t lam_E))^1.5 e^(-t lam_N),
+        lam0 = (lam_E, lam_N)."""
+        lam0 = self.check_natural_domain(lam0).tolist()
+        if self.fixed_n is not None:
+            size = math.sqrt(1.5 * self.fixed_n)
+            return lambda ts: size / ts
+        lam_e, lam_n = lam0
+
+        def rate(ts):
+            number = self.volume * (1.5 / (ts * lam_e)) ** 1.5 * np.exp(-ts * lam_n)
+            return np.sqrt(number * (3.75 / ts**2 + 3.0 * lam_n / ts + lam_n**2))
+
+        return rate
+
     def natural_states(self, lams):
         """E = 1.5 N / lam_E, N = V (1.5 / lam_E)^1.5 e^-lam_N unless fixed,
         S from the entropy surface and the covariance of ``covariance``; a
-        row with lam_E <= 0 comes back NaN."""
+        row with lam_E <= 0 comes back NaN, and one that overflows inf or
+        NaN, without a warning."""
         lams = np.asarray(lams, dtype=float)
-        lam_e = np.where(lams[:, 0] > 0.0, lams[:, 0], math.nan)
-        if self.fixed_n is not None:
-            number = np.full(len(lams), self.fixed_n)
-        else:
-            number = self.volume * (1.5 / lam_e) ** 1.5 * np.exp(-lams[:, 1])
-        energy = 1.5 * number / lam_e
-        S = number * (np.log(self.volume / number) + 1.5 * np.log(energy / number) + 2.5)
-        if self.fixed_n is not None:
-            return energy[:, None], S, (energy**2 / (1.5 * number))[:, None, None]
-        cov = np.stack([5.0 * energy**2 / (3.0 * number), energy, energy, number], axis=1)
+        with np.errstate(all="ignore"):
+            lam_e = np.where(lams[:, 0] > 0.0, lams[:, 0], math.nan)
+            if self.fixed_n is not None:
+                number = np.full(len(lams), self.fixed_n)
+            else:
+                number = self.volume * (1.5 / lam_e) ** 1.5 * np.exp(-lams[:, 1])
+            energy = 1.5 * number / lam_e
+            S = number * (np.log(self.volume / number) + 1.5 * np.log(energy / number) + 2.5)
+            if self.fixed_n is not None:
+                return energy[:, None], S, (energy**2 / (1.5 * number))[:, None, None]
+            cov = np.stack([5.0 * energy**2 / (3.0 * number), energy, energy, number], axis=1)
         return np.column_stack([energy, number]), S, cov.reshape(-1, 2, 2)
 
     def log_density(self, lam, x) -> float:

@@ -24,16 +24,13 @@ the same table, placement and landing; the pair's kernels solve each node
 in subsystem 1's natural parameter by a batched Newton iteration on the
 families' forward maps (see ``coupled``).
 
-Any other state manifold (a reparametrized chart, or the ideal gas, whose
-entropy has no maximum for the ray to end at) is integrated by classical
-fixed-step RK4, halving a step whose unit-speed residual |g v v - 1|, the
-natural error signal of this constrained flow, is too large.  There
-equilibrium is a sigma-threshold stop, not a fixed point of the ODE: the
-field has unit metric norm everywhere, so the flow reaches the maximum in
-finite tau and would overshoot it (lam/sigma is discontinuous across it).
-Near it sigma is the tau left to first order, so steps of at most sigma/2
-halve sigma, and the run ends at the first state in [sigma_eq, 2 sigma_eq],
-which makes terminal-tau comparisons meaningful.
+The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
+t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is
+built in u = -ln t, where dtau/du = t f = sigma, over [0, U] with U doubled
+from 1 until tau(U) > tau_max, and the run ends at tau_max.  The flow is covariant,
+so a reparametrized chart's trajectory is its base trajectory mapped row by
+row: B = forward(A), the force transforms as a one-form, and tau, S, sigma
+and the speed are invariant.
 
 A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
 stores it that way, one column per quantity (tau, A, lam, S, sigma, speed),
@@ -43,18 +40,19 @@ which the analyses and the CSV writer read directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    AtEquilibriumError, DomainError, InfeasibleMeanError, MonotonicityError,
-    NoConvergenceError, SingularModelError, StepCollapseError, TooFewSamplesError,
+    AtEquilibriumError, DomainError, MonotonicityError, SingularModelError, StepCollapseError,
+    TooFewSamplesError,
 )
 from .coupled import CompositeSystem, PairRay
-from .family import ExponentialFamily
+from .family import ExponentialFamily, as_vector
 from .geometry import (
-    FamilyManifold, ManifoldPoint, StateManifold, _check_spd, as_manifold, unit_velocity,
+    FamilyManifold, ManifoldPoint, ReparametrizedManifold, StateManifold, _check_spd,
+    as_manifold,
 )
 
 __all__ = [
@@ -65,9 +63,6 @@ __all__ = [
     "clock_invert",
     "write_trajectory_csv",
 ]
-
-#: A step is halved whenever the post-step unit-speed residual exceeds this.
-SPEED_RESIDUAL_TOL = 1e-8
 
 #: A quadrature panel of the ray is bisected until its 4-point Gauss-Lobatto
 #: and 3-point Simpson values agree to this times the whole integral.
@@ -83,10 +78,6 @@ _RAY_START_PANELS = 32
 _RAY_NEWTON_ITERS = 100
 #: Interior Gauss-Lobatto nodes on [-1, 1] (weights 5/6; the ends have 1/6).
 _LOBATTO_NODE = 1.0 / math.sqrt(5.0)
-
-_STEP_ERRORS = (
-    AtEquilibriumError, InfeasibleMeanError, NoConvergenceError, SingularModelError, DomainError,
-)
 
 
 @dataclass(frozen=True)
@@ -121,34 +112,20 @@ def _speed(pt: ManifoldPoint) -> float:
     return pt.metric.squared_norm_of_vector(v)
 
 
-def _trajectory(manifold: StateManifold, recorded: list, status: str) -> Trajectory:
-    """Columns of the recorded (tau, point) pairs."""
-    taus, points = zip(*recorded)
+def _start_row(manifold: StateManifold, pt: ManifoldPoint) -> Trajectory:
+    """The trajectory of the start alone, as a run that failed reports it."""
     return Trajectory(
-        tau=np.array(taus),
-        A=np.array([pt.A for pt in points]),
-        S=np.array([pt.S for pt in points]),
-        sigma=np.array([pt.sigma for pt in points]),
-        speed=np.array([_speed(pt) for pt in points]),
-        terminal_status=status,
-        **manifold.trajectory_columns(points),
+        tau=np.zeros(1), A=pt.A[None, :], S=np.array([pt.S]), sigma=np.array([pt.sigma]),
+        speed=np.array([_speed(pt)]), terminal_status="error",
+        **manifold.trajectory_columns([pt]),
     )
 
 
-def _rk4_step(manifold: StateManifold, A: np.ndarray, pt: ManifoldPoint, h: float) -> np.ndarray:
-    k1 = unit_velocity(pt)
-    p2 = manifold.point(A + 0.5 * h * k1, warm=pt.aux)
-    k2 = unit_velocity(p2)
-    p3 = manifold.point(A + 0.5 * h * k2, warm=p2.aux)
-    k3 = unit_velocity(p3)
-    p4 = manifold.point(A + h * k3, warm=p3.aux)
-    k4 = unit_velocity(p4)
-    return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _checked(rate, ts: np.ndarray) -> np.ndarray:
-    """The arclength rate ``rate`` at each t, checked to be finite and > 0."""
-    fs = rate(ts)
+    """The arclength rate ``rate`` at each t, checked to be finite and > 0;
+    a rate that overflows fails the check without a warning."""
+    with np.errstate(all="ignore"):
+        fs = rate(ts)
     bad = np.flatnonzero(~((fs > 0.0) & (fs < math.inf)))
     if bad.size:
         raise SingularModelError(f"the arclength rate is {fs[bad[0]]} at t = {ts[bad[0]]:.3g} "
@@ -169,7 +146,7 @@ def _lobatto(half, f_lo, f_hi, f_1, f_2):
 
 class _RayTable:
     """tau(t), the integral of the arclength rate f from t to 1 on the ray
-    F = t F0, as Gauss-Lobatto panels of [0, 1].
+    F = t F0, as Gauss-Lobatto panels of [0, 1] (of x, for ``_open_table``).
 
     From _RAY_START_PANELS equal panels, each level evaluates the interior
     nodes of all pending panels in one kernel call and bisects those whose
@@ -275,29 +252,52 @@ def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
         raise
 
 
-def _ray(manifold: StateManifold, rate, states, start: ManifoldPoint, tau_max: float,
-         spacing: float, sigma_eq: float) -> Trajectory:
-    """The ray F = t F0 from ``start`` at t = 1, given its ``rate`` and
-    ``states`` kernels: rows at k * spacing below tau_eq (the last one
+def _open_table(rate, sigma: float, tau_max: float, span: float):
+    """The table of tau of a ray without a maximum, whose rate ``rate`` starts
+    at ``sigma``, and the map from its variable x = 1 - u / ``span`` to t, for
+    u = -ln t in [0, span], where dtau/du = t f = sigma.  The span doubles
+    until tau(span) > ``tau_max``, so it stays within max(1, 2 u(tau_max))."""
+
+    def t_of(xs):
+        return np.exp(span * (xs - 1.0))
+
+    def rate_x(xs):  # dtau/dx = span t f(t)
+        ts = t_of(xs)
+        return span * ts * rate(ts)
+
+    table = _RayTable(rate_x, span * sigma)
+    if table.tau_eq > tau_max:
+        return table, t_of
+    return _open_table(rate, sigma, tau_max, 2.0 * span)
+
+
+def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint,
+         tau_max: float, spacing: float, sigma_eq: float, t_of=None) -> Trajectory:
+    """The ray F = t F0 from ``start`` at t = 1, given its ``table`` of tau
+    and its ``states`` kernel: rows at k * spacing below tau_eq (the last one
     ``tau_max`` once within half a spacing of it), landing rows and the
-    maximum, all from one call of ``states``.  A composite's ``states``
-    returns its own force columns after the four of a family's."""
+    maximum, all from one call of ``states``.  A ray without a maximum has
+    its table in a variable that ``t_of`` maps to t and ends at ``tau_max``.
+    A composite's ``states`` returns its own force columns after the four of
+    a family's."""
     F0 = start.force
-    table = _RayTable(rate, start.sigma)
     targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
     near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
     targets = np.append(targets[:near[0]], tau_max) if near.size else targets
     landing = bool(targets[-1] >= table.tau_eq)
     targets = targets[targets < table.tau_eq]
     ts, fs = table.place(targets)
-    low = np.flatnonzero((ts * fs <= 2.0 * sigma_eq) & (targets < tau_max))
-    if low.size:
-        landing, ts, fs, targets = True, ts[:low[0]], fs[:low[0]], targets[:low[0]]
-    if landing:
-        last = (ts[-1], fs[-1]) if ts.size else (1.0, start.sigma)
-        halved, taus = table.landing(*last, sigma_eq)
-        ts = np.concatenate([ts, halved, [0.0]])
-        targets = np.concatenate([targets, taus, [table.tau_eq]])
+    if t_of is not None:
+        ts = t_of(ts)
+    else:
+        low = np.flatnonzero((ts * fs <= 2.0 * sigma_eq) & (targets < tau_max))
+        if low.size:
+            landing, ts, fs, targets = True, ts[:low[0]], fs[:low[0]], targets[:low[0]]
+        if landing:
+            last = (ts[-1], fs[-1]) if ts.size else (1.0, start.sigma)
+            halved, taus = table.landing(*last, sigma_eq)
+            ts = np.concatenate([ts, halved, [0.0]])
+            targets = np.concatenate([targets, taus, [table.tau_eq]])
     A, S, g, g_inv, *columns = states(ts)
     _check_metrics(ts, g)
     force = np.multiply.outer(ts, F0) + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
@@ -319,6 +319,18 @@ def _ray(manifold: StateManifold, rate, states, start: ManifoldPoint, tau_max: f
     )
 
 
+def _mapped(chart: ReparametrizedManifold, traj: Trajectory) -> Trajectory:
+    """``traj``, a trajectory of the chart's base, in the chart: B = forward(A)
+    and lam_B = J^-T lam_A with J = dB/dA at each row, while tau, S, sigma
+    and the speed carry over.  Like a chart's points, it has no subsystem-2
+    columns."""
+    B = np.array([as_vector(chart.forward(a), chart.dim, "B") for a in traj.A])
+    jac = np.array([np.atleast_2d(np.asarray(chart.jacobian(a), dtype=float)) for a in traj.A])
+    force = traj.lam if traj.lam_prime is None else traj.lam - traj.lam_prime
+    lam = np.linalg.solve(jac.transpose(0, 2, 1), force[:, :, None])[:, :, 0]
+    return replace(traj, A=B, lam=lam, A_prime=None, lam_prime=None, conservation_residual=None)
+
+
 def _has_maximum(family: ExponentialFamily) -> bool:
     """Whether lam = 0, the maximum every ray ends at, is in the natural
     domain; the ideal gas's entropy has no maximum."""
@@ -337,39 +349,31 @@ def integrate(
     h: float = 1e-3,
     sigma_eq: float = 1e-8,
     record_every: int = 1,
-    max_halvings: int = 20,
 ) -> Trajectory:
     """Integrate the unit-speed entropy-gradient flow from A0.
 
     Raises AtEquilibriumError when the start has sigma below ``sigma_eq``.
 
-    A single family (``as_manifold(system)`` is a ``FamilyManifold``) whose
-    natural domain holds lam = 0 is sampled on the exact ray lam = t lam0
-    after one Legendre inversion at A0, and a ``CompositeSystem`` on the
-    curve F(A) = t F0 from its one point at A0 (see the module docstring).
-    Either way the rows come from one table of tau(t) and sit at
-    tau = k * h * ``record_every``.  Where the next such row would lie past
-    the entropy maximum or have sigma at most ``2 * sigma_eq``, rows go on
-    with sigma halving while it exceeds ``2 * sigma_eq``.  The run ends with
-    status ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0,
-    at its exact tau), or ``tau-budget-exhausted`` at ``tau_max``.  An
-    arclength rate that is not finite and > 0, or a metric that is not
-    finite and positive definite, raises SingularModelError.  A quadrature,
-    or a composite's Newton solve of its nodes, that does not converge
-    raises StepCollapseError, whose trajectory holds only the start row.
+    A single family (``as_manifold(system)`` is a ``FamilyManifold``) is
+    sampled on the exact ray lam = t lam0 after one Legendre inversion at
+    A0, and a ``CompositeSystem`` on the curve F(A) = t F0 from its one
+    point at A0 (see the module docstring).  Either way the rows come from
+    one table of tau(t) and sit at tau = k * h * ``record_every``.  Where
+    the next such row would lie past the entropy maximum or have sigma at
+    most ``2 * sigma_eq``, rows go on with sigma halving while it exceeds
+    ``2 * sigma_eq``.  The run ends with status ``equilibrium-reached`` at
+    the maximum itself (t = 0, sigma = 0, at its exact tau), or
+    ``tau-budget-exhausted`` at ``tau_max``, as it always does for a family
+    without a maximum (the ideal gas).  An arclength rate that is not finite
+    and > 0, or a metric that is not finite and positive definite, raises
+    SingularModelError.  A quadrature, or a composite's Newton solve of its
+    nodes, that does not converge raises StepCollapseError, whose trajectory
+    holds only the start row.
 
-    Any other manifold (a chart, the ideal gas, whose entropy has no
-    maximum) is integrated by classical RK4 with fixed base step ``h``,
-    capped at sigma/2; a step is halved (at most ``max_halvings`` times)
-    when a solver error occurs inside the stencil, the step crosses the
-    entropy maximum, or the post-step unit-speed residual exceeds
-    SPEED_RESIDUAL_TOL.  The run ends ``equilibrium-reached`` at the first
-    state with sigma at most ``2 * sigma_eq``, or ``tau-budget-exhausted``
-    at ``tau_max``; every ``record_every``-th step is recorded, and each
-    solve is warm-started from the previous step.
-
-    ``tau_max``, ``h`` and ``sigma_eq`` must be > 0, and ``h`` finite;
-    ValueError otherwise.
+    A ``ReparametrizedManifold`` gets its base's trajectory from the base
+    point of A0, mapped into the chart; any other ``StateManifold`` raises
+    TypeError.  ``tau_max``, ``h`` and ``sigma_eq`` must be > 0, and ``h``
+    finite; ValueError otherwise.
     """
     if not tau_max > 0.0:
         raise ValueError(f"tau_max must be > 0, got {tau_max}")
@@ -381,79 +385,35 @@ def integrate(
         raise ValueError("record_every must be >= 1")
 
     manifold = as_manifold(system)
+    if isinstance(manifold, ReparametrizedManifold):
+        settings = dict(tau_max=tau_max, h=h, sigma_eq=sigma_eq, record_every=record_every)
+        try:
+            return _mapped(manifold, integrate(manifold.base, manifold.to_base(A0), **settings))
+        except StepCollapseError as exc:
+            raise StepCollapseError(str(exc), trajectory=_mapped(manifold, exc.trajectory)) from None
+    if not isinstance(manifold, (FamilyManifold, CompositeSystem)):
+        raise TypeError("integrate takes a family, a CompositeSystem or a chart of either, "
+                        f"not a {type(manifold).__name__}")
     A = manifold.check_feasible(A0).copy()
     pt = manifold.point(A)
     if pt.sigma < sigma_eq:
         raise AtEquilibriumError(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
-    recorded = [(0.0, pt)]
-    family_ray = isinstance(manifold, FamilyManifold) and _has_maximum(manifold.family)
-    if family_ray or isinstance(manifold, CompositeSystem):
-        try:
-            if family_ray:
-                kernels = manifold.family.ray_rate(pt.force), manifold.family.ray_states(pt.force)
-            else:
-                ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
-                kernels = ray.rate, ray.states
-            return _ray(manifold, *kernels, pt, tau_max, h * record_every, sigma_eq)
-        except StepCollapseError as exc:
-            raise StepCollapseError(
-                str(exc), trajectory=_trajectory(manifold, recorded, "error")
-            ) from None
-
-    tau = 0.0
-    steps = 0
-
-    while True:
-        if pt.sigma <= 2.0 * sigma_eq:
-            status = "equilibrium-reached"
-            break
-        remaining = tau_max - tau
-        if remaining <= 1e-12 * max(1.0, tau_max):
-            status = "tau-budget-exhausted"
-            break
-        h_try = min(h, remaining, 0.5 * pt.sigma)
-        v_here = unit_velocity(pt)
-        for _ in range(max_halvings + 1):
-            # A step "crosses" equilibrium when the landing sigma falls
-            # below threshold, the flow direction reverses (the gradient
-            # flips sign across the maximum), the entropy drops, or the
-            # step's metric chord collapses relative to h (a step across
-            # the maximum and back cancels its stages and barely moves,
-            # which none of the pointwise tests can see).
-            try:
-                A_new = _rk4_step(manifold, A, pt, h_try)
-                pt_new = manifold.point(A_new, warm=pt.aux)
-                chord = math.sqrt(
-                    max(pt.metric.squared_norm_of_vector(A_new - A), 0.0)
-                )
-                crossed = (
-                    pt_new.sigma < sigma_eq
-                    or float(unit_velocity(pt_new) @ v_here) < 0.0
-                    or pt_new.S < pt.S - 1e-12
-                    or abs(chord / h_try - 1.0) > 0.01
-                )
-            except _STEP_ERRORS:
-                crossed = True
-            if crossed or abs(_speed(pt_new) - 1.0) > SPEED_RESIDUAL_TOL:
-                h_try *= 0.5
-                continue
-            A, pt = A_new, pt_new
-            tau += h_try
-            steps += 1
-            if steps % record_every == 0:
-                recorded.append((tau, pt))
-            break
+    try:
+        if isinstance(manifold, CompositeSystem):
+            ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
+            table, states, t_of = _RayTable(ray.rate, pt.sigma), ray.states, None
         else:
-            raise StepCollapseError(
-                f"step collapsed after {max_halvings} halvings at tau = {tau:.6g}",
-                trajectory=_trajectory(manifold, recorded, "error"),
-            )
-
-    if recorded[-1][0] < tau:
-        recorded.append((tau, pt))
-    return _trajectory(manifold, recorded, status)
+            family = manifold.family
+            rate, states = family.ray_rate(pt.force), family.ray_states(pt.force)
+            if _has_maximum(family):
+                table, t_of = _RayTable(rate, pt.sigma), None
+            else:
+                table, t_of = _open_table(rate, pt.sigma, tau_max, 1.0)
+        return _ray(manifold, table, states, pt, tau_max, h * record_every, sigma_eq, t_of)
+    except StepCollapseError as exc:
+        raise StepCollapseError(str(exc), trajectory=_start_row(manifold, pt)) from None
 
 
 def nonuniform_first_derivative(

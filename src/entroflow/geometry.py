@@ -168,12 +168,8 @@ class StateManifold(ABC):
     def check_feasible(self, A) -> np.ndarray: ...
 
     @abstractmethod
-    def point(self, A, warm: tuple | None = None) -> ManifoldPoint:
-        """Evaluate state data at A.
-
-        ``warm`` is the ``aux`` tuple of a previously computed nearby point
-        and warm-starts any solver inside.
-        """
+    def point(self, A) -> ManifoldPoint:
+        """Evaluate state data at A."""
 
     @abstractmethod
     def entropy(self, A) -> float: ...
@@ -209,13 +205,13 @@ class FamilyManifold(StateManifold):
     def check_feasible(self, A) -> np.ndarray:
         return self.family.check_feasible(A)
 
-    def point(self, A, warm: tuple | None = None) -> ManifoldPoint:
+    def point(self, A) -> ManifoldPoint:
         """The point at mean A: lam from ``solve_lambda`` (which checks A
         once), S from the entropy surface or log Z + lam . A, and the metric
         from the closed-form Hessian or else from the covariance at lam."""
         fam = self.family
         A = as_vector(A, fam.n_dim, "A")
-        lam = duality.solve_lambda(fam, A, init=warm[0] if warm else None)
+        lam = duality.solve_lambda(fam, A)
         surface = fam.entropy_surface(A)
         S = float(surface) if surface is not None else float(fam.log_partition(lam) + lam @ A)
         hess = fam.neg_entropy_hessian(A)
@@ -255,7 +251,7 @@ class ReparametrizedManifold(StateManifold):
     maps back, and ``jacobian(A)`` returns dB/dA.  The entropy is a scalar,
     the force transforms as a one-form and the metric as a (0,2) tensor, so
     the unit-speed gradient flow expressed in the new chart traces the same
-    curve at the same intrinsic time.
+    curve at the same intrinsic time: ``integrate`` maps the base trajectory.
 
     The chart is not dually flat, so it has no connection: ``christoffel``
     and the tensors built on it raise NotImplementedError here.
@@ -271,18 +267,19 @@ class ReparametrizedManifold(StateManifold):
     def dim(self) -> int:
         return self.base.dim
 
-    def _to_base(self, B) -> np.ndarray:
+    def to_base(self, B) -> np.ndarray:
+        """The base coordinates A of chart coordinates B."""
         return as_vector(self.inverse(as_vector(B, self.dim, "B")), self.dim, "A")
 
     def check_feasible(self, B) -> np.ndarray:
         B = as_vector(B, self.dim, "B")
-        self.base.check_feasible(self._to_base(B))
+        self.base.check_feasible(self.to_base(B))
         return B
 
-    def point(self, B, warm: tuple | None = None) -> ManifoldPoint:
+    def point(self, B) -> ManifoldPoint:
         B = as_vector(B, self.dim, "B")
-        A = self._to_base(B)
-        pt = self.base.point(A, warm=warm)
+        A = self.to_base(B)
+        pt = self.base.point(A)
         jac = np.atleast_2d(np.asarray(self.jacobian(A), dtype=float))
         jac_inv = np.linalg.inv(jac)
         force = jac_inv.T @ pt.force
@@ -296,7 +293,7 @@ class ReparametrizedManifold(StateManifold):
         )
 
     def entropy(self, B) -> float:
-        return self.base.entropy(self._to_base(B))
+        return self.base.entropy(self.to_base(B))
 
 
 def as_manifold(system) -> StateManifold:

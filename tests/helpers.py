@@ -1,8 +1,9 @@
 """Shared oracle helpers for the test suite.
 
 Everything here is an independent verification route: finite differences,
-direct summation, quadrature wrappers and synthetic trajectory builders,
-plus a counter of the calls a method receives.
+direct summation, quadrature wrappers, a fixed-step RK4 of the flow's
+velocity field and synthetic trajectory builders, plus a counter of the
+calls a method receives.
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
@@ -12,7 +13,7 @@ import numpy as np
 
 from entroflow.family import DiscreteSpace, TabulatedFamily
 from entroflow.flow import Trajectory
-from entroflow.geometry import ReparametrizedManifold, as_manifold, metric
+from entroflow.geometry import ReparametrizedManifold, as_manifold, metric, unit_velocity
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -107,13 +108,37 @@ def fd_flow_acceleration(system, A, step=1e-5):
 
 def identity_chart(system):
     """``system`` seen through the identity change of coordinates: the same
-    points and flow, integrated by RK4 as every reparametrized chart is."""
+    points and flow, integrated as its base's trajectory mapped row by row,
+    as every reparametrized chart is."""
     return ReparametrizedManifold(
         as_manifold(system),
         forward=lambda A: A,
         inverse=lambda B: B,
         jacobian=lambda A: np.eye(A.size),
     )
+
+
+def rk4_rows(system, A0, h, tau_max):
+    """Rows (tau, A) of the unit-speed flow from A0 at tau = k |h|, by
+    classical fixed-step RK4 of unit_velocity(point(A)); a negative h runs
+    the flow backwards.  It stops at tau_max, or before a step from sigma
+    below 2 |h|, which could reach the entropy maximum, where the field is
+    discontinuous."""
+    m = as_manifold(system)
+    A = np.asarray(A0, dtype=float)
+    taus, rows = [0.0], [A]
+    for k in range(1, int(tau_max / abs(h) + 1e-9) + 1):
+        pt = m.point(A)
+        if pt.sigma < 2.0 * abs(h):
+            break
+        k1 = unit_velocity(pt)
+        k2 = unit_velocity(m.point(A + 0.5 * h * k1))
+        k3 = unit_velocity(m.point(A + 0.5 * h * k2))
+        k4 = unit_velocity(m.point(A + h * k3))
+        A = A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        taus.append(k * abs(h))
+        rows.append(A)
+    return np.array(taus), np.array(rows)
 
 
 def random_tabulated(rng, n_dim=None, n_points=None):

@@ -469,6 +469,29 @@ class TestMain:
         assert len(stderr.splitlines()) == 1 and "StepCollapseError" in stderr
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("tau_max, message", [(600.0, "metric"), (1000.0, "arclength rate")])
+    def test_gas_overflow_exits_2_without_warning_or_artifacts(self, tmp_path, tau_max, message):
+        # with N fixed E = E0 exp(tau / sqrt(1.5)), so E^2 in the covariance
+        # overflows near tau = 435, before tau_max; by tau_max = 1000 the
+        # table of tau reaches t = exp(-u) = 0, where the rate is not finite
+        doc = {
+            "name": "gas", "mode": "single", "A0": [1.0],
+            "family": {"closed_form": "ideal-gas", "volume": 2.0, "fixed_n": 1.0},
+            "integrator": {"tau_max": tau_max, "h": 0.5},
+        }
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroflow.cli", "run", str(path),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "SingularModelError" in proc.stderr
+        assert message in proc.stderr
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_indefinite_ray_metric_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys
     ):

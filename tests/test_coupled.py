@@ -21,8 +21,7 @@ from entroflow import (
     solve_lambda,
     unit_velocity,
 )
-from entroflow import flow
-from helpers import composite_arclength, fd_metric_oracle, identity_chart, tabulated_mean
+from helpers import composite_arclength, fd_metric_oracle, rk4_rows, tabulated_mean
 
 
 def gas_energy_metric(energy):
@@ -218,15 +217,14 @@ class TestForceRayContinuation:
             ("gas_e_only_pair", [1.0]),
         ],
     )
-    def test_rows_match_rk4_in_the_identity_chart(self, request, pair, A0):
+    def test_rows_match_rk4(self, request, pair, A0):
         system = request.getfixturevalue(pair)
         ray = integrate(system, A0, tau_max=10.0)
-        rk4 = integrate(identity_chart(system), A0, tau_max=10.0)
-        # RK4's tau is a running sum of its steps, within rounding of k h
-        near = np.abs(ray.tau[:, None] - rk4.tau[None, :]) <= 1e-12
+        taus, rows_rk4 = rk4_rows(system, A0, 1e-3, 10.0)
+        near = np.abs(ray.tau[:, None] - taus[None, :]) <= 1e-12
         rows, partners = np.nonzero(near)
         assert len(rows) >= len(ray) - 20  # all but the landing rows
-        assert np.max(np.abs(ray.A[rows] - rk4.A[partners])) <= 1e-10
+        assert np.max(np.abs(ray.A[rows] - rows_rk4[partners])) <= 1e-10
 
     @pytest.mark.parametrize("margin", [1e-2, 1e-6, 1e-9])
     @pytest.mark.parametrize("one_row", [False, True], ids=["h=1e-3", "h=tau_max"])
@@ -328,23 +326,17 @@ class TestForceRayContinuation:
 
     def test_one_point_evaluation_per_run(self, bernoulli_pair, monkeypatch):
         # the start; every row comes from the families' batched forward maps
-        calls, steps = [], []
-        point, rk4_step = CompositeSystem.point, flow._rk4_step
+        calls = []
+        point = CompositeSystem.point
 
         def counting_point(self, *args, **kwargs):
             calls.append(None)
             return point(self, *args, **kwargs)
 
-        def counting_step(*args):
-            steps.append(None)
-            return rk4_step(*args)
-
         monkeypatch.setattr(CompositeSystem, "point", counting_point)
-        monkeypatch.setattr(flow, "_rk4_step", counting_step)
         traj = integrate(bernoulli_pair, [0.25], tau_max=2.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert len(calls) == 1
-        assert len(steps) == 0
 
     def test_table_pair_matches_rk4_and_both_families(self):
         # a 3 x 50 table paired with itself: no closed form anywhere, so the
@@ -356,13 +348,13 @@ class TestForceRayContinuation:
         A_T = A0 + tabulated_mean(weights, stats, rng.normal(0.0, 0.5, 3))
         pair = CompositeSystem(fam, fam, A_T)
         ray = integrate(pair, A0, tau_max=10.0, h=0.01)
-        rk4 = integrate(identity_chart(pair), A0, tau_max=10.0, h=0.01)
+        taus, rows_rk4 = rk4_rows(pair, A0, 0.01, 10.0)
         assert ray.terminal_status == "equilibrium-reached" and ray.sigma[-1] == 0.0
-        near = np.abs(ray.tau[:, None] - rk4.tau[None, :]) <= 1e-12
+        near = np.abs(ray.tau[:, None] - taus[None, :]) <= 1e-12
         rows, partners = np.nonzero(near)
         assert len(rows) >= len(ray) - 20  # all but the landing rows
         # RK4's own error at this spacing is 3e-10
-        assert np.max(np.abs(ray.A[rows] - rk4.A[partners])) <= 1e-9
+        assert np.max(np.abs(ray.A[rows] - rows_rk4[partners])) <= 1e-9
         for lam, lam_prime, A in zip(ray.lam, ray.lam_prime, ray.A):
             assert np.max(np.abs(fam.mean_parameters(lam) - A)) <= 1e-12
             assert np.max(np.abs(fam.mean_parameters(lam_prime) - (A_T - A))) <= 1e-12

@@ -40,12 +40,6 @@ class TestSolveLambda:
     def test_gaussian_inversion(self, gaussian):
         assert solve_lambda(gaussian, [-2.0])[0] == pytest.approx(2.0, abs=1e-12)
 
-    def test_warm_start_agrees_with_cold(self, two_point):
-        cold = solve_lambda(two_point, [0.3])
-        warm = solve_lambda(two_point, [0.3], init=cold + 1e-4)
-        assert cold[0] == pytest.approx(bernoulli_lambda(0.3), abs=1e-12)
-        assert np.max(np.abs(cold - warm)) <= 1e-10
-
     def test_infeasible_bernoulli(self, bernoulli):
         for bad in ([0.0], [1.0], [1.5], [-0.2]):
             with pytest.raises(InfeasibleMeanError):

@@ -153,6 +153,11 @@ RAY_RATE_IDS = ["bernoulli", "bernoulli-far", "gaussian", "gaussian3",
                 "table1x4", "table2x6", "table3x50", "table-offset-1e6"]
 
 
+GAS_CASES = [(IdealGasFamily(2.0), np.array([0.75, -0.4])),
+             (IdealGasFamily(2.0, fixed_n=1.5), np.array([2.25]))]
+GAS_IDS = ["gas", "gas-fixed-n"]
+
+
 def covariance_rate(fam, lam0, t):
     return math.sqrt(float(lam0 @ fam.covariance(t * lam0) @ lam0))
 
@@ -187,10 +192,14 @@ class TestRayRate:
         with pytest.raises(DomainError):
             fam.ray_rate(bad)
 
-    def test_ideal_gas_declares_no_kernel(self, ideal_gas):
-        # its natural domain excludes lam = 0, so no ray ends at a maximum
-        with pytest.raises(NotImplementedError):
-            ideal_gas.ray_rate([1.0, 0.5])
+    @pytest.mark.parametrize("fam, lam0", GAS_CASES, ids=GAS_IDS)
+    def test_ideal_gas_kernel_matches_the_covariance(self, fam, lam0):
+        # its natural domain excludes lam = 0, where f diverges like 1 / t
+        ts = np.array([1e-3, 0.5, 1.0])
+        want = np.array([covariance_rate(fam, lam0, t) for t in ts])
+        assert np.all(np.abs(fam.ray_rate(lam0)(ts) - want) <= 1e-13 * want)
+        with pytest.raises(DomainError):
+            fam.ray_rate(-lam0)
 
 
 def states_oracle(fam, lam0, ts):
@@ -239,9 +248,16 @@ class TestRayStates:
             for got, single in zip(whole, states(np.array([t]))):
                 assert np.array_equal(got[i], single[0])
 
-    def test_ideal_gas_declares_no_states(self, ideal_gas):
-        with pytest.raises(NotImplementedError):
-            ideal_gas.ray_states([1.0, 0.5])
+    @pytest.mark.parametrize("fam, lam0", GAS_CASES, ids=GAS_IDS)
+    def test_ideal_gas_states_match_its_closed_forms(self, fam, lam0):
+        ts = np.array([1e-3, 0.5, 1.0])
+        A, S, g, g_inv = fam.ray_states(lam0)(ts)
+        for i, t in enumerate(ts):
+            want_A, want_cov = fam.mean_parameters(t * lam0), fam.covariance(t * lam0)
+            assert np.all(np.abs(A[i] / want_A - 1.0) <= 1e-13)
+            assert abs(S[i] - fam.entropy_surface(want_A)) <= 1e-13 * abs(S[i])
+            assert np.all(np.abs(g_inv[i] - want_cov) <= 1e-13 * np.max(np.abs(want_cov)))
+            assert np.allclose(g[i] @ want_cov, np.eye(fam.n_dim), rtol=0.0, atol=1e-11)
 
 
 def natural_states_cases():

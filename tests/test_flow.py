@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from entroflow import (
     AtEquilibriumError,
@@ -13,6 +14,7 @@ from entroflow import (
     CompositeSystem,
     FamilyManifold,
     GaussianMeanFamily,
+    IdealGasFamily,
     MonotonicityError,
     ReparametrizedManifold,
     StepCollapseError,
@@ -26,13 +28,13 @@ from entroflow import (
     unit_velocity,
     write_trajectory_csv,
 )
-from entroflow import duality, flow
-from entroflow.errors import InfeasibleMeanError
+from entroflow import duality
 from entroflow.family import DiscreteSpace, TabulatedFamily
-from entroflow.geometry import ManifoldPoint, MetricTensor, StateManifold
+from entroflow.geometry import StateManifold
 from helpers import (
     count_calls,
     identity_chart,
+    rk4_rows,
     synthetic_trajectory,
     tabulated_equilibrium_tau,
     tabulated_mean,
@@ -187,12 +189,15 @@ class TestIntegrate:
         assert np.max(np.abs(thin.A[-1] - full.A[-1])) <= 1e-12
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
-        # RK4 (a chart) stops in the threshold window; the ray of a single
-        # family ends at the maximum itself
+        # a chart's run is its base's, so a chart of the Bernoulli pair ends
+        # at the maximum itself, at sqrt(2) pi/6, as the single family does
+        # at pi/6; like a chart's points, its rows have no subsystem-2 columns
         chart = identity_chart(bernoulli_pair)
         for sigma_eq in (1e-6, 1e-8):
             traj = integrate(chart, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
-            assert sigma_eq <= traj.sigma[-1] <= 2.0 * sigma_eq
+            assert traj.sigma[-1] == 0.0
+            assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
+            assert traj.A_prime is None and traj.lam_prime is None
             traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert traj.sigma[-1] == 0.0
 
@@ -200,33 +205,27 @@ class TestIntegrate:
     def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
         # the single Gaussian starts at sigma = |a0|; a flat pair with
         # A_total = 0 has force -2 A and metric 2, so sigma = sqrt(2) |A|
-        # and the same sigma starts at A = a0 / sqrt(2); RK4 runs it in the
-        # identity chart
+        # and the same sigma starts at A = a0 / sqrt(2), |a0| from the
+        # maximum too; it runs in the identity chart
         pair = identity_chart(CompositeSystem(gaussian, gaussian, [0.0]))
         traj = integrate(pair, [a0 / math.sqrt(2.0)], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert 1e-8 <= traj.sigma[-1] <= 2e-8
+        assert traj.sigma[-1] == 0.0
+        assert abs(traj.tau[-1] - abs(a0)) <= 1e-12 * abs(a0)
         # the single Gaussian's ray ends at the maximum, |a0| away
         traj = integrate(gaussian, [a0], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert traj.sigma[-1] == 0.0
         assert abs(traj.tau[-1] - abs(a0)) <= 1e-12 * abs(a0)
 
-    def test_convergence_order_at_least_3_5(self, bernoulli_pair):
-        # fixed-tau endpoint isolates RK4 from the stopping rule; in the
-        # identity chart over two equal Bernoulli halves arcsin sqrt(A)
-        # advances at rate 1 / (2 sqrt 2)
-        chart = identity_chart(bernoulli_pair)
-        exact = math.sin(math.pi / 6.0 + 0.5 / (2.0 * math.sqrt(2.0))) ** 2
-        errs = []
+    def test_pair_rows_meet_the_closed_form_at_any_spacing(self, bernoulli_pair):
+        # over two equal Bernoulli halves arcsin sqrt(A) advances at rate
+        # 1 / (2 sqrt 2), so A = sin^2(pi/6 + tau / (2 sqrt 2)) at every row
         for h in (8e-3, 4e-3, 2e-3):
-            t = integrate(chart, [0.25], tau_max=0.5, h=h)
+            t = integrate(bernoulli_pair, [0.25], tau_max=0.5, h=h)
             assert abs(t.tau[-1] - 0.5) <= 1e-12
-            errs.append(abs(t.A[-1, 0] - exact))
-        order1 = math.log2(errs[0] / errs[1])
-        order2 = math.log2(errs[1] / errs[2])
-        assert order1 >= 3.5
-        assert order2 >= 3.5
+            exact = np.sin(math.pi / 6.0 + t.tau / (2.0 * math.sqrt(2.0))) ** 2
+            assert np.max(np.abs(t.A[:, 0] - exact)) <= 1e-12
 
     def test_reparametrization_covariance(self, bernoulli):
         rep = ReparametrizedManifold(
@@ -236,28 +235,21 @@ class TestIntegrate:
             jacobian=lambda A: np.array([[2.0 * A[0]]]),
         )
         t_a = integrate(bernoulli, [0.25], tau_max=2.0)  # the exact ray
-        t_b = integrate(rep, [0.0625], tau_max=2.0)  # RK4 in the chart
-        # both trace A(tau) = sin^2(pi/6 + tau/2) at every row
+        t_b = integrate(rep, [0.0625], tau_max=2.0)  # the ray mapped into the chart
+        taus, B = rk4_rows(rep, [0.0625], 1e-3, 2.0)  # RK4 in the chart
+        # all three trace A(tau) = sin^2(pi/6 + tau/2) at every row
         assert np.all(np.abs(t_a.A[:, 0] - np.sin(math.pi / 6.0 + 0.5 * t_a.tau) ** 2) <= 1e-12)
-        assert np.all(np.abs(np.sqrt(t_b.A[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * t_b.tau) ** 2) <= 1e-5)
-        assert abs(t_a.tau[-1] - math.pi / 6.0) <= 1e-7
-        assert abs(t_b.tau[-1] - math.pi / 6.0) <= 1e-7
+        assert np.all(np.abs(np.sqrt(t_b.A[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * t_b.tau) ** 2) <= 1e-12)
+        assert np.all(np.abs(np.sqrt(B[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * taus) ** 2) <= 1e-5)
+        assert abs(t_a.tau[-1] - math.pi / 6.0) <= 1e-12
+        assert abs(t_b.tau[-1] - math.pi / 6.0) <= 1e-12
 
     def test_time_reversal_decreases_entropy(self, bernoulli):
-        # backward integration is not a supported mode; trace the reversed
-        # field with a local RK4 to check the orientation of the flow
-        def reversed_field(A):
-            return -unit_velocity(as_manifold(bernoulli).point(A))
-
-        A = np.array([0.25])
-        h = 1e-3
-        for _ in range(100):  # tau = 0.1 backward
-            k1 = reversed_field(A)
-            k2 = reversed_field(A + 0.5 * h * k1)
-            k3 = reversed_field(A + 0.5 * h * k2)
-            k4 = reversed_field(A + h * k3)
-            A = A + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert entropy(bernoulli, A) < entropy(bernoulli, [0.25])
+        # backward integration is not a supported mode; trace the flow
+        # backwards with the RK4 oracle to check the orientation of the flow
+        _, A = rk4_rows(bernoulli, [0.25], -1e-3, 0.1)
+        assert len(A) == 101
+        assert entropy(bernoulli, A[-1]) < entropy(bernoulli, [0.25])
 
     def test_concurrent_trajectories_share_one_family(self, bernoulli):
         # families are immutable: concurrent integrations must agree with
@@ -374,42 +366,54 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert peak < 1 << 20
 
-    def test_tabulated_run_solves_once_and_takes_no_rk4_step(self, tabulated_3x50, monkeypatch):
+    def test_tabulated_run_solves_once(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
         # the start, then forward maps only
-        solves, steps = [], []
-        solve_lambda, rk4_step = duality.solve_lambda, flow._rk4_step
+        solves = []
+        solve_lambda = duality.solve_lambda
 
         def counting_solve(*args, **kwargs):
             solves.append(None)
             return solve_lambda(*args, **kwargs)
 
-        def counting_step(*args):
-            steps.append(None)
-            return rk4_step(*args)
-
         monkeypatch.setattr(duality, "solve_lambda", counting_solve)
-        monkeypatch.setattr(flow, "_rk4_step", counting_step)
         fam, A0, _ = tabulated_3x50
         traj = integrate(fam, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert len(solves) == 1 and len(steps) == 0
+        assert len(solves) == 1
 
-    def test_tabulated_landing_needs_no_extra_rk4_steps(self, two_point, monkeypatch):
-        # RK4 runs on a pair of tables in the identity chart: every step but
-        # a few halvings is an accepted, recorded sample
-        calls = []
-        rk4_step = flow._rk4_step
+    def test_fixed_n_gas_rows_are_the_closed_form_grid(self):
+        # the gas's entropy has no maximum and, with N fixed, sigma is
+        # sqrt(1.5 N) all along the ray, so E = E0 exp(tau / sqrt(1.5 N));
+        # the run ends at tau_max with the tau_max / h + 1 rows MAX_SAMPLES
+        # counts on
+        traj = integrate(IdealGasFamily(2.0, fixed_n=1.0), [1.0], tau_max=50.0, h=0.5)
+        assert traj.terminal_status == "tau-budget-exhausted"
+        assert len(traj) == 101 and traj.tau[-1] == 50.0
+        assert np.max(np.abs(traj.A[:, 0] / np.exp(traj.tau / math.sqrt(1.5)) - 1.0)) <= 1e-13
 
-        def counting(*args):
-            calls.append(None)
-            return rk4_step(*args)
+    def test_gas_rows_meet_rk4_and_the_quadrature_of_its_rate(self, ideal_gas):
+        # f(t)^2 = N(t) (3.75 / t^2 + 3 lam_N / t + lam_N^2) along lam = t lam0,
+        # with N(t) = V (1.5 / (t lam_E))^1.5 exp(-t lam_N)
+        A0 = [1.0, 0.5]
+        traj = integrate(ideal_gas, A0, tau_max=2.0)
+        assert traj.terminal_status == "tau-budget-exhausted" and len(traj) == 2001
+        taus, rows = rk4_rows(ideal_gas, A0, 1e-3, 2.0)
+        assert np.array_equal(taus, traj.tau)
+        assert np.max(np.abs(traj.A / rows - 1.0)) <= 1e-12
+        lam_e, lam_n = 1.5 * 0.5 / 1.0, math.log(2.0 / 0.5) + 1.5 * math.log(1.0 / 0.5)
 
-        monkeypatch.setattr(flow, "_rk4_step", counting)
-        chart = identity_chart(CompositeSystem(two_point, two_point, [1.0]))
-        traj = integrate(chart, [0.25], tau_max=2.0)
-        assert traj.terminal_status == "equilibrium-reached"
-        assert len(calls) <= len(traj) + 5
+        def states(t):
+            number = ideal_gas.volume * (1.5 / (t * lam_e)) ** 1.5 * math.exp(-t * lam_n)
+            rate = math.sqrt(number * (3.75 / t**2 + 3.0 * lam_n / t + lam_n**2))
+            return np.array([1.5 * number / (t * lam_e), number]), rate
+
+        for k in range(50, len(traj), 50):
+            t = 1.0
+            for _ in range(8):  # Newton's method on tau(t) = int_t^1 f
+                t += (quad(lambda s: states(s)[1], t, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+                      - traj.tau[k]) / states(t)[1]
+            assert np.max(np.abs(traj.A[k] / states(t)[0] - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
     def test_bernoulli_terminal_tau_is_exact_at_any_spacing(self, bernoulli, h):
@@ -435,36 +439,45 @@ class TestIntegrate:
         assert np.all(traj.sigma[:-1] > 2e-8)
         assert entropy_production_check(traj).max_residual <= 1e-4
 
-    def test_step_collapse_carries_partial_trajectory(self):
-        class Hostile(StateManifold):
-            """Feasible only on a sliver so every step eventually fails."""
+    def test_chart_collapse_carries_the_start_row_in_the_chart(self, bernoulli_pair, monkeypatch):
+        # every batch of Bernoulli states after the first 20 is NaN, so the
+        # pair's Newton solve stalls; in the chart B = 2 A the start row
+        # the error carries is B0, with the force halved
+        states, calls = BernoulliFamily.natural_states, []
 
-            def __init__(self):
-                self.inner = FamilyManifold(BernoulliFamily())
+        def failing_states(self, lams):
+            calls.append(None)
+            out = states(self, lams)
+            return tuple(x * math.nan for x in out) if len(calls) > 20 else out
 
-            @property
-            def dim(self):
-                return 1
+        monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
+        chart = ReparametrizedManifold(bernoulli_pair, forward=lambda A: 2.0 * A,
+                                       inverse=lambda B: 0.5 * B, jacobian=lambda A: 2.0 * np.eye(1))
+        with pytest.raises(StepCollapseError) as err:
+            integrate(chart, [0.5], tau_max=2.0)
+        partial = err.value.trajectory
+        assert partial.terminal_status == "error" and len(partial) == 1
+        assert partial.A[0, 0] == 0.5 and partial.lam_prime is None
+        assert partial.lam[0, 0] == pytest.approx(0.5 * as_manifold(bernoulli_pair).point([0.25]).force[0])
+
+    def test_other_state_manifolds_raise_type_error(self):
+        class Plain(StateManifold):
+            """A manifold with points but neither a ray nor a base chart."""
+
+            inner = FamilyManifold(BernoulliFamily())
+            dim = 1
 
             def check_feasible(self, A):
-                A = np.atleast_1d(np.asarray(A, dtype=float))
-                if A[0] > 0.2501:
-                    raise InfeasibleMeanError("sliver boundary")
-                return A
+                return self.inner.check_feasible(A)
 
-            def point(self, A, warm=None):
-                self.check_feasible(A)
-                return self.inner.point(A, warm=warm)
+            def point(self, A):
+                return self.inner.point(A)
 
             def entropy(self, A):
                 return self.inner.entropy(A)
 
-        with pytest.raises(StepCollapseError) as err:
-            integrate(Hostile(), [0.25], tau_max=1.0)
-        partial = err.value.trajectory
-        assert partial is not None
-        assert partial.terminal_status == "error"
-        assert len(partial) >= 1
+        with pytest.raises(TypeError, match="Plain"):
+            integrate(Plain(), [0.25], tau_max=1.0)
 
 
 def oracle_t(weights, stats, lam0, taus, tau_eq):
