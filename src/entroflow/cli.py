@@ -82,7 +82,6 @@ class ScenarioConfig:
     h: float
     tau_max: float
     sigma_eq: float
-    record_every: int
     outputs: OutputPaths
     analyses: tuple[AnalysisSpec, ...] = field(default_factory=tuple)
     base_dir: Path = Path(".")
@@ -92,7 +91,7 @@ _TOP_KEYS = {
     "name", "mode", "family", "families", "A0", "A_total",
     "integrator", "outputs", "analyses",
 }
-_INTEGRATOR_KEYS = {"h", "tau_max", "sigma_eq", "record_every"}
+_INTEGRATOR_KEYS = {"h", "tau_max", "sigma_eq"}
 _OUTPUT_KEYS = {"trajectory_csv", "summary_json", "onsager_json"}
 _FAMILY_KEYS = {
     "closed_form", "dim", "volume", "fixed_n",
@@ -348,10 +347,6 @@ def parse_config(path) -> ScenarioConfig:
             f"{tau_max / MAX_SAMPLES:.3g}, got {h:.3g}"
         )
     sigma_eq = positive("sigma_eq", 1e-8)
-    record_every = integ.get("record_every", 1)
-    if not isinstance(record_every, int) or isinstance(record_every, bool) or record_every < 1:
-        violations.append("integrator.record_every must be an integer >= 1")
-        record_every = 1
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -389,7 +384,6 @@ def parse_config(path) -> ScenarioConfig:
         h=h,
         tau_max=tau_max,
         sigma_eq=sigma_eq,
-        record_every=record_every,
         outputs=paths,
         analyses=analyses,
         base_dir=path.resolve().parent,
@@ -480,9 +474,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     or when the output directory cannot be made or written, with the
     diagnostic on ``log`` (``sys.stderr`` when None).  Artifacts are
     renamed into place only once all of them are written, so a failed run
-    leaves none behind.  That includes a StepCollapseError: the partial
-    trajectory it carries is not written, since rows and a summary of a
-    run that did not finish would read like a finished one.
+    leaves none behind.
     """
     if log is None:
         log = sys.stderr
@@ -491,14 +483,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         system = _check_config(cfg)
-        traj = integrate(
-            system,
-            cfg.A0,
-            tau_max=cfg.tau_max,
-            h=cfg.h,
-            sigma_eq=cfg.sigma_eq,
-            record_every=cfg.record_every,
-        )
+        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
 
         # Every analysis runs before the first artifact is written, so a
         # failing analysis leaves no partial artifact set behind.

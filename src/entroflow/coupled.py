@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import StepCollapseError
 from .family import ExponentialFamily, as_vector
-from .geometry import FamilyManifold, ManifoldPoint, MetricTensor, StateManifold
+from .geometry import (
+    FamilyManifold, ManifoldPoint, MetricTensor, StateManifold, _inverses, _symmetrize,
+)
 
 __all__ = ["CompositeSystem", "PairRay"]
 
@@ -46,24 +48,6 @@ _RAY_TRIALS = 500
 _RAY_HALVINGS = 60
 #: Most nodes one Newton iteration holds, which bounds its temporaries.
 _RAY_RUN = 1024
-
-
-def _inverses(m: np.ndarray) -> np.ndarray:
-    """Batched inverses, NaN for the matrices that are exactly singular."""
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        out = np.full_like(m, np.nan)
-        for i, mi in enumerate(m):
-            try:
-                out[i] = np.linalg.inv(mi)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.transpose(0, 2, 1))
 
 
 class CompositeSystem(StateManifold):
@@ -145,8 +129,9 @@ class CompositeSystem(StateManifold):
 
 class PairRay:
     """The curve F(A) = t F0 of ``system`` through the state whose
-    subsystem 1 has natural parameter ``lam`` at t = 1, with the family
-    contracts of ``ray_rate`` and ``ray_states`` in ``rate`` and ``states``.
+    subsystem 1 has natural parameter ``lam`` at t = 1, with the contract
+    of a family's ``ray_rate`` in ``rate`` and the states of the flow's
+    rows in ``states``.
 
     Each node is solved in subsystem 1's natural parameter l by a batched,
     damped Newton iteration; see the module docstring.  The nodes solved so
@@ -167,10 +152,10 @@ class PairRay:
         return np.sqrt(np.maximum(np.einsum("i,kij,j->k", self.F0, g_inv, self.F0), 0.0))
 
     def states(self, ts: np.ndarray):
-        """(A, S, g, g_inv, columns) at each t: the means A of subsystem 1,
-        the total entropies, the metrics g_T and their inverses, and the
-        ``Trajectory`` columns lam = l, lam' = l - t F0, A' = A_T - A and the
-        conservation residual."""
+        """(A, S, g_inv, columns) at each t: the means A of subsystem 1, the
+        total entropies, the inverse metrics g_T^-1 and the ``Trajectory``
+        columns lam = l, lam' = l - t F0, A' = A_T - A and the conservation
+        residual."""
         l, A, g_inv, S = self.solve(ts)
         A_total = self.system.A_total
         A_prime = A_total - A
@@ -180,7 +165,7 @@ class PairRay:
             "A_prime": A_prime,
             "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1),
         }
-        return A, S, _sym(_inverses(g_inv)), g_inv, columns
+        return A, S, g_inv, columns
 
     def _evaluate(self, l: np.ndarray, shift: np.ndarray):
         """At nodes l (rows) with forces t F0 = ``shift``: the means A, total
@@ -209,7 +194,7 @@ class PairRay:
             state = {
                 "A": A,
                 "S": S + S2,
-                "g_inv": _sym(cov @ inv @ cov2),
+                "g_inv": _symmetrize(cov @ inv @ cov2),
                 "step": step,
                 "phi": terms[0] + terms[1] - terms[2] - terms[3] + terms[4],
                 "decrease": np.einsum("ki,ki->k", residual, step),

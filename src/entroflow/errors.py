@@ -33,15 +33,7 @@ class AtEquilibriumError(EntroflowError):
 
 class StepCollapseError(EntroflowError):
     """The integrator's quadrature, or a coupled pair's Newton solve of its
-    nodes, did not converge.
-
-    When raised by the integrator, the ``trajectory`` attribute holds the
-    start row alone (terminal status ``"error"``).
-    """
-
-    def __init__(self, message: str, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    nodes, did not converge."""
 
 
 class TooFewSamplesError(EntroflowError):

@@ -107,10 +107,9 @@ class ExponentialFamily(ABC):
     check it again.  A family without ``neg_entropy_third`` must provide
     ``cumulants``, from which the geometry builds the connection.  The flow
     samples a family's force ray lam = t lam0 with two batched hooks:
-    ``ray_rate``, the arclength rate at an array of t, and ``ray_states``,
-    the mean, entropy, metric and inverse metric there.  ``ray_states``
-    defaults to ``natural_states``, the batched forward map that a coupled
-    pair's Newton solve of its nodes runs on as well.
+    ``ray_rate``, the arclength rate at an array of t, and
+    ``natural_states``, the forward map that gives its rows at t lam0 and
+    that a coupled pair's Newton solve of its nodes runs on as well.
     """
 
     @property
@@ -214,35 +213,6 @@ class ExponentialFamily(ABC):
         non-finite, so a batched solver can halve its step instead.
         """
         raise NotImplementedError(f"{type(self).__name__} declares no natural_states")
-
-    def ray_states(self, lam0):
-        """The states along the ray lam = t lam0, as a function that maps an
-        array of k values of t to (A, S, g, g_inv): the means (k, n_dim),
-        the entropies (k,), the metrics -Hess S (k, n_dim, n_dim) and their
-        inverses, the statistics covariances; by default from
-        ``natural_states`` at each t lam0.
-
-        lam0 is one that ``ray_rate`` has accepted and is not checked again.
-        The metrics are not checked either: the caller checks them all at
-        once.
-        """
-        lam0 = np.asarray(lam0, dtype=float)
-
-        def states(ts):
-            A, S, cov = self.natural_states(np.multiply.outer(ts, lam0) + 0.0)
-            return A, S, _metrics_of(cov, ts), cov
-
-        return states
-
-
-def _metrics_of(cov: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The metrics, the symmetrized inverses of the covariances at each t."""
-    try:
-        g = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        t = ts[np.argmin(np.abs(np.linalg.det(cov)))]
-        raise SingularModelError(f"statistics covariance is singular at {t:.6g} lam0") from None
-    return 0.5 * (g + g.transpose(0, 2, 1))
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -413,40 +383,20 @@ class TabulatedFamily(ExponentialFamily):
         """From one max-shifted exponential over the table per row, in runs
         of rows that keep each temporary within RAY_CHUNK entries: the mean
         c + <a - c>, S = log Z + lam . A = top + log z + lam . <a - c> and
-        the centred covariance."""
+        the centred covariance.  The exponents lam . (a - c) take one
+        vector-matrix product per row, so a row comes out the same whatever
+        rows share its run; one matrix product for the run rounds a row
+        differently with the run's length."""
         lams = np.asarray(lams, dtype=float)
         k, n_dim = len(lams), self._n_dim
         A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
         for rows in _chunks(k, len(self._log_weights)):
             lam = lams[rows]
-            w, z, top = self._weights(lam @ self._shifted)
+            w, z, top = self._weights(np.matmul(lam[:, None, :], self._shifted)[:, 0])
             mean, cov[rows] = self._moments(w, z)
             A[rows] = self._shift + mean
             S[rows] = top + np.log(z) + np.einsum("kd,kd->k", mean, lam)
         return A, S, cov
-
-    def ray_states(self, lam0):
-        """From one exponential over the table per t: the probabilities, the
-        mean c + <a - c>, S = log Z + lam . A = top + log z + t lam0 . <a - c>,
-        and the centred covariance, whose inverse is the metric."""
-        lam0 = np.asarray(lam0, dtype=float)
-        n_dim = self._n_dim
-        y = lam0 @ self._shifted
-
-        def moments(t):
-            w, z, top = self._weights(np.multiply.outer(t, y))
-            mean, cov = self._moments(w, z)
-            S = top + np.log(z) + t * np.einsum("kd,d->k", mean, lam0)
-            return self._shift + mean, S, cov
-
-        def states(ts):
-            k = len(ts)
-            A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
-            for rows in _chunks(k, len(y)):
-                A[rows], S[rows], cov[rows] = moments(ts[rows])
-            return A, S, _metrics_of(cov, ts), cov
-
-        return states
 
     def log_density(self, lam, x) -> float:
         lam = self.check_natural_domain(lam)

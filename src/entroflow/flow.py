@@ -12,7 +12,9 @@ the standard deviation of the projected statistic lam0 . a.  So the rows
 need no sequential walk: ``integrate`` builds one table of tau(t) from
 adaptive Gauss-Lobatto panels of the family's batched ``ray_rate`` kernel,
 places the t of every row at once against it, and forms A, S and the
-metric of all rows in one call of the family's batched ``ray_states``.
+covariance of all rows in one call of the family's batched
+``natural_states`` at t lam0; the metric of every row is that covariance's
+inverse.
 The run ends at t = 0, the maximum lam = 0, at its exact tau; near it the
 rows go on with sigma halving down to 2 sigma_eq.
 
@@ -20,8 +22,9 @@ A coupled pair has a Hessian metric too, g_T = g + g', and its force
 F(A) = lam(A) - lam'(A_T - A) has dF/dA = -g_T, so its trajectory is the
 curve F(A) = t F0, t from 1 down to 0, and tau(t) is again a fixed
 integral, of f = (F0 . g_T^-1 . F0)^(1/2).  ``integrate`` runs it through
-the same table, placement and landing; the pair's kernels solve each node
-in subsystem 1's natural parameter by a batched Newton iteration on the
+the same table, placement and landing, with g_T^-1 from its states
+kernel in place of the covariance; the pair's kernels solve each node in
+subsystem 1's natural parameter by a batched Newton iteration on the
 families' forward maps (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
@@ -52,7 +55,7 @@ from .coupled import CompositeSystem, PairRay
 from .family import ExponentialFamily, as_vector
 from .geometry import (
     FamilyManifold, ManifoldPoint, ReparametrizedManifold, StateManifold, _check_spd,
-    as_manifold,
+    _inverses, _symmetrize, as_manifold,
 )
 
 __all__ = [
@@ -85,11 +88,14 @@ class Trajectory:
     """An intrinsic-time trajectory stored as columns, one row per sample.
 
     ``tau`` has shape (n,); ``A`` and ``lam`` have shape (n, d); ``S``,
-    ``sigma`` and ``speed`` (g_{ab} v^a v^b of the unit velocity v, at a
-    maximum that ends a ray its limit along the ray) have shape (n,).  For
-    a coupled system ``A_prime`` and ``lam_prime`` hold subsystem 2's state
+    ``sigma`` and ``speed`` have shape (n,).  ``speed`` is g_{ab} v^a v^b of
+    the unit velocity v (at a maximum that ends a ray, its limit along the
+    ray), with g inverted per row from the covariance that also gives
+    sigma, so it is 1 by construction and checks that inversion.  For a
+    coupled system ``A_prime`` and ``lam_prime`` hold subsystem 2's state
     and force and ``conservation_residual`` the per-sample max|A + A' - A_T|;
-    all three are None for a single system.
+    all three are None for a single system.  ``terminal_status`` is
+    ``equilibrium-reached`` or ``tau-budget-exhausted``.
     """
 
     tau: np.ndarray
@@ -98,7 +104,7 @@ class Trajectory:
     S: np.ndarray
     sigma: np.ndarray
     speed: np.ndarray
-    terminal_status: str  # equilibrium-reached | tau-budget-exhausted | error
+    terminal_status: str
     A_prime: np.ndarray | None = None
     lam_prime: np.ndarray | None = None
     conservation_residual: np.ndarray | None = None
@@ -110,15 +116,6 @@ class Trajectory:
 def _speed(pt: ManifoldPoint) -> float:
     v = pt.metric.raise_form(pt.force) / pt.sigma
     return pt.metric.squared_norm_of_vector(v)
-
-
-def _start_row(manifold: StateManifold, pt: ManifoldPoint) -> Trajectory:
-    """The trajectory of the start alone, as a run that failed reports it."""
-    return Trajectory(
-        tau=np.zeros(1), A=pt.A[None, :], S=np.array([pt.S]), sigma=np.array([pt.sigma]),
-        speed=np.array([_speed(pt)]), terminal_status="error",
-        **manifold.trajectory_columns([pt]),
-    )
 
 
 def _checked(rate, ts: np.ndarray) -> np.ndarray:
@@ -261,9 +258,9 @@ def _open_table(rate, sigma: float, tau_max: float, span: float):
     def t_of(xs):
         return np.exp(span * (xs - 1.0))
 
-    def rate_x(xs):  # dtau/dx = span t f(t)
+    def rate_x(xs):  # dtau/dx = span t f(t), f checked at its own t
         ts = t_of(xs)
-        return span * ts * rate(ts)
+        return span * ts * _checked(rate, ts)
 
     table = _RayTable(rate_x, span * sigma)
     if table.tau_eq > tau_max:
@@ -276,10 +273,11 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
     """The ray F = t F0 from ``start`` at t = 1, given its ``table`` of tau
     and its ``states`` kernel: rows at k * spacing below tau_eq (the last one
     ``tau_max`` once within half a spacing of it), landing rows and the
-    maximum, all from one call of ``states``.  A ray without a maximum has
-    its table in a variable that ``t_of`` maps to t and ends at ``tau_max``.
-    A composite's ``states`` returns its own force columns after the four of
-    a family's."""
+    maximum, all from one call of ``states``, which maps the rows' t to
+    their means A, entropies S and inverse metrics g_inv, and for a
+    composite its own force columns after them.  Every row's metric is
+    formed, symmetrized and checked here.  A ray without a maximum has its
+    table in a variable that ``t_of`` maps to t and ends at ``tau_max``."""
     F0 = start.force
     targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
     near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
@@ -298,7 +296,8 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
             halved, taus = table.landing(*last, sigma_eq)
             ts = np.concatenate([ts, halved, [0.0]])
             targets = np.concatenate([targets, taus, [table.tau_eq]])
-    A, S, g, g_inv, *columns = states(ts)
+    A, S, g_inv, *columns = states(ts)
+    g = _symmetrize(_inverses(g_inv))
     _check_metrics(ts, g)
     force = np.multiply.outer(ts, F0) + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
     sigma = np.sqrt(np.maximum(((force[:, None, :] @ g_inv) @ force[:, :, None])[:, 0, 0], 0.0))
@@ -348,7 +347,6 @@ def integrate(
     tau_max: float,
     h: float = 1e-3,
     sigma_eq: float = 1e-8,
-    record_every: int = 1,
 ) -> Trajectory:
     """Integrate the unit-speed entropy-gradient flow from A0.
 
@@ -358,17 +356,17 @@ def integrate(
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
     A0, and a ``CompositeSystem`` on the curve F(A) = t F0 from its one
     point at A0 (see the module docstring).  Either way the rows come from
-    one table of tau(t) and sit at tau = k * h * ``record_every``.  Where
-    the next such row would lie past the entropy maximum or have sigma at
-    most ``2 * sigma_eq``, rows go on with sigma halving while it exceeds
-    ``2 * sigma_eq``.  The run ends with status ``equilibrium-reached`` at
-    the maximum itself (t = 0, sigma = 0, at its exact tau), or
-    ``tau-budget-exhausted`` at ``tau_max``, as it always does for a family
-    without a maximum (the ideal gas).  An arclength rate that is not finite
-    and > 0, or a metric that is not finite and positive definite, raises
-    SingularModelError.  A quadrature, or a composite's Newton solve of its
-    nodes, that does not converge raises StepCollapseError, whose trajectory
-    holds only the start row.
+    one table of tau(t), sit at tau = k * h and take their states from one
+    batched call: the family's ``natural_states`` at t lam0, or the pair's
+    ``states``.  Where the next such row would lie past the entropy maximum
+    or have sigma at most ``2 * sigma_eq``, rows go on with sigma halving
+    while it exceeds ``2 * sigma_eq``.  The run ends with status
+    ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its
+    exact tau), or ``tau-budget-exhausted`` at ``tau_max``, as it always
+    does for a family without a maximum (the ideal gas).  An arclength rate
+    that is not finite and > 0, or a metric that is not finite and positive
+    definite, raises SingularModelError.  A quadrature, or a composite's Newton solve of its
+    nodes, that does not converge raises StepCollapseError.
 
     A ``ReparametrizedManifold`` gets its base's trajectory from the base
     point of A0, mapped into the chart; any other ``StateManifold`` raises
@@ -381,16 +379,12 @@ def integrate(
         raise ValueError(f"h must be finite and > 0, got {h}")
     if not sigma_eq > 0.0:
         raise ValueError(f"sigma_eq must be > 0, got {sigma_eq}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
 
     manifold = as_manifold(system)
     if isinstance(manifold, ReparametrizedManifold):
-        settings = dict(tau_max=tau_max, h=h, sigma_eq=sigma_eq, record_every=record_every)
-        try:
-            return _mapped(manifold, integrate(manifold.base, manifold.to_base(A0), **settings))
-        except StepCollapseError as exc:
-            raise StepCollapseError(str(exc), trajectory=_mapped(manifold, exc.trajectory)) from None
+        base = integrate(manifold.base, manifold.to_base(A0), tau_max=tau_max, h=h,
+                         sigma_eq=sigma_eq)
+        return _mapped(manifold, base)
     if not isinstance(manifold, (FamilyManifold, CompositeSystem)):
         raise TypeError("integrate takes a family, a CompositeSystem or a chart of either, "
                         f"not a {type(manifold).__name__}")
@@ -400,20 +394,21 @@ def integrate(
         raise AtEquilibriumError(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
-    try:
-        if isinstance(manifold, CompositeSystem):
-            ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
-            table, states, t_of = _RayTable(ray.rate, pt.sigma), ray.states, None
+    if isinstance(manifold, CompositeSystem):
+        ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
+        table, states, t_of = _RayTable(ray.rate, pt.sigma), ray.states, None
+    else:
+        family, lam0 = manifold.family, pt.force
+        rate = family.ray_rate(lam0)
+
+        def states(ts):
+            return family.natural_states(np.multiply.outer(ts, lam0) + 0.0)
+
+        if _has_maximum(family):
+            table, t_of = _RayTable(rate, pt.sigma), None
         else:
-            family = manifold.family
-            rate, states = family.ray_rate(pt.force), family.ray_states(pt.force)
-            if _has_maximum(family):
-                table, t_of = _RayTable(rate, pt.sigma), None
-            else:
-                table, t_of = _open_table(rate, pt.sigma, tau_max, 1.0)
-        return _ray(manifold, table, states, pt, tau_max, h * record_every, sigma_eq, t_of)
-    except StepCollapseError as exc:
-        raise StepCollapseError(str(exc), trajectory=_start_row(manifold, pt)) from None
+            table, t_of = _open_table(rate, pt.sigma, tau_max, 1.0)
+    return _ray(manifold, table, states, pt, tau_max, h, sigma_eq, t_of)
 
 
 def nonuniform_first_derivative(

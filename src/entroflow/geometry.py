@@ -50,7 +50,22 @@ SIGMA_MIN = 1e-10
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """The symmetric part of a matrix, or of each of a stack of them."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """Batched inverses, NaN for the matrices that are exactly singular."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        out = np.full_like(m, np.nan)
+        for i, mi in enumerate(m):
+            try:
+                out[i] = np.linalg.inv(mi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:

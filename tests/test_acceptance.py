@@ -41,14 +41,7 @@ def catalog_runs():
     for name in catalog_names():
         cfg = parse_config(catalog_path(name))
         system = build_system(cfg)
-        traj = integrate(
-            system,
-            cfg.A0,
-            tau_max=cfg.tau_max,
-            h=cfg.h,
-            sigma_eq=cfg.sigma_eq,
-            record_every=cfg.record_every,
-        )
+        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
         runs[name] = (cfg, system, traj)
     return runs
 
@@ -182,8 +175,8 @@ def test_c07_onsager_reciprocity(rng):
     # the force one-form decays parallel to itself along any single
     # trajectory, so the empirical estimate pools matched-sigma windows
     # from two starts with different (conserved) force directions
-    t1 = integrate(system, [0.8, 0.7], tau_max=10.0, record_every=5)
-    t2 = integrate(system, [1.45, 0.6], tau_max=10.0, record_every=5)
+    t1 = integrate(system, [0.8, 0.7], tau_max=10.0, h=5e-3)
+    t2 = integrate(system, [1.45, 0.6], tau_max=10.0, h=5e-3)
 
     def center_at_sigma(traj, target):
         return int(np.argmin(np.abs(traj.sigma - target)))

@@ -51,7 +51,6 @@ class TestParseConfig:
         assert cfg.h == 1e-3
         assert cfg.tau_max == 2.0
         assert cfg.sigma_eq == 1e-8
-        assert cfg.record_every == 1
         assert cfg.outputs.trajectory_csv == "b.csv"
         assert cfg.outputs.summary_json == "b-summary.json"
         assert isinstance(build_system(cfg), BernoulliFamily)
@@ -341,6 +340,20 @@ class TestMain:
         assert main(["run", str(path), "--output-dir", str(out)]) == (1 if form == "inline" else 2)
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_record_every_is_an_unknown_key(self, tmp_path, capsys):
+        # rows sit at k h, so a thinning factor would only multiply h
+        doc = dict(MINIMAL, integrator={"tau_max": 2.0, "record_every": 5})
+        path = write_config(tmp_path, doc)
+        line = 1 + next(i for i, text in enumerate(path.read_text().splitlines())
+                        if '"record_every"' in text)
+        message = f"ParseError: unknown key 'integrator.record_every' (line {line})"
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_step_below_the_sample_budget_exits_1(self, tmp_path, capsys):
         # tau_max / h = 2e12 samples: rejected before anything runs
         path = write_config(tmp_path, dict(MINIMAL, integrator={"tau_max": 2.0, "h": 1e-12}))
@@ -445,8 +458,7 @@ class TestMain:
 
     def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # every batch of Bernoulli states after the first 20 is NaN, so the
-        # Newton solve of the pair's nodes stalls; the trajectory the error
-        # carries holds only the start row, and it is not written
+        # Newton solve of the pair's nodes stalls, and run writes nothing
         states, calls = BernoulliFamily.natural_states, []
 
         def failing_states(self, lams):
@@ -456,10 +468,8 @@ class TestMain:
 
         monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
         cfg = parse_config(catalog_path("bernoulli-coupled"))
-        with pytest.raises(StepCollapseError) as err:
+        with pytest.raises(StepCollapseError):
             integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max)
-        assert err.value.trajectory.terminal_status == "error"
-        assert len(err.value.trajectory) == 1
         calls.clear()
         capsys.readouterr()
         out = tmp_path / "out"
@@ -495,21 +505,17 @@ class TestMain:
     def test_indefinite_ray_metric_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys
     ):
-        # one row's metric is negative: the batched check names its t
-        states = BernoulliFamily.ray_states
+        # one row's covariance, and so its metric, is negative: the batched
+        # check names its t
+        states = BernoulliFamily.natural_states
 
-        def broken(self, lam0):
-            inner = states(self, lam0)
+        def broken(self, lams):
+            A, S, cov = states(self, lams)
+            cov = cov.copy()
+            cov[len(lams) // 2] = -1.0
+            return A, S, cov
 
-            def rows(ts):
-                A, S, g, g_inv = inner(ts)
-                g = g.copy()
-                g[len(ts) // 2] = -1.0
-                return A, S, g, g_inv
-
-            return rows
-
-        monkeypatch.setattr(BernoulliFamily, "ray_states", broken)
+        monkeypatch.setattr(BernoulliFamily, "natural_states", broken)
         out = tmp_path / "out"
         assert main(["run", str(catalog_path("bernoulli-relax")), "--output-dir", str(out)]) == 2
         stderr = capsys.readouterr().err

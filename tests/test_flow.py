@@ -17,6 +17,7 @@ from entroflow import (
     IdealGasFamily,
     MonotonicityError,
     ReparametrizedManifold,
+    SingularModelError,
     StepCollapseError,
     TooFewSamplesError,
     as_manifold,
@@ -179,14 +180,6 @@ class TestIntegrate:
         )
         assert t.S[k] == pytest.approx(entropy(bernoulli, t.A[k]), abs=1e-12)
         assert t.sigma[k] == pytest.approx(sigma(bernoulli, t.A[k]), abs=1e-12)
-
-    def test_record_every_thins_but_keeps_terminal(self, bernoulli):
-        full = integrate(bernoulli, [0.25], tau_max=2.0)
-        thin = integrate(bernoulli, [0.25], tau_max=2.0, record_every=10)
-        assert len(thin) < len(full)
-        assert thin.tau[0] == 0.0
-        assert abs(thin.tau[-1] - full.tau[-1]) <= 1e-9
-        assert np.max(np.abs(thin.A[-1] - full.A[-1])) <= 1e-12
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
         # a chart's run is its base's, so a chart of the Bernoulli pair ends
@@ -439,10 +432,10 @@ class TestIntegrate:
         assert np.all(traj.sigma[:-1] > 2e-8)
         assert entropy_production_check(traj).max_residual <= 1e-4
 
-    def test_chart_collapse_carries_the_start_row_in_the_chart(self, bernoulli_pair, monkeypatch):
+    def test_chart_collapse_raises_the_bases_error(self, bernoulli_pair, monkeypatch):
         # every batch of Bernoulli states after the first 20 is NaN, so the
-        # pair's Newton solve stalls; in the chart B = 2 A the start row
-        # the error carries is B0, with the force halved
+        # pair's Newton solve stalls, and the chart of the pair raises as
+        # the pair does
         states, calls = BernoulliFamily.natural_states, []
 
         def failing_states(self, lams):
@@ -453,12 +446,23 @@ class TestIntegrate:
         monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
         chart = ReparametrizedManifold(bernoulli_pair, forward=lambda A: 2.0 * A,
                                        inverse=lambda B: 0.5 * B, jacobian=lambda A: 2.0 * np.eye(1))
-        with pytest.raises(StepCollapseError) as err:
+        with pytest.raises(StepCollapseError, match="the pair"):
             integrate(chart, [0.5], tau_max=2.0)
-        partial = err.value.trajectory
-        assert partial.terminal_status == "error" and len(partial) == 1
-        assert partial.A[0, 0] == 0.5 and partial.lam_prime is None
-        assert partial.lam[0, 0] == pytest.approx(0.5 * as_manifold(bernoulli_pair).point([0.25]).force[0])
+
+    def test_open_table_names_the_t_where_the_rate_fails(self, monkeypatch):
+        # the gas's table is in x = 1 - u / span with t = exp(-u); a rate
+        # that is NaN below t = 1e-3 first fails at x = 0 of span 8, at
+        # t = exp(-8), and the error names that t, not x
+        gas = IdealGasFamily(2.0, fixed_n=1.0)
+        rate = IdealGasFamily.ray_rate
+
+        def failing_rate(self, lam0):
+            inner = rate(self, lam0)
+            return lambda ts: np.where(ts < 1e-3, math.nan, inner(ts))
+
+        monkeypatch.setattr(IdealGasFamily, "ray_rate", failing_rate)
+        with pytest.raises(SingularModelError, match=r"at t = 0\.000335 on the ray"):
+            integrate(gas, [1.0], tau_max=10.0, h=0.5)
 
     def test_other_state_manifolds_raise_type_error(self):
         class Plain(StateManifold):
@@ -495,28 +499,25 @@ class TestRayRowsAgainstOracle:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_dim=st.integers(1, 3),
-        h=st.sampled_from([0.01, 0.03, 0.1]),
-        record_every=st.integers(1, 3),
+        h=st.sampled_from([0.01, 0.02, 0.03, 0.06, 0.09, 0.1, 0.2, 0.3]),
         budget=st.sampled_from(["past the maximum", "before the maximum", "within one spacing"]),
     )
-    def test_rows(self, seed, n_dim, h, record_every, budget):
+    def test_rows(self, seed, n_dim, h, budget):
         rng = np.random.default_rng(seed)
         n_points = int(rng.integers(n_dim + 2, 9))
         weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
         fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
-        spacing = h * record_every
         u = rng.normal(size=n_dim)
         u /= np.linalg.norm(u)
         if budget == "within one spacing":
             # tau_eq is about the rate at the maximum times the scale of lam0
             rate = math.sqrt(float(u @ tabulated_states(weights, stats, [0.0 * u])[2][0] @ u))
-            lam0 = rng.uniform(0.1, 0.9) * spacing / rate * u
+            lam0 = rng.uniform(0.1, 0.9) * h / rate * u
         else:
             lam0 = rng.uniform(0.3, 1.5) * u
         tau_eq = tabulated_equilibrium_tau(weights, stats, lam0)
         tau_max = tau_eq * rng.uniform(0.3, 0.9) if budget == "before the maximum" else tau_eq + 1.0
-        traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=tau_max, h=h,
-                         record_every=record_every)
+        traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=tau_max, h=h)
 
         # every row's state is the oracle's at the oracle's t(tau)
         t = oracle_t(weights, stats, lam0, traj.tau, tau_eq)
@@ -530,15 +531,15 @@ class TestRayRowsAgainstOracle:
             assert traj.terminal_status == "equilibrium-reached"
             assert abs(traj.tau[-1] - tau_eq) <= 1e-12
             assert traj.sigma[-1] == 0.0 and np.all(traj.sigma[:-1] > 2e-8)
-            grid = math.ceil(tau_eq / spacing) - 1
+            grid = math.ceil(tau_eq / h) - 1
             # the landing rows halve t, so lam and, near the maximum, sigma
             landing = slice(grid, len(traj) - 1)
             assert np.array_equal(traj.lam[landing][1:], 0.5 * traj.lam[landing][:-1])
             sigma = traj.sigma[landing]
             assert np.all(np.abs(sigma[1:] / sigma[:-1] - 0.5) <= 0.1)
             assert sigma[-1] <= 4.4e-8
-        # grid rows sit at exactly k * spacing
-        assert np.array_equal(traj.tau[1:grid + 1], np.arange(1, grid + 1) * spacing)
+        # grid rows sit at exactly k * h
+        assert np.array_equal(traj.tau[1:grid + 1], np.arange(1, grid + 1) * h)
 
 
 class TestEntropyProduction:

@@ -101,15 +101,13 @@ class TestEmpiricalOnsager:
     def test_single_trajectory_cannot_resolve_two_directions(self, equal_gas_pair):
         # the force one-form decays parallel to itself, so one trajectory
         # only probes one direction: the 2-D window is rank one
-        traj = integrate(
-            equal_gas_pair, [0.8, 0.7], tau_max=10.0, record_every=10
-        )
+        traj = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=1e-2)
         with pytest.raises(IllConditionedError):
             empirical_onsager(traj, 1.0, center=len(traj) // 2, window=5)
 
     def test_pooled_windows_recover_full_matrix(self, equal_gas_pair):
-        t1 = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, record_every=5)
-        t2 = integrate(equal_gas_pair, [1.45, 0.6], tau_max=10.0, record_every=5)
+        t1 = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=5e-3)
+        t2 = integrate(equal_gas_pair, [1.45, 0.6], tau_max=10.0, h=5e-3)
 
         def center_at_sigma(traj, target):
             return int(np.argmin(np.abs(traj.sigma - target)))
