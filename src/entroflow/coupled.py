@@ -130,8 +130,8 @@ class CompositeSystem(StateManifold):
 class PairRay:
     """The curve F(A) = t F0 of ``system`` through the state whose
     subsystem 1 has natural parameter ``lam`` at t = 1, with the contract
-    of a family's ``ray_rate`` in ``rate`` and the states of the flow's
-    rows in ``states``.
+    of a family's ``ray``: the arclength rate in ``rate`` and the states of
+    the flow's rows in ``states``.
 
     Each node is solved in subsystem 1's natural parameter l by a batched,
     damped Newton iteration; see the module docstring.  The nodes solved so

@@ -43,6 +43,7 @@ __all__ = [
     "BernoulliFamily",
     "GaussianMeanFamily",
     "IdealGasFamily",
+    "Ray",
     "tabulated_from_json",
 ]
 
@@ -106,10 +107,12 @@ class ExponentialFamily(ABC):
     a mean vector that has already passed ``check_feasible`` and do not
     check it again.  A family without ``neg_entropy_third`` must provide
     ``cumulants``, from which the geometry builds the connection.  The flow
-    samples a family's force ray lam = t lam0 with two batched hooks:
-    ``ray_rate``, the arclength rate at an array of t, and
-    ``natural_states``, the forward map that gives its rows at t lam0 and
-    that a coupled pair's Newton solve of its nodes runs on as well.
+    samples a family's force ray lam = t lam0 through ``ray(lam0)``, an
+    object whose batched ``rate`` gives the arclength rate and whose
+    ``states`` gives the rows at an array of t.  ``natural_states`` is the
+    batched forward map at arbitrary natural parameters: the rows of a
+    closed-form family's ray and the maps a coupled pair's Newton solve of
+    its nodes runs on.
     """
 
     @property
@@ -191,10 +194,10 @@ class ExponentialFamily(ABC):
             f"{type(self).__name__} declares neither neg_entropy_third nor cumulants"
         )
 
-    def ray_rate(self, lam0):
-        """The arclength rate along the ray lam = t lam0, as a function that
-        maps an array of t to f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) at
-        each t.
+    def ray(self, lam0) -> Ray:
+        """The ray lam = t lam0 as a ``Ray``: its arclength rate
+        f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) and its rows' states at
+        arrays of t.
 
         lam0 is checked once, here; the ray's points t lam0, 0 < t <= 1, then
         lie in the natural domain, which is convex and holds lam = 0, or (the
@@ -202,7 +205,7 @@ class ExponentialFamily(ABC):
         the family is the one-parameter family of the projected statistic
         y = lam0 . a, and f is the standard deviation of y.
         """
-        raise NotImplementedError(f"{type(self).__name__} declares no ray_rate")
+        raise NotImplementedError(f"{type(self).__name__} declares no ray")
 
     def natural_states(self, lams):
         """The means A (k, n_dim), entropies S = log Z + lam . A (k,) and
@@ -213,6 +216,19 @@ class ExponentialFamily(ABC):
         non-finite, so a batched solver can halve its step instead.
         """
         raise NotImplementedError(f"{type(self).__name__} declares no natural_states")
+
+
+class Ray:
+    """A family's ray lam = t lam0 with a given arclength-rate kernel:
+    ``rate(ts)`` is f at each t of an array, and ``states(ts)`` the means A
+    (k, n_dim), entropies S (k,) and covariances (k, n_dim, n_dim) of the
+    rows at those t, the family's ``natural_states`` at t lam0."""
+
+    def __init__(self, family: ExponentialFamily, lam0: np.ndarray, rate):
+        self.family, self.lam0, self.rate = family, lam0, rate
+
+    def states(self, ts: np.ndarray):
+        return self.family.natural_states(np.multiply.outer(ts, self.lam0) + 0.0)
 
 
 def _log_sum_exp(values: np.ndarray) -> float:
@@ -226,14 +242,162 @@ def _log_sum_exp(values: np.ndarray) -> float:
 #: centred statistics, and (2 * 1e100)^3 is still a finite double.
 MAX_STATISTIC = 1e100
 #: Most table entries a batched ray evaluation holds in one temporary; the
-#: t values are taken in runs of max(1, RAY_CHUNK // n_points).
+#: t values are taken in runs of max(1, RAY_CHUNK // width), width the
+#: entries one t takes (the table's points, or a binned ray's moments).
 RAY_CHUNK = 1 << 14
+#: Width of a bin of the projected statistic y on a binned ray.  Each bin is
+#: expanded about its weight-mean of y, which lies in the bin, so every
+#: offset d from it has |t d| < BIN_WIDTH for 0 <= t <= 1.
+BIN_WIDTH = 0.5
 
 
-def _chunks(k: int, n_points: int):
-    """Slices of range(k) in runs of at most RAY_CHUNK // n_points."""
-    step = max(1, RAY_CHUNK // n_points)
+def _taylor_terms(radius: float, bound: float = 2.0**-60) -> int:
+    """The fewest terms K of exp(x) about 0 whose remainder for |x| <= radius,
+    at most radius^K / (K! (1 - radius / (K + 1))), is below ``bound`` times
+    exp(-radius), the least exp(x) there; the truncation error of a sum of
+    positive weights times exp(x) is then below ``bound`` of the sum."""
+    k, term = 0, 1.0  # radius^k / k!
+    while term / (1.0 - radius / (k + 1)) >= bound * math.exp(-radius):
+        k += 1
+        term *= radius / k
+    return k
+
+
+#: Taylor terms of each bin's moments: 17 for BIN_WIDTH = 0.5.
+TAYLOR_TERMS = _taylor_terms(BIN_WIDTH)
+#: A table's ray is binned when its bins' Taylor terms, B * TAYLOR_TERMS,
+#: are at most this share of its points; otherwise it sums over the points.
+BINNED_SHARE = 0.25
+
+
+def _chunks(k: int, width: int):
+    """Slices of range(k) in runs of at most RAY_CHUNK // width."""
+    step = max(1, RAY_CHUNK // width)
     return (slice(lo, lo + step) for lo in range(0, k, step))
+
+
+def _on_unit_interval(ts: np.ndarray) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))  # NaN included
+    if np.any(outside):
+        raise ValueError(f"a binned ray is expanded for 0 <= t <= 1, got t = {ts[outside][0]}")
+    return ts
+
+
+def _bin_moments(w: np.ndarray, delta: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 *stats: np.ndarray):
+    """For each statistics matrix X of ``stats`` (p, n), over the bins of
+    points [starts, ends) with weights w and offsets ``delta`` from their
+    centres: each bin's weight-mean of the rows of X (p, B) and its moments
+    (TAYLOR_TERMS, 1 + p + p (p + 1) / 2, B) of 1, of u and of the lower
+    triangle of u u^T, all from one running product per run of points of
+    one bin."""
+    z = np.add.reduceat(w, starts)
+    means = [np.array([np.add.reduceat(w * x, starts) / z for x in X]) for X in stats]
+    pairs = [np.tril_indices(len(X)) for X in stats]
+    widths = np.cumsum([0] + [1 + len(X) + len(i) for X, (i, _) in zip(stats, pairs)])
+    M = np.zeros((TAYLOR_TERMS, widths[-1], len(starts)))
+    steps = 1.0 / np.arange(1, TAYLOR_TERMS)[:, None]
+    run = max(1, RAY_CHUNK // max(TAYLOR_TERMS, widths[-1]))
+    segments = [(b, lo, min(hi, lo + run))
+                for b, (first, hi) in enumerate(zip(starts.tolist(), ends.tolist()))
+                for lo in range(first, hi, run)]
+    for b, lo, hi in segments:
+        terms = np.empty((TAYLOR_TERMS, hi - lo))
+        terms[0] = w[lo:hi]
+        np.multiply(delta[lo:hi], steps, out=terms[1:])
+        for k in range(1, TAYLOR_TERMS):
+            terms[k] *= terms[k - 1]  # m d^k / k!
+        q = []
+        for X, mean, (i, j) in zip(stats, means, pairs):
+            u = X[:, lo:hi] - mean[:, b, None]
+            q += [np.ones((1, hi - lo)), u, u[i] * u[j]]
+        M[:, :, b] += terms @ np.vstack(q).T
+    return [(mean, np.ascontiguousarray(M[:, first:last]))
+            for mean, first, last in zip(means, widths[:-1], widths[1:])]
+
+
+class _BinnedRay:
+    """A table's ray lam = t lam0 from per-bin Taylor moments, read once.
+
+    The points are grouped into bins of y = lam0 . (a - c) of width
+    BIN_WIDTH; bin b holds weights m scaled by its largest and is centred on
+    its weight-mean y_b, so y = y_b + d with |t d| < BIN_WIDTH.  For each
+    statistic vector X (y alone for the rate, a - c for the states) each
+    bin keeps its weight-mean X_b and the moments
+
+        M_k[q] = sum over the bin of m d^k / k! q,  q in {1, u, u u^T},
+
+    with u = X - X_b, k < TAYLOR_TERMS, built with one running product over
+    k.  At t the bin's sums of m e^(-t d) q are then the Horner sums
+    sum_k (-t)^k M_k[q], exact to 2^-60 of their absolute sums; those sums
+    are at most e times the sums they give, so rounding stays at a few
+    ulps.  Each bin weighs e^(top_b - t y_b) z_b, top_b its largest
+    log-weight and z_b its sum of 1; the heaviest bin r has the largest
+    log of that weight, and the others are weighed against it by
+    z_b / z_r exp((top_b - top_r) - t (y_b - y_r)).  Their means
+    and covariances are combined by the within-plus-between update of
+    Chan, Golub and LeVeque.  Every step at t is elementwise or a sum over
+    the bins, so a row does not depend on the other t of its call."""
+
+    def __init__(self, family: TabulatedFamily, lam0: np.ndarray, y: np.ndarray,
+                 order: np.ndarray, starts: np.ndarray):
+        self.family, self.lam0 = family, lam0
+        ends = np.append(starts[1:], len(y))
+        bins = np.repeat(np.arange(len(starts)), ends - starts)
+        log_w = family._log_weights[order]
+        self._top = np.maximum.reduceat(log_w, starts)
+        w = np.exp(log_w - self._top[bins])
+        y = y[order]
+        self._centre = np.add.reduceat(w * y, starts) / np.add.reduceat(w, starts)
+        self._rate, self._states = _bin_moments(
+            w, y - self._centre[bins], starts, ends, y[None, :], family._shifted[:, order]
+        )
+
+    def _sums(self, ts: np.ndarray, mean: np.ndarray, M: np.ndarray):
+        """log Z_c, the mean and the covariance of the statistics whose bin
+        means and moments are ``mean`` and ``M`` (see ``_bin_moments``) at
+        each t, in runs that keep each temporary within RAY_CHUNK entries."""
+        p = len(mean)
+        i, j = np.tril_indices(p)
+        log_z, means, cov = np.empty(len(ts)), np.empty((len(ts), p)), np.empty((len(ts), p, p))
+        for rows in _chunks(len(ts), M[0].size):
+            t = ts[rows, None]
+            sums = M[-1] * -t[:, :, None] + M[-2]
+            for moment in M[-3::-1]:
+                sums *= -t[:, :, None]
+                sums += moment
+            z_b = sums[:, 0]
+            # each bin's weight relative to the heaviest bin r: a ratio of
+            # sums times e^((top_b - top_r) - t (y_b - y_r)), an exponent
+            # that rounds at the scale of the differences, not of top_b
+            r = np.argmax(self._top - t * self._centre + np.log(z_b), axis=1)
+            at_r = np.arange(len(r)), r
+            weight = z_b / z_b[at_r][:, None] * np.exp(
+                (self._top - self._top[r, None]) - t * (self._centre - self._centre[r, None]))
+            z = np.add.reduce(weight, axis=1)
+            weight /= z[:, None]
+            log_z[rows] = self._top[r] - t[:, 0] * self._centre[r] + np.log(z_b[at_r] * z)
+            offset = sums[:, 1:p + 1] / z_b[:, None]  # the bins' mean u at t
+            within = sums[:, p + 1:] / z_b[:, None] - offset[:, i] * offset[:, j]
+            at_t = mean + offset
+            means[rows] = np.add.reduce(weight[:, None] * at_t, axis=2)
+            dev = at_t - means[rows, :, None]
+            pairs = np.add.reduce(weight[:, None] * (within + dev[:, i] * dev[:, j]), axis=2)
+            cov[rows, i, j] = cov[rows, j, i] = pairs
+        return log_z, means, cov
+
+    def rate(self, ts: np.ndarray) -> np.ndarray:
+        """The standard deviation of y at each t in [0, 1]."""
+        return np.sqrt(self._sums(_on_unit_interval(ts), *self._rate)[2][:, 0, 0])
+
+    def states(self, ts: np.ndarray):
+        """A = c + <a - c>, S = log Z_c + t lam0 . <a - c> and the
+        covariance at each t in [0, 1], as ``natural_states`` at t lam0."""
+        ts = _on_unit_interval(ts)
+        log_z, mean, cov = self._sums(ts, *self._states)
+        S = log_z + np.einsum("kd,kd->k", mean, np.multiply.outer(ts, self.lam0))
+        return self.family._shift + mean, S, cov
 
 
 class TabulatedFamily(ExponentialFamily):
@@ -251,7 +415,12 @@ class TabulatedFamily(ExponentialFamily):
                 f"statistic values must be finite and at most {MAX_STATISTIC:.0e} in magnitude"
             )
         n_dim = stats.shape[0]
-        if np.linalg.matrix_rank(stats) < n_dim:
+        # the rank of the d x n statistics is that of the R factor of their
+        # transpose, whose singular values cost far less than the table's
+        r = np.linalg.qr(stats.T, mode="r")
+        singular = np.linalg.svd(r, compute_uv=False)
+        tol = singular.max() * max(stats.shape) * np.finfo(float).eps
+        if np.count_nonzero(singular > tol) < n_dim:
             raise SingularModelError(
                 "statistics matrix is rank-deficient; the family is degenerate"
             )
@@ -360,10 +529,22 @@ class TabulatedFamily(ExponentialFamily):
                 cov[:, i, j] = cov[:, j, i] = np.einsum("kn,kn,kn->k", w, dev[i], dev[j])
         return mean, cov
 
-    def ray_rate(self, lam0):
-        """The standard deviation of y = lam0 . (a - c) under p(x|t lam0),
-        one exponential over the table per t."""
-        y = self.check_natural_domain(lam0) @ self._shifted
+    def ray(self, lam0):
+        """The ray's rate, the standard deviation of y = lam0 . (a - c) under
+        p(x|t lam0), and its rows' states, on one of two paths chosen from
+        the n points and the B bins of width BIN_WIDTH that y falls in.
+        Binned (B * TAYLOR_TERMS at most BINNED_SHARE of n): the table is
+        read once, into per-bin Taylor moments, and each t costs a Horner
+        sum over the bins (see ``_BinnedRay``; t must lie in [0, 1]).
+        Direct: each t is one max-shifted exponential over the table, the
+        rows ``natural_states`` at t lam0."""
+        lam0 = self.check_natural_domain(lam0)
+        y = lam0 @ self._shifted
+        cells = np.floor((y - np.min(y)) / BIN_WIDTH).astype(np.int64)
+        order = np.argsort(cells, kind="stable")
+        starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+        if len(starts) * TAYLOR_TERMS <= BINNED_SHARE * len(y):
+            return _BinnedRay(self, lam0, y, order, starts)
 
         def deviation(t):
             w, z, _ = self._weights(np.multiply.outer(t, y))
@@ -377,7 +558,7 @@ class TabulatedFamily(ExponentialFamily):
                 f[rows] = deviation(ts[rows])
             return f
 
-        return rate
+        return Ray(self, lam0, rate)
 
     def natural_states(self, lams):
         """From one max-shifted exponential over the table per row, in runs
@@ -440,16 +621,17 @@ class BernoulliFamily(ExponentialFamily):
             raise SingularModelError("bernoulli variance underflowed to zero")
         return np.array([[var]])
 
-    def ray_rate(self, lam0):
-        """|lam0| (p q)^(1/2), p and q the probabilities of x = 1 and 0."""
-        lam0 = float(self.check_natural_domain(lam0)[0])
-        size = abs(lam0)
+    def ray(self, lam0) -> Ray:
+        """Rate |lam0| (p q)^(1/2), p and q the probabilities of x = 1 and 0."""
+        lam0 = self.check_natural_domain(lam0)
+        slope = float(lam0[0])
+        size = abs(slope)
 
         def rate(ts):
-            lam = ts * lam0
+            lam = ts * slope
             return size * np.sqrt(np.exp(-np.logaddexp(0.0, lam) - np.logaddexp(0.0, -lam)))
 
-        return rate
+        return Ray(self, lam0, rate)
 
     def natural_states(self, lams):
         """From log p = -log(1 + e^lam) and log q = -log(1 + e^-lam): A = p,
@@ -526,11 +708,11 @@ class GaussianMeanFamily(ExponentialFamily):
         self.check_natural_domain(lam)
         return np.eye(self._dim)
 
-    def ray_rate(self, lam0):
-        """|lam0| at every t: the covariance is the identity."""
+    def ray(self, lam0) -> Ray:
+        """Rate |lam0| at every t: the covariance is the identity."""
         lam0 = self.check_natural_domain(lam0)
         size = math.sqrt(float(lam0 @ lam0))
-        return lambda ts: np.full(len(ts), size)
+        return Ray(self, lam0, lambda ts: np.full(len(ts), size))
 
     def natural_states(self, lams):
         """A = -lam, S = (dim/2) log(2 pi) - |A|^2 / 2 and the identity
@@ -691,21 +873,21 @@ class IdealGasFamily(ExponentialFamily):
             [[5.0 * energy**2 / (3.0 * number), energy], [energy, number]]
         )
 
-    def ray_rate(self, lam0):
-        """(1.5 N)^(1/2) / t with N fixed, else f^2 = N(t) (3.75 / t^2 +
+    def ray(self, lam0) -> Ray:
+        """Rate (1.5 N)^(1/2) / t with N fixed, else f^2 = N(t) (3.75 / t^2 +
         3 lam_N / t + lam_N^2) with N(t) = V (1.5 / (t lam_E))^1.5 e^(-t lam_N),
         lam0 = (lam_E, lam_N)."""
-        lam0 = self.check_natural_domain(lam0).tolist()
+        lam0 = self.check_natural_domain(lam0)
         if self.fixed_n is not None:
             size = math.sqrt(1.5 * self.fixed_n)
-            return lambda ts: size / ts
-        lam_e, lam_n = lam0
+            return Ray(self, lam0, lambda ts: size / ts)
+        lam_e, lam_n = lam0.tolist()
 
         def rate(ts):
             number = self.volume * (1.5 / (ts * lam_e)) ** 1.5 * np.exp(-ts * lam_n)
             return np.sqrt(number * (3.75 / ts**2 + 3.0 * lam_n / ts + lam_n**2))
 
-        return rate
+        return Ray(self, lam0, rate)
 
     def natural_states(self, lams):
         """E = 1.5 N / lam_E, N = V (1.5 / lam_E)^1.5 e^-lam_N unless fixed,
@@ -762,7 +944,9 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
         found.append(("points", "point labels must be unique"))
     if not isinstance(weights, list) or len(weights) != n:
         found.append(("weights", "weights must be a list matching points"))
-    else:
+    elif not (_numbers(weights) and all(map((0.0).__lt__, weights))):
+        # 0.0 < w is False for NaN, where min(weights) > 0 depends on order;
+        # the loop names the first offender
         for i, w in enumerate(weights):
             if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
                 found.append(("weights", f"weights[{i}] must be > 0, got {w!r}"))
@@ -772,11 +956,18 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
     else:
         for alpha, row in enumerate(stats):
             if not (isinstance(row, list) and len(row) == n
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                            for x in row)):
+                    and (_numbers(row)
+                         or all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                for x in row))):
                 found.append(("stats", f"stats[{alpha}] must list one number per point"))
                 break
     return found
+
+
+def _numbers(values: list) -> bool:
+    """Whether every value is an int or a float, and not a bool, checked at
+    C speed; a subclass of either fails here and is judged one by one."""
+    return set(map(type, values)) <= {int, float}
 
 
 def tabulated_from_json(source: str | Path) -> TabulatedFamily:

@@ -9,12 +9,17 @@ the force decays parallel to itself.  A single family's trajectory is
 therefore the ray lam = t lam0, t from 1 down to 0, and tau(t) is the fixed
 integral from t to 1 of the arclength rate f = (lam0 . Cov(t lam0) . lam0)^(1/2),
 the standard deviation of the projected statistic lam0 . a.  So the rows
-need no sequential walk: ``integrate`` builds one table of tau(t) from
-adaptive Gauss-Lobatto panels of the family's batched ``ray_rate`` kernel,
-places the t of every row at once against it, and forms A, S and the
-covariance of all rows in one call of the family's batched
-``natural_states`` at t lam0; the metric of every row is that covariance's
-inverse.
+need no sequential walk.  ``integrate`` reads one ray object, the family's
+``ray(lam0)``, through two batched kernels: it builds one table of tau(t)
+from adaptive Gauss-Lobatto panels of the ray's ``rate``, places the t of
+every row at once against it, and takes A, S and the covariance of all
+rows from one call of the ray's ``states``; the metric of every row is that
+covariance's inverse.  A closed-form family's rate is closed form and its
+states are its batched ``natural_states`` at t lam0.  A table's ray either
+reads the table once, into per-bin Taylor moments of y = lam0 . (a - c)
+that serve every node and row by a Horner sum over a few bins, or, where
+the bins would cost more than the points, sums over the points at each
+node and row (see ``TabulatedFamily.ray``).
 The run ends at t = 0, the maximum lam = 0, at its exact tau; near it the
 rows go on with sigma halving down to 2 sigma_eq.
 
@@ -22,10 +27,11 @@ A coupled pair has a Hessian metric too, g_T = g + g', and its force
 F(A) = lam(A) - lam'(A_T - A) has dF/dA = -g_T, so its trajectory is the
 curve F(A) = t F0, t from 1 down to 0, and tau(t) is again a fixed
 integral, of f = (F0 . g_T^-1 . F0)^(1/2).  ``integrate`` runs it through
-the same table, placement and landing, with g_T^-1 from its states
-kernel in place of the covariance; the pair's kernels solve each node in
-subsystem 1's natural parameter by a batched Newton iteration on the
-families' forward maps (see ``coupled``).
+the same table, placement and landing, reading a ``coupled.PairRay``, which
+has a family ray's contract, with g_T^-1 from its ``states`` in place of
+the covariance; the pair's kernels solve each node in subsystem 1's
+natural parameter by a batched Newton iteration on the families' forward
+maps (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
 t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is
@@ -355,12 +361,14 @@ def integrate(
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) is
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
     A0, and a ``CompositeSystem`` on the curve F(A) = t F0 from its one
-    point at A0 (see the module docstring).  Either way the rows come from
-    one table of tau(t), sit at tau = k * h and take their states from one
-    batched call: the family's ``natural_states`` at t lam0, or the pair's
-    ``states``.  Where the next such row would lie past the entropy maximum
-    or have sigma at most ``2 * sigma_eq``, rows go on with sigma halving
-    while it exceeds ``2 * sigma_eq``.  The run ends with status
+    point at A0 (see the module docstring).  Either way one ray object, the
+    family's ``ray(lam0)`` or a ``PairRay``, serves the run: its ``rate``
+    builds one table of tau(t) and places the rows, which sit at
+    tau = k * h, and one batched call of its ``states`` gives their A, S and
+    covariance (for a pair, g_T^-1 and the subsystem columns).  Where the
+    next such row would lie past the entropy maximum or have sigma at most
+    ``2 * sigma_eq``, rows go on with sigma halving while it exceeds
+    ``2 * sigma_eq``.  The run ends with status
     ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its
     exact tau), or ``tau-budget-exhausted`` at ``tau_max``, as it always
     does for a family without a maximum (the ideal gas).  An arclength rate
@@ -396,19 +404,14 @@ def integrate(
         )
     if isinstance(manifold, CompositeSystem):
         ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
-        table, states, t_of = _RayTable(ray.rate, pt.sigma), ray.states, None
+        open_ended = False
     else:
-        family, lam0 = manifold.family, pt.force
-        rate = family.ray_rate(lam0)
-
-        def states(ts):
-            return family.natural_states(np.multiply.outer(ts, lam0) + 0.0)
-
-        if _has_maximum(family):
-            table, t_of = _RayTable(rate, pt.sigma), None
-        else:
-            table, t_of = _open_table(rate, pt.sigma, tau_max, 1.0)
-    return _ray(manifold, table, states, pt, tau_max, h, sigma_eq, t_of)
+        ray, open_ended = manifold.family.ray(pt.force), not _has_maximum(manifold.family)
+    if open_ended:
+        table, t_of = _open_table(ray.rate, pt.sigma, tau_max, 1.0)
+    else:
+        table, t_of = _RayTable(ray.rate, pt.sigma), None
+    return _ray(manifold, table, ray.states, pt, tau_max, h, sigma_eq, t_of)
 
 
 def nonuniform_first_derivative(

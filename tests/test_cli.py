@@ -25,7 +25,7 @@ from entroflow.cli import (
     run_scenario,
 )
 from entroflow.coupled import CompositeSystem
-from entroflow.family import BernoulliFamily, TabulatedFamily
+from entroflow.family import BernoulliFamily, Ray, TabulatedFamily
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -530,7 +530,8 @@ class TestMain:
         # a rate of 0 would stall the ray's Newton step; it is diagnosed as a
         # singular covariance instead
         monkeypatch.setattr(
-            BernoulliFamily, "ray_rate", lambda self, lam0: lambda ts: np.zeros(len(ts))
+            BernoulliFamily, "ray",
+            lambda self, lam0: Ray(self, lam0, lambda ts: np.zeros(len(ts))),
         )
         out = tmp_path / "out"
         assert main(["run", str(catalog_path("bernoulli-relax")), "--output-dir", str(out)]) == 2

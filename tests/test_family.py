@@ -22,7 +22,11 @@ from entroflow import (
     solve_lambda,
     tabulated_from_json,
 )
-from helpers import fd_gradient, fd_hessian, random_tabulated, tabulated_states
+from entroflow import family as family_module
+from entroflow.family import _BinnedRay
+from helpers import (
+    fd_gradient, fd_hessian, long_double_ray, random_tabulated, tabulated_states,
+)
 
 
 def bernoulli_as_tabulated():
@@ -129,8 +133,20 @@ class TestCovariance:
             fam.covariance([0.5])
 
 
+def chunked_table():
+    """A 3x5000 table: RAY_CHUNK // 5000 = 3 rows of ``natural_states`` per
+    run, so 7 rows take three runs; its ray at TABLE_LAM0 is binned."""
+    rng = np.random.default_rng(5000)
+    weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
+    return TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+
+
+TABLE_LAM0 = 0.3 * np.array([0.6, -0.8, 0.0])
+
+
 def ray_rate_cases():
-    """(family, lam0) pairs: the closed forms and random tables, one of them
+    """(family, lam0) pairs: the closed forms, random tables, one of them
+    offset by 1e6, and a 3x5000 table, whose ray is binned, as it is and
     offset by 1e6."""
     rng = np.random.default_rng(31)
     cases = [
@@ -145,12 +161,16 @@ def ray_rate_cases():
     space = DiscreteSpace([0, 1, 2, 3], [1.0, 2.0, 0.5, 1.0])
     offset = TabulatedFamily(space, 1e6 + np.array([[0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 0.5, 0.0]]))
     cases.append((offset, np.array([0.6, -0.9])))
+    table = chunked_table()
+    cases.append((table, TABLE_LAM0))
+    cases.append((TabulatedFamily(table.space, 1e6 + table.stats), TABLE_LAM0))
     return cases
 
 
 RAY_RATE_CASES = ray_rate_cases()
 RAY_RATE_IDS = ["bernoulli", "bernoulli-far", "gaussian", "gaussian3",
-                "table1x4", "table2x6", "table3x50", "table-offset-1e6"]
+                "table1x4", "table2x6", "table3x50", "table-offset-1e6",
+                "table3x5000", "table3x5000-offset-1e6"]
 
 
 GAS_CASES = [(IdealGasFamily(2.0), np.array([0.75, -0.4])),
@@ -166,7 +186,7 @@ class TestRayRate:
     @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
     def test_matches_the_covariance(self, fam, lam0):
         ts = np.array([0.0, 1e-3, 0.5, 1.0])
-        got = fam.ray_rate(lam0)(ts)
+        got = fam.ray(lam0).rate(ts)
         want = np.array([covariance_rate(fam, lam0, t) for t in ts])
         assert got.shape == ts.shape
         assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -176,11 +196,11 @@ class TestRayRate:
     def test_matches_the_covariance_anywhere_on_the_ray(self, case, t):
         fam, lam0 = case
         want = covariance_rate(fam, lam0, t)
-        assert abs(fam.ray_rate(lam0)(np.array([t]))[0] - want) <= 1e-13 * want
+        assert abs(fam.ray(lam0).rate(np.array([t]))[0] - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
     def test_batched_call_equals_single_calls(self, fam, lam0):
-        rate = fam.ray_rate(lam0)
+        rate = fam.ray(lam0).rate
         ts = np.linspace(0.0, 1.0, 7)
         singles = [rate(np.array([t]))[0] for t in ts]
         assert rate(ts).tolist() == singles
@@ -190,16 +210,16 @@ class TestRayRate:
         bad = lam0.copy()
         bad[-1] = math.inf
         with pytest.raises(DomainError):
-            fam.ray_rate(bad)
+            fam.ray(bad)
 
     @pytest.mark.parametrize("fam, lam0", GAS_CASES, ids=GAS_IDS)
     def test_ideal_gas_kernel_matches_the_covariance(self, fam, lam0):
         # its natural domain excludes lam = 0, where f diverges like 1 / t
         ts = np.array([1e-3, 0.5, 1.0])
         want = np.array([covariance_rate(fam, lam0, t) for t in ts])
-        assert np.all(np.abs(fam.ray_rate(lam0)(ts) - want) <= 1e-13 * want)
+        assert np.all(np.abs(fam.ray(lam0).rate(ts) - want) <= 1e-13 * want)
         with pytest.raises(DomainError):
-            fam.ray_rate(-lam0)
+            fam.ray(-lam0)
 
 
 def states_oracle(fam, lam0, ts):
@@ -216,8 +236,8 @@ def states_oracle(fam, lam0, ts):
 
 
 def states_on_ray(fam, lam0, ts):
-    """``natural_states`` at t lam0 for each t, as the flow calls it."""
-    return fam.natural_states(np.multiply.outer(np.asarray(ts, dtype=float), lam0) + 0.0)
+    """The states of the ray's rows at each t, as the flow reads them."""
+    return fam.ray(lam0).states(np.asarray(ts, dtype=float))
 
 
 def assert_states_match(fam, lam0, ts):
@@ -231,14 +251,6 @@ def assert_states_match(fam, lam0, ts):
     assert np.all(np.abs(cov - want_cov) <= 1e-13 * scale)
 
 
-def chunked_table():
-    """A 3x5000 table: RAY_CHUNK // 5000 = 3 rows per run, so 7 rows take
-    three runs."""
-    rng = np.random.default_rng(5000)
-    weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
-    return TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
-
-
 class TestRayStates:
     @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
     def test_matches_the_moments(self, fam, lam0):
@@ -249,11 +261,7 @@ class TestRayStates:
     def test_matches_the_moments_anywhere_on_the_ray(self, case, t):
         assert_states_match(*case, [t])
 
-    @pytest.mark.parametrize(
-        "fam, lam0",
-        RAY_RATE_CASES + [(chunked_table(), 0.3 * np.array([0.6, -0.8, 0.0]))],
-        ids=RAY_RATE_IDS + ["table3x5000"],
-    )
+    @pytest.mark.parametrize("fam, lam0", RAY_RATE_CASES, ids=RAY_RATE_IDS)
     def test_batched_call_equals_single_calls(self, fam, lam0):
         ts = np.linspace(0.0, 1.0, 7)
         whole = states_on_ray(fam, lam0, ts)
@@ -270,6 +278,104 @@ class TestRayStates:
             assert np.all(np.abs(A[i] / want_A - 1.0) <= 1e-13)
             assert abs(S[i] - fam.entropy_surface(want_A)) <= 1e-13 * abs(S[i])
             assert np.all(np.abs(cov[i] - want_cov) <= 1e-13 * np.max(np.abs(want_cov)))
+
+
+def ray_tables():
+    """(weights, stats, lam0, binned) of tables whose rays take either path."""
+    rng = np.random.default_rng(50)
+    small = (rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50)), rng.normal(0.0, 0.8, 3), False)
+    table = chunked_table()
+    rng = np.random.default_rng(20)
+    centres = rng.normal(size=(3, 6))
+    clustered = (np.exp(rng.uniform(-20.0, 20.0, 5000)),
+                 centres[:, rng.integers(0, 6, 5000)] + 1e-3 * rng.normal(size=(3, 5000)),
+                 np.array([0.8, -0.5, 0.3]), True)
+    rng = np.random.default_rng(308)
+    spread = (rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000)),
+              np.array([20.0, -15.0, 8.0]), False)
+    rng = np.random.default_rng(8)
+    wide = (rng.uniform(0.5, 2.0, 5000), rng.normal(size=(8, 5000)),
+            0.1 * rng.normal(size=8), True)
+    return [small, (table.space.weights, table.stats, TABLE_LAM0, True), clustered, spread,
+            wide]
+
+
+RAY_TABLES = ray_tables()
+RAY_TABLE_IDS = ["table3x50", "table3x5000", "clustered3x5000", "spread3x5000", "table8x5000"]
+BINNED_TABLES = [case for case in RAY_TABLES if case[3]]
+BINNED_IDS = [name for name, case in zip(RAY_TABLE_IDS, RAY_TABLES) if case[3]]
+
+
+def ray_table(weights, stats):
+    return TabulatedFamily(DiscreteSpace(list(range(len(weights))), weights), stats)
+
+
+def ray_errors(ray, weights, stats, lam0, ts):
+    """The largest relative distances of the ray's f, A, S and covariance
+    from the long-double sums, each over the rows at ``ts``."""
+    f, A, S, cov = long_double_ray(weights, stats, lam0, ts)
+    got_A, got_S, got_cov = ray.states(ts)
+    ld = np.longdouble
+    return np.array([
+        np.max(np.abs(ray.rate(ts).astype(ld) - f) / f),
+        np.max(np.max(np.abs(got_A.astype(ld) - A), axis=1) / np.maximum(1.0, np.max(np.abs(A), axis=1))),
+        np.max(np.abs(got_S.astype(ld) - S) / np.abs(S)),
+        np.max(np.max(np.abs(got_cov.astype(ld) - cov), axis=(1, 2)) / np.max(np.abs(cov), axis=(1, 2))),
+    ], dtype=float)
+
+
+class TestTableRayPaths:
+    @pytest.mark.parametrize("weights, stats, lam0, binned", RAY_TABLES, ids=RAY_TABLE_IDS)
+    def test_the_path_follows_points_and_bins(self, weights, stats, lam0, binned):
+        # binned where the bins' Taylor terms are at most a quarter of the
+        # points: not on 50 points, nor where lam0 spreads y over hundreds
+        # of bins
+        assert isinstance(ray_table(weights, stats).ray(lam0), _BinnedRay) == binned
+
+    @pytest.mark.parametrize("case", BINNED_TABLES, ids=BINNED_IDS)
+    def test_binned_ray_matches_long_double_sums(self, monkeypatch, case):
+        # within 1e-15 of the long-double sums, and no farther from them
+        # than the direct kernel on the same ray, up to one rounding of the
+        # value itself
+        weights, stats, lam0, _ = case
+        fam, ts = ray_table(weights, stats), np.linspace(0.0, 1.0, 21)
+        binned_errors = ray_errors(fam.ray(lam0), weights, stats, lam0, ts)
+        monkeypatch.setattr(family_module, "BINNED_SHARE", 0.0)
+        direct = fam.ray(lam0)
+        assert not isinstance(direct, _BinnedRay)
+        direct_errors = ray_errors(direct, weights, stats, lam0, ts)
+        assert np.all(binned_errors <= 1e-15)
+        assert np.all(binned_errors <= direct_errors + np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "case, tol", [(RAY_TABLES[0], 1e-15), (RAY_TABLES[3], 2e-13)], ids=["table3x50", "spread3x5000"]
+    )
+    def test_direct_ray_matches_long_double_sums(self, case, tol):
+        # with |lam0| = 26, S = log Z + lam . A cancels terms of about 100
+        # to below 1 at t = 1, so it keeps only about 1e-13 of its size
+        weights, stats, lam0, _ = case
+        ts = np.linspace(0.0, 1.0, 21)
+        assert np.all(ray_errors(ray_table(weights, stats).ray(lam0), weights, stats, lam0, ts)
+                      <= tol)
+
+    @pytest.mark.parametrize("case", BINNED_TABLES, ids=BINNED_IDS)
+    def test_binned_batched_call_equals_single_calls(self, case):
+        weights, stats, lam0, _ = case
+        ray = ray_table(weights, stats).ray(lam0)
+        ts = np.linspace(0.0, 1.0, 7)
+        rates, whole = ray.rate(ts), ray.states(ts)
+        for i, t in enumerate(ts):
+            assert rates[i] == ray.rate(np.array([t]))[0]
+            for got, single in zip(whole, ray.states(np.array([t]))):
+                assert np.array_equal(got[i], single[0])
+
+    @pytest.mark.parametrize("t", [-1e-3, 1.0 + 1e-12, math.nan])
+    def test_binned_ray_takes_t_in_the_unit_interval(self, t):
+        weights, stats, lam0, _ = BINNED_TABLES[0]
+        ray = ray_table(weights, stats).ray(lam0)
+        for kernel in (ray.rate, ray.states):
+            with pytest.raises(ValueError, match="0 <= t <= 1"):
+                kernel(np.array([0.5, t]))
 
 
 def natural_states_cases():
@@ -313,6 +419,14 @@ class TestNaturalStates:
             assert abs(S[i] - entropy) <= 1e-13 * scale
             want = fam.covariance(lam)
             assert np.all(np.abs(cov[i] - want) <= 1e-13 * np.max(np.abs(want)))
+
+    def test_batched_call_equals_single_calls_across_runs(self):
+        fam = chunked_table()
+        lams = np.multiply.outer(np.linspace(0.0, 1.0, 7), TABLE_LAM0) + 0.0
+        whole = fam.natural_states(lams)
+        for i, lam in enumerate(lams):
+            for got, single in zip(whole, fam.natural_states(lam[None, :])):
+                assert np.array_equal(got[i], single[0])
 
     @pytest.mark.parametrize("fixed_n", [None, 1.5], ids=["gas-EN", "gas-E"])
     def test_rows_outside_the_gas_domain_are_not_finite(self, fixed_n):
@@ -442,6 +556,20 @@ class TestConstruction:
         with pytest.raises(SingularModelError):
             TabulatedFamily(space, [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
 
+    @pytest.mark.parametrize("n_points", [4, 50, 5000])
+    def test_a_statistic_that_sums_two_others_is_rejected(self, n_points):
+        rng = np.random.default_rng(n_points)
+        stats = rng.normal(size=(2, n_points))
+        space = DiscreteSpace(list(range(n_points)), rng.uniform(0.5, 2.0, n_points))
+        TabulatedFamily(space, stats)
+        with pytest.raises(SingularModelError, match="rank-deficient"):
+            TabulatedFamily(space, np.vstack([stats, stats[0] + stats[1]]))
+
+    def test_more_statistics_than_points_are_rejected(self):
+        space = DiscreteSpace([0, 1], [1.0, 1.0])
+        with pytest.raises(SingularModelError, match="rank-deficient"):
+            TabulatedFamily(space, [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
+
     def test_stats_shape_checked(self):
         space = DiscreteSpace([0, 1], [1.0, 1.0])
         with pytest.raises(ValueError):
@@ -470,6 +598,9 @@ class TestConstruction:
     def test_gas_volume_validation(self):
         with pytest.raises(ValueError):
             IdealGasFamily(volume=-1.0)
+
+
+FINITE_STATS = "statistic values must be finite and at most 1e+100 in magnitude"
 
 
 class TestJsonLoading:
@@ -524,6 +655,35 @@ class TestJsonLoading:
         doc = {"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]], field: value}
         with pytest.raises(ValidationError, match=field):
             tabulated_from_json(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "token, weight_message, stat_message",
+        [
+            ("NaN", "line 2: weights[{i}] must be > 0, got nan", FINITE_STATS),
+            ("Infinity", "all weights must be finite and > 0", FINITE_STATS),
+            ("true", "line 2: weights[{i}] must be > 0, got True",
+             "line 3: stats[1] must list one number per point"),
+            ("null", "line 2: weights[{i}] must be > 0, got None",
+             "line 3: stats[1] must list one number per point"),
+            ('"x"', "line 2: weights[{i}] must be > 0, got 'x'",
+             "line 3: stats[1] must list one number per point"),
+        ],
+        ids=["nan", "infinity", "true", "null", "string"],
+    )
+    @pytest.mark.parametrize("field", ["weights", "stats"])
+    def test_bad_entry_at_either_end(self, tmp_path, field, token, weight_message,
+                                     stat_message, index):
+        # the type-set check and the NaN-safe positivity check pass the
+        # table on, or fall back to the loop that names the first offender
+        weights, stats = ["1.0", "2.0", "0.5"], ["0.0", "1.0", "3.0"]
+        (weights if field == "weights" else stats)[index] = token
+        raw = ('{"points": ["a", "b", "c"],\n "weights": [%s],\n'
+               ' "stats": [[1.0, -1.0, 0.5], [%s]]}\n' % (", ".join(weights), ", ".join(stats)))
+        message = weight_message.format(i=index % 3) if field == "weights" else stat_message
+        with pytest.raises(ValidationError) as info:
+            tabulated_from_json(self.write(tmp_path, None, raw=raw))
+        assert info.value.violations == [message]
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = self.write(tmp_path, None, raw='{"points": [0, 1],\n  "weights": }')

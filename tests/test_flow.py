@@ -30,7 +30,7 @@ from entroflow import (
     write_trajectory_csv,
 )
 from entroflow import duality
-from entroflow.family import DiscreteSpace, TabulatedFamily
+from entroflow.family import DiscreteSpace, TabulatedFamily, _BinnedRay
 from entroflow.geometry import StateManifold
 from helpers import (
     count_calls,
@@ -59,13 +59,14 @@ def tabulated_3x50():
 
 
 def watch_ray_rate(fam, noise=None):
-    """Route ``fam``'s arclength-rate kernel through a counter of the nodes
-    it evaluates, returned as a one-item list, and scale each value by
-    1 + ``noise(n)`` for a call of n nodes if given."""
-    ray_rate, nodes = fam.ray_rate, [0]
+    """Route the arclength-rate kernel of ``fam``'s rays through a counter of
+    the nodes it evaluates, returned as a one-item list, and scale each
+    value by 1 + ``noise(n)`` for a call of n nodes if given."""
+    make_ray, nodes = fam.ray, [0]
 
     def watched(lam0):
-        rate = ray_rate(lam0)
+        ray = make_ray(lam0)
+        rate = ray.rate
 
         def counting(ts):
             nodes[0] += len(ts)
@@ -73,9 +74,10 @@ def watch_ray_rate(fam, noise=None):
             f = rate(ts)
             return f if noise is None else f * (1.0 + noise(len(ts)))
 
-        return counting
+        ray.rate = counting
+        return ray
 
-    fam.ray_rate = watched
+    fam.ray = watched
     return nodes
 
 
@@ -359,6 +361,20 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert peak < 1 << 20
 
+    def test_binned_table_ray_ends_at_the_exact_tau(self):
+        # a 3x5000 table whose ray is binned: the rows come from per-bin
+        # Taylor moments, and the run still ends at the quadrature's tau_eq
+        rng = np.random.default_rng(15)
+        weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
+        lam0 = 0.25 * np.array([0.48, 0.6, -0.64])
+        fam = TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+        assert isinstance(fam.ray(lam0), _BinnedRay)
+        traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=5.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.tau[-1] - tabulated_equilibrium_tau(weights, stats, lam0)) <= 1e-12
+        assert np.max(np.abs(traj.speed - 1.0)) <= 1e-12
+        assert entropy_production_check(traj).max_residual <= 1e-4
+
     def test_tabulated_run_solves_once(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
         # the start, then forward maps only
@@ -454,13 +470,15 @@ class TestIntegrate:
         # that is NaN below t = 1e-3 first fails at x = 0 of span 8, at
         # t = exp(-8), and the error names that t, not x
         gas = IdealGasFamily(2.0, fixed_n=1.0)
-        rate = IdealGasFamily.ray_rate
+        make_ray = IdealGasFamily.ray
 
-        def failing_rate(self, lam0):
-            inner = rate(self, lam0)
-            return lambda ts: np.where(ts < 1e-3, math.nan, inner(ts))
+        def failing_ray(self, lam0):
+            ray = make_ray(self, lam0)
+            inner = ray.rate
+            ray.rate = lambda ts: np.where(ts < 1e-3, math.nan, inner(ts))
+            return ray
 
-        monkeypatch.setattr(IdealGasFamily, "ray_rate", failing_rate)
+        monkeypatch.setattr(IdealGasFamily, "ray", failing_ray)
         with pytest.raises(SingularModelError, match=r"at t = 0\.000335 on the ray"):
             integrate(gas, [1.0], tau_max=10.0, h=0.5)
 
