@@ -13,6 +13,7 @@ timing goes to the log stream, never into files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -38,7 +39,7 @@ from .family import (
     _table_violations,
     tabulated_from_json,
 )
-from .flow import _fmt, integrate, entropy_production_check, write_trajectory_csv
+from .flow import integrate, entropy_production_check, write_trajectory_csv
 from .geometry import christoffel, as_manifold
 from .onsager import empirical_report, write_onsager_json
 
@@ -587,6 +588,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _probe_text(info: dict) -> str:
+    """The probe block, each value at 17 significant digits, through one
+    %-template: "%.17g" % x is format(x, ".17g")."""
+    d = len(info["point"])
+    vector = "[" + ", ".join(["%.17g"] * d) + "]"
+    lines = ["point   = " + vector, "lambda  = " + vector, "sigma   = %.17g"]
+    lines += [f"g[{i}]    = " + vector for i in range(d)]
+    lines += [f"Gamma[{a}][{b}] = " + vector for a in range(d) for b in range(d)]
+    values = [*info["point"], *info["lambda"], info["sigma"], *np.ravel(info["metric"]).tolist(),
+              *np.ravel(info["christoffel"]).tolist()]
+    return "\n".join(lines) % tuple(values)
+
+
 def _cmd_probe(args) -> int:
     try:
         cfg = parse_config(args.config)
@@ -595,18 +609,13 @@ def _cmd_probe(args) -> int:
     except (EntroflowError, ValueError) as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print("point   = [" + ", ".join(_fmt(x) for x in info["point"]) + "]")
-    print("lambda  = [" + ", ".join(_fmt(x) for x in info["lambda"]) + "]")
-    print("sigma   = " + _fmt(info["sigma"]))
-    for i, row in enumerate(info["metric"]):
-        print(f"g[{i}]    = [" + ", ".join(_fmt(x) for x in row) + "]")
-    for a, block in enumerate(info["christoffel"]):
-        for b, row in enumerate(block):
-            print(f"Gamma[{a}][{b}] = [" + ", ".join(_fmt(x) for x in row) + "]")
+    print(_probe_text(info))
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="entroflow",
         description="Integrate unit-speed entropy-gradient flows from scenario configs.",
@@ -632,8 +641,11 @@ def main(argv=None) -> int:
     p_probe.add_argument("config")
     p_probe.add_argument("--point", type=float, nargs="+", required=True)
     p_probe.set_defaults(func=_cmd_probe)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

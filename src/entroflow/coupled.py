@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import chebyshev
 from .errors import StepCollapseError
 from .family import ExponentialFamily, as_vector
 from .geometry import (
@@ -134,10 +135,17 @@ class PairRay:
     the flow's rows in ``states``.
 
     Each node is solved in subsystem 1's natural parameter l by a batched,
-    damped Newton iteration; see the module docstring.  The nodes solved so
-    far, by either kernel, are kept, and each new node starts from their
-    piecewise-linear interpolation in t: the natural domains are convex, so
-    that start lies inside both.
+    damped Newton iteration; see the module docstring.  ``rate`` is asked
+    for whole Chebyshev panels of the table of tau, and keeps the Chebyshev
+    series of each panel's solved l, chopped at its rounding plateau, which
+    is noise; each new node starts from the series of the deepest panel
+    that holds it, which is l at t = 1 until the first panel is solved.  A
+    node whose start lies outside a natural domain
+    starts instead from the piecewise-linear interpolation in t of the nodes
+    solved so far, by either kernel: the natural domains are convex, so that
+    start lies inside both.  A row of ``states`` whose start is already
+    within rounding costs one evaluation; the table's nodes, whose rates set
+    tau, are always polished.
     """
 
     def __init__(self, system: CompositeSystem, F0, lam):
@@ -145,18 +153,35 @@ class PairRay:
         self.F0 = np.asarray(F0, dtype=float)
         self.known_t = np.ones(1)
         self.known_l = np.asarray(lam, dtype=float)[None, :].copy()
+        self.lo, self.hi = np.zeros(1), np.ones(1)
+        self.series = np.zeros((chebyshev.POINTS, 1, len(self.F0)))  # degree first
+        self.series[0, 0] = self.known_l[0]
 
     def rate(self, ts: np.ndarray) -> np.ndarray:
-        """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t."""
-        _, _, g_inv, _ = self.solve(ts)
+        """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t of
+        whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``)."""
+        l, _, g_inv, _ = self.solve(ts, rows=False)
+        panels = np.reshape(ts, (-1, chebyshev.POINTS))
+        self.lo, self.hi = np.append(self.lo, panels[:, 0]), np.append(self.hi, panels[:, -1])
+        series = chebyshev.coefficients(l.reshape(panels.shape + (len(self.F0),)))
+        for c in (c for panel in series for c in panel.T):  # each component of each panel
+            c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0  # past the rounding plateau
+        self.series = np.concatenate([self.series, series.transpose(1, 0, 2)], axis=1)
         return np.sqrt(np.maximum(np.einsum("i,kij,j->k", self.F0, g_inv, self.F0), 0.0))
+
+    def _start(self, ts: np.ndarray) -> np.ndarray:
+        """l at each t from the series of the deepest panel that holds it."""
+        inside = (self.lo <= ts[:, None]) & (ts[:, None] <= self.hi)
+        j = len(self.lo) - 1 - np.argmax(inside[:, ::-1], axis=1)
+        lo, hi = self.lo[j], self.hi[j]
+        return chebyshev.clenshaw(self.series[:, j], (2.0 * ts - lo - hi) / (hi - lo))
 
     def states(self, ts: np.ndarray):
         """(A, S, g_inv, columns) at each t: the means A of subsystem 1, the
         total entropies, the inverse metrics g_T^-1 and the ``Trajectory``
         columns lam = l, lam' = l - t F0, A' = A_T - A and the conservation
         residual."""
-        l, A, g_inv, S = self.solve(ts)
+        l, A, g_inv, S = self.solve(ts, rows=True)
         A_total = self.system.A_total
         A_prime = A_total - A
         columns = {
@@ -171,8 +196,9 @@ class PairRay:
         """At nodes l (rows) with forces t F0 = ``shift``: the means A, total
         entropies S, inverse metrics g_T^-1 = Cov (Cov + Cov')^-1 Cov' and
         Newton steps; the potential phi = log Z(l) + log Z'(l') + l . A_T,
-        the decrease -grad phi . step it predicts, the rounding of phi, and
-        whether the residual is small.  Rows outside either natural domain
+        the decrease -grad phi . step it predicts, the rounding of phi,
+        whether the residual is small and whether it is within what rounding
+        puts into it.  Rows outside either natural domain
         come back non-finite."""
         pair = self.system
         with np.errstate(all="ignore"):
@@ -191,6 +217,7 @@ class PairRay:
             size = np.abs(l) + np.abs(l2)
             rounding = (np.abs(A) + np.abs(A2) + np.abs(pair.A_total)
                         + np.einsum("kij,kj->ki", np.abs(cov) + np.abs(cov2), size))
+            bound = _ROUNDING * rounding
             state = {
                 "A": A,
                 "S": S + S2,
@@ -199,37 +226,57 @@ class PairRay:
                 "phi": terms[0] + terms[1] - terms[2] - terms[3] + terms[4],
                 "decrease": np.einsum("ki,ki->k", residual, step),
                 "noise": 1e-14 * np.sum(np.abs(terms), axis=0),
-                "small": np.all(np.abs(residual) <= RAY_SOLVE_TOL * spread + _ROUNDING * rounding,
-                                axis=1),
+                "small": np.all(np.abs(residual) <= RAY_SOLVE_TOL * spread + bound, axis=1),
+                "exact": np.all(np.abs(residual) <= bound, axis=1),
             }
+            # one more Newton step moves A by -Cov . step; the total entropy of
+            # (A, A_T - A) then moves by lam . dA + lam' . (-residual - dA)
+            move = -np.einsum("kij,kj->ki", cov, step)
+            state["A_next"] = A + move
+            state["S_next"] = S + (S2 + (np.einsum("ki,ki->k", shift, move)
+                                         - np.einsum("ki,ki->k", l2, residual)))
         finite = (np.isfinite(state["phi"]) & np.isfinite(state["decrease"])
                   & np.all(np.isfinite(step), axis=1))
         return state, finite
 
-    def solve(self, ts: np.ndarray):
+    def solve(self, ts: np.ndarray, rows: bool):
         """l, the means A, the inverse metrics and the total entropies at
-        each t, solved in runs of at most _RAY_RUN nodes."""
+        each t, solved in runs of at most _RAY_RUN nodes, as ``rows`` or as
+        nodes of the table (see ``_solve_run``)."""
         ts = np.asarray(ts, dtype=float)
-        runs = [self._solve_run(ts[lo:lo + _RAY_RUN]) for lo in range(0, max(len(ts), 1), _RAY_RUN)]
+        runs = [self._solve_run(ts[lo:lo + _RAY_RUN], rows) for lo in range(0, max(len(ts), 1), _RAY_RUN)]
         return tuple(np.concatenate(column) for column in zip(*runs))
 
-    def _solve_run(self, ts: np.ndarray):
+    def _solve_run(self, ts: np.ndarray, rows: bool):
         """``solve`` on one run of nodes.
 
         A trial step is halved while it leaves a domain or fails the Armijo
         test on phi, unless phi cannot resolve the decrease the step
         predicts, and the step after a halved one may be twice as long; once
-        a node's residual is small, one full step more polishes it.
-        StepCollapseError when a node does not converge."""
+        a node's residual is small, one full step more polishes it.  Of
+        ``rows``, those whose first residual is already within rounding take
+        that step to first order instead, with no evaluation: l + step, its
+        means and its total entropy.  StepCollapseError when a node does not
+        converge."""
         shift = np.multiply.outer(ts, self.F0)
-        l = np.column_stack([np.interp(ts, self.known_t, col) for col in self.known_l.T])
+        l = self._start(ts)
         state, finite = self._evaluate(l, shift)
         if not np.all(finite):
-            t = ts[np.flatnonzero(~finite)[0]]
-            raise StepCollapseError(f"the pair's states at t = {t:.6g} are not finite")
+            out = np.flatnonzero(~finite)
+            l[out] = np.column_stack([np.interp(ts[out], self.known_t, col) for col in self.known_l.T])
+            new, finite = self._evaluate(l[out], shift[out])
+            if not np.all(finite):
+                t = ts[out[np.flatnonzero(~finite)[0]]]
+                raise StepCollapseError(f"the pair's states at t = {t:.6g} are not finite")
+            for key, column in state.items():
+                column[out] = new[key]
+        exact = state["exact"] & rows
+        l[exact] += state["step"][exact]
+        state["A"][exact] = state["A_next"][exact]
+        state["S"][exact] = state["S_next"][exact]
         last = state["small"].copy()  # the next step of the node polishes it
         frac = np.ones(len(ts))
-        pending = np.arange(len(ts))
+        pending = np.flatnonzero(~exact)
         for _ in range(_RAY_TRIALS):
             if not pending.size:
                 break

@@ -11,15 +11,16 @@ integral from t to 1 of the arclength rate f = (lam0 . Cov(t lam0) . lam0)^(1/2)
 the standard deviation of the projected statistic lam0 . a.  So the rows
 need no sequential walk.  ``integrate`` reads one ray object, the family's
 ``ray(lam0)``, through two batched kernels: it builds one table of tau(t)
-from adaptive Gauss-Lobatto panels of the ray's ``rate``, places the t of
-every row at once against it, and takes A, S and the covariance of all
-rows from one call of the ray's ``states``; the metric of every row is that
-covariance's inverse.  A closed-form family's rate is closed form and its
-states are its batched ``natural_states`` at t lam0.  A table's ray either
-reads the table once, into per-bin Taylor moments of y = lam0 . (a - c)
-that serve every node and row by a Horner sum over a few bins, or, where
-the bins would cost more than the points, sums over the points at each
-node and row (see ``TabulatedFamily.ray``).
+from adaptive Chebyshev panels of the ray's ``rate``, one kernel call per
+level of panels, places the t of every row at once against it by Newton
+steps on the panels' series, which call no kernel, and takes A, S and the
+covariance of all rows from one call of the ray's ``states``; the metric of
+every row is that covariance's inverse.  A closed-form family's rate is
+closed form and its states are its batched ``natural_states`` at t lam0.
+A table's ray either reads the table once, into per-bin Taylor moments of
+y = lam0 . (a - c) that serve every node and row by a Horner sum over a
+few bins, or, where the bins would cost more than the points, sums over
+the points at each node and row (see ``TabulatedFamily.ray``).
 The run ends at t = 0, the maximum lam = 0, at its exact tau; near it the
 rows go on with sigma halving down to 2 sigma_eq.
 
@@ -31,7 +32,8 @@ the same table, placement and landing, reading a ``coupled.PairRay``, which
 has a family ray's contract, with g_T^-1 from its ``states`` in place of
 the covariance; the pair's kernels solve each node in subsystem 1's
 natural parameter by a batched Newton iteration on the families' forward
-maps (see ``coupled``).
+maps, and start each row from the Chebyshev series of the table's solved
+nodes (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
 t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is
@@ -53,6 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import chebyshev
 from .errors import (
     AtEquilibriumError, DomainError, MonotonicityError, SingularModelError, StepCollapseError,
     TooFewSamplesError,
@@ -73,20 +76,17 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-#: A quadrature panel of the ray is bisected until its 4-point Gauss-Lobatto
-#: and 3-point Simpson values agree to this times the whole integral.
-#: Simpson's error is O(width^5) per panel against Lobatto's O(width^7), so
-#: the accepted Lobatto values are exact to about 1e-16 where f is smooth.
-RAY_QUAD_TOL = 1e-11
-#: Most panels one arclength integral of the ray may take: a gas pair with
-#: 1e-12 of the energy in one vessel takes 1,271.
-_RAY_PANELS = 4000
-#: Equal panels the table of tau starts from: from one, Simpson's rule missed
-#: Lobatto's errors of 1e-15 on two panels of width 1/16 of the Bernoulli ray.
-_RAY_START_PANELS = 32
+#: A panel of the table of tau is accepted once the envelope of its Chebyshev
+#: coefficients reaches a plateau at this level of the largest or below (see
+#: ``chebyshev.chop``): the rounding plateau of a smooth rate, or the floor
+#: of a rate with relative noise up to about 1e-8.
+RAY_QUAD_TOL = 1e-12
+#: Most panels one table of tau may evaluate: a gas pair with 1e-12 of the
+#: energy in one vessel, whose rate f ~ 1 / (t + 1e-13) is refined
+#: geometrically toward t = 0, evaluates 83.
+_RAY_PANELS = 1000
 _RAY_NEWTON_ITERS = 100
-#: Interior Gauss-Lobatto nodes on [-1, 1] (weights 5/6; the ends have 1/6).
-_LOBATTO_NODE = 1.0 / math.sqrt(5.0)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -136,54 +136,23 @@ def _checked(rate, ts: np.ndarray) -> np.ndarray:
     return fs
 
 
-def _lobatto_nodes(lo: np.ndarray, hi: np.ndarray):
-    """Half width, midpoint and interior Gauss-Lobatto nodes of [lo, hi]."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    off = half * _LOBATTO_NODE
-    return half, mid, mid - off, mid + off
-
-
-def _lobatto(half, f_lo, f_hi, f_1, f_2):
-    return half * ((f_lo + f_hi) / 6.0 + (f_1 + f_2) * (5.0 / 6.0))
-
-
 class _RayTable:
     """tau(t), the integral of the arclength rate f from t to 1 on the ray
-    F = t F0, as Gauss-Lobatto panels of [0, 1] (of x, for ``_open_table``).
+    F = t F0, as Chebyshev panels of [0, 1] (of x, for ``_open_table``).
 
-    From _RAY_START_PANELS equal panels, each level evaluates the interior
-    nodes of all pending panels in one kernel call and bisects those whose
-    Simpson and Lobatto values differ by more than RAY_QUAD_TOL times the
-    first estimate of the whole integral, so noise in f stops it after
-    about log2(noise / RAY_QUAD_TOL) levels; past _RAY_PANELS panels it
-    raises StepCollapseError.  A first estimate more than twice the
-    integral comes from a rate that peaks within a start panel, as a gas
-    pair's does near t = 0 when one vessel starts almost empty; the panels
-    are then bisected again from the start, to RAY_QUAD_TOL times the
-    integral."""
+    From [0, 1], each level samples the rate at the Chebyshev points of all
+    pending panels in one kernel call and splits in two every panel whose
+    coefficients reach no plateau at RAY_QUAD_TOL (see ``chebyshev.chop``);
+    past _RAY_PANELS panels it raises StepCollapseError.  A rate that peaks
+    near one end, as a gas pair's does near t = 0 when one vessel starts
+    almost empty, is refined geometrically toward it.  Each accepted panel
+    keeps its series of f, with the coefficients below rounding dropped, and
+    its integrated series, the tau from t up to the panel's top; tau at a
+    panel's top is the exactly rounded sum of the panels above it.  tau and
+    f at any t then take a Clenshaw sum and no kernel call."""
 
-    def __init__(self, rate, f_top: float):
-        self.rate = rate
-        edges = np.linspace(0.0, 1.0, _RAY_START_PANELS + 1)
-        f_edges = np.append(_checked(rate, edges[:-1]), f_top)
-        done, tol = self._bisect(edges, f_edges, None)
-        total = math.fsum(np.concatenate([part[5] for part in done]).tolist())
-        if tol > 2.0 * RAY_QUAD_TOL * total:
-            done, _ = self._bisect(edges, f_edges, RAY_QUAD_TOL * total)
-        order = np.argsort(np.concatenate([part[0] for part in done]))
-        self.lo, self.hi, self.f_lo, self.f_mid, self.f_hi, parts = (
-            np.concatenate(column)[order] for column in zip(*done)
-        )
-        parts = parts.tolist()  # tau at a panel's top: the exactly rounded sum above it
-        self.tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
-        self.tau_eq = math.fsum(parts)
-
-    def _bisect(self, edges: np.ndarray, f_edges: np.ndarray, tol: float | None):
-        """The accepted panels (lo, hi, f_lo, f_mid, f_hi, Lobatto value)
-        from the start panels ``edges`` with rates ``f_edges``, and the
-        tolerance, RAY_QUAD_TOL times the first estimate unless given."""
-        lo, hi, f_lo, f_hi = edges[:-1], edges[1:], f_edges[:-1], f_edges[1:]
-        done, count = [], 0
+    def __init__(self, rate):
+        lo, hi, done, count = np.zeros(1), np.ones(1), [], 0
         while lo.size:
             count += lo.size
             if count > _RAY_PANELS:
@@ -191,58 +160,70 @@ class _RayTable:
                     f"the arclength of the ray near t = {lo[0]:.6g} does not converge in "
                     f"{_RAY_PANELS} panels"
                 )
-            half, mid, x_1, x_2 = _lobatto_nodes(lo, hi)
-            f_mid, f_1, f_2 = _checked(self.rate, np.concatenate([mid, x_1, x_2])).reshape(3, -1)
-            lobatto = _lobatto(half, f_lo, f_hi, f_1, f_2)
-            if tol is None:
-                tol = RAY_QUAD_TOL * math.fsum(lobatto.tolist())
-            ok = np.abs(lobatto - half * (f_lo + 4.0 * f_mid + f_hi) / 3.0) <= tol
-            done.append((lo[ok], hi[ok], f_lo[ok], f_mid[ok], f_hi[ok], lobatto[ok]))
-            lo, hi = np.append(lo[~ok], mid[~ok]), np.append(mid[~ok], hi[~ok])
-            f_lo, f_hi = np.append(f_lo[~ok], f_mid[~ok]), np.append(f_mid[~ok], f_hi[~ok])
-        return done, tol
+            ts = chebyshev.nodes(lo, hi)
+            fs = _checked(rate, ts.ravel()).reshape(ts.shape)
+            coeffs = chebyshev.coefficients(fs[:, :, None])[:, :, 0]
+            ok = np.array([chebyshev.chop(c, RAY_QUAD_TOL) < chebyshev.POINTS for c in coeffs])
+            done.append((lo[ok], hi[ok], coeffs[ok], fs[ok, 0]))
+            mid = 0.5 * (lo + hi)[~ok]
+            lo, hi = np.append(lo[~ok], mid), np.append(mid, hi[~ok])
+        order = np.argsort(np.concatenate([part[0] for part in done]))
+        self.lo, self.hi, coeffs, f_lo = (np.concatenate(column)[order] for column in zip(*done))
+        self.f0 = f_lo[0]  # the rate at t = 0
+        for c in coeffs:  # the coefficients past the rounding plateau are dropped
+            c[chebyshev.chop(c, _EPS):] = 0.0
+        coeffs = coeffs[:, :np.flatnonzero(np.any(coeffs, axis=0))[-1] + 1].T
+        self.f_bound = np.max(np.sum(np.abs(coeffs), axis=0))  # |T_k| <= 1
+        # the series of tau - top and of f, degree first: tau - top is -half the
+        # integral of f from s = 1, and at s = -1 the panel's part of tau
+        tau = -0.5 * (self.hi - self.lo) * chebyshev.integral(coeffs)
+        self.series = np.stack([tau, np.pad(coeffs, ((0, 1), (0, 0)))], axis=2)
+        self.parts = (-1.0) ** np.arange(len(tau)) @ tau
+        parts = self.parts.tolist()  # tau at a panel's top: the exactly rounded sum above it
+        self.tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
+        self.tau_eq = math.fsum(parts)
+
+    def _sums(self, j: np.ndarray):
+        """The panels j's ends and the sums of their series of tau and f at
+        points s of them."""
+        series, tops = self.series[:, j], self.tops[j]
+
+        def sums(s):
+            tau, f = chebyshev.clenshaw(series, s).T
+            return tops + tau, f
+
+        return self.lo[j], self.hi[j], sums
 
     def at(self, ts: np.ndarray):
-        """tau and f at each t: tau at the top of its panel plus the 4-point
-        Gauss-Lobatto rule from t up to that top, three kernel nodes per t."""
-        j = np.searchsorted(self.lo, ts, side="right") - 1
-        half, _, x_1, x_2 = _lobatto_nodes(ts, self.hi[j])
-        f, f_1, f_2 = _checked(self.rate, np.concatenate([ts, x_1, x_2])).reshape(3, -1)
-        return self.tops[j] + _lobatto(half, f, self.f_hi[j], f_1, f_2), f
+        """tau and f at each t."""
+        lo, hi, sums = self._sums(np.searchsorted(self.lo, ts, side="right") - 1)
+        return sums((2.0 * ts - lo - hi) / (hi - lo))
 
     def place(self, targets: np.ndarray):
         """The t where tau reaches each of ``targets`` (below tau_eq), and f
-        within rounding of it: one Newton step on tau from the inverse of the
-        integral of the quadratic through the panel's end and midpoint rates."""
+        there: Newton steps on each panel's series of tau, whose derivative
+        in t is -f, from the chord of its panel."""
         j = len(self.tops) - np.searchsorted(self.tops[::-1], targets, side="right")
-        hi, f_a, f_m, f_b = self.hi[j], self.f_lo[j], self.f_mid[j], self.f_hi[j]
-        width, gap = hi - self.lo[j], targets - self.tops[j]
-        # f(hi - s) ~ f_b + c_1 s + c_2 s^2 through the rates at s = 0, width/2, width
-        c_1 = (4.0 * f_m - 3.0 * f_b - f_a) / width
-        c_2 = 2.0 * (f_a - 2.0 * f_m + f_b) / (width * width)
-        s = gap / f_b
+        lo, hi, sums = self._sums(j)
+        s, last = 1.0 - 2.0 * (targets - self.tops[j]) / self.parts[j], False
         for _ in range(_RAY_NEWTON_ITERS):
-            step = (s * (f_b + s * (0.5 * c_1 + s * c_2 / 3.0)) - gap) / (f_b + s * (c_1 + s * c_2))
-            s, last = np.clip(s - step, 0.0, width), s
-            if np.all(np.abs(s - last) <= 1e-15 * width):
+            tau, f = sums(s)
+            step = (tau - targets) / (0.5 * (hi - lo) * f)
+            s = np.clip(s + step, -1.0, 1.0)
+            if last:
                 break
-        tau, f = self.at(hi - s)
-        return np.clip(hi - s + (tau - targets) / f, 0.0, 1.0), f  # dtau/dt = -f
+            last = bool(np.all(np.abs(step) <= 1e-6))  # one step more lands at rounding
+        return hi * (0.5 + 0.5 * s) + lo * (0.5 - 0.5 * s), f
 
-    def landing(self, t: float, f: float, sigma_eq: float):
+    def landing(self, t: float, sigma_eq: float):
         """The t and tau of the rows t / 2^j, j = 1, 2, ..., while sigma = t f
         exceeds 2 ``sigma_eq``."""
-        rows = []
-        while True:
-            ratio = t * f / (2.0 * sigma_eq)
-            halved = t * 0.5 ** np.arange(1.0, 3.0 + min(60.0, math.log2(max(ratio, 1.0))))
-            tau, fs = self.at(halved)
-            low = np.flatnonzero(halved * fs <= 2.0 * sigma_eq)
-            end = low[0] if low.size else halved.size
-            rows.append((halved[:end], tau[:end]))
-            if low.size:
-                return tuple(np.concatenate(column) for column in zip(*rows))
-            t, f = float(halved[-1]), float(fs[-1])
+        halved = t * 0.5 ** np.arange(1.0, 1076.0)  # down to 0
+        # past the first row with t f_bound <= 2 sigma_eq, sigma is below it too
+        halved = halved[:np.count_nonzero(halved * self.f_bound > 2.0 * sigma_eq) + 1]
+        tau, f = self.at(halved)
+        end = np.flatnonzero(halved * f <= 2.0 * sigma_eq)[0]
+        return halved[:end], tau[:end]
 
 
 def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
@@ -255,10 +236,10 @@ def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
         raise
 
 
-def _open_table(rate, sigma: float, tau_max: float, span: float):
-    """The table of tau of a ray without a maximum, whose rate ``rate`` starts
-    at ``sigma``, and the map from its variable x = 1 - u / ``span`` to t, for
-    u = -ln t in [0, span], where dtau/du = t f = sigma.  The span doubles
+def _open_table(rate, tau_max: float, span: float):
+    """The table of tau of a ray without a maximum, whose rate is ``rate``,
+    and the map from its variable x = 1 - u / ``span`` to t, for u = -ln t in
+    [0, span], where dtau/du = t f = sigma.  The span doubles
     until tau(span) > ``tau_max``, so it stays within max(1, 2 u(tau_max))."""
 
     def t_of(xs):
@@ -268,10 +249,10 @@ def _open_table(rate, sigma: float, tau_max: float, span: float):
         ts = t_of(xs)
         return span * ts * _checked(rate, ts)
 
-    table = _RayTable(rate_x, span * sigma)
+    table = _RayTable(rate_x)
     if table.tau_eq > tau_max:
         return table, t_of
-    return _open_table(rate, sigma, tau_max, 2.0 * span)
+    return _open_table(rate, tau_max, 2.0 * span)
 
 
 def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint,
@@ -298,8 +279,7 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
         if low.size:
             landing, ts, fs, targets = True, ts[:low[0]], fs[:low[0]], targets[:low[0]]
         if landing:
-            last = (ts[-1], fs[-1]) if ts.size else (1.0, start.sigma)
-            halved, taus = table.landing(*last, sigma_eq)
+            halved, taus = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
             ts = np.concatenate([ts, halved, [0.0]])
             targets = np.concatenate([targets, taus, [table.tau_eq]])
     A, S, g_inv, *columns = states(ts)
@@ -310,7 +290,7 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
     v = (g_inv @ force[:, :, None])[:, :, 0] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
     if landing:
         # the velocity dA/dtau = g_inv . F0 / f stays defined at the maximum
-        v[-1] = g_inv[-1] @ F0 / table.f_lo[0]
+        v[-1] = g_inv[-1] @ F0 / table.f0
     rows = {"lam": force, **(columns[0] if columns else {})}
     head = manifold.trajectory_columns([start])
     return Trajectory(
@@ -362,10 +342,12 @@ def integrate(
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
     A0, and a ``CompositeSystem`` on the curve F(A) = t F0 from its one
     point at A0 (see the module docstring).  Either way one ray object, the
-    family's ``ray(lam0)`` or a ``PairRay``, serves the run: its ``rate``
-    builds one table of tau(t) and places the rows, which sit at
-    tau = k * h, and one batched call of its ``states`` gives their A, S and
-    covariance (for a pair, g_T^-1 and the subsystem columns).  Where the
+    family's ``ray(lam0)`` or a ``PairRay``, serves the run: its ``rate``,
+    sampled at the Chebyshev points of a few panels, builds one table of
+    tau(t), against whose series the rows, which sit at tau = k * h, are
+    placed without a kernel call, and one batched call of its ``states``
+    gives their A, S and covariance (for a pair, g_T^-1 and the subsystem
+    columns).  Where the
     next such row would lie past the entropy maximum or have sigma at most
     ``2 * sigma_eq``, rows go on with sigma halving while it exceeds
     ``2 * sigma_eq``.  The run ends with status
@@ -373,8 +355,9 @@ def integrate(
     exact tau), or ``tau-budget-exhausted`` at ``tau_max``, as it always
     does for a family without a maximum (the ideal gas).  An arclength rate
     that is not finite and > 0, or a metric that is not finite and positive
-    definite, raises SingularModelError.  A quadrature, or a composite's Newton solve of its
-    nodes, that does not converge raises StepCollapseError.
+    definite, raises SingularModelError.  A table of tau that needs more
+    than _RAY_PANELS panels, or a composite's Newton solve of its nodes that
+    does not converge, raises StepCollapseError.
 
     A ``ReparametrizedManifold`` gets its base's trajectory from the base
     point of A0, mapped into the chart; any other ``StateManifold`` raises
@@ -408,9 +391,9 @@ def integrate(
     else:
         ray, open_ended = manifold.family.ray(pt.force), not _has_maximum(manifold.family)
     if open_ended:
-        table, t_of = _open_table(ray.rate, pt.sigma, tau_max, 1.0)
+        table, t_of = _open_table(ray.rate, tau_max, 1.0)
     else:
-        table, t_of = _RayTable(ray.rate, pt.sigma), None
+        table, t_of = _RayTable(ray.rate), None
     return _ray(manifold, table, ray.states, pt, tau_max, h, sigma_eq, t_of)
 
 
@@ -432,18 +415,29 @@ def nonuniform_first_derivative(
 
 @dataclass(frozen=True)
 class EntropyProductionReport:
-    """Worst-case deviation between dS/dtau and the recorded sigma."""
+    """Worst-case deviation between dS/dtau and the recorded sigma over the
+    samples that resolve dS/dtau (``argmax_tau`` is None when none does),
+    and the deviation at each of them."""
 
     max_residual: float
-    argmax_tau: float
+    argmax_tau: float | None
     residuals: tuple[float, ...]
+
+
+#: An interior sample is compared only where the rounding of S puts less
+#: than this into its centred difference of S.
+ENTROPY_CHECK_ROUNDING = 1e-10
 
 
 def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
     """Compare centered-difference dS/dtau against sigma at interior samples.
 
-    For default step sizes the maximum residual stays below 1e-4, which is
-    the numerical expression of sigma being the entropy production rate.
+    A sample is skipped where the rounding of its difference,
+    eps (|S_-| + |S| + |S_+|) (1 / h_- + 1 / h_+), exceeds
+    ENTROPY_CHECK_ROUNDING: on the landing intervals near a maximum it
+    would otherwise report S's last bit amplified by 1 / h.  For default
+    step sizes the maximum residual stays below 1e-4, which is the
+    numerical expression of sigma being the entropy production rate.
     """
     if len(traj) < 3:
         raise TooFewSamplesError(
@@ -452,20 +446,19 @@ def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
     # Python floats: their ** goes through pow(), where numpy arrays would
     # square by multiplying and round differently in the last bit.
     tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
-    residuals = [
-        abs(
-            nonuniform_first_derivative(
-                S[k - 1], S[k], S[k + 1], tau[k] - tau[k - 1], tau[k + 1] - tau[k]
-            )
-            - sigma[k]
-        )
+    checked = [
+        (tau[k], abs(nonuniform_first_derivative(S[k - 1], S[k], S[k + 1], h_minus, h_plus)
+                     - sigma[k]))
         for k in range(1, len(tau) - 1)
+        for h_minus, h_plus in [(tau[k] - tau[k - 1], tau[k + 1] - tau[k])]
+        if _EPS * (abs(S[k - 1]) + abs(S[k]) + abs(S[k + 1])) * (1.0 / h_minus + 1.0 / h_plus)
+        <= ENTROPY_CHECK_ROUNDING
     ]
-    worst = int(np.argmax(residuals))
+    worst = max(checked, key=lambda row: row[1], default=(None, 0.0))
     return EntropyProductionReport(
-        max_residual=float(residuals[worst]),
-        argmax_tau=tau[worst + 1],
-        residuals=tuple(residuals),
+        max_residual=float(worst[1]),
+        argmax_tau=worst[0],
+        residuals=tuple(residual for _, residual in checked),
     )
 
 
@@ -491,10 +484,6 @@ def clock_invert(traj: Trajectory, alpha: int, value: float) -> float:
     return float(np.interp(value, xs, taus))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, dest) -> None:
     """Write one row per recorded sample at 17 significant digits.
 
@@ -517,10 +506,10 @@ def write_trajectory_csv(traj: Trajectory, dest) -> None:
     header = []
     for name, col in columns:
         header += [f"{name}_{i}" for i in range(1, col.shape[1] + 1)] if col.ndim == 2 else [name]
-    # one %-template per row formats each value as _fmt does
-    row = ",".join(["%.17g"] * len(header))
-    table = np.column_stack([col for _, col in columns]).tolist()
-    text = "\n".join([",".join(header)] + [row % tuple(values) for values in table]) + "\n"
+    # one %-template for the whole table: "%.17g" % x is format(x, ".17g")
+    table = np.column_stack([col for _, col in columns])
+    rows = "\n".join([",".join(["%.17g"] * len(header))] * len(table))
+    text = ",".join(header) + "\n" + rows % tuple(table.ravel().tolist()) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -2,12 +2,15 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroflow
 from entroflow import (
@@ -16,7 +19,9 @@ from entroflow import (
     ValidationError,
     integrate,
 )
+from entroflow import cli
 from entroflow.cli import (
+    _probe_text,
     build_system,
     catalog_names,
     catalog_path,
@@ -457,14 +462,15 @@ class TestMain:
         assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
 
     def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # every batch of Bernoulli states after the first 20 is NaN, so the
-        # Newton solve of the pair's nodes stalls, and run writes nothing
+        # the table of tau takes six batched evaluations of both subsystems,
+        # 12 batches of Bernoulli states; every batch after those is NaN, so
+        # the pair's states at the rows are not finite, and run writes nothing
         states, calls = BernoulliFamily.natural_states, []
 
         def failing_states(self, lams):
             calls.append(None)
             out = states(self, lams)
-            return tuple(x * math.nan for x in out) if len(calls) > 20 else out
+            return tuple(x * math.nan for x in out) if len(calls) > 12 else out
 
         monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
         cfg = parse_config(catalog_path("bernoulli-coupled"))
@@ -581,6 +587,35 @@ class TestMain:
         assert exc.value.code == 0
         assert "entroflow" in capsys.readouterr().out
 
+    def test_one_parser_serves_a_sequence_of_commands(self, tmp_path, capsys):
+        # main builds its parser on first use; a run, a validate, a probe, a
+        # bad flag and --version in one process print and exit as each does
+        # in a fresh interpreter (but for the run's wall time)
+        path = write_config(tmp_path, MINIMAL)
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        calls = [
+            ["run", str(path), "--output-dir", str(tmp_path / "out")],
+            ["validate", str(path)],
+            ["probe", str(path), "--point", "0.3"],
+            ["run", "--no-such-flag", str(path)],
+            ["--version"],
+        ]
+
+        def untimed(text):
+            return re.sub(r"[0-9.]+ ms\)", "ms)", text)
+
+        cli._parser.cache_clear()
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "entroflow.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (code, out, untimed(err)) == (proc.returncode, proc.stdout, untimed(proc.stderr))
+        assert cli._parser.cache_info().misses == 1
+
     def test_batch_mode(self, tmp_path):
         p1 = write_config(tmp_path, dict(MINIMAL, name="j1"), "one.json")
         p2 = write_config(tmp_path, dict(MINIMAL, name="j2", A0=[0.75]), "two.json")
@@ -603,3 +638,33 @@ class TestCatalog:
         for name in catalog_names():
             cfg = parse_config(catalog_path(name))
             build_system(cfg)
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+                     1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(1, 3))
+def test_probe_template_prints_each_value_as_format_17g(data, d):
+    # the probe block goes through one %-template; it prints the bytes the
+    # per-value format(x, ".17g") did
+    def draw(*shape):
+        return np.array(data.draw(st.lists(EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))).reshape(shape).tolist()
+
+    info = {"point": draw(d), "lambda": draw(d), "sigma": draw(1)[0], "metric": draw(d, d),
+            "christoffel": draw(d, d, d)}
+
+    def fmt(row):
+        return "[" + ", ".join(format(float(x), ".17g") for x in row) + "]"
+
+    lines = ["point   = " + fmt(info["point"]), "lambda  = " + fmt(info["lambda"]),
+             "sigma   = " + format(float(info["sigma"]), ".17g")]
+    lines += [f"g[{i}]    = " + fmt(row) for i, row in enumerate(info["metric"])]
+    lines += [f"Gamma[{a}][{b}] = " + fmt(row)
+              for a, block in enumerate(info["christoffel"]) for b, row in enumerate(block)]
+    assert _probe_text(info) == "\n".join(lines)

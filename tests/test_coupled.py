@@ -304,6 +304,26 @@ class TestForceRayContinuation:
         assert np.max(np.abs(traj.A[-1] - [0.5, 0.25])) <= 1e-12
         assert np.all(np.diff(traj.S) > 0.0)
 
+    def test_a_start_outside_a_domain_restarts_from_the_linear_start(self, monkeypatch):
+        # with 8e-6 of the 2 particles in the small vessel, the series of l
+        # over a panel still being split overshoots a natural domain at some
+        # new nodes; they restart from the piecewise-linear interpolation of
+        # the solved nodes, which lies inside both domains
+        interpolations = []
+        interp = np.interp
+
+        def counting_interp(*args, **kwargs):
+            interpolations.append(None)
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counting_interp)
+        pair = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(20.0), [4.0, 2.0])
+        traj = integrate(pair, [2.9417656819116895, 8.055627693397808e-06], tau_max=200.0, h=0.1)
+        assert interpolations
+        assert traj.terminal_status == "equilibrium-reached"
+        # equal temperatures and densities: N = 2 / 21, E = 4 / 21
+        assert np.max(np.abs(traj.A[-1] - [4.0 / 21.0, 2.0 / 21.0])) <= 1e-12
+
     @pytest.mark.parametrize("e0", [1e-6, 1e-12])
     def test_start_with_almost_no_energy_in_one_vessel(self, e0):
         # lam_E runs from 1.9e12 at t = 1 to 0.76 at t = 0: the first nodes

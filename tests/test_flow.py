@@ -30,7 +30,10 @@ from entroflow import (
     write_trajectory_csv,
 )
 from entroflow import duality
+from entroflow.cli import build_system, catalog_names, catalog_path, parse_config
+from entroflow.coupled import PairRay
 from entroflow.family import DiscreteSpace, TabulatedFamily, _BinnedRay
+from entroflow.flow import _RayTable
 from entroflow.geometry import StateManifold
 from helpers import (
     count_calls,
@@ -311,6 +314,16 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.tau[-1] - clean.tau[-1]) <= 1e-9
 
+    def test_a_rate_that_never_resolves_exhausts_the_panel_budget(self):
+        # relative noise of 1e-3 in the rate has no plateau the chop accepts,
+        # so every panel splits until the budget of panels runs out
+        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
+        fam = TabulatedFamily(space, [[0.0, 1.0, 2.0]])
+        rng = np.random.default_rng(3)
+        watch_ray_rate(fam, noise=lambda n: 1e-3 * rng.standard_normal(n))
+        with pytest.raises(StepCollapseError, match="does not converge in 1000 panels"):
+            integrate(fam, [0.3], tau_max=5.0)
+
     @pytest.mark.parametrize(
         "family, A0",
         [
@@ -449,15 +462,16 @@ class TestIntegrate:
         assert entropy_production_check(traj).max_residual <= 1e-4
 
     def test_chart_collapse_raises_the_bases_error(self, bernoulli_pair, monkeypatch):
-        # every batch of Bernoulli states after the first 20 is NaN, so the
-        # pair's Newton solve stalls, and the chart of the pair raises as
-        # the pair does
+        # the table of tau takes six batched evaluations of both subsystems,
+        # 12 batches of Bernoulli states; every batch after those is NaN, so
+        # the pair's states at the rows are not finite, and the chart of the
+        # pair raises as the pair does
         states, calls = BernoulliFamily.natural_states, []
 
         def failing_states(self, lams):
             calls.append(None)
             out = states(self, lams)
-            return tuple(x * math.nan for x in out) if len(calls) > 20 else out
+            return tuple(x * math.nan for x in out) if len(calls) > 12 else out
 
         monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
         chart = ReparametrizedManifold(bernoulli_pair, forward=lambda A: 2.0 * A,
@@ -574,6 +588,33 @@ class TestEntropyProduction:
         with pytest.raises(TooFewSamplesError):
             entropy_production_check(traj)
 
+    def test_samples_whose_difference_is_rounding_are_skipped(self):
+        # S = tau but for one ulp at the sample 1e-9 past tau = 1: the
+        # centred differences at tau = 1 and 1 + 1e-9 would be off by 2e-7,
+        # and their rounding eps (|S_-| + |S| + |S_+|) (1/h_- + 1/h_+) is
+        # about 1e-6, so both are skipped and the samples at 0.5 and 1.5 remain
+        tau = np.array([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0])
+        S = tau.copy()
+        S[3] = np.nextafter(S[3], 2.0)
+        traj = synthetic_trajectory(tau, tau, tau, S, np.ones(6))
+        report = entropy_production_check(traj)
+        assert report.max_residual <= 1e-15 and report.argmax_tau in (0.5, 1.5)
+        assert len(report.residuals) == 2
+
+    def test_no_sample_that_resolves_reads_zero(self):
+        tau = np.array([0.0, 1e-9, 2e-9])
+        traj = synthetic_trajectory(tau, tau, tau, 1.0 + tau, np.ones(3))
+        report = entropy_production_check(traj)
+        assert report.max_residual == 0.0 and report.argmax_tau is None
+        assert report.residuals == ()
+
+    def test_landing_rows_do_not_set_the_gaussian_residual(self, gaussian_traj):
+        # the flat Gaussian's S is quadratic in tau, so its centred
+        # differences are exact but for rounding; the landing intervals,
+        # down to 1e-8, no longer turn S's last bit into a 1e-9 residual
+        report = entropy_production_check(gaussian_traj)
+        assert report.max_residual <= 1e-11
+
 
 class TestClockInvert:
     def test_against_arclength_oracle(self, bernoulli_traj):
@@ -613,6 +654,83 @@ class TestClockInvert:
             clock_invert(traj, 0, 0.15)
 
 
+def watch_pair_work(monkeypatch):
+    """Counters of the nodes a ``PairRay``'s rate is asked for and of the
+    node-rows its Newton solve evaluates."""
+    work = {"nodes": 0, "evaluated": 0}
+    rate, evaluate = PairRay.rate, PairRay._evaluate
+
+    def counting_rate(self, ts):
+        work["nodes"] += len(ts)
+        return rate(self, ts)
+
+    def counting_evaluate(self, l, shift):
+        work["evaluated"] += len(l)
+        return evaluate(self, l, shift)
+
+    monkeypatch.setattr(PairRay, "rate", counting_rate)
+    monkeypatch.setattr(PairRay, "_evaluate", counting_evaluate)
+    return work
+
+
+def seeded_table(seed, n_points):
+    """A 3 x ``n_points`` table with weights in [0.5, 2], N(0, 1) statistics
+    and a start at lam0 of norm 0.3, as the benchmark's tabulated runs."""
+    rng = np.random.default_rng(seed)
+    weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(3, n_points))
+    lam0 = rng.normal(size=3)
+    lam0 *= 0.3 / np.linalg.norm(lam0)
+    fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
+    return fam, tabulated_mean(weights, stats, lam0)
+
+
+class TestRayWork:
+    """A run's table of tau takes a few Chebyshev panels of rate nodes,
+    whatever its row count, and a pair's rows cost about one evaluation."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_a_shipped_run_takes_at_most_150_rate_nodes(self, monkeypatch, name):
+        cfg = parse_config(catalog_path(name))
+        system = build_system(cfg)
+        if cfg.mode == "single":
+            nodes = watch_ray_rate(system)
+        else:
+            work = watch_pair_work(monkeypatch)
+        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        assert traj.terminal_status == "equilibrium-reached" and len(traj) > 500
+        assert (nodes[0] if cfg.mode == "single" else work["nodes"]) <= 150
+
+    @pytest.mark.parametrize("seed, n_points", [(1, 50), (2, 50), (1, 5000), (2, 5000)])
+    def test_a_table_run_takes_at_most_150_rate_nodes(self, seed, n_points):
+        fam, A0 = seeded_table(seed, n_points)
+        nodes = watch_ray_rate(fam)
+        traj = integrate(fam, A0, tau_max=10.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert nodes[0] <= 150
+
+    @pytest.mark.parametrize("name", ["bernoulli-coupled", "two-vessel-gas-EN",
+                                      "two-vessel-gas-E-only"])
+    def test_a_pair_row_costs_about_one_evaluation(self, monkeypatch, name):
+        # each row starts from the Chebyshev series of l over its panel's
+        # solved nodes and is accepted at its first residual
+        cfg = parse_config(catalog_path(name))
+        work = watch_pair_work(monkeypatch)
+        traj = integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
+        rows = len(traj) - 1  # the start is the pair's one point
+        assert work["evaluated"] <= 1.3 * (rows + work["nodes"])
+
+    def test_the_table_meets_the_bernoulli_closed_form_at_its_rows(self):
+        # tau(t) = 2 (asin sqrt(A(t)) - asin(1/2)), A(t) = 1 / (1 + 3^t)
+        lam0 = math.log(3.0)
+        table = _RayTable(BernoulliFamily().ray([lam0]).rate)
+        assert abs(table.tau_eq - math.pi / 6.0) <= 1e-15
+        targets = np.arange(1, 524) * 1e-3
+        ts, _ = table.place(targets)
+        exact = 2.0 * (np.arcsin(np.sqrt(1.0 / (1.0 + np.exp(ts * lam0)))) - math.asin(0.5))
+        assert np.max(np.abs(exact - targets)) <= 1e-15
+        assert np.max(np.abs(table.at(ts)[0] - exact)) <= 1e-15
+
+
 class TestCsvExport:
     def test_single_system_layout(self, bernoulli_traj):
         buf = io.StringIO()
@@ -650,3 +768,21 @@ class TestCsvExport:
         assert len(cells) == 12
         assert float(cells[1]) == 1.0
         assert float(cells[3]) == 3.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=st.integers(1, 5))
+    def test_one_template_writes_what_format_17g_writes(self, data, rows):
+        # the whole table goes through one %-template; every cell is the
+        # per-value format(x, ".17g"), -0.0, subnormals and 1e+-300 included
+        values = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300]),
+        )
+        columns = [data.draw(st.lists(values, min_size=rows, max_size=rows)) for _ in range(5)]
+        traj = synthetic_trajectory(*columns)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        want = ["tau,A_1,lambda_1,S,sigma,speed"] + [
+            ",".join(format(float(x), ".17g") for x in row) for row in zip(*columns, traj.speed)
+        ]
+        assert buf.getvalue() == "\n".join(want) + "\n"
