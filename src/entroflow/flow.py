@@ -446,19 +446,25 @@ def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
     # Python floats: their ** goes through pow(), where numpy arrays would
     # square by multiplying and round differently in the last bit.
     tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
-    checked = [
-        (tau[k], abs(nonuniform_first_derivative(S[k - 1], S[k], S[k + 1], h_minus, h_plus)
-                     - sigma[k]))
-        for k in range(1, len(tau) - 1)
-        for h_minus, h_plus in [(tau[k] - tau[k - 1], tau[k + 1] - tau[k])]
-        if _EPS * (abs(S[k - 1]) + abs(S[k]) + abs(S[k + 1])) * (1.0 / h_minus + 1.0 / h_plus)
-        <= ENTROPY_CHECK_ROUNDING
+    size, h = np.abs(traj.S), np.diff(traj.tau)
+    rounding = _EPS * (size[:-2] + size[1:-1] + size[2:]) * (1.0 / h[:-1] + 1.0 / h[1:])
+    kept = (np.flatnonzero(rounding <= ENTROPY_CHECK_ROUNDING) + 1).tolist()
+    residuals = [
+        abs(
+            nonuniform_first_derivative(
+                S[k - 1], S[k], S[k + 1], tau[k] - tau[k - 1], tau[k + 1] - tau[k]
+            )
+            - sigma[k]
+        )
+        for k in kept
     ]
-    worst = max(checked, key=lambda row: row[1], default=(None, 0.0))
+    if not residuals:
+        return EntropyProductionReport(max_residual=0.0, argmax_tau=None, residuals=())
+    worst = int(np.argmax(residuals))
     return EntropyProductionReport(
-        max_residual=float(worst[1]),
-        argmax_tau=worst[0],
-        residuals=tuple(residual for _, residual in checked),
+        max_residual=float(residuals[worst]),
+        argmax_tau=tau[kept[worst]],
+        residuals=tuple(residuals),
     )
 
 
