@@ -140,12 +140,12 @@ class PairRay:
     series of each panel's solved l, chopped at its rounding plateau, which
     is noise; each new node starts from the series of the deepest panel
     that holds it, which is l at t = 1 until the first panel is solved.  A
-    node whose start lies outside a natural domain
-    starts instead from the piecewise-linear interpolation in t of the nodes
-    solved so far, by either kernel: the natural domains are convex, so that
-    start lies inside both.  A row of ``states`` whose start is already
-    within rounding costs one evaluation; the table's nodes, whose rates set
-    tau, are always polished.
+    node whose start lies outside a natural domain starts instead from the
+    piecewise-linear interpolation in t of the nodes solved so far, by
+    either kernel: the natural domains are convex, so that start lies
+    inside both.  A row of ``states`` whose start is already within
+    rounding costs one evaluation; the table's nodes, whose rates set tau,
+    are always polished.
     """
 
     def __init__(self, system: CompositeSystem, F0, lam):
@@ -164,8 +164,9 @@ class PairRay:
         panels = np.reshape(ts, (-1, chebyshev.POINTS))
         self.lo, self.hi = np.append(self.lo, panels[:, 0]), np.append(self.hi, panels[:, -1])
         series = chebyshev.coefficients(l.reshape(panels.shape + (len(self.F0),)))
-        for c in (c for panel in series for c in panel.T):  # each component of each panel
-            c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0  # past the rounding plateau
+        for panel in series:
+            for c in panel.T:  # each component's coefficients, past the rounding plateau
+                c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
         self.series = np.concatenate([self.series, series.transpose(1, 0, 2)], axis=1)
         return np.sqrt(np.maximum(np.einsum("i,kij,j->k", self.F0, g_inv, self.F0), 0.0))
 
@@ -198,8 +199,9 @@ class PairRay:
         Newton steps; the potential phi = log Z(l) + log Z'(l') + l . A_T,
         the decrease -grad phi . step it predicts, the rounding of phi,
         whether the residual is small and whether it is within what rounding
-        puts into it.  Rows outside either natural domain
-        come back non-finite."""
+        puts into it, and the means and total entropy that one more Newton
+        step gives, to first order.  Rows outside either natural domain come
+        back non-finite."""
         pair = self.system
         with np.errstate(all="ignore"):
             A, S, cov = pair.sys1.natural_states(l)

@@ -184,8 +184,8 @@ class _RayTable:
         self.tau_eq = math.fsum(parts)
 
     def _sums(self, j: np.ndarray):
-        """The panels j's ends and the sums of their series of tau and f at
-        points s of them."""
+        """The ends of panels j, and the function of points s in them that
+        gives tau and f by Clenshaw sums of the panels' series."""
         series, tops = self.series[:, j], self.tops[j]
 
         def sums(s):
@@ -347,10 +347,9 @@ def integrate(
     tau(t), against whose series the rows, which sit at tau = k * h, are
     placed without a kernel call, and one batched call of its ``states``
     gives their A, S and covariance (for a pair, g_T^-1 and the subsystem
-    columns).  Where the
-    next such row would lie past the entropy maximum or have sigma at most
-    ``2 * sigma_eq``, rows go on with sigma halving while it exceeds
-    ``2 * sigma_eq``.  The run ends with status
+    columns).  Where the next such row would lie past the entropy maximum
+    or have sigma at most ``2 * sigma_eq``, rows go on with sigma halving
+    while it exceeds ``2 * sigma_eq``.  The run ends with status
     ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its
     exact tau), or ``tau-budget-exhausted`` at ``tau_max``, as it always
     does for a family without a maximum (the ideal gas).  An arclength rate
