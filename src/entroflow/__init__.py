@@ -21,7 +21,6 @@ from .errors import (
     SingularModelError,
     StepCollapseError,
     TooFewSamplesError,
-    UnknownMicrostateError,
     ValidationError,
 )
 from .family import (
@@ -72,7 +71,6 @@ __all__ = [
     "EntroflowError",
     "DomainError",
     "SingularModelError",
-    "UnknownMicrostateError",
     "InfeasibleMeanError",
     "NoConvergenceError",
     "AtEquilibriumError",

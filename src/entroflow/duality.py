@@ -2,8 +2,13 @@
 
 The map lam -> A = -d log Z / d lam is inverted by Newton iteration on the
 strictly convex potential F(lam) = log Z(lam) + lam . A, whose gradient is
-A - mean_parameters(lam) and whose Hessian is the statistics covariance.
-The maximized entropy follows from the identity S(A) = log Z(lam) + lam . A.
+A - <a> and whose Hessian is the statistics covariance.  All three come
+from one row of the family's one forward map, ``natural_states``: it gives
+the mean <a>, the entropy S = log Z + lam . <a> and the covariance at lam,
+so F = S + lam . (A - <a>), and each trial of the iteration reads the
+family once.  The solve's last evaluation, at the lam it returns, also
+gives the maximized entropy S(A) and the covariance, whose inverse is the
+metric.
 
 Families that declare closed-form duality (Bernoulli, the Gaussian location
 family and the ideal gas) bypass the solver entirely: S, lam and the metric
@@ -12,6 +17,8 @@ families are the only ones that run the Newton iteration.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,34 +37,61 @@ _MAX_HALVINGS = 50
 _ARMIJO = 1e-4
 
 
-def _newton_direction(gap: np.ndarray, hess: np.ndarray, lam_norm: float) -> np.ndarray:
+def _sup(x: np.ndarray) -> float:
+    """max |x_i|, or inf if an entry is not finite."""
+    values = x.tolist()
+    return max(map(abs, values)) if math.isfinite(sum(values)) else math.inf
+
+
+def _forward(family: ExponentialFamily, lam: np.ndarray, A: np.ndarray):
+    """From one row of ``natural_states`` at lam: the residual <a> - A, S,
+    the covariance and F = S - lam . (<a> - A)."""
+    mean, S, cov = family.natural_states(lam[None, :])
+    gap, S = mean[0] - A, float(S[0])
+    return gap, S, cov[0], S - float(lam @ gap)
+
+
+def _newton_step(gap: np.ndarray, cov: np.ndarray, lam: np.ndarray, A: np.ndarray,
+                 first: bool) -> np.ndarray:
+    """The Newton step Cov^-1 . gap (d<a>/dlam = -Cov), once Cov passes a
+    Cholesky check."""
     try:
-        return -np.linalg.solve(hess, gap)
+        if not math.isfinite(sum(cov.ravel().tolist())):
+            raise np.linalg.LinAlgError
+        np.linalg.cholesky(cov)
+        return np.linalg.solve(cov, gap)
     except np.linalg.LinAlgError:
-        # Far out in natural-parameter space the distribution concentrates
-        # on a hull vertex and the covariance underflows; close in, a
-        # singular covariance means the model itself is degenerate.
-        if lam_norm > 1e2:
-            raise InfeasibleMeanError(
-                "covariance collapsed while chasing an unattainable mean"
+        if first:
+            # singular at the starting point: the model itself is
+            # degenerate, not the requested mean
+            raise SingularModelError(
+                "statistics covariance is not positive definite at lam = 0"
             ) from None
-        raise SingularModelError(
-            "singular covariance during Legendre inversion"
+        # the distribution concentrated on a hull facet while chasing the
+        # target: the mean is outside the attainable open set
+        raise InfeasibleMeanError(
+            f"covariance collapsed while chasing mean {A} at |lam| = {_sup(lam):.3g}; "
+            "the target lies outside the attainable set"
         ) from None
 
 
-def solve_lambda(family: ExponentialFamily, A) -> np.ndarray:
-    """Invert A = mean_parameters(lam) for lam.
+def solve_lambda(family: ExponentialFamily, A, *, states: bool = False):
+    """Invert A = <a>(lam) for lam.
 
     Newton iteration from lam = 0 with backtracking line search (halving,
     Armijo constant 1e-4) on F(lam) = log Z + lam . A; the covariance is the
-    exact Hessian.
+    exact Hessian.  Every trial, halved ones and the polish included, is one
+    row of ``natural_states``.
 
     After the residual meets SOLVE_TOL one extra full Newton step is taken
     and kept if it improves the residual: thanks to quadratic convergence
     this polishes lam to machine precision, so the covariance and third
     cumulant evaluated at lam (the metric and the connection) carry no
     trace of the solver tolerance.
+
+    With ``states``, returns (lam, S, Cov): the entropy and the statistics
+    covariance of the last evaluation, at lam, or None for both where the
+    family's closed form gives lam with no evaluation.
 
     Raises InfeasibleMeanError when the iteration diverges (the requested
     mean lies outside the attainable set) and NoConvergenceError when the
@@ -66,76 +100,58 @@ def solve_lambda(family: ExponentialFamily, A) -> np.ndarray:
     A = family.check_feasible(A)
     analytic = family.solve_mean(A)
     if analytic is not None:
-        return np.asarray(analytic, dtype=float)
+        lam = np.asarray(analytic, dtype=float)
+        return (lam, None, None) if states else lam
 
     lam = np.zeros(family.n_dim)
-    value = family.log_partition(lam) + lam @ A
-
-    def residual(l):
-        return family.mean_parameters(l) - A
-
-    gap = residual(lam)
+    gap, S, cov, value = _forward(family, lam, A)
     for iteration in range(_MAX_ITER):
-        if np.max(np.abs(gap)) <= SOLVE_TOL:
-            return _polish(family, A, lam, gap)
-        # grad F = A - mean(lam) = -gap
-        try:
-            hess = family.covariance(lam)
-        except SingularModelError:
-            if iteration == 0:
-                # Singular at the starting point: the model itself is
-                # degenerate, not the requested mean.
-                raise
-            # The distribution concentrated on a hull facet while chasing
-            # the target: the mean is outside the attainable open set.
-            raise InfeasibleMeanError(
-                f"covariance collapsed while chasing mean {A}; "
-                "the target lies outside the attainable set"
-            ) from None
-        step = _newton_direction(-gap, hess, float(np.max(np.abs(lam))))
+        if _sup(gap) <= SOLVE_TOL:
+            lam, S, cov = _polish(family, A, lam, gap, S, cov)
+            return (lam, S, cov) if states else lam
+        step = _newton_step(gap, cov, lam, A, first=iteration == 0)
         slope = float(-gap @ step)  # grad F . step, negative for a descent step
-        # F is a sum of log Z and lam . A, each as large as |lam . A| where
-        # the statistics sit far from 0, so that sets its float resolution.
+        # F = log Z + lam . A has terms as large as |lam . A| where the
+        # statistics sit far from 0, so that sets its float resolution.
         if -slope <= 1e-14 * (1.0 + abs(value) + abs(float(lam @ A))):
             # Predicted decrease is below the float resolution of F: the
             # Armijo test cannot certify progress here, but the pure Newton
             # step still contracts the residual quadratically.
-            cand = lam + step
-            cand_value = family.log_partition(cand) + cand @ A
+            lam = lam + step
+            gap, S, cov, value = _forward(family, lam, A)
         else:
             t = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 cand = lam + t * step
-                cand_value = family.log_partition(cand) + cand @ A
-                if cand_value <= value + _ARMIJO * t * slope:
+                trial = _forward(family, cand, A)
+                if trial[3] <= value + _ARMIJO * t * slope:
                     break
                 t *= 0.5
             else:
                 raise NoConvergenceError(
                     "line search stalled during Legendre inversion"
                 )
-        lam, value = cand, cand_value
-        if np.max(np.abs(lam)) > DIVERGENCE_NORM:
+            lam, (gap, S, cov, value) = cand, trial
+        if _sup(lam) > DIVERGENCE_NORM:
             raise InfeasibleMeanError(
                 f"solver diverged: mean {A} lies outside the attainable set"
             )
-        gap = residual(lam)
     raise NoConvergenceError(
         f"Legendre inversion did not converge in {_MAX_ITER} iterations"
     )
 
 
-def _polish(family, A, lam, gap):
+def _polish(family, A, lam, gap, S, cov):
+    """One more full Newton step from a converged lam, kept with its S and
+    covariance if it does not worsen the residual."""
     try:
-        hess = family.covariance(lam)
-        step = _newton_direction(-gap, hess, float(np.max(np.abs(lam))))
-    except (InfeasibleMeanError, SingularModelError):
-        return lam
-    cand = lam + step
-    cand_gap = family.mean_parameters(cand) - A
-    if np.max(np.abs(cand_gap)) <= np.max(np.abs(gap)):
-        return cand
-    return lam
+        cand = lam + _newton_step(gap, cov, lam, A, first=False)
+    except InfeasibleMeanError:
+        return lam, S, cov
+    cand_gap, cand_S, cand_cov, _ = _forward(family, cand, A)
+    if _sup(cand_gap) <= _sup(gap):
+        return cand, cand_S, cand_cov
+    return lam, S, cov
 
 
 def entropy(family: ExponentialFamily, A) -> float:
@@ -144,6 +160,4 @@ def entropy(family: ExponentialFamily, A) -> float:
     surface = family.entropy_surface(A)
     if surface is not None:
         return float(surface)
-    lam = solve_lambda(family, A)
-    return float(family.log_partition(lam) + lam @ A)
-
+    return solve_lambda(family, A, states=True)[1]

@@ -15,10 +15,6 @@ class SingularModelError(EntroflowError):
     """A covariance or metric matrix failed its positive-definiteness check."""
 
 
-class UnknownMicrostateError(EntroflowError):
-    """A microstate label does not belong to the family's state space."""
-
-
 class InfeasibleMeanError(EntroflowError):
     """A mean vector lies outside the open set of attainable expectations."""
 

@@ -1,13 +1,16 @@
 """Exponential-family statistical models.
 
 A family fixes a prior measure over microstates together with n sufficient
-statistics and exposes the standard log-partition machinery.  The sign
-convention throughout is
+statistics.  The sign convention throughout is
 
     p(x | lam) = (1/Z) m(x) exp(-lam . a(x)),
 
 so the mean parameters are A = -d log Z / d lam and the covariance of the
-statistics is the Hessian of log Z.  Discrete tabulated families are
+statistics is the Hessian of log Z.  log Z, A and the covariance are three
+moments of one sum over the microstates, and a family exposes them through
+one forward map, the batched ``natural_states``, which gives A, the
+entropy S = log Z + lam . A and the covariance at an array of natural
+parameters (log Z is S - lam . A).  Discrete tabulated families are
 evaluated exactly by weighted summation; continuous families are admitted
 only through closed forms (a unit-variance Gaussian location family and a
 monatomic ideal gas defined by its entropy surface).  The Bernoulli,
@@ -32,7 +35,6 @@ from .errors import (
     InfeasibleMeanError,
     ParseError,
     SingularModelError,
-    UnknownMicrostateError,
     ValidationError,
 )
 
@@ -83,36 +85,25 @@ class DiscreteSpace:
             raise ValueError("all weights must be finite and > 0")
         self.points = points
         self.weights = weights
-        self._index = {label: i for i, label in enumerate(points)}
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_of(self, x) -> int:
-        try:
-            return self._index[x]
-        except (KeyError, TypeError):
-            raise UnknownMicrostateError(f"unknown microstate label: {x!r}") from None
 
 
 class ExponentialFamily(ABC):
     """Abstract interface shared by every supported family.
 
-    Subclasses implement the four core evaluations (``log_partition``,
-    ``mean_parameters``, ``covariance``, ``log_density``) plus feasibility
-    and natural-domain checks.  Families with closed-form duality may
-    additionally override the ``solve_mean`` / ``entropy_surface`` /
-    ``neg_entropy_hessian`` / ``neg_entropy_third`` hooks, which let
-    downstream code bypass the numerical Legendre inversion.  The hooks take
-    a mean vector that has already passed ``check_feasible`` and do not
-    check it again.  A family without ``neg_entropy_third`` must provide
-    ``cumulants``, from which the geometry builds the connection.  The flow
-    samples a family's force ray lam = t lam0 through ``ray(lam0)``, an
-    object whose batched ``rate`` gives the arclength rate and whose
-    ``states`` gives the rows at an array of t.  ``natural_states`` is the
-    batched forward map at arbitrary natural parameters: the rows of a
-    closed-form family's ray and the maps a coupled pair's Newton solve of
-    its nodes runs on.
+    A family has one forward map, the batched ``natural_states`` (means,
+    entropies S = log Z + lam . A and covariances, so log Z = S - lam . A),
+    which ``duality.solve_lambda`` reads at one row per Newton trial and a
+    coupled pair's Newton solve runs on, and one ray, ``ray(lam0)``, whose
+    batched ``rate`` and ``states`` the flow samples along lam = t lam0.
+    Families with closed-form duality may override the ``solve_mean`` /
+    ``entropy_surface`` / ``neg_entropy_hessian`` / ``neg_entropy_third``
+    hooks, which bypass the numerical Legendre inversion; they take a mean
+    that has already passed ``check_feasible``.  A family without
+    ``neg_entropy_third`` must provide ``cumulants``, from which the
+    geometry builds the connection.
     """
 
     @property
@@ -124,24 +115,6 @@ class ExponentialFamily(ABC):
     def labels(self) -> tuple[str, ...]:
         """Names of the statistics, used to pair coupled subsystems."""
         return tuple(f"a{i + 1}" for i in range(self.n_dim))
-
-    # -- core evaluations -------------------------------------------------
-
-    @abstractmethod
-    def log_partition(self, lam) -> float:
-        """log Z(lam); overflow-safe for any finite lam in the domain."""
-
-    @abstractmethod
-    def mean_parameters(self, lam) -> np.ndarray:
-        """A(lam) = -d log Z / d lam = <a> under p(x|lam)."""
-
-    @abstractmethod
-    def covariance(self, lam) -> np.ndarray:
-        """Cov(a, a) under p(x|lam); symmetric positive definite."""
-
-    @abstractmethod
-    def log_density(self, lam, x) -> float:
-        """log p(x|lam) = log m(x) - lam . a(x) - log Z(lam)."""
 
     # -- domain checks ----------------------------------------------------
 
@@ -188,25 +161,13 @@ class ExponentialFamily(ABC):
         if available, else None; totally symmetric."""
         return None
 
-    def cumulants(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Covariance and third cumulant of the statistics under p(x|lam)."""
+    def cumulants(self, lam) -> np.ndarray:
+        """The third cumulant k3[i, j, k] of the statistics under p(x|lam)."""
         raise NotImplementedError(
             f"{type(self).__name__} declares neither neg_entropy_third nor cumulants"
         )
 
-    def ray(self, lam0) -> Ray:
-        """The ray lam = t lam0 as a ``Ray``: its arclength rate
-        f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) and its rows' states at
-        arrays of t.
-
-        lam0 is checked once, here; the ray's points t lam0, 0 < t <= 1, then
-        lie in the natural domain, which is convex and holds lam = 0, or (the
-        ideal gas's lam_E > 0) is a cone.  Along the ray
-        the family is the one-parameter family of the projected statistic
-        y = lam0 . a, and f is the standard deviation of y.
-        """
-        raise NotImplementedError(f"{type(self).__name__} declares no ray")
-
+    @abstractmethod
     def natural_states(self, lams):
         """The means A (k, n_dim), entropies S = log Z + lam . A (k,) and
         statistics covariances (k, n_dim, n_dim) at k finite natural
@@ -215,7 +176,18 @@ class ExponentialFamily(ABC):
         Nothing is checked: a row outside the natural domain comes back
         non-finite, so a batched solver can halve its step instead.
         """
-        raise NotImplementedError(f"{type(self).__name__} declares no natural_states")
+
+    @abstractmethod
+    def ray(self, lam0) -> Ray:
+        """The ray lam = t lam0 as a ``Ray``: its arclength rate
+        f(t) = (lam0 . Cov(t lam0) . lam0)^(1/2) and its rows' states at
+        arrays of t.
+
+        lam0 is checked once, here; the ray's points t lam0, 0 < t <= 1, then
+        lie in the natural domain, which is convex and holds lam = 0, or (the
+        ideal gas's lam_E > 0) is a cone.  Along the ray the family is the
+        one-parameter family of y = lam0 . a, and f is its standard deviation.
+        """
 
 
 class Ray:
@@ -231,19 +203,13 @@ class Ray:
         return self.family.natural_states(np.multiply.outer(ts, self.lam0) + 0.0)
 
 
-def _log_sum_exp(values: np.ndarray) -> float:
-    # Max-shift is mandatory: natural-parameter excursions during Newton
-    # solves would overflow a naive sum.
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
 #: Largest statistic magnitude a table may hold: the third cumulant cubes
 #: centred statistics, and (2 * 1e100)^3 is still a finite double.
 MAX_STATISTIC = 1e100
-#: Most table entries a batched ray evaluation holds in one temporary; the
-#: t values are taken in runs of max(1, RAY_CHUNK // width), width the
-#: entries one t takes (the table's points, or a binned ray's moments).
+#: Most table entries a batched evaluation holds in one temporary; the rows
+#: are taken in runs of max(1, RAY_CHUNK // width), width the entries one
+#: row takes (the points, times the statistics for ``natural_states``, or a
+#: binned ray's moments).
 RAY_CHUNK = 1 << 14
 #: Width of a bin of the projected statistic y on a binned ray.  Each bin is
 #: expanded about its weight-mean of y, which lies in the bin, so every
@@ -271,9 +237,10 @@ BINNED_SHARE = 0.25
 
 
 def _chunks(k: int, width: int):
-    """Slices of range(k) in runs of at most RAY_CHUNK // width."""
+    """Slices of range(k) in runs of at most RAY_CHUNK // width; one empty
+    run for k = 0."""
     step = max(1, RAY_CHUNK // width)
-    return (slice(lo, lo + step) for lo in range(0, k, step))
+    return (slice(lo, lo + step) for lo in range(0, max(k, 1), step))
 
 
 def _on_unit_interval(ts: np.ndarray) -> np.ndarray:
@@ -464,48 +431,6 @@ class TabulatedFamily(ExponentialFamily):
                 )
         return arr
 
-    def _shifted_terms(self, lam: np.ndarray) -> np.ndarray:
-        return self._log_weights - lam @ self._shifted
-
-    def log_partition(self, lam) -> float:
-        lam = self.check_natural_domain(lam)
-        return _log_sum_exp(self._shifted_terms(lam)) - float(lam @ self._shift)
-
-    def probabilities(self, lam) -> np.ndarray:
-        """Probability of each labelled point under p(x|lam)."""
-        lam = self.check_natural_domain(lam)
-        terms = self._shifted_terms(lam)
-        terms -= np.max(terms)
-        w = np.exp(terms)
-        return w / np.sum(w)
-
-    def mean_parameters(self, lam) -> np.ndarray:
-        return self._shift + self._shifted @ self.probabilities(lam)
-
-    def _centered(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        p = self.probabilities(lam)
-        return p, self._shifted - (self._shifted @ p)[:, None]
-
-    def covariance(self, lam) -> np.ndarray:
-        p, centered = self._centered(lam)
-        cov = (centered * p) @ centered.T
-        cov = 0.5 * (cov + cov.T)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise SingularModelError(
-                "statistics covariance is not positive definite at this point"
-            ) from None
-        return cov
-
-    def cumulants(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """Covariance and third cumulant k3[i, j, k] = <c_i c_j c_k> of the
-        centred statistics c, from one pass over the table."""
-        p, centered = self._centered(lam)
-        weighted = centered * p
-        k3 = (weighted[:, None, :] * centered[None, :, :]) @ centered.T
-        return weighted @ centered.T, k3
-
     def _weights(self, w: np.ndarray):
         """m(x) exp(-w(x) - top) in place of the exponents w (k, n_points),
         with the largest of each row, ``top``, shifted out, their sums and
@@ -516,18 +441,22 @@ class TabulatedFamily(ExponentialFamily):
         np.exp(w, out=w)
         return w, np.add.reduce(w, axis=1), top
 
-    def _moments(self, w: np.ndarray, z: np.ndarray):
-        """The centred means <a - c> (k, n_dim) and covariances of weights w
-        with sums z; w is normalized in place."""
-        shifted, n_dim = self._shifted, self._n_dim
-        w /= z[:, None]
-        mean = np.einsum("kn,dn->kd", w, shifted)
-        dev = [shifted[i] - mean[:, i, None] for i in range(n_dim)]
-        cov = np.empty((len(w), n_dim, n_dim))
-        for i in range(n_dim):
-            for j in range(i + 1):
-                cov[:, i, j] = cov[:, j, i] = np.einsum("kn,kn,kn->k", w, dev[i], dev[j])
-        return mean, cov
+    def _centred(self, lams: np.ndarray):
+        """At each row of ``lams``: the points' probabilities, log Z_c, <a - c>
+        and the deviations a - <a> (k, n_dim, n_points).  The exponents and
+        the mean take one matrix-vector product per row, so a row comes out
+        the same whatever rows share its call."""
+        p, z, top = self._weights(np.matmul(lams[:, None, :], self._shifted)[:, 0])
+        p /= z[:, None]
+        mean = np.matmul(self._shifted, p[:, :, None])[:, :, 0]
+        return p, top + np.log(z), mean, self._shifted - mean[:, :, None]
+
+    def cumulants(self, lam) -> np.ndarray:
+        """The third cumulant k3[i, j, k] = <c_i c_j c_k> of the centred
+        statistics c, from one pass over the table."""
+        p, _, _, dev = self._centred(np.asarray(lam, dtype=float)[None, :])
+        weighted = dev[0] * p[0]
+        return (weighted[:, None, :] * dev[0][None, :, :]) @ dev[0].T
 
     def ray(self, lam0):
         """The ray's rate, the standard deviation of y = lam0 . (a - c) under
@@ -563,27 +492,17 @@ class TabulatedFamily(ExponentialFamily):
     def natural_states(self, lams):
         """From one max-shifted exponential over the table per row, in runs
         of rows that keep each temporary within RAY_CHUNK entries: the mean
-        c + <a - c>, S = log Z + lam . A = top + log z + lam . <a - c> and
-        the centred covariance.  The exponents lam . (a - c) take one
-        vector-matrix product per row, so a row comes out the same whatever
-        rows share its run; one matrix product for the run rounds a row
-        differently with the run's length."""
-        lams = np.asarray(lams, dtype=float)
-        k, n_dim = len(lams), self._n_dim
-        A, S, cov = np.empty((k, n_dim)), np.empty(k), np.empty((k, n_dim, n_dim))
-        for rows in _chunks(k, len(self._log_weights)):
+        c + <a - c>, S = log Z + lam . A = log Z_c + lam . <a - c> and the
+        covariance, one product of the weighted deviations with the
+        deviations per row, symmetrized."""
+        lams, runs = np.asarray(lams, dtype=float), []
+        for rows in _chunks(len(lams), self._n_dim * len(self._log_weights)):
             lam = lams[rows]
-            w, z, top = self._weights(np.matmul(lam[:, None, :], self._shifted)[:, 0])
-            mean, cov[rows] = self._moments(w, z)
-            A[rows] = self._shift + mean
-            S[rows] = top + np.log(z) + np.einsum("kd,kd->k", mean, lam)
-        return A, S, cov
-
-    def log_density(self, lam, x) -> float:
-        lam = self.check_natural_domain(lam)
-        i = self.space.index_of(x)
-        terms = self._shifted_terms(lam)
-        return float(terms[i] - _log_sum_exp(terms))
+            p, log_z, mean, dev = self._centred(lam)
+            cov = (dev * p[:, None, :]) @ dev.transpose(0, 2, 1)
+            runs.append((self._shift + mean, log_z + np.einsum("kd,kd->k", mean, lam),
+                         0.5 * (cov + cov.transpose(0, 2, 1))))
+        return runs[0] if len(runs) == 1 else tuple(map(np.concatenate, zip(*runs)))
 
 
 class BernoulliFamily(ExponentialFamily):
@@ -602,24 +521,6 @@ class BernoulliFamily(ExponentialFamily):
     @property
     def n_dim(self) -> int:
         return 1
-
-    def log_partition(self, lam) -> float:
-        lam = self.check_natural_domain(lam)
-        return float(np.logaddexp(0.0, -lam[0]))
-
-    def mean_parameters(self, lam) -> np.ndarray:
-        lam = self.check_natural_domain(lam)
-        # sigmoid(-lam), computed through logaddexp for stability
-        return np.array([math.exp(-np.logaddexp(0.0, lam[0]))])
-
-    def covariance(self, lam) -> np.ndarray:
-        lam = self.check_natural_domain(lam)
-        p = math.exp(-np.logaddexp(0.0, lam[0]))
-        q = math.exp(-np.logaddexp(0.0, -lam[0]))
-        var = p * q
-        if var <= 0.0:
-            raise SingularModelError("bernoulli variance underflowed to zero")
-        return np.array([[var]])
 
     def ray(self, lam0) -> Ray:
         """Rate |lam0| (p q)^(1/2), p and q the probabilities of x = 1 and 0."""
@@ -641,12 +542,6 @@ class BernoulliFamily(ExponentialFamily):
         up, down = np.logaddexp(0.0, lam), np.logaddexp(0.0, -lam)
         p, q = np.exp(-up), np.exp(-down)
         return p[:, None], p * up + q * down, (p * q)[:, None, None]
-
-    def log_density(self, lam, x) -> float:
-        lam = self.check_natural_domain(lam)
-        if x not in (0, 1):
-            raise UnknownMicrostateError(f"bernoulli microstates are 0 and 1, got {x!r}")
-        return float(-lam[0] * x - self.log_partition(lam))
 
     def check_feasible(self, A) -> np.ndarray:
         arr = super().check_feasible(A)
@@ -696,18 +591,6 @@ class GaussianMeanFamily(ExponentialFamily):
     def n_dim(self) -> int:
         return self._dim
 
-    def log_partition(self, lam) -> float:
-        lam = self.check_natural_domain(lam)
-        return float(0.5 * self._dim * math.log(2.0 * math.pi) + 0.5 * lam @ lam)
-
-    def mean_parameters(self, lam) -> np.ndarray:
-        # 0.0 - lam rather than -lam: the maximum lam = 0 maps to +0.0
-        return 0.0 - self.check_natural_domain(lam)
-
-    def covariance(self, lam) -> np.ndarray:
-        self.check_natural_domain(lam)
-        return np.eye(self._dim)
-
     def ray(self, lam0) -> Ray:
         """Rate |lam0| at every t: the covariance is the identity."""
         lam0 = self.check_natural_domain(lam0)
@@ -720,11 +603,6 @@ class GaussianMeanFamily(ExponentialFamily):
         A = 0.0 - np.asarray(lams, dtype=float)
         S = 0.5 * self._dim * math.log(2.0 * math.pi) - np.einsum("ki,ki->k", 0.5 * A, A)
         return A, S, np.broadcast_to(np.eye(self._dim), (len(A), self._dim, self._dim))
-
-    def log_density(self, lam, x) -> float:
-        lam = self.check_natural_domain(lam)
-        x = as_vector(x, self._dim, "x")
-        return float(-0.5 * x @ x - lam @ x - self.log_partition(lam))
 
     # -- closed forms ------------------------------------------------------
 
@@ -839,40 +717,6 @@ class IdealGasFamily(ExponentialFamily):
             ]
         )
 
-    # -- partition-function surface, via the Legendre identity -------------
-
-    def _number_of(self, lam: np.ndarray) -> float:
-        if self.fixed_n is not None:
-            return self.fixed_n
-        return self.volume * (1.5 / lam[0]) ** 1.5 * math.exp(-lam[1])
-
-    def log_partition(self, lam) -> float:
-        lam = self.check_natural_domain(lam)
-        number = self._number_of(lam)
-        if self.fixed_n is not None:
-            return number * (
-                math.log(self.volume / number) + 1.5 * math.log(1.5 / lam[0]) + 1.0
-            )
-        return number
-
-    def mean_parameters(self, lam) -> np.ndarray:
-        lam = self.check_natural_domain(lam)
-        number = self._number_of(lam)
-        energy = 1.5 * number / lam[0]
-        if self.fixed_n is not None:
-            return np.array([energy])
-        return np.array([energy, number])
-
-    def covariance(self, lam) -> np.ndarray:
-        lam = self.check_natural_domain(lam)
-        number = self._number_of(lam)
-        energy = 1.5 * number / lam[0]
-        if self.fixed_n is not None:
-            return np.array([[energy**2 / (1.5 * number)]])
-        return np.array(
-            [[5.0 * energy**2 / (3.0 * number), energy], [energy, number]]
-        )
-
     def ray(self, lam0) -> Ray:
         """Rate (1.5 N)^(1/2) / t with N fixed, else f^2 = N(t) (3.75 / t^2 +
         3 lam_N / t + lam_N^2) with N(t) = V (1.5 / (t lam_E))^1.5 e^(-t lam_N),
@@ -891,9 +735,10 @@ class IdealGasFamily(ExponentialFamily):
 
     def natural_states(self, lams):
         """E = 1.5 N / lam_E, N = V (1.5 / lam_E)^1.5 e^-lam_N unless fixed,
-        S from the entropy surface and the covariance of ``covariance``; a
-        row with lam_E <= 0 comes back NaN, and one that overflows inf or
-        NaN, without a warning."""
+        S from the entropy surface and the covariance, the Hessian of log Z
+        (N unless N is fixed): [[5 E^2 / (3 N), E], [E, N]], or E^2 / (1.5 N)
+        with N fixed.  A row with lam_E <= 0 comes back NaN, and one that
+        overflows inf or NaN, without a warning."""
         lams = np.asarray(lams, dtype=float)
         with np.errstate(all="ignore"):
             lam_e = np.where(lams[:, 0] > 0.0, lams[:, 0], math.nan)
@@ -907,12 +752,6 @@ class IdealGasFamily(ExponentialFamily):
                 return energy[:, None], S, (energy**2 / (1.5 * number))[:, None, None]
             cov = np.stack([5.0 * energy**2 / (3.0 * number), energy, energy, number], axis=1)
         return np.column_stack([energy, number]), S, cov.reshape(-1, 2, 2)
-
-    def log_density(self, lam, x) -> float:
-        raise UnknownMicrostateError(
-            "the ideal-gas family is defined by its entropy surface and has "
-            "no microstate-level density"
-        )
 
 
 _TABULATED_KEYS = {"points", "weights", "stats"}

@@ -396,20 +396,20 @@ def integrate(
     return _ray(manifold, table, ray.states, pt, tau_max, h, sigma_eq, t_of)
 
 
-def nonuniform_first_derivative(
-    f_prev: float, f_mid: float, f_next: float, h_minus: float, h_plus: float
-) -> float:
-    """Three-point first derivative at the middle node of an unequal stencil.
+def nonuniform_first_derivative(f_prev, f_mid, f_next, h_minus, h_plus):
+    """Three-point first derivative at the middle node of an unequal stencil,
+    for floats or elementwise for arrays.
 
     Second-order accurate; reduces to the classical centered difference for
-    equal spacing and is exact for quadratics.
+    equal spacing and is exact for quadratics.  The squares are products:
+    a Python float's ** goes through pow(), which rounds differently from
+    a product about once in a thousand squares, while an array's ** is a
+    product, so a float and an array evaluation would differ in the last
+    bit.
     """
     denom = h_minus * h_plus * (h_minus + h_plus)
-    return (
-        -(h_plus**2) * f_prev
-        + (h_plus**2 - h_minus**2) * f_mid
-        + h_minus**2 * f_next
-    ) / denom
+    minus2, plus2 = h_minus * h_minus, h_plus * h_plus
+    return (-plus2 * f_prev + (plus2 - minus2) * f_mid + minus2 * f_next) / denom
 
 
 @dataclass(frozen=True)
@@ -442,28 +442,18 @@ def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
         raise TooFewSamplesError(
             f"need at least 3 samples, trajectory has {len(traj)}"
         )
-    # Python floats: their ** goes through pow(), where numpy arrays would
-    # square by multiplying and round differently in the last bit.
-    tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
-    size, h = np.abs(traj.S), np.diff(traj.tau)
+    S, size, h = traj.S, np.abs(traj.S), np.diff(traj.tau)
     rounding = _EPS * (size[:-2] + size[1:-1] + size[2:]) * (1.0 / h[:-1] + 1.0 / h[1:])
-    kept = (np.flatnonzero(rounding <= ENTROPY_CHECK_ROUNDING) + 1).tolist()
-    residuals = [
-        abs(
-            nonuniform_first_derivative(
-                S[k - 1], S[k], S[k + 1], tau[k] - tau[k - 1], tau[k + 1] - tau[k]
-            )
-            - sigma[k]
-        )
-        for k in kept
-    ]
-    if not residuals:
+    kept = np.flatnonzero(rounding <= ENTROPY_CHECK_ROUNDING) + 1
+    if not kept.size:
         return EntropyProductionReport(max_residual=0.0, argmax_tau=None, residuals=())
+    slope = nonuniform_first_derivative(S[kept - 1], S[kept], S[kept + 1], h[kept - 1], h[kept])
+    residuals = np.abs(slope - traj.sigma[kept])
     worst = int(np.argmax(residuals))
     return EntropyProductionReport(
         max_residual=float(residuals[worst]),
-        argmax_tau=tau[kept[worst]],
-        residuals=tuple(residuals),
+        argmax_tau=float(traj.tau[kept[worst]]),
+        residuals=tuple(residuals.tolist()),
     )
 
 

@@ -222,19 +222,22 @@ class FamilyManifold(StateManifold):
 
     def point(self, A) -> ManifoldPoint:
         """The point at mean A: lam from ``solve_lambda`` (which checks A
-        once), S from the entropy surface or log Z + lam . A, and the metric
-        from the closed-form Hessian or else from the covariance at lam."""
+        once), S from the entropy surface or else from the solve's last
+        evaluation, and the metric from the closed-form Hessian or else from
+        the covariance of that evaluation, so a table is not read again.
+        ``aux`` holds lam and the metric matrix g."""
         fam = self.family
         A = as_vector(A, fam.n_dim, "A")
-        lam = duality.solve_lambda(fam, A)
+        lam, S, cov = duality.solve_lambda(fam, A, states=True)
         surface = fam.entropy_surface(A)
-        S = float(surface) if surface is not None else float(fam.log_partition(lam) + lam @ A)
+        if surface is not None:
+            S = float(surface)
         hess = fam.neg_entropy_hessian(A)
         if hess is not None:
             met = MetricTensor.from_matrix(hess)
         else:
-            met = MetricTensor.from_covariance(fam.covariance(lam))
-        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam,))
+            met = MetricTensor.from_covariance(cov)
+        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam, met.g))
 
     def entropy(self, A) -> float:
         return duality.entropy(self.family, A)
@@ -243,17 +246,18 @@ class FamilyManifold(StateManifold):
         """Closed form if the family declares one, else -k3(g., g., g.).
 
         With dlam/dA = -g and d Cov / d lam = -k3 (the third cumulant of
-        the statistics), d g / dA^b = -g (dCov/dA^b) g = -k3(g., g., g_b.).
+        the statistics), d g / dA^b = -g (dCov/dA^b) g = -k3(g., g., g_b.),
+        with the point's own g from ``aux``.
         """
         fam = self.family
         third = fam.neg_entropy_third(A)
         if third is not None:
             return np.asarray(third, dtype=float)
-        cov, k3 = fam.cumulants(aux[0])
-        g = _spd_inverse(_symmetrize(cov), "covariance")
-        dg = k3
-        for _ in range(3):  # contract each index with g; tensordot moves it last
-            dg = np.tensordot(dg, g, axes=(0, 0))
+        lam, g = aux
+        k3 = fam.cumulants(lam)
+        d = len(g)
+        # contract each index of k3 with the symmetric g, one product each
+        dg = (g @ (g @ k3.reshape(d, d * d)).reshape(d, d, d)) @ g
         # exact symmetry in the last two indices keeps Gamma exactly
         # symmetric in its lower indices
         return -0.5 * (dg + dg.transpose(0, 2, 1))

@@ -1,17 +1,23 @@
 """Shared oracle helpers for the test suite.
 
 Everything here is an independent verification route: finite differences,
-direct summation, quadrature wrappers, a fixed-step RK4 of the flow's
-velocity field and synthetic trajectory builders, plus a counter of the
-calls a method receives.
+direct summation, the closed forms of the Bernoulli, Gaussian and ideal-gas
+partition functions, quadrature wrappers, a fixed-step RK4 of the flow's
+velocity field and synthetic trajectory builders, plus ``natural_row``,
+which reads one row of a family's forward map, and a counter of the calls
+a method receives.
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
 """
 
+import math
+
 import numpy as np
 
-from entroflow.family import DiscreteSpace, TabulatedFamily
+from entroflow.family import (
+    BernoulliFamily, DiscreteSpace, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
+)
 from entroflow.flow import Trajectory
 from entroflow.geometry import ReparametrizedManifold, as_manifold, metric, unit_velocity
 
@@ -153,10 +159,86 @@ def random_tabulated(rng, n_dim=None, n_points=None):
     return TabulatedFamily(DiscreteSpace(points, weights), stats)
 
 
+def seeded_table(seed, n_points, n_dim=3, norm=0.3):
+    """An ``n_dim`` x ``n_points`` table with weights in [0.5, 2] and N(0, 1)
+    statistics, as the benchmark's, and the mean at a seeded natural
+    parameter of the given norm."""
+    rng = np.random.default_rng(seed)
+    weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
+    lam0 = rng.normal(size=n_dim)
+    lam0 *= norm / np.linalg.norm(lam0)
+    fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
+    return fam, tabulated_mean(weights, stats, lam0)
+
+
 def random_feasible_mean(rng, family, lam_box=1.0):
-    """Sample an interior-feasible mean by pushing a random lam forward."""
+    """Sample an interior-feasible mean by pushing a random lam forward
+    through ``states_oracle``."""
     lam = rng.uniform(-lam_box, lam_box, family.n_dim)
-    return family.mean_parameters(lam)
+    return states_oracle(family, lam[None, :])[0][0]
+
+
+def natural_row(family, lam):
+    """log Z, the mean A and the covariance at one natural parameter, read
+    from one row of the family's forward map ``natural_states``: log Z is
+    S - lam . A.  This is the code under test, not an oracle."""
+    lam = np.asarray(lam, dtype=float)
+    A, S, cov = family.natural_states(lam[None, :])
+    return float(S[0] - lam @ A[0]), A[0], cov[0]
+
+
+def log_partition_oracle(family, lam):
+    """log Z at lam by a route independent of the family's code: a direct
+    log-sum-exp over a table or Bernoulli's two points, (d/2) ln(2 pi) +
+    |lam|^2 / 2 for the Gaussian location family, and for the ideal gas
+    N = V (1.5 / lam_E)^1.5 e^(-lam_N), or with N fixed
+    N (ln(V / N) + 1.5 ln(1.5 / lam_E) + 1), the Legendre transform of its
+    entropy surface."""
+    lam = np.asarray(lam, dtype=float)
+    if isinstance(family, GaussianMeanFamily):
+        return 0.5 * family.n_dim * math.log(2.0 * math.pi) + 0.5 * float(lam @ lam)
+    if isinstance(family, IdealGasFamily):
+        lam_e = float(lam[0])
+        if family.fixed_n is not None:
+            n = family.fixed_n
+            return n * (math.log(family.volume / n) + 1.5 * math.log(1.5 / lam_e) + 1.0)
+        return family.volume * (1.5 / lam_e) ** 1.5 * math.exp(-float(lam[1]))
+    if isinstance(family, BernoulliFamily):
+        weights, stats = np.ones(2), np.array([[0.0, 1.0]])
+    else:
+        weights, stats = family.space.weights, family.stats
+    terms = np.log(weights) - lam @ stats
+    top = float(terms.max())
+    return top + math.log(float(np.sum(np.exp(terms - top))))
+
+
+def states_oracle(family, lams):
+    """(A, S, covariance) at each row of ``lams``, by a route independent of
+    the family's code: direct summation over a table (Bernoulli is the
+    two-point table), the Gaussian location family's closed forms, or for
+    the ideal gas A = 1.5 N / lam_E (and N) with S from its entropy surface
+    and the covariance [[5 E^2 / (3 N), E], [E, N]] (E^2 / (1.5 N) with N
+    fixed) of log Z = N."""
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    if isinstance(family, GaussianMeanFamily):
+        A = 0.0 - lams
+        S = 0.5 * family.n_dim * math.log(2.0 * math.pi) - 0.5 * np.sum(A * A, axis=1)
+        return A, S, np.broadcast_to(np.eye(family.n_dim), (len(A), family.n_dim, family.n_dim))
+    if isinstance(family, BernoulliFamily):
+        return tabulated_states([1.0, 1.0], [[0.0, 1.0]], lams)
+    if isinstance(family, IdealGasFamily):
+        V = family.volume
+        if family.fixed_n is not None:
+            N = np.full(len(lams), family.fixed_n)
+        else:
+            N = V * (1.5 / lams[:, 0]) ** 1.5 * np.exp(-lams[:, 1])
+        E = 1.5 * N / lams[:, 0]
+        S = N * (np.log(V / N) + 1.5 * np.log(E / N) + 2.5)
+        if family.fixed_n is not None:
+            return E[:, None], S, (E**2 / (1.5 * N))[:, None, None]
+        cov = np.array([[[5.0 * e * e / (3.0 * n), e], [e, n]] for e, n in zip(E, N)])
+        return np.column_stack([E, N]), S, cov
+    return tabulated_states(family.space.weights, family.stats, lams)
 
 
 def _tabulated_moments(weights, stats, lam):

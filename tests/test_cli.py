@@ -31,6 +31,7 @@ from entroflow.cli import (
 )
 from entroflow.coupled import CompositeSystem
 from entroflow.family import BernoulliFamily, Ray, TabulatedFamily
+from helpers import tabulated_mean
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -252,8 +253,7 @@ class TestRunScenario:
         summary = json.loads((tmp_path / "out" / "three-state-summary.json").read_text())
         assert summary["terminal_status"] == "equilibrium-reached"
         # entropy maximum of the weighted three-state chain sits at lam = 0
-        fam = build_system(cfg)
-        target = fam.mean_parameters([0.0])[0]
+        target = tabulated_mean(fam_doc["weights"], fam_doc["stats"], [0.0])[0]
         assert summary["terminal_A"][0] == pytest.approx(target, abs=1e-6)
 
     def test_geometry_probe_analysis(self, tmp_path):
@@ -544,6 +544,31 @@ class TestMain:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr
         assert len(stderr.splitlines()) == 1 and "SingularModelError" in stderr
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_mean_inside_the_ranges_but_outside_the_hull_exits_2(self, tmp_path):
+        # the table on (0, 0), (1, 0) and (0, 1) attains the open triangle;
+        # (0.9, 0.9) lies inside both statistics' ranges, so validate accepts
+        # it, and the cold Newton solve diagnoses it as infeasible
+        doc = {
+            "name": "hull", "mode": "single", "A0": [0.9, 0.9],
+            "family": {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0],
+                       "stats": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+            "integrator": {"tau_max": 2.0},
+        }
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        out = tmp_path / "out"
+        runs = [["validate", str(path)], ["run", str(path), "--output-dir", str(out)],
+                ["probe", str(path), "--point", "0.9", "0.9"]]
+        for argv, code in zip(runs, (0, 2, 2)):
+            proc = subprocess.run([sys.executable, "-m", "entroflow.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == code, argv
+            assert "Traceback" not in proc.stderr
+            if code:
+                assert len(proc.stderr.splitlines()) == 1, argv
+                assert "InfeasibleMeanError" in proc.stderr and proc.stdout == ""
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name", catalog_names())

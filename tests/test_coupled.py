@@ -302,7 +302,18 @@ class TestForceRayContinuation:
         assert traj.terminal_status == "equilibrium-reached" and traj.sigma[-1] == 0.0
         # equal temperatures and densities: N = 2/8, E = 4/8
         assert np.max(np.abs(traj.A[-1] - [0.5, 0.25])) <= 1e-12
-        assert np.all(np.diff(traj.S) > 0.0)
+        # S_T is the closed-form entropy of each row's (A, A_T - A) up to
+        # rounding of its terms; the last landing rows' exact increments lie
+        # below one ulp of S_T, so S_T strictly increases over the grid rows
+        terms = []
+        for (E, N), V in ((traj.A.T, 1.0), (traj.A_prime.T, 7.0)):
+            terms += [N * np.log(V / N), 1.5 * N * np.log(E / N), 2.5 * N]
+        closed = np.sum(terms, axis=0)
+        bound = 8.0 * np.finfo(float).eps * np.sum(np.abs(terms), axis=0)
+        assert np.all(np.abs(traj.S - closed) <= bound)
+        grid = int(np.argmin(traj.tau == np.arange(len(traj)) * 0.01))
+        assert grid > 0.9 * len(traj)
+        assert np.all(np.diff(traj.S[:grid]) > 0.0)
 
     def test_a_start_outside_a_domain_restarts_from_the_linear_start(self, monkeypatch):
         # with 8e-6 of the 2 particles in the small vessel, the series of l
@@ -376,5 +387,5 @@ class TestForceRayContinuation:
         # RK4's own error at this spacing is 3e-10
         assert np.max(np.abs(ray.A[rows] - rows_rk4[partners])) <= 1e-9
         for lam, lam_prime, A in zip(ray.lam, ray.lam_prime, ray.A):
-            assert np.max(np.abs(fam.mean_parameters(lam) - A)) <= 1e-12
-            assert np.max(np.abs(fam.mean_parameters(lam_prime) - (A_T - A))) <= 1e-12
+            assert np.max(np.abs(tabulated_mean(weights, stats, lam) - A)) <= 1e-12
+            assert np.max(np.abs(tabulated_mean(weights, stats, lam_prime) - (A_T - A))) <= 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,12 @@ from entroflow import (
     entropy,
     solve_lambda,
 )
-from helpers import fd_gradient, random_tabulated, random_feasible_mean
+from entroflow import duality
+from entroflow.cli import main
+from helpers import (
+    fd_gradient, log_partition_oracle, random_feasible_mean, random_tabulated, seeded_table,
+    states_oracle, tabulated_states,
+)
 
 
 def bernoulli_lambda(A):
@@ -76,11 +82,11 @@ class TestSolveLambda:
         for fam in families:
             for _ in range(100):
                 A = random_feasible_mean(rng, fam)
-                back = fam.mean_parameters(solve_lambda(fam, A))
+                back = states_oracle(fam, solve_lambda(fam, A))[0][0]
                 assert np.max(np.abs(back - A)) <= 1e-9
         for _ in range(100):
             A = np.array([rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0)])
-            back = ideal_gas.mean_parameters(solve_lambda(ideal_gas, A))
+            back = states_oracle(ideal_gas, solve_lambda(ideal_gas, A))[0][0]
             assert np.max(np.abs(back - A)) <= 1e-9 * np.max(np.abs(A))
 
 
@@ -110,7 +116,7 @@ class TestEntropy:
             lam = solve_lambda(fam, A)
             s = entropy(fam, A)
             # duality gap: S(A) - log Z(lam) - lam . A = 0
-            assert abs(s - fam.log_partition(lam) - lam @ A) <= 1e-10
+            assert abs(s - log_partition_oracle(fam, lam) - lam @ A) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -173,14 +179,102 @@ class TestEntropyGradient:
 class TestManifoldPoint:
     def test_caches_are_consistent(self, bernoulli):
         pt = FamilyManifold(bernoulli).point([0.25])
-        assert np.max(np.abs(bernoulli.mean_parameters(pt.force) - pt.A)) <= 1e-10
-        assert abs(pt.S - bernoulli.log_partition(pt.force) - pt.force @ pt.A) <= 1e-10
+        assert np.max(np.abs(states_oracle(bernoulli, pt.force)[0][0] - pt.A)) <= 1e-10
+        assert abs(pt.S - log_partition_oracle(bernoulli, pt.force) - pt.force @ pt.A) <= 1e-10
 
     def test_ideal_gas_point(self, ideal_gas):
         pt = FamilyManifold(ideal_gas).point([3.0, 2.0])
-        assert abs(pt.S - ideal_gas.log_partition(pt.force) - pt.force @ pt.A) <= 1e-10
+        assert abs(pt.S - log_partition_oracle(ideal_gas, pt.force) - pt.force @ pt.A) <= 1e-10
 
     def test_immutable(self, bernoulli):
         pt = FamilyManifold(bernoulli).point([0.25])
         with pytest.raises(AttributeError):
             pt.S = 0.0
+
+
+SHAPES = [(3, 50), (8, 200)]
+SHAPE_IDS = ["3x50", "8x200"]
+
+
+def probe_table(n_dim, n_points):
+    """A seeded table, as the benchmark's probes read, and a mean inside it."""
+    return seeded_table(7, n_points, n_dim=n_dim, norm=0.6)
+
+
+def watch_forward_work(monkeypatch):
+    """Record the natural parameters of every ``natural_states`` call on a
+    table, count ``cumulants`` calls and the trials of the Newton solve."""
+    work = {"rows": [], "cumulants": 0, "trials": 0}
+    states, cumulants, forward = (TabulatedFamily.natural_states, TabulatedFamily.cumulants,
+                                  duality._forward)
+
+    def watched_states(self, lams):
+        work["rows"].append(np.array(lams, dtype=float))
+        return states(self, lams)
+
+    def watched_cumulants(self, lam):
+        work["cumulants"] += 1
+        return cumulants(self, lam)
+
+    def watched_forward(*args):
+        work["trials"] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(TabulatedFamily, "natural_states", watched_states)
+    monkeypatch.setattr(TabulatedFamily, "cumulants", watched_cumulants)
+    monkeypatch.setattr(duality, "_forward", watched_forward)
+    return work
+
+
+class TestOneForwardPassPerTrial:
+    """A cold Newton solve reads the table once per trial, and the point and
+    a probe read it no further but for one third-cumulant pass."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_a_cold_solve_reads_one_row_per_trial(self, monkeypatch, shape):
+        fam, A = probe_table(*shape)
+        work = watch_forward_work(monkeypatch)
+        lam = solve_lambda(fam, A)
+        rows = work["rows"]
+        # the start, every Newton step and halving, and the polish: each is
+        # one row of one call, and no row is read twice
+        assert work["trials"] >= 4 and len(rows) == work["trials"]
+        assert all(r.shape == (1, fam.n_dim) for r in rows)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+        assert np.any([np.array_equal(r[0], lam) for r in rows[-2:]])
+        assert work["cumulants"] == 0
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_the_point_reads_only_its_solve(self, monkeypatch, shape):
+        fam, A = probe_table(*shape)
+        work = watch_forward_work(monkeypatch)
+        solve_lambda(fam, A)
+        trials = work["trials"]
+        work.update(rows=[], trials=0)
+        pt = FamilyManifold(fam).point(A)
+        assert work["trials"] == trials and len(work["rows"]) == trials
+        assert work["cumulants"] == 0
+        # S and the metric come from the solve's last row, at the point's lam
+        want_A, want_S, want_cov = tabulated_states(fam.space.weights, fam.stats, pt.force)
+        assert abs(pt.S - want_S[0]) <= 1e-13 * abs(want_S[0])
+        assert np.max(np.abs(pt.metric.g_inv - want_cov[0])) <= 1e-13 * np.max(np.abs(want_cov[0]))
+        assert np.max(np.abs(want_A[0] - A)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_a_probe_makes_one_cumulants_pass(self, monkeypatch, tmp_path, capsys, shape):
+        fam, A = probe_table(*shape)
+        work = watch_forward_work(monkeypatch)
+        solve_lambda(fam, A)
+        trials = work["trials"]
+        work.update(rows=[], trials=0)
+        path = tmp_path / "table.json"
+        table = {"points": list(fam.space.points), "weights": fam.space.weights.tolist(),
+                 "stats": fam.stats.tolist()}
+        path.write_text(json.dumps({"name": "t", "mode": "single", "family": table,
+                                    "A0": A.tolist(), "integrator": {"tau_max": 1.0}}))
+        point = [np.format_float_positional(x, unique=True, trim="0") for x in A]
+        assert main(["probe", str(path), "--point", *point]) == 0
+        assert f"Gamma[{fam.n_dim - 1}][{fam.n_dim - 1}]" in capsys.readouterr().out
+        # the parsed point is A itself, so the probe's solve is the one above
+        assert len(work["rows"]) == work["trials"] == trials
+        assert work["cumulants"] == 1

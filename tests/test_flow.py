@@ -33,12 +33,13 @@ from entroflow import duality
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config
 from entroflow.coupled import PairRay
 from entroflow.family import DiscreteSpace, TabulatedFamily, _BinnedRay
-from entroflow.flow import _RayTable
+from entroflow.flow import ENTROPY_CHECK_ROUNDING, _RayTable, nonuniform_first_derivative
 from entroflow.geometry import StateManifold
 from helpers import (
     count_calls,
     identity_chart,
     rk4_rows,
+    seeded_table,
     synthetic_trajectory,
     tabulated_equilibrium_tau,
     tabulated_mean,
@@ -267,12 +268,12 @@ class TestIntegrate:
 
     def test_generic_family_relaxes_to_zero_parameter_state(self, rng):
         # for any family the entropy maximum sits at lam = 0, i.e. at
-        # A* = mean_parameters(0): an independent end-state oracle
+        # A* = <a> at lam = 0: an independent end-state oracle
         from helpers import random_tabulated
 
         fam = random_tabulated(rng, n_dim=2, n_points=6)
-        target = fam.mean_parameters(np.zeros(2))
-        start = fam.mean_parameters(rng.uniform(-0.8, 0.8, 2))
+        target = tabulated_mean(fam.space.weights, fam.stats, np.zeros(2))
+        start = tabulated_mean(fam.space.weights, fam.stats, rng.uniform(-0.8, 0.8, 2))
         traj = integrate(fam, start, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert np.max(np.abs(traj.A[-1] - target)) <= 1e-6
@@ -333,30 +334,31 @@ class TestIntegrate:
         ],
         ids=["bernoulli", "gaussian", "gaussian3"],
     )
-    def test_closed_form_ray_forms_no_covariance(self, monkeypatch, family, A0):
-        # the quadrature reads the arclength-rate kernel and the rows the
-        # batched closed forms, the speed at the maximum included
-        calls = count_calls(monkeypatch, type(family), ("covariance",))
+    def test_closed_form_ray_reads_one_batched_forward_map(self, monkeypatch, family, A0):
+        # the start is closed form, the quadrature reads the arclength-rate
+        # kernel, and the rows, the speed at the maximum included, come from
+        # one batched call of the forward map
+        calls = count_calls(monkeypatch, type(family), ("natural_states",))
         traj = integrate(family, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert calls["covariance"] == 0
+        assert calls["natural_states"] == 1
 
     def test_table_ray_work_per_row(self, monkeypatch, tabulated_3x50):
         # at most 4 kernel nodes per row, the panels of the table of tau
-        # included, and no per-row forward map: every mean_parameters,
-        # covariance and log_partition call is one of the start's Newton solve
+        # included, and no per-row forward map: every natural_states call is
+        # one of the start's Newton solve, but for one batched call for the
+        # rows
         fam, A0, _ = tabulated_3x50
         fam = TabulatedFamily(fam.space, fam.stats)  # a copy to watch
-        names = ("mean_parameters", "covariance", "log_partition")
-        calls = count_calls(monkeypatch, TabulatedFamily, names)
+        calls = count_calls(monkeypatch, TabulatedFamily, ("natural_states",))
         as_manifold(fam).point(A0)
-        at_start = dict(calls)
-        calls.update(dict.fromkeys(names, 0))
+        at_start = calls["natural_states"]
+        calls["natural_states"] = 0
         nodes = watch_ray_rate(fam)
         traj = integrate(fam, A0, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert nodes[0] <= 4 * len(traj)
-        assert calls == at_start
+        assert calls["natural_states"] == at_start + 1
 
     def test_table_ray_memory_stays_within_a_megabyte(self):
         # kernel and state temporaries hold at most 2^14 table entries each
@@ -615,6 +617,29 @@ class TestEntropyProduction:
         report = entropy_production_check(gaussian_traj)
         assert report.max_residual <= 1e-11
 
+    def test_whole_array_residuals_equal_per_sample_floats(self, tabulated_3x50):
+        # the check takes one whole-array stencil over the kept samples; on a
+        # table run, landing rows included, each residual is bit for bit the
+        # stencil evaluated on that sample's Python floats
+        fam, A0, _ = tabulated_3x50
+        traj = integrate(fam, A0, tau_max=5.0)
+        report = entropy_production_check(traj)
+        tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
+        size = [abs(s) for s in S]
+        want, kept = [], []
+        for k in range(1, len(tau) - 1):
+            h_minus, h_plus = tau[k] - tau[k - 1], tau[k + 1] - tau[k]
+            rounding = (np.finfo(float).eps * (size[k - 1] + size[k] + size[k + 1])
+                        * (1.0 / h_minus + 1.0 / h_plus))
+            if rounding <= ENTROPY_CHECK_ROUNDING:
+                kept.append(k)
+                want.append(abs(nonuniform_first_derivative(
+                    S[k - 1], S[k], S[k + 1], h_minus, h_plus) - sigma[k]))
+        assert len(kept) < len(tau) - 2  # some landing rows are skipped
+        assert report.residuals == tuple(want)
+        worst = int(np.argmax(want))
+        assert report.max_residual == want[worst] and report.argmax_tau == tau[kept[worst]]
+
 
 class TestClockInvert:
     def test_against_arclength_oracle(self, bernoulli_traj):
@@ -671,17 +696,6 @@ def watch_pair_work(monkeypatch):
     monkeypatch.setattr(PairRay, "rate", counting_rate)
     monkeypatch.setattr(PairRay, "_evaluate", counting_evaluate)
     return work
-
-
-def seeded_table(seed, n_points):
-    """A 3 x ``n_points`` table with weights in [0.5, 2], N(0, 1) statistics
-    and a start at lam0 of norm 0.3, as the benchmark's tabulated runs."""
-    rng = np.random.default_rng(seed)
-    weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(3, n_points))
-    lam0 = rng.normal(size=3)
-    lam0 *= 0.3 / np.linalg.norm(lam0)
-    fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
-    return fam, tabulated_mean(weights, stats, lam0)
 
 
 class TestRayWork:

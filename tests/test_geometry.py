@@ -27,6 +27,7 @@ from helpers import (
     fd_metric_oracle,
     random_feasible_mean,
     random_tabulated,
+    states_oracle,
 )
 
 
@@ -76,7 +77,7 @@ class TestMetric:
             (ideal_gas, np.array([2.0, 1.5])),
         ]:
             g = metric(fam, A).g
-            cov = fam.covariance(solve_lambda(fam, A))
+            cov = states_oracle(fam, solve_lambda(fam, A))[2][0]
             assert np.max(np.abs(g @ cov - np.eye(fam.n_dim))) <= 1e-9
 
     def test_matches_fd_oracle_bernoulli_example(self, bernoulli):
