@@ -11,9 +11,10 @@ gives the maximized entropy S(A) and the covariance, whose inverse is the
 metric.
 
 Families that declare closed-form duality (Bernoulli, the Gaussian location
-family and the ideal gas) bypass the solver entirely: S, lam and the metric
-come from analytic derivatives of the declared entropy surface.  Tabulated
-families are the only ones that run the Newton iteration.
+family and the ideal gas) bypass the solver entirely: their ``legendre``
+gives lam and S, with the metric and its derivative, from analytic
+derivatives of the declared entropy surface.  Tabulated families are the
+only ones that run the Newton iteration.
 """
 
 from __future__ import annotations
@@ -90,18 +91,18 @@ def solve_lambda(family: ExponentialFamily, A, *, states: bool = False):
     trace of the solver tolerance.
 
     With ``states``, returns (lam, S, Cov): the entropy and the statistics
-    covariance of the last evaluation, at lam, or None for both where the
-    family's closed form gives lam with no evaluation.
+    covariance of the last evaluation, at lam; where the family's
+    ``legendre`` gives lam and S with no evaluation, Cov is None.
 
     Raises InfeasibleMeanError when the iteration diverges (the requested
     mean lies outside the attainable set) and NoConvergenceError when the
     iteration budget is exhausted.
     """
     A = family.check_feasible(A)
-    analytic = family.solve_mean(A)
-    if analytic is not None:
-        lam = np.asarray(analytic, dtype=float)
-        return (lam, None, None) if states else lam
+    closed = family.legendre(A)
+    if closed is not None:
+        lam, S = closed[:2]
+        return (lam, S, None) if states else lam
 
     lam = np.zeros(family.n_dim)
     gap, S, cov, value = _forward(family, lam, A)
@@ -155,9 +156,6 @@ def _polish(family, A, lam, gap, S, cov):
 
 
 def entropy(family: ExponentialFamily, A) -> float:
-    """Maximized entropy S(A) = log Z(lam(A)) + lam(A) . A."""
-    A = family.check_feasible(A)
-    surface = family.entropy_surface(A)
-    if surface is not None:
-        return float(surface)
+    """Maximized entropy S(A) = log Z(lam(A)) + lam(A) . A, as
+    ``solve_lambda`` gives it."""
     return solve_lambda(family, A, states=True)[1]

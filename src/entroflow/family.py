@@ -14,8 +14,9 @@ parameters (log Z is S - lam . A).  Discrete tabulated families are
 evaluated exactly by weighted summation; continuous families are admitted
 only through closed forms (a unit-variance Gaussian location family and a
 monatomic ideal gas defined by its entropy surface).  The Bernoulli,
-Gaussian and ideal-gas families also declare their Legendre maps in closed
-form, so only tabulated families need the numerical inversion.
+Gaussian and ideal-gas families also declare their inverse map in closed
+form, one ``legendre`` giving lam, S, the metric and its derivative at a
+mean, so only tabulated families need the numerical inversion.
 
 All family objects are immutable after construction and safe to share
 across threads; every operation is a pure function of its arguments.
@@ -98,12 +99,10 @@ class ExponentialFamily(ABC):
     which ``duality.solve_lambda`` reads at one row per Newton trial and a
     coupled pair's Newton solve runs on, and one ray, ``ray(lam0)``, whose
     batched ``rate`` and ``states`` the flow samples along lam = t lam0.
-    Families with closed-form duality may override the ``solve_mean`` /
-    ``entropy_surface`` / ``neg_entropy_hessian`` / ``neg_entropy_third``
-    hooks, which bypass the numerical Legendre inversion; they take a mean
-    that has already passed ``check_feasible``.  A family without
-    ``neg_entropy_third`` must provide ``cumulants``, from which the
-    geometry builds the connection.
+    A family with closed-form duality overrides ``legendre``, its one
+    inverse map, which gives lam, S, the metric and its derivative at a
+    checked mean with no Newton solve; a family without it (a table) must
+    provide ``cumulants``, from which the geometry builds the connection.
     """
 
     @property
@@ -142,30 +141,14 @@ class ExponentialFamily(ABC):
             raise InfeasibleMeanError("mean vector must be finite")
         return arr
 
-    # -- closed-form hooks (None = not available) -------------------------
-
-    def solve_mean(self, A) -> np.ndarray | None:
-        """Analytic lam(A) if the family has one, else None."""
+    def legendre(self, A) -> tuple | None:
+        """The closed-form Legendre map at a mean A that has passed
+        ``check_feasible``: (lam, S, g, dg), the natural parameter, the
+        entropy S(A), the metric g = -Hess S and its derivative
+        dg[a, b, c] = -d^3 S / dA^a dA^b dA^c, totally symmetric.  None for
+        a family without closed forms (a table), whose lam and S come from
+        the Newton solve and whose connection from ``cumulants``."""
         return None
-
-    def entropy_surface(self, A) -> float | None:
-        """Analytic S(A) if the family declares one, else None."""
-        return None
-
-    def neg_entropy_hessian(self, A) -> np.ndarray | None:
-        """Analytic -Hess S(A) (the metric) if available, else None."""
-        return None
-
-    def neg_entropy_third(self, A) -> np.ndarray | None:
-        """Analytic metric derivative T[a, b, c] = -d^3 S / dA^a dA^b dA^c
-        if available, else None; totally symmetric."""
-        return None
-
-    def cumulants(self, lam) -> np.ndarray:
-        """The third cumulant k3[i, j, k] of the statistics under p(x|lam)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} declares neither neg_entropy_third nor cumulants"
-        )
 
     @abstractmethod
     def natural_states(self, lams):
@@ -549,23 +532,12 @@ class BernoulliFamily(ExponentialFamily):
             raise InfeasibleMeanError(f"bernoulli mean must lie in (0, 1), got {arr[0]}")
         return arr
 
-    # -- closed forms ------------------------------------------------------
-
-    def solve_mean(self, A) -> np.ndarray:
+    def legendre(self, A):
         a = float(A[0])
-        return np.array([math.log1p(-a) - math.log(a)])
-
-    def entropy_surface(self, A) -> float:
-        a = float(A[0])
-        return -a * math.log(a) - (1.0 - a) * math.log1p(-a)
-
-    def neg_entropy_hessian(self, A) -> np.ndarray:
-        a = float(A[0])
-        return np.array([[1.0 / (a * (1.0 - a))]])
-
-    def neg_entropy_third(self, A) -> np.ndarray:
-        a = float(A[0])
-        return np.array([[[(2.0 * a - 1.0) / (a * (1.0 - a)) ** 2]]])
+        lam = math.log1p(-a) - math.log(a)
+        S = -a * math.log(a) - (1.0 - a) * math.log1p(-a)
+        return (np.array([lam]), S, np.array([[1.0 / (a * (1.0 - a))]]),
+                np.array([[[(2.0 * a - 1.0) / (a * (1.0 - a)) ** 2]]]))
 
 
 class GaussianMeanFamily(ExponentialFamily):
@@ -604,20 +576,10 @@ class GaussianMeanFamily(ExponentialFamily):
         S = 0.5 * self._dim * math.log(2.0 * math.pi) - np.einsum("ki,ki->k", 0.5 * A, A)
         return A, S, np.broadcast_to(np.eye(self._dim), (len(A), self._dim, self._dim))
 
-    # -- closed forms ------------------------------------------------------
-
-    def solve_mean(self, A) -> np.ndarray:
-        return -np.asarray(A, dtype=float)
-
-    def entropy_surface(self, A) -> float:
-        A = np.asarray(A, dtype=float)
-        return float(0.5 * self._dim * math.log(2.0 * math.pi) - 0.5 * A @ A)
-
-    def neg_entropy_hessian(self, A) -> np.ndarray:
-        return np.eye(self._dim)
-
-    def neg_entropy_third(self, A) -> np.ndarray:
-        return np.zeros((self._dim,) * 3)
+    def legendre(self, A):
+        A, d = np.asarray(A, dtype=float), self._dim
+        S = float(0.5 * d * math.log(2.0 * math.pi) - 0.5 * A @ A)
+        return -A, S, np.eye(d), np.zeros((d,) * 3)
 
 
 class IdealGasFamily(ExponentialFamily):
@@ -677,45 +639,20 @@ class IdealGasFamily(ExponentialFamily):
             )
         return arr
 
-    # -- closed forms ------------------------------------------------------
-
-    def entropy_surface(self, A) -> float:
-        energy, number = self._split(A)
-        return number * (
-            math.log(self.volume / number) + 1.5 * math.log(energy / number) + 2.5
-        )
-
-    def solve_mean(self, A) -> np.ndarray:
+    def legendre(self, A):
+        """lam = (1.5 N / E, ln(V / N) + 1.5 ln(E / N)), S = N (lam_N + 2.5),
+        and -Hess S with its derivative, in E alone when N is fixed."""
         energy, number = self._split(A)
         lam_e = 1.5 * number / energy
-        if self.fixed_n is not None:
-            return np.array([lam_e])
         lam_n = math.log(self.volume / number) + 1.5 * math.log(energy / number)
-        return np.array([lam_e, lam_n])
-
-    def neg_entropy_hessian(self, A) -> np.ndarray:
-        energy, number = self._split(A)
+        g_ee, t_eee = 1.5 * number / energy**2, -3.0 * number / energy**3
+        S = number * (lam_n + 2.5)
         if self.fixed_n is not None:
-            return np.array([[1.5 * number / energy**2]])
-        return np.array(
-            [
-                [1.5 * number / energy**2, -1.5 / energy],
-                [-1.5 / energy, 2.5 / number],
-            ]
-        )
-
-    def neg_entropy_third(self, A) -> np.ndarray:
-        energy, number = self._split(A)
-        t_eee = -3.0 * number / energy**3
-        if self.fixed_n is not None:
-            return np.array([[[t_eee]]])
-        t_een = 1.5 / energy**2
-        return np.array(
-            [
-                [[t_eee, t_een], [t_een, 0.0]],
-                [[t_een, 0.0], [0.0, -2.5 / number**2]],
-            ]
-        )
+            return np.array([lam_e]), S, np.array([[g_ee]]), np.array([[[t_eee]]])
+        g_en, t_een = -1.5 / energy, 1.5 / energy**2
+        g = np.array([[g_ee, g_en], [g_en, 2.5 / number]])
+        dg = np.array([[[t_eee, t_een], [t_een, 0.0]], [[t_een, 0.0], [0.0, -2.5 / number**2]]])
+        return np.array([lam_e, lam_n]), S, g, dg
 
     def ray(self, lam0) -> Ray:
         """Rate (1.5 N)^(1/2) / t with N fixed, else f^2 = N(t) (3.75 / t^2 +

@@ -12,8 +12,9 @@ single families, coupled composite systems and reparametrized charts all
 share one implementation.  A Hessian metric is dually flat, so its
 connection and every derivative of the flow field follow exactly from the
 metric derivative dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is
-totally symmetric: closed-form families declare it, tabulated families
-get it from the third cumulant of their statistics.
+totally symmetric: a closed-form family's ``legendre`` gives it with lam,
+S and g at a point, and a tabulated family's point gets it on first use
+from the third cumulant of its statistics.
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class MetricTensor:
     def g_inv(self) -> np.ndarray:
         return _symmetrize(np.linalg.inv(self.g))
 
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
     def norm_of_form(self, w: np.ndarray) -> float:
         """Length of a one-form: (w . g_inv . w)^(1/2)."""
         return float(np.sqrt(max(w @ self.g_inv @ w, 0.0)))
@@ -221,40 +218,36 @@ class FamilyManifold(StateManifold):
         return self.family.check_feasible(A)
 
     def point(self, A) -> ManifoldPoint:
-        """The point at mean A: lam from ``solve_lambda`` (which checks A
-        once), S from the entropy surface or else from the solve's last
-        evaluation, and the metric from the closed-form Hessian or else from
-        the covariance of that evaluation, so a table is not read again.
-        ``aux`` holds lam and the metric matrix g."""
+        """The point at a checked mean A: lam, S, the metric and its
+        derivative from the family's ``legendre``, or for a table lam, S and
+        the covariance from ``solve_lambda``'s last evaluation, so the table
+        is not read again.  ``aux`` holds lam, the metric matrix g and the
+        closed-form dg (None for a table)."""
         fam = self.family
-        A = as_vector(A, fam.n_dim, "A")
-        lam, S, cov = duality.solve_lambda(fam, A, states=True)
-        surface = fam.entropy_surface(A)
-        if surface is not None:
-            S = float(surface)
-        hess = fam.neg_entropy_hessian(A)
-        if hess is not None:
-            met = MetricTensor.from_matrix(hess)
+        A = fam.check_feasible(A)
+        closed = fam.legendre(A)
+        if closed is None:
+            lam, S, cov = duality.solve_lambda(fam, A, states=True)
+            met, dg = MetricTensor.from_covariance(cov), None
         else:
-            met = MetricTensor.from_covariance(cov)
-        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam, met.g))
+            lam, S, g, dg = closed
+            met = MetricTensor.from_matrix(g)
+        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam, met.g, dg))
 
     def entropy(self, A) -> float:
         return duality.entropy(self.family, A)
 
     def metric_derivative(self, A, aux: tuple) -> np.ndarray:
-        """Closed form if the family declares one, else -k3(g., g., g.).
+        """The closed-form dg the point kept, else -k3(g., g., g.).
 
         With dlam/dA = -g and d Cov / d lam = -k3 (the third cumulant of
         the statistics), d g / dA^b = -g (dCov/dA^b) g = -k3(g., g., g_b.),
         with the point's own g from ``aux``.
         """
-        fam = self.family
-        third = fam.neg_entropy_third(A)
-        if third is not None:
-            return np.asarray(third, dtype=float)
-        lam, g = aux
-        k3 = fam.cumulants(lam)
+        lam, g, dg = aux
+        if dg is not None:
+            return dg
+        k3 = self.family.cumulants(lam)
         d = len(g)
         # contract each index of k3 with the symmetric g, one product each
         dg = (g @ (g @ k3.reshape(d, d * d)).reshape(d, d, d)) @ g
@@ -324,15 +317,15 @@ def as_manifold(system) -> StateManifold:
     raise TypeError(f"not a family or state manifold: {type(system).__name__}")
 
 
-def unit_velocity(pt: ManifoldPoint, sigma_min: float = SIGMA_MIN) -> np.ndarray:
+def unit_velocity(pt: ManifoldPoint) -> np.ndarray:
     """The unit-speed gradient-flow velocity g_inv . force / sigma.
 
-    Raises AtEquilibriumError below ``sigma_min``, where the direction of
+    Raises AtEquilibriumError below SIGMA_MIN, where the direction of
     steepest entropy ascent is undefined.
     """
-    if pt.sigma < sigma_min:
+    if pt.sigma < SIGMA_MIN:
         raise AtEquilibriumError(
-            f"entropy gradient magnitude {pt.sigma:.3e} below {sigma_min:.3e}; "
+            f"entropy gradient magnitude {pt.sigma:.3e} below {SIGMA_MIN:.3e}; "
             "flow direction undefined"
         )
     return pt.metric.raise_form(pt.force) / pt.sigma

@@ -104,15 +104,11 @@ def _window_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Force and flux rows for interior samples [first, last]."""
     forces = _forces(traj)[first : last + 1]
-    taus, states = traj.tau, traj.A
-    fluxes = np.empty_like(forces)
-    for row, k in enumerate(range(first, last + 1)):
-        h_minus = taus[k] - taus[k - 1]
-        h_plus = taus[k + 1] - taus[k]
-        for j in range(states.shape[1]):
-            fluxes[row, j] = clock_rate * nonuniform_first_derivative(
-                states[k - 1, j], states[k, j], states[k + 1, j], h_minus, h_plus
-            )
+    states = traj.A[first - 1 : last + 2]
+    steps = np.diff(traj.tau[first - 1 : last + 2])[:, None]
+    fluxes = clock_rate * nonuniform_first_derivative(
+        states[:-2], states[1:-1], states[2:], steps[:-1], steps[1:]
+    )
     return forces, fluxes
 
 

@@ -301,7 +301,7 @@ def long_double_ray(weights, stats, lam0, ts):
 def tabulated_ray_tau(weights, stats, lam0, ts, nodes=64):
     """Intrinsic time from A(lam0) to A(t lam0) for each t in ``ts``: the
     integral over [t, 1] of sqrt(lam0 . Cov(s lam0) . lam0) by Gauss-Legendre,
-    with the rate at t."""
+    with the rate at t.  At t = 0 it is the time to the entropy maximum."""
     lam0, ts = np.asarray(lam0, dtype=float), np.atleast_1d(np.asarray(ts, dtype=float))
     x, w = np.polynomial.legendre.leggauss(nodes)
     s = np.concatenate([(0.5 * (1.0 + ts))[:, None] + (0.5 * (1.0 - ts))[:, None] * x,
@@ -309,23 +309,6 @@ def tabulated_ray_tau(weights, stats, lam0, ts, nodes=64):
     cov = tabulated_states(weights, stats, np.multiply.outer(s.ravel(), lam0))[2]
     rate = np.sqrt(np.einsum("i,kij,j->k", lam0, cov, lam0)).reshape(s.shape)
     return 0.5 * (1.0 - ts) * (rate[:, :-1] @ w), rate[:, -1]
-
-
-def tabulated_equilibrium_tau(weights, stats, lam0, nodes=64):
-    """Intrinsic time from A(lam0) to the entropy maximum, by Gauss-Legendre.
-
-    The flow runs along the ray lam(s) = s lam0 from s = 1 to s = 0 with
-    metric speed |dA/ds| = sqrt(lam0 . Cov(s lam0) lam0), so
-    tau_eq = int_0^1 sqrt(lam0 . Cov(s lam0) lam0) ds.
-    """
-    weights, stats, lam0 = np.asarray(weights), np.asarray(stats), np.asarray(lam0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    s = 0.5 * (x + 1.0)
-    speed = [
-        np.sqrt(lam0 @ _tabulated_moments(weights, stats, si * lam0)[1] @ lam0)
-        for si in s
-    ]
-    return 0.5 * float(np.dot(w, speed))
 
 
 def composite_arclength(g1, g2, A_total, a0, a1, panels=16, nodes=16):

@@ -30,8 +30,43 @@ from entroflow.cli import (
     run_scenario,
 )
 from entroflow.coupled import CompositeSystem
-from entroflow.family import BernoulliFamily, Ray, TabulatedFamily
+from entroflow.family import BernoulliFamily, GaussianMeanFamily, Ray, TabulatedFamily
 from helpers import tabulated_mean
+
+
+def _closed_form(family, A):
+    """lam, the metric -Hess S and its derivative -d^3 S of a Bernoulli,
+    Gaussian location or ideal-gas family at the mean A."""
+    if isinstance(family, BernoulliFamily):
+        a = float(A[0])
+        return (np.array([math.log((1.0 - a) / a)]), np.array([[1.0 / (a * (1.0 - a))]]),
+                np.array([[[(2.0 * a - 1.0) / (a * (1.0 - a)) ** 2]]]))
+    if isinstance(family, GaussianMeanFamily):
+        d = len(A)
+        return -A, np.eye(d), np.zeros((d, d, d))
+    E, V = float(A[0]), family.volume
+    if family.fixed_n is not None:
+        N = family.fixed_n
+        return (np.array([1.5 * N / E]), np.array([[1.5 * N / E**2]]),
+                np.array([[[-3.0 * N / E**3]]]))
+    N = float(A[1])
+    lam = np.array([1.5 * N / E, math.log(V / N) + 1.5 * math.log(E / N)])
+    g = np.array([[1.5 * N / E**2, -1.5 / E], [-1.5 / E, 2.5 / N]])
+    dg = np.zeros((2, 2, 2))
+    dg[0, 0, 0], dg[1, 1, 1] = -3.0 * N / E**3, -2.5 / N**2
+    dg[0, 0, 1] = dg[0, 1, 0] = dg[1, 0, 0] = 1.5 / E**2
+    return lam, g, dg
+
+
+def _probe_values(out):
+    """The numbers of each probe line keyed by its name: ``g[0]`` and
+    ``g[1]`` are joined into ``g``, and each ``Gamma[a][b]`` into ``Gamma``."""
+    values = {}
+    for line in out.splitlines():
+        name, _, numbers = line.partition("=")
+        key = name.strip().split("[")[0]
+        values.setdefault(key, []).extend(float(x) for x in numbers.strip(" []").split(","))
+    return {key: np.array(v) for key, v in values.items()}
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -573,11 +608,25 @@ class TestMain:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_probe_at_every_shipped_start(self, name, capsys):
+        # lam, g and dg written out here; a pair's are F = lam1 - lam2,
+        # g1(A) + g2(A_T - A) and dg1 - dg2, and Gamma = g^-1 dg / 2
         cfg = parse_config(catalog_path(name))
         point = [repr(float(x)) for x in cfg.A0]
         assert main(["probe", str(catalog_path(name)), "--point", *point]) == 0
-        out = capsys.readouterr().out
-        assert f"Gamma[{len(point) - 1}][{len(point) - 1}]" in out
+        printed = _probe_values(capsys.readouterr().out)
+        system, A = build_system(cfg), np.asarray(cfg.A0, dtype=float)
+        if isinstance(system, CompositeSystem):
+            (lam1, g1, dg1), (lam2, g2, dg2) = (_closed_form(system.sys1, A),
+                                                _closed_form(system.sys2, system.A_total - A))
+            lam, g, dg = lam1 - lam2, g1 + g2, dg1 - dg2
+        else:
+            lam, g, dg = _closed_form(system, A)
+        g_inv = np.linalg.inv(g)
+        expected = {"point": A, "lambda": lam, "sigma": np.sqrt(lam @ g_inv @ lam), "g": g,
+                    "Gamma": 0.5 * np.einsum("ad,dbc->abc", g_inv, dg)}
+        for key, want in expected.items():
+            got = printed[key].reshape(np.shape(want))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), key
 
     def test_probe_solves_its_point_once(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -3,8 +3,9 @@
 The closed forms are checked against independent routes: Newton on the
 equivalent two-point table, finite differences of the log-partition and the
 finite-difference entropy Hessian.  Work counts pin down that a point on a
-closed-form family never reaches the forward map and validates its input
-once.
+closed-form family makes one ``legendre`` call, never reaches the forward
+map and validates its input once, and that its connection calls the family
+no more.
 """
 
 import math
@@ -21,12 +22,11 @@ from entroflow import (
     InfeasibleMeanError,
     MetricTensor,
     SingularModelError,
+    christoffel,
     entropy,
     solve_lambda,
 )
 from helpers import count_calls, fd_gradient, fd_hessian, fd_metric_oracle, log_partition_oracle
-
-EVALUATIONS = ("natural_states",)
 
 
 class TestBernoulliAgainstNewton:
@@ -72,15 +72,22 @@ class TestGaussianClosedForms:
 class TestWorkCounts:
     @pytest.mark.parametrize(
         "family, A",
-        [(BernoulliFamily(), [0.3]), (GaussianMeanFamily(dim=2), [0.4, -1.2])],
-        ids=["bernoulli", "gaussian"],
+        [(BernoulliFamily(), [0.3]), (GaussianMeanFamily(dim=2), [0.4, -1.2]),
+         (IdealGasFamily(volume=2.0), [3.0, 2.0]),
+         (IdealGasFamily(volume=2.0, fixed_n=1.5), [3.0])],
+        ids=["bernoulli", "gaussian", "gas", "gas-fixed-n"],
     )
-    def test_point_skips_partition_function_and_checks_once(self, monkeypatch, family, A):
-        counts = count_calls(monkeypatch, type(family), EVALUATIONS + ("check_feasible",))
+    def test_point_makes_one_legendre_call_and_christoffel_none(self, monkeypatch, family, A):
+        cls = type(family)
+        methods = [name for name in dir(cls)
+                   if not name.startswith("__") and callable(getattr(cls, name))]
+        counts = count_calls(monkeypatch, cls, methods)
         pt = FamilyManifold(family).point(A)
         assert pt.sigma > 0.0
-        assert {k: counts[k] for k in EVALUATIONS} == dict.fromkeys(EVALUATIONS, 0)
-        assert counts["check_feasible"] == 1
+        assert (counts["legendre"], counts["check_feasible"], counts["natural_states"]) == (1, 1, 0)
+        counts.update(dict.fromkeys(counts, 0))
+        christoffel(FamilyManifold(family), pt)
+        assert sum(counts.values()) == 0
 
     def test_composite_point_inverts_one_metric(self, monkeypatch, bernoulli_pair):
         calls = []
@@ -135,12 +142,13 @@ class TestInfeasibleInputs:
 
 
 class TestLazyInverse:
-    def test_inverse_is_byte_equal_to_eager_inverse(self, bernoulli, ideal_gas, rng):
+    def test_inverse_is_byte_equal_to_eager_inverse(self, rng):
         matrices = [rng.normal(size=(3, 3)) for _ in range(5)]
         matrices = [m @ m.T + 3.0 * np.eye(3) for m in matrices]
+        # -Hess S of Bernoulli at 0.3 and of the gas at (E, N) = (3, 2)
         matrices += [
-            bernoulli.neg_entropy_hessian(np.array([0.3])),
-            ideal_gas.neg_entropy_hessian(np.array([3.0, 2.0])),
+            np.array([[1.0 / (0.3 * 0.7)]]),
+            np.array([[1.5 * 2.0 / 3.0**2, -1.5 / 3.0], [-1.5 / 3.0, 2.5 / 2.0]]),
         ]
         for m in matrices:
             g = 0.5 * (m + m.T)

@@ -473,7 +473,7 @@ class TestIdealGas:
         gas = IdealGasFamily(volume=1.0, fixed_n=1.0)
         assert gas.n_dim == 1
         assert gas.labels == ("E",)
-        lam = gas.solve_mean([2.0])
+        lam = solve_lambda(gas, [2.0])  # lam_E = 1.5 N / E
         assert lam[0] == pytest.approx(1.5 / 2.0, abs=1e-14)
         grad = fd_gradient(lambda l: -log_partition_oracle(gas, l), lam)
         assert grad[0] == pytest.approx(2.0, rel=1e-7)

@@ -41,7 +41,6 @@ from helpers import (
     rk4_rows,
     seeded_table,
     synthetic_trajectory,
-    tabulated_equilibrium_tau,
     tabulated_mean,
     tabulated_ray_tau,
     tabulated_states,
@@ -58,7 +57,7 @@ def tabulated_3x50():
     return (
         fam,
         tabulated_mean(weights, stats, lam0),
-        tabulated_equilibrium_tau(weights, stats, lam0),
+        tabulated_ray_tau(weights, stats, lam0, 0.0)[0][0],
     )
 
 
@@ -386,7 +385,7 @@ class TestIntegrate:
         assert isinstance(fam.ray(lam0), _BinnedRay)
         traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
-        assert abs(traj.tau[-1] - tabulated_equilibrium_tau(weights, stats, lam0)) <= 1e-12
+        assert abs(traj.tau[-1] - tabulated_ray_tau(weights, stats, lam0, 0.0)[0][0]) <= 1e-12
         assert np.max(np.abs(traj.speed - 1.0)) <= 1e-12
         assert entropy_production_check(traj).max_residual <= 1e-4
 
@@ -549,7 +548,7 @@ class TestRayRowsAgainstOracle:
             lam0 = rng.uniform(0.1, 0.9) * h / rate * u
         else:
             lam0 = rng.uniform(0.3, 1.5) * u
-        tau_eq = tabulated_equilibrium_tau(weights, stats, lam0)
+        tau_eq = tabulated_ray_tau(weights, stats, lam0, 0.0)[0][0]
         tau_max = tau_eq * rng.uniform(0.3, 0.9) if budget == "before the maximum" else tau_eq + 1.0
         traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=tau_max, h=h)
 

@@ -89,10 +89,12 @@ class TestMetric:
         assert oracle[0, 0] == pytest.approx(1.0, rel=1e-5)
 
     def test_matches_fd_oracle_ideal_gas_example(self, ideal_gas):
-        # V=2, (E, N) = (3, 2)
-        oracle = fd_metric_oracle(ideal_gas, [3.0, 2.0], step=1e-5)
-        analytic = ideal_gas.neg_entropy_hessian([3.0, 2.0])
+        # V=2, (E, N) = (3, 2): -Hess S = [[1.5 N / E^2, -1.5 / E], [-1.5 / E, 2.5 / N]]
+        E, N = 3.0, 2.0
+        analytic = np.array([[1.5 * N / E**2, -1.5 / E], [-1.5 / E, 2.5 / N]])
+        oracle = fd_metric_oracle(ideal_gas, [E, N], step=1e-5)
         assert np.max(np.abs(oracle - analytic)) <= 1e-4 * np.max(np.abs(analytic))
+        assert np.array_equal(metric(ideal_gas, [E, N]).g, analytic)
 
     def test_oracle_agreement_50_random_points(
         self, bernoulli, gaussian2, ideal_gas, rng

@@ -17,7 +17,8 @@ from entroflow import (
     unit_velocity,
     write_onsager_json,
 )
-from entroflow.onsager import empirical_onsager_pooled
+from entroflow.flow import nonuniform_first_derivative
+from entroflow.onsager import _window_rows, empirical_onsager_pooled
 from helpers import synthetic_trajectory
 
 
@@ -119,6 +120,18 @@ class TestEmpiricalOnsager:
         assert np.max(np.abs(fitted - analytic)) <= 0.05 * np.max(np.abs(analytic))
         asym = np.max(np.abs(fitted - fitted.T)) / np.max(np.abs(fitted))
         assert asym <= 0.05
+
+    def test_whole_array_fluxes_equal_per_sample_floats(self, coupled_gas_traj):
+        # one stencil call over the window, landing rows included, gives each
+        # flux bit for bit as the stencil on that sample's Python floats
+        traj, clock = coupled_gas_traj, 1.7
+        forces, fluxes = _window_rows(traj, clock, 1, len(traj) - 2)
+        tau, A = traj.tau.tolist(), traj.A.tolist()
+        want = [[clock * nonuniform_first_derivative(A[k - 1][j], A[k][j], A[k + 1][j],
+                                                     tau[k] - tau[k - 1], tau[k + 1] - tau[k])
+                 for j in range(traj.A.shape[1])] for k in range(1, len(tau) - 1)]
+        assert fluxes.tolist() == want
+        assert np.array_equal(forces, traj.lam[1:-1] - traj.lam_prime[1:-1])
 
     def test_window_must_fit_interior(self, bernoulli_traj):
         with pytest.raises(ValueError):
