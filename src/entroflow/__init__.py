@@ -30,8 +30,8 @@ from .family import (
     GaussianMeanFamily,
     IdealGasFamily,
     TabulatedFamily,
-    tabulated_from_json,
 )
+from .config import tabulated_from_json
 from .duality import entropy, solve_lambda
 from .geometry import (
     ConnectionCoefficients,

@@ -19,25 +19,18 @@ form, one ``legendre`` giving lam, S, the metric and its derivative at a
 mean, so only tabulated families need the numerical inversion.
 
 All family objects are immutable after construction and safe to share
-across threads; every operation is a pure function of its arguments.
+across threads; every operation is a pure function of its arguments.  This
+module does no I/O: a table file is read by ``config.tabulated_from_json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleMeanError,
-    ParseError,
-    SingularModelError,
-    ValidationError,
-)
+from .errors import DomainError, InfeasibleMeanError, SingularModelError
 
 __all__ = [
     "DiscreteSpace",
@@ -47,7 +40,6 @@ __all__ = [
     "GaussianMeanFamily",
     "IdealGasFamily",
     "Ray",
-    "tabulated_from_json",
 ]
 
 
@@ -602,10 +594,10 @@ class IdealGasFamily(ExponentialFamily):
 
     def __init__(self, volume: float, fixed_n: float | None = None):
         volume = float(volume)
-        if not volume > 0.0:
-            raise ValueError("volume must be > 0")
-        if fixed_n is not None and not fixed_n > 0.0:
-            raise ValueError("fixed_n must be > 0")
+        if not 0.0 < volume < math.inf:
+            raise ValueError("volume must be finite and > 0")
+        if fixed_n is not None and not 0.0 < fixed_n < math.inf:
+            raise ValueError("fixed_n must be finite and > 0")
         self.volume = volume
         self.fixed_n = None if fixed_n is None else float(fixed_n)
 
@@ -689,97 +681,3 @@ class IdealGasFamily(ExponentialFamily):
                 return energy[:, None], S, (energy**2 / (1.5 * number))[:, None, None]
             cov = np.stack([5.0 * energy**2 / (3.0 * number), energy, energy, number], axis=1)
         return np.column_stack([energy, number]), S, cov.reshape(-1, 2, 2)
-
-
-_TABULATED_KEYS = {"points", "weights", "stats"}
-
-
-def _key_line(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
-
-
-def _located(text: str, key: str, message: str) -> str:
-    line = _key_line(text, key)
-    prefix = f"line {line}: " if line is not None else ""
-    return f"{prefix}{message}"
-
-
-def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
-    """(key, message) for each way a points/weights/stats table breaks the
-    schema, so that ``DiscreteSpace`` and ``TabulatedFamily`` see only
-    lists of the right lengths and numbers."""
-    found = []
-    n = len(points) if isinstance(points, list) else 0
-    if n < 2:
-        found.append(("points", "points must list at least 2 labels"))
-    elif len(set(map(str, points))) != n:
-        found.append(("points", "point labels must be unique"))
-    if not isinstance(weights, list) or len(weights) != n:
-        found.append(("weights", "weights must be a list matching points"))
-    elif not (_numbers(weights) and all(map((0.0).__lt__, weights))):
-        # 0.0 < w is False for NaN, where min(weights) > 0 depends on order;
-        # the loop names the first offender
-        for i, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
-                found.append(("weights", f"weights[{i}] must be > 0, got {w!r}"))
-                break
-    if not isinstance(stats, list) or not stats:
-        found.append(("stats", "stats must be a non-empty matrix"))
-    else:
-        for alpha, row in enumerate(stats):
-            if not (isinstance(row, list) and len(row) == n
-                    and (_numbers(row)
-                         or all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                for x in row))):
-                found.append(("stats", f"stats[{alpha}] must list one number per point"))
-                break
-    return found
-
-
-def _numbers(values: list) -> bool:
-    """Whether every value is an int or a float, and not a bool, checked at
-    C speed; a subclass of either fails here and is judged one by one."""
-    return set(map(type, values)) <= {int, float}
-
-
-def tabulated_from_json(source: str | Path) -> TabulatedFamily:
-    """Load a tabulated family from a JSON document.
-
-    The document must contain exactly the keys ``points``, ``weights`` and
-    ``stats`` where ``stats`` is the (n_dim x n_points) matrix of statistic
-    values.  Schema violations are rejected with a message that names the
-    offending key and, where possible, its line in the document.
-    """
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("tabulated family document must be a JSON object")
-
-    unknown = sorted(set(doc) - _TABULATED_KEYS)
-    if unknown:
-        raise ParseError(_located(text, unknown[0], f"unknown key {unknown[0]!r}"))
-    missing = sorted(_TABULATED_KEYS - set(doc))
-    if missing:
-        raise ValidationError([f"missing required key {k!r}" for k in missing])
-
-    points, weights, stats = doc["points"], doc["weights"], doc["stats"]
-    violations = [_located(text, k, m) for k, m in _table_violations(points, weights, stats)]
-    if violations:
-        raise ValidationError(violations)
-
-    try:
-        space = DiscreteSpace(points, weights)
-        return TabulatedFamily(space, stats)
-    except ValueError as exc:
-        raise ValidationError([str(exc)]) from exc

@@ -66,8 +66,8 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
     trajectory, not the pace of external time).  L diverges as sigma -> 0,
     reported as AtEquilibriumError rather than infinities.
     """
-    if clock_rate <= 0.0:
-        raise ValueError("clock_rate must be > 0")
+    if not 0.0 < clock_rate < math.inf:
+        raise ValueError("clock_rate must be finite and > 0")
     pt = as_manifold(system).point(A)
     if pt.sigma < SIGMA_MIN:
         raise AtEquilibriumError(
@@ -171,8 +171,8 @@ def empirical_onsager_pooled(
     analytic L is (approximately) the same, e.g. matched sigma near a
     common equilibrium.
     """
-    if clock_rate <= 0.0:
-        raise ValueError("clock_rate must be > 0")
+    if not 0.0 < clock_rate < math.inf:
+        raise ValueError("clock_rate must be finite and > 0")
     if not windows:
         raise ValueError("at least one (trajectory, center) pair is required")
     all_forces = []
@@ -219,7 +219,7 @@ def report_as_dict(report: OnsagerReport) -> dict:
 
 
 def write_onsager_json(report: OnsagerReport, dest) -> None:
-    text = json.dumps(report_as_dict(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report_as_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

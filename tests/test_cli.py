@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -518,6 +519,23 @@ class TestMain:
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr
         assert len(stderr.splitlines()) == 1 and "StepCollapseError" in stderr
+        assert list(out.iterdir()) == []
+
+    def test_nonfinite_summary_value_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # JSON has no NaN: a summary that would hold one is not written, and
+        # neither is the trajectory CSV written before it
+        check = cli.entropy_production_check
+        monkeypatch.setattr(
+            cli, "entropy_production_check",
+            lambda traj: dataclasses.replace(check(traj), max_residual=math.nan),
+        )
+        doc = dict(MINIMAL, analyses=[{"kind": "entropy_production_check"}])
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert len(stderr.splitlines()) == 1 and "ValueError" in stderr, stderr
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("tau_max, message", [(600.0, "metric"), (1000.0, "arclength rate")])

@@ -547,6 +547,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IdealGasFamily(volume=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["volume", "fixed_n"])
+    def test_gas_rejects_a_nonfinite_volume_or_number(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            IdealGasFamily(**dict({"volume": 1.0, "fixed_n": 1.0}, **{key: value}))
+
 
 FINITE_STATS = "statistic values must be finite and at most 1e+100 in magnitude"
 

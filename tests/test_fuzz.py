@@ -1,6 +1,7 @@
 """Mutation fuzzer over scenario documents.
 
-Starting from one valid single-family and one valid coupled document, each
+Starting from a valid table document, a valid coupled document and a valid
+closed-form document that carries every numeric field of its schema, each
 example deletes keys, replaces values with unrelated JSON, or adds unknown
 keys, then runs ``validate`` and ``run`` through ``cli.main``.  Whatever the
 document, no exception escapes, the exit codes stay in their documented
@@ -12,9 +13,11 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +45,20 @@ COUPLED = {
     "integrator": {"tau_max": 2.0, "h": 0.01},
     "analyses": [{"kind": "onsager", "window": 5}],
 }
+
+CLOSED = {
+    "name": "fz3",
+    "mode": "single",
+    "family": {"closed_form": "ideal-gas", "volume": 2, "fixed_n": 1},
+    "A0": [1.0],
+    "integrator": {"h": 0.01, "tau_max": 2, "sigma_eq": 1e-8},
+    "analyses": [
+        {"kind": "onsager", "clock_rate": 2.0, "window": 5, "center": 100},
+        {"kind": "entropy_production_check"},
+        {"kind": "geometry_probe", "points": [[1.5]]},
+    ],
+}
+BASES = [SINGLE, COUPLED, CLOSED]
 
 scalars = st.one_of(
     st.none(),
@@ -78,7 +95,7 @@ def _number_paths(doc):
 
 @st.composite
 def documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from([SINGLE, COUPLED])))
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         if not paths:
@@ -97,11 +114,31 @@ def documents(draw):
     return doc
 
 
+def _set(doc, path, value):
+    """A copy of ``doc`` with the value at key path ``path`` replaced."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 def _main(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("doc", BASES, ids=["table", "coupled", "closed-form"])
+def test_base_documents_run(tmp_path, doc):
+    # every mutation starts from a document that validates and runs
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(doc))
+    assert _main(["validate", str(file)])[0] == 0
+    code, err = _main(["run", str(file), "--output-dir", str(tmp_path / "out")])
+    assert code == 0, err
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None,
@@ -128,12 +165,9 @@ def test_mutated_documents_fail_cleanly(doc):
 @given(data=st.data())
 def test_booleans_never_pass_as_numbers(data):
     # JSON true and false are ints to Python; every numeric field rejects them
-    doc = copy.deepcopy(data.draw(st.sampled_from([SINGLE, COUPLED])))
+    doc = data.draw(st.sampled_from(BASES))
     path = data.draw(st.sampled_from(list(_number_paths(doc))))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = data.draw(st.booleans())
+    doc = _set(doc, path, data.draw(st.booleans()))
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "scenario.json"
         file.write_text(json.dumps(doc))
@@ -142,3 +176,16 @@ def test_booleans_never_pass_as_numbers(data):
         code, err = _main(["run", str(file), "--output-dir", str(out)])
         assert code == 1, (path, err)
         assert not out.exists() or not any(out.rglob("*"))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("path", list(_number_paths(CLOSED)), ids=str)
+def test_nonfinite_numbers_never_pass(tmp_path, path, value):
+    # json.dumps writes Infinity, -Infinity and NaN, which json.loads reads
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(_set(CLOSED, path, value)))
+    assert _main(["validate", str(file)])[0] == 1
+    out = tmp_path / "out"
+    code, err = _main(["run", str(file), "--output-dir", str(out)])
+    assert code != 0, err
+    assert not out.exists() or not any(out.rglob("*")), err

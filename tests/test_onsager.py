@@ -58,6 +58,14 @@ class TestOnsagerMatrix:
         with pytest.raises(ValueError):
             onsager_matrix(bernoulli, [0.25], clock_rate=0.0)
 
+    @pytest.mark.parametrize("clock_rate", [math.inf, math.nan])
+    def test_clock_rate_must_be_finite(self, bernoulli, bernoulli_traj, clock_rate):
+        # an infinite rate would give L = inf and an asymmetry of NaN
+        with pytest.raises(ValueError, match="clock_rate must be finite and > 0"):
+            onsager_matrix(bernoulli, [0.25], clock_rate=clock_rate)
+        with pytest.raises(ValueError, match="clock_rate must be finite and > 0"):
+            empirical_onsager_pooled([(bernoulli_traj, None)], clock_rate)
+
 
 class TestFluxForceRelation:
     def test_exact_along_trajectory(self, bernoulli, bernoulli_traj):
