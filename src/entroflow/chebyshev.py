@@ -88,10 +88,12 @@ def integral(coeffs: np.ndarray) -> np.ndarray:
 
 
 def clenshaw(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k, i] T_k(s[i]) for each i, by Clenshaw's recurrence:
-    ``coeffs`` (m, k, ...) and ``s`` (k,) give (k, ...).  Zero coefficients
-    past a series' degree leave its sum as it is."""
-    x = 2.0 * s.reshape(s.shape + (1,) * (coeffs.ndim - 2))
+    """sum_n coeffs[n, ..., i] T_n(s[i]) for each i, by Clenshaw's
+    recurrence: ``coeffs`` (m, ..., k), degree first and points last, and
+    ``s`` (k,) give (..., k); the point axis may also be 1, for series that
+    every point shares.  Zero coefficients past a series' degree leave its
+    sum as it is."""
+    x = 2.0 * s
     b1 = b2 = np.zeros(coeffs.shape[1:])
     for c in coeffs[:0:-1]:
         b1, b2 = c + x * b1 - b2, b1

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,14 +86,19 @@ def _read_json(path: Path, what: str) -> tuple[str, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal of more digits than int() reads
+        raise ParseError(f"invalid JSON: {str(exc).partition(';')[0]}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object")
     return text, doc
 
 
 def _number(value) -> bool:
-    """An int or a float, not a bool: JSON true and false decode to ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int within the double range that is not a bool: JSON
+    true and false decode to ints, and float() overflows past the range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _positive(value) -> bool:
@@ -106,9 +112,12 @@ def _integer(value, least) -> bool:
 
 
 def _numbers(values: list) -> bool:
-    """Whether every value is an int or a float, and not a bool, checked at
-    C speed; a subclass of either fails here and is judged one by one."""
-    return set(map(type, values)) <= {int, float}
+    """Whether every value is a float or an int within the double range,
+    and not a bool, checked at C speed; a subclass of either, or a NaN that
+    the range check meets first, fails here and is judged one by one."""
+    kinds = set(map(type, values))
+    return kinds <= {int, float} and (int not in kinds
+                                      or max(map(abs, values)) <= sys.float_info.max)
 
 
 def _key_line(text: str, key: str) -> int | None:
@@ -160,7 +169,7 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
         # the loop names the first offender
         for i, w in enumerate(weights):
             if not _number(w) or not w > 0:
-                found.append(("weights", f"weights[{i}] must be > 0, got {w!r}"))
+                found.append(("weights", f"weights[{i}] must be a finite number > 0, got {w!r}"))
                 break
     if not isinstance(stats, list) or not stats:
         found.append(("stats", "stats must be a non-empty matrix"))

@@ -129,61 +129,65 @@ class CompositeSystem(StateManifold):
 
 
 class PairRay:
-    """The curve F(A) = t F0 of ``system`` through the state whose
-    subsystem 1 has natural parameter ``lam`` at t = 1, with the contract
-    of a family's ``ray``: the arclength rate in ``rate`` and the states of
-    the flow's rows in ``states``.
+    """The curve F(A) = t F0 of ``system`` through its point ``start`` at
+    t = 1, with the contract of a family's ``ray``: the arclength rate in
+    ``rate`` and the states of the flow's rows in ``states``.
 
     Each node is solved in subsystem 1's natural parameter l by a batched,
     damped Newton iteration; see the module docstring.  ``rate`` is asked
     for whole Chebyshev panels of the table of tau, and keeps the Chebyshev
     series of each panel's solved l, chopped at its rounding plateau, which
     is noise; each new node starts from the series of the deepest panel
-    that holds it, which is l at t = 1 until the first panel is solved.  A
-    node whose start lies outside a natural domain starts instead from the
-    piecewise-linear interpolation in t of the nodes solved so far, by
-    either kernel: the natural domains are convex, so that start lies
-    inside both.  A row of ``states`` whose start is already within
-    rounding costs one evaluation; the table's nodes, whose rates set tau,
-    are always polished.
+    that holds it.  Until the first panel is solved, that is the tangent
+    l(1) + (t - 1) dl/dt, with dl/dt = g . g_T^-1 . F0 from the metrics
+    the start point holds.  A node whose start lies outside a natural
+    domain starts instead from the piecewise-linear interpolation in t of
+    the nodes solved so far, by either kernel: the natural domains are
+    convex, so that start lies inside both.  A row of ``states`` whose start
+    is already within rounding costs one evaluation; the table's nodes,
+    whose rates set tau, are always polished.
     """
 
-    def __init__(self, system: CompositeSystem, F0, lam):
+    def __init__(self, system: CompositeSystem, start: ManifoldPoint):
         self.system = system
-        self.F0 = np.asarray(F0, dtype=float)
-        self.known_t = np.ones(1)
-        self.known_l = np.asarray(lam, dtype=float)[None, :].copy()
+        self.F0 = start.force
+        lam, g = start.aux[0][:2]  # subsystem 1's lam and metric at t = 1
+        self.known_t, self.known_l = np.ones(1), lam[None, :].copy()
         self.lo, self.hi = np.zeros(1), np.ones(1)
-        self.series = np.zeros((chebyshev.POINTS, 1, len(self.F0)))  # degree first
-        self.series[0, 0] = self.known_l[0]
+        # the tangent in s = 2 t - 1, degree first and panels last
+        half_slope = 0.5 * g @ start.metric.raise_form(self.F0)
+        self.series = np.zeros((chebyshev.POINTS, len(self.F0), 1))
+        self.series[:2, :, 0] = lam - half_slope, half_slope
 
     def rate(self, ts: np.ndarray) -> np.ndarray:
         """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t of
         whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``)."""
-        l, _, g_inv, _ = self.solve(ts, rows=False)
+        l, state = self.solve(ts, rows=False)
         panels = np.reshape(ts, (-1, chebyshev.POINTS))
         self.lo, self.hi = np.append(self.lo, panels[:, 0]), np.append(self.hi, panels[:, -1])
         series = chebyshev.coefficients(l.reshape(panels.shape + (len(self.F0),)))
         for panel in series:
             for c in panel.T:  # each component's coefficients, past the rounding plateau
                 c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
-        self.series = np.concatenate([self.series, series.transpose(1, 0, 2)], axis=1)
-        return np.sqrt(np.maximum(np.einsum("i,kij,j->k", self.F0, g_inv, self.F0), 0.0))
+        self.series = np.concatenate([self.series, series.transpose(1, 2, 0)], axis=2)
+        return np.sqrt(np.maximum(state["rate2"], 0.0))
 
     def _start(self, ts: np.ndarray) -> np.ndarray:
         """l at each t from the series of the deepest panel that holds it."""
         inside = (self.lo <= ts[:, None]) & (ts[:, None] <= self.hi)
         j = len(self.lo) - 1 - np.argmax(inside[:, ::-1], axis=1)
         lo, hi = self.lo[j], self.hi[j]
-        return chebyshev.clenshaw(self.series[:, j], (2.0 * ts - lo - hi) / (hi - lo))
+        l = chebyshev.clenshaw(self.series[:, :, j], (2.0 * ts - lo - hi) / (hi - lo))
+        # in C order, since the einsum of ``chebyshev.coefficients`` rounds by memory order
+        return np.ascontiguousarray(l.T)
 
     def states(self, ts: np.ndarray):
         """(A, S, g_inv, columns) at each t: the means A of subsystem 1, the
         total entropies, the inverse metrics g_T^-1 and the ``Trajectory``
         columns lam = l, lam' = l - t F0, A' = A_T - A and the conservation
         residual."""
-        l, A, g_inv, S = self.solve(ts, rows=True)
-        A_total = self.system.A_total
+        l, state = self.solve(ts, rows=True)
+        A, A_total = state["A"], self.system.A_total
         A_prime = A_total - A
         columns = {
             "lam": l,
@@ -191,25 +195,29 @@ class PairRay:
             "A_prime": A_prime,
             "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1),
         }
-        return A, S, g_inv, columns
+        return A, state["S"], state["g_inv"], columns
 
-    def _evaluate(self, l: np.ndarray, shift: np.ndarray):
-        """At nodes l (rows) with forces t F0 = ``shift``: the means A, total
-        entropies S, inverse metrics g_T^-1 = Cov (Cov + Cov')^-1 Cov' and
-        Newton steps; the potential phi = log Z(l) + log Z'(l') + l . A_T,
-        the decrease -grad phi . step it predicts, the rounding of phi,
-        whether the residual is small and whether it is within what rounding
-        puts into it, and the means and total entropy that one more Newton
-        step gives, to first order.  Rows outside either natural domain come
-        back non-finite."""
+    def _evaluate(self, l: np.ndarray, shift: np.ndarray, rows: bool):
+        """At nodes l (rows) with forces t F0 = ``shift``: the Newton steps,
+        the potential phi = log Z(l) + log Z'(l') + l . A_T, the decrease
+        -grad phi . step it predicts, the rounding of phi and whether the
+        residual is small.  The inverse of the Hessian Cov + Cov' of phi
+        gives the step and, for the table's nodes, from (Cov + Cov')^-1 Cov'
+        F0, the square F0 . g_T^-1 . F0 of the rate; for ``rows`` it gives
+        the inverse metrics g_T^-1 = Cov (Cov + Cov')^-1 Cov', and they also
+        get the means A, the total entropies S, whether the residual is
+        within what rounding puts into it, and the means and total entropy
+        that one more Newton step gives, to first order.  Rows outside
+        either natural domain come back non-finite."""
         pair = self.system
         with np.errstate(all="ignore"):
             A, S, cov = pair.sys1.natural_states(l)
             l2 = l - shift
             A2, S2, cov2 = pair.sys2.natural_states(l2)
             residual = A + A2 - pair.A_total  # -grad phi
-            inv = _inverses(cov + cov2)
-            step = np.einsum("kij,kj->ki", inv, residual)  # the Hessian of phi is Cov + Cov'
+            right = cov2 if rows else (cov2 @ self.F0)[:, :, None]
+            solved = _inverses(cov + cov2) @ np.concatenate([residual[:, :, None], right], axis=2)
+            step = solved[:, :, 0]
             terms = np.stack([S, S2, np.einsum("ki,ki->k", l, A),
                               np.einsum("ki,ki->k", l2, A2), l @ pair.A_total])
             spread = (np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
@@ -221,33 +229,36 @@ class PairRay:
                         + np.einsum("kij,kj->ki", np.abs(cov) + np.abs(cov2), size))
             bound = _ROUNDING * rounding
             state = {
-                "A": A,
-                "S": S + S2,
-                "g_inv": _symmetrize(cov @ inv @ cov2),
                 "step": step,
                 "phi": terms[0] + terms[1] - terms[2] - terms[3] + terms[4],
                 "decrease": np.einsum("ki,ki->k", residual, step),
                 "noise": 1e-14 * np.sum(np.abs(terms), axis=0),
                 "small": np.all(np.abs(residual) <= RAY_SOLVE_TOL * spread + bound, axis=1),
-                "exact": np.all(np.abs(residual) <= bound, axis=1),
             }
-            # one more Newton step moves A by -Cov . step; the total entropy of
-            # (A, A_T - A) then moves by lam . dA + lam' . (-residual - dA)
-            move = -np.einsum("kij,kj->ki", cov, step)
-            state["A_next"] = A + move
-            state["S_next"] = S + (S2 + (np.einsum("ki,ki->k", shift, move)
-                                         - np.einsum("ki,ki->k", l2, residual)))
+            if rows:
+                state["A"], state["S"] = A, S + S2
+                state["g_inv"] = _symmetrize(cov @ solved[:, :, 1:])
+                state["exact"] = np.all(np.abs(residual) <= bound, axis=1)
+                # one more Newton step moves A by -Cov . step; the total entropy
+                # of (A, A_T - A) then moves by lam . dA + lam' . (-residual - dA)
+                move = -np.einsum("kij,kj->ki", cov, step)
+                state["A_next"] = A + move
+                state["S_next"] = S + (S2 + (np.einsum("ki,ki->k", shift, move)
+                                             - np.einsum("ki,ki->k", l2, residual)))
+            else:
+                state["rate2"] = np.einsum("ki,ki->k", cov @ self.F0, solved[:, :, 1])
         finite = (np.isfinite(state["phi"]) & np.isfinite(state["decrease"])
                   & np.all(np.isfinite(step), axis=1))
         return state, finite
 
     def solve(self, ts: np.ndarray, rows: bool):
-        """l, the means A, the inverse metrics and the total entropies at
-        each t, solved in runs of at most _RAY_RUN nodes, as ``rows`` or as
-        nodes of the table (see ``_solve_run``)."""
+        """l at each t and the columns of its last evaluation (see
+        ``_evaluate``), solved in runs of at most _RAY_RUN nodes, as ``rows``
+        or as nodes of the table (see ``_solve_run``)."""
         ts = np.asarray(ts, dtype=float)
         runs = [self._solve_run(ts[lo:lo + _RAY_RUN], rows) for lo in range(0, max(len(ts), 1), _RAY_RUN)]
-        return tuple(np.concatenate(column) for column in zip(*runs))
+        return (np.concatenate([l for l, _ in runs]),
+                {key: np.concatenate([state[key] for _, state in runs]) for key in runs[0][1]})
 
     def _solve_run(self, ts: np.ndarray, rows: bool):
         """``solve`` on one run of nodes.
@@ -262,45 +273,47 @@ class PairRay:
         converge."""
         shift = np.multiply.outer(ts, self.F0)
         l = self._start(ts)
-        state, finite = self._evaluate(l, shift)
+        state, finite = self._evaluate(l, shift, rows)
         if not np.all(finite):
             out = np.flatnonzero(~finite)
             l[out] = np.column_stack([np.interp(ts[out], self.known_t, col) for col in self.known_l.T])
-            new, finite = self._evaluate(l[out], shift[out])
+            new, finite = self._evaluate(l[out], shift[out], rows)
             if not np.all(finite):
                 t = ts[out[np.flatnonzero(~finite)[0]]]
                 raise StepCollapseError(f"the pair's states at t = {t:.6g} are not finite")
             for key, column in state.items():
                 column[out] = new[key]
-        exact = state["exact"] & rows
-        l[exact] += state["step"][exact]
-        state["A"][exact] = state["A_next"][exact]
-        state["S"][exact] = state["S_next"][exact]
+        pending = np.arange(len(ts))
+        if rows:
+            exact = state.pop("exact")
+            l[exact] += state["step"][exact]
+            state["A"][exact] = state.pop("A_next")[exact]
+            state["S"][exact] = state.pop("S_next")[exact]
+            pending = pending[~exact]
         last = state["small"].copy()  # the next step of the node polishes it
         frac = np.ones(len(ts))
-        pending = np.flatnonzero(~exact)
         for _ in range(_RAY_TRIALS):
             if not pending.size:
                 break
             trial = l[pending] + frac[pending, None] * state["step"][pending]
-            new, ok = self._evaluate(trial, shift[pending])
+            new, ok = self._evaluate(trial, shift[pending], rows)
             decrease = state["decrease"][pending]
             armijo = new["phi"] <= state["phi"][pending] - 1e-4 * frac[pending] * decrease
             ok &= last[pending] | armijo | (decrease <= state["noise"][pending])
-            rows = pending[ok]
-            l[rows] = trial[ok]
+            took = pending[ok]
+            l[took] = trial[ok]
             for key, column in state.items():
-                column[rows] = new[key][ok]
-            done = last[rows]
-            last[rows] = new["small"][ok]
+                column[took] = new[key][ok]
+            done = last[took]
+            last[took] = new["small"][ok]
             # a node that needed a short step may take twice as long a step
             # next, and the polishing step is a full one
-            frac[rows] = np.where(last[rows], 1.0, np.minimum(2.0 * frac[rows], 1.0))
+            frac[took] = np.where(last[took], 1.0, np.minimum(2.0 * frac[took], 1.0))
             frac[pending[~ok]] *= 0.5
             if np.any(frac < 0.5**_RAY_HALVINGS):
                 t = ts[np.argmin(frac)]
                 raise StepCollapseError(f"the Newton solve of the pair at t = {t:.6g} stalls")
-            pending = np.setdiff1d(pending, rows[done], assume_unique=True)
+            pending = np.setdiff1d(pending, took[done], assume_unique=True)
         else:
             raise StepCollapseError(
                 f"the Newton solve of the pair does not converge in {_RAY_TRIALS} steps"
@@ -308,4 +321,4 @@ class PairRay:
         order = np.argsort(np.append(self.known_t, ts), kind="stable")
         self.known_t = np.append(self.known_t, ts)[order]
         self.known_l = np.vstack([self.known_l, l])[order]
-        return l, state["A"], state["g_inv"], state["S"]
+        return l, state

@@ -12,8 +12,9 @@ the standard deviation of the projected statistic lam0 . a.  So the rows
 need no sequential walk.  ``integrate`` reads one ray object, the family's
 ``ray(lam0)``, through two batched kernels: it builds one table of tau(t)
 from adaptive Chebyshev panels of the ray's ``rate``, one kernel call per
-level of panels, places the t of every row at once against it by Newton
-steps on the panels' series, which call no kernel, and takes A, S and the
+level of panels, places the t of every row at once against it by two
+Newton steps on the panels' series from an inverse Hermite start on the
+panels' points, which call no kernel, and takes A, S and the
 covariance of all rows from one call of the ray's ``states``; the metric of
 every row is that covariance's inverse.  A closed-form family's rate is
 closed form and its states are its batched ``natural_states`` at t lam0.
@@ -32,7 +33,8 @@ the same table, placement and landing, reading a ``coupled.PairRay``, which
 has a family ray's contract, with g_T^-1 from its ``states`` in place of
 the covariance; the pair's kernels solve each node in subsystem 1's
 natural parameter by a batched Newton iteration on the families' forward
-maps, and start each row from the Chebyshev series of the table's solved
+maps, start the table's first panel on the tangent of the curve at
+t = 1, and start each row from the Chebyshev series of the table's solved
 nodes (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
@@ -149,7 +151,9 @@ class _RayTable:
     keeps its series of f, with the coefficients below rounding dropped, and
     its integrated series, the tau from t up to the panel's top; tau at a
     panel's top is the exactly rounded sum of the panels above it.  tau and
-    f at any t then take a Clenshaw sum and no kernel call."""
+    f at any t then take a Clenshaw sum and no kernel call.  The panels'
+    points keep their t, their tau on the series and their sampled f, from
+    which ``place`` starts."""
 
     def __init__(self, rate):
         lo, hi, done, count = np.zeros(1), np.ones(1), [], 0
@@ -164,32 +168,38 @@ class _RayTable:
             fs = _checked(rate, ts.ravel()).reshape(ts.shape)
             coeffs = chebyshev.coefficients(fs[:, :, None])[:, :, 0]
             ok = np.array([chebyshev.chop(c, RAY_QUAD_TOL) < chebyshev.POINTS for c in coeffs])
-            done.append((lo[ok], hi[ok], coeffs[ok], fs[ok, 0]))
+            done.append((lo[ok], hi[ok], coeffs[ok], ts[ok], fs[ok]))
             mid = 0.5 * (lo + hi)[~ok]
             lo, hi = np.append(lo[~ok], mid), np.append(mid, hi[~ok])
         order = np.argsort(np.concatenate([part[0] for part in done]))
-        self.lo, self.hi, coeffs, f_lo = (np.concatenate(column)[order] for column in zip(*done))
-        self.f0 = f_lo[0]  # the rate at t = 0
+        self.lo, self.hi, coeffs, node_t, node_f = (
+            np.concatenate(column)[order] for column in zip(*done))
+        self.f0 = node_f[0, 0]  # the rate at t = 0
         for c in coeffs:  # the coefficients past the rounding plateau are dropped
             c[chebyshev.chop(c, _EPS):] = 0.0
         coeffs = coeffs[:, :np.flatnonzero(np.any(coeffs, axis=0))[-1] + 1].T
         self.f_bound = np.max(np.sum(np.abs(coeffs), axis=0))  # |T_k| <= 1
-        # the series of tau - top and of f, degree first: tau - top is -half the
-        # integral of f from s = 1, and at s = -1 the panel's part of tau
+        # the series of tau - top and of f, degree first and panels last:
+        # tau - top is -half the integral of f from s = 1, and at s = -1 the
+        # panel's part of tau
         tau = -0.5 * (self.hi - self.lo) * chebyshev.integral(coeffs)
-        self.series = np.stack([tau, np.pad(coeffs, ((0, 1), (0, 0)))], axis=2)
-        self.parts = (-1.0) ** np.arange(len(tau)) @ tau
-        parts = self.parts.tolist()  # tau at a panel's top: the exactly rounded sum above it
+        self.series = np.stack([tau, np.pad(coeffs, ((0, 1), (0, 0)))], axis=1)
+        parts = ((-1.0) ** np.arange(len(tau)) @ tau).tolist()
+        # tau at a panel's top: the exactly rounded sum of the parts above it
         self.tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
         self.tau_eq = math.fsum(parts)
+        # t, tau and f at the panels' points, in the order of t
+        s = chebyshev.nodes(np.array(-1.0), np.array(1.0))
+        node_tau = self.tops[:, None] + chebyshev.clenshaw(tau[:, :, None], s)
+        self.nodes = np.stack([node_t.ravel(), node_tau.ravel(), node_f.ravel()])
 
     def _sums(self, j: np.ndarray):
         """The ends of panels j, and the function of points s in them that
         gives tau and f by Clenshaw sums of the panels' series."""
-        series, tops = self.series[:, j], self.tops[j]
+        series, tops = self.series[:, :, j], self.tops[j]
 
         def sums(s):
-            tau, f = chebyshev.clenshaw(series, s).T
+            tau, f = chebyshev.clenshaw(series, s)
             return tops + tau, f
 
         return self.lo[j], self.hi[j], sums
@@ -202,10 +212,25 @@ class _RayTable:
     def place(self, targets: np.ndarray):
         """The t where tau reaches each of ``targets`` (below tau_eq), and f
         there: Newton steps on each panel's series of tau, whose derivative
-        in t is -f, from the chord of its panel."""
+        in t is -f.  They start from the inverse cubic Hermite interpolant
+        of t(tau) between the two points of the panel whose tau brackets the
+        target, with the slope dt/dtau = -1/f of the sampled rate at both,
+        which lands within about 1e-8 of the root on a resolved panel, so
+        that one step and the polishing one follow."""
         j = len(self.tops) - np.searchsorted(self.tops[::-1], targets, side="right")
         lo, hi, sums = self._sums(j)
-        s, last = 1.0 - 2.0 * (targets - self.tops[j]) / self.parts[j], False
+        # tau falls along the points, so points i - 1 and i of panel j bracket
+        # the target, up to rounding at the ends of the panel
+        i = j * chebyshev.POINTS + np.clip(
+            np.searchsorted(-self.nodes[1], -targets) - j * chebyshev.POINTS, 1, chebyshev.POINTS - 1)
+        t_a, tau_a, f_a = self.nodes[:, i - 1]
+        t_b, tau_b, f_b = self.nodes[:, i]
+        with np.errstate(divide="ignore", invalid="ignore"):  # tau_a = tau_b gives u = 0 or 1
+            u = np.fmin(np.fmax((targets - tau_a) / (tau_b - tau_a), 0.0), 1.0)
+        v = 1.0 - u
+        t = (t_a + u * u * (3.0 - 2.0 * u) * (t_b - t_a)
+             + u * v * (tau_a - tau_b) * (v / f_a - u / f_b))
+        s, last = (2.0 * t - lo - hi) / (hi - lo), False
         for _ in range(_RAY_NEWTON_ITERS):
             tau, f = sums(s)
             step = (tau - targets) / (0.5 * (hi - lo) * f)
@@ -385,7 +410,7 @@ def integrate(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
     if isinstance(manifold, CompositeSystem):
-        ray = PairRay(manifold, pt.force, pt.aux[0][0])  # subsystem 1's lam at A0
+        ray = PairRay(manifold, pt)
         open_ended = False
     else:
         ray, open_ended = manifold.family.ray(pt.force), not _has_maximum(manifold.family)

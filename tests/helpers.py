@@ -4,8 +4,8 @@ Everything here is an independent verification route: finite differences,
 direct summation, the closed forms of the Bernoulli, Gaussian and ideal-gas
 partition functions, quadrature wrappers, a fixed-step RK4 of the flow's
 velocity field and synthetic trajectory builders, plus ``natural_row``,
-which reads one row of a family's forward map, and a counter of the calls
-a method receives.
+which reads one row of a family's forward map, a counter of the calls a
+method receives, and a fault that turns a Bernoulli pair's rows to NaN.
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from entroflow.coupled import PairRay
 from entroflow.family import (
     BernoulliFamily, DiscreteSpace, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
 )
@@ -350,3 +351,29 @@ def count_calls(monkeypatch, cls, names):
 
         monkeypatch.setattr(cls, name, wrapper)
     return counts
+
+
+def nan_pair_rows(monkeypatch):
+    """Turn every batch of Bernoulli states that a ``PairRay`` evaluates
+    outside its ``rate``, that is for the rows after its table of tau, into
+    NaN.  Returns the live count of the table's batches, which ``rate``
+    makes with the true states."""
+    states, rate, table = BernoulliFamily.natural_states, PairRay.rate, {"batches": 0, "in": False}
+
+    def counting_rate(self, ts):
+        table["in"] = True
+        try:
+            return rate(self, ts)
+        finally:
+            table["in"] = False
+
+    def failing_states(self, lams):
+        out = states(self, lams)
+        if table["in"]:
+            table["batches"] += 1
+            return out
+        return tuple(x * math.nan for x in out)
+
+    monkeypatch.setattr(PairRay, "rate", counting_rate)
+    monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
+    return table

@@ -32,7 +32,7 @@ from entroflow.cli import (
 )
 from entroflow.coupled import CompositeSystem
 from entroflow.family import BernoulliFamily, GaussianMeanFamily, Ray, TabulatedFamily
-from helpers import tabulated_mean
+from helpers import nan_pair_rows, tabulated_mean
 
 
 def _closed_form(family, A):
@@ -374,7 +374,7 @@ class TestMain:
         path = write_config(tmp_path, dict(MINIMAL, family=table, A0=[1.0]))
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "weights[0] must be > 0, got True" in err
+        assert "weights[0] must be a finite number > 0, got True" in err
         assert "stats[0] must list one number per point" in err
         out = tmp_path / "out"
         # an inline table is checked when parsed, a table file when built
@@ -498,21 +498,14 @@ class TestMain:
         assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
 
     def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # the table of tau takes six batched evaluations of both subsystems,
-        # 12 batches of Bernoulli states; every batch after those is NaN, so
-        # the pair's states at the rows are not finite, and run writes nothing
-        states, calls = BernoulliFamily.natural_states, []
-
-        def failing_states(self, lams):
-            calls.append(None)
-            out = states(self, lams)
-            return tuple(x * math.nan for x in out) if len(calls) > 12 else out
-
-        monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
+        # the table of tau is built from the true states of both subsystems;
+        # every batch after it is NaN, so the pair's states at the rows are
+        # not finite, and run writes nothing
+        table = nan_pair_rows(monkeypatch)
         cfg = parse_config(catalog_path("bernoulli-coupled"))
         with pytest.raises(StepCollapseError):
             integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max)
-        calls.clear()
+        assert table["batches"] >= 2  # one evaluation of both subsystems at least
         capsys.readouterr()
         out = tmp_path / "out"
         assert main(["run", str(catalog_path("bernoulli-coupled")), "--output-dir", str(out)]) == 2

@@ -614,13 +614,13 @@ class TestJsonLoading:
     @pytest.mark.parametrize(
         "token, weight_message, stat_message",
         [
-            ("NaN", "line 2: weights[{i}] must be > 0, got nan", FINITE_STATS),
+            ("NaN", "line 2: weights[{i}] must be a finite number > 0, got nan", FINITE_STATS),
             ("Infinity", "all weights must be finite and > 0", FINITE_STATS),
-            ("true", "line 2: weights[{i}] must be > 0, got True",
+            ("true", "line 2: weights[{i}] must be a finite number > 0, got True",
              "line 3: stats[1] must list one number per point"),
-            ("null", "line 2: weights[{i}] must be > 0, got None",
+            ("null", "line 2: weights[{i}] must be a finite number > 0, got None",
              "line 3: stats[1] must list one number per point"),
-            ('"x"', "line 2: weights[{i}] must be > 0, got 'x'",
+            ('"x"', "line 2: weights[{i}] must be a finite number > 0, got 'x'",
              "line 3: stats[1] must list one number per point"),
         ],
         ids=["nan", "infinity", "true", "null", "string"],

@@ -29,7 +29,7 @@ from entroflow import (
     unit_velocity,
     write_trajectory_csv,
 )
-from entroflow import duality
+from entroflow import chebyshev, duality
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config
 from entroflow.coupled import PairRay
 from entroflow.family import DiscreteSpace, TabulatedFamily, _BinnedRay
@@ -38,6 +38,7 @@ from entroflow.geometry import StateManifold
 from helpers import (
     count_calls,
     identity_chart,
+    nan_pair_rows,
     rk4_rows,
     seeded_table,
     synthetic_trajectory,
@@ -463,22 +464,15 @@ class TestIntegrate:
         assert entropy_production_check(traj).max_residual <= 1e-4
 
     def test_chart_collapse_raises_the_bases_error(self, bernoulli_pair, monkeypatch):
-        # the table of tau takes six batched evaluations of both subsystems,
-        # 12 batches of Bernoulli states; every batch after those is NaN, so
-        # the pair's states at the rows are not finite, and the chart of the
-        # pair raises as the pair does
-        states, calls = BernoulliFamily.natural_states, []
-
-        def failing_states(self, lams):
-            calls.append(None)
-            out = states(self, lams)
-            return tuple(x * math.nan for x in out) if len(calls) > 12 else out
-
-        monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
+        # the table of tau is built from the true states of both subsystems;
+        # every batch after it is NaN, so the pair's states at the rows are
+        # not finite, and the chart of the pair raises as the pair does
+        table = nan_pair_rows(monkeypatch)
         chart = ReparametrizedManifold(bernoulli_pair, forward=lambda A: 2.0 * A,
                                        inverse=lambda B: 0.5 * B, jacobian=lambda A: 2.0 * np.eye(1))
         with pytest.raises(StepCollapseError, match="the pair"):
             integrate(chart, [0.5], tau_max=2.0)
+        assert table["batches"] >= 2  # one evaluation of both subsystems at least
 
     def test_open_table_names_the_t_where_the_rate_fails(self, monkeypatch):
         # the gas's table is in x = 1 - u / span with t = exp(-u); a rate
@@ -679,27 +673,57 @@ class TestClockInvert:
 
 
 def watch_pair_work(monkeypatch):
-    """Counters of the nodes a ``PairRay``'s rate is asked for and of the
-    node-rows its Newton solve evaluates."""
-    work = {"nodes": 0, "evaluated": 0}
+    """Counters of the nodes a ``PairRay``'s rate is asked for, of the
+    node-rows its Newton solve evaluates, and of the batched evaluations
+    each call of its rate makes."""
+    work = {"nodes": 0, "evaluated": 0, "evaluations": 0, "per_rate_call": []}
     rate, evaluate = PairRay.rate, PairRay._evaluate
 
     def counting_rate(self, ts):
         work["nodes"] += len(ts)
-        return rate(self, ts)
+        before = work["evaluations"]
+        out = rate(self, ts)
+        work["per_rate_call"].append(work["evaluations"] - before)
+        return out
 
-    def counting_evaluate(self, l, shift):
+    def counting_evaluate(self, l, shift, rows):
         work["evaluated"] += len(l)
-        return evaluate(self, l, shift)
+        work["evaluations"] += 1
+        return evaluate(self, l, shift, rows)
 
     monkeypatch.setattr(PairRay, "rate", counting_rate)
     monkeypatch.setattr(PairRay, "_evaluate", counting_evaluate)
     return work
 
 
+def watch_place(monkeypatch):
+    """The Clenshaw passes over the series that each call of
+    ``_RayTable.place`` makes, one count per call."""
+    passes, inside = [], [False]
+    clenshaw, place = chebyshev.clenshaw, _RayTable.place
+
+    def counting_clenshaw(coeffs, s):
+        if inside[0]:
+            passes[-1] += 1
+        return clenshaw(coeffs, s)
+
+    def counting_place(self, targets):
+        passes.append(0)
+        inside[0] = True
+        try:
+            return place(self, targets)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(chebyshev, "clenshaw", counting_clenshaw)
+    monkeypatch.setattr(_RayTable, "place", counting_place)
+    return passes
+
+
 class TestRayWork:
     """A run's table of tau takes a few Chebyshev panels of rate nodes,
-    whatever its row count, and a pair's rows cost about one evaluation."""
+    whatever its row count, its rows are placed in two passes over the
+    series, and a pair's rows cost about one evaluation."""
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_a_shipped_run_takes_at_most_150_rate_nodes(self, monkeypatch, name):
@@ -731,6 +755,55 @@ class TestRayWork:
         traj = integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
         rows = len(traj) - 1  # the start is the pair's one point
         assert work["evaluated"] <= 1.3 * (rows + work["nodes"])
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_a_shipped_run_places_its_rows_in_two_series_passes(self, monkeypatch, name):
+        # the Hermite start lands within about 1e-8 in s, so the first
+        # Newton step already meets the stop rule and the second polishes
+        cfg = parse_config(catalog_path(name))
+        passes = watch_place(monkeypatch)
+        integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        assert passes and max(passes) <= 2
+
+    @pytest.mark.parametrize("seed, n_points", [(1, 50), (2, 50), (1, 5000), (2, 5000)])
+    def test_a_table_run_places_its_rows_in_two_series_passes(self, monkeypatch, seed, n_points):
+        fam, A0 = seeded_table(seed, n_points)
+        passes = watch_place(monkeypatch)
+        integrate(fam, A0, tau_max=10.0)
+        assert passes and max(passes) <= 2
+
+    @pytest.mark.parametrize("name, most", [("bernoulli-coupled", 2), ("two-vessel-gas-EN", 6),
+                                            ("two-vessel-gas-E-only", 6)])
+    def test_a_pair_starts_its_first_panel_on_the_tangent(self, monkeypatch, name, most):
+        # the symmetric Bernoulli pair's l(t) = t F0 / 2 is its tangent, so
+        # its nodes take a start and a polishing evaluation
+        cfg = parse_config(catalog_path(name))
+        work = watch_pair_work(monkeypatch)
+        integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
+        assert work["per_rate_call"][0] <= most
+
+    def test_the_tangent_start_is_second_order_in_one_minus_t(self):
+        # the start is l(1) + (t - 1) dl/dt: against the solved l, its error
+        # falls fourfold when 1 - t halves, where a wrong slope's would halve
+        cfg = parse_config(catalog_path("two-vessel-gas-EN"))
+        system = build_system(cfg)
+        ray = PairRay(system, system.point(cfg.A0))
+        ts = 1.0 - np.array([2e-3, 1e-3])
+        start = ray._start(ts)
+        solved, _ = ray.solve(ts, rows=True)
+        error = np.max(np.abs(start - solved), axis=1)
+        assert 3.5 <= error[0] / error[1] <= 4.5
+
+    def test_clenshaw_meets_chebval_on_every_point_series(self):
+        # each point has its own series, as each row has its panel's
+        rng = np.random.default_rng(20)
+        coeffs = rng.normal(size=(34, 2, 300)) * 0.7 ** np.arange(34)[:, None, None]
+        s = rng.uniform(-1.0, 1.0, 300)
+        want = np.array([[np.polynomial.chebyshev.chebval(x, coeffs[:, c, i])
+                          for i, x in enumerate(s)] for c in range(2)])
+        got = chebyshev.clenshaw(coeffs, s)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 4.0 * np.spacing(np.max(np.abs(want)))
 
     def test_the_table_meets_the_bernoulli_closed_form_at_its_rows(self):
         # tau(t) = 2 (asin sqrt(A(t)) - asin(1/2)), A(t) = 1 / (1 + 3^t)

@@ -189,3 +189,38 @@ def test_nonfinite_numbers_never_pass(tmp_path, path, value):
     code, err = _main(["run", str(file), "--output-dir", str(out)])
     assert code != 0, err
     assert not out.exists() or not any(out.rglob("*")), err
+
+
+def _number_cases():
+    for name, doc in zip(["table", "coupled", "closed-form"], BASES):
+        for path in _number_paths(doc):
+            yield pytest.param(doc, path, id=f"{name}-{'.'.join(map(str, path))}")
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["big", "-big"])
+@pytest.mark.parametrize("doc, path", list(_number_cases()))
+def test_integers_beyond_the_double_range_never_pass(tmp_path, doc, path, value):
+    # a JSON integer is a Python int, which compares below inf however
+    # large it is, and which float() cannot take past the double range
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(_set(doc, path, value)))
+    code, err = _main(["validate", str(file)])
+    assert code == 1 and len(err.splitlines()) == 1, err
+    out = tmp_path / "out"
+    code, err = _main(["run", str(file), "--output-dir", str(out)])
+    assert code == 1 and "Traceback" not in err, err
+    assert not out.exists() or not any(out.rglob("*")), err
+
+
+def test_an_integer_literal_too_long_to_read_is_a_parse_error(tmp_path):
+    # json.loads raises a plain ValueError past Python's limit on the digits
+    # of an int (4,300 by default), not a JSONDecodeError
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(_set(CLOSED, ("integrator", "tau_max"), 123456789))
+                    .replace("123456789", "1" + "0" * 5000))
+    code, err = _main(["validate", str(file)])
+    assert code == 1 and len(err.splitlines()) == 1 and "ParseError" in err, err
+    out = tmp_path / "out"
+    code, err = _main(["run", str(file), "--output-dir", str(out)])
+    assert code == 1 and "Traceback" not in err and "ParseError" in err, err
+    assert not out.exists() or not any(out.rglob("*")), err
