@@ -25,7 +25,6 @@ from .errors import (
 )
 from .family import (
     BernoulliFamily,
-    DiscreteSpace,
     ExponentialFamily,
     GaussianMeanFamily,
     IdealGasFamily,
@@ -82,7 +81,6 @@ __all__ = [
     "ValidationError",
     # families
     "ExponentialFamily",
-    "DiscreteSpace",
     "TabulatedFamily",
     "BernoulliFamily",
     "GaussianMeanFamily",

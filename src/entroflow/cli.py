@@ -64,14 +64,14 @@ def _check_config(cfg: ScenarioConfig):
 
 
 def _probe_dict(system, point) -> dict:
+    """The state, lambda, sigma, g and Gamma at ``point``, as arrays."""
     pt = as_manifold(system).point(np.asarray(point, dtype=float))
-    gamma = christoffel(system, pt).gamma
     return {
-        "point": pt.A.tolist(),
-        "lambda": pt.force.tolist(),
+        "point": pt.A,
+        "lambda": pt.force,
         "sigma": float(pt.sigma),
-        "metric": pt.metric.g.tolist(),
-        "christoffel": gamma.tolist(),
+        "metric": pt.metric.g,
+        "christoffel": christoffel(system, pt).gamma,
     }
 
 
@@ -135,7 +135,9 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
                 }
             elif spec.kind == "geometry_probe":
                 analyses_out["geometry_probe"] = [
-                    _probe_dict(system, p) for p in spec.points
+                    {key: np.asarray(value).tolist()
+                     for key, value in _probe_dict(system, p).items()}
+                    for p in spec.points
                 ]
 
         summary = {
@@ -222,8 +224,8 @@ def _probe_text(info: dict) -> str:
     lines = ["point   = " + vector, "lambda  = " + vector, "sigma   = %.17g"]
     lines += [f"g[{i}]    = " + vector for i in range(d)]
     lines += [f"Gamma[{a}][{b}] = " + vector for a in range(d) for b in range(d)]
-    values = [*info["point"], *info["lambda"], info["sigma"], *np.ravel(info["metric"]).tolist(),
-              *np.ravel(info["christoffel"]).tolist()]
+    keys = ("point", "lambda", "sigma", "metric", "christoffel")
+    values = np.concatenate([np.ravel(info[key]) for key in keys]).tolist()
     return "\n".join(lines) % tuple(values)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coupled import CompositeSystem
 from .errors import ParseError, ValidationError
-from .family import (BernoulliFamily, DiscreteSpace, GaussianMeanFamily, IdealGasFamily,
+from .family import (BernoulliFamily, GaussianMeanFamily, IdealGasFamily,
                      TabulatedFamily)
 
 __all__ = ["ScenarioConfig", "parse_config", "build_system", "tabulated_from_json"]
@@ -154,8 +154,8 @@ def _number_list(value, path: str, violations: list) -> np.ndarray | None:
 
 def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
     """(key, message) for each way a points/weights/stats table breaks the
-    schema, so that ``DiscreteSpace`` and ``TabulatedFamily`` see only
-    lists of the right lengths and numbers."""
+    schema, so that ``TabulatedFamily`` sees only lists of the right lengths
+    and numbers; the point labels are checked here and nowhere else."""
     found = []
     n = len(points) if isinstance(points, list) else 0
     if n < 2:
@@ -183,7 +183,14 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
 
 
 def _table(points, weights, stats) -> TabulatedFamily:
-    return TabulatedFamily(DiscreteSpace(points, weights), stats)
+    """The family of a table that passed ``_table_violations``; its point
+    labels name the points for the document's reader only, and are dropped.
+    A list or object label is rejected here, when the system is built, so
+    that ``validate`` reports it and ``run`` exits 2, as for every table the
+    family rejects."""
+    if not {list, dict}.isdisjoint(map(type, points)):
+        raise ValueError("point labels must be hashable (strings or numbers, not lists)")
+    return TabulatedFamily(weights, stats)
 
 
 def tabulated_from_json(source: str | Path) -> TabulatedFamily:
@@ -213,10 +220,11 @@ def tabulated_from_json(source: str | Path) -> TabulatedFamily:
         raise ValidationError([str(exc)]) from exc
 
 
-def _parse_family_spec(obj, path, text, base_dir: Path, violations):
+def _parse_family_spec(obj, path, text, base_dir, violations):
     """The family's constructor with its arguments bound, or None after
-    recording why the spec is invalid; a table path is taken relative to
-    ``base_dir``, and the file is read when the constructor is called."""
+    recording why the spec is invalid; a table path is taken relative to the
+    directory that ``base_dir()`` gives, and the file is read when the
+    constructor is called."""
     if not isinstance(obj, dict):
         violations.append(f"{path} must be an object")
         return None
@@ -261,7 +269,7 @@ def _parse_family_spec(obj, path, text, base_dir: Path, violations):
         if set(obj) != {"tabulated"} or not isinstance(obj["tabulated"], str):
             violations.append(f"{path}.tabulated must be a lone path string")
             return None
-        return functools.partial(tabulated_from_json, base_dir / obj["tabulated"])
+        return functools.partial(tabulated_from_json, base_dir() / obj["tabulated"])
     if _TABULATED_KEYS <= set(obj):
         if set(obj) != _TABULATED_KEYS:
             violations.append(f"{path}: inline tabulated spec takes exactly points/weights/stats")
@@ -347,7 +355,9 @@ def parse_config(path) -> ScenarioConfig:
         violations.append("mode must be 'single' or 'coupled'")
         mode = "single"
 
-    base_dir = path.resolve().parent
+    # a table file is found relative to the config's real directory, which
+    # is looked up once, and only for a family that names one
+    base_dir = functools.cache(lambda: path.resolve().parent)
     family_specs = []
     if mode == "single":
         if "families" in doc:

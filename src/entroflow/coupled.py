@@ -197,7 +197,7 @@ class PairRay:
         }
         return A, state["S"], state["g_inv"], columns
 
-    def _evaluate(self, l: np.ndarray, shift: np.ndarray, rows: bool):
+    def _evaluate(self, l: np.ndarray, shift: np.ndarray, rows: bool, ahead: bool = False):
         """At nodes l (rows) with forces t F0 = ``shift``: the Newton steps,
         the potential phi = log Z(l) + log Z'(l') + l . A_T, the decrease
         -grad phi . step it predicts, the rounding of phi and whether the
@@ -205,10 +205,11 @@ class PairRay:
         gives the step and, for the table's nodes, from (Cov + Cov')^-1 Cov'
         F0, the square F0 . g_T^-1 . F0 of the rate; for ``rows`` it gives
         the inverse metrics g_T^-1 = Cov (Cov + Cov')^-1 Cov', and they also
-        get the means A, the total entropies S, whether the residual is
-        within what rounding puts into it, and the means and total entropy
-        that one more Newton step gives, to first order.  Rows outside
-        either natural domain come back non-finite."""
+        get the means A and the total entropies S.  With ``ahead`` (rows
+        only, at their starts) they also get whether the residual is within
+        what rounding puts into it, and the means and total entropy that one
+        more Newton step gives, to first order.  Rows outside either natural
+        domain come back non-finite."""
         pair = self.system
         with np.errstate(all="ignore"):
             A, S, cov = pair.sys1.natural_states(l)
@@ -238,6 +239,9 @@ class PairRay:
             if rows:
                 state["A"], state["S"] = A, S + S2
                 state["g_inv"] = _symmetrize(cov @ solved[:, :, 1:])
+            else:
+                state["rate2"] = np.einsum("ki,ki->k", cov @ self.F0, solved[:, :, 1])
+            if ahead:
                 state["exact"] = np.all(np.abs(residual) <= bound, axis=1)
                 # one more Newton step moves A by -Cov . step; the total entropy
                 # of (A, A_T - A) then moves by lam . dA + lam' . (-residual - dA)
@@ -245,8 +249,6 @@ class PairRay:
                 state["A_next"] = A + move
                 state["S_next"] = S + (S2 + (np.einsum("ki,ki->k", shift, move)
                                              - np.einsum("ki,ki->k", l2, residual)))
-            else:
-                state["rate2"] = np.einsum("ki,ki->k", cov @ self.F0, solved[:, :, 1])
         finite = (np.isfinite(state["phi"]) & np.isfinite(state["decrease"])
                   & np.all(np.isfinite(step), axis=1))
         return state, finite
@@ -273,11 +275,11 @@ class PairRay:
         converge."""
         shift = np.multiply.outer(ts, self.F0)
         l = self._start(ts)
-        state, finite = self._evaluate(l, shift, rows)
+        state, finite = self._evaluate(l, shift, rows, ahead=rows)
         if not np.all(finite):
             out = np.flatnonzero(~finite)
             l[out] = np.column_stack([np.interp(ts[out], self.known_t, col) for col in self.known_l.T])
-            new, finite = self._evaluate(l[out], shift[out], rows)
+            new, finite = self._evaluate(l[out], shift[out], rows, ahead=rows)
             if not np.all(finite):
                 t = ts[out[np.flatnonzero(~finite)[0]]]
                 raise StepCollapseError(f"the pair's states at t = {t:.6g} are not finite")

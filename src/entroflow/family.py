@@ -10,17 +10,21 @@ statistics is the Hessian of log Z.  log Z, A and the covariance are three
 moments of one sum over the microstates, and a family exposes them through
 one forward map, the batched ``natural_states``, which gives A, the
 entropy S = log Z + lam . A and the covariance at an array of natural
-parameters (log Z is S - lam . A).  Discrete tabulated families are
-evaluated exactly by weighted summation; continuous families are admitted
-only through closed forms (a unit-variance Gaussian location family and a
-monatomic ideal gas defined by its entropy surface).  The Bernoulli,
-Gaussian and ideal-gas families also declare their inverse map in closed
-form, one ``legendre`` giving lam, S, the metric and its derivative at a
-mean, so only tabulated families need the numerical inversion.
+parameters (log Z is S - lam . A).  Discrete tabulated families, a weight
+and a vector of statistics per point (``TabulatedFamily(weights, stats)``),
+are evaluated exactly by weighted summation; continuous families are
+admitted only through closed forms (a unit-variance Gaussian location
+family and a monatomic ideal gas defined by its entropy surface).  The
+Bernoulli, Gaussian and ideal-gas families also declare their inverse map
+in closed form, one ``legendre`` giving lam, S, the metric and its
+derivative at a mean, so only tabulated families need the numerical
+inversion.
 
 All family objects are immutable after construction and safe to share
 across threads; every operation is a pure function of its arguments.  This
-module does no I/O: a table file is read by ``config.tabulated_from_json``.
+module does no I/O: a table document is read, and its point labels checked
+and dropped, by ``config``; a table's constructor checks only what the
+numerics need.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from .errors import DomainError, InfeasibleMeanError, SingularModelError
 
 __all__ = [
-    "DiscreteSpace",
     "ExponentialFamily",
     "TabulatedFamily",
     "BernoulliFamily",
@@ -49,38 +52,6 @@ def as_vector(values, n: int, name: str = "vector") -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
-
-
-class DiscreteSpace:
-    """A finite microstate space: distinct labels with positive weights.
-
-    ``weights`` counts the microstates carrying each label, so every weight
-    must be strictly positive; at least two labels are required for the
-    family to be non-degenerate.
-    """
-
-    def __init__(self, points, weights):
-        points = tuple(points)
-        weights = np.asarray(weights, dtype=float)
-        if len(points) < 2:
-            raise ValueError("a discrete space needs at least 2 points")
-        try:
-            labels = set(points)
-        except TypeError:
-            raise ValueError(
-                "point labels must be hashable (strings or numbers, not lists)"
-            ) from None
-        if len(labels) != len(points):
-            raise ValueError("point labels must be unique")
-        if weights.shape != (len(points),):
-            raise ValueError("weights must match points in length")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise ValueError("all weights must be finite and > 0")
-        self.points = points
-        self.weights = weights
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 class ExponentialFamily(ABC):
@@ -343,16 +314,35 @@ class _BinnedRay:
 
 
 class TabulatedFamily(ExponentialFamily):
-    """Family over a finite microstate space, evaluated by exact summation."""
+    """Family over a finite microstate space, evaluated by exact summation.
 
-    def __init__(self, space: DiscreteSpace, stats, labels=None):
+    ``weights`` (n_points,) counts the microstates at each point, so every
+    weight must be finite and > 0, and at least two points are required for
+    the family to be non-degenerate; ``stats`` (n_dim x n_points) holds the
+    statistics at the points, which must be finite, at most MAX_STATISTIC
+    in magnitude and of full rank.  Both are converted and checked once,
+    here, on the log-weights and the statistics' ranges the family keeps.
+    """
+
+    def __init__(self, weights, stats):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {weights.shape}")
+        if len(weights) < 2:
+            raise ValueError("a discrete space needs at least 2 points")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_weights = np.log(weights)  # finite exactly for finite w > 0
+        if not np.all(np.isfinite(log_weights)):
+            raise ValueError("all weights must be finite and > 0")
         stats = np.asarray(stats, dtype=float)
-        if stats.ndim != 2 or stats.shape[1] != len(space):
+        if stats.ndim != 2 or stats.shape[1] != len(weights):
             raise ValueError(
                 "stats must be an (n_dim x n_points) matrix; "
-                f"got shape {stats.shape} for {len(space)} points"
+                f"got shape {stats.shape} for {len(weights)} points"
             )
-        if not np.all(np.isfinite(stats)) or np.max(np.abs(stats)) > MAX_STATISTIC:
+        lo, hi = stats.min(axis=1), stats.max(axis=1)  # NaN in a row makes both NaN
+        ranges = list(zip(lo.tolist(), hi.tolist()))
+        if not all(-MAX_STATISTIC <= low and high <= MAX_STATISTIC for low, high in ranges):
             raise ValueError(
                 f"statistic values must be finite and at most {MAX_STATISTIC:.0e} in magnitude"
             )
@@ -366,15 +356,10 @@ class TabulatedFamily(ExponentialFamily):
             raise SingularModelError(
                 "statistics matrix is rank-deficient; the family is degenerate"
             )
-        self.space = space
-        self.stats = stats
-        self._labels = tuple(labels) if labels is not None else None
-        if self._labels is not None and len(self._labels) != n_dim:
-            raise ValueError("labels must match the number of statistics")
+        self.weights, self.stats = weights, stats
         self._n_dim = n_dim
-        self._log_weights = np.log(space.weights)
-        lo, hi = stats.min(axis=1), stats.max(axis=1)
-        self._ranges = list(zip(lo.tolist(), hi.tolist()))
+        self._log_weights = log_weights
+        self._ranges = ranges
         # Each statistic is kept shifted by the midpoint c of its range, so
         # that sums over the table round at the scale of its spread, not of
         # a large common offset: the mean is c + <a - c>, log Z is
@@ -385,12 +370,6 @@ class TabulatedFamily(ExponentialFamily):
     @property
     def n_dim(self) -> int:
         return self._n_dim
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        if self._labels is not None:
-            return self._labels
-        return super().labels
 
     def check_feasible(self, A) -> np.ndarray:
         """The mean lies in the open convex hull of the statistics, so each

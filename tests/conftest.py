@@ -4,7 +4,6 @@ import pytest
 from entroflow import (
     BernoulliFamily,
     CompositeSystem,
-    DiscreteSpace,
     GaussianMeanFamily,
     IdealGasFamily,
     TabulatedFamily,
@@ -20,7 +19,7 @@ def bernoulli():
 @pytest.fixture(scope="session")
 def two_point():
     """The Bernoulli family as a table, so its Legendre maps go through Newton."""
-    return TabulatedFamily(DiscreteSpace([0, 1], [1.0, 1.0]), [[0.0, 1.0]])
+    return TabulatedFamily([1.0, 1.0], [[0.0, 1.0]])
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import numpy as np
 
 from entroflow.coupled import PairRay
 from entroflow.family import (
-    BernoulliFamily, DiscreteSpace, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
+    BernoulliFamily, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
 )
 from entroflow.flow import Trajectory
 from entroflow.geometry import ReparametrizedManifold, as_manifold, metric, unit_velocity
@@ -157,7 +157,7 @@ def random_tabulated(rng, n_dim=None, n_points=None):
     points = list(range(n_points))
     weights = rng.uniform(0.5, 2.0, n_points)
     stats = rng.normal(size=(n_dim, n_points))
-    return TabulatedFamily(DiscreteSpace(points, weights), stats)
+    return TabulatedFamily(weights, stats)
 
 
 def seeded_table(seed, n_points, n_dim=3, norm=0.3):
@@ -168,7 +168,7 @@ def seeded_table(seed, n_points, n_dim=3, norm=0.3):
     weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
     lam0 = rng.normal(size=n_dim)
     lam0 *= norm / np.linalg.norm(lam0)
-    fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
+    fam = TabulatedFamily(weights, stats)
     return fam, tabulated_mean(weights, stats, lam0)
 
 
@@ -207,7 +207,7 @@ def log_partition_oracle(family, lam):
     if isinstance(family, BernoulliFamily):
         weights, stats = np.ones(2), np.array([[0.0, 1.0]])
     else:
-        weights, stats = family.space.weights, family.stats
+        weights, stats = family.weights, family.stats
     terms = np.log(weights) - lam @ stats
     top = float(terms.max())
     return top + math.log(float(np.sum(np.exp(terms - top))))
@@ -239,7 +239,7 @@ def states_oracle(family, lams):
             return E[:, None], S, (E**2 / (1.5 * N))[:, None, None]
         cov = np.array([[[5.0 * e * e / (3.0 * n), e], [e, n]] for e, n in zip(E, N)])
         return np.column_stack([E, N]), S, cov
-    return tabulated_states(family.space.weights, family.stats, lams)
+    return tabulated_states(family.weights, family.stats, lams)
 
 
 def _tabulated_moments(weights, stats, lam):

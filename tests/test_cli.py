@@ -161,6 +161,55 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, doc))
         assert isinstance(build_system(cfg), TabulatedFamily)
 
+    def test_a_path_is_resolved_only_for_a_table_file(self, tmp_path, monkeypatch):
+        # resolving walks every component of the path; only a table file,
+        # found relative to the config's real directory, needs it, once
+        resolved = []
+        resolve = Path.resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            resolved.append(self)
+            return resolve(self, *args, **kwargs)
+
+        (tmp_path / "fam.json").write_text(
+            json.dumps({"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}))
+        inline = {"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}
+        pair = {"name": "pair", "mode": "coupled", "A0": [0.25], "A_total": [1.0],
+                "integrator": {"tau_max": 2.0}}
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        for doc, count in [
+            (MINIMAL, 0),
+            (dict(MINIMAL, family=inline), 0),
+            (dict(pair, families=[{"closed_form": "bernoulli"}, inline]), 0),
+            (dict(MINIMAL, family={"tabulated": "fam.json"}), 1),
+            (dict(pair, families=[{"tabulated": "fam.json"}, {"tabulated": "fam.json"}]), 1),
+        ]:
+            resolved.clear()
+            cfg = parse_config(write_config(tmp_path, doc))
+            assert len(resolved) == count, doc
+            build_system(cfg)
+
+    @pytest.mark.parametrize("link", ["directory", "config"])
+    def test_table_file_is_found_from_the_real_directory(self, tmp_path, link):
+        # the table lies beside the config's real directory; the config is
+        # reached through a symlinked directory, or is itself a symlink
+        real = tmp_path / "real"
+        (real / "configs").mkdir(parents=True)
+        (real / "tables").mkdir()
+        (real / "tables" / "fam.json").write_text(
+            json.dumps({"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]]}))
+        path = write_config(real / "configs",
+                            dict(MINIMAL, family={"tabulated": "../tables/fam.json"}))
+        view = tmp_path / "view"
+        view.mkdir()
+        if link == "directory":
+            (view / "configs").symlink_to(real / "configs", target_is_directory=True)
+            path = view / "configs" / path.name
+        else:
+            (view / path.name).symlink_to(path)
+            path = view / path.name
+        assert isinstance(build_system(parse_config(path)), TabulatedFamily)
+
     def test_coupled_config_builds_composite(self, tmp_path):
         doc = {
             "name": "pair",
@@ -304,6 +353,31 @@ class TestRunScenario:
         probes = summary["analyses"]["geometry_probe"]
         assert len(probes) == 2
         assert probes[0]["metric"][0][0] == pytest.approx(16.0 / 3.0, rel=1e-10)
+
+    def test_geometry_probe_summary_holds_plain_lists(self, tmp_path, monkeypatch):
+        # the probe hands arrays on; the summary turns them into lists of
+        # floats where it is built
+        summaries, dumps = [], json.dumps
+
+        def keeping_dumps(obj, **kwargs):
+            summaries.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", keeping_dumps)
+        doc = dict(MINIMAL, name="probe",
+                   family={"points": [0, 1, 2], "weights": [1.0, 2.0, 1.0],
+                           "stats": [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0]]},
+                   A0=[1.2, 1.1], analyses=[{"kind": "geometry_probe", "points": [[1.2, 1.1]]}])
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert run_scenario(cfg, output_dir=tmp_path / "out", log=io.StringIO()) == 0
+        (probe,) = summaries[-1]["analyses"]["geometry_probe"]
+        assert type(probe["sigma"]) is float
+        for key, depth in [("point", 1), ("lambda", 1), ("metric", 2), ("christoffel", 3)]:
+            values = [probe[key]]
+            for _ in range(depth):
+                assert all(type(v) is list for v in values), key
+                values = [x for v in values for x in v]
+            assert values and all(type(x) is float for x in values), key
 
     def test_failed_summary_write_leaves_no_artifact(self, tmp_path):
         # the summary is written last; its directory does not exist, so the

@@ -8,7 +8,6 @@ from entroflow import (
     AtEquilibriumError,
     BernoulliFamily,
     CompositeSystem,
-    DiscreteSpace,
     GaussianMeanFamily,
     IdealGasFamily,
     InfeasibleMeanError,
@@ -374,7 +373,7 @@ class TestForceRayContinuation:
         # rows rest on the batched Newton solve of each node alone
         rng = np.random.default_rng(50)
         weights, stats = rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50))
-        fam = TabulatedFamily(DiscreteSpace(list(range(50)), weights), stats)
+        fam = TabulatedFamily(weights, stats)
         A0 = tabulated_mean(weights, stats, rng.normal(0.0, 0.5, 3))
         A_T = A0 + tabulated_mean(weights, stats, rng.normal(0.0, 0.5, 3))
         pair = CompositeSystem(fam, fam, A_T)

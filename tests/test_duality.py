@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from entroflow import (
     BernoulliFamily,
-    DiscreteSpace,
     IdealGasFamily,
     InfeasibleMeanError,
     FamilyManifold,
@@ -64,7 +63,7 @@ class TestSolveLambda:
             solve_lambda(fam, target)
 
     def test_degenerate_family_reports_singular(self):
-        fam = TabulatedFamily(DiscreteSpace([0, 1], [1.0, 1.0]), [[1.0, 1.0]])
+        fam = TabulatedFamily([1.0, 1.0], [[1.0, 1.0]])
         with pytest.raises(SingularModelError):
             solve_lambda(fam, [1.5])
 
@@ -255,7 +254,7 @@ class TestOneForwardPassPerTrial:
         assert work["trials"] == trials and len(work["rows"]) == trials
         assert work["cumulants"] == 0
         # S and the metric come from the solve's last row, at the point's lam
-        want_A, want_S, want_cov = tabulated_states(fam.space.weights, fam.stats, pt.force)
+        want_A, want_S, want_cov = tabulated_states(fam.weights, fam.stats, pt.force)
         assert abs(pt.S - want_S[0]) <= 1e-13 * abs(want_S[0])
         assert np.max(np.abs(pt.metric.g_inv - want_cov[0])) <= 1e-13 * np.max(np.abs(want_cov[0]))
         assert np.max(np.abs(want_A[0] - A)) <= 1e-13
@@ -268,8 +267,8 @@ class TestOneForwardPassPerTrial:
         trials = work["trials"]
         work.update(rows=[], trials=0)
         path = tmp_path / "table.json"
-        table = {"points": list(fam.space.points), "weights": fam.space.weights.tolist(),
-                 "stats": fam.stats.tolist()}
+        table = {"points": [f"x{i}" for i in range(len(fam.weights))],
+                 "weights": fam.weights.tolist(), "stats": fam.stats.tolist()}
         path.write_text(json.dumps({"name": "t", "mode": "single", "family": table,
                                     "A0": A.tolist(), "integrator": {"tau_max": 1.0}}))
         point = [np.format_float_positional(x, unique=True, trim="0") for x in A]

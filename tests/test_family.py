@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 
 from entroflow import (
     BernoulliFamily,
-    DiscreteSpace,
     DomainError,
     GaussianMeanFamily,
     IdealGasFamily,
@@ -31,7 +31,7 @@ from helpers import (
 
 
 def bernoulli_as_tabulated():
-    return TabulatedFamily(DiscreteSpace([0, 1], [1.0, 1.0]), [[0.0, 1.0]])
+    return TabulatedFamily([1.0, 1.0], [[0.0, 1.0]])
 
 
 class TestLogPartition:
@@ -129,7 +129,7 @@ class TestCovariance:
             np.linalg.cholesky(cov)
 
     def test_degenerate_statistics_raise(self):
-        fam = TabulatedFamily(DiscreteSpace([0, 1], [1.0, 1.0]), [[2.0, 2.0]])
+        fam = TabulatedFamily([1.0, 1.0], [[2.0, 2.0]])
         assert natural_row(fam, [0.5])[2][0, 0] == 0.0
         with pytest.raises(SingularModelError):
             FamilyManifold(fam).point([2.0])
@@ -141,7 +141,7 @@ def chunked_table():
     TABLE_LAM0 is binned."""
     rng = np.random.default_rng(5000)
     weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
-    return TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+    return TabulatedFamily(weights, stats)
 
 
 TABLE_LAM0 = 0.3 * np.array([0.6, -0.8, 0.0])
@@ -161,12 +161,12 @@ def ray_rate_cases():
     for n_dim, n_points in [(1, 4), (2, 6), (3, 50)]:
         fam = random_tabulated(rng, n_dim=n_dim, n_points=n_points)
         cases.append((fam, rng.normal(0.0, 0.8, n_dim)))
-    space = DiscreteSpace([0, 1, 2, 3], [1.0, 2.0, 0.5, 1.0])
-    offset = TabulatedFamily(space, 1e6 + np.array([[0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 0.5, 0.0]]))
+    offset = TabulatedFamily([1.0, 2.0, 0.5, 1.0],
+                             1e6 + np.array([[0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 0.5, 0.0]]))
     cases.append((offset, np.array([0.6, -0.9])))
     table = chunked_table()
     cases.append((table, TABLE_LAM0))
-    cases.append((TabulatedFamily(table.space, 1e6 + table.stats), TABLE_LAM0))
+    cases.append((TabulatedFamily(table.weights, 1e6 + table.stats), TABLE_LAM0))
     return cases
 
 
@@ -286,7 +286,7 @@ def ray_tables():
     rng = np.random.default_rng(8)
     wide = (rng.uniform(0.5, 2.0, 5000), rng.normal(size=(8, 5000)),
             0.1 * rng.normal(size=8), True)
-    return [small, (table.space.weights, table.stats, TABLE_LAM0, True), clustered, spread,
+    return [small, (table.weights, table.stats, TABLE_LAM0, True), clustered, spread,
             wide]
 
 
@@ -297,7 +297,7 @@ BINNED_IDS = [name for name, case in zip(RAY_TABLE_IDS, RAY_TABLES) if case[3]]
 
 
 def ray_table(weights, stats):
-    return TabulatedFamily(DiscreteSpace(list(range(len(weights))), weights), stats)
+    return TabulatedFamily(weights, stats)
 
 
 def ray_errors(ray, weights, stats, lam0, ts):
@@ -384,7 +384,7 @@ def natural_states_cases():
         cases.append((random_tabulated(rng, n_dim=n_dim, n_points=n_points),
                       rng.normal(0.0, 0.8, (6, n_dim))))
     offset = random_tabulated(rng, n_dim=2, n_points=8)
-    offset = TabulatedFamily(offset.space, 1e9 + offset.stats)
+    offset = TabulatedFamily(offset.weights, 1e9 + offset.stats)
     cases.append((offset, rng.normal(0.0, 0.8, (6, 2))))
     return cases
 
@@ -485,54 +485,69 @@ class TestIdealGas:
 
 
 class TestConstruction:
-    def test_space_needs_two_points(self):
-        with pytest.raises(ValueError):
-            DiscreteSpace([0], [1.0])
+    @pytest.mark.parametrize("weights", [[], [1.0]], ids=["none", "one"])
+    def test_needs_two_points(self, weights):
+        with pytest.raises(ValueError, match="^a discrete space needs at least 2 points$"):
+            TabulatedFamily(weights, [[0.0] * len(weights)])
 
-    def test_space_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            DiscreteSpace([0, 0], [1.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_rejects_a_weight_that_is_not_finite_and_positive(self, bad, index):
+        weights = [1.0, 2.0, 0.5]
+        weights[index] = bad
+        with pytest.raises(ValueError, match=r"^all weights must be finite and > 0$"):
+            TabulatedFamily(weights, [[0.0, 1.0, 3.0]])
+        # the weights are checked before the statistics
+        with pytest.raises(ValueError, match=r"^all weights must be finite and > 0$"):
+            TabulatedFamily(weights, [[0.0, math.nan, 3.0]])
 
-    def test_space_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            DiscreteSpace([0, 1], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            DiscreteSpace([0, 1], [1.0, -2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -1e300],
+                             ids=["nan", "inf", "-inf", "1e300", "-1e300"])
+    @pytest.mark.parametrize("row, index", [(0, 0), (0, -1), (2, 0), (2, -1)],
+                             ids=["first-row-first", "first-row-last", "later-row-first",
+                                  "later-row-last"])
+    def test_rejects_a_statistic_that_is_not_finite_or_too_large(self, bad, row, index):
+        # a NaN in a later row, after rows of finite ranges, makes that
+        # row's minimum and maximum NaN, which the range check must not miss
+        stats = [[0.0, 1.0, 3.0, -1.0], [1.0, -1.0, 0.5, 2.0], [2.0, 0.5, -3.0, 1.0]]
+        stats[row][index] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(FINITE_STATS)}$"):
+            TabulatedFamily([1.0, 2.0, 0.5, 1.0], stats)
 
     def test_rank_deficient_statistics_rejected(self):
-        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
-        with pytest.raises(SingularModelError):
-            TabulatedFamily(space, [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        with pytest.raises(SingularModelError,
+                           match="^statistics matrix is rank-deficient; the family is degenerate$"):
+            TabulatedFamily([1.0, 1.0, 1.0], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
 
     @pytest.mark.parametrize("n_points", [4, 50, 5000])
     def test_a_statistic_that_sums_two_others_is_rejected(self, n_points):
         rng = np.random.default_rng(n_points)
         stats = rng.normal(size=(2, n_points))
-        space = DiscreteSpace(list(range(n_points)), rng.uniform(0.5, 2.0, n_points))
-        TabulatedFamily(space, stats)
+        weights = rng.uniform(0.5, 2.0, n_points)
+        TabulatedFamily(weights, stats)
         with pytest.raises(SingularModelError, match="rank-deficient"):
-            TabulatedFamily(space, np.vstack([stats, stats[0] + stats[1]]))
+            TabulatedFamily(weights, np.vstack([stats, stats[0] + stats[1]]))
 
     def test_more_statistics_than_points_are_rejected(self):
-        space = DiscreteSpace([0, 1], [1.0, 1.0])
         with pytest.raises(SingularModelError, match="rank-deficient"):
-            TabulatedFamily(space, [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
+            TabulatedFamily([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
 
     def test_stats_shape_checked(self):
-        space = DiscreteSpace([0, 1], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            TabulatedFamily(space, [[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="n_dim x n_points"):
+            TabulatedFamily([1.0, 1.0], [[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="weights must be a vector"):
+            TabulatedFamily([[1.0, 1.0]], [[0.0, 1.0]])
 
     def test_stats_magnitude_bounded(self):
         # the third cumulant cubes centred statistics: 1e300 would overflow
-        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
-        TabulatedFamily(space, [[-1e100, 0.0, 1e100]])
+        TabulatedFamily([1.0, 1.0, 1.0], [[-1e100, 0.0, 1e100]])
         with pytest.raises(ValueError, match="magnitude"):
-            TabulatedFamily(space, [[1e300, 1.0, 3.0]])
+            TabulatedFamily([1.0, 1.0, 1.0], [[1e300, 1.0, 3.0]])
 
     @pytest.mark.parametrize("A", [[0.0], [3.0], [-0.5], [1e300]])
     def test_mean_outside_statistic_range_infeasible(self, A):
-        fam = TabulatedFamily(DiscreteSpace(["a", "b", "c"], [1.0, 2.0, 1.0]), [[0.0, 1.0, 3.0]])
+        fam = TabulatedFamily([1.0, 2.0, 1.0], [[0.0, 1.0, 3.0]])
         with pytest.raises(InfeasibleMeanError, match="outside the open range"):
             fam.check_feasible(A)
         with pytest.raises(InfeasibleMeanError):
@@ -609,6 +624,15 @@ class TestJsonLoading:
         doc = {"points": [0, 1], "weights": [1.0, 1.0], "stats": [[0.0, 1.0]], field: value}
         with pytest.raises(ValidationError, match=field):
             tabulated_from_json(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("points", [[0, 0], ["a", "b", "a"], [1, "1"]])
+    def test_labels_must_be_unique(self, tmp_path, points):
+        # labels are the document's: they are checked once, by their text
+        doc = {"points": points, "weights": [1.0] * len(points),
+               "stats": [list(map(float, range(len(points))))]}
+        with pytest.raises(ValidationError) as info:
+            tabulated_from_json(self.write(tmp_path, doc))
+        assert info.value.violations == ["line 2: point labels must be unique"]
 
     @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from entroflow import (
 from entroflow import chebyshev, duality
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config
 from entroflow.coupled import PairRay
-from entroflow.family import DiscreteSpace, TabulatedFamily, _BinnedRay
+from entroflow.family import TabulatedFamily, _BinnedRay
 from entroflow.flow import ENTROPY_CHECK_ROUNDING, _RayTable, nonuniform_first_derivative
 from entroflow.geometry import StateManifold
 from helpers import (
@@ -54,7 +54,7 @@ def tabulated_3x50():
     rng = np.random.default_rng(50)
     weights, stats = rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50))
     lam0 = rng.normal(0.0, 0.2, 3)
-    fam = TabulatedFamily(DiscreteSpace(list(range(50)), weights), stats)
+    fam = TabulatedFamily(weights, stats)
     return (
         fam,
         tabulated_mean(weights, stats, lam0),
@@ -272,8 +272,8 @@ class TestIntegrate:
         from helpers import random_tabulated
 
         fam = random_tabulated(rng, n_dim=2, n_points=6)
-        target = tabulated_mean(fam.space.weights, fam.stats, np.zeros(2))
-        start = tabulated_mean(fam.space.weights, fam.stats, rng.uniform(-0.8, 0.8, 2))
+        target = tabulated_mean(fam.weights, fam.stats, np.zeros(2))
+        start = tabulated_mean(fam.weights, fam.stats, rng.uniform(-0.8, 0.8, 2))
         traj = integrate(fam, start, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert np.max(np.abs(traj.A[-1] - target)) <= 1e-6
@@ -290,10 +290,10 @@ class TestIntegrate:
         # a table whose statistics sit far from 0 runs like one at 0: it
         # sums them shifted by the midpoint of their range; unshifted, the
         # 1e9 table's mean rounds at about 1e-7, far above the solver's 1e-10
-        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
+        weights = [1.0, 1.0, 1.0]
         taus, calls = [], []
         for shift in (0.0, offset):
-            fam = TabulatedFamily(space, [[shift, shift + 1.0, shift + 2.0]])
+            fam = TabulatedFamily(weights, [[shift, shift + 1.0, shift + 2.0]])
             nodes = watch_ray_rate(fam)
             traj = integrate(fam, [shift + 0.3], tau_max=5.0)
             assert traj.terminal_status == "equilibrium-reached"
@@ -306,8 +306,7 @@ class TestIntegrate:
         # an arclength rate with 1e-10 relative noise, as an unshifted table
         # near 1e6 would round it: no panel gets below the noise, and the
         # absolute panel tolerance still ends the bisection
-        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
-        fam = TabulatedFamily(space, [[0.0, 1.0, 2.0]])
+        fam = TabulatedFamily([1.0, 1.0, 1.0], [[0.0, 1.0, 2.0]])
         clean = integrate(fam, [0.3], tau_max=5.0)
         rng = np.random.default_rng(7)
         watch_ray_rate(fam, noise=lambda n: 1e-10 * rng.standard_normal(n))
@@ -318,8 +317,7 @@ class TestIntegrate:
     def test_a_rate_that_never_resolves_exhausts_the_panel_budget(self):
         # relative noise of 1e-3 in the rate has no plateau the chop accepts,
         # so every panel splits until the budget of panels runs out
-        space = DiscreteSpace([0, 1, 2], [1.0, 1.0, 1.0])
-        fam = TabulatedFamily(space, [[0.0, 1.0, 2.0]])
+        fam = TabulatedFamily([1.0, 1.0, 1.0], [[0.0, 1.0, 2.0]])
         rng = np.random.default_rng(3)
         watch_ray_rate(fam, noise=lambda n: 1e-3 * rng.standard_normal(n))
         with pytest.raises(StepCollapseError, match="does not converge in 1000 panels"):
@@ -349,7 +347,7 @@ class TestIntegrate:
         # one of the start's Newton solve, but for one batched call for the
         # rows
         fam, A0, _ = tabulated_3x50
-        fam = TabulatedFamily(fam.space, fam.stats)  # a copy to watch
+        fam = TabulatedFamily(fam.weights, fam.stats)  # a copy to watch
         calls = count_calls(monkeypatch, TabulatedFamily, ("natural_states",))
         as_manifold(fam).point(A0)
         at_start = calls["natural_states"]
@@ -365,7 +363,7 @@ class TestIntegrate:
         rng = np.random.default_rng(5000)
         weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
         lam0 = 0.3 * np.array([0.6, -0.8, 0.0])
-        fam = TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+        fam = TabulatedFamily(weights, stats)
         A0 = tabulated_mean(weights, stats, lam0)
         tracemalloc.start()
         try:
@@ -382,7 +380,7 @@ class TestIntegrate:
         rng = np.random.default_rng(15)
         weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
         lam0 = 0.25 * np.array([0.48, 0.6, -0.64])
-        fam = TabulatedFamily(DiscreteSpace(list(range(5000)), weights), stats)
+        fam = TabulatedFamily(weights, stats)
         assert isinstance(fam.ray(lam0), _BinnedRay)
         traj = integrate(fam, tabulated_mean(weights, stats, lam0), tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
@@ -533,7 +531,7 @@ class TestRayRowsAgainstOracle:
         rng = np.random.default_rng(seed)
         n_points = int(rng.integers(n_dim + 2, 9))
         weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
-        fam = TabulatedFamily(DiscreteSpace(list(range(n_points)), weights), stats)
+        fam = TabulatedFamily(weights, stats)
         u = rng.normal(size=n_dim)
         u /= np.linalg.norm(u)
         if budget == "within one spacing":
@@ -686,10 +684,10 @@ def watch_pair_work(monkeypatch):
         work["per_rate_call"].append(work["evaluations"] - before)
         return out
 
-    def counting_evaluate(self, l, shift, rows):
+    def counting_evaluate(self, l, *args, **kwargs):
         work["evaluated"] += len(l)
         work["evaluations"] += 1
-        return evaluate(self, l, shift, rows)
+        return evaluate(self, l, *args, **kwargs)
 
     monkeypatch.setattr(PairRay, "rate", counting_rate)
     monkeypatch.setattr(PairRay, "_evaluate", counting_evaluate)
@@ -793,6 +791,28 @@ class TestRayWork:
         solved, _ = ray.solve(ts, rows=True)
         error = np.max(np.abs(start - solved), axis=1)
         assert 3.5 <= error[0] / error[1] <= 4.5
+
+    def test_rows_form_the_step_ahead_only_at_their_start(self, monkeypatch):
+        # rows started off their solution take Newton trial steps; only the
+        # first evaluation of a run forms what one more step would give
+        cfg = parse_config(catalog_path("two-vessel-gas-EN"))
+        system = build_system(cfg)
+        ray = PairRay(system, system.point(cfg.A0))
+        ts = np.linspace(0.2, 0.9, 8)
+        want, want_state = ray.solve(ts, rows=True)
+        start, evaluate, ahead = ray._start, PairRay._evaluate, []
+
+        def recording_evaluate(self, *args, **kwargs):
+            state, finite = evaluate(self, *args, **kwargs)
+            ahead.append("A_next" in state)
+            return state, finite
+
+        monkeypatch.setattr(ray, "_start", lambda t: start(t) * (1.0 + 1e-3))
+        monkeypatch.setattr(PairRay, "_evaluate", recording_evaluate)
+        l, state = ray.solve(ts, rows=True)
+        assert len(ahead) > 2 and ahead == [True] + [False] * (len(ahead) - 1)
+        assert np.max(np.abs(l - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(state["A"] - want_state["A"])) <= 1e-12
 
     def test_clenshaw_meets_chebval_on_every_point_series(self):
         # each point has its own series, as each row has its panel's
