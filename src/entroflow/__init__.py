@@ -31,20 +31,16 @@ from .family import (
     TabulatedFamily,
 )
 from .config import tabulated_from_json
-from .duality import entropy, solve_lambda
+from .duality import solve_lambda
 from .geometry import (
-    ConnectionCoefficients,
     FamilyManifold,
     ManifoldPoint,
-    MetricTensor,
     ReparametrizedManifold,
     StateManifold,
     as_manifold,
     christoffel,
     covariant_acceleration,
     field_strength,
-    metric,
-    sigma,
     unit_velocity,
 )
 from .flow import (
@@ -88,17 +84,12 @@ __all__ = [
     "tabulated_from_json",
     # duality
     "solve_lambda",
-    "entropy",
     # geometry
-    "MetricTensor",
-    "ConnectionCoefficients",
     "ManifoldPoint",
     "StateManifold",
     "FamilyManifold",
     "ReparametrizedManifold",
     "as_manifold",
-    "metric",
-    "sigma",
     "christoffel",
     "unit_velocity",
     "covariant_acceleration",

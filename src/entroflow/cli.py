@@ -70,8 +70,8 @@ def _probe_dict(system, point) -> dict:
         "point": pt.A,
         "lambda": pt.force,
         "sigma": float(pt.sigma),
-        "metric": pt.metric.g,
-        "christoffel": christoffel(system, pt).gamma,
+        "metric": pt.g,
+        "christoffel": christoffel(system, pt),
     }
 
 

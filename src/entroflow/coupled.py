@@ -32,7 +32,7 @@ from . import chebyshev
 from .errors import StepCollapseError
 from .family import ExponentialFamily, as_vector
 from .geometry import (
-    FamilyManifold, ManifoldPoint, MetricTensor, StateManifold, _inverses, _symmetrize,
+    FamilyManifold, ManifoldPoint, StateManifold, _check_finite, _inverses, _symmetrize,
 )
 
 __all__ = ["CompositeSystem", "PairRay"]
@@ -91,41 +91,16 @@ class CompositeSystem(StateManifold):
         return A
 
     def point(self, A) -> ManifoldPoint:
+        """The point at A, which keeps its subsystem points at A and at
+        A_T - A as ``p1`` and ``p2``.  Both metrics are checked symmetric
+        positive definite, so their sum is too, exactly symmetric, and only
+        its finiteness is checked."""
         A = as_vector(A, self.dim, "A")
         p1 = self._m1.point(A)
         p2 = self._m2.point(self.A_total - A)
-        force = p1.force - p2.force
-        met = MetricTensor.from_sum(p1.metric, p2.metric)
-        return ManifoldPoint(
-            A=A,
-            force=force,
-            S=p1.S + p2.S,
-            metric=met,
-            aux=(p1.aux, p2.aux),
-        )
-
-    def entropy(self, A) -> float:
-        A = as_vector(A, self.dim, "A")
-        return self._m1.entropy(A) + self._m2.entropy(self.A_total - A)
-
-    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
-        aux1, aux2 = aux
-        return self._m1.metric_derivative(A, aux1) - self._m2.metric_derivative(
-            self.A_total - A, aux2
-        )
-
-    def trajectory_columns(self, points) -> dict:
-        """Each subsystem's force and the subsystem-2 state.  The
-        conservation residual max|A + A' - A_T| is zero by construction; it
-        is kept as a regression guard."""
-        A = np.array([pt.A for pt in points])
-        A_prime = self.A_total - A
-        return {
-            "lam": np.array([pt.aux[0][0] for pt in points]),
-            "lam_prime": np.array([pt.aux[1][0] for pt in points]),
-            "A_prime": A_prime,
-            "conservation_residual": np.max(np.abs(A + A_prime - self.A_total), axis=1),
-        }
+        g = p1.g + p2.g
+        _check_finite(g, "metric")
+        return ManifoldPoint(A=A, force=p1.force - p2.force, S=p1.S + p2.S, g=g, p1=p1, p2=p2)
 
 
 class PairRay:
@@ -151,11 +126,11 @@ class PairRay:
     def __init__(self, system: CompositeSystem, start: ManifoldPoint):
         self.system = system
         self.F0 = start.force
-        lam, g = start.aux[0][:2]  # subsystem 1's lam and metric at t = 1
+        lam, g = start.p1.force, start.p1.g  # subsystem 1's lam and metric at t = 1
         self.known_t, self.known_l = np.ones(1), lam[None, :].copy()
         self.lo, self.hi = np.zeros(1), np.ones(1)
         # the tangent in s = 2 t - 1, degree first and panels last
-        half_slope = 0.5 * g @ start.metric.raise_form(self.F0)
+        half_slope = 0.5 * g @ (start.g_inv @ self.F0)
         self.series = np.zeros((chebyshev.POINTS, len(self.F0), 1))
         self.series[:2, :, 0] = lam - half_slope, half_slope
 
@@ -187,15 +162,22 @@ class PairRay:
         columns lam = l, lam' = l - t F0, A' = A_T - A and the conservation
         residual."""
         l, state = self.solve(ts, rows=True)
-        A, A_total = state["A"], self.system.A_total
+        columns = self.columns(state["A"], l, l - np.multiply.outer(ts, self.F0))
+        return state["A"], state["S"], state["g_inv"], columns
+
+    def columns(self, A: np.ndarray, lam: np.ndarray, lam_prime: np.ndarray) -> dict:
+        """The ``Trajectory`` columns of rows with subsystem-1 means A and
+        forces lam and lam': those forces, A' = A_T - A and the conservation
+        residual max|A + A' - A_T|, zero by construction and kept as a
+        regression guard."""
+        A_total = self.system.A_total
         A_prime = A_total - A
-        columns = {
-            "lam": l,
-            "lam_prime": l - np.multiply.outer(ts, self.F0),
+        return {
+            "lam": lam,
+            "lam_prime": lam_prime,
             "A_prime": A_prime,
             "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1),
         }
-        return A, state["S"], state["g_inv"], columns
 
     def _evaluate(self, l: np.ndarray, shift: np.ndarray, rows: bool, ahead: bool = False):
         """At nodes l (rows) with forces t F0 = ``shift``: the Newton steps,

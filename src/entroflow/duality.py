@@ -8,7 +8,9 @@ the mean <a>, the entropy S = log Z + lam . <a> and the covariance at lam,
 so F = S + lam . (A - <a>), and each trial of the iteration reads the
 family once.  The solve's last evaluation, at the lam it returns, also
 gives the maximized entropy S(A) and the covariance, whose inverse is the
-metric.
+metric; ``solve_lambda(family, A, states=True)`` returns all three, and
+``geometry.FamilyManifold.point`` is made from them, so the entropy of any
+family is read as ``point(A).S``, with no path of its own.
 
 Families that declare closed-form duality (Bernoulli, the Gaussian location
 family and the ideal gas) bypass the solver entirely: their ``legendre``
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InfeasibleMeanError, NoConvergenceError, SingularModelError
 from .family import ExponentialFamily
 
-__all__ = ["solve_lambda", "entropy"]
+__all__ = ["solve_lambda"]
 
 #: Stop when the mean-space residual drops below this (sup norm).
 SOLVE_TOL = 1e-10
@@ -153,9 +155,3 @@ def _polish(family, A, lam, gap, S, cov):
     if _sup(cand_gap) <= _sup(gap):
         return cand, cand_S, cand_cov
     return lam, S, cov
-
-
-def entropy(family: ExponentialFamily, A) -> float:
-    """Maximized entropy S(A) = log Z(lam(A)) + lam(A) . A, as
-    ``solve_lambda`` gives it."""
-    return solve_lambda(family, A, states=True)[1]

@@ -356,7 +356,6 @@ class TabulatedFamily(ExponentialFamily):
             raise SingularModelError(
                 "statistics matrix is rank-deficient; the family is degenerate"
             )
-        self.weights, self.stats = weights, stats
         self._n_dim = n_dim
         self._log_weights = log_weights
         self._ranges = ranges

@@ -65,8 +65,8 @@ from .errors import (
 from .coupled import CompositeSystem, PairRay
 from .family import ExponentialFamily, as_vector
 from .geometry import (
-    FamilyManifold, ManifoldPoint, ReparametrizedManifold, StateManifold, _check_spd,
-    _inverses, _symmetrize, as_manifold,
+    FamilyManifold, ManifoldPoint, ReparametrizedManifold, _check_spd, _inverses, _symmetrize,
+    as_manifold,
 )
 
 __all__ = [
@@ -122,8 +122,8 @@ class Trajectory:
 
 
 def _speed(pt: ManifoldPoint) -> float:
-    v = pt.metric.raise_form(pt.force) / pt.sigma
-    return pt.metric.squared_norm_of_vector(v)
+    v = pt.g_inv @ pt.force / pt.sigma
+    return float(v @ pt.g @ v)
 
 
 def _checked(rate, ts: np.ndarray) -> np.ndarray:
@@ -280,16 +280,18 @@ def _open_table(rate, tau_max: float, span: float):
     return _open_table(rate, tau_max, 2.0 * span)
 
 
-def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint,
-         tau_max: float, spacing: float, sigma_eq: float, t_of=None) -> Trajectory:
+def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: float,
+         sigma_eq: float, t_of=None) -> Trajectory:
     """The ray F = t F0 from ``start`` at t = 1, given its ``table`` of tau
-    and its ``states`` kernel: rows at k * spacing below tau_eq (the last one
+    and the ``ray`` object: rows at k * spacing below tau_eq (the last one
     ``tau_max`` once within half a spacing of it), landing rows and the
-    maximum, all from one call of ``states``, which maps the rows' t to
-    their means A, entropies S and inverse metrics g_inv, and for a
-    composite its own force columns after them.  Every row's metric is
-    formed, symmetrized and checked here.  A ray without a maximum has its
-    table in a variable that ``t_of`` maps to t and ends at ``tau_max``."""
+    maximum, all from one call of the ray's ``states``, which maps the rows'
+    t to their means A, entropies S and inverse metrics g_inv, and for a
+    ``PairRay`` its own force columns after them; the pair's first row takes
+    its columns from the same builder, with lam' subsystem 2's own force.
+    Every row's metric is formed, symmetrized and checked here.  A ray
+    without a maximum has its table in a variable that ``t_of`` maps to t
+    and ends at ``tau_max``."""
     F0 = start.force
     targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
     near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
@@ -307,7 +309,7 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
             halved, taus = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
             ts = np.concatenate([ts, halved, [0.0]])
             targets = np.concatenate([targets, taus, [table.tau_eq]])
-    A, S, g_inv, *columns = states(ts)
+    A, S, g_inv, *columns = ray.states(ts)
     g = _symmetrize(_inverses(g_inv))
     _check_metrics(ts, g)
     force = np.multiply.outer(ts, F0) + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
@@ -317,7 +319,10 @@ def _ray(manifold: StateManifold, table: _RayTable, states, start: ManifoldPoint
         # the velocity dA/dtau = g_inv . F0 / f stays defined at the maximum
         v[-1] = g_inv[-1] @ F0 / table.f0
     rows = {"lam": force, **(columns[0] if columns else {})}
-    head = manifold.trajectory_columns([start])
+    if isinstance(ray, PairRay):
+        head = ray.columns(start.A[None], start.p1.force[None], start.p2.force[None])
+    else:
+        head = {"lam": start.force[None]}
     return Trajectory(
         tau=np.append(0.0, targets),
         A=np.vstack([start.A, A]),
@@ -418,7 +423,7 @@ def integrate(
         table, t_of = _open_table(ray.rate, tau_max, 1.0)
     else:
         table, t_of = _RayTable(ray.rate), None
-    return _ray(manifold, table, ray.states, pt, tau_max, h, sigma_eq, t_of)
+    return _ray(table, ray, pt, tau_max, h, sigma_eq, t_of)
 
 
 def nonuniform_first_derivative(f_prev, f_mid, f_next, h_minus, h_plus):

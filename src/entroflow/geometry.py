@@ -1,11 +1,13 @@
 """Fisher-Rao geometry of the state manifold.
 
 In mean coordinates the metric is g = -Hess S(A), which by Legendre duality
-equals the inverse covariance of the sufficient statistics.  This module
-packages the metric with its inverse, exposes the entropy-gradient
-magnitude sigma, and builds the Levi-Civita connection, covariant
-acceleration and the antisymmetric field-strength tensor of the unit-speed
-gradient flow.
+equals the inverse covariance of the sufficient statistics.  A manifold's
+``point(A)`` is one ``ManifoldPoint`` of arrays: the entropy S, the force,
+the metric g, checked where the point is made, and, formed on first use,
+the inverse metric, the entropy-gradient magnitude sigma and the metric
+derivative.  From them this module builds the Levi-Civita connection,
+covariant acceleration and the antisymmetric field-strength tensor of the
+unit-speed gradient flow.
 
 Everything operates through the small ``StateManifold`` interface so that
 single families, coupled composite systems and reparametrized charts all
@@ -13,8 +15,9 @@ share one implementation.  A Hessian metric is dually flat, so its
 connection and every derivative of the flow field follow exactly from the
 metric derivative dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is
 totally symmetric: a closed-form family's ``legendre`` gives it with lam,
-S and g at a point, and a tabulated family's point gets it on first use
-from the third cumulant of its statistics.
+S and g at a point, a tabulated family's point gets it on first use from
+the third cumulant of its statistics, and a composite's point from its two
+subsystem points.  A reparametrized chart has none.
 """
 
 from __future__ import annotations
@@ -31,15 +34,11 @@ from .errors import AtEquilibriumError, SingularModelError
 from .family import ExponentialFamily, as_vector
 
 __all__ = [
-    "MetricTensor",
-    "ConnectionCoefficients",
     "ManifoldPoint",
     "StateManifold",
     "FamilyManifold",
     "ReparametrizedManifold",
     "as_manifold",
-    "metric",
-    "sigma",
     "christoffel",
     "unit_velocity",
     "covariant_acceleration",
@@ -90,83 +89,69 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return _symmetrize(np.linalg.inv(m))
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    """Symmetric positive-definite metric.
-
-    Positive definiteness is checked at construction; the inverse ``g_inv``
-    is formed on first use, so a metric that is only summed into another
-    (a subsystem of a composite) is never inverted.
-    """
-
-    g: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, g: np.ndarray) -> "MetricTensor":
-        g = _symmetrize(np.asarray(g, dtype=float))
-        _check_spd(g, "metric")
-        return cls(g=g)
-
-    @classmethod
-    def from_sum(cls, a: "MetricTensor", b: "MetricTensor") -> "MetricTensor":
-        """The metric a.g + b.g.  Both terms are checked symmetric positive
-        definite, so their sum is too, exactly symmetric, and only its
-        finiteness is checked."""
-        g = a.g + b.g
-        _check_finite(g, "metric")
-        return cls(g=g)
-
-    @classmethod
-    def from_covariance(cls, cov: np.ndarray) -> "MetricTensor":
-        """Build the metric as the inverse of a statistics covariance.
-
-        The covariance itself is stored as the exact inverse, so duality
-        between the two Hessians holds to inversion accuracy.
-        """
-        cov = _symmetrize(np.asarray(cov, dtype=float))
-        met = cls(g=_spd_inverse(cov, "covariance"))
-        met.__dict__["g_inv"] = cov  # fills the cache of the g_inv property
-        return met
-
-    @cached_property
-    def g_inv(self) -> np.ndarray:
-        return _symmetrize(np.linalg.inv(self.g))
-
-    def norm_of_form(self, w: np.ndarray) -> float:
-        """Length of a one-form: (w . g_inv . w)^(1/2)."""
-        return float(np.sqrt(max(w @ self.g_inv @ w, 0.0)))
-
-    def raise_form(self, w: np.ndarray) -> np.ndarray:
-        return self.g_inv @ w
-
-    def squared_norm_of_vector(self, v: np.ndarray) -> float:
-        return float(v @ self.g @ v)
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Levi-Civita Christoffel symbols, symmetric in the lower indices."""
-
-    gamma: np.ndarray  # gamma[a, b, c] with lower indices (b, c)
+def _checked_metric(g) -> np.ndarray:
+    """g symmetrized, once it passes a Cholesky check."""
+    g = _symmetrize(np.asarray(g, dtype=float))
+    _check_spd(g, "metric")
+    return g
 
 
 @dataclass(frozen=True)
 class ManifoldPoint:
-    """Everything the dynamics needs at one state: the entropy, the force
-    one-form driving the flow, the metric and the gradient magnitude.
+    """Everything the dynamics needs at one state: the mean A, the force
+    one-form driving the flow, the entropy S and the metric g, checked where
+    the point is made.
 
-    ``sigma`` is computed from the force and the metric on first use.
+    The inverse metric ``g_inv``, the gradient magnitude ``sigma`` and the
+    metric derivative ``dg`` are formed on first use, so a subsystem metric
+    that is only summed into a composite's is never inverted.  ``dg`` exists
+    only in mean coordinates: a closed-form family's point holds the one its
+    ``legendre`` gave, a table's point forms it from the third cumulant of
+    its ``family`` at lam = force, and a composite's point from its
+    subsystem points ``p1`` and ``p2``.
     """
 
     A: np.ndarray
     force: np.ndarray
     S: float
-    metric: MetricTensor
-    aux: tuple = ()
+    g: np.ndarray
+    family: ExponentialFamily | None = None
+    p1: ManifoldPoint | None = None
+    p2: ManifoldPoint | None = None
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        return _symmetrize(np.linalg.inv(self.g))
 
     @cached_property
     def sigma(self) -> float:
-        return self.metric.norm_of_form(self.force)
+        """The entropy gradient magnitude (lam . g_inv . lam)^(1/2), which is
+        also the entropy production rate dS/dtau along the flow."""
+        return float(np.sqrt(max(self.force @ self.g_inv @ self.force, 0.0)))
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """dg[b] = d g / d A^b.
+
+        For a table, with dlam/dA = -g and d Cov / d lam = -k3 (the third
+        cumulant of the statistics), d g / dA^b = -g (dCov/dA^b) g =
+        -k3(g., g., g_b.).  A composite's is dg(A) - dg'(A_T - A).
+        """
+        if self.p1 is not None:
+            return self.p1.dg - self.p2.dg
+        if self.family is None:
+            raise NotImplementedError(
+                "no exact metric derivative: the connection is available only in "
+                "mean coordinates, where g = -Hess S is dually flat, not in a "
+                "ReparametrizedManifold chart"
+            )
+        k3, g = self.family.cumulants(self.force), self.g
+        d = len(g)
+        # contract each index of k3 with the symmetric g, one product each
+        dg = (g @ (g @ k3.reshape(d, d * d)).reshape(d, d, d)) @ g
+        # exact symmetry in the last two indices keeps Gamma exactly
+        # symmetric in its lower indices
+        return -0.5 * (dg + dg.transpose(0, 2, 1))
 
 
 class StateManifold(ABC):
@@ -183,26 +168,6 @@ class StateManifold(ABC):
     def point(self, A) -> ManifoldPoint:
         """Evaluate state data at A."""
 
-    @abstractmethod
-    def entropy(self, A) -> float: ...
-
-    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
-        """dg[b] = d g / d A^b at A, given the ``aux`` of ``point(A)``.
-
-        Only mean coordinates of a Hessian metric have this closed form;
-        other charts raise NotImplementedError.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no exact metric derivative: the "
-            "connection is available only in mean coordinates, where "
-            "g = -Hess S is dually flat"
-        )
-
-    def trajectory_columns(self, points) -> dict:
-        """Force columns of a trajectory through ``points``: ``lam``, plus
-        whatever else a subclass records (see ``flow.Trajectory``)."""
-        return {"lam": np.array([pt.force for pt in points])}
-
 
 class FamilyManifold(StateManifold):
     """State manifold of a single exponential family."""
@@ -218,42 +183,25 @@ class FamilyManifold(StateManifold):
         return self.family.check_feasible(A)
 
     def point(self, A) -> ManifoldPoint:
-        """The point at a checked mean A: lam, S, the metric and its
-        derivative from the family's ``legendre``, or for a table lam, S and
-        the covariance from ``solve_lambda``'s last evaluation, so the table
-        is not read again.  ``aux`` holds lam, the metric matrix g and the
-        closed-form dg (None for a table)."""
+        """The point at a checked mean A: lam, S, g and dg from the family's
+        ``legendre``, or for a table lam, S and the covariance from
+        ``solve_lambda``'s last evaluation, so the table is not read again.
+        A table's g is the inverse of that covariance, and its g_inv the
+        covariance itself, so duality between the two Hessians holds to
+        inversion accuracy."""
         fam = self.family
         A = fam.check_feasible(A)
         closed = fam.legendre(A)
         if closed is None:
             lam, S, cov = duality.solve_lambda(fam, A, states=True)
-            met, dg = MetricTensor.from_covariance(cov), None
-        else:
-            lam, S, g, dg = closed
-            met = MetricTensor.from_matrix(g)
-        return ManifoldPoint(A=A, force=lam, S=S, metric=met, aux=(lam, met.g, dg))
-
-    def entropy(self, A) -> float:
-        return duality.entropy(self.family, A)
-
-    def metric_derivative(self, A, aux: tuple) -> np.ndarray:
-        """The closed-form dg the point kept, else -k3(g., g., g.).
-
-        With dlam/dA = -g and d Cov / d lam = -k3 (the third cumulant of
-        the statistics), d g / dA^b = -g (dCov/dA^b) g = -k3(g., g., g_b.),
-        with the point's own g from ``aux``.
-        """
-        lam, g, dg = aux
-        if dg is not None:
-            return dg
-        k3 = self.family.cumulants(lam)
-        d = len(g)
-        # contract each index of k3 with the symmetric g, one product each
-        dg = (g @ (g @ k3.reshape(d, d * d)).reshape(d, d, d)) @ g
-        # exact symmetry in the last two indices keeps Gamma exactly
-        # symmetric in its lower indices
-        return -0.5 * (dg + dg.transpose(0, 2, 1))
+            cov = _symmetrize(cov)
+            pt = ManifoldPoint(A=A, force=lam, S=S, g=_spd_inverse(cov, "covariance"), family=fam)
+            pt.__dict__["g_inv"] = cov  # fills the cache of the g_inv property
+            return pt
+        lam, S, g, dg = closed
+        pt = ManifoldPoint(A=A, force=lam, S=S, g=_checked_metric(g))
+        pt.__dict__["dg"] = dg
+        return pt
 
 
 class ReparametrizedManifold(StateManifold):
@@ -295,17 +243,8 @@ class ReparametrizedManifold(StateManifold):
         jac = np.atleast_2d(np.asarray(self.jacobian(A), dtype=float))
         jac_inv = np.linalg.inv(jac)
         force = jac_inv.T @ pt.force
-        met = MetricTensor.from_matrix(jac_inv.T @ pt.metric.g @ jac_inv)
-        return ManifoldPoint(
-            A=B,
-            force=force,
-            S=pt.S,
-            metric=met,
-            aux=pt.aux,
-        )
-
-    def entropy(self, B) -> float:
-        return self.base.entropy(self.to_base(B))
+        g = _checked_metric(jac_inv.T @ pt.g @ jac_inv)
+        return ManifoldPoint(A=B, force=force, S=pt.S, g=g)
 
 
 def as_manifold(system) -> StateManifold:
@@ -328,59 +267,38 @@ def unit_velocity(pt: ManifoldPoint) -> np.ndarray:
             f"entropy gradient magnitude {pt.sigma:.3e} below {SIGMA_MIN:.3e}; "
             "flow direction undefined"
         )
-    return pt.metric.raise_form(pt.force) / pt.sigma
-
-
-# ---------------------------------------------------------------------------
-# point evaluations
-
-
-def metric(system, A) -> MetricTensor:
-    """Fisher-Rao metric at A: -Hess S, i.e. the inverse statistics covariance."""
-    return as_manifold(system).point(A).metric
-
-
-def sigma(system, A) -> float:
-    """Magnitude of the entropy gradient, (lam . g_inv . lam)^(1/2).
-
-    This is also the entropy production rate dS/dl along the flow; it
-    vanishes exactly at entropy maxima.
-    """
-    return as_manifold(system).point(A).sigma
+    return pt.g_inv @ pt.force / pt.sigma
 
 
 # ---------------------------------------------------------------------------
 # connection and derived tensors
 
 
-def christoffel(system, A) -> ConnectionCoefficients:
-    """Levi-Civita connection coefficients at an interior point.
+def christoffel(system, A) -> np.ndarray:
+    """Levi-Civita connection coefficients gamma[a, b, c] at an interior
+    point, with lower indices (b, c).
 
     For the Hessian metric g = -Hess S the symbols reduce to
-    Gamma^a_{bc} = (1/2) g^{ad} d_d g_{bc}, with the exact metric
-    derivative of ``StateManifold.metric_derivative``.  Symmetry in the
-    lower indices is exact.  ``A`` is a state or a ``ManifoldPoint`` that
-    ``system`` has already evaluated, which is then not evaluated again.
+    Gamma^a_{bc} = (1/2) g^{ad} d_d g_{bc}, with the point's exact metric
+    derivative ``dg``.  Symmetry in the lower indices is exact.  ``A`` is a
+    state or a ``ManifoldPoint`` that ``system`` has already evaluated,
+    which is then not evaluated again.
     """
     m = as_manifold(system)
     pt = A if isinstance(A, ManifoldPoint) else m.point(A)
-    dg = m.metric_derivative(pt.A, pt.aux)
-    gamma = 0.5 * np.einsum("ad,dbc->abc", pt.metric.g_inv, dg)
-    return ConnectionCoefficients(gamma=gamma)
+    return 0.5 * np.einsum("ad,dbc->abc", pt.g_inv, pt.dg)
 
 
 def _flow_terms(system, A):
-    """Point, unit velocity v, metric derivative dg and c_b = (1/2) w.dg[b].w.
+    """Point, unit velocity v and c_b = (1/2) w.dg[b].w.
 
     w = g_inv . lam = sigma v.  With d_b lam_a = -g_ab, the gradient
     magnitude varies as d_b sigma = -(lam_b + c_b) / sigma.
     """
-    m = as_manifold(system)
-    pt = m.point(A)
+    pt = as_manifold(system).point(A)
     v = unit_velocity(pt)
-    dg = m.metric_derivative(pt.A, pt.aux)
-    c = 0.5 * pt.sigma**2 * np.einsum("bij,i,j->b", dg, v, v)
-    return pt, v, dg, c
+    c = 0.5 * pt.sigma**2 * np.einsum("bij,i,j->b", pt.dg, v, v)
+    return pt, v, c
 
 
 def covariant_acceleration(system, A, A_dot=None) -> np.ndarray:
@@ -391,12 +309,12 @@ def covariant_acceleration(system, A, A_dot=None) -> np.ndarray:
     where this is -(g_inv . c - v (c . v)) / sigma^2.
     """
     m = as_manifold(system)
-    pt, v, dg, c = _flow_terms(m, A)
-    g_inv, s = pt.metric.g_inv, pt.sigma
+    pt, v, c = _flow_terms(m, A)
+    g_inv, s = pt.g_inv, pt.sigma
     if A_dot is None:
         return -(g_inv @ c - v * (c @ v)) / s**2
     x = as_vector(A_dot, m.dim, "A_dot")
-    dg_x = np.einsum("abc,c->ab", dg, x)
+    dg_x = np.einsum("abc,c->ab", pt.dg, x)
     # d_b v = -g_inv . dg[b] . v - e_b / sigma + v (lam_b + c_b) / sigma^2
     dv = -g_inv @ (dg_x @ v) - x / s + v * ((pt.force + c) @ x) / s**2
     return dv + 0.5 * g_inv @ (dg_x @ x)
@@ -411,6 +329,6 @@ def field_strength(system, A) -> np.ndarray:
     f_{ab} = (lam_a c_b - lam_b c_a) / sigma^3; antisymmetry is exact.
     Raises AtEquilibriumError below SIGMA_MIN, like ``unit_velocity``.
     """
-    pt, _, _, c = _flow_terms(system, A)
+    pt, _, c = _flow_terms(system, A)
     lam = pt.force
     return (np.outer(lam, c) - np.outer(c, lam)) / pt.sigma**3

@@ -73,7 +73,7 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
         raise AtEquilibriumError(
             f"sigma = {pt.sigma:.3e}: transport coefficients diverge at equilibrium"
         )
-    L = clock_rate * pt.metric.g_inv / pt.sigma
+    L = clock_rate * pt.g_inv / pt.sigma
     return OnsagerReport(
         L=L, clock_rate=clock_rate, asymmetry=float(np.max(np.abs(L - L.T)))
     )

@@ -6,9 +6,9 @@ from entroflow import (
     CompositeSystem,
     GaussianMeanFamily,
     IdealGasFamily,
-    TabulatedFamily,
     integrate,
 )
+from helpers import OracleTable
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def bernoulli():
 @pytest.fixture(scope="session")
 def two_point():
     """The Bernoulli family as a table, so its Legendre maps go through Newton."""
-    return TabulatedFamily([1.0, 1.0], [[0.0, 1.0]])
+    return OracleTable([1.0, 1.0], [[0.0, 1.0]])
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,10 @@ direct summation, the closed forms of the Bernoulli, Gaussian and ideal-gas
 partition functions, quadrature wrappers, a fixed-step RK4 of the flow's
 velocity field and synthetic trajectory builders, plus ``natural_row``,
 which reads one row of a family's forward map, a counter of the calls a
-method receives, and a fault that turns a Bernoulli pair's rows to NaN.
+method receives, a fault that turns a Bernoulli pair's rows to NaN, a
+table that keeps the arrays it was built from for the oracles
+(``OracleTable``) and a family that hands ``point`` any metric
+(``MetricStub``).
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
@@ -17,10 +20,44 @@ import numpy as np
 
 from entroflow.coupled import PairRay
 from entroflow.family import (
-    BernoulliFamily, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
+    BernoulliFamily, ExponentialFamily, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
 )
 from entroflow.flow import Trajectory
-from entroflow.geometry import ReparametrizedManifold, as_manifold, metric, unit_velocity
+from entroflow.geometry import ReparametrizedManifold, as_manifold, unit_velocity
+
+
+class OracleTable(TabulatedFamily):
+    """A ``TabulatedFamily`` that also keeps the ``weights`` and ``stats``
+    it was built from, as given, for the oracles here: the family itself
+    keeps only what it sums."""
+
+    def __init__(self, weights, stats):
+        super().__init__(weights, stats)
+        self.weights = np.asarray(weights, dtype=float)
+        self.stats = np.asarray(stats, dtype=float)
+
+
+class MetricStub(ExponentialFamily):
+    """A family whose ``legendre`` gives the matrix ``g`` as the metric at
+    every finite mean, with lam = 0, S = 0 and dg = 0, so that a test can
+    hand ``point`` any metric; it has no forward map."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=float)
+
+    @property
+    def n_dim(self) -> int:
+        return len(self.g)
+
+    def legendre(self, A):
+        d = self.n_dim
+        return np.zeros(d), 0.0, self.g, np.zeros((d, d, d))
+
+    def natural_states(self, lams):
+        raise NotImplementedError
+
+    def ray(self, lam0):
+        raise NotImplementedError
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -71,24 +108,26 @@ def fd_jacobian(f, x, step=1e-5):
 
 
 def fd_metric_oracle(system, A, step=1e-4):
-    """-Hess S(A) by central differences of the entropy."""
-    return -fd_hessian(as_manifold(system).entropy, A, step)
+    """-Hess S(A) by central differences of the entropy point(A).S."""
+    m = as_manifold(system)
+    return -fd_hessian(lambda x: m.point(x).S, A, step)
 
 
 def fd_christoffel(system, A, step=1e-5):
-    """Levi-Civita symbols from central differences of metric(system, A).g.
+    """Levi-Civita symbols from central differences of the metric point(A).g.
 
     Uses the general formula (1/2) g^ad (d_b g_dc + d_c g_db - d_d g_bc),
     which does not assume a Hessian metric.
     """
-    dg = np.moveaxis(fd_jacobian(lambda x: metric(system, x).g, A, step), -1, 0)
+    m = as_manifold(system)
+    dg = np.moveaxis(fd_jacobian(lambda x: m.point(x).g, A, step), -1, 0)
     inner = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(metric(system, A).g), inner)
+    return 0.5 * np.einsum("ad,dbc->abc", np.linalg.inv(m.point(A).g), inner)
 
 
 def _velocity(manifold, x):
     pt = manifold.point(x)
-    return np.linalg.solve(pt.metric.g, pt.force) / pt.sigma
+    return np.linalg.solve(pt.g, pt.force) / pt.sigma
 
 
 def fd_field_strength(system, A, step=1e-5):
@@ -149,15 +188,15 @@ def rk4_rows(system, A0, h, tau_max):
 
 
 def random_tabulated(rng, n_dim=None, n_points=None):
-    """A random small tabulated family (full-rank statistics a.s.)."""
+    """A random small tabulated family (full-rank statistics a.s.), which
+    keeps its arrays for the oracles."""
     if n_dim is None:
         n_dim = int(rng.integers(1, 4))
     if n_points is None:
         n_points = int(rng.integers(n_dim + 2, 9))
-    points = list(range(n_points))
     weights = rng.uniform(0.5, 2.0, n_points)
     stats = rng.normal(size=(n_dim, n_points))
-    return TabulatedFamily(weights, stats)
+    return OracleTable(weights, stats)
 
 
 def seeded_table(seed, n_points, n_dim=3, norm=0.3):
@@ -168,7 +207,7 @@ def seeded_table(seed, n_points, n_dim=3, norm=0.3):
     weights, stats = rng.uniform(0.5, 2.0, n_points), rng.normal(size=(n_dim, n_points))
     lam0 = rng.normal(size=n_dim)
     lam0 *= norm / np.linalg.norm(lam0)
-    fam = TabulatedFamily(weights, stats)
+    fam = OracleTable(weights, stats)
     return fam, tabulated_mean(weights, stats, lam0)
 
 

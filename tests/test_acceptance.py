@@ -24,7 +24,6 @@ from entroflow import (
     entropy_production_check,
     field_strength,
     integrate,
-    metric,
     onsager_matrix,
     solve_lambda,
     unit_velocity,
@@ -72,17 +71,17 @@ def test_c02_metric_against_fd_oracle(bernoulli, gaussian2, ideal_gas, rng):
     checked = 0
     for _ in range(50):
         A = np.array([rng.uniform(0.1, 0.9)])
-        g = metric(bernoulli, A).g
+        g = as_manifold(bernoulli).point(A).g
         assert np.max(np.abs(g - fd_metric_oracle(bernoulli, A))) <= 1e-5 * np.max(np.abs(g))
         checked += 1
     for _ in range(50):
         A = rng.uniform(-2.0, 2.0, 2)
-        g = metric(gaussian2, A).g
+        g = as_manifold(gaussian2).point(A).g
         assert np.max(np.abs(g - fd_metric_oracle(gaussian2, A))) <= 1e-5 * np.max(np.abs(g))
         checked += 1
     for _ in range(50):
         A = np.array([rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0)])
-        g = metric(ideal_gas, A).g
+        g = as_manifold(ideal_gas).point(A).g
         assert np.max(np.abs(g - fd_metric_oracle(ideal_gas, A, step=1e-5))) <= 1e-5 * np.max(
             np.abs(g)
         )
@@ -90,7 +89,7 @@ def test_c02_metric_against_fd_oracle(bernoulli, gaussian2, ideal_gas, rng):
     tab = random_tabulated(rng, n_dim=2, n_points=6)
     for _ in range(50):
         A = random_feasible_mean(rng, tab)
-        g = metric(tab, A).g
+        g = as_manifold(tab).point(A).g
         assert np.max(np.abs(g - fd_metric_oracle(tab, A))) <= 1e-5 * np.max(np.abs(g))
         checked += 1
     elapsed = time.perf_counter() - started
@@ -207,7 +206,7 @@ def test_c08_geometry_identities(catalog_runs, bernoulli, gaussian):
         v = unit_velocity(as_manifold(system).point(A))
         pt = as_manifold(system).point(A)
         lhs = covariant_acceleration(system, A)
-        rhs = pt.metric.g_inv @ f @ v
+        rhs = pt.g_inv @ f @ v
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))
     assert worst_identity <= 1e-12
 

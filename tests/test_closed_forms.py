@@ -20,13 +20,13 @@ from entroflow import (
     GaussianMeanFamily,
     IdealGasFamily,
     InfeasibleMeanError,
-    MetricTensor,
     SingularModelError,
     christoffel,
-    entropy,
     solve_lambda,
 )
-from helpers import count_calls, fd_gradient, fd_hessian, fd_metric_oracle, log_partition_oracle
+from helpers import (
+    MetricStub, count_calls, fd_gradient, fd_hessian, fd_metric_oracle, log_partition_oracle,
+)
 
 
 class TestBernoulliAgainstNewton:
@@ -36,7 +36,7 @@ class TestBernoulliAgainstNewton:
             p, q = closed.point([a]), newton.point([a])
             assert abs(p.force[0] - q.force[0]) <= 1e-12
             assert abs(p.S - q.S) <= 1e-12
-            assert abs(p.metric.g[0, 0] - q.metric.g[0, 0]) <= 1e-12 * q.metric.g[0, 0]
+            assert abs(p.g[0, 0] - q.g[0, 0]) <= 1e-12 * q.g[0, 0]
             assert abs(p.sigma - q.sigma) <= 1e-12
 
     def test_textbook_values(self, bernoulli):
@@ -44,7 +44,7 @@ class TestBernoulliAgainstNewton:
         pt = FamilyManifold(bernoulli).point([a])
         assert pt.force[0] == pytest.approx(math.log(4.0), abs=1e-15)
         assert pt.S == pytest.approx(-a * math.log(a) - (1 - a) * math.log(1 - a), abs=1e-15)
-        assert pt.metric.g[0, 0] == pytest.approx(1.0 / (a * (1.0 - a)), rel=1e-15)
+        assert pt.g[0, 0] == pytest.approx(1.0 / (a * (1.0 - a)), rel=1e-15)
 
 
 class TestGaussianClosedForms:
@@ -57,15 +57,15 @@ class TestGaussianClosedForms:
             mean = -fd_gradient(log_z, lam)
             assert np.max(np.abs(mean - A)) <= 1e-8
             cov = fd_hessian(log_z, lam)
-            g = FamilyManifold(gaussian2).point(A).metric.g
+            g = FamilyManifold(gaussian2).point(A).g
             assert np.max(np.abs(g @ cov - np.eye(2))) <= 1e-6
-            assert abs(entropy(gaussian2, A) - log_z(lam) - lam @ A) <= 1e-12
+            assert abs(FamilyManifold(gaussian2).point(A).S - log_z(lam) - lam @ A) <= 1e-12
 
     def test_against_fd_metric_oracle(self, rng):
         fam = GaussianMeanFamily(dim=3)
         for _ in range(10):
             A = rng.uniform(-3.0, 3.0, 3)
-            g = FamilyManifold(fam).point(A).metric.g
+            g = FamilyManifold(fam).point(A).g
             assert np.max(np.abs(g - fd_metric_oracle(fam, A))) <= 1e-5
 
 
@@ -105,13 +105,13 @@ class TestWorkCounts:
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or original(m))
         pt = bernoulli_pair.point([0.3])
         assert len(calls) == 2
-        assert np.array_equal(pt.metric.g, MetricTensor.from_matrix(pt.metric.g).g)
+        assert np.array_equal(pt.g, 0.5 * (pt.g + pt.g.T))
 
     def test_metric_sum_must_be_finite(self):
         # two finite metrics whose sum overflows
-        big = MetricTensor(g=np.array([[1.5e308]]))
+        big = MetricStub([[1.5e308]])
         with np.errstate(over="ignore"), pytest.raises(SingularModelError, match="not finite"):
-            MetricTensor.from_sum(big, big)
+            CompositeSystem(big, big, [0.0]).point([0.0])
 
 
 class TestInfeasibleInputs:
@@ -133,7 +133,7 @@ class TestInfeasibleInputs:
         with pytest.raises(InfeasibleMeanError):
             solve_lambda(family, A)
         with pytest.raises(InfeasibleMeanError):
-            entropy(family, A)
+            FamilyManifold(family).point(A).S
 
     def test_composite_boundary_raises(self):
         pair = CompositeSystem(BernoulliFamily(), BernoulliFamily(), [1.0])
@@ -154,4 +154,5 @@ class TestLazyInverse:
             g = 0.5 * (m + m.T)
             inv = np.linalg.inv(g)
             eager = 0.5 * (inv + inv.T)
-            assert MetricTensor.from_matrix(m).g_inv.tobytes() == eager.tobytes()
+            pt = FamilyManifold(MetricStub(m)).point(np.zeros(len(m)))
+            assert pt.g_inv.tobytes() == eager.tobytes()

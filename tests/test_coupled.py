@@ -13,10 +13,8 @@ from entroflow import (
     InfeasibleMeanError,
     TabulatedFamily,
     as_manifold,
-    entropy,
     entropy_production_check,
     integrate,
-    metric,
     solve_lambda,
     unit_velocity,
 )
@@ -48,53 +46,52 @@ class TestConstruction:
 
 class TestCompositeEntropy:
     def test_two_maxima(self, bernoulli_pair):
-        assert bernoulli_pair.entropy([0.5]) == pytest.approx(
+        assert bernoulli_pair.point([0.5]).S == pytest.approx(
             2.0 * math.log(2.0), abs=1e-12
         )
 
     def test_ideal_gas_substitution(self):
         cs = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(1.0), [4.0, 2.0])
-        got = cs.entropy([1.0, 1.0])
-        expected = entropy(IdealGasFamily(1.0), [1.0, 1.0]) + entropy(
-            IdealGasFamily(1.0), [3.0, 1.0]
-        )
+        got = cs.point([1.0, 1.0]).S
+        gas = as_manifold(IdealGasFamily(1.0))
+        expected = gas.point([1.0, 1.0]).S + gas.point([3.0, 1.0]).S
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_boundary_is_an_error(self, bernoulli_pair, equal_gas_pair):
         with pytest.raises(InfeasibleMeanError):
-            bernoulli_pair.entropy([1.0])  # subsystem 2 at A' = 0
+            bernoulli_pair.point([1.0]).S  # subsystem 2 at A' = 0
         with pytest.raises(InfeasibleMeanError):
-            equal_gas_pair.entropy([4.0, 1.0])  # E' = 0
+            equal_gas_pair.point([4.0, 1.0]).S  # E' = 0
 
 
 class TestCompositeMetric:
     def test_symmetric_point_value(self, bernoulli_pair):
-        assert metric(bernoulli_pair, [0.5]).g[0, 0] == pytest.approx(
+        assert bernoulli_pair.point([0.5]).g[0, 0] == pytest.approx(
             8.0, rel=1e-12
         )
 
     def test_off_symmetric_value(self, bernoulli_pair):
         # both subsystems contribute 1/(0.25 * 0.75)
-        assert metric(bernoulli_pair, [0.25]).g[0, 0] == pytest.approx(
+        assert bernoulli_pair.point([0.25]).g[0, 0] == pytest.approx(
             32.0 / 3.0, rel=1e-12
         )
 
     def test_equals_subsystem_sum(self, equal_gas_pair):
         A = np.array([1.3, 0.8])
-        g = metric(equal_gas_pair, A).g
-        g1 = metric(equal_gas_pair.sys1, A).g
-        g2 = metric(equal_gas_pair.sys2, equal_gas_pair.A_total - A).g
+        g = equal_gas_pair.point(A).g
+        g1 = as_manifold(equal_gas_pair.sys1).point(A).g
+        g2 = as_manifold(equal_gas_pair.sys2).point(equal_gas_pair.A_total - A).g
         assert np.max(np.abs(g - (g1 + g2))) <= 1e-10 * np.max(np.abs(g))
 
     def test_matches_fd_oracle(self, equal_gas_pair, bernoulli_pair, rng):
         for _ in range(10):
             A = np.array([rng.uniform(0.8, 3.0), rng.uniform(0.4, 1.5)])
-            g = metric(equal_gas_pair, A).g
+            g = equal_gas_pair.point(A).g
             oracle = fd_metric_oracle(equal_gas_pair, A, step=1e-5)
             assert np.max(np.abs(g - oracle)) <= 1e-5 * np.max(np.abs(g))
         for _ in range(10):
             A = np.array([rng.uniform(0.1, 0.9)])
-            g = metric(bernoulli_pair, A).g
+            g = bernoulli_pair.point(A).g
             oracle = fd_metric_oracle(bernoulli_pair, A)
             assert np.max(np.abs(g - oracle)) <= 1e-5 * np.max(np.abs(g))
 
@@ -102,10 +99,10 @@ class TestCompositeMetric:
 class TestCoupledVelocity:
     def test_equilibrium_raises(self, bernoulli_pair):
         with pytest.raises(AtEquilibriumError):
-            unit_velocity(as_manifold(bernoulli_pair).point([0.5]))
+            unit_velocity(bernoulli_pair.point([0.5]))
 
     def test_force_difference_drives_motion(self, bernoulli_pair):
-        v = unit_velocity(as_manifold(bernoulli_pair).point([0.25]))[0]
+        v = unit_velocity(bernoulli_pair.point([0.25]))[0]
         assert v > 0.0  # toward the shared maximum at 0.5
         lam1 = solve_lambda(BernoulliFamily(), [0.25])[0]
         lam2 = solve_lambda(BernoulliFamily(), [0.75])[0]
@@ -113,7 +110,7 @@ class TestCoupledVelocity:
 
     def test_heat_flows_to_the_colder_vessel(self, gas_e_only_pair):
         # lam_E = 3N/(2E): vessel 1 at E=1 is colder (larger 1/T) and gains energy
-        v = unit_velocity(as_manifold(gas_e_only_pair).point([1.0]))[0]
+        v = unit_velocity(gas_e_only_pair.point([1.0]))[0]
         assert v > 0.0
         lam1 = solve_lambda(gas_e_only_pair.sys1, [1.0])[0]
         lam2 = solve_lambda(gas_e_only_pair.sys2, [3.0])[0]
@@ -122,8 +119,8 @@ class TestCoupledVelocity:
 
     def test_unit_speed(self, equal_gas_pair):
         A = np.array([1.2, 0.7])
-        v = unit_velocity(as_manifold(equal_gas_pair).point(A))
-        g = metric(equal_gas_pair, A).g
+        v = unit_velocity(equal_gas_pair.point(A))
+        g = equal_gas_pair.point(A).g
         assert abs(v @ g @ v - 1.0) <= 1e-12
 
 

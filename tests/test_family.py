@@ -25,6 +25,7 @@ from entroflow import (
 from entroflow import family as family_module
 from entroflow.family import _BinnedRay
 from helpers import (
+    OracleTable,
     fd_gradient, fd_hessian, log_partition_oracle, long_double_ray, natural_row, random_tabulated,
     states_oracle,
 )
@@ -141,7 +142,7 @@ def chunked_table():
     TABLE_LAM0 is binned."""
     rng = np.random.default_rng(5000)
     weights, stats = rng.uniform(0.5, 2.0, 5000), rng.normal(size=(3, 5000))
-    return TabulatedFamily(weights, stats)
+    return OracleTable(weights, stats)
 
 
 TABLE_LAM0 = 0.3 * np.array([0.6, -0.8, 0.0])
@@ -161,12 +162,12 @@ def ray_rate_cases():
     for n_dim, n_points in [(1, 4), (2, 6), (3, 50)]:
         fam = random_tabulated(rng, n_dim=n_dim, n_points=n_points)
         cases.append((fam, rng.normal(0.0, 0.8, n_dim)))
-    offset = TabulatedFamily([1.0, 2.0, 0.5, 1.0],
+    offset = OracleTable([1.0, 2.0, 0.5, 1.0],
                              1e6 + np.array([[0.0, 1.0, 2.5, 4.0], [1.0, -1.0, 0.5, 0.0]]))
     cases.append((offset, np.array([0.6, -0.9])))
     table = chunked_table()
     cases.append((table, TABLE_LAM0))
-    cases.append((TabulatedFamily(table.weights, 1e6 + table.stats), TABLE_LAM0))
+    cases.append((OracleTable(table.weights, 1e6 + table.stats), TABLE_LAM0))
     return cases
 
 
@@ -384,7 +385,7 @@ def natural_states_cases():
         cases.append((random_tabulated(rng, n_dim=n_dim, n_points=n_points),
                       rng.normal(0.0, 0.8, (6, n_dim))))
     offset = random_tabulated(rng, n_dim=2, n_points=8)
-    offset = TabulatedFamily(offset.weights, 1e9 + offset.stats)
+    offset = OracleTable(offset.weights, 1e9 + offset.stats)
     cases.append((offset, rng.normal(0.0, 0.8, (6, 2))))
     return cases
 

@@ -22,10 +22,8 @@ from entroflow import (
     TooFewSamplesError,
     as_manifold,
     clock_invert,
-    entropy,
     entropy_production_check,
     integrate,
-    sigma,
     unit_velocity,
     write_trajectory_csv,
 )
@@ -36,6 +34,7 @@ from entroflow.family import TabulatedFamily, _BinnedRay
 from entroflow.flow import ENTROPY_CHECK_ROUNDING, _RayTable, nonuniform_first_derivative
 from entroflow.geometry import StateManifold
 from helpers import (
+    OracleTable,
     count_calls,
     identity_chart,
     nan_pair_rows,
@@ -54,7 +53,7 @@ def tabulated_3x50():
     rng = np.random.default_rng(50)
     weights, stats = rng.uniform(0.5, 2.0, 50), rng.normal(size=(3, 50))
     lam0 = rng.normal(0.0, 0.2, 3)
-    fam = TabulatedFamily(weights, stats)
+    fam = OracleTable(weights, stats)
     return (
         fam,
         tabulated_mean(weights, stats, lam0),
@@ -100,7 +99,8 @@ class TestVelocityField:
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.43301270, abs=1e-8)
         # moves toward higher entropy
-        assert entropy(bernoulli, [0.25 + 1e-4 * got]) > entropy(bernoulli, [0.25])
+        point = as_manifold(bernoulli).point
+        assert point([0.25 + 1e-4 * got]).S > point([0.25]).S
 
     def test_mirror_symmetry(self, bernoulli):
         v_low = unit_velocity(as_manifold(bernoulli).point([0.25]))[0]
@@ -122,7 +122,7 @@ class TestVelocityField:
                 if pt.sigma < 1e-6:
                     continue
                 v = unit_velocity(pt)
-                assert abs(v @ pt.metric.g @ v - 1.0) <= 1e-12
+                assert abs(v @ pt.g @ v - 1.0) <= 1e-12
 
     def test_equilibrium_raises(self, bernoulli, gaussian):
         with pytest.raises(AtEquilibriumError):
@@ -184,8 +184,8 @@ class TestIntegrate:
         assert t.lam[k, 0] == pytest.approx(
             math.log((1 - t.A[k, 0]) / t.A[k, 0]), abs=1e-10
         )
-        assert t.S[k] == pytest.approx(entropy(bernoulli, t.A[k]), abs=1e-12)
-        assert t.sigma[k] == pytest.approx(sigma(bernoulli, t.A[k]), abs=1e-12)
+        assert t.S[k] == pytest.approx(as_manifold(bernoulli).point(t.A[k]).S, abs=1e-12)
+        assert t.sigma[k] == pytest.approx(as_manifold(bernoulli).point(t.A[k]).sigma, abs=1e-12)
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
         # a chart's run is its base's, so a chart of the Bernoulli pair ends
@@ -248,7 +248,7 @@ class TestIntegrate:
         # backwards with the RK4 oracle to check the orientation of the flow
         _, A = rk4_rows(bernoulli, [0.25], -1e-3, 0.1)
         assert len(A) == 101
-        assert entropy(bernoulli, A[-1]) < entropy(bernoulli, [0.25])
+        assert as_manifold(bernoulli).point(A[-1]).S < as_manifold(bernoulli).point([0.25]).S
 
     def test_concurrent_trajectories_share_one_family(self, bernoulli):
         # families are immutable: concurrent integrations must agree with
@@ -501,9 +501,6 @@ class TestIntegrate:
 
             def point(self, A):
                 return self.inner.point(A)
-
-            def entropy(self, A):
-                return self.inner.entropy(A)
 
         with pytest.raises(TypeError, match="Plain"):
             integrate(Plain(), [0.25], tau_max=1.0)

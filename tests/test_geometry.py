@@ -6,20 +6,21 @@ import pytest
 from entroflow import (
     AtEquilibriumError,
     FamilyManifold,
+    CompositeSystem,
     IdealGasFamily,
-    MetricTensor,
     ReparametrizedManifold,
     SingularModelError,
+    TabulatedFamily,
     as_manifold,
     christoffel,
     covariant_acceleration,
     field_strength,
-    metric,
-    sigma,
     solve_lambda,
     unit_velocity,
 )
 from helpers import (
+    MetricStub,
+    count_calls,
     fd_christoffel,
     fd_field_strength,
     fd_flow_acceleration,
@@ -27,6 +28,7 @@ from helpers import (
     fd_metric_oracle,
     random_feasible_mean,
     random_tabulated,
+    seeded_table,
     states_oracle,
 )
 
@@ -35,39 +37,45 @@ def bernoulli_metric(A):
     return 1.0 / (A * (1.0 - A))
 
 
-class TestMetricTensor:
-    def test_from_matrix_invariants(self, rng):
+def stub_point(g):
+    """The point of a family whose ``legendre`` gives the metric g."""
+    family = MetricStub(g)
+    return FamilyManifold(family).point(np.zeros(family.n_dim))
+
+
+class TestPointMetric:
+    def test_closed_form_metric_invariants(self, rng):
         for _ in range(10):
             m = rng.normal(size=(3, 3))
-            g = MetricTensor.from_matrix(m @ m.T + 3.0 * np.eye(3))
-            assert np.array_equal(g.g, g.g.T)
-            assert np.array_equal(g.g_inv, g.g_inv.T)
-            assert np.max(np.abs(g.g @ g.g_inv - np.eye(3))) <= 1e-10
+            pt = stub_point(m @ m.T + 3.0 * np.eye(3))
+            assert np.array_equal(pt.g, pt.g.T)
+            assert np.array_equal(pt.g_inv, pt.g_inv.T)
+            assert np.max(np.abs(pt.g @ pt.g_inv - np.eye(3))) <= 1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(SingularModelError):
-            MetricTensor.from_matrix([[1.0, 2.0], [2.0, 1.0]])
+            stub_point([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularModelError):
-            MetricTensor.from_matrix([[0.0]])
+            stub_point([[0.0]])
 
     @pytest.mark.parametrize(
         "matrix", [[[math.nan]], [[math.inf]], [[1.0, math.nan], [math.nan, 1.0]]]
     )
     def test_rejects_non_finite(self, matrix):
         with pytest.raises(SingularModelError, match="not finite"):
-            MetricTensor.from_matrix(matrix)
+            stub_point(matrix)
 
 
 class TestMetric:
     def test_bernoulli_values(self, bernoulli):
-        assert metric(bernoulli, [0.5]).g[0, 0] == pytest.approx(4.0, rel=1e-12)
-        assert metric(bernoulli, [0.25]).g[0, 0] == pytest.approx(
+        assert as_manifold(bernoulli).point([0.5]).g[0, 0] == pytest.approx(4.0, rel=1e-12)
+        assert as_manifold(bernoulli).point([0.25]).g[0, 0] == pytest.approx(
             bernoulli_metric(0.25), rel=1e-12
         )
 
     def test_gaussian_flat(self, gaussian, rng):
         for _ in range(5):
-            assert metric(gaussian, rng.normal(size=1)).g[0, 0] == pytest.approx(
+            assert as_manifold(gaussian).point(rng.normal(size=1)).g[0, 0] == pytest.approx(
                 1.0, rel=1e-12
             )
 
@@ -76,7 +84,7 @@ class TestMetric:
             (bernoulli, np.array([0.3])),
             (ideal_gas, np.array([2.0, 1.5])),
         ]:
-            g = metric(fam, A).g
+            g = as_manifold(fam).point(A).g
             cov = states_oracle(fam, solve_lambda(fam, A))[2][0]
             assert np.max(np.abs(g @ cov - np.eye(fam.n_dim))) <= 1e-9
 
@@ -94,24 +102,24 @@ class TestMetric:
         analytic = np.array([[1.5 * N / E**2, -1.5 / E], [-1.5 / E, 2.5 / N]])
         oracle = fd_metric_oracle(ideal_gas, [E, N], step=1e-5)
         assert np.max(np.abs(oracle - analytic)) <= 1e-4 * np.max(np.abs(analytic))
-        assert np.array_equal(metric(ideal_gas, [E, N]).g, analytic)
+        assert np.array_equal(as_manifold(ideal_gas).point([E, N]).g, analytic)
 
     def test_oracle_agreement_50_random_points(
         self, bernoulli, gaussian2, ideal_gas, rng
     ):
         for _ in range(50):
             A = np.array([rng.uniform(0.1, 0.9)])
-            g = metric(bernoulli, A).g
+            g = as_manifold(bernoulli).point(A).g
             assert np.max(np.abs(g - fd_metric_oracle(bernoulli, A))) <= 1e-5 * np.max(
                 np.abs(g)
             )
         for _ in range(50):
             A = rng.uniform(-2.0, 2.0, 2)
-            g = metric(gaussian2, A).g
+            g = as_manifold(gaussian2).point(A).g
             assert np.max(np.abs(g - fd_metric_oracle(gaussian2, A))) <= 1e-5
         for _ in range(50):
             A = np.array([rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0)])
-            g = metric(ideal_gas, A).g
+            g = as_manifold(ideal_gas).point(A).g
             assert np.max(
                 np.abs(g - fd_metric_oracle(ideal_gas, A, step=1e-5))
             ) <= 1e-5 * np.max(np.abs(g))
@@ -120,7 +128,7 @@ class TestMetric:
         fam = random_tabulated(rng, n_dim=2, n_points=6)
         for _ in range(20):
             A = random_feasible_mean(rng, fam)
-            g = metric(fam, A).g
+            g = as_manifold(fam).point(A).g
             assert np.max(np.abs(g - fd_metric_oracle(fam, A))) <= 1e-5 * np.max(
                 np.abs(g)
             )
@@ -128,55 +136,67 @@ class TestMetric:
 
 class TestSigma:
     def test_vanishes_at_maximum(self, bernoulli, gaussian):
-        assert sigma(bernoulli, [0.5]) <= 1e-12
-        assert sigma(gaussian, [0.0]) <= 1e-12
+        assert as_manifold(bernoulli).point([0.5]).sigma <= 1e-12
+        assert as_manifold(gaussian).point([0.0]).sigma <= 1e-12
 
     def test_bernoulli_derived_value(self, bernoulli):
         expected = math.log(3.0) * math.sqrt(0.25 * 0.75)
-        assert sigma(bernoulli, [0.25]) == pytest.approx(expected, rel=1e-12)
+        assert as_manifold(bernoulli).point([0.25]).sigma == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_derived_value(self, gaussian):
-        assert sigma(gaussian, [-2.0]) == pytest.approx(2.0, rel=1e-12)
+        assert as_manifold(gaussian).point([-2.0]).sigma == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_iff_gradient_zero(self, bernoulli, rng):
         for _ in range(20):
             A = np.array([rng.uniform(0.05, 0.95)])
-            s = sigma(bernoulli, A)
+            s = as_manifold(bernoulli).point(A).sigma
             grad = solve_lambda(bernoulli, A)
             assert (s <= 1e-12) == (np.max(np.abs(grad)) <= 1e-12)
 
 
 class TestChristoffel:
     def test_bernoulli_symmetric_point(self, bernoulli):
-        assert christoffel(bernoulli, [0.5]).gamma[0, 0, 0] == 0.0
+        assert christoffel(bernoulli, [0.5])[0, 0, 0] == 0.0
 
     def test_bernoulli_analytic(self, bernoulli):
         # 1-D Levi-Civita: (1/2) g^-1 dg/dA = (2A - 1) / (2 A (1 - A))
-        got = christoffel(bernoulli, [0.25]).gamma[0, 0, 0]
+        got = christoffel(bernoulli, [0.25])[0, 0, 0]
         expected = (2 * 0.25 - 1.0) / (2 * 0.25 * 0.75)
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(-4.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("a", [1e-9, 1.0 - 1e-9], ids=["near-0", "near-1"])
     def test_bernoulli_exact_near_boundary(self, bernoulli, a):
-        got = christoffel(bernoulli, [a]).gamma[0, 0, 0]
+        got = christoffel(bernoulli, [a])[0, 0, 0]
         assert got == pytest.approx((2 * a - 1.0) / (2 * a * (1.0 - a)), rel=1e-13)
 
+    def test_pair_of_two_point_tables(self, monkeypatch, two_point):
+        # Bernoulli twice by Newton: g_T = 2 / (A (1 - A)), and both halves
+        # of dg_T = dg(A) - dg'(1 - A) come from a table's third cumulant
+        counts = count_calls(monkeypatch, TabulatedFamily, ["cumulants"])
+        a = 0.3
+        pair = CompositeSystem(two_point, two_point, [1.0])
+        pt = pair.point([a])
+        got = christoffel(pair, pt)[0, 0, 0]
+        assert counts["cumulants"] == 2
+        assert got == pytest.approx((2 * a - 1.0) / (2 * a * (1.0 - a)), rel=1e-14, abs=0.0)
+        assert pt.g[0, 0] == pytest.approx(2.0 / (a * (1.0 - a)), rel=1e-14, abs=0.0)
+
     def test_gaussian_flat(self, gaussian2, rng):
-        gam = christoffel(gaussian2, rng.normal(size=2)).gamma
+        gam = christoffel(gaussian2, rng.normal(size=2))
         assert np.max(np.abs(gam)) <= 1e-10
 
     def test_exact_lower_symmetry(self, equal_gas_pair):
-        gam = christoffel(equal_gas_pair, [1.3, 0.8]).gamma
+        gam = christoffel(equal_gas_pair, [1.3, 0.8])
         assert np.array_equal(gam, gam.transpose(0, 2, 1))
 
     def test_metric_compatibility(self, ideal_gas, rng):
         # covariant derivative of g vanishes: d_c g_ab = Gamma^d_ca g_db + Gamma^d_cb g_ad
         for _ in range(5):
             A = np.array([rng.uniform(1.0, 4.0), rng.uniform(0.8, 2.5)])
-            gam = christoffel(ideal_gas, A).gamma
-            g = as_manifold(ideal_gas).point(A).metric.g
-            dg_all = fd_jacobian(lambda x: metric(ideal_gas, x).g, A)
+            gam = christoffel(ideal_gas, A)
+            g = as_manifold(ideal_gas).point(A).g
+            dg_all = fd_jacobian(lambda x: as_manifold(ideal_gas).point(x).g, A)
             for c in range(2):
                 predicted = np.einsum("da,db->ab", gam[:, c, :], g) + np.einsum(
                     "db,ad->ab", gam[:, c, :], g
@@ -209,9 +229,16 @@ class TestAgainstFiniteDifferences:
 
     def test_christoffel(self, equal_gas_pair, rng):
         for system, A in _fd_cases(rng) + [(equal_gas_pair, np.array([1.3, 0.8]))]:
-            gam = christoffel(system, A).gamma
+            gam = christoffel(system, A)
             oracle = fd_christoffel(system, A)
             assert np.max(np.abs(gam - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    def test_christoffel_of_a_pair_of_tables(self):
+        (fam1, A1), (fam2, A2) = seeded_table(3, 50), seeded_table(4, 50)
+        pair = CompositeSystem(fam1, fam2, A1 + A2)
+        gam, oracle = christoffel(pair, A1), fd_christoffel(pair, A1)
+        assert np.array_equal(gam, gam.transpose(0, 2, 1))
+        assert np.max(np.abs(gam - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
     def test_field_strength_and_acceleration(self, equal_gas_pair, rng):
         for system, A in _fd_cases(rng) + [(equal_gas_pair, np.array([1.2, 0.7]))]:
@@ -240,9 +267,9 @@ class TestCovariantAcceleration:
         A = np.array([1.1, 0.6])
         acc = covariant_acceleration(equal_gas_pair, A)
         assert np.linalg.norm(acc) > 1e-3
-        pt = as_manifold(equal_gas_pair).point(A)
+        pt = equal_gas_pair.point(A)
         v = unit_velocity(pt)
-        inner = acc @ pt.metric.g @ v
+        inner = acc @ pt.g @ v
         assert abs(inner) <= 1e-12 * max(1.0, np.linalg.norm(acc))
 
     def test_accepts_explicit_velocity(self, bernoulli, equal_gas_pair):
@@ -250,7 +277,7 @@ class TestCovariantAcceleration:
         acc = covariant_acceleration(bernoulli, [0.3], A_dot=v)
         assert np.max(np.abs(acc)) <= 1e-14
         A = np.array([1.1, 0.6])
-        v = unit_velocity(as_manifold(equal_gas_pair).point(A))
+        v = unit_velocity(equal_gas_pair.point(A))
         along_flow = covariant_acceleration(equal_gas_pair, A)
         explicit = covariant_acceleration(equal_gas_pair, A, A_dot=v)
         assert np.max(np.abs(explicit - along_flow)) <= 1e-12
@@ -273,17 +300,17 @@ class TestFieldStrength:
     def test_velocity_norm_preserved(self, equal_gas_pair):
         A = np.array([1.2, 0.7])
         f = field_strength(equal_gas_pair, A)
-        v = unit_velocity(as_manifold(equal_gas_pair).point(A))
+        v = unit_velocity(equal_gas_pair.point(A))
         assert abs(v @ f @ v) <= 1e-14
 
     def test_acceleration_identity(self, equal_gas_pair):
         # D v / dtau = g_inv . f . v along the flow
         for A in ([1.1, 0.6], [1.5, 0.8], [0.9, 0.55]):
             A = np.array(A)
-            pt = as_manifold(equal_gas_pair).point(A)
+            pt = equal_gas_pair.point(A)
             v = unit_velocity(pt)
             lhs = covariant_acceleration(equal_gas_pair, A)
-            rhs = pt.metric.g_inv @ field_strength(equal_gas_pair, A) @ v
+            rhs = pt.g_inv @ field_strength(equal_gas_pair, A) @ v
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_rejected_near_equilibrium(self, equal_gas_pair):
@@ -298,7 +325,7 @@ class TestTensorTransformation:
         for a in (0.3, 0.5, 0.7):
             b_coord = a * a
             jac = 2.0 * a
-            transformed = metric(bernoulli, [a]).g[0, 0] / jac**2
+            transformed = as_manifold(bernoulli).point([a]).g[0, 0] / jac**2
 
             def log_p1(b):
                 return 0.5 * math.log(b)
@@ -320,10 +347,10 @@ class TestTensorTransformation:
             jacobian=lambda A: np.array([[2.0 * A[0]]]),
         )
         for a in (0.25, 0.6):
-            direct = metric(rep, [a * a]).g[0, 0]
+            direct = rep.point([a * a]).g[0, 0]
             expected = bernoulli_metric(a) / (2.0 * a) ** 2
             assert direct == pytest.approx(expected, rel=1e-12)
             # sigma is a scalar invariant of the chart
             assert rep.point(np.array([a * a])).sigma == pytest.approx(
-                sigma(bernoulli, [a]), rel=1e-10
+                as_manifold(bernoulli).point([a]).sigma, rel=1e-10
             )
