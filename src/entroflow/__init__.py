@@ -31,7 +31,6 @@ from .family import (
     TabulatedFamily,
 )
 from .config import tabulated_from_json
-from .duality import solve_lambda
 from .geometry import (
     FamilyManifold,
     ManifoldPoint,
@@ -82,8 +81,6 @@ __all__ = [
     "GaussianMeanFamily",
     "IdealGasFamily",
     "tabulated_from_json",
-    # duality
-    "solve_lambda",
     # geometry
     "ManifoldPoint",
     "StateManifold",

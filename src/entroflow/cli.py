@@ -46,32 +46,37 @@ __all__ = [
 
 
 def _check_config(cfg: ScenarioConfig):
-    """Build the system and check the length and feasibility of ``A0`` and of
-    every ``geometry_probe`` point, without integrating; return the system."""
+    """Build the system and make the points of ``A0`` and of every
+    ``geometry_probe`` point, without integrating; a value that has no point
+    (of the wrong length, infeasible, or a table mean outside the hull of
+    its statistics) raises ValidationError naming it.  Returns the system,
+    the start point and, per analysis, the list of its probe points."""
     system = build_system(cfg)
     manifold = as_manifold(system)
-    checks = [("A0", cfg.A0)] + [
-        (f"analyses[{i}].points[{j}]", point)
-        for i, spec in enumerate(cfg.analyses) if spec.kind == "geometry_probe"
-        for j, point in enumerate(spec.points)
-    ]
-    for path, value in checks:
+
+    def point(path, value):
         try:
-            manifold.check_feasible(value)
+            return manifold.point(value)
         except (EntroflowError, ValueError) as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-    return system
+
+    start = point("A0", cfg.A0)
+    probes = [
+        [point(f"analyses[{i}].points[{j}]", value) for j, value in enumerate(spec.points)]
+        if spec.kind == "geometry_probe" else []
+        for i, spec in enumerate(cfg.analyses)
+    ]
+    return system, start, probes
 
 
-def _probe_dict(system, point) -> dict:
-    """The state, lambda, sigma, g and Gamma at ``point``, as arrays."""
-    pt = as_manifold(system).point(np.asarray(point, dtype=float))
+def _probe_dict(pt) -> dict:
+    """The state, lambda, sigma, g and Gamma at the point ``pt``, as arrays."""
     return {
         "point": pt.A,
         "lambda": pt.force,
         "sigma": float(pt.sigma),
         "metric": pt.g,
-        "christoffel": christoffel(system, pt),
+        "christoffel": christoffel(None, pt),
     }
 
 
@@ -111,14 +116,14 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     started = time.perf_counter()
     try:
         out.mkdir(parents=True, exist_ok=True)
-        system = _check_config(cfg)
-        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        system, start, probes = _check_config(cfg)
+        traj = integrate(system, start, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
 
         # Every analysis runs before the first artifact is written, so a
         # failing analysis leaves no partial artifact set behind.
         analyses_out: dict = {}
         onsager = None
-        for spec in cfg.analyses:
+        for spec, points in zip(cfg.analyses, probes):
             if spec.kind == "onsager":
                 onsager = empirical_report(
                     system,
@@ -136,8 +141,8 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
             elif spec.kind == "geometry_probe":
                 analyses_out["geometry_probe"] = [
                     {key: np.asarray(value).tolist()
-                     for key, value in _probe_dict(system, p).items()}
-                    for p in spec.points
+                     for key, value in _probe_dict(pt).items()}
+                    for pt in points
                 ]
 
         summary = {
@@ -232,8 +237,7 @@ def _probe_text(info: dict) -> str:
 def _cmd_probe(args) -> int:
     try:
         cfg = parse_config(args.config)
-        system = build_system(cfg)
-        info = _probe_dict(system, args.point)
+        info = _probe_dict(as_manifold(build_system(cfg)).point(args.point))
     except (EntroflowError, ValueError) as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -80,21 +80,11 @@ class CompositeSystem(StateManifold):
     def dim(self) -> int:
         return self.sys1.n_dim
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.sys1.labels
-
-    def check_feasible(self, A) -> np.ndarray:
-        A = as_vector(A, self.dim, "A")
-        self.sys1.check_feasible(A)
-        self.sys2.check_feasible(self.A_total - A)
-        return A
-
     def point(self, A) -> ManifoldPoint:
         """The point at A, which keeps its subsystem points at A and at
-        A_T - A as ``p1`` and ``p2``.  Both metrics are checked symmetric
-        positive definite, so their sum is too, exactly symmetric, and only
-        its finiteness is checked."""
+        A_T - A as ``p1`` and ``p2``, each checked by its own family.  Both
+        metrics are checked symmetric positive definite, so their sum is
+        too, exactly symmetric, and only its finiteness is checked."""
         A = as_vector(A, self.dim, "A")
         p1 = self._m1.point(A)
         p2 = self._m2.point(self.A_total - A)

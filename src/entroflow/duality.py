@@ -1,4 +1,4 @@
-"""Legendre duality between mean and natural coordinates.
+"""Legendre duality between mean and natural coordinates, for tables.
 
 The map lam -> A = -d log Z / d lam is inverted by Newton iteration on the
 strictly convex potential F(lam) = log Z(lam) + lam . A, whose gradient is
@@ -8,15 +8,16 @@ the mean <a>, the entropy S = log Z + lam . <a> and the covariance at lam,
 so F = S + lam . (A - <a>), and each trial of the iteration reads the
 family once.  The solve's last evaluation, at the lam it returns, also
 gives the maximized entropy S(A) and the covariance, whose inverse is the
-metric; ``solve_lambda(family, A, states=True)`` returns all three, and
-``geometry.FamilyManifold.point`` is made from them, so the entropy of any
-family is read as ``point(A).S``, with no path of its own.
+metric; ``solve_lambda(family, A)`` returns all three.
 
-Families that declare closed-form duality (Bernoulli, the Gaussian location
-family and the ideal gas) bypass the solver entirely: their ``legendre``
-gives lam and S, with the metric and its derivative, from analytic
-derivatives of the declared entropy surface.  Tabulated families are the
-only ones that run the Newton iteration.
+``solve_lambda`` is the Newton solve alone: it neither checks the mean nor
+looks for closed forms.  A state is made in one place,
+``geometry.FamilyManifold.point``, which checks the mean once and calls
+the family's ``legendre`` once; families that declare closed-form duality
+(Bernoulli, the Gaussian location family and the ideal gas) get lam and S,
+with the metric and its derivative, from it, and only a table, which has
+none, is solved here.  So lam is read as ``point(A).force`` and the
+entropy as ``point(A).S``, for any family.
 """
 
 from __future__ import annotations
@@ -78,13 +79,18 @@ def _newton_step(gap: np.ndarray, cov: np.ndarray, lam: np.ndarray, A: np.ndarra
         ) from None
 
 
-def solve_lambda(family: ExponentialFamily, A, *, states: bool = False):
-    """Invert A = <a>(lam) for lam.
+def solve_lambda(family: ExponentialFamily, A: np.ndarray):
+    """Invert A = <a>(lam) for lam at a mean A that has passed the family's
+    ``check_feasible``, and return (lam, S, Cov): lam with the entropy and
+    the statistics covariance of the last evaluation, at lam.
 
     Newton iteration from lam = 0 with backtracking line search (halving,
     Armijo constant 1e-4) on F(lam) = log Z + lam . A; the covariance is the
     exact Hessian.  Every trial, halved ones and the polish included, is one
-    row of ``natural_states``.
+    row of ``natural_states``.  Where the predicted decrease is below the
+    float resolution of F, the Armijo test cannot certify progress, and the
+    first, full trial is taken: the pure Newton step still contracts the
+    residual quadratically.
 
     After the residual meets SOLVE_TOL one extra full Newton step is taken
     and kept if it improves the residual: thanks to quadratic convergence
@@ -92,49 +98,32 @@ def solve_lambda(family: ExponentialFamily, A, *, states: bool = False):
     cumulant evaluated at lam (the metric and the connection) carry no
     trace of the solver tolerance.
 
-    With ``states``, returns (lam, S, Cov): the entropy and the statistics
-    covariance of the last evaluation, at lam; where the family's
-    ``legendre`` gives lam and S with no evaluation, Cov is None.
-
     Raises InfeasibleMeanError when the iteration diverges (the requested
     mean lies outside the attainable set) and NoConvergenceError when the
     iteration budget is exhausted.
     """
-    A = family.check_feasible(A)
-    closed = family.legendre(A)
-    if closed is not None:
-        lam, S = closed[:2]
-        return (lam, S, None) if states else lam
-
     lam = np.zeros(family.n_dim)
     gap, S, cov, value = _forward(family, lam, A)
     for iteration in range(_MAX_ITER):
         if _sup(gap) <= SOLVE_TOL:
-            lam, S, cov = _polish(family, A, lam, gap, S, cov)
-            return (lam, S, cov) if states else lam
+            return _polish(family, A, lam, gap, S, cov)
         step = _newton_step(gap, cov, lam, A, first=iteration == 0)
         slope = float(-gap @ step)  # grad F . step, negative for a descent step
         # F = log Z + lam . A has terms as large as |lam . A| where the
         # statistics sit far from 0, so that sets its float resolution.
-        if -slope <= 1e-14 * (1.0 + abs(value) + abs(float(lam @ A))):
-            # Predicted decrease is below the float resolution of F: the
-            # Armijo test cannot certify progress here, but the pure Newton
-            # step still contracts the residual quadratically.
-            lam = lam + step
-            gap, S, cov, value = _forward(family, lam, A)
+        unresolved = -slope <= 1e-14 * (1.0 + abs(value) + abs(float(lam @ A)))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            cand = lam + t * step
+            trial = _forward(family, cand, A)
+            if unresolved or trial[3] <= value + _ARMIJO * t * slope:
+                break
+            t *= 0.5
         else:
-            t = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
-                cand = lam + t * step
-                trial = _forward(family, cand, A)
-                if trial[3] <= value + _ARMIJO * t * slope:
-                    break
-                t *= 0.5
-            else:
-                raise NoConvergenceError(
-                    "line search stalled during Legendre inversion"
-                )
-            lam, (gap, S, cov, value) = cand, trial
+            raise NoConvergenceError(
+                "line search stalled during Legendre inversion"
+            )
+        lam, (gap, S, cov, value) = cand, trial
         if _sup(lam) > DIVERGENCE_NORM:
             raise InfeasibleMeanError(
                 f"solver diverged: mean {A} lies outside the attainable set"

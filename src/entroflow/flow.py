@@ -366,7 +366,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the unit-speed entropy-gradient flow from A0.
 
-    Raises AtEquilibriumError when the start has sigma below ``sigma_eq``.
+    ``A0`` is a state of ``system`` or, for a family or a composite, a
+    ``ManifoldPoint`` that ``system`` has already made, which is then not
+    made again.  Raises AtEquilibriumError when the start has sigma below
+    ``sigma_eq``.
 
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) is
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
@@ -408,8 +411,7 @@ def integrate(
     if not isinstance(manifold, (FamilyManifold, CompositeSystem)):
         raise TypeError("integrate takes a family, a CompositeSystem or a chart of either, "
                         f"not a {type(manifold).__name__}")
-    A = manifold.check_feasible(A0).copy()
-    pt = manifold.point(A)
+    pt = A0 if isinstance(A0, ManifoldPoint) else manifold.point(A0)
     if pt.sigma < sigma_eq:
         raise AtEquilibriumError(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"

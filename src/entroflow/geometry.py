@@ -9,15 +9,19 @@ derivative.  From them this module builds the Levi-Civita connection,
 covariant acceleration and the antisymmetric field-strength tensor of the
 unit-speed gradient flow.
 
-Everything operates through the small ``StateManifold`` interface so that
-single families, coupled composite systems and reparametrized charts all
-share one implementation.  A Hessian metric is dually flat, so its
-connection and every derivative of the flow field follow exactly from the
-metric derivative dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is
-totally symmetric: a closed-form family's ``legendre`` gives it with lam,
-S and g at a point, a tabulated family's point gets it on first use from
-the third cumulant of its statistics, and a composite's point from its two
-subsystem points.  A reparametrized chart has none.
+Everything operates through the small ``StateManifold`` interface, ``dim``
+and ``point``, so that single families, coupled composite systems and
+reparametrized charts all share one implementation.  ``point`` is the one
+check of a state and the one path from a mean to it: a family's mean is
+checked once by its ``check_feasible`` and inverted once, by its
+``legendre`` or, for a table, the Newton solve ``duality.solve_lambda``.
+A Hessian metric is dually flat, so its connection and every derivative
+of the flow field follow exactly from the metric derivative
+dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is totally symmetric: a
+closed-form family's ``legendre`` gives it with lam, S and g at a point, a
+tabulated family's point gets it on first use from the third cumulant of
+its statistics, and a composite's point from its two subsystem points.  A
+reparametrized chart has none.
 """
 
 from __future__ import annotations
@@ -162,11 +166,8 @@ class StateManifold(ABC):
     def dim(self) -> int: ...
 
     @abstractmethod
-    def check_feasible(self, A) -> np.ndarray: ...
-
-    @abstractmethod
     def point(self, A) -> ManifoldPoint:
-        """Evaluate state data at A."""
+        """The checked state at A; raises where A has none."""
 
 
 class FamilyManifold(StateManifold):
@@ -179,13 +180,11 @@ class FamilyManifold(StateManifold):
     def dim(self) -> int:
         return self.family.n_dim
 
-    def check_feasible(self, A) -> np.ndarray:
-        return self.family.check_feasible(A)
-
     def point(self, A) -> ManifoldPoint:
-        """The point at a checked mean A: lam, S, g and dg from the family's
-        ``legendre``, or for a table lam, S and the covariance from
-        ``solve_lambda``'s last evaluation, so the table is not read again.
+        """The point at A, once the family's ``check_feasible`` passes it:
+        lam, S, g and dg from the family's ``legendre``, or for a table lam,
+        S and the covariance from the last evaluation of its Newton solve,
+        ``duality.solve_lambda``, so the table is not read again.
         A table's g is the inverse of that covariance, and its g_inv the
         covariance itself, so duality between the two Hessians holds to
         inversion accuracy."""
@@ -193,8 +192,7 @@ class FamilyManifold(StateManifold):
         A = fam.check_feasible(A)
         closed = fam.legendre(A)
         if closed is None:
-            lam, S, cov = duality.solve_lambda(fam, A, states=True)
-            cov = _symmetrize(cov)
+            lam, S, cov = duality.solve_lambda(fam, A)
             pt = ManifoldPoint(A=A, force=lam, S=S, g=_spd_inverse(cov, "covariance"), family=fam)
             pt.__dict__["g_inv"] = cov  # fills the cache of the g_inv property
             return pt
@@ -230,11 +228,6 @@ class ReparametrizedManifold(StateManifold):
     def to_base(self, B) -> np.ndarray:
         """The base coordinates A of chart coordinates B."""
         return as_vector(self.inverse(as_vector(B, self.dim, "B")), self.dim, "A")
-
-    def check_feasible(self, B) -> np.ndarray:
-        B = as_vector(B, self.dim, "B")
-        self.base.check_feasible(self.to_base(B))
-        return B
 
     def point(self, B) -> ManifoldPoint:
         B = as_vector(B, self.dim, "B")
@@ -281,11 +274,10 @@ def christoffel(system, A) -> np.ndarray:
     For the Hessian metric g = -Hess S the symbols reduce to
     Gamma^a_{bc} = (1/2) g^{ad} d_d g_{bc}, with the point's exact metric
     derivative ``dg``.  Symmetry in the lower indices is exact.  ``A`` is a
-    state or a ``ManifoldPoint`` that ``system`` has already evaluated,
-    which is then not evaluated again.
+    state of ``system`` or a ``ManifoldPoint``, which fixes Gamma by itself,
+    so ``system`` is then not read.
     """
-    m = as_manifold(system)
-    pt = A if isinstance(A, ManifoldPoint) else m.point(A)
+    pt = A if isinstance(A, ManifoldPoint) else as_manifold(system).point(A)
     return 0.5 * np.einsum("ad,dbc->abc", pt.g_inv, pt.dg)
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import json
@@ -21,6 +22,7 @@ from entroflow import (
     integrate,
 )
 from entroflow import cli
+from entroflow import family as family_module
 from entroflow.cli import (
     _probe_text,
     build_system,
@@ -32,7 +34,7 @@ from entroflow.cli import (
 )
 from entroflow.coupled import CompositeSystem
 from entroflow.family import BernoulliFamily, GaussianMeanFamily, Ray, TabulatedFamily
-from helpers import nan_pair_rows, tabulated_mean
+from helpers import nan_pair_rows, seeded_table, tabulated_mean
 
 
 def _closed_form(family, A):
@@ -83,6 +85,11 @@ MINIMAL = {
     "A0": [0.25],
     "integrator": {"tau_max": 2.0},
 }
+
+#: A table on (0, 0), (1, 0) and (0, 1): it attains the open triangle, so
+#: (0.9, 0.9), inside both statistics' ranges, has no state.
+HULL_TABLE = {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0],
+              "stats": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 
 
 class TestParseConfig:
@@ -422,11 +429,15 @@ class TestMain:
             ({"A0": [1.5]}, "A0: bernoulli mean must lie in (0, 1)", 2),
             ({"analyses": [{"kind": "geometry_probe", "points": [[0.3, 0.4]]}]},
              "analyses[0].points[0]: A must have shape (1,)", 2),
+            ({"family": HULL_TABLE, "A0": [0.2, 0.3],
+              "analyses": [{"kind": "geometry_probe", "points": [[0.9, 0.9]]}]},
+             "analyses[0].points[0]: covariance collapsed", 2),
             # rejected when parsed, so run exits 1 like validate
             ({"outputs": {"trajectory_csv": "x.out", "summary_json": "./x.out"}},
              "outputs.summary_json and outputs.trajectory_csv name the same file", 1),
         ],
-        ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length", "same-output-path"],
+        ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
+             "probe-point-outside-the-hull", "same-output-path"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, dict(MINIMAL, **change))
@@ -666,29 +677,28 @@ class TestMain:
         assert len(stderr.splitlines()) == 1 and "SingularModelError" in stderr
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_mean_inside_the_ranges_but_outside_the_hull_exits_2(self, tmp_path):
-        # the table on (0, 0), (1, 0) and (0, 1) attains the open triangle;
-        # (0.9, 0.9) lies inside both statistics' ranges, so validate accepts
-        # it, and the cold Newton solve diagnoses it as infeasible
-        doc = {
-            "name": "hull", "mode": "single", "A0": [0.9, 0.9],
-            "family": {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0],
-                       "stats": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-            "integrator": {"tau_max": 2.0},
-        }
+    def test_mean_inside_the_ranges_but_outside_the_hull_is_rejected_by_validate(
+        self, tmp_path
+    ):
+        # (0.9, 0.9) lies inside both statistics' ranges but outside the open
+        # triangle the table attains; the cold Newton solve that makes its
+        # point diagnoses it, in validate as in run, so run names A0 as
+        # validate does and starts nothing
+        doc = {"name": "hull", "mode": "single", "A0": [0.9, 0.9], "family": HULL_TABLE,
+               "integrator": {"tau_max": 2.0}}
         path = write_config(tmp_path, doc)
         env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
         out = tmp_path / "out"
-        runs = [["validate", str(path)], ["run", str(path), "--output-dir", str(out)],
-                ["probe", str(path), "--point", "0.9", "0.9"]]
-        for argv, code in zip(runs, (0, 2, 2)):
+        runs = [(["validate", str(path)], 1, f"{path}: ValidationError: A0: "),
+                (["run", str(path), "--output-dir", str(out)], 2, "[hull] ValidationError: A0: "),
+                (["probe", str(path), "--point", "0.9", "0.9"], 2,
+                 f"{path}: InfeasibleMeanError: ")]
+        for argv, code, start in runs:
             proc = subprocess.run([sys.executable, "-m", "entroflow.cli", *argv],
                                   capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == code, argv
-            assert "Traceback" not in proc.stderr
-            if code:
-                assert len(proc.stderr.splitlines()) == 1, argv
-                assert "InfeasibleMeanError" in proc.stderr and proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(start), argv
+            assert "outside the attainable set" in proc.stderr and proc.stdout == "", argv
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -781,6 +791,76 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(p1), str(p2), "--output-dir", str(out)]) == 0
         assert (out / "j1.csv").exists() and (out / "j2.csv").exists()
+
+
+def count_state_work(monkeypatch):
+    """Count, per family object, the outermost ``check_feasible`` and
+    ``legendre`` calls (not the base-class calls inside them), and count the
+    calls of the table's Newton solve ``duality.solve_lambda``."""
+    counts, depth = collections.Counter(), collections.Counter()
+    for cls in vars(family_module).values():
+        if not (isinstance(cls, type) and issubclass(cls, family_module.ExponentialFamily)):
+            continue
+        for name in ("check_feasible", "legendre"):
+            if name not in vars(cls):
+                continue
+
+            def wrapper(self, A, _name=name, _original=vars(cls)[name]):
+                if not depth[_name]:
+                    counts[id(self), _name] += 1
+                depth[_name] += 1
+                try:
+                    return _original(self, A)
+                finally:
+                    depth[_name] -= 1
+
+            monkeypatch.setattr(cls, name, wrapper)
+    solve = entroflow.duality.solve_lambda
+
+    def counted_solve(*args, **kwargs):
+        counts["solve_lambda"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(entroflow.duality, "solve_lambda", counted_solve)
+    return counts
+
+
+class TestOneCheckPerState:
+    """Each state is made once, by its point: one check and one Legendre
+    map per family, and for a table one Newton solve."""
+
+    def table_config(self, tmp_path):
+        fam, A = seeded_table(7, 50, n_dim=3, norm=0.6)
+        probe = tabulated_mean(fam.weights, fam.stats, [0.1, -0.2, 0.3])
+        table = {"points": [f"x{i}" for i in range(50)],
+                 "weights": fam.weights.tolist(), "stats": fam.stats.tolist()}
+        doc = {"name": "t", "mode": "single", "family": table, "A0": A.tolist(),
+               "integrator": {"tau_max": 1.0},
+               "analyses": [{"kind": "geometry_probe", "points": [probe.tolist()]}]}
+        return write_config(tmp_path, doc), A
+
+    @pytest.mark.parametrize("command", ["run", "validate", "probe"])
+    def test_a_table(self, tmp_path, monkeypatch, capsys, command):
+        path, A = self.table_config(tmp_path)
+        counts = count_state_work(monkeypatch)
+        argv = {"run": ["run", str(path), "--output-dir", str(tmp_path / "out")],
+                "validate": ["validate", str(path)],
+                "probe": ["probe", str(path), "--point",
+                          *(np.format_float_positional(x, unique=True, trim="0") for x in A)]}
+        assert main(argv[command]) == 0
+        states = 1 if command == "probe" else 2  # A0 and the geometry_probe point
+        assert counts.pop("solve_lambda") == states
+        assert sorted(counts.values()) == [states, states]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name, families", [("bernoulli-relax", 1),
+                                                ("bernoulli-coupled", 2)])
+    def test_a_shipped_scenario(self, tmp_path, monkeypatch, capsys, command, name, families):
+        counts = count_state_work(monkeypatch)
+        argv = [command, str(catalog_path(name))]
+        assert main(argv + (["--output-dir", str(tmp_path)] if command == "run" else [])) == 0
+        assert counts.pop("solve_lambda", 0) == 0
+        assert sorted(counts.values()) == [1] * (2 * families)
 
 
 class TestCatalog:

@@ -22,7 +22,7 @@ from entroflow import (
     InfeasibleMeanError,
     SingularModelError,
     christoffel,
-    solve_lambda,
+    as_manifold,
 )
 from helpers import (
     MetricStub, count_calls, fd_gradient, fd_hessian, fd_metric_oracle, log_partition_oracle,
@@ -51,7 +51,7 @@ class TestGaussianClosedForms:
     def test_against_log_partition_differences(self, gaussian2, rng):
         for _ in range(10):
             A = rng.uniform(-2.0, 2.0, 2)
-            lam = solve_lambda(gaussian2, A)
+            lam = as_manifold(gaussian2).point(A).force
             # A = -grad log Z(lam) and g = (Hess log Z(lam))^-1
             log_z = lambda l: log_partition_oracle(gaussian2, l)  # noqa: E731
             mean = -fd_gradient(log_z, lam)
@@ -131,7 +131,7 @@ class TestInfeasibleInputs:
         with pytest.raises(InfeasibleMeanError):
             FamilyManifold(family).point(A)
         with pytest.raises(InfeasibleMeanError):
-            solve_lambda(family, A)
+            as_manifold(family).point(A).force
         with pytest.raises(InfeasibleMeanError):
             FamilyManifold(family).point(A).S
 

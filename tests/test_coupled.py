@@ -15,7 +15,6 @@ from entroflow import (
     as_manifold,
     entropy_production_check,
     integrate,
-    solve_lambda,
     unit_velocity,
 )
 from helpers import composite_arclength, fd_metric_oracle, rk4_rows, tabulated_mean
@@ -104,16 +103,16 @@ class TestCoupledVelocity:
     def test_force_difference_drives_motion(self, bernoulli_pair):
         v = unit_velocity(bernoulli_pair.point([0.25]))[0]
         assert v > 0.0  # toward the shared maximum at 0.5
-        lam1 = solve_lambda(BernoulliFamily(), [0.25])[0]
-        lam2 = solve_lambda(BernoulliFamily(), [0.75])[0]
+        lam1 = as_manifold(BernoulliFamily()).point([0.25]).force[0]
+        lam2 = as_manifold(BernoulliFamily()).point([0.75]).force[0]
         assert lam1 - lam2 == pytest.approx(2.0 * math.log(3.0), abs=1e-10)
 
     def test_heat_flows_to_the_colder_vessel(self, gas_e_only_pair):
         # lam_E = 3N/(2E): vessel 1 at E=1 is colder (larger 1/T) and gains energy
         v = unit_velocity(gas_e_only_pair.point([1.0]))[0]
         assert v > 0.0
-        lam1 = solve_lambda(gas_e_only_pair.sys1, [1.0])[0]
-        lam2 = solve_lambda(gas_e_only_pair.sys2, [3.0])[0]
+        lam1 = as_manifold(gas_e_only_pair.sys1).point([1.0]).force[0]
+        lam2 = as_manifold(gas_e_only_pair.sys2).point([3.0]).force[0]
         assert lam1 == pytest.approx(1.5, abs=1e-14)
         assert lam2 == pytest.approx(0.5, abs=1e-14)
 

@@ -13,7 +13,6 @@ from entroflow import (
     FamilyManifold,
     SingularModelError,
     TabulatedFamily,
-    solve_lambda,
     as_manifold,
 )
 from entroflow import duality
@@ -35,40 +34,40 @@ def bernoulli_entropy(A):
 
 class TestSolveLambda:
     def test_symmetric_point(self, bernoulli):
-        assert abs(solve_lambda(bernoulli, [0.5])[0]) <= 1e-12
+        assert abs(as_manifold(bernoulli).point([0.5]).force[0]) <= 1e-12
 
     def test_analytic_inversion(self, bernoulli):
-        got = solve_lambda(bernoulli, [0.25])[0]
+        got = as_manifold(bernoulli).point([0.25]).force[0]
         assert got == pytest.approx(bernoulli_lambda(0.25), abs=1e-12)
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_gaussian_inversion(self, gaussian):
-        assert solve_lambda(gaussian, [-2.0])[0] == pytest.approx(2.0, abs=1e-12)
+        assert as_manifold(gaussian).point([-2.0]).force[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible_bernoulli(self, bernoulli):
         for bad in ([0.0], [1.0], [1.5], [-0.2]):
             with pytest.raises(InfeasibleMeanError):
-                solve_lambda(bernoulli, bad)
+                as_manifold(bernoulli).point(bad).force
 
     def test_infeasible_ideal_gas(self, ideal_gas):
         with pytest.raises(InfeasibleMeanError):
-            solve_lambda(ideal_gas, [-1.0, 2.0])
+            as_manifold(ideal_gas).point([-1.0, 2.0]).force
         with pytest.raises(InfeasibleMeanError):
-            solve_lambda(ideal_gas, [1.0, 0.0])
+            as_manifold(ideal_gas).point([1.0, 0.0]).force
 
     def test_out_of_hull_tabulated_diverges(self, rng):
         fam = random_tabulated(rng, n_dim=2, n_points=6)
         target = fam.stats.max(axis=1) + 1.0
         with pytest.raises(InfeasibleMeanError):
-            solve_lambda(fam, target)
+            as_manifold(fam).point(target).force
 
     def test_degenerate_family_reports_singular(self):
         fam = TabulatedFamily([1.0, 1.0], [[1.0, 1.0]])
         with pytest.raises(SingularModelError):
-            solve_lambda(fam, [1.5])
+            as_manifold(fam).point([1.5]).force
 
     def test_ideal_gas_bypasses_solver(self, ideal_gas):
-        lam = solve_lambda(ideal_gas, [3.0, 2.0])
+        lam = as_manifold(ideal_gas).point([3.0, 2.0]).force
         assert lam[0] == pytest.approx(1.5 * 2.0 / 3.0, abs=1e-14)
         assert lam[1] == pytest.approx(
             math.log(2.0 / 2.0) + 1.5 * math.log(3.0 / 2.0), abs=1e-14
@@ -81,11 +80,11 @@ class TestSolveLambda:
         for fam in families:
             for _ in range(100):
                 A = random_feasible_mean(rng, fam)
-                back = states_oracle(fam, solve_lambda(fam, A))[0][0]
+                back = states_oracle(fam, as_manifold(fam).point(A).force)[0][0]
                 assert np.max(np.abs(back - A)) <= 1e-9
         for _ in range(100):
             A = np.array([rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0)])
-            back = states_oracle(ideal_gas, solve_lambda(ideal_gas, A))[0][0]
+            back = states_oracle(ideal_gas, as_manifold(ideal_gas).point(A).force)[0][0]
             assert np.max(np.abs(back - A)) <= 1e-9 * np.max(np.abs(A))
 
 
@@ -112,7 +111,7 @@ class TestEntropy:
             (ideal_gas, np.array([rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0)])),
         ]
         for fam, A in cases:
-            lam = solve_lambda(fam, A)
+            lam = as_manifold(fam).point(A).force
             s = as_manifold(fam).point(A).S
             # duality gap: S(A) - log Z(lam) - lam . A = 0
             assert abs(s - log_partition_oracle(fam, lam) - lam @ A) <= 1e-10
@@ -144,14 +143,14 @@ class TestEntropy:
 
 class TestEntropyGradient:
     def test_maximum(self, bernoulli):
-        assert abs(solve_lambda(bernoulli, [0.5])[0]) <= 1e-12
+        assert abs(as_manifold(bernoulli).point([0.5]).force[0]) <= 1e-12
 
     def test_analytic(self, bernoulli):
-        got = solve_lambda(bernoulli, [0.25])[0]
+        got = as_manifold(bernoulli).point([0.25]).force[0]
         assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_ideal_gas_inverse_temperature(self, ideal_gas):
-        grad = solve_lambda(ideal_gas, [3.0, 2.0])
+        grad = as_manifold(ideal_gas).point([3.0, 2.0]).force
         assert grad[0] == pytest.approx(1.5 * 2.0 / 3.0, abs=1e-14)
 
     def test_matches_fd_of_entropy(self, bernoulli, two_point, ideal_gas, rng):
@@ -162,7 +161,7 @@ class TestEntropyGradient:
             (two_point, np.array([0.8])),
             (ideal_gas, np.array([2.5, 1.5])),
         ]:
-            grad = solve_lambda(fam, A)
+            grad = as_manifold(fam).point(A).force
             fd = fd_gradient(lambda x: as_manifold(fam).point(x).S, A)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
@@ -170,7 +169,7 @@ class TestEntropyGradient:
         fam = random_tabulated(rng, n_dim=2, n_points=7)
         for _ in range(5):
             A = random_feasible_mean(rng, fam)
-            grad = solve_lambda(fam, A)
+            grad = as_manifold(fam).point(A).force
             fd = fd_gradient(lambda x: as_manifold(fam).point(x).S, A)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
@@ -233,7 +232,7 @@ class TestOneForwardPassPerTrial:
     def test_a_cold_solve_reads_one_row_per_trial(self, monkeypatch, shape):
         fam, A = probe_table(*shape)
         work = watch_forward_work(monkeypatch)
-        lam = solve_lambda(fam, A)
+        lam, _, _ = duality.solve_lambda(fam, fam.check_feasible(A))
         rows = work["rows"]
         # the start, every Newton step and halving, and the polish: each is
         # one row of one call, and no row is read twice
@@ -247,7 +246,7 @@ class TestOneForwardPassPerTrial:
     def test_the_point_reads_only_its_solve(self, monkeypatch, shape):
         fam, A = probe_table(*shape)
         work = watch_forward_work(monkeypatch)
-        solve_lambda(fam, A)
+        duality.solve_lambda(fam, fam.check_feasible(A))
         trials = work["trials"]
         work.update(rows=[], trials=0)
         pt = FamilyManifold(fam).point(A)
@@ -263,7 +262,7 @@ class TestOneForwardPassPerTrial:
     def test_a_probe_makes_one_cumulants_pass(self, monkeypatch, tmp_path, capsys, shape):
         fam, A = probe_table(*shape)
         work = watch_forward_work(monkeypatch)
-        solve_lambda(fam, A)
+        duality.solve_lambda(fam, fam.check_feasible(A))
         trials = work["trials"]
         work.update(rows=[], trials=0)
         path = tmp_path / "table.json"

@@ -19,7 +19,7 @@ from entroflow import (
     FamilyManifold,
     TabulatedFamily,
     ValidationError,
-    solve_lambda,
+    as_manifold,
     tabulated_from_json,
 )
 from entroflow import family as family_module
@@ -474,7 +474,7 @@ class TestIdealGas:
         gas = IdealGasFamily(volume=1.0, fixed_n=1.0)
         assert gas.n_dim == 1
         assert gas.labels == ("E",)
-        lam = solve_lambda(gas, [2.0])  # lam_E = 1.5 N / E
+        lam = as_manifold(gas).point([2.0]).force  # lam_E = 1.5 N / E
         assert lam[0] == pytest.approx(1.5 / 2.0, abs=1e-14)
         grad = fd_gradient(lambda l: -log_partition_oracle(gas, l), lam)
         assert grad[0] == pytest.approx(2.0, rel=1e-7)
@@ -552,7 +552,7 @@ class TestConstruction:
         with pytest.raises(InfeasibleMeanError, match="outside the open range"):
             fam.check_feasible(A)
         with pytest.raises(InfeasibleMeanError):
-            solve_lambda(fam, A)
+            as_manifold(fam).point(A).force
         assert fam.check_feasible([2.999])[0] == 2.999
 
     def test_gaussian_dim_validation(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -404,6 +405,28 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("system", ["bernoulli", "tabulated_3x50", "bernoulli_pair"])
+    def test_a_point_of_the_system_starts_the_same_run(self, request, monkeypatch, system):
+        # a ManifoldPoint that the system made is the start itself: the run
+        # is the one from its mean, and no point is made again
+        system = request.getfixturevalue(system)
+        if isinstance(system, tuple):
+            system, A0 = system[:2]
+        else:
+            A0 = [0.25]
+        want = integrate(system, A0, tau_max=2.0)
+        pt = as_manifold(system).point(A0)
+        made = []
+        for cls in (FamilyManifold, CompositeSystem):
+            point = cls.point
+            monkeypatch.setattr(cls, "point",
+                                lambda self, A, _point=point: made.append(A) or _point(self, A))
+        got = integrate(system, pt, tau_max=2.0)
+        assert made == []
+        for field in dataclasses.fields(want):
+            a, b = getattr(want, field.name), getattr(got, field.name)
+            assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b, field.name
+
     def test_fixed_n_gas_rows_are_the_closed_form_grid(self):
         # the gas's entropy has no maximum and, with N fixed, sigma is
         # sqrt(1.5 N) all along the ray, so E = E0 exp(tau / sqrt(1.5 N));
@@ -495,9 +518,6 @@ class TestIntegrate:
 
             inner = FamilyManifold(BernoulliFamily())
             dim = 1
-
-            def check_feasible(self, A):
-                return self.inner.check_feasible(A)
 
             def point(self, A):
                 return self.inner.point(A)

@@ -15,7 +15,6 @@ from entroflow import (
     christoffel,
     covariant_acceleration,
     field_strength,
-    solve_lambda,
     unit_velocity,
 )
 from helpers import (
@@ -85,7 +84,7 @@ class TestMetric:
             (ideal_gas, np.array([2.0, 1.5])),
         ]:
             g = as_manifold(fam).point(A).g
-            cov = states_oracle(fam, solve_lambda(fam, A))[2][0]
+            cov = states_oracle(fam, as_manifold(fam).point(A).force)[2][0]
             assert np.max(np.abs(g @ cov - np.eye(fam.n_dim))) <= 1e-9
 
     def test_matches_fd_oracle_bernoulli_example(self, bernoulli):
@@ -150,7 +149,7 @@ class TestSigma:
         for _ in range(20):
             A = np.array([rng.uniform(0.05, 0.95)])
             s = as_manifold(bernoulli).point(A).sigma
-            grad = solve_lambda(bernoulli, A)
+            grad = as_manifold(bernoulli).point(A).force
             assert (s <= 1e-12) == (np.max(np.abs(grad)) <= 1e-12)
 
 
@@ -181,6 +180,13 @@ class TestChristoffel:
         assert counts["cumulants"] == 2
         assert got == pytest.approx((2 * a - 1.0) / (2 * a * (1.0 - a)), rel=1e-14, abs=0.0)
         assert pt.g[0, 0] == pytest.approx(2.0 / (a * (1.0 - a)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("system", ["bernoulli", "two_point", "ideal_gas", "bernoulli_pair"])
+    def test_a_point_alone_fixes_gamma(self, request, system):
+        system = request.getfixturevalue(system)
+        A = [3.0, 2.0] if isinstance(system, IdealGasFamily) else [0.3]
+        want = christoffel(system, A)
+        assert christoffel(None, as_manifold(system).point(A)).tobytes() == want.tobytes()
 
     def test_gaussian_flat(self, gaussian2, rng):
         gam = christoffel(gaussian2, rng.normal(size=2))
