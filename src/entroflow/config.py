@@ -288,7 +288,7 @@ def _parse_analyses(raw, text, violations):
     if not isinstance(raw, list):
         violations.append("analyses must be a list")
         return ()
-    specs = []
+    specs, first = [], {}
     for i, item in enumerate(raw):
         path = f"analyses[{i}]"
         if not isinstance(item, dict):
@@ -301,6 +301,11 @@ def _parse_analyses(raw, text, violations):
                 f"{path}.kind must be onsager, entropy_production_check or geometry_probe"
             )
             continue
+        # a run keys each analysis's output by its kind
+        if kind in first:
+            violations.append(f"{path}.kind {kind} repeats analyses[{first[kind]}].kind")
+            continue
+        first[kind] = i
         clock_rate = item.get("clock_rate", 1.0)
         window = item.get("window", 5)
         center = item.get("center")

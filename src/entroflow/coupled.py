@@ -84,13 +84,30 @@ class CompositeSystem(StateManifold):
         """The point at A, which keeps its subsystem points at A and at
         A_T - A as ``p1`` and ``p2``, each checked by its own family.  Both
         metrics are checked symmetric positive definite, so their sum is
-        too, exactly symmetric, and only its finiteness is checked."""
+        too, exactly symmetric, and only its finiteness is checked.
+
+        A_T - A rounds, and near a boundary its rounding error e is large
+        next to the small share, so the force would carry it into the whole
+        ray.  e is taken exactly by a two-sum, and corrects subsystem 2's
+        force to first order through the metric its point holds:
+        lam'(A_T - A) = lam'(p2.A + e) ~ p2.force - p2.g e."""
         A = as_vector(A, self.dim, "A")
+        A2 = self.A_total - A
         p1 = self._m1.point(A)
-        p2 = self._m2.point(self.A_total - A)
+        p2 = self._m2.point(A2)
         g = p1.g + p2.g
         _check_finite(g, "metric")
-        return ManifoldPoint(A=A, force=p1.force - p2.force, S=p1.S + p2.S, g=g, p1=p1, p2=p2)
+        force2, e = p2.force, _two_sum_error(self.A_total, -A, A2)
+        if np.any(e):
+            force2 = force2 - p2.g @ e
+        return ManifoldPoint(A=A, force=p1.force - force2, S=p1.S + p2.S, g=g, p1=p1, p2=p2)
+
+
+def _two_sum_error(a, b, s):
+    """(a + b) - s exactly, for s = fl(a + b) (Knuth's two-sum)."""
+    a_s = s - b
+    b_s = s - a_s
+    return (a - a_s) + (b - b_s)
 
 
 class PairRay:

@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import chebyshev
+from . import _g17, chebyshev
 from .errors import (
     AtEquilibriumError, DomainError, MonotonicityError, SingularModelError, StepCollapseError,
     TooFewSamplesError,
@@ -514,6 +514,13 @@ def clock_invert(traj: Trajectory, alpha: int, value: float) -> float:
 def write_trajectory_csv(traj: Trajectory, dest) -> None:
     """Write one row per recorded sample at 17 significant digits.
 
+    Every cell is exactly the bytes of ``"%.17g" % x``.  The private
+    ``_g17`` kernel forms them in numpy, 4096 cells per call: each cell's
+    17 digits come from a double-double product against a table of powers
+    of ten, and are laid out by Python's 'g' rule; the few cells it cannot
+    round exactly (non-finite, subnormal, |x| beyond 1e+-250, or within
+    1e-6 of a decimal rounding tie) are written by ``"%.17g"`` itself.
+
     Single systems use the column layout
     ``tau,A_1..A_n,lambda_1..lambda_n,S,sigma,speed``; coupled systems use
     ``tau,A_1..A_n,Aprime_1..Aprime_n,lambda_1..lambda_n,
@@ -533,10 +540,7 @@ def write_trajectory_csv(traj: Trajectory, dest) -> None:
     header = []
     for name, col in columns:
         header += [f"{name}_{i}" for i in range(1, col.shape[1] + 1)] if col.ndim == 2 else [name]
-    # one %-template for the whole table: "%.17g" % x is format(x, ".17g")
-    table = np.column_stack([col for _, col in columns])
-    rows = "\n".join([",".join(["%.17g"] * len(header))] * len(table))
-    text = ",".join(header) + "\n" + rows % tuple(table.ravel().tolist()) + "\n"
+    text = ",".join(header) + "\n" + _g17.format_rows(np.column_stack([col for _, col in columns]))
     if hasattr(dest, "write"):
         dest.write(text)
     else:

@@ -435,9 +435,18 @@ class TestMain:
             # rejected when parsed, so run exits 1 like validate
             ({"outputs": {"trajectory_csv": "x.out", "summary_json": "./x.out"}},
              "outputs.summary_json and outputs.trajectory_csv name the same file", 1),
+            # outputs are keyed by kind, so a second analysis of a kind would
+            # silently replace the first
+            ({"analyses": [{"kind": "geometry_probe", "points": [[0.3]]},
+                           {"kind": "geometry_probe", "points": [[0.4]]}]},
+             "analyses[1].kind geometry_probe repeats analyses[0].kind", 1),
+            ({"analyses": [{"kind": "onsager"}, {"kind": "entropy_production_check"},
+                           {"kind": "onsager", "window": 7}]},
+             "analyses[2].kind onsager repeats analyses[0].kind", 1),
         ],
         ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
-             "probe-point-outside-the-hull", "same-output-path"],
+             "probe-point-outside-the-hull", "same-output-path", "repeated-probe",
+             "repeated-onsager"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, dict(MINIMAL, **change))

@@ -131,6 +131,15 @@ class TestIntegrateCoupled:
         # identical subsystems reduce to a rescaled two-point relaxation
         assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
 
+    @pytest.mark.parametrize("A0", [1e-6, 1e-9, 1e-12])
+    def test_bernoulli_pair_from_near_a_boundary_ends_at_its_exact_tau(self, bernoulli_pair, A0):
+        # 1 - A0 rounds by up to 1e-4 of A0 at A0 = 1e-12; uncompensated,
+        # that error in subsystem 2's force put the end 1.6e-11 off
+        traj = integrate(bernoulli_pair, [A0], tau_max=4.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        exact = 2.0 * math.sqrt(2.0) * (math.pi / 4.0 - math.asin(math.sqrt(A0)))
+        assert abs(traj.tau[-1] - exact) <= 1e-13
+
     def test_gas_en_midpoint_and_forces(self, coupled_gas_traj):
         t = coupled_gas_traj
         assert t.terminal_status == "equilibrium-reached"

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import io
 import math
 import tracemalloc
@@ -45,6 +46,35 @@ from helpers import (
     tabulated_mean,
     tabulated_ray_tau,
     tabulated_states,
+)
+
+
+def tie_17g(k, share):
+    """m 2^-k for the odd m at ``share`` of those that make 18 significant
+    digits: the last digit is 5, so the 17-digit rounding is an exact tie."""
+    lo, hi = -(-10**17 // 5**k), (10**18 - 1) // 5**k
+    m = lo + int(share * (hi - lo))
+    return (m | 1 if m | 1 <= hi else m - 1) * 2.0**-k
+
+
+def near_power_of_ten(k, step):
+    p = 10.0**k
+    return float([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)][step])
+
+
+#: Cells that reach every branch of the CSV kernel: decimal exponents -5,
+#: -4, 16 and 17 on both sides of fixed notation, exponents of 3 digits,
+#: powers of ten and their neighbours, integers up to 1e17, signed zeros,
+#: exact ties, and the cells it leaves to "%.17g" (non-finite, subnormal,
+#: beyond 1e+-250).
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300]),
+    st.builds(lambda m, X: m * 10.0**X, st.floats(-9.999, 9.999),
+              st.sampled_from([-5, -4, -1, 0, 15, 16, 17, -100, 100, -249, 249, -300, 300])),
+    st.builds(near_power_of_ten, st.integers(-310, 308), st.integers(0, 2)),
+    st.integers(-10**17, 10**17).map(float),
+    st.builds(tie_17g, st.integers(5, 25), st.floats(0.0, 1.0)),
 )
 
 
@@ -871,7 +901,7 @@ class TestCsvExport:
         assert float(mid[3]) == bernoulli_traj.S[k]
 
     def test_cells_are_format_17g_at_the_edges(self):
-        # one %-template per row writes what format(x, ".17g") writes
+        # the kernel leaves these to "%.17g", which is format(x, ".17g")
         values = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
         traj = synthetic_trajectory(values, values, values, values, values)
         buf = io.StringIO()
@@ -892,16 +922,8 @@ class TestCsvExport:
         assert float(cells[1]) == 1.0
         assert float(cells[3]) == 3.0
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data(), rows=st.integers(1, 5))
-    def test_one_template_writes_what_format_17g_writes(self, data, rows):
-        # the whole table goes through one %-template; every cell is the
-        # per-value format(x, ".17g"), -0.0, subnormals and 1e+-300 included
-        values = st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True),
-            st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300]),
-        )
-        columns = [data.draw(st.lists(values, min_size=rows, max_size=rows)) for _ in range(5)]
+    @staticmethod
+    def assert_cells_are_format_17g(columns):
         traj = synthetic_trajectory(*columns)
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
@@ -909,3 +931,32 @@ class TestCsvExport:
             ",".join(format(float(x), ".17g") for x in row) for row in zip(*columns, traj.speed)
         ]
         assert buf.getvalue() == "\n".join(want) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=st.integers(1, 5))
+    def test_kernel_writes_what_format_17g_writes(self, data, rows):
+        # every cell is the per-value format(x, ".17g"); the draws reach each
+        # branch of the kernel's layout and each cell it leaves to "%.17g"
+        columns = [data.draw(st.lists(CELLS, min_size=rows, max_size=rows)) for _ in range(5)]
+        self.assert_cells_are_format_17g(columns)
+
+    def test_rounding_edges_are_format_17g(self):
+        # exact ties: 18 significant digits, the last a 5, which "%.17g"
+        # rounds half to even
+        ties = [tie_17g(k, m) for k in range(5, 26) for m in (0.0, 0.5, 1.0)]
+        digits = [decimal.Decimal(x).as_tuple().digits for x in ties]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        # doubles less than 5e-18 below a power of ten: their 17 digits
+        # round up to it, and the exponent carries
+        carries = [1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129, 1e220]
+        assert all(decimal.Decimal(x) < decimal.Decimal(10) ** round(math.log10(x)) for x in carries)
+        cells = ties + carries
+        self.assert_cells_are_format_17g([cells, cells[::-1], [-x for x in cells], cells, cells])
+
+    def test_a_seeded_table_over_ten_to_the_300_is_format_17g(self):
+        # 200,000 cells, well over one kernel call of _g17.CHUNK cells
+        rng = np.random.default_rng(24)
+        n = 40_000
+        columns = [rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.uniform(-300, 300, n)
+                   for _ in range(5)]
+        self.assert_cells_are_format_17g(columns)
