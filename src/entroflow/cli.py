@@ -29,7 +29,7 @@ from .config import ScenarioConfig, build_system, parse_config
 from .errors import EntroflowError, ValidationError
 from .flow import integrate, entropy_production_check, write_trajectory_csv
 from .geometry import christoffel, as_manifold
-from .onsager import empirical_report, write_onsager_json
+from .onsager import DEFAULT_WINDOW, check_window, empirical_report, write_onsager_json
 
 __all__ = [
     "ScenarioConfig",
@@ -49,8 +49,9 @@ def _check_config(cfg: ScenarioConfig):
     """Build the system and make the points of ``A0`` and of every
     ``geometry_probe`` point, without integrating; a value that has no point
     (of the wrong length, infeasible, or a table mean outside the hull of
-    its statistics) raises ValidationError naming it.  Returns the system,
-    the start point and, per analysis, the list of its probe points."""
+    its statistics), or an Onsager window too short for the system's
+    dimension, raises ValidationError naming it.  Returns the system, the
+    start point and the probe points."""
     system = build_system(cfg)
     manifold = as_manifold(system)
 
@@ -61,11 +62,15 @@ def _check_config(cfg: ScenarioConfig):
             raise ValidationError(f"{path}: {exc}") from exc
 
     start = point("A0", cfg.A0)
-    probes = [
-        [point(f"analyses[{i}].points[{j}]", value) for j, value in enumerate(spec.points)]
-        if spec.kind == "geometry_probe" else []
-        for i, spec in enumerate(cfg.analyses)
-    ]
+    probes = []
+    for i, kind, given in cfg.analyses:
+        if kind == "onsager":
+            try:
+                check_window(given.get("window", DEFAULT_WINDOW), manifold.dim)
+            except ValueError as exc:
+                raise ValidationError(f"analyses[{i}].window: {exc}") from exc
+        probes += [point(f"analyses[{i}].points[{j}]", value)
+                   for j, value in enumerate(given.get("points", ()))]
     return system, start, probes
 
 
@@ -123,26 +128,20 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
         # failing analysis leaves no partial artifact set behind.
         analyses_out: dict = {}
         onsager = None
-        for spec, points in zip(cfg.analyses, probes):
-            if spec.kind == "onsager":
-                onsager = empirical_report(
-                    system,
-                    traj,
-                    spec.clock_rate,
-                    center=spec.center,
-                    window=spec.window,
-                )
-            elif spec.kind == "entropy_production_check":
+        for _, kind, given in cfg.analyses:
+            if kind == "onsager":
+                onsager = empirical_report(system, traj, **given)
+            elif kind == "entropy_production_check":
                 check = entropy_production_check(traj)
                 analyses_out["entropy_production_check"] = {
                     "max_residual": check.max_residual,
                     "argmax_tau": check.argmax_tau,
                 }
-            elif spec.kind == "geometry_probe":
+            elif kind == "geometry_probe":
                 analyses_out["geometry_probe"] = [
                     {key: np.asarray(value).tolist()
                      for key, value in _probe_dict(pt).items()}
-                    for pt in points
+                    for pt in probes
                 ]
 
         summary = {
@@ -235,12 +234,14 @@ def _probe_text(info: dict) -> str:
 
 
 def _cmd_probe(args) -> int:
+    status = 1  # a config error, as for validate and run
     try:
         cfg = parse_config(args.config)
+        status = 2  # a system that cannot be built, or a point with no state
         info = _probe_dict(as_manifold(build_system(cfg)).point(args.point))
     except (EntroflowError, ValueError) as exc:
         print(f"{args.config}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return status
     print(_probe_text(info))
     return 0
 

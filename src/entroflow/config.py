@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +26,6 @@ from .family import (BernoulliFamily, GaussianMeanFamily, IdealGasFamily,
                      TabulatedFamily)
 
 __all__ = ["ScenarioConfig", "parse_config", "build_system", "tabulated_from_json"]
-
-
-@dataclass(frozen=True)
-class AnalysisSpec:
-    kind: str  # onsager | entropy_production_check | geometry_probe
-    clock_rate: float = 1.0
-    window: int = 5
-    center: int | None = None
-    points: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -55,7 +46,8 @@ class ScenarioConfig:
     tau_max: float
     sigma_eq: float
     outputs: OutputPaths
-    analyses: tuple[AnalysisSpec, ...] = field(default_factory=tuple)
+    #: (index, kind, the keys the document gives, checked), one per analysis
+    analyses: tuple = ()
 
 
 _TOP_KEYS = {
@@ -68,7 +60,13 @@ _FAMILY_KEYS = {
     "closed_form", "dim", "volume", "fixed_n",
     "tabulated", "points", "weights", "stats",
 }
-_ANALYSIS_KEYS = {"kind", "clock_rate", "window", "center", "points"}
+#: The keys each analysis kind reads besides ``kind``; a key left out takes
+#: the default of the function that runs the analysis.
+_ANALYSIS_KEYS = {
+    "onsager": {"clock_rate", "window", "center"},
+    "entropy_production_check": set(),
+    "geometry_probe": {"points"},
+}
 _TABULATED_KEYS = {"points", "weights", "stats"}
 #: Largest tau_max / h a scenario may ask for: a run records at most that
 #: many grid rows, and near an entropy maximum the landing rows.
@@ -288,15 +286,18 @@ def _parse_analyses(raw, text, violations):
     if not isinstance(raw, list):
         violations.append("analyses must be a list")
         return ()
-    specs, first = [], {}
+    analyses, first = [], {}
     for i, item in enumerate(raw):
         path = f"analyses[{i}]"
         if not isinstance(item, dict):
             violations.append(f"{path} must be an object")
             continue
-        _reject_unknown(item, _ANALYSIS_KEYS, path, text)
         kind = item.get("kind")
-        if kind not in ("onsager", "entropy_production_check", "geometry_probe"):
+        keys = _ANALYSIS_KEYS.get(kind) if isinstance(kind, str) else None
+        # the keys of an unknown kind are judged against every kind's
+        allowed = set().union(*_ANALYSIS_KEYS.values()) if keys is None else keys
+        _reject_unknown(item, allowed | {"kind"}, path, text)
+        if keys is None:
             violations.append(
                 f"{path}.kind must be onsager, entropy_production_check or geometry_probe"
             )
@@ -306,31 +307,21 @@ def _parse_analyses(raw, text, violations):
             violations.append(f"{path}.kind {kind} repeats analyses[{first[kind]}].kind")
             continue
         first[kind] = i
-        clock_rate = item.get("clock_rate", 1.0)
-        window = item.get("window", 5)
-        center = item.get("center")
-        points = item.get("points", [])
-        if not _positive(clock_rate):
+        given = {key: value for key, value in item.items() if key != "kind"}
+        if "clock_rate" in given and not _positive(given["clock_rate"]):
             violations.append(f"{path}.clock_rate must be a finite number > 0")
-            continue
-        if not _integer(window, 3):
+        elif "window" in given and not _integer(given["window"], 3):
             violations.append(f"{path}.window must be an integer >= 3")
-            continue
-        if center is not None and not _integer(center, -math.inf):
+        elif given.get("center") is not None and not _integer(given["center"], -math.inf):
             violations.append(f"{path}.center must be an integer sample index")
-            continue
-        if not isinstance(points, list):
+        elif "points" in given and not isinstance(given["points"], list):
             violations.append(f"{path}.points must be a list of points")
-            continue
-        pts = []
-        for j, p in enumerate(points):
-            arr = _number_list(p, f"{path}.points[{j}]", violations)
-            if arr is None:
-                break
-            pts.append(tuple(arr))
-        else:
-            specs.append(AnalysisSpec(kind, float(clock_rate), window, center, tuple(pts)))
-    return tuple(specs)
+        elif all(_number_list(p, f"{path}.points[{j}]", violations) is not None
+                 for j, p in enumerate(given.get("points", ()))):
+            if "clock_rate" in given:
+                given["clock_rate"] = float(given["clock_rate"])
+            analyses.append((i, kind, given))
+    return tuple(analyses)
 
 
 def parse_config(path) -> ScenarioConfig:

@@ -120,6 +120,11 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.tau)
 
+    @property
+    def force(self) -> np.ndarray:
+        """The force driving each row: lam, or lam - lam' for a coupled system."""
+        return self.lam if self.lam_prime is None else self.lam - self.lam_prime
+
 
 def _speed(pt: ManifoldPoint) -> float:
     v = pt.g_inv @ pt.force / pt.sigma
@@ -341,8 +346,7 @@ def _mapped(chart: ReparametrizedManifold, traj: Trajectory) -> Trajectory:
     columns."""
     B = np.array([as_vector(chart.forward(a), chart.dim, "B") for a in traj.A])
     jac = np.array([np.atleast_2d(np.asarray(chart.jacobian(a), dtype=float)) for a in traj.A])
-    force = traj.lam if traj.lam_prime is None else traj.lam - traj.lam_prime
-    lam = np.linalg.solve(jac.transpose(0, 2, 1), force[:, :, None])[:, :, 0]
+    lam = np.linalg.solve(jac.transpose(0, 2, 1), traj.force[:, :, None])[:, :, 0]
     return replace(traj, A=B, lam=lam, A_prime=None, lam_prime=None, conservation_residual=None)
 
 

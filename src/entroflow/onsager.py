@@ -27,11 +27,11 @@ from .geometry import SIGMA_MIN, as_manifold
 
 __all__ = [
     "OnsagerReport",
+    "check_window",
     "onsager_matrix",
     "empirical_onsager",
     "empirical_onsager_pooled",
     "empirical_report",
-    "report_as_dict",
     "write_onsager_json",
 ]
 
@@ -79,14 +79,15 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
     )
 
 
-def _forces(traj: Trajectory) -> np.ndarray:
-    return traj.lam if traj.lam_prime is None else traj.lam - traj.lam_prime
+def check_window(window: int, n_dim: int) -> None:
+    """Raise ValueError unless a window of ``window`` samples can fit the
+    n_dim x n_dim matrix L."""
+    if window < n_dim + 2:
+        raise ValueError(f"window must span at least n_dim + 2 = {n_dim + 2} samples")
 
 
 def _window_bounds(traj: Trajectory, center: int | None, window: int) -> tuple[int, int]:
-    n_dim = traj.A.shape[1]
-    if window < n_dim + 2:
-        raise ValueError(f"window must span at least n_dim + 2 = {n_dim + 2} samples")
+    check_window(window, traj.A.shape[1])
     if center is None:
         center = len(traj) // 2
     first = center - window // 2
@@ -103,7 +104,7 @@ def _window_rows(
     traj: Trajectory, clock_rate: float, first: int, last: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Force and flux rows for interior samples [first, last]."""
-    forces = _forces(traj)[first : last + 1]
+    forces = traj.force[first : last + 1]
     states = traj.A[first - 1 : last + 2]
     steps = np.diff(traj.tau[first - 1 : last + 2])[:, None]
     fluxes = clock_rate * nonuniform_first_derivative(
@@ -183,7 +184,7 @@ def empirical_onsager_pooled(
         forces, fluxes = _window_rows(traj, clock_rate, first, last)
         all_forces.append(forces)
         all_fluxes.append(fluxes)
-        scale = max(scale, float(np.max(np.linalg.norm(_forces(traj), axis=1))))
+        scale = max(scale, float(np.max(np.linalg.norm(traj.force, axis=1))))
     return _fit(np.vstack(all_forces), np.vstack(all_fluxes), scale)
 
 
@@ -197,29 +198,26 @@ def empirical_report(
 ) -> OnsagerReport:
     """Analytic L at the window center combined with the empirical fit."""
     first, last = _window_bounds(traj, center, window)
-    mid = (first + last) // 2
-    analytic = onsager_matrix(system, traj.A[mid], clock_rate)
-    fitted = empirical_onsager(traj, clock_rate, center=center, window=window)
+    analytic = onsager_matrix(system, traj.A[(first + last) // 2], clock_rate)
+    forces, fluxes = _window_rows(traj, clock_rate, first, last)
+    scale = float(np.max(np.linalg.norm(traj.force, axis=1)))
     return OnsagerReport(
         L=analytic.L,
         clock_rate=clock_rate,
         asymmetry=analytic.asymmetry,
-        empirical_L=fitted,
+        empirical_L=_fit(forces, fluxes, scale),
         window=(first, last),
     )
 
 
-def report_as_dict(report: OnsagerReport) -> dict:
-    return {
+def write_onsager_json(report: OnsagerReport, dest) -> None:
+    doc = {
         "L": report.L.tolist(),
         "asymmetry": float(report.asymmetry),
         "empirical_L": None if report.empirical_L is None else report.empirical_L.tolist(),
         "window": None if report.window is None else list(report.window),
     }
-
-
-def write_onsager_json(report: OnsagerReport, dest) -> None:
-    text = json.dumps(report_as_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

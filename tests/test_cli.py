@@ -86,6 +86,22 @@ MINIMAL = {
     "integrator": {"tau_max": 2.0},
 }
 
+
+def changed(change):
+    """MINIMAL with ``change`` applied, where a None drops the key."""
+    return {key: value for key, value in dict(MINIMAL, **change).items() if value is not None}
+
+
+#: A heat-and-particle exchange between two ideal gases, a 2-D pair, as a
+#: change to MINIMAL.
+GAS_PAIR = {
+    "mode": "coupled",
+    "family": None,
+    "families": [{"closed_form": "ideal-gas", "volume": 1.0}] * 2,
+    "A0": [1.0, 0.5],
+    "A_total": [4.0, 2.0],
+}
+
 #: A table on (0, 0), (1, 0) and (0, 1): it attains the open triangle, so
 #: (0.9, 0.9), inside both statistics' ranges, has no state.
 HULL_TABLE = {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0],
@@ -326,6 +342,25 @@ class TestRunScenario:
         assert report["asymmetry"] == 0.0
         assert report["empirical_L"] is not None
 
+    def test_onsager_defaults_are_the_analysis_defaults(self, tmp_path):
+        # a key left out takes the default of empirical_report itself
+        doc = {
+            "name": "eonly",
+            "mode": "coupled",
+            "families": [{"closed_form": "ideal-gas", "volume": 1.0, "fixed_n": 1.0}] * 2,
+            "A0": [1.0],
+            "A_total": [4.0],
+            "integrator": {"tau_max": 6.0},
+        }
+        artifacts = []
+        for sub, spec in [("omitted", {}), ("spelled", {"clock_rate": 1.0, "window": 5})]:
+            path = write_config(tmp_path, dict(doc, analyses=[dict(kind="onsager", **spec)]))
+            out = tmp_path / sub
+            assert main(["run", str(path), "--output-dir", str(out)]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(artifacts[0]) == ["eonly-onsager.json", "eonly-summary.json", "eonly.csv"]
+        assert artifacts[0] == artifacts[1]
+
     def test_tabulated_scenario_end_to_end(self, tmp_path):
         fam_doc = {
             "points": [0, 1, 2],
@@ -443,13 +478,31 @@ class TestMain:
             ({"analyses": [{"kind": "onsager"}, {"kind": "entropy_production_check"},
                            {"kind": "onsager", "window": 7}]},
              "analyses[2].kind onsager repeats analyses[0].kind", 1),
+            # each kind takes only the keys it reads
+            ({"analyses": [{"kind": "entropy_production_check", "window": 7,
+                            "points": [[0.3]]}]},
+             "ParseError: unknown key 'analyses[0].window' (line", 1),
+            ({"analyses": [{"kind": "entropy_production_check", "points": [[0.3]]}]},
+             "ParseError: unknown key 'analyses[0].points' (line", 1),
+            ({"analyses": [{"kind": "onsager", "points": [[0.9]]}]},
+             "ParseError: unknown key 'analyses[0].points' (line", 1),
+            ({"analyses": [{"kind": "geometry_probe", "points": [[0.3]], "clock_rate": 2.0}]},
+             "ParseError: unknown key 'analyses[0].clock_rate' (line", 1),
+            # L of a 2-D pair needs a window of at least n_dim + 2 = 4 samples,
+            # and of a 4-D family more than the default 5
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]),
+             "analyses[0].window: window must span at least n_dim + 2 = 4 samples", 2),
+            ({"family": {"closed_form": "gaussian-mean", "dim": 4}, "A0": [1.0, 0.5, 0.2, 0.1],
+              "analyses": [{"kind": "onsager"}]},
+             "analyses[0].window: window must span at least n_dim + 2 = 6 samples", 2),
         ],
         ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
              "probe-point-outside-the-hull", "same-output-path", "repeated-probe",
-             "repeated-onsager"],
+             "repeated-onsager", "entropy-check-window", "entropy-check-points",
+             "onsager-points", "probe-clock-rate", "pair-window-3", "4d-default-window"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
-        path = write_config(tmp_path, dict(MINIMAL, **change))
+        path = write_config(tmp_path, changed(change))
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
@@ -497,19 +550,28 @@ class TestMain:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
         assert "integrator.h" in capsys.readouterr().err
 
-    def test_run_rejects_bad_probe_point_before_integrating(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"analyses": [{"kind": "geometry_probe", "points": [[0.3, 0.4]]}]},
+             "analyses[0].points[0]: A must have shape"),
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]),
+             "analyses[0].window: window must span at least n_dim + 2 = 4 samples"),
+        ],
+        ids=["probe-point-length", "pair-window-3"],
+    )
+    def test_run_rejects_bad_analysis_before_integrating(
+        self, tmp_path, capsys, monkeypatch, change, message
     ):
         def no_integrate(*args, **kwargs):
             raise AssertionError("integrate must not run on a rejected config")
 
         monkeypatch.setattr(entroflow.cli, "integrate", no_integrate)
-        doc = dict(MINIMAL, analyses=[{"kind": "geometry_probe", "points": [[0.3, 0.4]]}])
-        path = write_config(tmp_path, doc)
+        path = write_config(tmp_path, changed(change))
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("[b] ValidationError: analyses[0].points[0]: A must have shape")
+        assert err.startswith(f"[b] ValidationError: {message}")
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_run_diagnostic_goes_to_current_stderr(self, tmp_path, capsys):
@@ -551,7 +613,7 @@ class TestMain:
         [
             ("inline", [[0], [1]], {"run": 2}, "hashable"),
             ("file", [[0], [1]], {"run": 2}, "hashable"),
-            ("inline", 5, {"validate": 1, "run": 1, "probe": 2},
+            ("inline", 5, {"validate": 1, "run": 1, "probe": 1},
              "family.points: points must list at least 2 labels"),
         ],
         ids=["inline", "file", "non-list-points"],

@@ -18,6 +18,7 @@ from entroflow import (
     write_onsager_json,
 )
 from entroflow.flow import nonuniform_first_derivative
+from entroflow import onsager as onsager_module
 from entroflow.onsager import _window_rows, empirical_onsager_pooled
 from helpers import synthetic_trajectory
 
@@ -168,6 +169,18 @@ class TestReportExport:
         assert doc["asymmetry"] == 0.0
         assert doc["window"] == list(report.window)
         assert doc["L"][0][0] == report.L[0, 0]
+
+    def test_report_fits_its_window_once(self, gas_e_only_pair, monkeypatch):
+        # the report takes its window once, and its fit is bit for bit the
+        # standalone fit of that window
+        traj = integrate(gas_e_only_pair, [1.0], tau_max=6.0)
+        calls = []
+        bounds = onsager_module._window_bounds
+        monkeypatch.setattr(onsager_module, "_window_bounds",
+                            lambda *args: calls.append(args) or bounds(*args))
+        report = empirical_report(gas_e_only_pair, traj, 1.5, window=7)
+        assert len(calls) == 1
+        assert np.array_equal(report.empirical_L, empirical_onsager(traj, 1.5, window=7))
 
     def test_report_without_empirical(self, bernoulli):
         report = onsager_matrix(bernoulli, [0.25])
