@@ -34,7 +34,6 @@ from .config import tabulated_from_json
 from .geometry import (
     FamilyManifold,
     ManifoldPoint,
-    ReparametrizedManifold,
     StateManifold,
     as_manifold,
     christoffel,
@@ -53,7 +52,6 @@ from .flow import (
 from .coupled import CompositeSystem
 from .onsager import (
     OnsagerReport,
-    empirical_onsager,
     empirical_report,
     onsager_matrix,
     write_onsager_json,
@@ -85,7 +83,6 @@ __all__ = [
     "ManifoldPoint",
     "StateManifold",
     "FamilyManifold",
-    "ReparametrizedManifold",
     "as_manifold",
     "christoffel",
     "unit_velocity",
@@ -103,7 +100,6 @@ __all__ = [
     # onsager
     "OnsagerReport",
     "onsager_matrix",
-    "empirical_onsager",
     "empirical_report",
     "write_onsager_json",
 ]

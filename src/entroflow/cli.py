@@ -29,7 +29,7 @@ from .config import ScenarioConfig, build_system, parse_config
 from .errors import EntroflowError, ValidationError
 from .flow import integrate, entropy_production_check, write_trajectory_csv
 from .geometry import christoffel, as_manifold
-from .onsager import DEFAULT_WINDOW, check_window, empirical_report, write_onsager_json
+from .onsager import empirical_report, write_onsager_json
 
 __all__ = [
     "ScenarioConfig",
@@ -49,9 +49,9 @@ def _check_config(cfg: ScenarioConfig):
     """Build the system and make the points of ``A0`` and of every
     ``geometry_probe`` point, without integrating; a value that has no point
     (of the wrong length, infeasible, or a table mean outside the hull of
-    its statistics), or an Onsager window too short for the system's
-    dimension, raises ValidationError naming it.  Returns the system, the
-    start point and the probe points."""
+    its statistics), or an Onsager fit on a system of dimension 2 or more,
+    raises ValidationError naming it.  Returns the system, the start point
+    and the probe points."""
     system = build_system(cfg)
     manifold = as_manifold(system)
 
@@ -64,11 +64,10 @@ def _check_config(cfg: ScenarioConfig):
     start = point("A0", cfg.A0)
     probes = []
     for i, kind, given in cfg.analyses:
-        if kind == "onsager":
-            try:
-                check_window(given.get("window", DEFAULT_WINDOW), manifold.dim)
-            except ValueError as exc:
-                raise ValidationError(f"analyses[{i}].window: {exc}") from exc
+        if kind == "onsager" and manifold.dim > 1:
+            raise ValidationError(
+                f"analyses[{i}]: an onsager fit needs a system of dimension 1, not "
+                f"{manifold.dim}: one trajectory probes one force direction")
         probes += [point(f"analyses[{i}].points[{j}]", value)
                    for j, value in enumerate(given.get("points", ()))]
     return system, start, probes

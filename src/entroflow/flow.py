@@ -40,10 +40,7 @@ nodes (see ``coupled``).
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
 t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is
 built in u = -ln t, where dtau/du = t f = sigma, over [0, U] with U doubled
-from 1 until tau(U) > tau_max, and the run ends at tau_max.  The flow is covariant,
-so a reparametrized chart's trajectory is its base trajectory mapped row by
-row: B = forward(A), the force transforms as a one-form, and tau, S, sigma
-and the speed are invariant.
+from 1 until tau(U) > tau_max, and the run ends at tau_max.
 
 A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
 stores it that way, one column per quantity (tau, A, lam, S, sigma, speed),
@@ -53,7 +50,7 @@ which the analyses and the CSV writer read directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +60,9 @@ from .errors import (
     TooFewSamplesError,
 )
 from .coupled import CompositeSystem, PairRay
-from .family import ExponentialFamily, as_vector
+from .family import ExponentialFamily
 from .geometry import (
-    FamilyManifold, ManifoldPoint, ReparametrizedManifold, _check_spd, _inverses, _symmetrize,
-    as_manifold,
+    FamilyManifold, ManifoldPoint, _check_spd, _inverses, _symmetrize, as_manifold,
 )
 
 __all__ = [
@@ -339,17 +335,6 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     )
 
 
-def _mapped(chart: ReparametrizedManifold, traj: Trajectory) -> Trajectory:
-    """``traj``, a trajectory of the chart's base, in the chart: B = forward(A)
-    and lam_B = J^-T lam_A with J = dB/dA at each row, while tau, S, sigma
-    and the speed carry over.  Like a chart's points, it has no subsystem-2
-    columns."""
-    B = np.array([as_vector(chart.forward(a), chart.dim, "B") for a in traj.A])
-    jac = np.array([np.atleast_2d(np.asarray(chart.jacobian(a), dtype=float)) for a in traj.A])
-    lam = np.linalg.solve(jac.transpose(0, 2, 1), traj.force[:, :, None])[:, :, 0]
-    return replace(traj, A=B, lam=lam, A_prime=None, lam_prime=None, conservation_residual=None)
-
-
 def _has_maximum(family: ExponentialFamily) -> bool:
     """Whether lam = 0, the maximum every ray ends at, is in the natural
     domain; the ideal gas's entropy has no maximum."""
@@ -395,10 +380,8 @@ def integrate(
     than _RAY_PANELS panels, or a composite's Newton solve of its nodes that
     does not converge, raises StepCollapseError.
 
-    A ``ReparametrizedManifold`` gets its base's trajectory from the base
-    point of A0, mapped into the chart; any other ``StateManifold`` raises
-    TypeError.  ``tau_max``, ``h`` and ``sigma_eq`` must be > 0, and ``h``
-    finite; ValueError otherwise.
+    Any other ``StateManifold`` raises TypeError.  ``tau_max``, ``h`` and
+    ``sigma_eq`` must be > 0, and ``h`` finite; ValueError otherwise.
     """
     if not tau_max > 0.0:
         raise ValueError(f"tau_max must be > 0, got {tau_max}")
@@ -408,12 +391,8 @@ def integrate(
         raise ValueError(f"sigma_eq must be > 0, got {sigma_eq}")
 
     manifold = as_manifold(system)
-    if isinstance(manifold, ReparametrizedManifold):
-        base = integrate(manifold.base, manifold.to_base(A0), tau_max=tau_max, h=h,
-                         sigma_eq=sigma_eq)
-        return _mapped(manifold, base)
     if not isinstance(manifold, (FamilyManifold, CompositeSystem)):
-        raise TypeError("integrate takes a family, a CompositeSystem or a chart of either, "
+        raise TypeError("integrate takes a family or a CompositeSystem, "
                         f"not a {type(manifold).__name__}")
     pt = A0 if isinstance(A0, ManifoldPoint) else manifold.point(A0)
     if pt.sigma < sigma_eq:

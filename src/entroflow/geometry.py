@@ -10,18 +10,17 @@ covariant acceleration and the antisymmetric field-strength tensor of the
 unit-speed gradient flow.
 
 Everything operates through the small ``StateManifold`` interface, ``dim``
-and ``point``, so that single families, coupled composite systems and
-reparametrized charts all share one implementation.  ``point`` is the one
-check of a state and the one path from a mean to it: a family's mean is
-checked once by its ``check_feasible`` and inverted once, by its
-``legendre`` or, for a table, the Newton solve ``duality.solve_lambda``.
+and ``point``, so that single families and coupled composite systems share
+one implementation.  ``point`` is the one check of a state and the one path
+from a mean to it: a family's mean is checked once by its
+``check_feasible`` and inverted once, by its ``legendre`` or, for a table,
+the Newton solve ``duality.solve_lambda``.
 A Hessian metric is dually flat, so its connection and every derivative
 of the flow field follow exactly from the metric derivative
 dg[b] = d g / d A^b = -d^3 S / dA dA dA^b, which is totally symmetric: a
 closed-form family's ``legendre`` gives it with lam, S and g at a point, a
 tabulated family's point gets it on first use from the third cumulant of
-its statistics, and a composite's point from its two subsystem points.  A
-reparametrized chart has none.
+its statistics, and a composite's point from its two subsystem points.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "ManifoldPoint",
     "StateManifold",
     "FamilyManifold",
-    "ReparametrizedManifold",
     "as_manifold",
     "christoffel",
     "unit_velocity",
@@ -108,11 +106,10 @@ class ManifoldPoint:
 
     The inverse metric ``g_inv``, the gradient magnitude ``sigma`` and the
     metric derivative ``dg`` are formed on first use, so a subsystem metric
-    that is only summed into a composite's is never inverted.  ``dg`` exists
-    only in mean coordinates: a closed-form family's point holds the one its
-    ``legendre`` gave, a table's point forms it from the third cumulant of
-    its ``family`` at lam = force, and a composite's point from its
-    subsystem points ``p1`` and ``p2``.
+    that is only summed into a composite's is never inverted.  A closed-form
+    family's point holds the ``dg`` its ``legendre`` gave, a table's point
+    forms it from the third cumulant of its ``family`` at lam = force, and a
+    composite's point from its subsystem points ``p1`` and ``p2``.
     """
 
     A: np.ndarray
@@ -143,12 +140,6 @@ class ManifoldPoint:
         """
         if self.p1 is not None:
             return self.p1.dg - self.p2.dg
-        if self.family is None:
-            raise NotImplementedError(
-                "no exact metric derivative: the connection is available only in "
-                "mean coordinates, where g = -Hess S is dually flat, not in a "
-                "ReparametrizedManifold chart"
-            )
         k3, g = self.family.cumulants(self.force), self.g
         d = len(g)
         # contract each index of k3 with the symmetric g, one product each
@@ -200,44 +191,6 @@ class FamilyManifold(StateManifold):
         pt = ManifoldPoint(A=A, force=lam, S=S, g=_checked_metric(g))
         pt.__dict__["dg"] = dg
         return pt
-
-
-class ReparametrizedManifold(StateManifold):
-    """A manifold viewed through a smooth invertible change of coordinates.
-
-    ``forward`` maps base coordinates A to new coordinates B, ``inverse``
-    maps back, and ``jacobian(A)`` returns dB/dA.  The entropy is a scalar,
-    the force transforms as a one-form and the metric as a (0,2) tensor, so
-    the unit-speed gradient flow expressed in the new chart traces the same
-    curve at the same intrinsic time: ``integrate`` maps the base trajectory.
-
-    The chart is not dually flat, so it has no connection: ``christoffel``
-    and the tensors built on it raise NotImplementedError here.
-    """
-
-    def __init__(self, base: StateManifold, forward, inverse, jacobian):
-        self.base = base
-        self.forward = forward
-        self.inverse = inverse
-        self.jacobian = jacobian
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def to_base(self, B) -> np.ndarray:
-        """The base coordinates A of chart coordinates B."""
-        return as_vector(self.inverse(as_vector(B, self.dim, "B")), self.dim, "A")
-
-    def point(self, B) -> ManifoldPoint:
-        B = as_vector(B, self.dim, "B")
-        A = self.to_base(B)
-        pt = self.base.point(A)
-        jac = np.atleast_2d(np.asarray(self.jacobian(A), dtype=float))
-        jac_inv = np.linalg.inv(jac)
-        force = jac_inv.T @ pt.force
-        g = _checked_metric(jac_inv.T @ pt.g @ jac_inv)
-        return ManifoldPoint(A=B, force=force, S=pt.S, g=g)
 
 
 def as_manifold(system) -> StateManifold:

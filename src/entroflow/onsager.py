@@ -29,7 +29,6 @@ __all__ = [
     "OnsagerReport",
     "check_window",
     "onsager_matrix",
-    "empirical_onsager",
     "empirical_onsager_pooled",
     "empirical_report",
     "write_onsager_json",
@@ -133,41 +132,21 @@ def _fit(forces: np.ndarray, fluxes: np.ndarray, scale: float) -> np.ndarray:
     return solution.T
 
 
-def empirical_onsager(
-    traj: Trajectory,
-    clock_rate: float = 1.0,
-    *,
-    center: int | None = None,
-    window: int = DEFAULT_WINDOW,
-) -> np.ndarray:
-    """Least-squares fit of fluxes against forces over a sample window.
-
-    Fluxes are centered differences of A in tau scaled by ``clock_rate``;
-    forces are the recorded lam (lam - lam' for coupled trajectories).  The
-    fit assumes L is approximately constant across the window, so compare
-    the result against the analytic L at the window center.
-
-    Note that the force one-form of this dynamics decays parallel to
-    itself (d lam / d tau = -lam / sigma), so a single trajectory only ever
-    probes one force direction: for n_dim >= 2 the windowed force matrix is
-    rank one and this raises IllConditionedError.  Pool windows from
-    trajectories with different initial force directions instead
-    (``empirical_onsager_pooled``).
-    """
-    return empirical_onsager_pooled([(traj, center)], clock_rate, window=window)
-
-
 def empirical_onsager_pooled(
-    windows: list[tuple[Trajectory, int]],
+    windows: list[tuple[Trajectory, int | None]],
     clock_rate: float = 1.0,
     *,
     window: int = DEFAULT_WINDOW,
 ) -> np.ndarray:
     """Fit one transport matrix to windows pooled from several trajectories.
 
-    ``windows`` lists (trajectory, center-sample-index) pairs.  Each
-    trajectory contributes one window of flux/force rows; the pooled rows
-    span as many force directions as there are distinct trajectories.  The
+    ``windows`` lists (trajectory, center-sample-index) pairs, where a center
+    of None is the middle row.  Fluxes are centered differences of A in tau
+    scaled by ``clock_rate``; forces are the recorded lam (lam - lam' for
+    coupled trajectories).  The force one-form decays parallel to itself
+    (d lam / d tau = -lam / sigma), so each trajectory contributes one window
+    of flux/force rows in one force direction, and for n_dim >= 2 one
+    window alone is rank one and raises IllConditionedError.  The
     caller is responsible for choosing window centers at states where the
     analytic L is (approximately) the same, e.g. matched sigma near a
     common equilibrium.

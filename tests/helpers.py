@@ -3,7 +3,8 @@
 Everything here is an independent verification route: finite differences,
 direct summation, the closed forms of the Bernoulli, Gaussian and ideal-gas
 partition functions, quadrature wrappers, a fixed-step RK4 of the flow's
-velocity field and synthetic trajectory builders, plus ``natural_row``,
+velocity field, a change of coordinates that transforms each point by the
+tensor law (``Chart``) and synthetic trajectory builders, plus ``natural_row``,
 which reads one row of a family's forward map, a counter of the calls a
 method receives, a fault that turns a Bernoulli pair's rows to NaN, a
 table that keeps the arrays it was built from for the oracles
@@ -23,7 +24,7 @@ from entroflow.family import (
     BernoulliFamily, ExponentialFamily, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
 )
 from entroflow.flow import Trajectory
-from entroflow.geometry import ReparametrizedManifold, as_manifold, unit_velocity
+from entroflow.geometry import ManifoldPoint, StateManifold, as_manifold, unit_velocity
 
 
 class OracleTable(TabulatedFamily):
@@ -152,16 +153,35 @@ def fd_flow_acceleration(system, A, step=1e-5):
     return dv + np.einsum("abc,b,c->a", fd_christoffel(system, A, step), v, v)
 
 
-def identity_chart(system):
-    """``system`` seen through the identity change of coordinates: the same
-    points and flow, integrated as its base's trajectory mapped row by row,
-    as every reparametrized chart is."""
-    return ReparametrizedManifold(
-        as_manifold(system),
-        forward=lambda A: A,
-        inverse=lambda B: B,
-        jacobian=lambda A: np.eye(A.size),
-    )
+class Chart(StateManifold):
+    """``system`` seen through a smooth invertible change of coordinates:
+    ``forward`` maps its means A to B, ``inverse`` maps back and
+    ``jacobian(A)`` is dB/dA.  A point keeps S, and so sigma, while the
+    force transforms as a one-form, J^-T lam, and the metric as a (0,2)
+    tensor, J^-T g J^-1: the transform law that makes the flow covariant,
+    for ``rk4_rows`` to integrate in the chart."""
+
+    def __init__(self, system, forward, inverse, jacobian):
+        self.base = as_manifold(system)
+        self.forward, self.inverse, self.jacobian = forward, inverse, jacobian
+
+    @property
+    def dim(self):
+        return self.base.dim
+
+    def point(self, B):
+        B = np.asarray(B, dtype=float)
+        A = np.asarray(self.inverse(B), dtype=float)
+        pt = self.base.point(A)
+        jac_inv = np.linalg.inv(np.atleast_2d(self.jacobian(A)))
+        return ManifoldPoint(A=B, force=jac_inv.T @ pt.force, S=pt.S,
+                             g=jac_inv.T @ pt.g @ jac_inv)
+
+
+def squared_bernoulli(bernoulli):
+    """The Bernoulli family in the chart B = A^2 of (0, 1)."""
+    return Chart(bernoulli, forward=lambda A: A**2, inverse=np.sqrt,
+                 jacobian=lambda A: np.array([[2.0 * A[0]]]))
 
 
 def rk4_rows(system, A0, h, tau_max):

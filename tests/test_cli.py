@@ -102,6 +102,13 @@ GAS_PAIR = {
     "A_total": [4.0, 2.0],
 }
 
+#: A 2-D Gaussian with an Onsager fit, as a change to MINIMAL, and what
+#: validate and run say of an Onsager fit on any 2-D system.
+GAUSSIAN_2D_ONSAGER = {"family": {"closed_form": "gaussian-mean", "dim": 2}, "A0": [-2.0, 1.0],
+                       "analyses": [{"kind": "onsager"}]}
+ONSAGER_2D = ("analyses[0]: an onsager fit needs a system of dimension 1, not 2: "
+              "one trajectory probes one force direction")
+
 #: A table on (0, 0), (1, 0) and (0, 1): it attains the open triangle, so
 #: (0.9, 0.9), inside both statistics' ranges, has no state.
 HULL_TABLE = {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0],
@@ -488,18 +495,21 @@ class TestMain:
              "ParseError: unknown key 'analyses[0].points' (line", 1),
             ({"analyses": [{"kind": "geometry_probe", "points": [[0.3]], "clock_rate": 2.0}]},
              "ParseError: unknown key 'analyses[0].clock_rate' (line", 1),
-            # L of a 2-D pair needs a window of at least n_dim + 2 = 4 samples,
-            # and of a 4-D family more than the default 5
-            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]),
-             "analyses[0].window: window must span at least n_dim + 2 = 4 samples", 2),
+            # one trajectory probes one force direction, so the Onsager fit
+            # of a system of dimension 2 or more is rank one, whatever its
+            # window: a family or a pair
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]), ONSAGER_2D, 2),
             ({"family": {"closed_form": "gaussian-mean", "dim": 4}, "A0": [1.0, 0.5, 0.2, 0.1],
               "analyses": [{"kind": "onsager"}]},
-             "analyses[0].window: window must span at least n_dim + 2 = 6 samples", 2),
+             "analyses[0]: an onsager fit needs a system of dimension 1, not 4", 2),
+            (GAUSSIAN_2D_ONSAGER, ONSAGER_2D, 2),
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager"}]), ONSAGER_2D, 2),
         ],
         ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
              "probe-point-outside-the-hull", "same-output-path", "repeated-probe",
              "repeated-onsager", "entropy-check-window", "entropy-check-points",
-             "onsager-points", "probe-clock-rate", "pair-window-3", "4d-default-window"],
+             "onsager-points", "probe-clock-rate", "pair-window-3", "4d-default-window",
+             "2d-gaussian-onsager", "pair-onsager"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, changed(change))
@@ -555,10 +565,11 @@ class TestMain:
         [
             ({"analyses": [{"kind": "geometry_probe", "points": [[0.3, 0.4]]}]},
              "analyses[0].points[0]: A must have shape"),
-            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]),
-             "analyses[0].window: window must span at least n_dim + 2 = 4 samples"),
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager", "window": 3}]), ONSAGER_2D),
+            (GAUSSIAN_2D_ONSAGER, ONSAGER_2D),
+            (dict(GAS_PAIR, analyses=[{"kind": "onsager"}]), ONSAGER_2D),
         ],
-        ids=["probe-point-length", "pair-window-3"],
+        ids=["probe-point-length", "pair-window-3", "2d-gaussian-onsager", "pair-onsager"],
     )
     def test_run_rejects_bad_analysis_before_integrating(
         self, tmp_path, capsys, monkeypatch, change, message

@@ -18,7 +18,6 @@ from entroflow import (
     GaussianMeanFamily,
     IdealGasFamily,
     MonotonicityError,
-    ReparametrizedManifold,
     SingularModelError,
     StepCollapseError,
     TooFewSamplesError,
@@ -38,10 +37,9 @@ from entroflow.geometry import StateManifold
 from helpers import (
     OracleTable,
     count_calls,
-    identity_chart,
-    nan_pair_rows,
     rk4_rows,
     seeded_table,
+    squared_bernoulli,
     synthetic_trajectory,
     tabulated_mean,
     tabulated_ray_tau,
@@ -219,15 +217,12 @@ class TestIntegrate:
         assert t.sigma[k] == pytest.approx(as_manifold(bernoulli).point(t.A[k]).sigma, abs=1e-12)
 
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
-        # a chart's run is its base's, so a chart of the Bernoulli pair ends
-        # at the maximum itself, at sqrt(2) pi/6, as the single family does
-        # at pi/6; like a chart's points, its rows have no subsystem-2 columns
-        chart = identity_chart(bernoulli_pair)
+        # the Bernoulli pair ends at the maximum itself, at sqrt(2) pi/6, as
+        # the single family does at pi/6
         for sigma_eq in (1e-6, 1e-8):
-            traj = integrate(chart, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
+            traj = integrate(bernoulli_pair, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert traj.sigma[-1] == 0.0
             assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
-            assert traj.A_prime is None and traj.lam_prime is None
             traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
             assert traj.sigma[-1] == 0.0
 
@@ -236,8 +231,8 @@ class TestIntegrate:
         # the single Gaussian starts at sigma = |a0|; a flat pair with
         # A_total = 0 has force -2 A and metric 2, so sigma = sqrt(2) |A|
         # and the same sigma starts at A = a0 / sqrt(2), |a0| from the
-        # maximum too; it runs in the identity chart
-        pair = identity_chart(CompositeSystem(gaussian, gaussian, [0.0]))
+        # maximum too
+        pair = CompositeSystem(gaussian, gaussian, [0.0])
         traj = integrate(pair, [a0 / math.sqrt(2.0)], tau_max=1.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert traj.sigma[-1] == 0.0
@@ -258,21 +253,15 @@ class TestIntegrate:
             assert np.max(np.abs(t.A[:, 0] - exact)) <= 1e-12
 
     def test_reparametrization_covariance(self, bernoulli):
-        rep = ReparametrizedManifold(
-            FamilyManifold(bernoulli),
-            forward=lambda A: A**2,
-            inverse=lambda B: np.sqrt(B),
-            jacobian=lambda A: np.array([[2.0 * A[0]]]),
-        )
+        chart = squared_bernoulli(bernoulli)
         t_a = integrate(bernoulli, [0.25], tau_max=2.0)  # the exact ray
-        t_b = integrate(rep, [0.0625], tau_max=2.0)  # the ray mapped into the chart
-        taus, B = rk4_rows(rep, [0.0625], 1e-3, 2.0)  # RK4 in the chart
+        B_a = chart.forward(t_a.A)  # its rows in the chart
+        taus, B = rk4_rows(chart, [0.0625], 1e-3, 2.0)  # RK4 in the chart
         # all three trace A(tau) = sin^2(pi/6 + tau/2) at every row
         assert np.all(np.abs(t_a.A[:, 0] - np.sin(math.pi / 6.0 + 0.5 * t_a.tau) ** 2) <= 1e-12)
-        assert np.all(np.abs(np.sqrt(t_b.A[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * t_b.tau) ** 2) <= 1e-12)
+        assert np.all(np.abs(np.sqrt(B_a[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * t_a.tau) ** 2) <= 1e-12)
         assert np.all(np.abs(np.sqrt(B[:, 0]) - np.sin(math.pi / 6.0 + 0.5 * taus) ** 2) <= 1e-5)
         assert abs(t_a.tau[-1] - math.pi / 6.0) <= 1e-12
-        assert abs(t_b.tau[-1] - math.pi / 6.0) <= 1e-12
 
     def test_time_reversal_decreases_entropy(self, bernoulli):
         # backward integration is not a supported mode; trace the flow
@@ -514,17 +503,6 @@ class TestIntegrate:
         assert np.all(traj.sigma[:-1] > 2e-8)
         assert entropy_production_check(traj).max_residual <= 1e-4
 
-    def test_chart_collapse_raises_the_bases_error(self, bernoulli_pair, monkeypatch):
-        # the table of tau is built from the true states of both subsystems;
-        # every batch after it is NaN, so the pair's states at the rows are
-        # not finite, and the chart of the pair raises as the pair does
-        table = nan_pair_rows(monkeypatch)
-        chart = ReparametrizedManifold(bernoulli_pair, forward=lambda A: 2.0 * A,
-                                       inverse=lambda B: 0.5 * B, jacobian=lambda A: 2.0 * np.eye(1))
-        with pytest.raises(StepCollapseError, match="the pair"):
-            integrate(chart, [0.5], tau_max=2.0)
-        assert table["batches"] >= 2  # one evaluation of both subsystems at least
-
     def test_open_table_names_the_t_where_the_rate_fails(self, monkeypatch):
         # the gas's table is in x = 1 - u / span with t = exp(-u); a rate
         # that is NaN below t = 1e-3 first fails at x = 0 of span 8, at
@@ -544,7 +522,7 @@ class TestIntegrate:
 
     def test_other_state_manifolds_raise_type_error(self):
         class Plain(StateManifold):
-            """A manifold with points but neither a ray nor a base chart."""
+            """A manifold with points but no ray."""
 
             inner = FamilyManifold(BernoulliFamily())
             dim = 1
@@ -612,6 +590,38 @@ class TestRayRowsAgainstOracle:
             assert sigma[-1] <= 4.4e-8
         # grid rows sit at exactly k * h
         assert np.array_equal(traj.tau[1:grid + 1], np.arange(1, grid + 1) * h)
+
+
+class TestMetamorphicRelations:
+    """Changes to a seeded 3x50 table that leave its states alone leave its
+    run's rows alone, to rounding."""
+
+    @staticmethod
+    def worst(run, other):
+        """The largest change of tau, A, lam, sigma or speed between two runs."""
+        return max(float(np.max(np.abs(getattr(run, name) - getattr(other, name))))
+                   for name in ("tau", "A", "lam", "sigma", "speed"))
+
+    def test_scaled_weights_shift_only_the_entropy(self):
+        # every weight times 7 multiplies Z by 7 at every lam, so the states
+        # and the metric keep their values and S = log Z - lam . A gains ln 7
+        fam, A0 = seeded_table(1, 50)
+        run = integrate(fam, A0, tau_max=10.0)
+        scaled = integrate(OracleTable(7.0 * fam.weights, fam.stats), A0, tau_max=10.0)
+        assert len(scaled) == len(run) and scaled.terminal_status == run.terminal_status
+        assert self.worst(run, scaled) <= 1e-14
+        assert np.max(np.abs(scaled.S - run.S - math.log(7.0))) <= 1e-14
+
+    def test_a_point_split_in_two_halves_changes_no_row(self):
+        # two points with half its weight and its statistics sum as the one
+        fam, A0 = seeded_table(2, 50)
+        w, stats = fam.weights, fam.stats
+        split = OracleTable(np.concatenate([0.5 * w[:1], 0.5 * w[:1], w[1:]]),
+                            np.concatenate([stats[:, :1], stats], axis=1))
+        run, parts = integrate(fam, A0, tau_max=10.0), integrate(split, A0, tau_max=10.0)
+        assert len(parts) == len(run) and parts.terminal_status == run.terminal_status
+        assert self.worst(run, parts) <= 1e-14
+        assert np.max(np.abs(parts.S - run.S)) <= 1e-14
 
 
 class TestEntropyProduction:

@@ -8,7 +8,6 @@ from entroflow import (
     FamilyManifold,
     CompositeSystem,
     IdealGasFamily,
-    ReparametrizedManifold,
     SingularModelError,
     TabulatedFamily,
     as_manifold,
@@ -28,6 +27,7 @@ from helpers import (
     random_feasible_mean,
     random_tabulated,
     seeded_table,
+    squared_bernoulli,
     states_oracle,
 )
 
@@ -209,16 +209,6 @@ class TestChristoffel:
                 )
                 assert np.max(np.abs(dg_all[:, :, c] - predicted)) <= 1e-7
 
-    def test_reparametrized_chart_has_no_connection(self, bernoulli):
-        rep = ReparametrizedManifold(
-            FamilyManifold(bernoulli),
-            forward=lambda A: A**2,
-            inverse=lambda B: np.sqrt(B),
-            jacobian=lambda A: np.array([[2.0 * A[0]]]),
-        )
-        with pytest.raises(NotImplementedError, match="ReparametrizedManifold"):
-            christoffel(rep, [0.09])
-
 
 def _fd_cases(rng):
     tab = random_tabulated(rng, n_dim=3, n_points=7)
@@ -346,12 +336,7 @@ class TestTensorTransformation:
             assert transformed == pytest.approx(fisher, rel=1e-6)
 
     def test_reparametrized_manifold_agrees(self, bernoulli):
-        rep = ReparametrizedManifold(
-            FamilyManifold(bernoulli),
-            forward=lambda A: A**2,
-            inverse=lambda B: np.sqrt(B),
-            jacobian=lambda A: np.array([[2.0 * A[0]]]),
-        )
+        rep = squared_bernoulli(bernoulli)
         for a in (0.25, 0.6):
             direct = rep.point([a * a]).g[0, 0]
             expected = bernoulli_metric(a) / (2.0 * a) ** 2

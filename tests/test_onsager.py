@@ -10,7 +10,6 @@ from entroflow import (
     IllConditionedError,
     OnsagerReport,
     as_manifold,
-    empirical_onsager,
     empirical_report,
     integrate,
     onsager_matrix,
@@ -83,19 +82,19 @@ class TestFluxForceRelation:
 class TestEmpiricalOnsager:
     def test_bernoulli_window(self, bernoulli, bernoulli_traj):
         center = 3
-        fitted = empirical_onsager(bernoulli_traj, 1.0, center=center, window=5)
+        fitted = empirical_onsager_pooled([(bernoulli_traj, center)], 1.0, window=5)
         analytic = onsager_matrix(bernoulli, bernoulli_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.02 * analytic[0, 0]
 
     def test_gaussian_window(self, gaussian, gaussian_traj):
         center = len(gaussian_traj) // 2
-        fitted = empirical_onsager(gaussian_traj, 1.0, center=center, window=5)
+        fitted = empirical_onsager_pooled([(gaussian_traj, center)], 1.0, window=5)
         analytic = onsager_matrix(gaussian, gaussian_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.01 * analytic[0, 0]
 
     def test_clock_rate_scales_fluxes(self, bernoulli_traj):
-        one = empirical_onsager(bernoulli_traj, 1.0, center=5, window=5)
-        three = empirical_onsager(bernoulli_traj, 3.0, center=5, window=5)
+        one = empirical_onsager_pooled([(bernoulli_traj, 5)], 1.0, window=5)
+        three = empirical_onsager_pooled([(bernoulli_traj, 5)], 3.0, window=5)
         assert np.max(np.abs(three - 3.0 * one)) <= 1e-12 * np.max(np.abs(three))
 
     def test_equilibrium_tail_is_ill_conditioned(self):
@@ -106,14 +105,14 @@ class TestEmpiricalOnsager:
         entropies = np.linspace(0.1, 0.2, 12)
         traj = synthetic_trajectory(taus, states, [[l] for l in lams], entropies, lams)
         with pytest.raises(IllConditionedError):
-            empirical_onsager(traj, 1.0, center=8, window=5)
+            empirical_onsager_pooled([(traj, 8)], 1.0, window=5)
 
     def test_single_trajectory_cannot_resolve_two_directions(self, equal_gas_pair):
         # the force one-form decays parallel to itself, so one trajectory
         # only probes one direction: the 2-D window is rank one
         traj = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=1e-2)
         with pytest.raises(IllConditionedError):
-            empirical_onsager(traj, 1.0, center=len(traj) // 2, window=5)
+            empirical_onsager_pooled([(traj, len(traj) // 2)], 1.0, window=5)
 
     def test_pooled_windows_recover_full_matrix(self, equal_gas_pair):
         t1 = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=5e-3)
@@ -144,13 +143,13 @@ class TestEmpiricalOnsager:
 
     def test_window_must_fit_interior(self, bernoulli_traj):
         with pytest.raises(ValueError):
-            empirical_onsager(bernoulli_traj, 1.0, center=0, window=5)
+            empirical_onsager_pooled([(bernoulli_traj, 0)], 1.0, window=5)
         with pytest.raises(ValueError):
-            empirical_onsager(bernoulli_traj, 1.0, center=len(bernoulli_traj), window=5)
+            empirical_onsager_pooled([(bernoulli_traj, len(bernoulli_traj))], 1.0, window=5)
 
     def test_window_size_floor(self, coupled_gas_traj):
         with pytest.raises(ValueError):
-            empirical_onsager(coupled_gas_traj, 1.0, window=3)  # needs n_dim + 2
+            empirical_onsager_pooled([(coupled_gas_traj, None)], 1.0, window=3)  # needs n_dim + 2
 
 
 class TestReportExport:
@@ -180,7 +179,8 @@ class TestReportExport:
                             lambda *args: calls.append(args) or bounds(*args))
         report = empirical_report(gas_e_only_pair, traj, 1.5, window=7)
         assert len(calls) == 1
-        assert np.array_equal(report.empirical_L, empirical_onsager(traj, 1.5, window=7))
+        pooled = empirical_onsager_pooled([(traj, None)], 1.5, window=7)
+        assert np.array_equal(report.empirical_L, pooled)
 
     def test_report_without_empirical(self, bernoulli):
         report = onsager_matrix(bernoulli, [0.25])
