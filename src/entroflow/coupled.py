@@ -113,7 +113,8 @@ def _two_sum_error(a, b, s):
 class PairRay:
     """The curve F(A) = t F0 of ``system`` through its point ``start`` at
     t = 1, with the contract of a family's ``ray``: the arclength rate in
-    ``rate`` and the states of the flow's rows in ``states``.
+    ``rate`` and the states of the flow's rows in ``states``, with subsystem
+    1's force l, from which ``flow._ray`` forms the pair's columns.
 
     Each node is solved in subsystem 1's natural parameter l by a batched,
     damped Newton iteration; see the module docstring.  ``rate`` is asked
@@ -164,27 +165,11 @@ class PairRay:
         return np.ascontiguousarray(l.T)
 
     def states(self, ts: np.ndarray):
-        """(A, S, g_inv, columns) at each t: the means A of subsystem 1, the
-        total entropies, the inverse metrics g_T^-1 and the ``Trajectory``
-        columns lam = l, lam' = l - t F0, A' = A_T - A and the conservation
-        residual."""
+        """(A, S, g_inv, l) at each t: the means A of subsystem 1, the total
+        entropies, the inverse metrics g_T^-1 and subsystem 1's forces l, from
+        which the flow forms lam = l, lam' = l - t F0 and A' = A_T - A."""
         l, state = self.solve(ts, rows=True)
-        columns = self.columns(state["A"], l, l - np.multiply.outer(ts, self.F0))
-        return state["A"], state["S"], state["g_inv"], columns
-
-    def columns(self, A: np.ndarray, lam: np.ndarray, lam_prime: np.ndarray) -> dict:
-        """The ``Trajectory`` columns of rows with subsystem-1 means A and
-        forces lam and lam': those forces, A' = A_T - A and the conservation
-        residual max|A + A' - A_T|, zero by construction and kept as a
-        regression guard."""
-        A_total = self.system.A_total
-        A_prime = A_total - A
-        return {
-            "lam": lam,
-            "lam_prime": lam_prime,
-            "A_prime": A_prime,
-            "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1),
-        }
+        return state["A"], state["S"], state["g_inv"], l
 
     def _evaluate(self, l: np.ndarray, shift: np.ndarray, rows: bool, ahead: bool = False):
         """At nodes l (rows) with forces t F0 = ``shift``: the Newton steps,

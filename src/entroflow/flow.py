@@ -31,11 +31,11 @@ curve F(A) = t F0, t from 1 down to 0, and tau(t) is again a fixed
 integral, of f = (F0 . g_T^-1 . F0)^(1/2).  ``integrate`` runs it through
 the same table, placement and landing, reading a ``coupled.PairRay``, which
 has a family ray's contract, with g_T^-1 from its ``states`` in place of
-the covariance; the pair's kernels solve each node in subsystem 1's
-natural parameter by a batched Newton iteration on the families' forward
-maps, start the table's first panel on the tangent of the curve at
-t = 1, and start each row from the Chebyshev series of the table's solved
-nodes (see ``coupled``).
+the covariance and subsystem 1's force l after it; the pair's kernels
+solve each node in subsystem 1's natural parameter by a batched Newton
+iteration on the families' forward maps, start the table's first panel on
+the tangent of the curve at t = 1, and start each row from the Chebyshev
+series of the table's solved nodes (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
 t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is
@@ -43,8 +43,9 @@ built in u = -ln t, where dtau/du = t f = sigma, over [0, U] with U doubled
 from 1 until tau(U) > tau_max, and the run ends at tau_max.
 
 A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
-stores it that way, one column per quantity (tau, A, lam, S, sigma, speed),
-which the analyses and the CSV writer read directly.
+stores it that way, one column per quantity (tau, A, lam, S, sigma, speed,
+and a pair's lam', A' and conservation residual), which the analyses and
+the CSV writer read directly; ``_ray`` alone builds them, for every row.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ class Trajectory:
     def force(self) -> np.ndarray:
         """The force driving each row: lam, or lam - lam' for a coupled system."""
         return self.lam if self.lam_prime is None else self.lam - self.lam_prime
-
-
-def _speed(pt: ManifoldPoint) -> float:
-    v = pt.g_inv @ pt.force / pt.sigma
-    return float(v @ pt.g @ v)
 
 
 def _checked(rate, ts: np.ndarray) -> np.ndarray:
@@ -288,11 +284,14 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     ``tau_max`` once within half a spacing of it), landing rows and the
     maximum, all from one call of the ray's ``states``, which maps the rows'
     t to their means A, entropies S and inverse metrics g_inv, and for a
-    ``PairRay`` its own force columns after them; the pair's first row takes
-    its columns from the same builder, with lam' subsystem 2's own force.
-    Every row's metric is formed, symmetrized and checked here.  A ray
-    without a maximum has its table in a variable that ``t_of`` maps to t
-    and ends at ``tau_max``."""
+    ``PairRay`` to subsystem 1's forces l after them.  Every row's metric is
+    formed, symmetrized and checked here.  The one builder of ``Trajectory``
+    columns: the start point's A, g_inv and g go in front of the rows', so
+    every row's sigma and speed come from one batched formula, and a pair's
+    lam = l, lam' = l - t F0, A' = A_T - A and residual from one block, with
+    the start's l and lam' (the force at the recorded A') from its subsystem
+    points.  A ray without a maximum has its table in a variable that
+    ``t_of`` maps to t and ends at ``tau_max``."""
     F0 = start.force
     targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
     near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
@@ -310,28 +309,30 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
             halved, taus = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
             ts = np.concatenate([ts, halved, [0.0]])
             targets = np.concatenate([targets, taus, [table.tau_eq]])
-    A, S, g_inv, *columns = ray.states(ts)
+    A, S, g_inv, *pair = ray.states(ts)
     g = _symmetrize(_inverses(g_inv))
     _check_metrics(ts, g)
-    force = np.multiply.outer(ts, F0) + 0.0  # + 0.0 turns -0.0 into 0.0 at t = 0
+    # the start row, at t = 1, in front of the rows' stacks; the rows' + 0.0
+    # turns -0.0 into 0.0 at t = 0
+    A, force = np.vstack([start.A, A]), np.vstack([F0, np.multiply.outer(ts, F0) + 0.0])
+    g_inv, g = np.concatenate([start.g_inv[None], g_inv]), np.concatenate([start.g[None], g])
     sigma = np.sqrt(np.maximum(((force[:, None, :] @ g_inv) @ force[:, :, None])[:, 0, 0], 0.0))
     v = (g_inv @ force[:, :, None])[:, :, 0] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
     if landing:
         # the velocity dA/dtau = g_inv . F0 / f stays defined at the maximum
         v[-1] = g_inv[-1] @ F0 / table.f0
-    rows = {"lam": force, **(columns[0] if columns else {})}
-    if isinstance(ray, PairRay):
-        head = ray.columns(start.A[None], start.p1.force[None], start.p2.force[None])
-    else:
-        head = {"lam": start.force[None]}
+    columns = {"lam": force}
+    if pair:
+        lam, A_total = np.vstack([start.p1.force, pair[0]]), ray.system.A_total
+        lam_prime, A_prime = lam - force, A_total - A
+        lam_prime[0] = start.p2.force
+        columns = {"lam": lam, "lam_prime": lam_prime, "A_prime": A_prime,
+                   "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1)}
     return Trajectory(
-        tau=np.append(0.0, targets),
-        A=np.vstack([start.A, A]),
-        S=np.append(start.S, S),
-        sigma=np.append(start.sigma, sigma),
-        speed=np.append(_speed(start), ((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]),
+        tau=np.append(0.0, targets), A=A, S=np.append(start.S, S), sigma=sigma,
+        speed=((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0],
         terminal_status="equilibrium-reached" if landing else "tau-budget-exhausted",
-        **{name: np.concatenate([head[name], rows[name]]) for name in head},
+        **columns,
     )
 
 
@@ -368,8 +369,8 @@ def integrate(
     sampled at the Chebyshev points of a few panels, builds one table of
     tau(t), against whose series the rows, which sit at tau = k * h, are
     placed without a kernel call, and one batched call of its ``states``
-    gives their A, S and covariance (for a pair, g_T^-1 and the subsystem
-    columns).  Where the next such row would lie past the entropy maximum
+    gives their A, S and covariance (for a pair, g_T^-1 and subsystem 1's
+    force).  Where the next such row would lie past the entropy maximum
     or have sigma at most ``2 * sigma_eq``, rows go on with sigma halving
     while it exceeds ``2 * sigma_eq``.  The run ends with status
     ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its

@@ -181,7 +181,11 @@ class FamilyManifold(StateManifold):
         inversion accuracy."""
         fam = self.family
         A = fam.check_feasible(A)
-        closed = fam.legendre(A)
+        try:
+            closed = fam.legendre(A)
+        except ArithmeticError as exc:  # a float form under- or overflows: no state
+            raise SingularModelError(
+                f"the closed forms at A = {A.tolist()} leave the float range ({exc})") from None
         if closed is None:
             lam, S, cov = duality.solve_lambda(fam, A)
             pt = ManifoldPoint(A=A, force=lam, S=S, g=_spd_inverse(cov, "covariance"), family=fam)

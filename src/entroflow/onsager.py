@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .geometry import SIGMA_MIN, as_manifold
 
 __all__ = [
     "OnsagerReport",
-    "check_window",
     "onsager_matrix",
     "empirical_onsager_pooled",
     "empirical_report",
@@ -47,12 +46,11 @@ class OnsagerReport:
     """Analytic transport matrix at a state, optionally with an empirical fit.
 
     ``asymmetry`` is max |L - L^T|; it is exactly zero for the analytic
-    matrix, which is built from the symmetrized g_inv.  ``window`` holds the
-    [first, last] sample indices used for the empirical regression.
+    matrix, which is built from the symmetrized g_inv.  ``empirical_L`` is
+    the fit of the [first, last] samples in ``window``; both are None alone.
     """
 
     L: np.ndarray
-    clock_rate: float
     asymmetry: float
     empirical_L: np.ndarray | None = None
     window: tuple[int, int] | None = None
@@ -73,20 +71,17 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
             f"sigma = {pt.sigma:.3e}: transport coefficients diverge at equilibrium"
         )
     L = clock_rate * pt.g_inv / pt.sigma
-    return OnsagerReport(
-        L=L, clock_rate=clock_rate, asymmetry=float(np.max(np.abs(L - L.T)))
-    )
-
-
-def check_window(window: int, n_dim: int) -> None:
-    """Raise ValueError unless a window of ``window`` samples can fit the
-    n_dim x n_dim matrix L."""
-    if window < n_dim + 2:
-        raise ValueError(f"window must span at least n_dim + 2 = {n_dim + 2} samples")
+    return OnsagerReport(L=L, asymmetry=float(np.max(np.abs(L - L.T))))
 
 
 def _window_bounds(traj: Trajectory, center: int | None, window: int) -> tuple[int, int]:
-    check_window(window, traj.A.shape[1])
+    """The [first, last] samples of the window of ``window`` samples around
+    ``center`` (None: the middle row).  ValueError unless the window spans
+    n_dim + 2 samples, enough to fit the n_dim x n_dim matrix L, and lies
+    inside the trajectory's interior."""
+    n_dim = traj.A.shape[1]
+    if window < n_dim + 2:
+        raise ValueError(f"window must span at least n_dim + 2 = {n_dim + 2} samples")
     if center is None:
         center = len(traj) // 2
     first = center - window // 2
@@ -112,14 +107,18 @@ def _window_rows(
     return forces, fluxes
 
 
-def _fit(forces: np.ndarray, fluxes: np.ndarray, scale: float) -> np.ndarray:
-    """Solve fluxes ~ forces . L^T, guarding against degenerate forces.
+def _fit(windows: list[tuple[Trajectory, int, int]], clock_rate: float) -> np.ndarray:
+    """Solve fluxes ~ forces . L^T on the rows of the (trajectory, first,
+    last) ``windows`` stacked, guarding against degenerate forces.
 
-    Conditioning is measured against ``scale`` (the largest force row norm
-    seen along the trajectory): sqrt(window) * scale over the smallest
-    singular value of the windowed force matrix.  This flags both
+    Conditioning is measured against the force scale, the largest force row
+    norm along the windows' trajectories: sqrt(rows) * scale over the
+    smallest singular value of the stacked force matrix.  This flags both
     near-collinear force windows and equilibrium tails (forces ~ 0).
     """
+    rows = [_window_rows(traj, clock_rate, first, last) for traj, first, last in windows]
+    forces, fluxes = np.vstack([f for f, _ in rows]), np.vstack([x for _, x in rows])
+    scale = max(float(np.max(np.linalg.norm(traj.force, axis=1))) for traj, _, _ in windows)
     smallest = float(np.min(np.linalg.svd(forces, compute_uv=False)))
     reference = scale * math.sqrt(forces.shape[0])
     condition = np.inf if smallest == 0.0 else reference / smallest
@@ -155,16 +154,8 @@ def empirical_onsager_pooled(
         raise ValueError("clock_rate must be finite and > 0")
     if not windows:
         raise ValueError("at least one (trajectory, center) pair is required")
-    all_forces = []
-    all_fluxes = []
-    scale = 0.0
-    for traj, center in windows:
-        first, last = _window_bounds(traj, center, window)
-        forces, fluxes = _window_rows(traj, clock_rate, first, last)
-        all_forces.append(forces)
-        all_fluxes.append(fluxes)
-        scale = max(scale, float(np.max(np.linalg.norm(traj.force, axis=1))))
-    return _fit(np.vstack(all_forces), np.vstack(all_fluxes), scale)
+    return _fit([(traj, *_window_bounds(traj, center, window)) for traj, center in windows],
+                clock_rate)
 
 
 def empirical_report(
@@ -178,15 +169,8 @@ def empirical_report(
     """Analytic L at the window center combined with the empirical fit."""
     first, last = _window_bounds(traj, center, window)
     analytic = onsager_matrix(system, traj.A[(first + last) // 2], clock_rate)
-    forces, fluxes = _window_rows(traj, clock_rate, first, last)
-    scale = float(np.max(np.linalg.norm(traj.force, axis=1)))
-    return OnsagerReport(
-        L=analytic.L,
-        clock_rate=clock_rate,
-        asymmetry=analytic.asymmetry,
-        empirical_L=_fit(forces, fluxes, scale),
-        window=(first, last),
-    )
+    return replace(analytic, empirical_L=_fit([(traj, first, last)], clock_rate),
+                   window=(first, last))
 
 
 def write_onsager_json(report: OnsagerReport, dest) -> None:

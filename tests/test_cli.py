@@ -504,12 +504,29 @@ class TestMain:
              "analyses[0]: an onsager fit needs a system of dimension 1, not 4", 2),
             (GAUSSIAN_2D_ONSAGER, ONSAGER_2D, 2),
             (dict(GAS_PAIR, analyses=[{"kind": "onsager"}]), ONSAGER_2D, 2),
+            # a feasible mean whose closed forms leave the float range has no
+            # state: its Python-float powers underflow into a division by
+            # zero, or overflow
+            ({"A0": [1e-200]}, "A0: the closed forms at A = [1e-200] leave the float range", 2),
+            ({"mode": "coupled", "family": None, "families": [{"closed_form": "bernoulli"}] * 2,
+              "A0": [1e-200], "A_total": [1.0]},
+             "A0: the closed forms at A = [1e-200] leave the float range", 2),
+            ({"family": {"closed_form": "ideal-gas", "volume": 1.0, "fixed_n": 1.0},
+              "A0": [1e-300]},
+             "A0: the closed forms at A = [1e-300] leave the float range", 2),
+            ({"family": {"closed_form": "ideal-gas", "volume": 1.0}, "A0": [1.0, 1e-300]},
+             "A0: the closed forms at A = [1.0, 1e-300] leave the float range", 2),
+            ({"family": {"closed_form": "ideal-gas", "volume": 1e300, "fixed_n": 1e300},
+              "A0": [1e300]},
+             "A0: the closed forms at A = [1e+300] leave the float range", 2),
         ],
         ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
              "probe-point-outside-the-hull", "same-output-path", "repeated-probe",
              "repeated-onsager", "entropy-check-window", "entropy-check-points",
              "onsager-points", "probe-clock-rate", "pair-window-3", "4d-default-window",
-             "2d-gaussian-onsager", "pair-onsager"],
+             "2d-gaussian-onsager", "pair-onsager", "bernoulli-underflow",
+             "bernoulli-pair-underflow", "gas-energy-underflow", "gas-number-underflow",
+             "gas-overflow"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, changed(change))
@@ -663,6 +680,20 @@ class TestMain:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "FileExistsError" in proc.stderr
+
+    def test_probe_where_the_forms_overflow_exits_2_without_traceback(self, tmp_path):
+        # Bernoulli's lam is finite at A = 1e-200, but the float square
+        # (A (1 - A))**2 in its dg underflows to 0 and divides
+        path = write_config(tmp_path, MINIMAL)
+        env = dict(os.environ, PYTHONPATH=str(Path(entroflow.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroflow.cli", "probe", str(path), "--point", "1e-200"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "SingularModelError: the closed forms at A = [1e-200]" in proc.stderr
 
     def test_collapsed_run_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # the table of tau is built from the true states of both subsystems;

@@ -17,7 +17,7 @@ from entroflow import (
     integrate,
     unit_velocity,
 )
-from helpers import composite_arclength, fd_metric_oracle, rk4_rows, tabulated_mean
+from helpers import composite_arclength, fd_metric_oracle, rk4_rows, seeded_table, tabulated_mean
 
 
 def gas_energy_metric(energy):
@@ -393,3 +393,23 @@ class TestForceRayContinuation:
         for lam, lam_prime, A in zip(ray.lam, ray.lam_prime, ray.A):
             assert np.max(np.abs(tabulated_mean(weights, stats, lam) - A)) <= 1e-12
             assert np.max(np.abs(tabulated_mean(weights, stats, lam_prime) - (A_T - A))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["gas-EN", "two-tables"])
+    def test_swapped_subsystems_swap_the_columns(self, case):
+        # which vessel is called subsystem 1 is a name, not physics: the pair
+        # with its subsystems swapped, started at A_T - A0, is the same curve,
+        # with A and A', and lam and lam', exchanged
+        if case == "gas-EN":
+            sys1, sys2 = IdealGasFamily(volume=1.0), IdealGasFamily(volume=7.0)
+            A_T, A0 = np.array([4.0, 2.0]), np.array([1.0, 0.5])
+        else:
+            (sys1, A0), (sys2, A2) = seeded_table(3, 50), seeded_table(4, 60)
+            A_T = A0 + A2
+        run = integrate(CompositeSystem(sys1, sys2, A_T), A0, tau_max=20.0)
+        swapped = integrate(CompositeSystem(sys2, sys1, A_T), A_T - A0, tau_max=20.0)
+        assert len(swapped) == len(run) and swapped.terminal_status == run.terminal_status
+        pairs = [("tau", "tau"), ("sigma", "sigma"), ("S", "S"),
+                 ("A", "A_prime"), ("lam", "lam_prime"), ("A_prime", "A"), ("lam_prime", "lam")]
+        for name, partner in pairs:
+            x, y = getattr(run, name), getattr(swapped, partner)
+            assert np.all(np.abs(x - y) <= 1e-14 * np.maximum(1.0, np.abs(x))), (name, partner)

@@ -623,6 +623,25 @@ class TestMetamorphicRelations:
         assert self.worst(run, parts) <= 1e-14
         assert np.max(np.abs(parts.S - run.S)) <= 1e-14
 
+    @pytest.mark.parametrize("n_points", [50, 5000], ids=["direct", "binned"])
+    def test_affine_recoding_maps_the_rows(self, n_points):
+        # statistics a -> M a + c, from M A0 + c: each point keeps its
+        # probability, since lam' = M^-T lam gives lam' . (M a + c) = lam . a
+        # + lam' . c, so tau, sigma and S stay; A maps as the statistics and
+        # lam by M^-T; speed inverts g, whose error M's conditioning amplifies
+        fam, A0 = seeded_table(9, n_points)
+        rng = np.random.default_rng(90)
+        M, c = rng.normal(size=(3, 3)) + 2.0 * np.eye(3), rng.normal(size=3)
+        run = integrate(fam, A0, tau_max=10.0)
+        recoded = integrate(OracleTable(fam.weights, M @ fam.stats + c[:, None]), M @ A0 + c,
+                            tau_max=10.0)
+        assert len(recoded) == len(run) and recoded.terminal_status == run.terminal_status
+        mapped = {"tau": run.tau, "sigma": run.sigma, "S": run.S, "A": run.A @ M.T + c,
+                  "lam": run.lam @ np.linalg.inv(M), "speed": run.speed}
+        for name, want in mapped.items():
+            bound = 1e-13 if name == "speed" else 1e-14
+            assert np.max(np.abs(getattr(recoded, name) - want)) <= bound, name
+
 
 class TestEntropyProduction:
     def test_bernoulli_within_contract(self, bernoulli_traj):
