@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     SingularModelError,
     StepCollapseError,
-    TooFewSamplesError,
     ValidationError,
 )
 from .family import (
@@ -67,7 +66,6 @@ __all__ = [
     "NoConvergenceError",
     "AtEquilibriumError",
     "StepCollapseError",
-    "TooFewSamplesError",
     "MonotonicityError",
     "IllConditionedError",
     "ParseError",

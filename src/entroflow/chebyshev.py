@@ -56,12 +56,13 @@ def chop(coeffs: np.ndarray, tol: float) -> int:
     if envelope[0] == 0.0:
         return 1
     envelope = envelope / envelope[0]
+    levels, log_tol = envelope.tolist(), math.log(tol)
     for j in range(2, n + 1):  # 1-based, as in the paper
         j2 = int(1.25 * j + 5.5)
         if j2 > n:
             return n
-        e1, e2 = envelope[j - 1], envelope[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+        e1, e2 = levels[j - 1], levels[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
             plateau = j - 1
             break
     if envelope[plateau - 1] == 0.0:
@@ -94,7 +95,12 @@ def clenshaw(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     every point shares.  Zero coefficients past a series' degree leave its
     sum as it is."""
     x = 2.0 * s
-    b1 = b2 = np.zeros(coeffs.shape[1:])
+    # the recurrence b1, b2 = c + x b1 - b2, b1 in three buffers, of the
+    # shape that the series and the points broadcast to
+    b0, b1, b2 = np.zeros((3,) + np.broadcast_shapes(coeffs.shape[1:], np.shape(s)))
     for c in coeffs[:0:-1]:
-        b1, b2 = c + x * b1 - b2, b1
+        np.multiply(x, b1, out=b0)
+        b0 += c
+        b0 -= b2
+        b0, b1, b2 = b2, b0, b1
     return coeffs[0] + 0.5 * x * b1 - b2

@@ -32,10 +32,6 @@ class StepCollapseError(EntroflowError):
     nodes, did not converge."""
 
 
-class TooFewSamplesError(EntroflowError):
-    """A trajectory does not contain enough samples for the requested analysis."""
-
-
 class MonotonicityError(EntroflowError):
     """A trajectory component required to be strictly monotone is not."""
 

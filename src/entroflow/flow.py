@@ -16,8 +16,11 @@ level of panels, places the t of every row at once against it by two
 Newton steps on the panels' series from an inverse Hermite start on the
 panels' points, which call no kernel, and takes A, S and the
 covariance of all rows from one call of the ray's ``states``; the metric of
-every row is that covariance's inverse.  A closed-form family's rate is
-closed form and its states are its batched ``natural_states`` at t lam0.
+every row is that covariance's inverse.  Since dS/dtau = sigma = t f, the
+table also integrates t f^2 from the rate samples it holds, which gives each
+row the entropy gained since the start independently of its S.  A
+closed-form family's rate is closed form and its states are its batched
+``natural_states`` at t lam0.
 A table's ray either reads the table once, into per-bin Taylor moments of
 y = lam0 . (a - c) that serve every node and row by a Horner sum over a
 few bins, or, where the bins would cost more than the points, sums over
@@ -44,8 +47,9 @@ from 1 until tau(U) > tau_max, and the run ends at tau_max.
 
 A trajectory is a curve parametrized by intrinsic time, and ``Trajectory``
 stores it that way, one column per quantity (tau, A, lam, S, sigma, speed,
-and a pair's lam', A' and conservation residual), which the analyses and
-the CSV writer read directly; ``_ray`` alone builds them, for every row.
+the entropy gain, and a pair's lam', A' and conservation residual), which
+the analyses and the CSV writer read directly; ``_ray`` alone builds them,
+for every row.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ import numpy as np
 from . import _g17, chebyshev
 from .errors import (
     AtEquilibriumError, DomainError, MonotonicityError, SingularModelError, StepCollapseError,
-    TooFewSamplesError,
 )
 from .coupled import CompositeSystem, PairRay
 from .family import ExponentialFamily
@@ -96,10 +99,12 @@ class Trajectory:
     ``sigma`` and ``speed`` have shape (n,).  ``speed`` is g_{ab} v^a v^b of
     the unit velocity v (at a maximum that ends a ray, its limit along the
     ray), with g inverted per row from the covariance that also gives
-    sigma, so it is 1 by construction and checks that inversion.  For a
-    coupled system ``A_prime`` and ``lam_prime`` hold subsystem 2's state
-    and force and ``conservation_residual`` the per-sample max|A + A' - A_T|;
-    all three are None for a single system.  ``terminal_status`` is
+    sigma, so it is 1 by construction and checks that inversion.
+    ``entropy_gain`` (n,) is the integral of sigma dtau from the start, taken
+    by the table of tau from the ray's rate, not from S.  For a coupled
+    system ``A_prime`` and ``lam_prime`` hold subsystem 2's state and force
+    and ``conservation_residual`` the per-sample max|A + A' - A_T|; all three
+    are None for a single system.  ``terminal_status`` is
     ``equilibrium-reached`` or ``tau-budget-exhausted``.
     """
 
@@ -109,6 +114,7 @@ class Trajectory:
     S: np.ndarray
     sigma: np.ndarray
     speed: np.ndarray
+    entropy_gain: np.ndarray
     terminal_status: str
     A_prime: np.ndarray | None = None
     lam_prime: np.ndarray | None = None
@@ -137,7 +143,9 @@ def _checked(rate, ts: np.ndarray) -> np.ndarray:
 
 class _RayTable:
     """tau(t), the integral of the arclength rate f from t to 1 on the ray
-    F = t F0, as Chebyshev panels of [0, 1] (of x, for ``_open_table``).
+    F = t F0, as Chebyshev panels of [0, 1] (of x, for ``_open_table``), and
+    the entropy gained from t to 1, the integral of sigma f, with sigma = t f
+    or, in x, the table's ``sigma`` of x and f.
 
     From [0, 1], each level samples the rate at the Chebyshev points of all
     pending panels in one kernel call and splits in two every panel whose
@@ -147,12 +155,13 @@ class _RayTable:
     almost empty, is refined geometrically toward it.  Each accepted panel
     keeps its series of f, with the coefficients below rounding dropped, and
     its integrated series, the tau from t up to the panel's top; tau at a
-    panel's top is the exactly rounded sum of the panels above it.  tau and
-    f at any t then take a Clenshaw sum and no kernel call.  The panels'
-    points keep their t, their tau on the series and their sampled f, from
-    which ``place`` starts."""
+    panel's top is the exactly rounded sum of the panels above it.  The gain
+    is integrated the same way, from its own series of sigma f at the
+    panel's points.  tau, f and the gain at any t then take a Clenshaw sum
+    and no kernel call.  The panels' points keep their t, their tau on the
+    series and their sampled f, from which ``place`` starts."""
 
-    def __init__(self, rate):
+    def __init__(self, rate, sigma=lambda ts, fs: ts * fs):
         lo, hi, done, count = np.zeros(1), np.ones(1), [], 0
         while lo.size:
             count += lo.size
@@ -171,49 +180,58 @@ class _RayTable:
         order = np.argsort(np.concatenate([part[0] for part in done]))
         self.lo, self.hi, coeffs, node_t, node_f = (
             np.concatenate(column)[order] for column in zip(*done))
-        self.f0 = node_f[0, 0]  # the rate at t = 0
-        for c in coeffs:  # the coefficients past the rounding plateau are dropped
-            c[chebyshev.chop(c, _EPS):] = 0.0
-        coeffs = coeffs[:, :np.flatnonzero(np.any(coeffs, axis=0))[-1] + 1].T
+        self.f0, self.sigma = node_f[0, 0], sigma  # f0: the rate at t = 0
+        coeffs, tau, self.tops, self.tau_eq = self._integrated(coeffs)
         self.f_bound = np.max(np.sum(np.abs(coeffs), axis=0))  # |T_k| <= 1
-        # the series of tau - top and of f, degree first and panels last:
-        # tau - top is -half the integral of f from s = 1, and at s = -1 the
-        # panel's part of tau
-        tau = -0.5 * (self.hi - self.lo) * chebyshev.integral(coeffs)
-        self.series = np.stack([tau, np.pad(coeffs, ((0, 1), (0, 0)))], axis=1)
-        parts = ((-1.0) ** np.arange(len(tau)) @ tau).tolist()
-        # tau at a panel's top: the exactly rounded sum of the parts above it
-        self.tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
-        self.tau_eq = math.fsum(parts)
+        gain_density = chebyshev.coefficients((sigma(node_t, node_f) * node_f)[:, :, None])
+        _, gain, self.gain_tops, self.gain_eq = self._integrated(gain_density[:, :, 0])
+        # the series of tau - top, f and gain - top, padded with zero top
+        # coefficients, which leave a Clenshaw sum as it is, to one degree
+        n = max(len(tau), len(gain))
+        self.series = np.stack([np.pad(c, ((0, n - len(c)), (0, 0))) for c in (tau, coeffs, gain)], 1)
         # t, tau and f at the panels' points, in the order of t
         s = chebyshev.nodes(np.array(-1.0), np.array(1.0))
         node_tau = self.tops[:, None] + chebyshev.clenshaw(tau[:, :, None], s)
         self.nodes = np.stack([node_t.ravel(), node_tau.ravel(), node_f.ravel()])
 
+    def _integrated(self, coeffs: np.ndarray):
+        """A density's coefficients (panels, POINTS) past rounding dropped,
+        degree first; its integral from each panel's top, -half the integral
+        from s = 1; that at each panel's top, the exactly rounded sum of the
+        panels' parts above it; and the whole."""
+        for c in coeffs:
+            c[chebyshev.chop(c, _EPS):] = 0.0
+        coeffs = coeffs[:, :np.flatnonzero(np.any(coeffs, axis=0))[-1] + 1].T
+        series = -0.5 * (self.hi - self.lo) * chebyshev.integral(coeffs)
+        parts = ((-1.0) ** np.arange(len(series)) @ series).tolist()
+        tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
+        return coeffs, series, tops, math.fsum(parts)
+
     def _sums(self, j: np.ndarray):
         """The ends of panels j, and the function of points s in them that
-        gives tau and f by Clenshaw sums of the panels' series."""
-        series, tops = self.series[:, :, j], self.tops[j]
+        gives tau, f and the gain by Clenshaw sums of the panels' series."""
+        series, tops, gain_tops = self.series[:, :, j], self.tops[j], self.gain_tops[j]
 
         def sums(s):
-            tau, f = chebyshev.clenshaw(series, s)
-            return tops + tau, f
+            tau, f, gain = chebyshev.clenshaw(series, s)
+            return tops + tau, f, gain_tops + gain
 
         return self.lo[j], self.hi[j], sums
 
     def at(self, ts: np.ndarray):
-        """tau and f at each t."""
+        """tau, f and the gain at each t."""
         lo, hi, sums = self._sums(np.searchsorted(self.lo, ts, side="right") - 1)
         return sums((2.0 * ts - lo - hi) / (hi - lo))
 
     def place(self, targets: np.ndarray):
-        """The t where tau reaches each of ``targets`` (below tau_eq), and f
-        there: Newton steps on each panel's series of tau, whose derivative
-        in t is -f.  They start from the inverse cubic Hermite interpolant
-        of t(tau) between the two points of the panel whose tau brackets the
-        target, with the slope dt/dtau = -1/f of the sampled rate at both,
-        which lands within about 1e-8 of the root on a resolved panel, so
-        that one step and the polishing one follow."""
+        """The t where tau reaches each of ``targets`` (below tau_eq), f and
+        the gain there: Newton steps on each panel's series of tau, whose
+        derivative in t is -f.  They start from the inverse cubic Hermite
+        interpolant of t(tau) between the two points of the panel whose tau
+        brackets the target, with the slope dt/dtau = -1/f of the sampled
+        rate at both, which lands within about 1e-8 of the root on a
+        resolved panel, so that one step and the polishing one follow.  The
+        gain, summed before that step, is carried to the target by sigma."""
         j = len(self.tops) - np.searchsorted(self.tops[::-1], targets, side="right")
         lo, hi, sums = self._sums(j)
         # tau falls along the points, so points i - 1 and i of panel j bracket
@@ -229,23 +247,24 @@ class _RayTable:
              + u * v * (tau_a - tau_b) * (v / f_a - u / f_b))
         s, last = (2.0 * t - lo - hi) / (hi - lo), False
         for _ in range(_RAY_NEWTON_ITERS):
-            tau, f = sums(s)
+            tau, f, gain = sums(s)
             step = (tau - targets) / (0.5 * (hi - lo) * f)
             s = np.clip(s + step, -1.0, 1.0)
             if last:
                 break
             last = bool(np.all(np.abs(step) <= 1e-6))  # one step more lands at rounding
-        return hi * (0.5 + 0.5 * s) + lo * (0.5 - 0.5 * s), f
+        t = hi * (0.5 + 0.5 * s) + lo * (0.5 - 0.5 * s)
+        return t, f, gain + self.sigma(t, f) * (targets - tau)
 
     def landing(self, t: float, sigma_eq: float):
-        """The t and tau of the rows t / 2^j, j = 1, 2, ..., while sigma = t f
-        exceeds 2 ``sigma_eq``."""
+        """The t, tau and gain of the rows t / 2^j, j = 1, 2, ..., while
+        sigma = t f exceeds 2 ``sigma_eq``."""
         halved = t * 0.5 ** np.arange(1.0, 1076.0)  # down to 0
         # past the first row with t f_bound <= 2 sigma_eq, sigma is below it too
         halved = halved[:np.count_nonzero(halved * self.f_bound > 2.0 * sigma_eq) + 1]
-        tau, f = self.at(halved)
+        tau, f, gain = self.at(halved)
         end = np.flatnonzero(halved * f <= 2.0 * sigma_eq)[0]
-        return halved[:end], tau[:end]
+        return halved[:end], tau[:end], gain[:end]
 
 
 def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
@@ -271,7 +290,7 @@ def _open_table(rate, tau_max: float, span: float):
         ts = t_of(xs)
         return span * ts * _checked(rate, ts)
 
-    table = _RayTable(rate_x)
+    table = _RayTable(rate_x, lambda xs, fs: fs / span)  # sigma = t f
     if table.tau_eq > tau_max:
         return table, t_of
     return _open_table(rate, tau_max, 2.0 * span)
@@ -298,17 +317,18 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     targets = np.append(targets[:near[0]], tau_max) if near.size else targets
     landing = bool(targets[-1] >= table.tau_eq)
     targets = targets[targets < table.tau_eq]
-    ts, fs = table.place(targets)
+    ts, fs, gains = table.place(targets)
     if t_of is not None:
         ts = t_of(ts)
     else:
         low = np.flatnonzero((ts * fs <= 2.0 * sigma_eq) & (targets < tau_max))
         if low.size:
-            landing, ts, fs, targets = True, ts[:low[0]], fs[:low[0]], targets[:low[0]]
+            landing, ts, targets, gains = True, ts[:low[0]], targets[:low[0]], gains[:low[0]]
         if landing:
-            halved, taus = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
+            halved, taus, halved_gains = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
             ts = np.concatenate([ts, halved, [0.0]])
             targets = np.concatenate([targets, taus, [table.tau_eq]])
+            gains = np.concatenate([gains, halved_gains, [table.gain_eq]])
     A, S, g_inv, *pair = ray.states(ts)
     g = _symmetrize(_inverses(g_inv))
     _check_metrics(ts, g)
@@ -330,7 +350,7 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
                    "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1)}
     return Trajectory(
         tau=np.append(0.0, targets), A=A, S=np.append(start.S, S), sigma=sigma,
-        speed=((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0],
+        speed=((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0], entropy_gain=np.append(0.0, gains),
         terminal_status="equilibrium-reached" if landing else "tau-budget-exhausted",
         **columns,
     )
@@ -430,45 +450,25 @@ def nonuniform_first_derivative(f_prev, f_mid, f_next, h_minus, h_plus):
 
 @dataclass(frozen=True)
 class EntropyProductionReport:
-    """Worst-case deviation between dS/dtau and the recorded sigma over the
-    samples that resolve dS/dtau (``argmax_tau`` is None when none does),
-    and the deviation at each of them."""
+    """The largest residual of the integrated entropy identity over the
+    rows, the tau of the row where it falls, and the residual of each row."""
 
     max_residual: float
-    argmax_tau: float | None
+    argmax_tau: float
     residuals: tuple[float, ...]
 
 
-#: An interior sample is compared only where the rounding of S puts less
-#: than this into its centred difference of S.
-ENTROPY_CHECK_ROUNDING = 1e-10
-
-
 def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
-    """Compare centered-difference dS/dtau against sigma at interior samples.
-
-    A sample is skipped where the rounding of its difference,
-    eps (|S_-| + |S| + |S_+|) (1 / h_- + 1 / h_+), exceeds
-    ENTROPY_CHECK_ROUNDING: on the landing intervals near a maximum it
-    would otherwise report S's last bit amplified by 1 / h.  For default
-    step sizes the maximum residual stays below 1e-4, which is the
-    numerical expression of sigma being the entropy production rate.
-    """
-    if len(traj) < 3:
-        raise TooFewSamplesError(
-            f"need at least 3 samples, trajectory has {len(traj)}"
-        )
-    S, size, h = traj.S, np.abs(traj.S), np.diff(traj.tau)
-    rounding = _EPS * (size[:-2] + size[1:-1] + size[2:]) * (1.0 / h[:-1] + 1.0 / h[1:])
-    kept = np.flatnonzero(rounding <= ENTROPY_CHECK_ROUNDING) + 1
-    if not kept.size:
-        return EntropyProductionReport(max_residual=0.0, argmax_tau=None, residuals=())
-    slope = nonuniform_first_derivative(S[kept - 1], S[kept], S[kept + 1], h[kept - 1], h[kept])
-    residuals = np.abs(slope - traj.sigma[kept])
+    """Check dS/dtau = sigma, integrated, at every row: the residual
+    |S_k - S_0 - entropy_gain_k| / max(1, |S_k|) sets S from the ray's
+    states against the integral of sigma dtau from its rate, so it is a few
+    ulps where rate and states agree.  The start row reads 0."""
+    S = traj.S
+    residuals = np.abs(S - S[0] - traj.entropy_gain) / np.maximum(1.0, np.abs(S))
     worst = int(np.argmax(residuals))
     return EntropyProductionReport(
         max_residual=float(residuals[worst]),
-        argmax_tau=float(traj.tau[kept[worst]]),
+        argmax_tau=float(traj.tau[worst]),
         residuals=tuple(residuals.tolist()),
     )
 

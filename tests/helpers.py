@@ -385,7 +385,7 @@ def composite_arclength(g1, g2, A_total, a0, a1, panels=16, nodes=16):
 
 
 def synthetic_trajectory(taus, states, lams, entropies, sigmas,
-                         status="tau-budget-exhausted"):
+                         status="tau-budget-exhausted", entropy_gain=None):
     n = len(taus)
     return Trajectory(
         tau=np.asarray(taus, dtype=float),
@@ -394,6 +394,7 @@ def synthetic_trajectory(taus, states, lams, entropies, sigmas,
         S=np.asarray(entropies, dtype=float),
         sigma=np.asarray(sigmas, dtype=float),
         speed=np.ones(n),
+        entropy_gain=np.zeros(n) if entropy_gain is None else np.asarray(entropy_gain, dtype=float),
         terminal_status=status,
     )
 

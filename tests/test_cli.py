@@ -316,6 +316,17 @@ class TestRunScenario:
         assert summary["terminal_status"] == "equilibrium-reached"
         assert math.isfinite(summary["analyses"]["entropy_production_check"]["max_residual"])
 
+    def test_a_validated_two_row_run_is_checked(self, tmp_path, capsys):
+        # tau_eq is about 1.5e-8: the run is its start and the maximum, and
+        # the entropy check reads the one row past the start
+        doc = dict(MINIMAL, A0=[0.5000000075], analyses=[{"kind": "entropy_production_check"}])
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        assert len((out / "b.csv").read_text().splitlines()) == 3  # the header and two rows
+        check = json.loads((out / "b-summary.json").read_text())["analyses"]
+        assert check["entropy_production_check"]["max_residual"] <= 1e-13
+
     def test_determinism_byte_identical(self, tmp_path):
         doc = dict(
             MINIMAL,

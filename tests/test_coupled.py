@@ -181,7 +181,7 @@ class TestIntegrateCoupled:
 
     def test_entropy_production(self, coupled_gas_traj):
         assert np.all(np.diff(coupled_gas_traj.S) >= -1e-10)
-        assert entropy_production_check(coupled_gas_traj).max_residual <= 1e-4
+        assert entropy_production_check(coupled_gas_traj).max_residual <= 1e-13
 
     def test_asymmetric_volumes_equalize_forces_not_states(self):
         cs = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(2.0), [4.0, 2.0])

@@ -20,7 +20,6 @@ from entroflow import (
     MonotonicityError,
     SingularModelError,
     StepCollapseError,
-    TooFewSamplesError,
     as_manifold,
     clock_invert,
     entropy_production_check,
@@ -32,7 +31,7 @@ from entroflow import chebyshev, duality
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config
 from entroflow.coupled import PairRay
 from entroflow.family import TabulatedFamily, _BinnedRay
-from entroflow.flow import ENTROPY_CHECK_ROUNDING, _RayTable, nonuniform_first_derivative
+from entroflow.flow import _RayTable
 from entroflow.geometry import StateManifold
 from helpers import (
     OracleTable,
@@ -297,7 +296,7 @@ class TestIntegrate:
         traj = integrate(fam, start, tau_max=5.0)
         assert traj.terminal_status == "equilibrium-reached"
         assert np.max(np.abs(traj.A[-1] - target)) <= 1e-6
-        assert entropy_production_check(traj).max_residual <= 1e-4
+        assert entropy_production_check(traj).max_residual <= 1e-13
 
     def test_tabulated_terminal_tau_matches_ray_quadrature(self, tabulated_3x50):
         fam, A0, tau_eq = tabulated_3x50
@@ -406,7 +405,7 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.tau[-1] - tabulated_ray_tau(weights, stats, lam0, 0.0)[0][0]) <= 1e-12
         assert np.max(np.abs(traj.speed - 1.0)) <= 1e-12
-        assert entropy_production_check(traj).max_residual <= 1e-4
+        assert entropy_production_check(traj).max_residual <= 1e-13
 
     def test_tabulated_run_solves_once(self, tabulated_3x50, monkeypatch):
         # a single family is sampled on the ray: one Legendre inversion at
@@ -501,7 +500,7 @@ class TestIntegrate:
         assert np.all(np.diff(traj.tau) > 0.0)
         assert np.min(np.diff(traj.tau)) >= 1e-8  # sigma_eq
         assert np.all(traj.sigma[:-1] > 2e-8)
-        assert entropy_production_check(traj).max_residual <= 1e-4
+        assert entropy_production_check(traj).max_residual <= 1e-13
 
     def test_open_table_names_the_t_where_the_rate_fails(self, monkeypatch):
         # the gas's table is in x = 1 - u / span with t = exp(-u); a rate
@@ -643,69 +642,118 @@ class TestMetamorphicRelations:
             assert np.max(np.abs(getattr(recoded, name) - want)) <= bound, name
 
 
+#: The entropy check's bound, about 450 ulps: the residual of a run whose
+#: rate and states agree is rounding.
+ENTROPY_BOUND = 1e-13
+
+
+def natural_states_with_entropy_offset(monkeypatch, family_class, offset):
+    """Add ``offset`` to every S that ``family_class.natural_states`` gives,
+    which moves the rows' S and not the start's, made by ``legendre``."""
+    natural_states = family_class.natural_states
+
+    def shifted(self, lams):
+        A, S, cov = natural_states(self, lams)
+        return A, S + offset, cov
+
+    monkeypatch.setattr(family_class, "natural_states", shifted)
+
+
 class TestEntropyProduction:
+    """S_k - S_0 against the table's integral of sigma dtau at every row."""
+
     def test_bernoulli_within_contract(self, bernoulli_traj):
         report = entropy_production_check(bernoulli_traj)
-        assert report.max_residual <= 1e-4
+        assert report.max_residual <= ENTROPY_BOUND
 
     def test_gaussian_tight(self, gaussian_traj):
         report = entropy_production_check(gaussian_traj)
-        assert report.max_residual <= 1e-6
+        assert report.max_residual <= ENTROPY_BOUND
 
-    def test_too_few_samples(self):
-        traj = synthetic_trajectory([0.0], [[0.1]], [[1.0]], [0.3], [1.0])
-        with pytest.raises(TooFewSamplesError):
-            entropy_production_check(traj)
-
-    def test_samples_whose_difference_is_rounding_are_skipped(self):
-        # S = tau but for one ulp at the sample 1e-9 past tau = 1: the
-        # centred differences at tau = 1 and 1 + 1e-9 would be off by 2e-7,
-        # and their rounding eps (|S_-| + |S| + |S_+|) (1/h_- + 1/h_+) is
-        # about 1e-6, so both are skipped and the samples at 0.5 and 1.5 remain
-        tau = np.array([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0])
-        S = tau.copy()
-        S[3] = np.nextafter(S[3], 2.0)
-        traj = synthetic_trajectory(tau, tau, tau, S, np.ones(6))
+    def test_a_two_row_run_is_checked(self, bernoulli):
+        # tau_eq is about 1.5e-8, so the run is its start and the maximum
+        traj = integrate(bernoulli, [0.5000000075], tau_max=2.0)
+        assert len(traj) == 2 and traj.terminal_status == "equilibrium-reached"
         report = entropy_production_check(traj)
-        assert report.max_residual <= 1e-15 and report.argmax_tau in (0.5, 1.5)
-        assert len(report.residuals) == 2
+        assert report.max_residual <= ENTROPY_BOUND and report.argmax_tau in traj.tau.tolist()
 
-    def test_no_sample_that_resolves_reads_zero(self):
-        tau = np.array([0.0, 1e-9, 2e-9])
-        traj = synthetic_trajectory(tau, tau, tau, 1.0 + tau, np.ones(3))
+    def test_the_residual_is_relative_to_the_larger_of_one_and_S(self):
+        # S = 0.5, 3, 10 after the start, with gains off by 1e-3, 3e-3 and
+        # 0: the residuals are 1e-3 (|S| < 1 reads absolute), 1e-3 and 0
+        tau = np.array([0.0, 1.0, 2.0, 3.0])
+        S = np.array([0.25, 0.5, 3.0, 10.0])
+        gain = S - S[0] + np.array([0.0, 1e-3, 3e-3, 0.0])
+        traj = synthetic_trajectory(tau, tau, tau, S, np.ones(4), entropy_gain=gain)
         report = entropy_production_check(traj)
-        assert report.max_residual == 0.0 and report.argmax_tau is None
-        assert report.residuals == ()
+        assert report.residuals == pytest.approx([0.0, 1e-3, 1e-3, 0.0], abs=1e-15)
+        assert report.residuals[0] == 0.0 and report.residuals[3] == 0.0
+        assert report.max_residual == max(report.residuals)
+        assert report.argmax_tau in (1.0, 2.0)
 
     def test_landing_rows_do_not_set_the_gaussian_residual(self, gaussian_traj):
-        # the flat Gaussian's S is quadratic in tau, so its centred
-        # differences are exact but for rounding; the landing intervals,
-        # down to 1e-8, no longer turn S's last bit into a 1e-9 residual
+        # the landing rows, down to sigma = 2e-8, and the maximum hold the
+        # identity as the grid rows do
+        landing = np.flatnonzero(np.diff(gaussian_traj.tau) < 1e-3)
+        assert landing.size
         report = entropy_production_check(gaussian_traj)
-        assert report.max_residual <= 1e-11
+        assert max(report.residuals[k + 1] for k in landing) <= ENTROPY_BOUND
 
-    def test_whole_array_residuals_equal_per_sample_floats(self, tabulated_3x50):
-        # the check takes one whole-array stencil over the kept samples; on a
-        # table run, landing rows included, each residual is bit for bit the
-        # stencil evaluated on that sample's Python floats
+    def test_whole_array_residuals_equal_per_row_floats(self, tabulated_3x50):
+        # the check takes one whole-array residual over the rows; on a table
+        # run, landing rows included, each is bit for bit the residual
+        # evaluated on that row's Python floats
         fam, A0, _ = tabulated_3x50
         traj = integrate(fam, A0, tau_max=5.0)
         report = entropy_production_check(traj)
-        tau, S, sigma = traj.tau.tolist(), traj.S.tolist(), traj.sigma.tolist()
-        size = [abs(s) for s in S]
-        want, kept = [], []
-        for k in range(1, len(tau) - 1):
-            h_minus, h_plus = tau[k] - tau[k - 1], tau[k + 1] - tau[k]
-            rounding = (np.finfo(float).eps * (size[k - 1] + size[k] + size[k + 1])
-                        * (1.0 / h_minus + 1.0 / h_plus))
-            if rounding <= ENTROPY_CHECK_ROUNDING:
-                kept.append(k)
-                want.append(abs(nonuniform_first_derivative(
-                    S[k - 1], S[k], S[k + 1], h_minus, h_plus) - sigma[k]))
-        assert len(kept) < len(tau) - 2  # some landing rows are skipped
+        S, gain = traj.S.tolist(), traj.entropy_gain.tolist()
+        want = [abs(s - S[0] - g) / max(1.0, abs(s)) for s, g in zip(S, gain)]
         assert report.residuals == tuple(want)
         worst = int(np.argmax(want))
-        assert report.max_residual == want[worst] and report.argmax_tau == tau[kept[worst]]
+        assert report.max_residual == want[worst] and report.argmax_tau == traj.tau[worst]
+
+    @pytest.mark.parametrize("case", ["direct", "binned", "table-pair", "gas", "bernoulli-pair"])
+    def test_a_run_is_within_the_bound(self, case):
+        # the shipped runs are held to the bound in test_acceptance's c04
+        if case in ("direct", "binned"):
+            system, A0 = seeded_table(3, 50 if case == "direct" else 5000)
+            assert isinstance(system.ray(np.full(3, 0.1)), _BinnedRay) == (case == "binned")
+        elif case == "table-pair":
+            (first, A0), (second, B0) = seeded_table(4, 50), seeded_table(5, 40)
+            system = CompositeSystem(first, second, A0 + B0 - 0.1)
+        elif case == "gas":  # E and N, on the open table in x
+            system, A0 = IdealGasFamily(volume=1.0), [1.0, 1.0]
+        else:
+            system, A0 = CompositeSystem(BernoulliFamily(), BernoulliFamily(), [1.0]), [1e-12]
+        traj = integrate(system, A0, tau_max=10.0)
+        assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
+
+    @pytest.mark.parametrize("case", ["rate", "bernoulli-S", "pair-S"])
+    def test_a_rate_or_states_off_by_a_little_exceed_the_bound(self, monkeypatch, case):
+        # the rate times 1 + 1e-9 moves the gain by about 2.6e-10, and S off
+        # by 1e-12 at the rows moves S - S_0 by 1e-12, or 2e-12 for a pair;
+        # a difference stencil reads 1.2e-7 to 1.8e-7 with or without them
+        family = BernoulliFamily()
+        if case == "rate":
+            watch_ray_rate(family, noise=lambda n: 1e-9)
+        else:
+            natural_states_with_entropy_offset(monkeypatch, BernoulliFamily, 1e-12)
+        system = family if case != "pair-S" else CompositeSystem(family, family, [1.0])
+        traj = integrate(system, [0.25], tau_max=2.0)
+        assert entropy_production_check(traj).max_residual > ENTROPY_BOUND
+
+    @pytest.mark.xfail(strict=True, reason="the near-empty heat pair's rows take S_T off by "
+                       "up to 3.2e-7: PairRay accepts a first-order row step whose residual "
+                       "carries l's cancellation (ROADMAP item 2)")
+    def test_the_near_empty_heat_pair_is_within_the_bound(self, gas_e_only_pair):
+        traj = integrate(gas_e_only_pair, [1e-12], tau_max=1.0)
+        assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
+
+    @pytest.mark.xfail(strict=True, reason="the open table is one panel of u in [0, 4], "
+                       "over which the gain grows to 5.6e3, so the gain near the start rounds "
+                       "at that scale, 7e-13, against S of about 2.5")
+    def test_a_long_gas_run_is_within_the_bound(self, ideal_gas):
+        traj = integrate(ideal_gas, [1.0, 0.5], tau_max=20.0, h=0.05)
+        assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
 
 
 class TestClockInvert:
@@ -901,16 +949,40 @@ class TestRayWork:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 4.0 * np.spacing(np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("points", [300, 1], ids=["own-points", "shared-point-axis"])
+    def test_clenshaw_is_the_plain_recurrence_bit_for_bit(self, points):
+        # one point per series, or series with a point axis of 1 that every
+        # point shares, as the table sums its panels' points
+        rng = np.random.default_rng(21)
+        coeffs = rng.normal(size=(34, 3, points)) * 0.7 ** np.arange(34)[:, None, None]
+        s = rng.uniform(-1.0, 1.0, 300)
+        x = 2.0 * s
+        b1 = b2 = np.zeros(np.broadcast_shapes(coeffs.shape[1:], s.shape))
+        for c in coeffs[:0:-1]:
+            b1, b2 = c + x * b1 - b2, b1
+        want = coeffs[0] + 0.5 * x * b1 - b2
+        got = chebyshev.clenshaw(coeffs, s)
+        assert got.shape == want.shape == (3, 300)
+        assert np.array_equal(got, want)
+
     def test_the_table_meets_the_bernoulli_closed_form_at_its_rows(self):
-        # tau(t) = 2 (asin sqrt(A(t)) - asin(1/2)), A(t) = 1 / (1 + 3^t)
+        # tau(t) = 2 (asin sqrt(A(t)) - asin(1/2)), A(t) = 1 / (1 + 3^t), and
+        # the entropy gained from t = 1 is S(A(t)) - S(1/4)
         lam0 = math.log(3.0)
         table = _RayTable(BernoulliFamily().ray([lam0]).rate)
         assert abs(table.tau_eq - math.pi / 6.0) <= 1e-15
         targets = np.arange(1, 524) * 1e-3
-        ts, _ = table.place(targets)
-        exact = 2.0 * (np.arcsin(np.sqrt(1.0 / (1.0 + np.exp(ts * lam0)))) - math.asin(0.5))
+        ts, _, gains = table.place(targets)
+        A = 1.0 / (1.0 + np.exp(ts * lam0))
+        exact = 2.0 * (np.arcsin(np.sqrt(A)) - math.asin(0.5))
         assert np.max(np.abs(exact - targets)) <= 1e-15
         assert np.max(np.abs(table.at(ts)[0] - exact)) <= 1e-15
+
+        def entropy(A):
+            return -A * np.log(A) - (1.0 - A) * np.log1p(-A)
+
+        assert np.max(np.abs(gains - (entropy(A) - entropy(0.25)))) <= 1e-15
+        assert abs(table.gain_eq - (math.log(2.0) - entropy(0.25))) <= 1e-15
 
 
 class TestCsvExport:
