@@ -1,6 +1,16 @@
 """The JSON documents entroflow reads, scenario configs and table files,
 and the systems a scenario builds.
 
+Each object of either document is declared once, by a schema table that
+maps each of its keys to the test its value must pass, the words of that
+test and its default: ``_REQUIRED``, or None for a key that, left out,
+takes the default of the function that reads it.  ``_checked`` judges an
+object against its table: any other key raises ParseError, and a failed
+test or a missing required key is a violation.  A scenario's ``mode``, a
+family's ``closed_form`` and an analysis's ``kind`` each name the table
+of the keys their object adds (``_variant``); a family that names no
+closed form is a table file, ``tabulated``, or an inline table.
+
 ``parse_config`` turns a scenario into a ``ScenarioConfig`` whose families
 are constructors with their arguments bound; ``build_system`` calls them,
 and a table file a scenario names is read then, by ``tabulated_from_json``.
@@ -50,24 +60,6 @@ class ScenarioConfig:
     analyses: tuple = ()
 
 
-_TOP_KEYS = {
-    "name", "mode", "family", "families", "A0", "A_total",
-    "integrator", "outputs", "analyses",
-}
-_INTEGRATOR_KEYS = {"h", "tau_max", "sigma_eq"}
-_OUTPUT_KEYS = {"trajectory_csv", "summary_json", "onsager_json"}
-_FAMILY_KEYS = {
-    "closed_form", "dim", "volume", "fixed_n",
-    "tabulated", "points", "weights", "stats",
-}
-#: The keys each analysis kind reads besides ``kind``; a key left out takes
-#: the default of the function that runs the analysis.
-_ANALYSIS_KEYS = {
-    "onsager": {"clock_rate", "window", "center"},
-    "entropy_production_check": set(),
-    "geometry_probe": {"points"},
-}
-_TABULATED_KEYS = {"points", "weights", "stats"}
 #: Largest tau_max / h a scenario may ask for: a run records at most that
 #: many grid rows, and near an entropy maximum the landing rows.
 MAX_SAMPLES = 10**6
@@ -118,6 +110,81 @@ def _numbers(values: list) -> bool:
                                       or max(map(abs, values)) <= sys.float_info.max)
 
 
+def _finite_list(value) -> bool:
+    """A non-empty list of finite numbers."""
+    return (isinstance(value, list) and value != [] and all(map(_number, value))
+            and all(map(math.isfinite, value)))
+
+
+def _objects(value, count=None) -> bool:
+    """A list of JSON objects, ``count`` of them where given."""
+    return (isinstance(value, list) and count in (None, len(value))
+            and all(isinstance(item, dict) for item in value))
+
+
+#: The default of a key that a document must give.
+_REQUIRED = object()
+_POSITIVE = (_positive, "a finite number > 0")
+_FINITE_LIST = (_finite_list, "a non-empty list of finite numbers")
+_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_PATH = (lambda value: isinstance(value, str) and value != "", "a non-empty path string")
+
+#: The keys of a scenario that every mode shares, and the keys each mode adds.
+_SCENARIO = {
+    "name": (_PATH[0], "a non-empty string", _REQUIRED),
+    "A0": (*_FINITE_LIST, _REQUIRED),
+    "integrator": (*_OBJECT, {}),
+    "outputs": (*_OBJECT, {}),
+    "analyses": (_objects, "a list of objects", []),
+}
+_MODES = {
+    "single": {"family": (*_OBJECT, _REQUIRED)},
+    "coupled": {"families": (lambda value: _objects(value, 2), "a list of 2 objects", _REQUIRED),
+                "A_total": (*_FINITE_LIST, _REQUIRED)},
+}
+_INTEGRATOR = {
+    "h": (*_POSITIVE, 1e-3),
+    "tau_max": (*_POSITIVE, _REQUIRED),
+    "sigma_eq": (*_POSITIVE, 1e-8),
+}
+#: An output left out is named by the scenario's name and this suffix.
+_OUTPUTS = {
+    "trajectory_csv": (*_PATH, ".csv"),
+    "summary_json": (*_PATH, "-summary.json"),
+    "onsager_json": (*_PATH, "-onsager.json"),
+}
+#: Each closed-form family kind: its constructor and the keys it takes.
+_CLOSED_FORMS = {
+    "bernoulli": (BernoulliFamily, {}),
+    "gaussian-mean": (GaussianMeanFamily, {
+        "dim": (lambda value: _integer(value, 1), "an integer >= 1", 1),
+    }),
+    "ideal-gas": (IdealGasFamily, {
+        "volume": (*_POSITIVE, _REQUIRED),
+        "fixed_n": (lambda value: value is None or _positive(value), "a finite number > 0", None),
+    }),
+}
+#: A table file, and an inline table, whose three keys ``_table_violations``
+#: judges together.
+_TABLE_FILE = {"tabulated": (lambda value: isinstance(value, str), "a path string", _REQUIRED)}
+_TABLE = dict.fromkeys(("points", "weights", "stats"), (lambda value: True, "", _REQUIRED))
+#: The keys each analysis kind reads besides ``kind``; a key left out takes
+#: the default of the function that runs the analysis.
+_ANALYSES = {
+    "onsager": {
+        "clock_rate": (*_POSITIVE, None),
+        "window": (lambda value: _integer(value, 3), "an integer >= 3", None),
+        "center": (lambda value: value is None or _integer(value, -math.inf),
+                   "an integer sample index", None),
+    },
+    "entropy_production_check": {},
+    "geometry_probe": {
+        "points": (lambda value: isinstance(value, list) and all(map(_finite_list, value)),
+                   "a list of points, each a non-empty list of finite numbers", None),
+    },
+}
+
+
 def _key_line(text: str, key: str) -> int | None:
     needle = f'"{key}"'
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -132,7 +199,7 @@ def _located(text: str, key: str, message: str) -> str:
     return f"{prefix}{message}"
 
 
-def _reject_unknown(obj: dict, allowed: set, path: str, text: str) -> None:
+def _reject_unknown(obj: dict, allowed, path: str, text: str) -> None:
     for key in obj:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
@@ -141,13 +208,43 @@ def _reject_unknown(obj: dict, allowed: set, path: str, text: str) -> None:
             raise ParseError(f"unknown key {where!r}{at}")
 
 
-def _number_list(value, path: str, violations: list) -> np.ndarray | None:
-    if isinstance(value, list) and value and all(map(_number, value)):
-        arr = np.asarray(value, dtype=float)
-        if np.all(np.isfinite(arr)):
-            return arr
-    violations.append(f"{path} must be a non-empty list of finite numbers")
-    return None
+def _checked(obj: dict, schema: dict, path: str, text: str, violations: list,
+             other=()) -> dict:
+    """The values of ``obj`` that pass their tests in ``schema``, and the
+    default of each key left out that has one.  A key of neither ``schema``
+    nor ``other`` raises ParseError; a failed test, or a required key left
+    out, is recorded in ``violations``."""
+    _reject_unknown(obj, schema.keys() | set(other), path, text)
+    values = {}
+    for key, (test, words, default) in schema.items():
+        where = f"{path}.{key}" if path else key
+        if key in obj and test(obj[key]):
+            values[key] = obj[key]
+        elif key in obj:
+            violations.append(f"{where} must be {words}")
+        elif default is _REQUIRED:
+            violations.append(f"{where} is required")
+        elif default is not None:
+            values[key] = default
+    return values
+
+
+def _variant(obj: dict, tag: str, variants: dict, shared: dict, path: str, text: str,
+             violations: list) -> tuple[str | None, dict]:
+    """The variant that the key ``tag`` of ``obj`` names among ``variants``,
+    or None, and the other values of ``obj``, checked against ``shared``
+    and that variant's table; where ``tag`` names none, the keys of every
+    variant are allowed, and left unchecked."""
+    def names(value):
+        return isinstance(value, str) and value in variants
+
+    name = obj[tag] if names(obj.get(tag)) else None
+    schema = {tag: (names, f"one of {', '.join(variants)}", _REQUIRED),
+              **shared, **variants.get(name, {})}
+    other = set().union(*variants.values()) if name is None else ()
+    values = _checked(obj, schema, path, text, violations, other)
+    values.pop(tag, None)
+    return name, values
 
 
 def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
@@ -194,130 +291,58 @@ def _table(points, weights, stats) -> TabulatedFamily:
 def tabulated_from_json(source: str | Path) -> TabulatedFamily:
     """Load a tabulated family from a JSON document.
 
-    The document must contain exactly the keys ``points``, ``weights`` and
-    ``stats`` where ``stats`` is the (n_dim x n_points) matrix of statistic
+    The document holds exactly the keys ``points``, ``weights`` and
+    ``stats``, where ``stats`` is the (n_dim x n_points) matrix of statistic
     values.  Schema violations are rejected with a message that names the
     offending key and, where possible, its line in the document.
     """
     text, doc = _read_json(Path(source), "tabulated family document")
-    unknown = sorted(set(doc) - _TABULATED_KEYS)
-    if unknown:
-        raise ParseError(_located(text, unknown[0], f"unknown key {unknown[0]!r}"))
-    missing = sorted(_TABULATED_KEYS - set(doc))
-    if missing:
-        raise ValidationError([f"missing required key {k!r}" for k in missing])
-
-    points, weights, stats = doc["points"], doc["weights"], doc["stats"]
-    violations = [_located(text, k, m) for k, m in _table_violations(points, weights, stats)]
+    violations: list[str] = []
+    table = _checked(doc, _TABLE, "", text, violations)
+    if not violations:
+        violations = [_located(text, k, m) for k, m in _table_violations(**table)]
     if violations:
         raise ValidationError(violations)
-
     try:
-        return _table(points, weights, stats)
+        return _table(**table)
     except ValueError as exc:
         raise ValidationError([str(exc)]) from exc
 
 
-def _parse_family_spec(obj, path, text, base_dir, violations):
-    """The family's constructor with its arguments bound, or None after
-    recording why the spec is invalid; a table path is taken relative to the
-    directory that ``base_dir()`` gives, and the file is read when the
-    constructor is called."""
-    if not isinstance(obj, dict):
-        violations.append(f"{path} must be an object")
-        return None
-    _reject_unknown(obj, _FAMILY_KEYS, path, text)
+def _family(obj: dict, path, text, base_dir, violations):
+    """The family's constructor with its arguments bound, or None where the
+    spec names no form; a table path is taken relative to the directory
+    that ``base_dir()`` gives, and the file is read when the constructor is
+    called."""
     if "closed_form" in obj:
-        kind = obj["closed_form"]
-        if kind == "bernoulli":
-            extra = set(obj) - {"closed_form"}
-            if extra:
-                violations.append(f"{path}: bernoulli takes no extra keys, got {sorted(extra)}")
-            return BernoulliFamily
-        if kind == "gaussian-mean":
-            extra = set(obj) - {"closed_form", "dim"}
-            if extra:
-                violations.append(f"{path}: gaussian-mean accepts only 'dim', got {sorted(extra)}")
-            dim = obj.get("dim", 1)
-            if not _integer(dim, 1):
-                violations.append(f"{path}.dim must be an integer >= 1")
-                return None
-            return functools.partial(GaussianMeanFamily, dim=dim)
-        if kind == "ideal-gas":
-            extra = set(obj) - {"closed_form", "volume", "fixed_n"}
-            if extra:
-                violations.append(
-                    f"{path}: ideal-gas accepts 'volume' and 'fixed_n', "
-                    f"got {sorted(extra)}"
-                )
-            volume = obj.get("volume")
-            if not _positive(volume):
-                violations.append(f"{path}.volume must be a finite number > 0")
-                return None
-            fixed_n = obj.get("fixed_n")
-            if fixed_n is not None and not _positive(fixed_n):
-                violations.append(f"{path}.fixed_n must be a finite number > 0")
-                return None
-            return functools.partial(
-                IdealGasFamily, float(volume), None if fixed_n is None else float(fixed_n)
-            )
-        violations.append(f"{path}.closed_form must be one of bernoulli, gaussian-mean, ideal-gas")
-        return None
+        kinds = {kind: keys for kind, (_, keys) in _CLOSED_FORMS.items()}
+        kind, values = _variant(obj, "closed_form", kinds, {}, path, text, violations)
+        return None if kind is None else functools.partial(_CLOSED_FORMS[kind][0], **values)
     if "tabulated" in obj:
-        if set(obj) != {"tabulated"} or not isinstance(obj["tabulated"], str):
-            violations.append(f"{path}.tabulated must be a lone path string")
-            return None
-        return functools.partial(tabulated_from_json, base_dir() / obj["tabulated"])
-    if _TABULATED_KEYS <= set(obj):
-        if set(obj) != _TABULATED_KEYS:
-            violations.append(f"{path}: inline tabulated spec takes exactly points/weights/stats")
-            return None
-        table = (obj["points"], obj["weights"], obj["stats"])
-        found = _table_violations(*table)
-        violations += [f"{path}.{key}: {message}" for key, message in found]
-        return None if found else functools.partial(_table, *table)
+        file = _checked(obj, _TABLE_FILE, path, text, violations).get("tabulated")
+        return None if file is None else functools.partial(tabulated_from_json, base_dir() / file)
+    if _TABLE.keys() & obj.keys():
+        table = _checked(obj, _TABLE, path, text, violations)
+        if len(table) == len(_TABLE):
+            violations += [f"{path}.{key}: {message}"
+                           for key, message in _table_violations(**table)]
+        return functools.partial(_table, **table)
     violations.append(
         f"{path} must declare 'closed_form', 'tabulated', or inline points/weights/stats"
     )
     return None
 
 
-def _parse_analyses(raw, text, violations):
-    if not isinstance(raw, list):
-        violations.append("analyses must be a list")
-        return ()
+def _analyses(items: list, text: str, violations: list) -> tuple:
+    """(index, kind, the keys given, checked) for each analysis; a run keys
+    each analysis's output by its kind, so a kind may appear once."""
     analyses, first = [], {}
-    for i, item in enumerate(raw):
-        path = f"analyses[{i}]"
-        if not isinstance(item, dict):
-            violations.append(f"{path} must be an object")
-            continue
-        kind = item.get("kind")
-        keys = _ANALYSIS_KEYS.get(kind) if isinstance(kind, str) else None
-        # the keys of an unknown kind are judged against every kind's
-        allowed = set().union(*_ANALYSIS_KEYS.values()) if keys is None else keys
-        _reject_unknown(item, allowed | {"kind"}, path, text)
-        if keys is None:
-            violations.append(
-                f"{path}.kind must be onsager, entropy_production_check or geometry_probe"
-            )
-            continue
-        # a run keys each analysis's output by its kind
+    for i, item in enumerate(items):
+        kind, given = _variant(item, "kind", _ANALYSES, {}, f"analyses[{i}]", text, violations)
         if kind in first:
-            violations.append(f"{path}.kind {kind} repeats analyses[{first[kind]}].kind")
-            continue
-        first[kind] = i
-        given = {key: value for key, value in item.items() if key != "kind"}
-        if "clock_rate" in given and not _positive(given["clock_rate"]):
-            violations.append(f"{path}.clock_rate must be a finite number > 0")
-        elif "window" in given and not _integer(given["window"], 3):
-            violations.append(f"{path}.window must be an integer >= 3")
-        elif given.get("center") is not None and not _integer(given["center"], -math.inf):
-            violations.append(f"{path}.center must be an integer sample index")
-        elif "points" in given and not isinstance(given["points"], list):
-            violations.append(f"{path}.points must be a list of points")
-        elif all(_number_list(p, f"{path}.points[{j}]", violations) is not None
-                 for j, p in enumerate(given.get("points", ()))):
+            violations.append(f"analyses[{i}].kind {kind} repeats analyses[{first[kind]}].kind")
+        elif kind is not None:
+            first[kind] = i
             if "clock_rate" in given:
                 given["clock_rate"] = float(given["clock_rate"])
             analyses.append((i, kind, given))
@@ -333,125 +358,55 @@ def parse_config(path) -> ScenarioConfig:
     """
     path = Path(path)
     text, doc = _read_json(path, "scenario config")
-    _reject_unknown(doc, _TOP_KEYS, "", text)
-    if isinstance(doc.get("integrator"), dict):
-        _reject_unknown(doc["integrator"], _INTEGRATOR_KEYS, "integrator", text)
-    if isinstance(doc.get("outputs"), dict):
-        _reject_unknown(doc["outputs"], _OUTPUT_KEYS, "outputs", text)
-
     violations: list[str] = []
+    mode, top = _variant(doc, "mode", _MODES, _SCENARIO, "", text, violations)
 
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        violations.append("name must be a non-empty string")
-        name = "unnamed"
-
-    mode = doc.get("mode")
-    if mode not in ("single", "coupled"):
-        violations.append("mode must be 'single' or 'coupled'")
-        mode = "single"
-
-    # a table file is found relative to the config's real directory, which
-    # is looked up once, and only for a family that names one
-    base_dir = functools.cache(lambda: path.resolve().parent)
-    family_specs = []
-    if mode == "single":
-        if "families" in doc:
-            violations.append("mode 'single' uses 'family', not 'families'")
-        if "A_total" in doc:
-            violations.append("A_total is only valid in coupled mode")
-        if "family" not in doc:
-            violations.append("mode 'single' requires 'family'")
-        else:
-            spec = _parse_family_spec(doc["family"], "family", text, base_dir, violations)
-            if spec is not None:
-                family_specs.append(spec)
-    else:
-        if "family" in doc:
-            violations.append("mode 'coupled' uses 'families', not 'family'")
-        fams = doc.get("families")
-        if not isinstance(fams, list) or len(fams) != 2:
-            violations.append("mode 'coupled' requires 'families' with exactly 2 entries")
-        else:
-            for i, f in enumerate(fams):
-                spec = _parse_family_spec(f, f"families[{i}]", text, base_dir, violations)
-                if spec is not None:
-                    family_specs.append(spec)
-
-    A0 = _number_list(doc.get("A0"), "A0", violations) if "A0" in doc else None
-    if A0 is None and "A0" not in doc:
-        violations.append("A0 is required")
-
-    A_total = None
-    if mode == "coupled":
-        if "A_total" not in doc:
-            violations.append("mode 'coupled' requires 'A_total'")
-        else:
-            A_total = _number_list(doc["A_total"], "A_total", violations)
-        if A0 is not None and A_total is not None and A0.shape != A_total.shape:
-            violations.append("A0 and A_total must have the same length")
-
-    integ = doc.get("integrator", {})
-    if not isinstance(integ, dict):
-        violations.append("integrator must be an object")
-        integ = {}
-    if "tau_max" not in integ:
-        violations.append("integrator.tau_max is required")
-
-    def positive(key, default):
-        value = integ.get(key, default)
-        if not _positive(value):
-            violations.append(f"integrator.{key} must be a finite number > 0")
-            return default
-        return float(value)
-
-    found = len(violations)
-    h = positive("h", 1e-3)
-    tau_max = positive("tau_max", 1.0)
-    if len(violations) == found and tau_max / h > MAX_SAMPLES:
+    integ = _checked(top.get("integrator", {}), _INTEGRATOR, "integrator", text, violations)
+    integ = {key: float(value) for key, value in integ.items()}
+    if "h" in integ and "tau_max" in integ and integ["tau_max"] / integ["h"] > MAX_SAMPLES:
         violations.append(
             f"integrator.h must be at least tau_max / {MAX_SAMPLES} = "
-            f"{tau_max / MAX_SAMPLES:.3g}, got {h:.3g}"
+            f"{integ['tau_max'] / MAX_SAMPLES:.3g}, got {integ['h']:.3g}"
         )
-    sigma_eq = positive("sigma_eq", 1e-8)
 
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        violations.append("outputs must be an object")
-        outputs = {}
-    for key in outputs:
-        if not isinstance(outputs[key], str) or not outputs[key]:
-            violations.append(f"outputs.{key} must be a non-empty path string")
-    paths = OutputPaths(
-        trajectory_csv=outputs.get("trajectory_csv", f"{name}.csv"),
-        summary_json=outputs.get("summary_json", f"{name}-summary.json"),
-        onsager_json=outputs.get("onsager_json", f"{name}-onsager.json"),
-    )
+    given = top.get("outputs", {})
+    outputs = _checked(given, _OUTPUTS, "outputs", text, violations)
+    outputs = {key: value if key in given else top.get("name", "") + value
+               for key, value in outputs.items()}
     # a later artifact would silently replace an earlier one of the same name
     named: dict = {}
-    for key in sorted(_OUTPUT_KEYS):
-        value = getattr(paths, key)
-        if isinstance(value, str) and value:
-            named.setdefault(os.path.normpath(value), []).append(f"outputs.{key}")
+    for key in sorted(outputs):
+        named.setdefault(os.path.normpath(outputs[key]), []).append(f"outputs.{key}")
     violations += [
         f"{' and '.join(keys)} name the same file" for keys in named.values() if len(keys) > 1
     ]
 
-    analyses = _parse_analyses(doc.get("analyses", []), text, violations)
+    # a table file is found relative to the config's real directory, which
+    # is looked up once, and only for a family that names one
+    base_dir = functools.cache(lambda: path.resolve().parent)
+    families = [("family", top["family"])] if "family" in top else [
+        (f"families[{i}]", obj) for i, obj in enumerate(top.get("families", ()))]
+    family_specs = tuple(_family(obj, where, text, base_dir, violations)
+                         for where, obj in families)
+
+    if "A0" in top and "A_total" in top and len(top["A0"]) != len(top["A_total"]):
+        violations.append("A0 and A_total must have the same length")
+
+    analyses = _analyses(top.get("analyses", ()), text, violations)
 
     if violations:
         raise ValidationError(violations)
 
     return ScenarioConfig(
-        name=name,
+        name=top["name"],
         mode=mode,
-        family_specs=tuple(family_specs),
-        A0=A0,
-        A_total=A_total,
-        h=h,
-        tau_max=tau_max,
-        sigma_eq=sigma_eq,
-        outputs=paths,
+        family_specs=family_specs,
+        A0=np.asarray(top["A0"], dtype=float),
+        A_total=np.asarray(top["A_total"], dtype=float) if mode == "coupled" else None,
+        h=integ["h"],
+        tau_max=integ["tau_max"],
+        sigma_eq=integ["sigma_eq"],
+        outputs=OutputPaths(**outputs),
         analyses=analyses,
     )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chebyshev
+from .duality import _ROUNDING
 from .errors import StepCollapseError
 from .family import ExponentialFamily, as_vector
 from .geometry import (
@@ -42,7 +43,6 @@ __all__ = ["CompositeSystem", "PairRay"]
 #: what rounding puts into it; quadratic convergence then leaves it at
 #: rounding.
 RAY_SOLVE_TOL = 1e-10
-_ROUNDING = 64.0 * np.finfo(float).eps
 #: Most trial steps, halved ones included, for one batch of nodes, and most
 #: halvings of one step.
 _RAY_TRIALS = 500

@@ -8,7 +8,9 @@ the mean <a>, the entropy S = log Z + lam . <a> and the covariance at lam,
 so F = S + lam . (A - <a>), and each trial of the iteration reads the
 family once.  The solve's last evaluation, at the lam it returns, also
 gives the maximized entropy S(A) and the covariance, whose inverse is the
-metric; ``solve_lambda(family, A)`` returns all three.
+metric; ``solve_lambda(family, A)`` returns all three.  The solve stops
+within SOLVE_TOL of A, or within what rounding puts into the mean, which
+is more for statistics that spread past about 1e6.
 
 ``solve_lambda`` is the Newton solve alone: it neither checks the mean nor
 looks for closed forms.  A state is made in one place,
@@ -31,8 +33,11 @@ from .family import ExponentialFamily
 
 __all__ = ["solve_lambda"]
 
-#: Stop when the mean-space residual drops below this (sup norm).
+#: Stop when the mean-space residual drops below this (sup norm), or below
+#: what rounding puts into it, _ROUNDING times the statistics' scale.
 SOLVE_TOL = 1e-10
+#: What rounding puts into a residual, relative to the size of its terms.
+_ROUNDING = 64.0 * np.finfo(float).eps
 #: Treat the iteration as diverged (infeasible mean) past this lam norm.
 DIVERGENCE_NORM = 1e8
 
@@ -92,7 +97,9 @@ def solve_lambda(family: ExponentialFamily, A: np.ndarray):
     first, full trial is taken: the pure Newton step still contracts the
     residual quadratically.
 
-    After the residual meets SOLVE_TOL one extra full Newton step is taken
+    The iteration stops once the residual is within SOLVE_TOL, or within
+    what rounding puts into the mean where the statistics are so large
+    that this is more.  One extra full Newton step is then taken
     and kept if it improves the residual: thanks to quadratic convergence
     this polishes lam to machine precision, so the covariance and third
     cumulant evaluated at lam (the metric and the connection) carry no
@@ -104,8 +111,13 @@ def solve_lambda(family: ExponentialFamily, A: np.ndarray):
     """
     lam = np.zeros(family.n_dim)
     gap, S, cov, value = _forward(family, lam, A)
+    # the mean rounds at the scale of the statistics, so the residual falls
+    # no lower than what rounding puts into it, bounded once, from lam = 0;
+    # a non-finite start is left to the Newton step to reject
+    bound = _ROUNDING * (_sup(A) + _sup(gap + A) + 8.0 * math.sqrt(_sup(np.diagonal(cov))))
+    tol = max(SOLVE_TOL, bound) if bound < math.inf else SOLVE_TOL
     for iteration in range(_MAX_ITER):
-        if _sup(gap) <= SOLVE_TOL:
+        if _sup(gap) <= tol:
             return _polish(family, A, lam, gap, S, cov)
         step = _newton_step(gap, cov, lam, A, first=iteration == 0)
         slope = float(-gap @ step)  # grad F . step, negative for a descent step

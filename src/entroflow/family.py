@@ -320,8 +320,9 @@ class TabulatedFamily(ExponentialFamily):
     weight must be finite and > 0, and at least two points are required for
     the family to be non-degenerate; ``stats`` (n_dim x n_points) holds the
     statistics at the points, which must be finite, at most MAX_STATISTIC
-    in magnitude and of full rank.  Both are converted and checked once,
-    here, on the log-weights and the statistics' ranges the family keeps.
+    in magnitude and affinely independent.  Both are converted and checked
+    once, here, on the log-weights and the statistics' ranges the family
+    keeps.
     """
 
     def __init__(self, weights, stats):
@@ -347,9 +348,11 @@ class TabulatedFamily(ExponentialFamily):
                 f"statistic values must be finite and at most {MAX_STATISTIC:.0e} in magnitude"
             )
         n_dim = stats.shape[0]
-        # the rank of the d x n statistics is that of the R factor of their
-        # transpose, whose singular values cost far less than the table's
-        r = np.linalg.qr(stats.T, mode="r")
+        # the family is degenerate unless the statistics are affinely
+        # independent, so the rank is taken of their differences from the
+        # first point's; that of the d x n differences is that of the R
+        # factor of their transpose, whose singular values cost far less
+        r = np.linalg.qr((stats - stats[:, :1]).T, mode="r")
         singular = np.linalg.svd(r, compute_uv=False)
         tol = singular.max() * max(stats.shape) * np.finfo(float).eps
         if np.count_nonzero(singular > tol) < n_dim:
@@ -376,8 +379,6 @@ class TabulatedFamily(ExponentialFamily):
         dimension that range is the hull."""
         arr = super().check_feasible(A)
         for a, (lo, hi) in zip(arr.tolist(), self._ranges):
-            if lo == hi:
-                raise SingularModelError("a statistic is constant; its variance vanishes")
             if not lo < a < hi:
                 raise InfeasibleMeanError(
                     f"mean component {a} outside the open range ({lo}, {hi}) of its statistic"

@@ -308,9 +308,9 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     columns: the start point's A, g_inv and g go in front of the rows', so
     every row's sigma and speed come from one batched formula, and a pair's
     lam = l, lam' = l - t F0, A' = A_T - A and residual from one block, with
-    the start's l and lam' (the force at the recorded A') from its subsystem
-    points.  A ray without a maximum has its table in a variable that
-    ``t_of`` maps to t and ends at ``tau_max``."""
+    the start row's l from its subsystem 1 point.  A ray without a maximum
+    has its table in a variable that ``t_of`` maps to t and ends at
+    ``tau_max``."""
     F0 = start.force
     targets = np.arange(1, int(min(tau_max, table.tau_eq) / spacing) + 3) * spacing
     near = np.flatnonzero(targets >= tau_max - 0.5 * spacing)
@@ -344,9 +344,8 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     columns = {"lam": force}
     if pair:
         lam, A_total = np.vstack([start.p1.force, pair[0]]), ray.system.A_total
-        lam_prime, A_prime = lam - force, A_total - A
-        lam_prime[0] = start.p2.force
-        columns = {"lam": lam, "lam_prime": lam_prime, "A_prime": A_prime,
+        A_prime = A_total - A
+        columns = {"lam": lam, "lam_prime": lam - force, "A_prime": A_prime,
                    "conservation_residual": np.max(np.abs(A + A_prime - A_total), axis=1)}
     return Trajectory(
         tau=np.append(0.0, targets), A=A, S=np.append(start.S, S), sigma=sigma,

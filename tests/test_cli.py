@@ -580,6 +580,39 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"family": {"closed_form": "bernoulli", "dim": 2}}, "family.dim"),
+            ({"family": {"closed_form": "gaussian-mean", "volume": 1.0}}, "family.volume"),
+            ({"family": {"closed_form": "ideal-gas", "volume": 1.0, "dim": 1}}, "family.dim"),
+            ({"family": {"tabulated": "table.json", "weights": [1.0, 1.0]}}, "family.weights"),
+            ({"family": dict(HULL_TABLE, dim=2)}, "family.dim"),
+            ({"families": [{"closed_form": "bernoulli"}] * 2}, "families"),
+            ({"A_total": [1.0]}, "A_total"),
+            (dict(GAS_PAIR, family={"closed_form": "bernoulli"}), "family"),
+        ],
+        ids=["bernoulli-dim", "gaussian-volume", "gas-dim", "table-file-weights",
+             "inline-table-dim", "single-families", "single-A_total", "coupled-family"],
+    )
+    def test_a_key_of_another_kind_mode_or_form_is_unknown(self, tmp_path, capsys, change, key):
+        # each family kind, mode and table form declares its own keys
+        path = write_config(tmp_path, changed(change))
+        needle = f'"{key.rpartition(".")[2]}"'
+        line = 1 + next(i for i, text in enumerate(path.read_text().splitlines())
+                        if needle in text)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: ParseError: unknown key {key!r} (line {line})\n"
+
+    def test_every_bad_value_of_an_analysis_is_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, changed(
+            {"analyses": [{"kind": "onsager", "window": 2, "center": 1.5}]}))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "analyses[0].window must be an integer >= 3" in err
+        assert "analyses[0].center must be an integer sample index" in err
+
     def test_step_below_the_sample_budget_exits_1(self, tmp_path, capsys):
         # tau_max / h = 2e12 samples: rejected before anything runs
         path = write_config(tmp_path, dict(MINIMAL, integrator={"tau_max": 2.0, "h": 1e-12}))

@@ -140,6 +140,18 @@ class TestIntegrateCoupled:
         exact = 2.0 * math.sqrt(2.0) * (math.pi / 4.0 - math.asin(math.sqrt(A0)))
         assert abs(traj.tau[-1] - exact) <= 1e-13
 
+    @pytest.mark.parametrize("A0", [1e-6, 1e-9, 1e-12])
+    def test_start_row_force_gap_is_the_start_force(self, bernoulli_pair, A0):
+        # lam' = l - t F0 on every row, the start row's included: there it is
+        # subsystem 2's force at A_T - A0 = 1 - A0, ln A0 - ln(1 - A0), taken
+        # exactly, where the force of the point at the rounded 1 - A0 is not
+        traj = integrate(bernoulli_pair, [A0], tau_max=4.0)
+        F0 = as_manifold(bernoulli_pair).point([A0]).force[0]
+        gap = traj.lam[0, 0] - traj.lam_prime[0, 0]
+        assert abs(gap - F0) <= 4.0 * np.spacing(abs(F0))
+        exact = math.log(A0) - math.log1p(-A0)
+        assert abs(traj.lam_prime[0, 0] / exact - 1.0) <= 1e-10
+
     def test_gas_en_midpoint_and_forces(self, coupled_gas_traj):
         t = coupled_gas_traj
         assert t.terminal_status == "equilibrium-reached"

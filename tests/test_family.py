@@ -130,10 +130,9 @@ class TestCovariance:
             np.linalg.cholesky(cov)
 
     def test_degenerate_statistics_raise(self):
-        fam = TabulatedFamily([1.0, 1.0], [[2.0, 2.0]])
-        assert natural_row(fam, [0.5])[2][0, 0] == 0.0
+        # a constant statistic, whose variance vanishes, cannot be tabulated
         with pytest.raises(SingularModelError):
-            FamilyManifold(fam).point([2.0])
+            FamilyManifold(TabulatedFamily([1.0, 1.0], [[2.0, 2.0]])).point([2.0])
 
 
 def chunked_table():
@@ -530,6 +529,12 @@ class TestConstruction:
         with pytest.raises(SingularModelError, match="rank-deficient"):
             TabulatedFamily(weights, np.vstack([stats, stats[0] + stats[1]]))
 
+    def test_a_statistic_that_shifts_another_is_rejected(self):
+        # a2 = a1 + 1: linearly independent, but affinely dependent, so the
+        # covariance is singular at every lam
+        with pytest.raises(SingularModelError, match="rank-deficient"):
+            TabulatedFamily([1.0, 2.0, 1.0, 1.0], [[0.0, 1.0, 2.0, 5.0], [1.0, 2.0, 3.0, 6.0]])
+
     def test_more_statistics_than_points_are_rejected(self):
         with pytest.raises(SingularModelError, match="rank-deficient"):
             TabulatedFamily([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]])
@@ -591,12 +596,15 @@ class TestJsonLoading:
         )
 
     def test_unknown_key_with_line(self, tmp_path):
+        # reported as a scenario's unknown keys are, with the key's line
         path = self.write(
             tmp_path,
             {"points": [0, 1], "weights": [1, 1], "stats": [[0, 1]], "wieghts": [1]},
         )
-        with pytest.raises(ParseError, match=r"line \d+.*wieghts"):
+        line = 1 + path.read_text().splitlines().index(' "wieghts": [')
+        with pytest.raises(ParseError) as info:
             tabulated_from_json(path)
+        assert str(info.value) == f"unknown key 'wieghts' (line {line})"
 
     def test_missing_key(self, tmp_path):
         path = self.write(tmp_path, {"points": [0, 1], "weights": [1, 1]})
