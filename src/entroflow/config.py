@@ -186,11 +186,12 @@ _ANALYSES = {
 
 
 def _key_line(text: str, key: str) -> int | None:
+    """The line of ``"key"`` when the document writes it once; written again,
+    as a value or as another object's key, it names no line."""
     needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+    if text.count(needle) != 1:
+        return None
+    return text.count("\n", 0, text.index(needle)) + 1
 
 
 def _located(text: str, key: str, message: str) -> str:

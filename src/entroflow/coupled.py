@@ -197,11 +197,11 @@ class PairRay:
                               np.einsum("ki,ki->k", l2, A2), l @ pair.A_total])
             spread = (np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
                       + np.sqrt(np.abs(np.diagonal(cov2, axis1=1, axis2=2))))
-            # what the rounding of the means, and of l and l' through the
-            # covariances, puts into the residual
-            size = np.abs(l) + np.abs(l2)
+            # what the rounding of the means, and of l through both subsystems'
+            # covariances and of l' through subsystem 2's, puts into the residual
             rounding = (np.abs(A) + np.abs(A2) + np.abs(pair.A_total)
-                        + np.einsum("kij,kj->ki", np.abs(cov) + np.abs(cov2), size))
+                        + np.einsum("kij,kj->ki", np.abs(cov), np.abs(l))
+                        + np.einsum("kij,kj->ki", np.abs(cov2), np.abs(l) + np.abs(l2)))
             bound = _ROUNDING * rounding
             state = {
                 "step": step,

@@ -431,22 +431,6 @@ def integrate(
     return _ray(table, ray, pt, tau_max, h, sigma_eq, t_of)
 
 
-def nonuniform_first_derivative(f_prev, f_mid, f_next, h_minus, h_plus):
-    """Three-point first derivative at the middle node of an unequal stencil,
-    for floats or elementwise for arrays.
-
-    Second-order accurate; reduces to the classical centered difference for
-    equal spacing and is exact for quadratics.  The squares are products:
-    a Python float's ** goes through pow(), which rounds differently from
-    a product about once in a thousand squares, while an array's ** is a
-    product, so a float and an array evaluation would differ in the last
-    bit.
-    """
-    denom = h_minus * h_plus * (h_minus + h_plus)
-    minus2, plus2 = h_minus * h_minus, h_plus * h_plus
-    return (-plus2 * f_prev + (plus2 - minus2) * f_mid + minus2 * f_next) / denom
-
-
 @dataclass(frozen=True)
 class EntropyProductionReport:
     """The largest residual of the integrated entropy identity over the

@@ -11,6 +11,9 @@ is exact along the whole trajectory rather than only near equilibrium.  The
 coefficients are state-dependent: they vary along the trajectory.  For a
 coupled system the forces are lam - lam' and g is the composite metric, so
 the same formulas apply unchanged.
+
+``empirical_report`` fits L to one window of one trajectory; pooling
+windows from several trajectories is left to the tests.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AtEquilibriumError, IllConditionedError
-from .flow import Trajectory, nonuniform_first_derivative
+from .flow import Trajectory
 from .geometry import SIGMA_MIN, as_manifold
 
 __all__ = [
     "OnsagerReport",
     "onsager_matrix",
-    "empirical_onsager_pooled",
     "empirical_report",
     "write_onsager_json",
 ]
@@ -94,6 +96,22 @@ def _window_bounds(traj: Trajectory, center: int | None, window: int) -> tuple[i
     return first, last
 
 
+def _derivative(f_prev, f_mid, f_next, h_minus, h_plus):
+    """Three-point first derivative at the middle node of an unequal stencil,
+    for floats or elementwise for arrays.
+
+    Second-order accurate; reduces to the classical centered difference for
+    equal spacing and is exact for quadratics.  The squares are products:
+    a Python float's ** goes through pow(), which rounds differently from
+    a product about once in a thousand squares, while an array's ** is a
+    product, so a float and an array evaluation would differ in the last
+    bit.
+    """
+    denom = h_minus * h_plus * (h_minus + h_plus)
+    minus2, plus2 = h_minus * h_minus, h_plus * h_plus
+    return (-plus2 * f_prev + (plus2 - minus2) * f_mid + minus2 * f_next) / denom
+
+
 def _window_rows(
     traj: Trajectory, clock_rate: float, first: int, last: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,24 +119,23 @@ def _window_rows(
     forces = traj.force[first : last + 1]
     states = traj.A[first - 1 : last + 2]
     steps = np.diff(traj.tau[first - 1 : last + 2])[:, None]
-    fluxes = clock_rate * nonuniform_first_derivative(
-        states[:-2], states[1:-1], states[2:], steps[:-1], steps[1:]
-    )
+    fluxes = clock_rate * _derivative(states[:-2], states[1:-1], states[2:], steps[:-1], steps[1:])
     return forces, fluxes
 
 
-def _fit(windows: list[tuple[Trajectory, int, int]], clock_rate: float) -> np.ndarray:
-    """Solve fluxes ~ forces . L^T on the rows of the (trajectory, first,
-    last) ``windows`` stacked, guarding against degenerate forces.
+def _fit(traj: Trajectory, first: int, last: int, clock_rate: float) -> np.ndarray:
+    """Solve fluxes ~ forces . L^T on the rows of samples [first, last],
+    guarding against degenerate forces.
 
     Conditioning is measured against the force scale, the largest force row
-    norm along the windows' trajectories: sqrt(rows) * scale over the
-    smallest singular value of the stacked force matrix.  This flags both
-    near-collinear force windows and equilibrium tails (forces ~ 0).
+    norm along the trajectory: sqrt(rows) * scale over the smallest singular
+    value of the window's force matrix.  This flags both near-collinear
+    force windows and equilibrium tails (forces ~ 0).  The force one-form
+    decays parallel to itself (d lam / d tau = -lam / sigma), so for
+    n_dim >= 2 the window is rank one and raises IllConditionedError.
     """
-    rows = [_window_rows(traj, clock_rate, first, last) for traj, first, last in windows]
-    forces, fluxes = np.vstack([f for f, _ in rows]), np.vstack([x for _, x in rows])
-    scale = max(float(np.max(np.linalg.norm(traj.force, axis=1))) for traj, _, _ in windows)
+    forces, fluxes = _window_rows(traj, clock_rate, first, last)
+    scale = float(np.max(np.linalg.norm(traj.force, axis=1)))
     smallest = float(np.min(np.linalg.svd(forces, compute_uv=False)))
     reference = scale * math.sqrt(forces.shape[0])
     condition = np.inf if smallest == 0.0 else reference / smallest
@@ -129,33 +146,6 @@ def _fit(windows: list[tuple[Trajectory, int, int]], clock_rate: float) -> np.nd
         )
     solution, *_ = np.linalg.lstsq(forces, fluxes, rcond=None)
     return solution.T
-
-
-def empirical_onsager_pooled(
-    windows: list[tuple[Trajectory, int | None]],
-    clock_rate: float = 1.0,
-    *,
-    window: int = DEFAULT_WINDOW,
-) -> np.ndarray:
-    """Fit one transport matrix to windows pooled from several trajectories.
-
-    ``windows`` lists (trajectory, center-sample-index) pairs, where a center
-    of None is the middle row.  Fluxes are centered differences of A in tau
-    scaled by ``clock_rate``; forces are the recorded lam (lam - lam' for
-    coupled trajectories).  The force one-form decays parallel to itself
-    (d lam / d tau = -lam / sigma), so each trajectory contributes one window
-    of flux/force rows in one force direction, and for n_dim >= 2 one
-    window alone is rank one and raises IllConditionedError.  The
-    caller is responsible for choosing window centers at states where the
-    analytic L is (approximately) the same, e.g. matched sigma near a
-    common equilibrium.
-    """
-    if not 0.0 < clock_rate < math.inf:
-        raise ValueError("clock_rate must be finite and > 0")
-    if not windows:
-        raise ValueError("at least one (trajectory, center) pair is required")
-    return _fit([(traj, *_window_bounds(traj, center, window)) for traj, center in windows],
-                clock_rate)
 
 
 def empirical_report(
@@ -169,7 +159,7 @@ def empirical_report(
     """Analytic L at the window center combined with the empirical fit."""
     first, last = _window_bounds(traj, center, window)
     analytic = onsager_matrix(system, traj.A[(first + last) // 2], clock_rate)
-    return replace(analytic, empirical_L=_fit([(traj, first, last)], clock_rate),
+    return replace(analytic, empirical_L=_fit(traj, first, last, clock_rate),
                    window=(first, last))
 
 

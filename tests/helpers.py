@@ -8,8 +8,10 @@ tensor law (``Chart``) and synthetic trajectory builders, plus ``natural_row``,
 which reads one row of a family's forward map, a counter of the calls a
 method receives, a fault that turns a Bernoulli pair's rows to NaN, a
 table that keeps the arrays it was built from for the oracles
-(``OracleTable``) and a family that hands ``point`` any metric
-(``MetricStub``).
+(``OracleTable``), a family that hands ``point`` any metric
+(``MetricStub``), a least-squares fit of L to windows pooled from
+several trajectories (``pooled_fit``) and ``fit_window``, which runs the
+library's own fit of one window.
 The finite-difference oracles of the connection, field strength and flow
 acceleration difference only the metric and the force of ``point``, never
 the closed forms they check.
@@ -25,6 +27,7 @@ from entroflow.family import (
 )
 from entroflow.flow import Trajectory
 from entroflow.geometry import ManifoldPoint, StateManifold, as_manifold, unit_velocity
+from entroflow.onsager import _fit, _window_bounds, _window_rows
 
 
 class OracleTable(TabulatedFamily):
@@ -397,6 +400,23 @@ def synthetic_trajectory(taus, states, lams, entropies, sigmas,
         entropy_gain=np.zeros(n) if entropy_gain is None else np.asarray(entropy_gain, dtype=float),
         terminal_status=status,
     )
+
+
+def pooled_fit(windows, clock_rate=1.0, window=5):
+    """One transport matrix fitted to the windows of the (trajectory, center)
+    pairs stacked, by least squares: with one force direction per
+    trajectory, two trajectories resolve a 2-D L that one window cannot."""
+    rows = [_window_rows(traj, clock_rate, *_window_bounds(traj, center, window))
+            for traj, center in windows]
+    forces, fluxes = np.vstack([f for f, _ in rows]), np.vstack([x for _, x in rows])
+    solution, *_ = np.linalg.lstsq(forces, fluxes, rcond=None)
+    return solution.T
+
+
+def fit_window(traj, center, clock_rate=1.0, window=5):
+    """The library's fit of the window of ``window`` samples around
+    ``center`` (None: the middle row)."""
+    return _fit(traj, *_window_bounds(traj, center, window), clock_rate)
 
 
 def count_calls(monkeypatch, cls, names):

@@ -26,10 +26,9 @@ from entroflow import (
     unit_velocity,
 )
 from entroflow.cli import build_system, catalog_names, catalog_path, parse_config, run_scenario
-from entroflow.onsager import empirical_onsager_pooled
 from helpers import (
-    fd_metric_oracle, random_feasible_mean, random_tabulated, rk4_rows, squared_bernoulli,
-    states_oracle,
+    fd_metric_oracle, pooled_fit, random_feasible_mean, random_tabulated, rk4_rows,
+    squared_bernoulli, states_oracle,
 )
 
 
@@ -181,7 +180,7 @@ def test_c07_onsager_reciprocity(rng):
         return int(np.argmin(np.abs(traj.sigma - target)))
 
     c1, c2 = center_at_sigma(t1, 0.05), center_at_sigma(t2, 0.05)
-    fitted = empirical_onsager_pooled([(t1, c1), (t2, c2)], 1.0, window=5)
+    fitted = pooled_fit([(t1, c1), (t2, c2)], 1.0, window=5)
     analytic = onsager_matrix(system, t1.A[c1], 1.0).L
     rel = np.max(np.abs(fitted - analytic)) / np.max(np.abs(analytic))
     asym = np.max(np.abs(fitted - fitted.T)) / np.max(np.abs(fitted))

@@ -604,6 +604,16 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"{path}: ParseError: unknown key {key!r} (line {line})\n"
 
+    @pytest.mark.parametrize("name, at", [("b", " (line 6)"), ("dim", "")])
+    def test_a_key_names_its_line_only_when_written_once(self, tmp_path, capsys, name, at):
+        # a scenario named "dim" writes "dim" on line 2 as well, so the
+        # unknown key on line 6 names no line rather than the wrong one
+        path = write_config(tmp_path, changed(
+            {"name": name, "family": {"closed_form": "bernoulli", "dim": 2}}))
+        assert path.read_text().splitlines()[5] == '  "dim": 2'
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: ParseError: unknown key 'family.dim'{at}\n"
+
     def test_every_bad_value_of_an_analysis_is_named(self, tmp_path, capsys):
         path = write_config(tmp_path, changed(
             {"analyses": [{"kind": "onsager", "window": 2, "center": 1.5}]}))
@@ -857,6 +867,17 @@ class TestMain:
             assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(start), argv
             assert "outside the attainable set" in proc.stderr and proc.stdout == "", argv
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_a_mean_just_past_the_hull_is_rejected_by_validate(self, tmp_path, capsys):
+        # the Newton solve diverges from (0.51, 0.5) rather than stepping
+        # out of the hull at once, as from (0.9, 0.9)
+        doc = {"name": "edge", "mode": "single", "A0": [0.51, 0.5], "family": HULL_TABLE,
+               "integrator": {"tau_max": 2.0}}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{path}: ValidationError: A0: solver diverged: ")
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_probe_at_every_shipped_start(self, name, capsys):

@@ -61,6 +61,13 @@ class TestSolveLambda:
         with pytest.raises(InfeasibleMeanError):
             as_manifold(fam).point(target).force
 
+    def test_a_mean_just_past_the_hull_diverges(self):
+        # (0.51, 0.5) lies inside both statistics' ranges, 0.01 past the
+        # triangle's edge A1 + A2 = 1: the Newton iterates run off along it
+        fam = TabulatedFamily([1, 1, 1], [[0, 1, 0], [0, 0, 1]])
+        with pytest.raises(InfeasibleMeanError, match="diverged"):
+            as_manifold(fam).point([0.51, 0.5])
+
     def test_degenerate_family_reports_singular(self):
         # a constant statistic is affinely dependent: the table is rejected
         # when it is made

@@ -16,6 +16,7 @@ from entroflow import (
     field_strength,
     unit_velocity,
 )
+from entroflow.geometry import _inverses
 from helpers import (
     MetricStub,
     count_calls,
@@ -63,6 +64,16 @@ class TestPointMetric:
     def test_rejects_non_finite(self, matrix):
         with pytest.raises(SingularModelError, match="not finite"):
             stub_point(matrix)
+
+    def test_a_singular_matrix_of_a_stack_inverts_to_nan_alone(self):
+        # one exactly singular matrix makes the batched inverse raise; the
+        # others are then inverted one by one, to the same exact values
+        stack = np.array([[[2.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]],
+                          [[4.0, 0.0], [0.0, 0.5]]])
+        out = _inverses(stack)
+        assert np.array_equal(out[0], [[1.0, -1.0], [-1.0, 2.0]])
+        assert np.all(np.isnan(out[1]))
+        assert np.array_equal(out[2], [[0.25, 0.0], [0.0, 2.0]])
 
 
 class TestMetric:

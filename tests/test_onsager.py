@@ -16,10 +16,9 @@ from entroflow import (
     unit_velocity,
     write_onsager_json,
 )
-from entroflow.flow import nonuniform_first_derivative
 from entroflow import onsager as onsager_module
-from entroflow.onsager import _window_rows, empirical_onsager_pooled
-from helpers import synthetic_trajectory
+from entroflow.onsager import _derivative, _window_rows
+from helpers import fit_window, pooled_fit, synthetic_trajectory
 
 
 class TestOnsagerMatrix:
@@ -64,7 +63,7 @@ class TestOnsagerMatrix:
         with pytest.raises(ValueError, match="clock_rate must be finite and > 0"):
             onsager_matrix(bernoulli, [0.25], clock_rate=clock_rate)
         with pytest.raises(ValueError, match="clock_rate must be finite and > 0"):
-            empirical_onsager_pooled([(bernoulli_traj, None)], clock_rate)
+            empirical_report(bernoulli, bernoulli_traj, clock_rate)
 
 
 class TestFluxForceRelation:
@@ -82,19 +81,19 @@ class TestFluxForceRelation:
 class TestEmpiricalOnsager:
     def test_bernoulli_window(self, bernoulli, bernoulli_traj):
         center = 3
-        fitted = empirical_onsager_pooled([(bernoulli_traj, center)], 1.0, window=5)
+        fitted = fit_window(bernoulli_traj, center, 1.0, window=5)
         analytic = onsager_matrix(bernoulli, bernoulli_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.02 * analytic[0, 0]
 
     def test_gaussian_window(self, gaussian, gaussian_traj):
         center = len(gaussian_traj) // 2
-        fitted = empirical_onsager_pooled([(gaussian_traj, center)], 1.0, window=5)
+        fitted = fit_window(gaussian_traj, center, 1.0, window=5)
         analytic = onsager_matrix(gaussian, gaussian_traj.A[center], 1.0).L
         assert abs(fitted[0, 0] - analytic[0, 0]) <= 0.01 * analytic[0, 0]
 
-    def test_clock_rate_scales_fluxes(self, bernoulli_traj):
-        one = empirical_onsager_pooled([(bernoulli_traj, 5)], 1.0, window=5)
-        three = empirical_onsager_pooled([(bernoulli_traj, 5)], 3.0, window=5)
+    def test_clock_rate_scales_fluxes(self, bernoulli, bernoulli_traj):
+        one = empirical_report(bernoulli, bernoulli_traj, 1.0, center=5).empirical_L
+        three = empirical_report(bernoulli, bernoulli_traj, 3.0, center=5).empirical_L
         assert np.max(np.abs(three - 3.0 * one)) <= 1e-12 * np.max(np.abs(three))
 
     def test_equilibrium_tail_is_ill_conditioned(self):
@@ -105,14 +104,14 @@ class TestEmpiricalOnsager:
         entropies = np.linspace(0.1, 0.2, 12)
         traj = synthetic_trajectory(taus, states, [[l] for l in lams], entropies, lams)
         with pytest.raises(IllConditionedError):
-            empirical_onsager_pooled([(traj, 8)], 1.0, window=5)
+            fit_window(traj, 8, 1.0, window=5)
 
     def test_single_trajectory_cannot_resolve_two_directions(self, equal_gas_pair):
         # the force one-form decays parallel to itself, so one trajectory
         # only probes one direction: the 2-D window is rank one
         traj = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=1e-2)
         with pytest.raises(IllConditionedError):
-            empirical_onsager_pooled([(traj, len(traj) // 2)], 1.0, window=5)
+            fit_window(traj, len(traj) // 2, 1.0, window=5)
 
     def test_pooled_windows_recover_full_matrix(self, equal_gas_pair):
         t1 = integrate(equal_gas_pair, [0.8, 0.7], tau_max=10.0, h=5e-3)
@@ -123,7 +122,7 @@ class TestEmpiricalOnsager:
 
         c1 = center_at_sigma(t1, 0.05)
         c2 = center_at_sigma(t2, 0.05)
-        fitted = empirical_onsager_pooled([(t1, c1), (t2, c2)], 1.0, window=5)
+        fitted = pooled_fit([(t1, c1), (t2, c2)], 1.0, window=5)
         analytic = onsager_matrix(equal_gas_pair, t1.A[c1], 1.0).L
         assert np.max(np.abs(fitted - analytic)) <= 0.05 * np.max(np.abs(analytic))
         asym = np.max(np.abs(fitted - fitted.T)) / np.max(np.abs(fitted))
@@ -135,21 +134,21 @@ class TestEmpiricalOnsager:
         traj, clock = coupled_gas_traj, 1.7
         forces, fluxes = _window_rows(traj, clock, 1, len(traj) - 2)
         tau, A = traj.tau.tolist(), traj.A.tolist()
-        want = [[clock * nonuniform_first_derivative(A[k - 1][j], A[k][j], A[k + 1][j],
-                                                     tau[k] - tau[k - 1], tau[k + 1] - tau[k])
+        want = [[clock * _derivative(A[k - 1][j], A[k][j], A[k + 1][j],
+                                     tau[k] - tau[k - 1], tau[k + 1] - tau[k])
                  for j in range(traj.A.shape[1])] for k in range(1, len(tau) - 1)]
         assert fluxes.tolist() == want
         assert np.array_equal(forces, traj.lam[1:-1] - traj.lam_prime[1:-1])
 
     def test_window_must_fit_interior(self, bernoulli_traj):
         with pytest.raises(ValueError):
-            empirical_onsager_pooled([(bernoulli_traj, 0)], 1.0, window=5)
+            fit_window(bernoulli_traj, 0, 1.0, window=5)
         with pytest.raises(ValueError):
-            empirical_onsager_pooled([(bernoulli_traj, len(bernoulli_traj))], 1.0, window=5)
+            fit_window(bernoulli_traj, len(bernoulli_traj), 1.0, window=5)
 
     def test_window_size_floor(self, coupled_gas_traj):
         with pytest.raises(ValueError):
-            empirical_onsager_pooled([(coupled_gas_traj, None)], 1.0, window=3)  # needs n_dim + 2
+            fit_window(coupled_gas_traj, None, 1.0, window=3)  # needs n_dim + 2
 
 
 class TestReportExport:
@@ -179,8 +178,7 @@ class TestReportExport:
                             lambda *args: calls.append(args) or bounds(*args))
         report = empirical_report(gas_e_only_pair, traj, 1.5, window=7)
         assert len(calls) == 1
-        pooled = empirical_onsager_pooled([(traj, None)], 1.5, window=7)
-        assert np.array_equal(report.empirical_L, pooled)
+        assert np.array_equal(report.empirical_L, fit_window(traj, None, 1.5, window=7))
 
     def test_report_without_empirical(self, bernoulli):
         report = onsager_matrix(bernoulli, [0.25])
