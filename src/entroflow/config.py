@@ -164,7 +164,7 @@ _CLOSED_FORMS = {
         "fixed_n": (lambda value: value is None or _positive(value), "a finite number > 0", None),
     }),
 }
-#: A table file, and an inline table, whose three keys ``_table_violations``
+#: A table file, and an inline table, whose three keys ``_table_intake``
 #: judges together.
 _TABLE_FILE = {"tabulated": (lambda value: isinstance(value, str), "a path string", _REQUIRED)}
 _TABLE = dict.fromkeys(("points", "weights", "stats"), (lambda value: True, "", _REQUIRED))
@@ -248,25 +248,33 @@ def _variant(obj: dict, tag: str, variants: dict, shared: dict, path: str, text:
     return name, values
 
 
-def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
+def _table_intake(points, weights, stats) -> tuple[list[tuple[str, str]], tuple | None]:
     """(key, message) for each way a points/weights/stats table breaks the
-    schema, so that ``TabulatedFamily`` sees only lists of the right lengths
-    and numbers; the point labels are checked here and nowhere else."""
+    schema, and, where it breaks none, the arguments of ``_table``: the
+    weights and the statistics as float arrays, and whether a point label is
+    a list or an object.  Each list is scanned for its types once and, once
+    that scan passes, converted once; the point labels are checked here and
+    nowhere else."""
     found = []
     n = len(points) if isinstance(points, list) else 0
+    kinds = set(map(type, points)) if n >= 2 else set()
     if n < 2:
         found.append(("points", "points must list at least 2 labels"))
-    elif len(set(map(str, points))) != n:
+    elif len(set(points) if kinds == {str} else set(map(str, points))) != n:
+        # str() is the identity on strings, so only other labels are
+        # compared as text
         found.append(("points", "point labels must be unique"))
     if not isinstance(weights, list) or len(weights) != n:
         found.append(("weights", "weights must be a list matching points"))
-    elif not (_numbers(weights) and all(map((0.0).__lt__, weights))):
-        # 0.0 < w is False for NaN, where min(weights) > 0 depends on order;
-        # the loop names the first offender
-        for i, w in enumerate(weights):
-            if not _number(w) or not w > 0:
-                found.append(("weights", f"weights[{i}] must be a finite number > 0, got {w!r}"))
-                break
+    else:
+        w = np.asarray(weights, dtype=float) if _numbers(weights) else None
+        if w is None or not (w > 0.0).all():
+            # w > 0 is False for NaN; the loop names the first offender
+            for i, value in enumerate(weights):
+                if not _number(value) or not value > 0:
+                    found.append(("weights",
+                                  f"weights[{i}] must be a finite number > 0, got {value!r}"))
+                    break
     if not isinstance(stats, list) or not stats:
         found.append(("stats", "stats must be a non-empty matrix"))
     else:
@@ -275,16 +283,18 @@ def _table_violations(points, weights, stats) -> list[tuple[str, str]]:
                     and (_numbers(row) or all(map(_number, row)))):
                 found.append(("stats", f"stats[{alpha}] must list one number per point"))
                 break
-    return found
+    if found:
+        return found, None
+    return found, (w, np.asarray(stats, dtype=float), not {list, dict}.isdisjoint(kinds))
 
 
-def _table(points, weights, stats) -> TabulatedFamily:
-    """The family of a table that passed ``_table_violations``; its point
-    labels name the points for the document's reader only, and are dropped.
-    A list or object label is rejected here, when the system is built, so
-    that ``validate`` reports it and ``run`` exits 2, as for every table the
+def _table(weights, stats, listed_labels: bool) -> TabulatedFamily:
+    """The family of a table that passed ``_table_intake``; its point labels
+    name the points for the document's reader only, and are dropped.  A
+    list or object label is rejected here, when the system is built, so that
+    ``validate`` reports it and ``run`` exits 2, as for every table the
     family rejects."""
-    if not {list, dict}.isdisjoint(map(type, points)):
+    if listed_labels:
         raise ValueError("point labels must be hashable (strings or numbers, not lists)")
     return TabulatedFamily(weights, stats)
 
@@ -301,11 +311,12 @@ def tabulated_from_json(source: str | Path) -> TabulatedFamily:
     violations: list[str] = []
     table = _checked(doc, _TABLE, "", text, violations)
     if not violations:
-        violations = [_located(text, k, m) for k, m in _table_violations(**table)]
+        found, args = _table_intake(**table)
+        violations = [_located(text, k, m) for k, m in found]
     if violations:
         raise ValidationError(violations)
     try:
-        return _table(**table)
+        return _table(*args)
     except ValueError as exc:
         raise ValidationError([str(exc)]) from exc
 
@@ -324,10 +335,11 @@ def _family(obj: dict, path, text, base_dir, violations):
         return None if file is None else functools.partial(tabulated_from_json, base_dir() / file)
     if _TABLE.keys() & obj.keys():
         table = _checked(obj, _TABLE, path, text, violations)
-        if len(table) == len(_TABLE):
-            violations += [f"{path}.{key}: {message}"
-                           for key, message in _table_violations(**table)]
-        return functools.partial(_table, **table)
+        if len(table) < len(_TABLE):
+            return None
+        found, args = _table_intake(**table)
+        violations += [f"{path}.{key}: {message}" for key, message in found]
+        return None if found else functools.partial(_table, *args)
     violations.append(
         f"{path} must declare 'closed_form', 'tabulated', or inline points/weights/stats"
     )

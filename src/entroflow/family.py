@@ -424,7 +424,10 @@ class TabulatedFamily(ExponentialFamily):
         lam0 = self.check_natural_domain(lam0)
         y = lam0 @ self._shifted
         cells = np.floor((y - np.min(y)) / BIN_WIDTH).astype(np.int64)
-        order = np.argsort(cells, kind="stable")
+        # sorted as the smallest type that holds every index, so that the
+        # stable sort of up to 65,536 bins is a radix sort, in the same order
+        key = np.promote_types(np.min_scalar_type(cells.min()), np.min_scalar_type(cells.max()))
+        order = np.argsort(cells.astype(key), kind="stable")
         starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
         if len(starts) * TAYLOR_TERMS <= BINNED_SHARE * len(y):
             return _BinnedRay(self, lam0, y, order, starts)

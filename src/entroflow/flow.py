@@ -443,11 +443,14 @@ class EntropyProductionReport:
 
 def entropy_production_check(traj: Trajectory) -> EntropyProductionReport:
     """Check dS/dtau = sigma, integrated, at every row: the residual
-    |S_k - S_0 - entropy_gain_k| / max(1, |S_k|) sets S from the ray's
-    states against the integral of sigma dtau from its rate, so it is a few
-    ulps where rate and states agree.  The start row reads 0."""
-    S = traj.S
-    residuals = np.abs(S - S[0] - traj.entropy_gain) / np.maximum(1.0, np.abs(S))
+    |S_k - S_0 - entropy_gain_k| / max(1, |S_k|, |S_0|, |entropy_gain_k|)
+    sets S from the ray's states against the integral of sigma dtau from its
+    rate.  The difference rounds at the scale of the largest of its terms,
+    so the residual is a few ulps where rate and states agree.  The start
+    row reads 0."""
+    S, gain = traj.S, traj.entropy_gain
+    scale = np.maximum(np.maximum(1.0, np.abs(S)), np.maximum(abs(S[0]), np.abs(gain)))
+    residuals = np.abs(S - S[0] - gain) / scale
     worst = int(np.argmax(residuals))
     return EntropyProductionReport(
         max_residual=float(residuals[worst]),

@@ -1041,6 +1041,88 @@ class TestOneCheckPerState:
         assert sorted(counts.values()) == [1] * (2 * families)
 
 
+#: A table's key, or None where the family rejects it when it is built,
+#: and the words that name its fault, for each table the intake judges.
+INTAKE_CASES = {
+    "bool-weight": ({"weights": [True, 1.0, 2.0]},
+                    "weights", "weights[0] must be a finite number > 0, got True"),
+    "bool-statistic": ({"stats": [[0.0, True, 2.0]]},
+                       "stats", "stats[0] must list one number per point"),
+    "nan-weight": ({"weights": [1.0, math.nan, 2.0]},
+                   "weights", "weights[1] must be a finite number > 0, got nan"),
+    "inf-weight": ({"weights": [1.0, 1.0, math.inf]},
+                   None, "all weights must be finite and > 0"),
+    "nan-statistic": ({"stats": [[0.0, math.nan, 2.0]]},
+                      None, "statistic values must be finite and at most 1e+100 in magnitude"),
+    "int-weight-past-the-double-range": (
+        {"weights": [1.0, 10**400, 2.0]},
+        "weights", f"weights[1] must be a finite number > 0, got {10**400!r}"),
+    "labels-equal-as-text": ({"points": [1, "1", "c"]}, "points", "point labels must be unique"),
+    "list-label": ({"points": [["a"], "b", "c"]},
+                   None, "point labels must be hashable (strings or numbers, not lists)"),
+}
+
+
+class TestTableIntake:
+    """Each list of a table is scanned for its types and converted once;
+    what is judged, its words, its stage and its exit code do not depend on
+    how."""
+
+    TABLE = {"points": ["a", "b", "c"], "weights": [1.0, 1.0, 2.0], "stats": [[0.0, 1.0, 2.0]]}
+
+    def config(self, tmp_path, form, change):
+        table = dict(self.TABLE, **change)
+        if form == "file":
+            (tmp_path / "table.json").write_text(json.dumps(table))
+            table = {"tabulated": "table.json"}
+        return write_config(tmp_path, dict(MINIMAL, family=table, A0=[1.0]))
+
+    @pytest.mark.parametrize("form", ["inline", "file"])
+    @pytest.mark.parametrize("case", INTAKE_CASES.values(), ids=INTAKE_CASES.keys())
+    def test_a_fault_is_named_at_its_stage(self, tmp_path, capsys, form, case):
+        # an inline table is judged when parsed, and run exits 1 like
+        # validate; the family, and a table file, when built, and run exits 2
+        change, key, words = case
+        path = self.config(tmp_path, form, change)
+        if form == "inline":
+            line = f"ValidationError: family.{key}: {words}" if key else f"ValueError: {words}"
+        else:
+            line = f"ValidationError: line 1: {words}" if key else f"ValidationError: {words}"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: {line}\n"
+        out = tmp_path / "out"
+        at_parse = form == "inline" and key is not None
+        assert main(["run", str(path), "--output-dir", str(out)]) == (1 if at_parse else 2)
+        err = capsys.readouterr().err
+        assert err == (f"{path}: {line}\n" if at_parse else f"[b] {line}\n")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("form", ["inline", "file"])
+    def test_unique_labels_that_are_not_strings_pass(self, tmp_path, form):
+        path = self.config(tmp_path, form, {"points": [1, 2.5, None]})
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+
+    def test_a_family_read_from_a_document_is_the_family_of_its_lists(self, tmp_path):
+        # ints among the floats, as JSON gives them; every array the family
+        # keeps is the same bit for bit, read inline, from a file or made
+        # from the lists
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(0.5, 2.0, 300).tolist()
+        stats = rng.normal(size=(3, 300)).tolist()
+        weights[::7] = [1 + i % 3 for i in range(len(weights[::7]))]
+        stats[1][::5] = [i % 5 - 2 for i in range(len(stats[1][::5]))]
+        table = {"points": [f"x{i}" for i in range(300)], "weights": weights, "stats": stats}
+        (tmp_path / "table.json").write_text(json.dumps(table))
+        path = write_config(tmp_path, dict(MINIMAL, family=table, A0=[0.0, 0.0, 0.0]))
+        from_lists = TabulatedFamily(weights, stats)
+        for family in (build_system(parse_config(path)),
+                       entroflow.tabulated_from_json(tmp_path / "table.json")):
+            assert family._log_weights.tobytes() == from_lists._log_weights.tobytes()
+            assert family._shifted.tobytes() == from_lists._shifted.tobytes()
+            assert family._ranges == from_lists._ranges
+
+
 class TestCatalog:
     def test_names(self):
         assert catalog_names() == [

@@ -322,6 +322,28 @@ class TestTableRayPaths:
         # of bins
         assert isinstance(ray_table(weights, stats).ray(lam0), _BinnedRay) == binned
 
+    @pytest.mark.parametrize("n_points, span", [(5000, 30.0), (20000, 140.0)],
+                             ids=["at-most-255-bins", "more-than-255-bins"])
+    def test_bins_sorted_as_small_keys_keep_the_int64_order(self, n_points, span):
+        # y = lam0 . (a - c) spans about ``span``, so span / BIN_WIDTH bins:
+        # 8-bit keys for the first table and 16-bit for the second, whose
+        # rows are the bits of the rows from an int64 stable order
+        rng = np.random.default_rng(n_points)
+        family = TabulatedFamily(rng.uniform(0.5, 2.0, n_points),
+                                 rng.uniform(0.0, 1.0, (2, n_points)))
+        lam0 = np.array([span, 0.3])
+        y = lam0 @ family._shifted
+        cells = np.floor((y - np.min(y)) / family_module.BIN_WIDTH).astype(np.int64)
+        order = np.argsort(cells, kind="stable")
+        starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+        assert (len(starts) <= 255) == (n_points == 5000)
+        got, want = family.ray(lam0), _BinnedRay(family, lam0, y, order, starts)
+        assert isinstance(got, _BinnedRay)
+        ts = np.linspace(0.0, 1.0, 11)
+        assert got.rate(ts).tobytes() == want.rate(ts).tobytes()
+        for column, expected in zip(got.states(ts), want.states(ts)):
+            assert column.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("case", BINNED_TABLES, ids=BINNED_IDS)
     def test_binned_ray_matches_long_double_sums(self, monkeypatch, case):
         # within 1e-15 of the long-double sums, and no farther from them

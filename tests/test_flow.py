@@ -690,6 +690,24 @@ class TestEntropyProduction:
         assert report.max_residual == max(report.residuals)
         assert report.argmax_tau in (1.0, 2.0)
 
+    def test_the_residual_is_relative_to_S_0_and_the_gain_too(self):
+        # S - S_0 - gain rounds at the scale of the largest of its terms:
+        # here |S_0| = 1e6 at row 1, and the gain, 1000002.5, at row 2
+        tau = np.array([0.0, 1.0, 2.0])
+        S = np.array([-1e6, -10.0, 0.5])
+        gain = S - S[0] + np.array([0.0, 1.0, 2.0])
+        traj = synthetic_trajectory(tau, tau, tau, S, np.ones(3), entropy_gain=gain)
+        report = entropy_production_check(traj)
+        assert report.residuals == (0.0, 1.0 / 1e6, 2.0 / 1000002.5)
+        assert report.max_residual == 2.0 / 1000002.5 and report.argmax_tau == 2.0
+
+    def test_a_far_gaussian_start_is_within_the_bound(self, gaussian2):
+        # S_0 = -1.1e6 and S at the maximum is 1.8, so S - S_0 - gain
+        # rounds at |S_0|: divided by max(1, |S_k|) alone it read 1.3e-10
+        traj = integrate(gaussian2, [-1062.8, 1040.3], tau_max=2000.0, h=1.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
+
     def test_landing_rows_do_not_set_the_gaussian_residual(self, gaussian_traj):
         # the landing rows, down to sigma = 2e-8, and the maximum hold the
         # identity as the grid rows do
@@ -706,7 +724,7 @@ class TestEntropyProduction:
         traj = integrate(fam, A0, tau_max=5.0)
         report = entropy_production_check(traj)
         S, gain = traj.S.tolist(), traj.entropy_gain.tolist()
-        want = [abs(s - S[0] - g) / max(1.0, abs(s)) for s, g in zip(S, gain)]
+        want = [abs(s - S[0] - g) / max(1.0, abs(s), abs(S[0]), abs(g)) for s, g in zip(S, gain)]
         assert report.residuals == tuple(want)
         worst = int(np.argmax(want))
         assert report.max_residual == want[worst] and report.argmax_tau == traj.tau[worst]
