@@ -121,7 +121,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir=".", log=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         system, start, probes = _check_config(cfg)
-        traj = integrate(system, start, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        traj = integrate(system, start, tau_max=cfg.tau_max, h=cfg.h)
 
         # Every analysis runs before the first artifact is written, so a
         # failing analysis leaves no partial artifact set behind.

@@ -54,7 +54,6 @@ class ScenarioConfig:
     A_total: np.ndarray | None
     h: float
     tau_max: float
-    sigma_eq: float
     outputs: OutputPaths
     #: (index, kind, the keys the document gives, checked), one per analysis
     analyses: tuple = ()
@@ -145,7 +144,6 @@ _MODES = {
 _INTEGRATOR = {
     "h": (*_POSITIVE, 1e-3),
     "tau_max": (*_POSITIVE, _REQUIRED),
-    "sigma_eq": (*_POSITIVE, 1e-8),
 }
 #: An output left out is named by the scenario's name and this suffix.
 _OUTPUTS = {
@@ -418,7 +416,6 @@ def parse_config(path) -> ScenarioConfig:
         A_total=np.asarray(top["A_total"], dtype=float) if mode == "coupled" else None,
         h=integ["h"],
         tau_max=integ["tau_max"],
-        sigma_eq=integ["sigma_eq"],
         outputs=OutputPaths(**outputs),
         analyses=analyses,
     )

@@ -125,10 +125,10 @@ class PairRay:
     l(1) + (t - 1) dl/dt, with dl/dt = g . g_T^-1 . F0 from the metrics
     the start point holds.  A node whose start lies outside a natural
     domain starts instead from the piecewise-linear interpolation in t of
-    the nodes solved so far, by either kernel: the natural domains are
-    convex, so that start lies inside both.  A row of ``states`` whose start
-    is already within rounding costs one evaluation; the table's nodes,
-    whose rates set tau, are always polished.
+    the table's nodes solved so far, which ``rate`` records: the natural
+    domains are convex, so that start lies inside both.  A row of
+    ``states`` whose start is already within rounding costs one evaluation;
+    the table's nodes, whose rates set tau, are always polished.
     """
 
     def __init__(self, system: CompositeSystem, start: ManifoldPoint):
@@ -146,6 +146,9 @@ class PairRay:
         """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t of
         whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``)."""
         l, state = self.solve(ts, rows=False)
+        order = np.argsort(np.append(self.known_t, ts), kind="stable")
+        self.known_t = np.append(self.known_t, ts)[order]
+        self.known_l = np.vstack([self.known_l, l])[order]
         panels = np.reshape(ts, (-1, chebyshev.POINTS))
         self.lo, self.hi = np.append(self.lo, panels[:, 0]), np.append(self.hi, panels[:, -1])
         series = chebyshev.coefficients(l.reshape(panels.shape + (len(self.F0),)))
@@ -294,7 +297,4 @@ class PairRay:
             raise StepCollapseError(
                 f"the Newton solve of the pair does not converge in {_RAY_TRIALS} steps"
             )
-        order = np.argsort(np.append(self.known_t, ts), kind="stable")
-        self.known_t = np.append(self.known_t, ts)[order]
-        self.known_l = np.vstack([self.known_l, l])[order]
         return l, state

@@ -25,8 +25,11 @@ A table's ray either reads the table once, into per-bin Taylor moments of
 y = lam0 . (a - c) that serve every node and row by a Horner sum over a
 few bins, or, where the bins would cost more than the points, sums over
 the points at each node and row (see ``TabulatedFamily.ray``).
-The run ends at t = 0, the maximum lam = 0, at its exact tau; near it the
-rows go on with sigma halving down to 2 sigma_eq.
+A run whose budget reaches the maximum lam = 0 ends there, at t = 0 and
+its exact tau; the grid rows after the last one whose sigma exceeds
+2 SIGMA_EQ give way to rows with sigma halving down to that level.  A start
+near an edge of the state space has sigma small too, but sigma rises from it
+before it falls, so only the ray's end decides the landing.
 
 A coupled pair has a Hessian metric too, g_T = g + g', and its force
 F(A) = lam(A) - lam'(A_T - A) has dF/dA = -g_T, so its trajectory is the
@@ -88,6 +91,8 @@ RAY_QUAD_TOL = 1e-12
 #: geometrically toward t = 0, evaluates 83.
 _RAY_PANELS = 1000
 _RAY_NEWTON_ITERS = 100
+#: Near the maximum, rows go on with sigma halving while it exceeds twice this.
+SIGMA_EQ = 1e-8
 _EPS = np.finfo(float).eps
 
 
@@ -256,14 +261,14 @@ class _RayTable:
         t = hi * (0.5 + 0.5 * s) + lo * (0.5 - 0.5 * s)
         return t, f, gain + self.sigma(t, f) * (targets - tau)
 
-    def landing(self, t: float, sigma_eq: float):
-        """The t, tau and gain of the rows t / 2^j, j = 1, 2, ..., while
-        sigma = t f exceeds 2 ``sigma_eq``."""
+    def landing(self, t: float):
+        """The t, tau and gain of the rows t / 2^j, j = 1, 2, ..., up to the
+        last one whose sigma = t f exceeds 2 SIGMA_EQ."""
         halved = t * 0.5 ** np.arange(1.0, 1076.0)  # down to 0
-        # past the first row with t f_bound <= 2 sigma_eq, sigma is below it too
-        halved = halved[:np.count_nonzero(halved * self.f_bound > 2.0 * sigma_eq) + 1]
+        # past the first row with t f_bound <= 2 SIGMA_EQ, sigma is below it too
+        halved = halved[:np.count_nonzero(halved * self.f_bound > 2.0 * SIGMA_EQ)]
         tau, f, gain = self.at(halved)
-        end = np.flatnonzero(halved * f <= 2.0 * sigma_eq)[0]
+        end = np.flatnonzero(np.append(True, halved * f > 2.0 * SIGMA_EQ))[-1]
         return halved[:end], tau[:end], gain[:end]
 
 
@@ -297,11 +302,13 @@ def _open_table(rate, tau_max: float, span: float):
 
 
 def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: float,
-         sigma_eq: float, t_of=None) -> Trajectory:
+         t_of=None) -> Trajectory:
     """The ray F = t F0 from ``start`` at t = 1, given its ``table`` of tau
     and the ``ray`` object: rows at k * spacing below tau_eq (the last one
-    ``tau_max`` once within half a spacing of it), landing rows and the
-    maximum, all from one call of the ray's ``states``, which maps the rows'
+    ``tau_max`` once within half a spacing of it) and, where the grid
+    reaches tau_eq, landing rows in place of the trailing grid rows whose
+    sigma is at most 2 SIGMA_EQ, and the maximum; all from one call of the
+    ray's ``states``, which maps the rows'
     t to their means A, entropies S and inverse metrics g_inv, and for a
     ``PairRay`` to subsystem 1's forces l after them.  Every row's metric is
     formed, symmetrized and checked here.  The one builder of ``Trajectory``
@@ -320,15 +327,12 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     ts, fs, gains = table.place(targets)
     if t_of is not None:
         ts = t_of(ts)
-    else:
-        low = np.flatnonzero((ts * fs <= 2.0 * sigma_eq) & (targets < tau_max))
-        if low.size:
-            landing, ts, targets, gains = True, ts[:low[0]], targets[:low[0]], gains[:low[0]]
-        if landing:
-            halved, taus, halved_gains = table.landing(ts[-1] if ts.size else 1.0, sigma_eq)
-            ts = np.concatenate([ts, halved, [0.0]])
-            targets = np.concatenate([targets, taus, [table.tau_eq]])
-            gains = np.concatenate([gains, halved_gains, [table.gain_eq]])
+    elif landing:  # the rows up to the last with sigma > 2 SIGMA_EQ, or none
+        keep = np.flatnonzero(np.append(True, ts * fs > 2.0 * SIGMA_EQ))[-1]
+        halved, taus, halved_gains = table.landing(ts[keep - 1] if keep else 1.0)
+        ts = np.concatenate([ts[:keep], halved, [0.0]])
+        targets = np.concatenate([targets[:keep], taus, [table.tau_eq]])
+        gains = np.concatenate([gains[:keep], halved_gains, [table.gain_eq]])
     A, S, g_inv, *pair = ray.states(ts)
     g = _symmetrize(_inverses(g_inv))
     _check_metrics(ts, g)
@@ -371,14 +375,13 @@ def integrate(
     *,
     tau_max: float,
     h: float = 1e-3,
-    sigma_eq: float = 1e-8,
 ) -> Trajectory:
     """Integrate the unit-speed entropy-gradient flow from A0.
 
     ``A0`` is a state of ``system`` or, for a family or a composite, a
     ``ManifoldPoint`` that ``system`` has already made, which is then not
-    made again.  Raises AtEquilibriumError when the start has sigma below
-    ``sigma_eq``.
+    made again.  Raises AtEquilibriumError when the start has sigma = 0:
+    the force vanishes there, or its quadratic form underflows.
 
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) is
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
@@ -389,33 +392,32 @@ def integrate(
     tau(t), against whose series the rows, which sit at tau = k * h, are
     placed without a kernel call, and one batched call of its ``states``
     gives their A, S and covariance (for a pair, g_T^-1 and subsystem 1's
-    force).  Where the next such row would lie past the entropy maximum
-    or have sigma at most ``2 * sigma_eq``, rows go on with sigma halving
-    while it exceeds ``2 * sigma_eq``.  The run ends with status
-    ``equilibrium-reached`` at the maximum itself (t = 0, sigma = 0, at its
-    exact tau), or ``tau-budget-exhausted`` at ``tau_max``, as it always
-    does for a family without a maximum (the ideal gas).  An arclength rate
+    force).  A run whose grid reaches the entropy maximum within
+    ``tau_max`` ends with status ``equilibrium-reached`` at the maximum
+    itself (t = 0, sigma = 0, at its exact tau); its grid rows after the
+    last one with sigma above 2 SIGMA_EQ give way to rows with sigma
+    halving down to that level.  Any other run ends with status
+    ``tau-budget-exhausted`` at ``tau_max`` and keeps every grid row, as a
+    family without a maximum (the ideal gas) always does.  An arclength rate
     that is not finite and > 0, or a metric that is not finite and positive
     definite, raises SingularModelError.  A table of tau that needs more
     than _RAY_PANELS panels, or a composite's Newton solve of its nodes that
     does not converge, raises StepCollapseError.
 
-    Any other ``StateManifold`` raises TypeError.  ``tau_max``, ``h`` and
-    ``sigma_eq`` must be > 0, and ``h`` finite; ValueError otherwise.
+    Any other ``StateManifold`` raises TypeError.  ``tau_max`` and ``h``
+    must be > 0, and ``h`` finite; ValueError otherwise.
     """
     if not tau_max > 0.0:
         raise ValueError(f"tau_max must be > 0, got {tau_max}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and > 0, got {h}")
-    if not sigma_eq > 0.0:
-        raise ValueError(f"sigma_eq must be > 0, got {sigma_eq}")
 
     manifold = as_manifold(system)
     if not isinstance(manifold, (FamilyManifold, CompositeSystem)):
         raise TypeError("integrate takes a family or a CompositeSystem, "
                         f"not a {type(manifold).__name__}")
     pt = A0 if isinstance(A0, ManifoldPoint) else manifold.point(A0)
-    if pt.sigma < sigma_eq:
+    if pt.sigma == 0.0:
         raise AtEquilibriumError(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
@@ -428,7 +430,7 @@ def integrate(
         table, t_of = _open_table(ray.rate, tau_max, 1.0)
     else:
         table, t_of = _RayTable(ray.rate), None
-    return _ray(table, ray, pt, tau_max, h, sigma_eq, t_of)
+    return _ray(table, ray, pt, tau_max, h, t_of)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def catalog_runs():
     for name in catalog_names():
         cfg = parse_config(catalog_path(name))
         system = build_system(cfg)
-        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
         runs[name] = (cfg, system, traj)
     return runs
 

@@ -122,7 +122,6 @@ class TestParseConfig:
         assert cfg.mode == "single"
         assert cfg.h == 1e-3
         assert cfg.tau_max == 2.0
-        assert cfg.sigma_eq == 1e-8
         assert cfg.outputs.trajectory_csv == "b.csv"
         assert cfg.outputs.summary_json == "b-summary.json"
         assert isinstance(build_system(cfg), BernoulliFamily)
@@ -131,6 +130,12 @@ class TestParseConfig:
         doc = dict(MINIMAL, integrator={"taumax": 2.0})
         with pytest.raises(ParseError, match="taumax"):
             parse_config(write_config(tmp_path, doc))
+
+    def test_the_dropped_sigma_eq_key_fails_validate(self, tmp_path, capsys):
+        # equilibrium is where the ray ends, with no threshold to set
+        doc = dict(MINIMAL, integrator={"tau_max": 2.0, "sigma_eq": 1e-8})
+        assert main(["validate", str(write_config(tmp_path, doc))]) == 1
+        assert "ParseError: unknown key 'integrator.sigma_eq'" in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path):
         doc = dict(MINIMAL, extra=1)
@@ -305,7 +310,7 @@ class TestRunScenario:
     )
     def test_run_spanning_one_spacing_keeps_rows_for_the_entropy_check(self, tmp_path, change):
         # tau_eq is about 1e-3 = h, or about h = 0.5: rows go on as sigma
-        # halves down to 2 sigma_eq before the maximum, so the entropy check
+        # halves down to 2e-8 before the maximum, so the entropy check
         # still finds interior rows
         doc = dict(MINIMAL, **change, analyses=[{"kind": "entropy_production_check"}])
         cfg = parse_config(write_config(tmp_path, doc))

@@ -170,23 +170,23 @@ class TestIntegrate:
         assert abs(gaussian_traj.tau[-1] - 2.0) <= 1e-12
         assert abs(gaussian_traj.A[-1, 0]) <= 1e-6
 
-    def test_equilibrium_start_raises(self, bernoulli):
+    def test_equilibrium_start_raises(self, bernoulli, gaussian):
         with pytest.raises(AtEquilibriumError):
             integrate(bernoulli, [0.5], tau_max=1.0)
+        with pytest.raises(AtEquilibriumError):
+            integrate(gaussian, [0.0], tau_max=1.0)
 
     @pytest.mark.parametrize(
         "setting",
         [dict(tau_max=math.nan), dict(tau_max=0.0), dict(tau_max=-1.0),
-         dict(h=math.nan), dict(h=0.0), dict(h=-1e-3), dict(h=math.inf),
-         dict(sigma_eq=math.nan), dict(sigma_eq=0.0), dict(sigma_eq=-1.0)],
+         dict(h=math.nan), dict(h=0.0), dict(h=-1e-3), dict(h=math.inf)],
         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
     )
     @pytest.mark.parametrize(
         "system, A0", [("bernoulli", [0.25]), ("bernoulli_pair", [0.25]), ("ideal_gas", [1.0, 0.5])]
     )
     def test_settings_that_are_nan_or_not_positive_raise(self, request, system, A0, setting):
-        # on a single family sigma_eq = nan or -1 used to halve the landing
-        # rows forever, and h = nan on a pair returned a few rows
+        # h = nan on a pair used to return a few rows
         with pytest.raises(ValueError, match=next(iter(setting))):
             integrate(request.getfixturevalue(system), A0, **{"tau_max": 2.0, **setting})
 
@@ -218,12 +218,11 @@ class TestIntegrate:
     def test_terminal_sigma_lands_in_threshold_window(self, bernoulli, bernoulli_pair):
         # the Bernoulli pair ends at the maximum itself, at sqrt(2) pi/6, as
         # the single family does at pi/6
-        for sigma_eq in (1e-6, 1e-8):
-            traj = integrate(bernoulli_pair, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
-            assert traj.sigma[-1] == 0.0
-            assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
-            traj = integrate(bernoulli, [0.25], tau_max=2.0, sigma_eq=sigma_eq)
-            assert traj.sigma[-1] == 0.0
+        traj = integrate(bernoulli_pair, [0.25], tau_max=2.0)
+        assert traj.sigma[-1] == 0.0
+        assert abs(traj.tau[-1] - math.sqrt(2.0) * math.pi / 6.0) <= 1e-12
+        traj = integrate(bernoulli, [0.25], tau_max=2.0)
+        assert traj.sigma[-1] == 0.0
 
     @pytest.mark.parametrize("a0", [-1.0000001e-8, -1.05e-8, -3e-8])
     def test_gaussian_start_near_threshold_lands(self, gaussian, a0):
@@ -487,7 +486,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_equilibrium_just_past_a_grid_row(self, request, family):
         # tau_eq lies 1e-12 past the row at 0.5, whose sigma is below
-        # 2 sigma_eq: the maximum takes that row's place instead of
+        # 2 SIGMA_EQ: the maximum takes that row's place instead of
         # following it by a sliver
         tau_eq = 0.5 + 1e-12
         if family == "gaussian":
@@ -498,7 +497,7 @@ class TestIntegrate:
         assert traj.terminal_status == "equilibrium-reached"
         assert abs(traj.tau[-1] - tau_eq) <= 1e-14
         assert np.all(np.diff(traj.tau) > 0.0)
-        assert np.min(np.diff(traj.tau)) >= 1e-8  # sigma_eq
+        assert np.min(np.diff(traj.tau)) >= 1e-8  # SIGMA_EQ
         assert np.all(traj.sigma[:-1] > 2e-8)
         assert entropy_production_check(traj).max_residual <= 1e-13
 
@@ -531,6 +530,47 @@ class TestIntegrate:
 
         with pytest.raises(TypeError, match="Plain"):
             integrate(Plain(), [0.25], tau_max=1.0)
+
+
+class TestEquilibriumIsTheRaysEnd:
+    """sigma goes to 0 at the edges of a state space as well as at the
+    maximum, so a small sigma is no sign of equilibrium: only a start with
+    sigma = 0 is refused (``test_equilibrium_start_raises``), and only a ray
+    that reaches its maximum within tau_max lands."""
+
+    def test_a_bernoulli_start_near_an_edge_reaches_the_maximum(self, bernoulli):
+        # sigma = 4.6e-9 at the start, pi/2 from the maximum
+        traj = integrate(bernoulli, [1e-20], tau_max=2.0)
+        assert traj.sigma[0] < 1e-8
+        assert traj.terminal_status == "equilibrium-reached"
+        assert abs(traj.tau[-1] - (0.5 * math.pi - 2.0 * math.asin(1e-10))) <= 1e-12
+
+    def test_a_budget_that_ends_first_keeps_every_grid_row(self, bernoulli):
+        # the first rows have sigma below 2e-8, and sigma rises from there;
+        # the budget ends 1.57 short of the maximum, so no row gives way to
+        # landing rows
+        traj = integrate(bernoulli, [1e-19], tau_max=1e-6, h=1e-10)
+        assert traj.sigma[1] < 2e-8 < traj.sigma[-1]
+        assert traj.terminal_status == "tau-budget-exhausted"
+        assert len(traj) == 10_001
+        assert np.all(traj.tau == np.arange(10_001) * 1e-10)
+        assert traj.tau[-1] == 1e-6
+
+    def test_a_gas_of_few_particles_runs(self):
+        # sigma = sqrt(1.5 N) = 1.2e-9 at the start, and the ideal gas has no
+        # maximum: E = E0 exp(tau / sqrt(1.5 N)) at every row
+        traj = integrate(IdealGasFamily(1.0, fixed_n=1e-18), [1.0], tau_max=1e-7, h=1e-9)
+        assert traj.terminal_status == "tau-budget-exhausted"
+        assert traj.tau[-1] == 1e-7
+        exact = np.exp(traj.tau / math.sqrt(1.5e-18))
+        assert np.max(np.abs(traj.A[:, 0] / exact - 1.0)) <= 1e-13
+
+    def test_a_gaussian_start_just_off_the_maximum_runs(self, gaussian):
+        # tau_eq = 5e-9: no row lies between the start and the maximum
+        traj = integrate(gaussian, [-5e-9], tau_max=1.0)
+        assert traj.terminal_status == "equilibrium-reached"
+        assert len(traj) == 2
+        assert abs(traj.tau[-1] / 5e-9 - 1.0) <= 1e-12
 
 
 def oracle_t(weights, stats, lam0, taus, tau_eq):
@@ -880,7 +920,7 @@ class TestRayWork:
             nodes = watch_ray_rate(system)
         else:
             work = watch_pair_work(monkeypatch)
-        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        traj = integrate(system, cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
         assert traj.terminal_status == "equilibrium-reached" and len(traj) > 500
         assert (nodes[0] if cfg.mode == "single" else work["nodes"]) <= 150
 
@@ -909,7 +949,7 @@ class TestRayWork:
         # Newton step already meets the stop rule and the second polishes
         cfg = parse_config(catalog_path(name))
         passes = watch_place(monkeypatch)
-        integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h, sigma_eq=cfg.sigma_eq)
+        integrate(build_system(cfg), cfg.A0, tau_max=cfg.tau_max, h=cfg.h)
         assert passes and max(passes) <= 2
 
     @pytest.mark.parametrize("seed, n_points", [(1, 50), (2, 50), (1, 5000), (2, 5000)])

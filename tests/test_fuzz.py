@@ -51,7 +51,7 @@ CLOSED = {
     "mode": "single",
     "family": {"closed_form": "ideal-gas", "volume": 2, "fixed_n": 1},
     "A0": [1.0],
-    "integrator": {"h": 0.01, "tau_max": 2, "sigma_eq": 1e-8},
+    "integrator": {"h": 0.01, "tau_max": 2},
     "analyses": [
         {"kind": "onsager", "clock_rate": 2.0, "window": 5, "center": 100},
         {"kind": "entropy_production_check"},
