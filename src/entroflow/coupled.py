@@ -16,7 +16,8 @@ subsystem 1's natural parameter l: mu(l) + mu'(l - t F0) = A_T, whose
 Jacobian is -(Cov + Cov'), the negated Hessian of the strictly convex
 log Z(l) + log Z'(l - t F0) + l . A_T.  Each Newton step needs only the
 families' batched forward maps, so closed-form and tabulated pairs take
-the same path.
+the same path.  The rate's square is taken of F0 scaled by a power of two,
+so it does not underflow near the maximum.
 
 The artifact trusts the declared state variables: whether (E, N) is enough
 to describe a given physical exchange is the modeller's call, not a
@@ -31,7 +32,7 @@ import numpy as np
 from . import chebyshev
 from .duality import _ROUNDING
 from .errors import StepCollapseError
-from .family import ExponentialFamily, as_vector
+from .family import ExponentialFamily, _chunks, as_vector
 from .geometry import (
     FamilyManifold, ManifoldPoint, StateManifold, _check_finite, _inverses, _symmetrize,
 )
@@ -47,8 +48,6 @@ RAY_SOLVE_TOL = 1e-10
 #: halvings of one step.
 _RAY_TRIALS = 500
 _RAY_HALVINGS = 60
-#: Most nodes one Newton iteration holds, which bounds its temporaries.
-_RAY_RUN = 1024
 
 
 class CompositeSystem(StateManifold):
@@ -134,6 +133,9 @@ class PairRay:
     def __init__(self, system: CompositeSystem, start: ManifoldPoint):
         self.system = system
         self.F0 = start.force
+        # F0 scaled by the power of two that brings max|F0| into [1/2, 1)
+        self._exponent = np.frexp(np.max(np.abs(self.F0)))[1]
+        self._unit = np.ldexp(self.F0, -self._exponent)
         lam, g = start.p1.force, start.p1.g  # subsystem 1's lam and metric at t = 1
         self.known_t, self.known_l = np.ones(1), lam[None, :].copy()
         self.lo, self.hi = np.zeros(1), np.ones(1)
@@ -144,7 +146,8 @@ class PairRay:
 
     def rate(self, ts: np.ndarray) -> np.ndarray:
         """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t of
-        whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``)."""
+        whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``),
+        its square taken of F0 scaled by a power of two, exactly."""
         l, state = self.solve(ts, rows=False)
         order = np.argsort(np.append(self.known_t, ts), kind="stable")
         self.known_t = np.append(self.known_t, ts)[order]
@@ -156,7 +159,7 @@ class PairRay:
             for c in panel.T:  # each component's coefficients, past the rounding plateau
                 c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
         self.series = np.concatenate([self.series, series.transpose(1, 2, 0)], axis=2)
-        return np.sqrt(np.maximum(state["rate2"], 0.0))
+        return np.ldexp(np.sqrt(np.maximum(state["rate2"], 0.0)), self._exponent)
 
     def _start(self, ts: np.ndarray) -> np.ndarray:
         """l at each t from the series of the deepest panel that holds it."""
@@ -180,7 +183,7 @@ class PairRay:
         -grad phi . step it predicts, the rounding of phi and whether the
         residual is small.  The inverse of the Hessian Cov + Cov' of phi
         gives the step and, for the table's nodes, from (Cov + Cov')^-1 Cov'
-        F0, the square F0 . g_T^-1 . F0 of the rate; for ``rows`` it gives
+        F0, the square of the rate for the scaled F0; for ``rows`` it gives
         the inverse metrics g_T^-1 = Cov (Cov + Cov')^-1 Cov', and they also
         get the means A and the total entropies S.  With ``ahead`` (rows
         only, at their starts) they also get whether the residual is within
@@ -193,7 +196,7 @@ class PairRay:
             l2 = l - shift
             A2, S2, cov2 = pair.sys2.natural_states(l2)
             residual = A + A2 - pair.A_total  # -grad phi
-            right = cov2 if rows else (cov2 @ self.F0)[:, :, None]
+            right = cov2 if rows else (cov2 @ self._unit)[:, :, None]
             solved = _inverses(cov + cov2) @ np.concatenate([residual[:, :, None], right], axis=2)
             step = solved[:, :, 0]
             terms = np.stack([S, S2, np.einsum("ki,ki->k", l, A),
@@ -217,7 +220,7 @@ class PairRay:
                 state["A"], state["S"] = A, S + S2
                 state["g_inv"] = _symmetrize(cov @ solved[:, :, 1:])
             else:
-                state["rate2"] = np.einsum("ki,ki->k", cov @ self.F0, solved[:, :, 1])
+                state["rate2"] = np.einsum("ki,ki->k", cov @ self._unit, solved[:, :, 1])
             if ahead:
                 state["exact"] = np.all(np.abs(residual) <= bound, axis=1)
                 # one more Newton step moves A by -Cov . step; the total entropy
@@ -232,10 +235,12 @@ class PairRay:
 
     def solve(self, ts: np.ndarray, rows: bool):
         """l at each t and the columns of its last evaluation (see
-        ``_evaluate``), solved in runs of at most _RAY_RUN nodes, as ``rows``
-        or as nodes of the table (see ``_solve_run``)."""
+        ``_evaluate``), solved as ``rows`` or as nodes of the table (see
+        ``_solve_run``) in runs whose d x (d + 1) Newton systems hold at most
+        RAY_CHUNK entries (see ``family._chunks``)."""
         ts = np.asarray(ts, dtype=float)
-        runs = [self._solve_run(ts[lo:lo + _RAY_RUN], rows) for lo in range(0, max(len(ts), 1), _RAY_RUN)]
+        width = self.F0.size * (self.F0.size + 1)
+        runs = [self._solve_run(ts[run], rows) for run in _chunks(len(ts), width)]
         return (np.concatenate([l for l, _ in runs]),
                 {key: np.concatenate([state[key] for _, state in runs]) for key in runs[0][1]})
 

@@ -538,9 +538,10 @@ class GaussianMeanFamily(ExponentialFamily):
         return self._dim
 
     def ray(self, lam0) -> Ray:
-        """Rate |lam0| at every t: the covariance is the identity."""
+        """Rate |lam0| at every t: the covariance is the identity.  ``hypot``
+        scales lam0 by a power of two, so |lam0| does not underflow."""
         lam0 = self.check_natural_domain(lam0)
-        size = math.sqrt(float(lam0 @ lam0))
+        size = math.hypot(*lam0.tolist())
         return Ray(self, lam0, lambda ts: np.full(len(ts), size))
 
     def natural_states(self, lams):
@@ -552,7 +553,8 @@ class GaussianMeanFamily(ExponentialFamily):
 
     def legendre(self, A):
         A, d = np.asarray(A, dtype=float), self._dim
-        S = float(0.5 * d * math.log(2.0 * math.pi) - 0.5 * A @ A)
+        with np.errstate(over="raise"):  # |A|^2 past the float range has no S
+            S = float(0.5 * d * math.log(2.0 * math.pi) - 0.5 * A @ A)
         return -A, S, np.eye(d), np.zeros((d,) * 3)
 
 

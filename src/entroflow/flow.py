@@ -69,7 +69,7 @@ from .errors import (
 from .coupled import CompositeSystem, PairRay
 from .family import ExponentialFamily
 from .geometry import (
-    FamilyManifold, ManifoldPoint, _check_spd, _inverses, _symmetrize, as_manifold,
+    FamilyManifold, ManifoldPoint, _check_spd, _inverses, _sigmas, _symmetrize, as_manifold,
 )
 
 __all__ = [
@@ -203,10 +203,11 @@ class _RayTable:
         """A density's coefficients (panels, POINTS) past rounding dropped,
         degree first; its integral from each panel's top, -half the integral
         from s = 1; that at each panel's top, the exactly rounded sum of the
-        panels' parts above it; and the whole."""
+        panels' parts above it; and the whole.  A density that is all 0
+        keeps one coefficient."""
         for c in coeffs:
             c[chebyshev.chop(c, _EPS):] = 0.0
-        coeffs = coeffs[:, :np.flatnonzero(np.any(coeffs, axis=0))[-1] + 1].T
+        coeffs = coeffs[:, :max(np.flatnonzero(np.any(coeffs, axis=0)), default=0) + 1].T
         series = -0.5 * (self.hi - self.lo) * chebyshev.integral(coeffs)
         parts = ((-1.0) ** np.arange(len(series)) @ series).tolist()
         tops = np.array([math.fsum(parts[j:]) for j in range(1, len(parts) + 1)])
@@ -272,21 +273,12 @@ class _RayTable:
         return halved[:end], tau[:end], gain[:end]
 
 
-def _check_metrics(ts: np.ndarray, g: np.ndarray) -> None:
-    """One batched SPD check; on failure, the first t whose metric fails."""
-    try:
-        _check_spd(g, "a metric on the ray")
-    except SingularModelError:
-        for t, m in zip(ts.tolist(), g):
-            _check_spd(m, f"the metric at t = {t:.6g} on the ray")
-        raise
-
-
 def _open_table(rate, tau_max: float, span: float):
     """The table of tau of a ray without a maximum, whose rate is ``rate``,
     and the map from its variable x = 1 - u / ``span`` to t, for u = -ln t in
     [0, span], where dtau/du = t f = sigma.  The span doubles
-    until tau(span) > ``tau_max``, so it stays within max(1, 2 u(tau_max))."""
+    until tau(span) > ``tau_max``, so it stays within max(1, 2 u(tau_max)),
+    or raises SingularModelError where t = exp(-u) would underflow on it."""
 
     def t_of(xs):
         return np.exp(span * (xs - 1.0))
@@ -298,6 +290,10 @@ def _open_table(rate, tau_max: float, span: float):
     table = _RayTable(rate_x, lambda xs, fs: fs / span)  # sigma = t f
     if table.tau_eq > tau_max:
         return table, t_of
+    if math.exp(-2.0 * span) == 0.0:
+        raise SingularModelError(
+            f"tau_max = {tau_max:.6g} lies beyond the ray's reach: it reaches tau = "
+            f"{table.tau_eq:.6g} at t = exp(-{span:g}), and t = exp(-{2.0 * span:g}) underflows")
     return _open_table(rate, tau_max, 2.0 * span)
 
 
@@ -313,7 +309,8 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
     ``PairRay`` to subsystem 1's forces l after them.  Every row's metric is
     formed, symmetrized and checked here.  The one builder of ``Trajectory``
     columns: the start point's A, g_inv and g go in front of the rows', so
-    every row's sigma and speed come from one batched formula, and a pair's
+    every row's sigma comes from one call of ``geometry._sigmas`` and its
+    speed from one batched formula, and a pair's
     lam = l, lam' = l - t F0, A' = A_T - A and residual from one block, with
     the start row's l from its subsystem 1 point.  A ray without a maximum
     has its table in a variable that ``t_of`` maps to t and ends at
@@ -335,12 +332,17 @@ def _ray(table: _RayTable, ray, start: ManifoldPoint, tau_max: float, spacing: f
         gains = np.concatenate([gains[:keep], halved_gains, [table.gain_eq]])
     A, S, g_inv, *pair = ray.states(ts)
     g = _symmetrize(_inverses(g_inv))
-    _check_metrics(ts, g)
+    try:  # one batched check; on failure, the first t whose metric fails
+        _check_spd(g, "a metric on the ray")
+    except SingularModelError:
+        for t, m in zip(ts.tolist(), g):
+            _check_spd(m, f"the metric at t = {t:.6g} on the ray")
+        raise
     # the start row, at t = 1, in front of the rows' stacks; the rows' + 0.0
     # turns -0.0 into 0.0 at t = 0
     A, force = np.vstack([start.A, A]), np.vstack([F0, np.multiply.outer(ts, F0) + 0.0])
     g_inv, g = np.concatenate([start.g_inv[None], g_inv]), np.concatenate([start.g[None], g])
-    sigma = np.sqrt(np.maximum(((force[:, None, :] @ g_inv) @ force[:, :, None])[:, 0, 0], 0.0))
+    sigma = _sigmas(force, g_inv)
     v = (g_inv @ force[:, :, None])[:, :, 0] / np.where(sigma > 0.0, sigma, 1.0)[:, None]
     if landing:
         # the velocity dA/dtau = g_inv . F0 / f stays defined at the maximum
@@ -380,8 +382,8 @@ def integrate(
 
     ``A0`` is a state of ``system`` or, for a family or a composite, a
     ``ManifoldPoint`` that ``system`` has already made, which is then not
-    made again.  Raises AtEquilibriumError when the start has sigma = 0:
-    the force vanishes there, or its quadratic form underflows.
+    made again.  Raises AtEquilibriumError when the start has sigma = 0,
+    which it has only where its force is 0 (see ``geometry._sigmas``).
 
     A single family (``as_manifold(system)`` is a ``FamilyManifold``) is
     sampled on the exact ray lam = t lam0 after one Legendre inversion at
@@ -422,14 +424,10 @@ def integrate(
             f"initial state is already at equilibrium (sigma = {pt.sigma:.3e})"
         )
     if isinstance(manifold, CompositeSystem):
-        ray = PairRay(manifold, pt)
-        open_ended = False
+        ray, open_ended = PairRay(manifold, pt), False
     else:
         ray, open_ended = manifold.family.ray(pt.force), not _has_maximum(manifold.family)
-    if open_ended:
-        table, t_of = _open_table(ray.rate, tau_max, 1.0)
-    else:
-        table, t_of = _RayTable(ray.rate), None
+    table, t_of = _open_table(ray.rate, tau_max, 1.0) if open_ended else (_RayTable(ray.rate), None)
     return _ray(table, ray, pt, tau_max, h, t_of)
 
 

@@ -7,7 +7,9 @@ the metric g, checked where the point is made, and, formed on first use,
 the inverse metric, the entropy-gradient magnitude sigma and the metric
 derivative.  From them this module builds the Levi-Civita connection,
 covariant acceleration and the antisymmetric field-strength tensor of the
-unit-speed gradient flow.
+unit-speed gradient flow, in the unit velocity and the unit force
+lam / sigma.  ``_sigmas`` forms sigma, here and for the flow's rows, and is
+0 only where the force is, at the entropy maximum: AtEquilibriumError there.
 
 Everything operates through the small ``StateManifold`` interface, ``dim``
 and ``point``, so that single families and coupled composite systems share
@@ -47,10 +49,6 @@ __all__ = [
     "field_strength",
 ]
 
-#: Below this gradient magnitude the flow direction is undefined.
-SIGMA_MIN = 1e-10
-
-
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     """The symmetric part of a matrix, or of each of a stack of them."""
     return 0.5 * (m + m.swapaxes(-1, -2))
@@ -86,16 +84,15 @@ def _check_spd(m: np.ndarray, what: str) -> None:
         raise SingularModelError(f"{what} is not positive definite") from None
 
 
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    _check_spd(m, what)
-    return _symmetrize(np.linalg.inv(m))
-
-
-def _checked_metric(g) -> np.ndarray:
-    """g symmetrized, once it passes a Cholesky check."""
-    g = _symmetrize(np.asarray(g, dtype=float))
-    _check_spd(g, "metric")
-    return g
+def _sigmas(force: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """(F . g_inv . F)^(1/2) of each row F of ``force`` (k, d) and g_inv of
+    ``g_inv`` (k, d, d), of F scaled by the power of two that brings max|F|
+    into [1/2, 1): exact, so a sigma in the normal range keeps its bits, and
+    squaring F neither under- nor overflows, so sigma = 0 only where F = 0."""
+    e = np.frexp(np.max(np.abs(force), axis=1))[1]
+    unit = np.ldexp(force, -e[:, None])  # 2^-e itself overflows for a subnormal force
+    form = ((unit[:, None, :] @ g_inv) @ unit[:, :, None])[:, 0, 0]
+    return np.ldexp(np.sqrt(np.maximum(form, 0.0)), e)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ class ManifoldPoint:
     def sigma(self) -> float:
         """The entropy gradient magnitude (lam . g_inv . lam)^(1/2), which is
         also the entropy production rate dS/dtau along the flow."""
-        return float(np.sqrt(max(self.force @ self.g_inv @ self.force, 0.0)))
+        return float(_sigmas(self.force[None], self.g_inv[None])[0])
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -188,11 +185,14 @@ class FamilyManifold(StateManifold):
                 f"the closed forms at A = {A.tolist()} leave the float range ({exc})") from None
         if closed is None:
             lam, S, cov = duality.solve_lambda(fam, A)
-            pt = ManifoldPoint(A=A, force=lam, S=S, g=_spd_inverse(cov, "covariance"), family=fam)
+            _check_spd(cov, "covariance")
+            pt = ManifoldPoint(A=A, force=lam, S=S, g=_symmetrize(np.linalg.inv(cov)), family=fam)
             pt.__dict__["g_inv"] = cov  # fills the cache of the g_inv property
             return pt
         lam, S, g, dg = closed
-        pt = ManifoldPoint(A=A, force=lam, S=S, g=_checked_metric(g))
+        g = _symmetrize(np.asarray(g, dtype=float))
+        _check_spd(g, "metric")
+        pt = ManifoldPoint(A=A, force=lam, S=S, g=g)
         pt.__dict__["dg"] = dg
         return pt
 
@@ -207,16 +207,11 @@ def as_manifold(system) -> StateManifold:
 
 
 def unit_velocity(pt: ManifoldPoint) -> np.ndarray:
-    """The unit-speed gradient-flow velocity g_inv . force / sigma.
-
-    Raises AtEquilibriumError below SIGMA_MIN, where the direction of
-    steepest entropy ascent is undefined.
-    """
-    if pt.sigma < SIGMA_MIN:
-        raise AtEquilibriumError(
-            f"entropy gradient magnitude {pt.sigma:.3e} below {SIGMA_MIN:.3e}; "
-            "flow direction undefined"
-        )
+    """The unit-speed gradient-flow velocity g_inv . force / sigma; raises
+    AtEquilibriumError where sigma = 0, at the entropy maximum, where the
+    direction of steepest entropy ascent is undefined."""
+    if pt.sigma == 0.0:
+        raise AtEquilibriumError("entropy gradient magnitude is 0; flow direction undefined")
     return pt.g_inv @ pt.force / pt.sigma
 
 
@@ -239,15 +234,13 @@ def christoffel(system, A) -> np.ndarray:
 
 
 def _flow_terms(system, A):
-    """Point, unit velocity v and c_b = (1/2) w.dg[b].w.
-
-    w = g_inv . lam = sigma v.  With d_b lam_a = -g_ab, the gradient
-    magnitude varies as d_b sigma = -(lam_b + c_b) / sigma.
-    """
+    """Point, unit velocity v, unit force u = lam / sigma and
+    c_b = (1/2) v.dg[b].v; with d_b lam_a = -g_ab, the gradient magnitude
+    varies as d_b sigma = -u_b - sigma c_b."""
     pt = as_manifold(system).point(A)
     v = unit_velocity(pt)
-    c = 0.5 * pt.sigma**2 * np.einsum("bij,i,j->b", pt.dg, v, v)
-    return pt, v, c
+    c = 0.5 * np.einsum("bij,i,j->b", pt.dg, v, v)
+    return pt, v, pt.force / pt.sigma, c
 
 
 def covariant_acceleration(system, A, A_dot=None) -> np.ndarray:
@@ -255,17 +248,18 @@ def covariant_acceleration(system, A, A_dot=None) -> np.ndarray:
 
     D v^a / dtau = A_dot^b d_b v^a + Gamma^a_{bc} A_dot^b A_dot^c, in closed
     form from d_b lam_a = -g_ab and d_b sigma.  ``A_dot`` defaults to v,
-    where this is -(g_inv . c - v (c . v)) / sigma^2.
+    where this is -(g_inv . c - v (c . v)).  Raises AtEquilibriumError
+    where sigma = 0, like ``unit_velocity``.
     """
     m = as_manifold(system)
-    pt, v, c = _flow_terms(m, A)
-    g_inv, s = pt.g_inv, pt.sigma
+    pt, v, u, c = _flow_terms(m, A)
+    g_inv = pt.g_inv
     if A_dot is None:
-        return -(g_inv @ c - v * (c @ v)) / s**2
+        return -(g_inv @ c - v * (c @ v))
     x = as_vector(A_dot, m.dim, "A_dot")
     dg_x = np.einsum("abc,c->ab", pt.dg, x)
-    # d_b v = -g_inv . dg[b] . v - e_b / sigma + v (lam_b + c_b) / sigma^2
-    dv = -g_inv @ (dg_x @ v) - x / s + v * ((pt.force + c) @ x) / s**2
+    # d_b v = -g_inv . dg[b] . v - (e_b - v u_b) / sigma + v c_b
+    dv = -g_inv @ (dg_x @ v) - (x - v * (u @ x)) / pt.sigma + v * (c @ x)
     return dv + 0.5 * g_inv @ (dg_x @ x)
 
 
@@ -274,10 +268,9 @@ def field_strength(system, A) -> np.ndarray:
 
     f_{ab} = u_{a;b} - u_{b;a} for u_a = lam_a / sigma.  The symmetric
     connection terms cancel in the antisymmetrization, and so does the
-    -g_ab / sigma part of d_b u_a, leaving
-    f_{ab} = (lam_a c_b - lam_b c_a) / sigma^3; antisymmetry is exact.
-    Raises AtEquilibriumError below SIGMA_MIN, like ``unit_velocity``.
+    -g_ab / sigma part of d_b u_a, leaving f_{ab} = u_a c_b - u_b c_a;
+    antisymmetry is exact.  Raises AtEquilibriumError where sigma = 0, like
+    ``unit_velocity``.
     """
-    pt, _, c = _flow_terms(system, A)
-    lam = pt.force
-    return (np.outer(lam, c) - np.outer(c, lam)) / pt.sigma**3
+    _, _, u, c = _flow_terms(system, A)
+    return np.outer(u, c) - np.outer(c, u)

@@ -8,7 +8,8 @@ dtau/dt turns the flow law into a flux/force relation dA/dt = L . lam with
 L inherits the symmetry of the metric, so the reciprocal relations hold by
 construction, with no appeal to microscopic reversibility, and the relation
 is exact along the whole trajectory rather than only near equilibrium.  The
-coefficients are state-dependent: they vary along the trajectory.  For a
+coefficients are state-dependent: they vary along the trajectory, and are
+refused where they diverge, at sigma = 0 or where L overflows.  For a
 coupled system the forces are lam - lam' and g is the composite metric, so
 the same formulas apply unchanged.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import AtEquilibriumError, IllConditionedError
 from .flow import Trajectory
-from .geometry import SIGMA_MIN, as_manifold
+from .geometry import as_manifold
 
 __all__ = [
     "OnsagerReport",
@@ -62,17 +63,17 @@ def onsager_matrix(system, A, clock_rate: float = 1.0) -> OnsagerReport:
     """L = clock_rate * g_inv / sigma at the state A.
 
     ``clock_rate`` is dtau/dt, a free rescaling knob (the dynamics fixes the
-    trajectory, not the pace of external time).  L diverges as sigma -> 0,
-    reported as AtEquilibriumError rather than infinities.
+    trajectory, not the pace of external time).  L diverges as sigma -> 0:
+    where sigma = 0, or L overflows, AtEquilibriumError is raised rather
+    than infinities returned.
     """
     if not 0.0 < clock_rate < math.inf:
         raise ValueError("clock_rate must be finite and > 0")
     pt = as_manifold(system).point(A)
-    if pt.sigma < SIGMA_MIN:
-        raise AtEquilibriumError(
-            f"sigma = {pt.sigma:.3e}: transport coefficients diverge at equilibrium"
-        )
-    L = clock_rate * pt.g_inv / pt.sigma
+    with np.errstate(all="ignore"):
+        L = clock_rate * pt.g_inv / pt.sigma
+    if not np.all(np.isfinite(L)):
+        raise AtEquilibriumError(f"sigma = {pt.sigma:.3e}: transport coefficients diverge")
     return OnsagerReport(L=L, asymmetry=float(np.max(np.abs(L - L.T))))
 
 

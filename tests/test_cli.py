@@ -535,6 +535,8 @@ class TestMain:
             ({"family": {"closed_form": "ideal-gas", "volume": 1e300, "fixed_n": 1e300},
               "A0": [1e300]},
              "A0: the closed forms at A = [1e+300] leave the float range", 2),
+            ({"family": {"closed_form": "gaussian-mean", "dim": 2}, "A0": [1e300, -1e300]},
+             "A0: the closed forms at A = [1e+300, -1e+300] leave the float range", 2),
         ],
         ids=["list-labels", "A0-length", "A0-infeasible", "probe-point-length",
              "probe-point-outside-the-hull", "same-output-path", "repeated-probe",
@@ -542,7 +544,7 @@ class TestMain:
              "onsager-points", "probe-clock-rate", "pair-window-3", "4d-default-window",
              "2d-gaussian-onsager", "pair-onsager", "bernoulli-underflow",
              "bernoulli-pair-underflow", "gas-energy-underflow", "gas-number-underflow",
-             "gas-overflow"],
+             "gas-overflow", "gaussian-overflow"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, change, message, run_exit):
         path = write_config(tmp_path, changed(change))
@@ -788,11 +790,12 @@ class TestMain:
         assert len(stderr.splitlines()) == 1 and "ValueError" in stderr, stderr
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("tau_max, message", [(600.0, "metric"), (1000.0, "arclength rate")])
+    @pytest.mark.parametrize("tau_max, message",
+                             [(600.0, "metric"), (1000.0, "tau_max = 1000 lies beyond")])
     def test_gas_overflow_exits_2_without_warning_or_artifacts(self, tmp_path, tau_max, message):
         # with N fixed E = E0 exp(tau / sqrt(1.5)), so E^2 in the covariance
-        # overflows near tau = 435, before tau_max; by tau_max = 1000 the
-        # table of tau reaches t = exp(-u) = 0, where the rate is not finite
+        # overflows near tau = 435, before tau_max; tau_max = 1000 lies past
+        # u = 745, where t = exp(-u) underflows, so the table of tau stops
         doc = {
             "name": "gas", "mode": "single", "A0": [1.0],
             "family": {"closed_form": "ideal-gas", "volume": 2.0, "fixed_n": 1.0},
@@ -810,6 +813,63 @@ class TestMain:
         assert len(proc.stderr.splitlines()) == 1 and "SingularModelError" in proc.stderr
         assert message in proc.stderr
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([MINIMAL], "ParseError: scenario config must be a JSON object"),
+         (changed({"mode": "coupled", "family": None,
+                   "families": [{"closed_form": "bernoulli"}] * 2, "A_total": [1.0, 2.0]}),
+          "ValidationError: A0 and A_total must have the same length"),
+         (changed({"family": {}}), "ValidationError: family must declare 'closed_form', "
+                                   "'tabulated', or inline points/weights/stats"),
+         (changed({"family": {"points": ["a", "b"], "weights": [1, 2], "stats": []}}),
+          "ValidationError: family.stats: stats must be a non-empty matrix")],
+        ids=["array", "A_total-length", "no-family-form", "empty-stats"],
+    )
+    def test_validate_names_a_malformed_document_in_one_line(self, tmp_path, capsys, doc, message):
+        assert main(["validate", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
+
+    def test_a_budget_past_the_underflow_of_t_is_named(self, tmp_path, capsys):
+        # a fixed-N gas reaches tau = sqrt(1.5 N) u at t = exp(-u): with
+        # N = 1e-6, tau = 0.627 at u = 512, and t underflows before u = 1024
+        doc = {"name": "scarce", "mode": "single", "A0": [1.0],
+               "family": {"closed_form": "ideal-gas", "volume": 1.0, "fixed_n": 1e-6},
+               "integrator": {"tau_max": 5}}
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr == ("[scarce] SingularModelError: tau_max = 5 lies beyond the ray's reach: "
+                          "it reaches tau = 0.627069 at t = exp(-512), and t = exp(-1024) "
+                          "underflows\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "module, cap, value, config, message",
+        [("coupled", "_RAY_TRIALS", 1, "bernoulli-coupled", "does not converge in 1 steps"),
+         # a gas pair from 1e-8 of the particles in vessel 1 halves a step
+         ("coupled", "_RAY_HALVINGS", 0, dict(GAS_PAIR, A0=[2.0, 1e-8], name="pair"), "stalls"),
+         ("duality", "_MAX_ITER", 1,
+          {"family": {"points": ["a", "b"], "weights": [1, 1], "stats": [[0, 1]]}},
+          "A0: Legendre inversion did not converge in 1 iterations")],
+        ids=["pair-trials", "pair-halvings", "newton-iterations"],
+    )
+    def test_a_solver_past_its_cap_exits_2_with_one_line(
+        self, tmp_path, monkeypatch, capsys, module, cap, value, config, message
+    ):
+        monkeypatch.setattr(getattr(entroflow, module), cap, value)
+        if isinstance(config, str):
+            path = catalog_path(config)
+        else:
+            path = write_config(tmp_path, changed(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert len(stderr.splitlines()) == 1 and message in stderr, stderr
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_indefinite_ray_metric_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys

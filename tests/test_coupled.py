@@ -38,6 +38,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not compatible"):
             CompositeSystem(BernoulliFamily(), IdealGasFamily(1.0, fixed_n=1.0), [1.0])
 
+    def test_nonfinite_total_is_rejected(self):
+        with pytest.raises(ValueError, match="A_total must be finite"):
+            CompositeSystem(BernoulliFamily(), BernoulliFamily(), [math.inf])
+
     def test_gaussian_pair_is_allowed(self):
         cs = CompositeSystem(GaussianMeanFamily(), GaussianMeanFamily(), [1.0])
         assert cs.dim == 1

@@ -14,6 +14,7 @@ from entroflow import (
     christoffel,
     covariant_acceleration,
     field_strength,
+    onsager_matrix,
     unit_velocity,
 )
 from entroflow.geometry import _inverses
@@ -41,6 +42,11 @@ def stub_point(g):
     """The point of a family whose ``legendre`` gives the metric g."""
     family = MetricStub(g)
     return FamilyManifold(family).point(np.zeros(family.n_dim))
+
+
+def test_as_manifold_takes_only_a_family_or_a_manifold():
+    with pytest.raises(TypeError, match="not a family or state manifold: object"):
+        as_manifold(object())
 
 
 class TestPointMetric:
@@ -257,6 +263,56 @@ class TestAgainstFiniteDifferences:
             assert np.max(np.abs(acc - acc_oracle)) <= 1e-5 * max(
                 1.0, np.max(np.abs(acc_oracle))
             )
+
+
+#: (system fixture, its entropy maximum, a direction off it)
+NEAR_MAXIMUM = [("bernoulli", [0.5], [-1.0]), ("bernoulli", [0.5], [1.0]),
+                ("equal_gas_pair", [2.0, 1.0], [0.6, -0.8]),
+                ("equal_gas_pair", [2.0, 1.0], [-0.6, -0.8])]
+NEAR_MAXIMUM_IDS = ["bernoulli-below", "bernoulli-above", "gas-pair-ahead", "gas-pair-behind"]
+
+
+class TestNearTheMaximum:
+    """1e-12 off the entropy maximum sigma is about 1e-12, and the direction
+    of the flow is defined: only the maximum itself, where sigma = 0, is
+    refused."""
+
+    @pytest.mark.parametrize("name, maximum, direction", NEAR_MAXIMUM, ids=NEAR_MAXIMUM_IDS)
+    def test_unit_speed(self, request, name, maximum, direction):
+        system = request.getfixturevalue(name)
+        pt = as_manifold(system).point(np.add(maximum, 1e-12 * np.array(direction)))
+        v = unit_velocity(pt)
+        assert 0.0 < pt.sigma < 1e-11
+        assert abs(v @ pt.g @ v - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name, maximum, direction", NEAR_MAXIMUM, ids=NEAR_MAXIMUM_IDS)
+    def test_tensors_against_the_oracles_to_first_order(self, request, name, maximum, direction):
+        # f and D v / dtau vanish at the maximum to first order in the offset
+        # s.  At s = 1e-12 central differences cannot resolve them: a step
+        # below s moves A by a few ulps, and lam carries its rounding, 1e-4
+        # of the force there.  So each tensor at s = 1e-12, over s, is held
+        # against its oracle at s = 1e-2 on the same line, over s; the O(s)
+        # terms and that rounding leave about 2e-3 of the largest entry.
+        system = request.getfixturevalue(name)
+        near, far = (np.add(maximum, s * np.array(direction)) for s in (1e-12, 1e-2))
+        pairs = [(field_strength(system, near) / 1e-12,
+                  fd_field_strength(system, far, 1e-7) / 1e-2),
+                 (covariant_acceleration(system, near) / 1e-12,
+                  fd_flow_acceleration(system, far, 1e-7) / 1e-2)]
+        for got, oracle in pairs:
+            assert np.max(np.abs(got - oracle)) <= 5e-3 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("name, maximum",
+                             [("bernoulli", [0.5]), ("equal_gas_pair", [2.0, 1.0])])
+    def test_the_maximum_itself_raises(self, request, name, maximum):
+        system = request.getfixturevalue(name)
+        assert as_manifold(system).point(maximum).sigma == 0.0
+        for call in (lambda: unit_velocity(as_manifold(system).point(maximum)),
+                     lambda: covariant_acceleration(system, maximum),
+                     lambda: field_strength(system, maximum),
+                     lambda: onsager_matrix(system, maximum)):
+            with pytest.raises(AtEquilibriumError):
+                call()
 
 
 class TestCovariantAcceleration:

@@ -53,6 +53,19 @@ class TestOnsagerMatrix:
         with pytest.raises(AtEquilibriumError):
             onsager_matrix(bernoulli, [0.5], clock_rate=1.0)
 
+    @pytest.mark.parametrize("A", [0.5 - 1e-12, 0.5 + 1e-12])
+    def test_finite_next_to_equilibrium(self, bernoulli, A):
+        # L = g_inv / sigma = (A (1 - A))^(1/2) / |lam|, lam = 2 atanh(1 - 2 A)
+        # with 1 - 2 A exact
+        exact = math.sqrt(A * (1.0 - A)) / abs(2.0 * math.atanh(1.0 - 2.0 * A))
+        assert onsager_matrix(bernoulli, [A]).L[0, 0] == pytest.approx(exact, rel=1e-12)
+
+    def test_overflow_raises(self, gaussian):
+        # L = 1 / sigma = 1 / |A|: 1e300 is finite, 1e310 is not
+        assert onsager_matrix(gaussian, [-1e-300]).L[0, 0] == pytest.approx(1e300, rel=1e-15)
+        with pytest.raises(AtEquilibriumError):
+            onsager_matrix(gaussian, [-1e-310])
+
     def test_clock_rate_validated(self, bernoulli):
         with pytest.raises(ValueError):
             onsager_matrix(bernoulli, [0.25], clock_rate=0.0)

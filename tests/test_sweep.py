@@ -12,20 +12,29 @@ of the table's hull.  Two families start where sigma is small, as at a
 maximum, though the maximum is far off: Bernoulli 1e-150 to 1e-14 from 0, whose ray
 ends at pi/2 - 2 asin sqrt(A0), and fixed-N gases of 1e-20 to 1e-6
 particles, whose E grows as E0 exp(tau / sqrt(1.5 N)) for 100 sqrt(1.5 N)
-of tau.  Runs that fail are strict xfails that name the open item that
+of tau.  Three start 1e-300 to 1e-150 from the maximum, where squares of
+the force underflow: the 1-D and 2-D Gaussian and a pair of 1-D Gaussians
+with A_T = 0, whose rays end at tau = |A0| (sqrt(2) |A0| for the pair); the
+entropy check reads 0 there, since S - S_0 and the gain are below the
+double's resolution of S.  Runs that fail are strict xfails that name the open item that
 explains them, so that the marker comes off when it is mended.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from entroflow import (BernoulliFamily, GaussianMeanFamily, IdealGasFamily,
+from entroflow import (BernoulliFamily, CompositeSystem, GaussianMeanFamily, IdealGasFamily,
                        entropy_production_check, integrate)
 from helpers import OracleTable, tabulated_mean
 
 ENTROPY_BOUND = 1e-13
 #: Bounds of tau against a closed form, and of a state's relative error.
 TAU_BOUND = 1e-12
+#: Bound of tau's relative error on the Gaussian rays 1e-300 to 1e-150 from
+#: their maximum, where tau is |A0| (sqrt(2) |A0| for a pair).
+TINY_TAU_BOUND = 1e-15
 STATE_BOUND = 1e-13
 SWEEP_SEED = 11
 RUNS_PER_FAMILY = 10
@@ -75,11 +84,31 @@ def gas_fixed_n_scarce(rng):
     return family, [log_uniform(rng, 1e-6, 1e6)], tau_max, tau_max / 1000.0
 
 
+def tiny_offset(rng):
+    return rng.choice([-1.0, 1.0]) * log_uniform(rng, 1e-300, 1e-150)
+
+
+def gaussian_tiny(rng):
+    return GaussianMeanFamily(), [tiny_offset(rng)], 1.0, 1e-3
+
+
+def gaussian_2d_tiny(rng):
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    A0 = abs(tiny_offset(rng)) * np.array([np.cos(angle), np.sin(angle)])
+    return GaussianMeanFamily(dim=2), A0.tolist(), 1.0, 1e-3
+
+
+def gaussian_pair_tiny(rng):
+    pair = CompositeSystem(GaussianMeanFamily(), GaussianMeanFamily(), [0.0])
+    return pair, [tiny_offset(rng)], 1.0, 1e-3
+
+
 #: Each family's generator index is its place here, so a family added at
 #: the end leaves the draws of the others as they were.
 FAMILIES = {"bernoulli": bernoulli, "gaussian-2d": gaussian, "gas-fixed-n": gas_fixed_n,
             "gas": gas, "table": table, "bernoulli-edge": bernoulli_edge,
-            "gas-fixed-n-scarce": gas_fixed_n_scarce}
+            "gas-fixed-n-scarce": gas_fixed_n_scarce, "gaussian-tiny": gaussian_tiny,
+            "gaussian-2d-tiny": gaussian_2d_tiny, "gaussian-pair-tiny": gaussian_pair_tiny}
 
 
 def edge_tau_error(system, A0, traj):
@@ -91,8 +120,19 @@ def scarce_gas_error(system, A0, traj):
     return np.max(np.abs(traj.A[:, 0] / exact - 1.0)), STATE_BOUND
 
 
+def tiny_tau_error(system, A0, traj):
+    """The relative error of tau at the maximum: |A0|, or sqrt(2) |A0| for
+    the pair, whose metric is 2; inf for a run that ends elsewhere."""
+    exact = (np.sqrt(2.0) if isinstance(system, CompositeSystem) else 1.0) * math.hypot(*A0)
+    if traj.terminal_status != "equilibrium-reached":
+        return math.inf, TINY_TAU_BOUND
+    return abs(traj.tau[-1] / exact - 1.0), TINY_TAU_BOUND
+
+
 #: The error of a run against its closed form, and the bound it must meet.
-CLOSED_FORMS = {"bernoulli-edge": edge_tau_error, "gas-fixed-n-scarce": scarce_gas_error}
+CLOSED_FORMS = {"bernoulli-edge": edge_tau_error, "gas-fixed-n-scarce": scarce_gas_error,
+                "gaussian-tiny": tiny_tau_error, "gaussian-2d-tiny": tiny_tau_error,
+                "gaussian-pair-tiny": tiny_tau_error}
 
 
 def sweep_cases():
