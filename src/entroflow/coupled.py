@@ -119,15 +119,16 @@ class PairRay:
     damped Newton iteration; see the module docstring.  ``rate`` is asked
     for whole Chebyshev panels of the table of tau, and keeps the Chebyshev
     series of each panel's solved l, chopped at its rounding plateau, which
-    is noise; each new node starts from the series of the deepest panel
-    that holds it.  Until the first panel is solved, that is the tangent
-    l(1) + (t - 1) dl/dt, with dl/dt = g . g_T^-1 . F0 from the metrics
-    the start point holds.  A node whose start lies outside a natural
-    domain starts instead from the piecewise-linear interpolation in t of
-    the table's nodes solved so far, which ``rate`` records: the natural
-    domains are convex, so that start lies inside both.  A row of
-    ``states`` whose start is already within rounding costs one evaluation;
-    the table's nodes, whose rates set tau, are always polished.
+    is noise, to one plus the highest degree its panels reach; each new
+    node starts from the series of the deepest panel that holds it.  Until
+    the first panel is solved, that is the tangent l(1) + (t - 1) dl/dt,
+    with dl/dt = g . g_T^-1 . F0 from the metrics the start point holds.
+    A node whose start lies outside a natural domain starts instead from
+    the piecewise-linear interpolation in t of the table's nodes solved so
+    far, which ``rate`` records: the natural domains are convex, so that
+    start lies inside both.  A row of ``states`` whose start is already
+    within rounding costs one evaluation; the table's nodes, whose rates
+    set tau, are always polished.
     """
 
     def __init__(self, system: CompositeSystem, start: ManifoldPoint):
@@ -141,8 +142,7 @@ class PairRay:
         self.lo, self.hi = np.zeros(1), np.ones(1)
         # the tangent in s = 2 t - 1, degree first and panels last
         half_slope = 0.5 * g @ (start.g_inv @ self.F0)
-        self.series = np.zeros((chebyshev.POINTS, len(self.F0), 1))
-        self.series[:2, :, 0] = lam - half_slope, half_slope
+        self.series = np.stack([lam - half_slope, half_slope])[:, :, None]
 
     def rate(self, ts: np.ndarray) -> np.ndarray:
         """The arclength rate f = (F0 . g_T^-1 . F0)^(1/2) at each t of
@@ -158,7 +158,11 @@ class PairRay:
         for panel in series:
             for c in panel.T:  # each component's coefficients, past the rounding plateau
                 c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
-        self.series = np.concatenate([self.series, series.transpose(1, 2, 0)], axis=2)
+        # the series stay at one plus the highest degree with a nonzero coefficient
+        old, n = self.series, np.max(np.flatnonzero(np.any(series, axis=(0, 2))), initial=0) + 1
+        self.series = np.zeros((max(n, len(old)), len(self.F0), len(self.lo)))
+        self.series[:len(old), :, :old.shape[2]] = old
+        self.series[:n, :, old.shape[2]:] = series[:, :n].transpose(1, 2, 0)
         return np.ldexp(np.sqrt(np.maximum(state["rate2"], 0.0)), self._exponent)
 
     def _start(self, ts: np.ndarray) -> np.ndarray:
@@ -199,8 +203,8 @@ class PairRay:
             right = cov2 if rows else (cov2 @ self._unit)[:, :, None]
             solved = _inverses(cov + cov2) @ np.concatenate([residual[:, :, None], right], axis=2)
             step = solved[:, :, 0]
-            terms = np.stack([S, S2, np.einsum("ki,ki->k", l, A),
-                              np.einsum("ki,ki->k", l2, A2), l @ pair.A_total])
+            lA, l2A2 = np.einsum("ki,ki->k", l, A), np.einsum("ki,ki->k", l2, A2)
+            lA_T = l @ pair.A_total
             spread = (np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))
                       + np.sqrt(np.abs(np.diagonal(cov2, axis1=1, axis2=2))))
             # what the rounding of the means, and of l through both subsystems'
@@ -211,9 +215,9 @@ class PairRay:
             bound = _ROUNDING * rounding
             state = {
                 "step": step,
-                "phi": terms[0] + terms[1] - terms[2] - terms[3] + terms[4],
+                "phi": S + S2 - lA - l2A2 + lA_T,
                 "decrease": np.einsum("ki,ki->k", residual, step),
-                "noise": 1e-14 * np.sum(np.abs(terms), axis=0),
+                "noise": 1e-14 * (np.abs(S) + np.abs(S2) + np.abs(lA) + np.abs(l2A2) + np.abs(lA_T)),
                 "small": np.all(np.abs(residual) <= RAY_SOLVE_TOL * spread + bound, axis=1),
             }
             if rows:
@@ -284,11 +288,10 @@ class PairRay:
             decrease = state["decrease"][pending]
             armijo = new["phi"] <= state["phi"][pending] - 1e-4 * frac[pending] * decrease
             ok &= last[pending] | armijo | (decrease <= state["noise"][pending])
-            took = pending[ok]
+            took, done = pending[ok], ok & last[pending]
             l[took] = trial[ok]
             for key, column in state.items():
                 column[took] = new[key][ok]
-            done = last[took]
             last[took] = new["small"][ok]
             # a node that needed a short step may take twice as long a step
             # next, and the polishing step is a full one
@@ -297,7 +300,7 @@ class PairRay:
             if np.any(frac < 0.5**_RAY_HALVINGS):
                 t = ts[np.argmin(frac)]
                 raise StepCollapseError(f"the Newton solve of the pair at t = {t:.6g} stalls")
-            pending = np.setdiff1d(pending, took[done], assume_unique=True)
+            pending = pending[~done]
         else:
             raise StepCollapseError(
                 f"the Newton solve of the pair does not converge in {_RAY_TRIALS} steps"

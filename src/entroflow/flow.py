@@ -192,8 +192,9 @@ class _RayTable:
         _, gain, self.gain_tops, self.gain_eq = self._integrated(gain_density[:, :, 0])
         # the series of tau - top, f and gain - top, padded with zero top
         # coefficients, which leave a Clenshaw sum as it is, to one degree
-        n = max(len(tau), len(gain))
-        self.series = np.stack([np.pad(c, ((0, n - len(c)), (0, 0))) for c in (tau, coeffs, gain)], 1)
+        self.series = np.zeros((max(len(tau), len(gain)), 3, len(self.lo)))
+        for k, c in enumerate((tau, coeffs, gain)):
+            self.series[:len(c), k] = c
         # t, tau and f at the panels' points, in the order of t
         s = chebyshev.nodes(np.array(-1.0), np.array(1.0))
         node_tau = self.tops[:, None] + chebyshev.clenshaw(tau[:, :, None], s)

@@ -981,6 +981,47 @@ class TestRayWork:
         error = np.max(np.abs(start - solved), axis=1)
         assert 3.5 <= error[0] / error[1] <= 4.5
 
+    @pytest.mark.parametrize("name, rows", [("bernoulli-coupled", 2), ("two-vessel-gas-EN", 13)])
+    def test_a_pair_keeps_its_series_to_the_highest_degree_its_panels_reach(self, name, rows):
+        # l(t) = t F0 / 2 of the symmetric Bernoulli pair is its tangent; the
+        # gas pair's chopped panels reach degree 12
+        cfg = parse_config(catalog_path(name))
+        system = build_system(cfg)
+        ray = PairRay(system, system.point(cfg.A0))
+        _RayTable(ray.rate)
+        assert ray.series.shape[0] == rows and np.any(ray.series[-1])
+
+    @pytest.mark.parametrize("e0", [1e-6, None], ids=["heat-pair", "two-vessel-gas-EN"])
+    def test_a_pair_start_is_its_sum_over_series_padded_to_full_degree(self, monkeypatch, e0):
+        # the heat pair's first panel grows its series from the tangent's 2
+        # coefficients to chebyshev.POINTS; the gas pair's rows are started
+        # from 2 panels of 13 coefficients
+        if e0 is None:
+            cfg = parse_config(catalog_path("two-vessel-gas-EN"))
+            system, A0, tau_max, h = build_system(cfg), cfg.A0, cfg.tau_max, cfg.h
+        else:
+            n1, n2, total = 1.2462278585353084, 2.535564351485701, 7.421325004712049
+            vessels = IdealGasFamily(1.0, fixed_n=n1), IdealGasFamily(6.0, fixed_n=n2)
+            system, A0, tau_max, h = CompositeSystem(*vessels, [total]), [e0], 80.0, 0.1
+        start, calls = PairRay._start, []
+
+        def padded_start(ray, ts):
+            kept = ray.series
+            ray.series = np.zeros((chebyshev.POINTS,) + kept.shape[1:])
+            ray.series[:len(kept)] = kept
+            want = start(ray, ts)
+            ray.series = kept
+            got = start(ray, ts)
+            calls.append((kept.shape, np.array_equal(got, want)))
+            return got
+
+        monkeypatch.setattr(PairRay, "_start", padded_start)
+        assert integrate(system, A0, tau_max=tau_max, h=h).terminal_status == "equilibrium-reached"
+        assert all(equal for _, equal in calls)
+        # the panels of the calls whose series are short of full degree
+        short = [shape[2] for shape, _ in calls if shape[0] < chebyshev.POINTS]
+        assert short and max(short) == (1 if e0 else 2)
+
     def test_rows_form_the_step_ahead_only_at_their_start(self, monkeypatch):
         # rows started off their solution take Newton trial steps; only the
         # first evaluation of a run forms what one more step would give
@@ -1029,6 +1070,14 @@ class TestRayWork:
         got = chebyshev.clenshaw(coeffs, s)
         assert got.shape == want.shape == (3, 300)
         assert np.array_equal(got, want)
+        # zero top coefficients keep the b's at +0.0, where x 0.0 = -0.0 for
+        # s < 0, so they leave the sum as it is, down to a zero sum's sign
+        coeffs[:, 0] = 0.0
+        padded = np.concatenate([coeffs, np.zeros((5,) + coeffs.shape[1:])])
+        got = chebyshev.clenshaw(coeffs, s)
+        assert np.any(s < 0.0) and np.any(s > 0.0)
+        assert np.array_equal(chebyshev.clenshaw(padded, s), got)
+        assert np.array_equal(np.signbit(chebyshev.clenshaw(padded, s)), np.signbit(got))
 
     def test_the_table_meets_the_bernoulli_closed_form_at_its_rows(self):
         # tau(t) = 2 (asin sqrt(A(t)) - asin(1/2)), A(t) = 1 / (1 + 3^t), and
