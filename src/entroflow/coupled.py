@@ -88,18 +88,19 @@ class CompositeSystem(StateManifold):
         A_T - A rounds, and near a boundary its rounding error e is large
         next to the small share, so the force would carry it into the whole
         ray.  e is taken exactly by a two-sum, and corrects subsystem 2's
-        force to first order through the metric its point holds:
-        lam'(A_T - A) = lam'(p2.A + e) ~ p2.force - p2.g e."""
+        force and entropy to first order through what its point holds:
+        lam'(A_T - A) = lam'(p2.A + e) ~ p2.force - p2.g e and
+        S'(A_T - A) ~ p2.S + p2.force . e."""
         A = as_vector(A, self.dim, "A")
         A2 = self.A_total - A
         p1 = self._m1.point(A)
         p2 = self._m2.point(A2)
         g = p1.g + p2.g
         _check_finite(g, "metric")
-        force2, e = p2.force, _two_sum_error(self.A_total, -A, A2)
+        force2, S2, e = p2.force, p2.S, _two_sum_error(self.A_total, -A, A2)
         if np.any(e):
-            force2 = force2 - p2.g @ e
-        return ManifoldPoint(A=A, force=p1.force - force2, S=p1.S + p2.S, g=g, p1=p1, p2=p2)
+            force2, S2 = force2 - p2.g @ e, S2 + p2.force @ e
+        return ManifoldPoint(A=A, force=p1.force - force2, S=p1.S + S2, g=g, p1=p1, p2=p2)
 
 
 def _two_sum_error(a, b, s):
@@ -118,14 +119,16 @@ class PairRay:
     Each node is solved in subsystem 1's natural parameter l by a batched,
     damped Newton iteration; see the module docstring.  ``rate`` is asked
     for whole Chebyshev panels of the table of tau, and keeps the Chebyshev
-    series of each panel's solved l, chopped at its rounding plateau, which
-    is noise, to one plus the highest degree its panels reach; each new
-    node starts from the series of the deepest panel that holds it.  Until
-    the first panel is solved, that is the tangent l(1) + (t - 1) dl/dt,
-    with dl/dt = g . g_T^-1 . F0 from the metrics the start point holds.
-    A node whose start lies outside a natural domain starts instead from
-    the piecewise-linear interpolation in t of the table's nodes solved so
-    far, which ``rate`` records: the natural domains are convex, so that
+    series of each leaf panel's solved l, chopped at its rounding plateau,
+    which is noise, to one plus the highest degree its leaves reach: a node
+    starts from the latest-made leaf that holds it, and a split panel gives
+    way to its halves, so once the table is done the leaves are its accepted
+    panels.  Until the first panel is solved, the one leaf is the tangent
+    l(1) + (t - 1) dl/dt, with dl/dt = g . g_T^-1 . F0 from the metrics the
+    start point holds.  A node whose start lies outside a natural domain
+    starts instead from the piecewise-linear interpolation in t of the
+    table's nodes solved so far, which ``rate`` records unsorted and which
+    are sorted only for that start: the natural domains are convex, so that
     start lies inside both.  A row of ``states`` whose start is already
     within rounding costs one evaluation; the table's nodes, whose rates
     set tau, are always polished.
@@ -138,7 +141,7 @@ class PairRay:
         self._exponent = np.frexp(np.max(np.abs(self.F0)))[1]
         self._unit = np.ldexp(self.F0, -self._exponent)
         lam, g = start.p1.force, start.p1.g  # subsystem 1's lam and metric at t = 1
-        self.known_t, self.known_l = np.ones(1), lam[None, :].copy()
+        self.known = [(np.ones(1), lam[None, :].copy())]  # the solved (t, l), unsorted
         self.lo, self.hi = np.zeros(1), np.ones(1)
         # the tangent in s = 2 t - 1, degree first and panels last
         half_slope = 0.5 * g @ (start.g_inv @ self.F0)
@@ -149,24 +152,23 @@ class PairRay:
         whole panels of chebyshev.POINTS points (see ``chebyshev.nodes``),
         its square taken of F0 scaled by a power of two, exactly."""
         l, state = self.solve(ts, rows=False)
-        order = np.argsort(np.append(self.known_t, ts), kind="stable")
-        self.known_t = np.append(self.known_t, ts)[order]
-        self.known_l = np.vstack([self.known_l, l])[order]
+        self.known.append((ts, l))
         panels = np.reshape(ts, (-1, chebyshev.POINTS))
-        self.lo, self.hi = np.append(self.lo, panels[:, 0]), np.append(self.hi, panels[:, -1])
         series = chebyshev.coefficients(l.reshape(panels.shape + (len(self.F0),)))
-        for panel in series:
-            for c in panel.T:  # each component's coefficients, past the rounding plateau
-                c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
+        for p, k in np.ndindex(series.shape[0], series.shape[2]):  # past the rounding plateau
+            series[p, chebyshev.chop(series[p, :, k], np.finfo(float).eps):, k] = 0.0
+        # a split panel gives way to its halves, the lower of which starts at its lo
+        keep = ~np.any(self.lo[:, None] == panels[:, 0], axis=1)
+        self.lo, self.hi = np.append(self.lo[keep], panels[:, 0]), np.append(self.hi[keep], panels[:, -1])
+        leaves = np.zeros((chebyshev.POINTS, len(self.F0), len(self.lo)))
+        leaves[:len(self.series), :, :-len(panels)] = self.series[:, :, keep]
+        leaves[:, :, -len(panels):] = series.transpose(1, 2, 0)
         # the series stay at one plus the highest degree with a nonzero coefficient
-        old, n = self.series, np.max(np.flatnonzero(np.any(series, axis=(0, 2))), initial=0) + 1
-        self.series = np.zeros((max(n, len(old)), len(self.F0), len(self.lo)))
-        self.series[:len(old), :, :old.shape[2]] = old
-        self.series[:n, :, old.shape[2]:] = series[:, :n].transpose(1, 2, 0)
+        self.series = leaves[:np.max(np.flatnonzero(np.any(leaves, axis=(1, 2))), initial=0) + 1].copy()
         return np.ldexp(np.sqrt(np.maximum(state["rate2"], 0.0)), self._exponent)
 
     def _start(self, ts: np.ndarray) -> np.ndarray:
-        """l at each t from the series of the deepest panel that holds it."""
+        """l at each t from the series of the latest-made leaf that holds it."""
         inside = (self.lo <= ts[:, None]) & (ts[:, None] <= self.hi)
         j = len(self.lo) - 1 - np.argmax(inside[:, ::-1], axis=1)
         lo, hi = self.lo[j], self.hi[j]
@@ -264,7 +266,9 @@ class PairRay:
         state, finite = self._evaluate(l, shift, rows, ahead=rows)
         if not np.all(finite):
             out = np.flatnonzero(~finite)
-            l[out] = np.column_stack([np.interp(ts[out], self.known_t, col) for col in self.known_l.T])
+            known_t, known_l = (np.concatenate(part) for part in zip(*self.known))
+            order = np.argsort(known_t, kind="stable")
+            l[out] = np.column_stack([np.interp(ts[out], known_t[order], col) for col in known_l[order].T])
             new, finite = self._evaluate(l[out], shift[out], rows, ahead=rows)
             if not np.all(finite):
                 t = ts[out[np.flatnonzero(~finite)[0]]]

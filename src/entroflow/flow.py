@@ -40,8 +40,11 @@ has a family ray's contract, with g_T^-1 from its ``states`` in place of
 the covariance and subsystem 1's force l after it; the pair's kernels
 solve each node in subsystem 1's natural parameter by a batched Newton
 iteration on the families' forward maps, start the table's first panel on
-the tangent of the curve at t = 1, and start each row from the Chebyshev
-series of the table's solved nodes (see ``coupled``).
+the tangent of the curve at t = 1, and start each later node from the
+Chebyshev series of the table's solved nodes: a node starts from the
+latest-made leaf panel that holds it, a split panel giving way to its
+halves, and the solved nodes are sorted only for the fallback start of a
+node outside a natural domain (see ``coupled``).
 
 The ideal gas's entropy has no maximum: its natural domain lam_E > 0 holds
 t lam0 for every t in (0, 1], but tau(t) diverges as t -> 0.  Its table is

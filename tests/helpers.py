@@ -6,7 +6,9 @@ partition functions, quadrature wrappers, a fixed-step RK4 of the flow's
 velocity field, a change of coordinates that transforms each point by the
 tensor law (``Chart``) and synthetic trajectory builders, plus ``natural_row``,
 which reads one row of a family's forward map, a counter of the calls a
-method receives, a fault that turns a Bernoulli pair's rows to NaN, a
+method receives, a fault that turns a Bernoulli pair's rows to NaN, the
+start of a pair's nodes by the lookup over every panel its ray was ever
+asked about (``every_panel_starts``), a
 table that keeps the arrays it was built from for the oracles
 (``OracleTable``), a family that hands ``point`` any metric
 (``MetricStub``), a least-squares fit of L to windows pooled from
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from entroflow import chebyshev
 from entroflow.coupled import PairRay
 from entroflow.family import (
     BernoulliFamily, ExponentialFamily, GaussianMeanFamily, IdealGasFamily, TabulatedFamily,
@@ -457,3 +460,50 @@ def nan_pair_rows(monkeypatch):
     monkeypatch.setattr(PairRay, "rate", counting_rate)
     monkeypatch.setattr(BernoulliFamily, "natural_states", failing_states)
     return table
+
+
+def every_panel_starts(monkeypatch):
+    """Check each start of a ``PairRay``'s nodes against the lookup over
+    every panel its ray was ever asked about, split ones included: the
+    tangent over [0, 1] first, then each panel of each call of ``rate`` in
+    the order asked, with its series of the solved l chopped at eps and
+    padded to chebyshev.POINTS coefficients; a node takes the series of
+    the latest panel that holds it.  Returns the live list of (start,
+    lookup) of each call of ``_start``."""
+    solve, start, panels, calls = PairRay.solve, PairRay._start, {}, []
+
+    def seen(ray):  # lo, hi and series of every panel so far, from the tangent on
+        if ray not in panels:
+            tangent = np.zeros((chebyshev.POINTS,) + ray.series.shape[1:])
+            tangent[:len(ray.series)] = ray.series
+            panels[ray] = [ray.lo.copy()], [ray.hi.copy()], [tangent]
+        return panels[ray]
+
+    def recording_solve(self, ts, rows):
+        l, state = solve(self, ts, rows)
+        if not rows:  # the nodes of a call of ``rate``
+            lo, hi, series = seen(self)
+            ends = np.reshape(ts, (-1, chebyshev.POINTS))
+            coeffs = chebyshev.coefficients(l.reshape(ends.shape + (len(self.F0),)))
+            for panel in coeffs:
+                for c in panel.T:
+                    c[chebyshev.chop(c, np.finfo(float).eps):] = 0.0
+            lo.append(ends[:, 0])
+            hi.append(ends[:, -1])
+            series.append(coeffs.transpose(1, 2, 0))
+        return l, state
+
+    def checked_start(self, ts):
+        lo, hi, series = (np.concatenate(part, axis=-1) for part in seen(self))
+        inside = (lo <= ts[:, None]) & (ts[:, None] <= hi)
+        j = len(lo) - 1 - np.argmax(inside[:, ::-1], axis=1)
+        assert np.all(inside[np.arange(len(ts)), j])
+        s = (2.0 * ts - lo[j] - hi[j]) / (hi[j] - lo[j])
+        lookup = np.ascontiguousarray(chebyshev.clenshaw(series[:, :, j], s).T)
+        got = start(self, ts)
+        calls.append((got.copy(), lookup))  # the solve updates its start in place
+        return got
+
+    monkeypatch.setattr(PairRay, "solve", recording_solve)
+    monkeypatch.setattr(PairRay, "_start", checked_start)
+    return calls

@@ -156,6 +156,18 @@ class TestIntegrateCoupled:
         exact = math.log(A0) - math.log1p(-A0)
         assert abs(traj.lam_prime[0, 0] / exact - 1.0) <= 1e-10
 
+    def test_start_entropy_carries_the_rounding_of_the_share(self, bernoulli_pair):
+        # 1 - 1e-12 rounds by about 1e-4 of 1e-12: taken at the rounded
+        # share, subsystem 2's S is off by ln(1e12) times that, 1.07e-5 of
+        # S_0 = 2 H(1e-12), and the rows' S, solved at the exact share, then
+        # differ from S_0 + gain by 1.4e-10 of their scale
+        traj = integrate(bernoulli_pair, [1e-12], tau_max=4.0)
+        exact = -2.0 * (1e-12 * math.log(1e-12) + math.log1p(-1e-12) * (1.0 - 1e-12))
+        assert abs(traj.S[0] / exact - 1.0) <= 1e-10
+        S, gain = traj.S, traj.entropy_gain
+        scale = np.maximum(np.maximum(np.abs(S), abs(S[0])), np.abs(gain))
+        assert np.max(np.abs(S - S[0] - gain) / scale) <= 1e-13
+
     def test_gas_en_midpoint_and_forces(self, coupled_gas_traj):
         t = coupled_gas_traj
         assert t.terminal_status == "equilibrium-reached"

@@ -36,6 +36,7 @@ from entroflow.geometry import StateManifold
 from helpers import (
     OracleTable,
     count_calls,
+    every_panel_starts,
     rk4_rows,
     seeded_table,
     squared_bernoulli,
@@ -806,9 +807,9 @@ class TestEntropyProduction:
         traj = integrate(gas_e_only_pair, [3.999999999999], tau_max=1.0)
         assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
 
-    @pytest.mark.xfail(strict=True, reason="the near-empty heat pair's rows take S_T off by "
-                       "up to 3.2e-7: PairRay accepts a first-order row step whose residual "
-                       "carries l's cancellation (ROADMAP item 2)")
+    @pytest.mark.xfail(strict=True, reason="the near-empty heat pair reads 9.25e-9 at "
+                       "tau = 0.081: a scarce subsystem 1 cancels in l' = l - t F0, so its "
+                       "rows' S_T carry that cancellation (ROADMAP item 3b)")
     def test_the_near_empty_heat_pair_is_within_the_bound(self, gas_e_only_pair):
         traj = integrate(gas_e_only_pair, [1e-12], tau_max=1.0)
         assert entropy_production_check(traj).max_residual <= ENTROPY_BOUND
@@ -994,8 +995,9 @@ class TestRayWork:
     @pytest.mark.parametrize("e0", [1e-6, None], ids=["heat-pair", "two-vessel-gas-EN"])
     def test_a_pair_start_is_its_sum_over_series_padded_to_full_degree(self, monkeypatch, e0):
         # the heat pair's first panel grows its series from the tangent's 2
-        # coefficients to chebyshev.POINTS; the gas pair's rows are started
-        # from 2 panels of 13 coefficients
+        # coefficients to chebyshev.POINTS, and once split panels give way to
+        # their halves its 22 accepted panels reach 19; the gas pair's rows
+        # are started from its one accepted panel of 13 coefficients
         if e0 is None:
             cfg = parse_config(catalog_path("two-vessel-gas-EN"))
             system, A0, tau_max, h = build_system(cfg), cfg.A0, cfg.tau_max, cfg.h
@@ -1020,7 +1022,62 @@ class TestRayWork:
         assert all(equal for _, equal in calls)
         # the panels of the calls whose series are short of full degree
         short = [shape[2] for shape, _ in calls if shape[0] < chebyshev.POINTS]
-        assert short and max(short) == (1 if e0 else 2)
+        assert short and max(short) == (22 if e0 else 1)
+
+    @pytest.mark.parametrize("name, panels", [("heat-pair", 42), ("two-vessel-gas-EN", 1)])
+    def test_a_pair_keeps_one_series_per_accepted_panel_and_sorts_no_node(
+            self, monkeypatch, gas_e_only_pair, name, panels):
+        # the table evaluates 83 panels of the heat pair from E = 1e-12 and
+        # accepts 42; each of the 41 it splits gives way to its halves, and
+        # the tangent over [0, 1] to the first panel
+        if name == "heat-pair":
+            system, A0 = gas_e_only_pair, [1e-12]
+        else:
+            cfg = parse_config(catalog_path(name))
+            system, A0 = build_system(cfg), cfg.A0
+        ray = PairRay(system, system.point(A0))
+        sorts, rate = [], PairRay.rate
+
+        def counting_sort(sort):
+            def counted(*args, **kwargs):
+                sorts.append(sort.__name__)
+                return sort(*args, **kwargs)
+            return counted
+
+        def sorting_rate(self, ts):  # the sorts of numpy that rate calls
+            with monkeypatch.context() as m:
+                for sort in (np.sort, np.argsort, np.lexsort):
+                    m.setattr(np, sort.__name__, counting_sort(sort))
+                return rate(self, ts)
+
+        monkeypatch.setattr(PairRay, "rate", sorting_rate)
+        table = _RayTable(ray.rate)
+        assert len(table.lo) == panels and ray.series.shape[2] == panels
+        assert np.array_equal(np.sort(ray.lo), table.lo)
+        assert np.array_equal(np.sort(ray.hi), table.hi)
+        assert not sorts
+
+    @pytest.mark.parametrize("case", ["heat-pair", "two-vessel-gas-EN", "fallback"])
+    def test_every_pair_start_is_the_lookup_over_every_panel_asked_about(
+            self, monkeypatch, gas_e_only_pair, case):
+        # dropping the split panels changes no start: their halves hold all
+        # of their points and were made after them, so none of them is ever
+        # the latest panel that holds a node; the series start of the
+        # fallback pair leaves a natural domain at some nodes
+        if case == "heat-pair":
+            system, A0, tau_max, h = gas_e_only_pair, [1e-12], 1.0, 0.01
+        elif case == "fallback":
+            system = CompositeSystem(IdealGasFamily(1.0), IdealGasFamily(20.0), [4.0, 2.0])
+            A0, tau_max, h = [2.9417656819116895, 8.055627693397808e-06], 200.0, 0.1
+        else:
+            cfg = parse_config(catalog_path(case))
+            system, A0, tau_max, h = build_system(cfg), cfg.A0, cfg.tau_max, cfg.h
+        calls = every_panel_starts(monkeypatch)
+        integrate(system, A0, tau_max=tau_max, h=h)
+        assert len(calls) >= 2  # the table's nodes and the rows
+        for got, lookup in calls:
+            assert np.array_equal(got, lookup)
+            assert np.array_equal(np.signbit(got), np.signbit(lookup))
 
     def test_rows_form_the_step_ahead_only_at_their_start(self, monkeypatch):
         # rows started off their solution take Newton trial steps; only the
